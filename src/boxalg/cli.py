@@ -9,7 +9,7 @@ produce byte-identical outputs.
 Exit codes: 0 success, 2 infeasible or no result (singular systems,
 degenerate configurations, non-convergence), 3 input error (bad JSON,
 bad shapes, bad values), 4 capacity exceeded. The environment variable
-BOXALG_CAP overrides the permutation-enumeration caps.
+BOXALG_CAP overrides the determinant and characteristic size caps.
 """
 
 from __future__ import annotations
@@ -70,11 +70,16 @@ def _scalar_in(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise DomainError(f"not a finite number: {v!r}")
         return Fraction(str(v))
     if isinstance(v, str):
         if not RATIONAL_RE.match(v):
             raise DomainError(f"not a rational string: {v!r}")
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator: {v!r}") from None
     raise DomainError(f"not a scalar: {v!r}")
 
 
@@ -90,12 +95,18 @@ def _matrix_in(v) -> BoxMatrix:
     return BoxMatrix([_vector_in(r) for r in v])
 
 
-def _float_out(x: float):
-    if math.isinf(x):
+def _float_out(x):
+    """A number as a JSON float; non-finite values as "inf", "-inf" or
+    "nan", and rationals past the float range clamp to "inf" / "-inf"."""
+    try:
+        f = float(x)
+    except OverflowError:
         return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
+    if math.isinf(f):
+        return "inf" if f > 0 else "-inf"
+    if math.isnan(f):
         return "nan"
-    return x
+    return f
 
 
 def _rat(x: Fraction) -> str:
@@ -107,7 +118,7 @@ def _vec(v) -> list[str]:
 
 
 def _vec_float(v) -> list:
-    return [_float_out(float(x)) for x in v]
+    return [_float_out(x) for x in v]
 
 
 def _mat(M: BoxMatrix) -> list[list[str]]:
@@ -124,16 +135,16 @@ def _slog(z: SignedLog) -> dict:
 
 
 def _region_value(x):
-    return _rat(x) if isinstance(x, Fraction) else _float_out(float(x))
+    return _rat(x) if isinstance(x, Fraction) else _float_out(x)
 
 
 def _rows_out(rows) -> list[dict]:
     return [
         {
             "lower": _rat(r.lower),
-            "lower_float": _float_out(float(r.lower)),
+            "lower_float": _float_out(r.lower),
             "upper": _rat(r.upper),
-            "upper_float": _float_out(float(r.upper)),
+            "upper_float": _float_out(r.upper),
             "satisfied": r.satisfied,
         }
         for r in rows
@@ -157,7 +168,11 @@ def _caps() -> tuple[int, int]:
 
 
 def _merge_opts(data: dict, args) -> dict:
-    opts = dict(data.get("options", {}))
+    """The problem's options with the command-line flags laid over them."""
+    opts = data.get("options", {})
+    if not isinstance(opts, dict):
+        raise DomainError(f"options must be a JSON object, got {opts!r}")
+    opts = dict(opts)
     if args.p is not None:
         opts["p"] = args.p
     if args.pmax is not None:
@@ -166,6 +181,11 @@ def _merge_opts(data: dict, args) -> dict:
         opts["tol"] = args.tol
     if args.mode is not None:
         opts["mode"] = args.mode
+    tol = opts.get("tol")
+    if tol is not None and (isinstance(tol, bool)
+                            or not isinstance(tol, (int, float))
+                            or not 0 < tol < math.inf):
+        raise DomainError(f"tol must be a positive real number, got {tol!r}")
     return opts
 
 
@@ -185,12 +205,12 @@ def _do_det(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps()
     A = _matrix_in(data["A"])
     d = det_inf(A, det_cap)
-    out = {"det_inf": _rat(d), "det_inf_float": _float_out(float(d))}
+    out = {"det_inf": _rat(d), "det_inf_float": _float_out(d)}
     mode = opts.get("mode")
     if mode in ("lower", "upper"):
         r = det_inf_reg(A, mode, det_cap)
         out[f"det_{mode}"] = _rat(r)
-        out[f"det_{mode}_float"] = _float_out(float(r))
+        out[f"det_{mode}_float"] = _float_out(r)
     elif mode not in (None, "exact"):
         raise DomainError(f"mode must be lower, upper or exact, got {mode!r}")
     p = _opt_p(opts)
@@ -208,7 +228,7 @@ def _do_solve(data: dict, opts: dict) -> tuple[int, dict]:
         return INFEASIBLE, {"det_inf": "0", "det_inf_float": 0.0}
     return OK, {
         "det_inf": _rat(report.det),
-        "det_inf_float": _float_out(float(report.det)),
+        "det_inf_float": _float_out(report.det),
         "x": _vec(report.solution),
         "x_float": _vec_float(report.solution),
         "rows": _rows_out(report.per_row),
@@ -259,7 +279,7 @@ def _do_twosided(data: dict, opts: dict) -> tuple[int, dict]:
         return INFEASIBLE, {"det_inf": "0", "det_inf_float": 0.0}
     return OK, {
         "det_inf": _rat(report.det),
-        "det_inf_float": _float_out(float(report.det)),
+        "det_inf_float": _float_out(report.det),
         "x": _vec(report.solution),
         "x_float": _vec_float(report.solution),
         "rows": _rows_out(report.per_row),
@@ -278,7 +298,7 @@ def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
         "coeffs": _vec(H.coeffs),
         "coeffs_float": _vec_float(H.coeffs),
         "rhs": _rat(H.rhs),
-        "rhs_float": _float_out(float(H.rhs)),
+        "rhs_float": _float_out(H.rhs),
     }
     queries = data.get("queries")
     if queries is not None:
@@ -305,7 +325,7 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
         for mode in ("limit", "lower", "upper"):
             v = charpoly_eval(ms, lam, mode)
             out[f"eval_{mode}"] = _rat(v)
-            out[f"eval_{mode}_float"] = _float_out(float(v))
+            out[f"eval_{mode}_float"] = _float_out(v)
         p = _opt_p(opts)
         if p is not None:
             out["eval_p"] = _slog(charpoly_eval(ms, lam, "p", p=p))
@@ -319,7 +339,7 @@ def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
     region = eigen_region(A, cap=char_cap)
     out: dict = {
         "region": [_region_value(x) for x in region],
-        "region_float": [_float_out(float(x)) for x in region],
+        "region_float": [_float_out(x) for x in region],
     }
     positive = all(
         A.entry(i, j) > 0
@@ -331,7 +351,7 @@ def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
         tol = opts.get("tol", DEFAULT_TOL)
         rep = sweep("perron", {"A": A.to_rows()}, p_max=p_max, tol=tol)
         out["perron"] = {
-            "limit_float": _float_out(float(rep.limit)),
+            "limit_float": _float_out(rep.limit),
             "final_rel_gap": _float_out(rep.final_rel_gap),
             "converged": rep.converged,
             "p_max": p_max,
@@ -353,9 +373,9 @@ def _do_oracle(data: dict, opts: dict) -> tuple[int, dict]:
         limit_float = _vec_float(rep.limit)
     elif isinstance(rep.limit, Fraction):
         limit = _rat(rep.limit)
-        limit_float = _float_out(float(rep.limit))
+        limit_float = _float_out(rep.limit)
     else:
-        limit = _float_out(float(rep.limit))
+        limit = _float_out(rep.limit)
         limit_float = limit
     values = []
     for v in rep.values:
@@ -387,11 +407,11 @@ def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
         A = _matrix_in(data["A"])
         d = s_det(s_embed_matrix(A), det_cap)
         out["s_det"] = [_rat(d.plus), _rat(d.minus)]
-        out["s_det_float"] = [_float_out(float(d.plus)), _float_out(float(d.minus))]
+        out["s_det_float"] = [_float_out(d.plus), _float_out(d.minus)]
         out["balanced_with_zero"] = d.plus == d.minus
         di = det_inf(A, det_cap)
         out["det_inf"] = _rat(di)
-        out["det_inf_float"] = _float_out(float(di))
+        out["det_inf_float"] = _float_out(di)
     if "pairs" in data:
         raw = data["pairs"]
         if not isinstance(raw, list) or not raw:

@@ -15,6 +15,7 @@ power sums live in :mod:`boxalg.signedlog`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -39,6 +40,8 @@ def as_scalar(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"not a rational: {value!r}") from exc
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DomainError(f"not a finite number: {value!r}")
         # floats are accepted but converted exactly (binary expansion)
         return Fraction(value)
     raise DomainError(f"not a scalar: {value!r}")

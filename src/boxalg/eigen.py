@@ -1,16 +1,21 @@
 """Characteristic monomials, spectral region, and finite-index Perron data.
 
-The characteristic object is kept as the raw multiset of signed monomials
-(one per subset-permutation pair), never merged per degree: the limit sum
-cancels by exact magnitude across the whole multiset, and premature
-merging would corrupt those counts.
+The characteristic object is the raw multiset of signed monomials (one per
+subset-permutation pair), never merged per degree: the limit sum cancels
+by exact magnitude across the whole multiset, and premature merging would
+corrupt those counts. Listing it takes sum_k k! C(n, k) monomials, so
+:func:`char_monomials` is capped.
 
-For the lower/upper envelope evaluations the multiset is first reduced by
-netting signs within each (degree, |coeff|) class. Two monomials of equal
-degree and equal absolute coefficient but opposite sign contribute exactly
-cancelling odd powers at every finite index and every argument, so the
-reduction preserves the envelopes while removing spurious ties that a
-plain envelope of the raw multiset would see.
+Evaluation nets signs within each (degree, |coeff|) class first. Two
+monomials of equal degree and equal absolute coefficient but opposite sign
+contribute exactly cancelling odd powers at every finite index and every
+argument, so the reduction preserves every evaluation mode while removing
+spurious ties that a plain envelope of the raw multiset would see.
+
+The spectral region needs only the dominant surviving class per degree.
+:func:`eigen_region` reads those from the subset DP of
+:mod:`boxalg.linalg` run on a_ij - lam delta_ij, in O(2^n n) steps, without
+listing the monomials.
 """
 
 from __future__ import annotations
@@ -23,7 +28,14 @@ from typing import NamedTuple, Optional, Sequence
 
 from .core import as_scalar, nary_boxplus, smile
 from .errors import CapacityError, ConvergenceError, DomainError
-from .linalg import BoxMatrix, BoxVector, as_matrix, matvec_limit, signed_permutations
+from .linalg import (
+    BoxMatrix,
+    BoxVector,
+    _dominant_terms,
+    as_matrix,
+    matvec_limit,
+    signed_permutations,
+)
 from .signedlog import SignedLog, odd_exponent, phi_p_sum
 
 DEFAULT_CHAR_CAP = 7
@@ -65,13 +77,7 @@ class MonomialList:
         return len(self.monomials)
 
 
-def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
-    """One signed monomial per (subset H, permutation of H) pair.
-
-    The monomial for (H, sigma) has coefficient (-1)^(n-k) sgn(sigma)
-    times the product of a[i, sigma(i)] over H (k = |H|) and degree n-k;
-    the empty subset contributes ((-1)^n, n).
-    """
+def _check_char(A, cap: int) -> BoxMatrix:
     M = as_matrix(A)
     if not M.is_square:
         raise DomainError(f"square matrix required, got {M.rows}x{M.cols}")
@@ -81,6 +87,18 @@ def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
             f"characteristic multiset for a {n}x{n} matrix exceeds the size "
             f"cap {cap} ({expected_monomial_count(n)} monomials)"
         )
+    return M
+
+
+def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
+    """One signed monomial per (subset H, permutation of H) pair.
+
+    The monomial for (H, sigma) has coefficient (-1)^(n-k) sgn(sigma)
+    times the product of a[i, sigma(i)] over H (k = |H|) and degree n-k;
+    the empty subset contributes ((-1)^n, n).
+    """
+    M = _check_char(A, cap)
+    n = M.rows
     rows = M.to_rows()
     out = [Monomial(Fraction(-1 if n % 2 else 1), n)]
     for k in range(1, n + 1):
@@ -100,6 +118,17 @@ def _coerce_monomials(m) -> tuple[Monomial, ...]:
     return tuple(Monomial(as_scalar(c), int(d)) for c, d in m)
 
 
+def _net_classes(m) -> dict[tuple[int, Fraction], int]:
+    """(degree, |coeff|) -> net signed count; zero coefficients skipped."""
+    classes: dict[tuple[int, Fraction], int] = {}
+    for coeff, degree in _coerce_monomials(m):
+        sign = coeff.numerator
+        if sign:
+            key = (degree, coeff if sign > 0 else -coeff)
+            classes[key] = classes.get(key, 0) + (1 if sign > 0 else -1)
+    return classes
+
+
 def reduced_monomials(m) -> tuple[Monomial, ...]:
     """Net signs within each (degree, |coeff|) class; drop zero coefficients.
 
@@ -107,14 +136,8 @@ def reduced_monomials(m) -> tuple[Monomial, ...]:
     reduced multiset evaluates identically to the raw one at every finite
     index, while its envelopes are free of exactly-cancelling ties.
     """
-    classes: dict[tuple[int, Fraction], int] = {}
-    for mono in _coerce_monomials(m):
-        if mono.coeff == 0:
-            continue
-        key = (mono.degree, abs(mono.coeff))
-        classes[key] = classes.get(key, 0) + (1 if mono.coeff > 0 else -1)
     out = []
-    for (degree, mag), net in sorted(classes.items()):
+    for (degree, mag), net in sorted(_net_classes(m).items()):
         if net == 0:
             continue
         coeff = mag if net > 0 else -mag
@@ -127,38 +150,30 @@ def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
 
     'limit' takes the dominant-magnitude sum of all values c * lam^degree,
     'lower'/'upper' take the matching envelope of the reduced multiset,
-    and 'p' returns the finite-index power sum as a SignedLog.
+    and 'p' returns the finite-index power sum as a SignedLog. Every mode
+    reads the reduced multiset, which gives the raw one's limit sum and
+    power sums (equal magnitudes net either way).
     """
     lam = as_scalar(lam)
+    if mode == "p" and p is None:
+        raise DomainError("mode 'p' requires the index p")
+    if mode not in ("limit", "lower", "upper", "p"):
+        raise DomainError(f"unknown mode {mode!r}")
+    classes = _net_classes(m)
+    powers = {d: lam ** d for d in {d for d, _mag in classes}}
+    vals = []
+    for (degree, mag), net in classes.items():
+        if net:
+            v = mag * powers[degree]
+            vals.extend([v if net > 0 else -v] * abs(net))
     if mode == "limit":
-        vals = [mono.coeff * lam ** mono.degree for mono in _coerce_monomials(m)]
-        return nary_boxplus(vals) if vals else Fraction(0)
-    if mode in ("lower", "upper"):
-        vals = [mono.coeff * lam ** mono.degree for mono in reduced_monomials(m)]
-        return smile(vals, mode)
+        return nary_boxplus(vals)
     if mode == "p":
-        if p is None:
-            raise DomainError("mode 'p' requires the index p")
-        terms = [
-            SignedLog.from_rational(mono.coeff * lam ** mono.degree)
-            for mono in _coerce_monomials(m)
-        ]
-        return phi_p_sum(terms, p)
-    raise DomainError(f"unknown mode {mode!r}")
+        return phi_p_sum([SignedLog.from_rational(v) for v in vals], p)
+    return smile(vals, mode)
 
 
 # --- spectral region ---------------------------------------------------------
-
-
-def _dominant_by_degree(reduced: Sequence[Monomial]) -> dict[int, tuple[Fraction, int]]:
-    """Per degree, the largest |coeff| class and its sign (others never reach
-    the magnitude envelope)."""
-    dom: dict[int, tuple[Fraction, int]] = {}
-    for mono in reduced:
-        mag = abs(mono.coeff)
-        if mono.degree not in dom or mag > dom[mono.degree][0]:
-            dom[mono.degree] = (mag, 1 if mono.coeff > 0 else -1)
-    return dom
 
 
 def _nth_root_exact(q: Fraction, e: int) -> Optional[Fraction]:
@@ -223,8 +238,9 @@ def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP,
     candidate radii are also sampled (with the tie tolerance) and included
     if they pass, which the reduction argument rules out.
     """
-    ms = char_monomials(A, cap)
-    dom = _dominant_by_degree(reduced_monomials(ms))
+    # per degree, the largest surviving |coeff| class and its sign (the
+    # others never reach the magnitude envelope)
+    dom = _dominant_terms(_check_char(A, cap), lam=True)
 
     members: list = []
     if 0 not in dom:

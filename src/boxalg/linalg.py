@@ -2,20 +2,30 @@
 
 The determinant here is the usual signed sum over permutations, except the
 sum is the dominant-magnitude operation from :mod:`boxalg.core` (or one of
-its semicontinuous envelopes, or a finite-index power sum). All of them
-consume the same multiset of signed permutation products, so that multiset
-is generated once (Heap's algorithm, sign flipped per swap) and shared.
+its semicontinuous envelopes, or a finite-index power sum).
 
-Work grows as n!, so determinant-flavored operations take a size cap and
-raise :class:`~boxalg.errors.CapacityError` past it.
+The limit determinant, its envelopes and the balance-pair determinant of
+:mod:`boxalg.sym` never list the n! products. One subset DP over the set of
+used columns (O(2^n n) steps) sums them in a semiring that keeps just what
+the result needs: the leading magnitude with its net signed count, the
+whole netted {magnitude: count} group ring when that count cancels, or
+the (plus, minus) balance pair. The same DP with a_ii - lam on the
+diagonal gives the per-degree dominant classes of the characteristic
+monomials (:mod:`boxalg.eigen`). The finite-index determinant still sums
+the listed products (:func:`permutation_products`, Heap's algorithm),
+which also serves the tests as the reference expansion.
+
+Determinant-flavored operations take a size cap and raise
+:class:`~boxalg.errors.CapacityError` past it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import LOWER, UPPER, as_scalar, as_vector, nary_boxplus, smile
+from .core import LOWER, UPPER, as_vector, nary_boxplus, smile
 from .errors import CapacityError, DomainError
 from .signedlog import SignedLog, phi_p_sum
 
@@ -153,14 +163,17 @@ def _check_cap(n: int, cap: int, what: str) -> None:
         )
 
 
+def _checked(A, cap: int) -> BoxMatrix:
+    M = as_matrix(A)
+    _check_cap(_check_square(M, "determinant"), cap, "determinant")
+    return M
+
+
 def permutation_products(A, cap: int = DEFAULT_DET_CAP) -> tuple[Fraction, ...]:
     """The n! signed products sgn(s) * prod_i a[i, s(i)], in Heap order."""
-    M = as_matrix(A)
-    n = _check_square(M, "determinant")
-    _check_cap(n, cap, "determinant")
-    rows = M.to_rows()
+    rows = _checked(A, cap).to_rows()
     out = []
-    for perm, sign in signed_permutations(n):
+    for perm, sign in signed_permutations(len(rows)):
         prod = Fraction(sign)
         for i, j in enumerate(perm):
             prod *= rows[i][j]
@@ -170,14 +183,157 @@ def permutation_products(A, cap: int = DEFAULT_DET_CAP) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+# --- subset DP ---------------------------------------------------------------
+
+
+def _subset_dp(entries, step, one):
+    """Semiring sum over all permutations of the products of chosen entries.
+
+    ``entries[i]`` lists (j, e) for the nonzero entries e of row i. After
+    row i the state is the mask of used columns, holding the semiring sum
+    over the partial permutations that use exactly those columns. Taking
+    column j adds one inversion per used column above j, so the sign flips
+    when their count is odd. ``step(acc, value, e, odd)`` returns acc plus
+    value * e (negated when odd); acc is None for the semiring zero and may
+    be updated in place. Returns the full-mask sum, None when every product
+    is zero.
+    """
+    layer = {0: one}
+    for row in entries:
+        nxt: dict = {}
+        for mask, value in layer.items():
+            for j, e in row:
+                if not mask >> j & 1:
+                    key = mask | 1 << j
+                    nxt[key] = step(nxt.get(key), value, e,
+                                    (mask >> j).bit_count() & 1)
+        layer = nxt
+    return layer.get((1 << len(entries)) - 1)
+
+
+# Polynomial semirings: {degree of lam: coefficient data}; an entry is a
+# list of terms (degree shift, magnitude, sign) with integer magnitudes.
+
+
+def _lead_step(acc, value, e, odd):
+    """Leading terms: per degree, (largest magnitude, net count at it)."""
+    if acc is None:
+        acc = {}
+    for shift, a, s in e:
+        if odd:
+            s = -s
+        for d, (m, c) in value.items():
+            d += shift
+            m *= a
+            cur = acc.get(d)
+            if cur is None or m > cur[0]:
+                acc[d] = (m, s * c)
+            elif m == cur[0]:
+                acc[d] = (m, cur[1] + s * c)
+    return acc
+
+
+def _ring_step(acc, value, e, odd):
+    """Group ring: per degree, {magnitude: net signed count}."""
+    if acc is None:
+        acc = {}
+    for shift, a, s in e:
+        if odd:
+            s = -s
+        for d, nets in value.items():
+            out = acc.setdefault(d + shift, {})
+            for m, c in nets.items():
+                m *= a
+                out[m] = out.get(m, 0) + s * c
+    return acc
+
+
+def _pair_step(acc, value, e, odd):
+    """Balance pairs (plus, minus): products cross, sums take maxima, and
+    negation swaps the components."""
+    p, q = value
+    ep, eq = e
+    plus, minus = max(p * ep, q * eq), max(p * eq, q * ep)
+    if odd:
+        plus, minus = minus, plus
+    if acc is None:
+        return plus, minus
+    return max(acc[0], plus), max(acc[1], minus)
+
+
+def _integer_rows(M: BoxMatrix) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and those multipliers.
+
+    Every expanded term takes one factor per row, so all of them scale by
+    the product of the multipliers: magnitude order and ties are kept, and
+    the DP multiplies ints instead of Fractions.
+    """
+    rows, scales = [], []
+    for row in M.to_rows():
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+        scales.append(scale)
+    return rows, scales
+
+
+def _dominant_terms(M: BoxMatrix, lam: bool = False) -> dict[int, tuple[Fraction, int]]:
+    """Per degree, the largest magnitude whose net signed count survives,
+    and the sign of that count.
+
+    The terms are the signed permutation products of M (all of degree 0)
+    or, with ``lam``, the characteristic monomials of M (a_ii - lam on the
+    diagonal). Degrees where everything cancels are absent. The leading-
+    term run settles it unless some leading count nets to zero; then the
+    group ring finds the next surviving magnitude.
+    """
+    rows, scales = _integer_rows(M)
+    entries = []
+    for i, (row, scale) in enumerate(zip(rows, scales)):
+        line = []
+        for j, a in enumerate(row):
+            e = [(0, abs(a), 1 if a > 0 else -1)] if a else []
+            if lam and i == j:
+                e.append((1, scale, -1))
+            if e:
+                line.append((j, e))
+        entries.append(line)
+    top = _subset_dp(entries, _lead_step, {0: (1, 1)}) or {}
+    if not all(c for _m, c in top.values()):
+        top = {}
+        for d, nets in _subset_dp(entries, _ring_step, {0: {1: 1}}).items():
+            live = [m for m, c in nets.items() if c]
+            if live:
+                top[d] = (max(live), nets[max(live)])
+    total = math.prod(scales)
+    return {d: (Fraction(m, total), 1 if c > 0 else -1)
+            for d, (m, c) in top.items()}
+
+
+def _pair_det(rows) -> tuple[Fraction, Fraction]:
+    """(plus, minus) of the balance-pair determinant of a square matrix of
+    pairs of nonnegative rationals."""
+    entries = [[(j, e) for j, e in enumerate(row) if e[0] or e[1]]
+               for row in rows]
+    plus, minus = _subset_dp(entries, _pair_step, (1, 0)) or (0, 0)
+    return Fraction(plus), Fraction(minus)
+
+
 def det_inf(A, cap: int = DEFAULT_DET_CAP) -> Fraction:
     """Limit determinant: dominant-magnitude sum of the signed products."""
-    return nary_boxplus(permutation_products(A, cap))
+    mag, sign = _dominant_terms(_checked(A, cap)).get(0, (Fraction(0), 1))
+    return mag if sign > 0 else -mag
 
 
 def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
-    """Lower or upper regularized determinant (smile over the products)."""
-    return smile(permutation_products(A, cap), mode)
+    """Lower or upper regularized determinant (smile over the products).
+
+    Only the largest positive and largest negative product matter, which
+    is the balance-pair determinant of the embedded matrix.
+    """
+    rows = _checked(A, cap).to_rows()
+    plus, minus = _pair_det([[(a, 0) if a > 0 else (0, -a) for a in row]
+                             for row in rows])
+    return smile((plus, -minus), mode)
 
 
 def det_p(A, p: int, cap: int = DEFAULT_DET_CAP) -> SignedLog:

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import LOWER, UPPER, as_scalar, smile
 from .errors import CapacityError, DomainError
-from .linalg import DEFAULT_DET_CAP, as_matrix, signed_permutations
+from .linalg import DEFAULT_DET_CAP, _pair_det, as_matrix
 from .signedlog import (  # noqa: F401  (re-exported API)
     SignedLog,
     psi_exp,
@@ -88,6 +88,8 @@ def s_det(rows: Sequence[Sequence[SPair]], cap: int = DEFAULT_DET_CAP) -> SPair:
 
     Even permutations contribute their product pair as is; odd ones
     contribute it with plus and minus exchanged (the semiring's negation).
+    The sum runs through the subset DP of :mod:`boxalg.linalg` in
+    O(2^n n) pair operations instead of over the n! permutations.
     """
     data = [tuple(s_pair(*x) for x in r) for r in rows]
     n = len(data)
@@ -97,15 +99,7 @@ def s_det(rows: Sequence[Sequence[SPair]], cap: int = DEFAULT_DET_CAP) -> SPair:
         raise CapacityError(
             f"pair determinant on a {n}x{n} matrix exceeds the size cap {cap}"
         )
-    acc = S_ZERO
-    for perm, sign in signed_permutations(n):
-        prod = S_ONE
-        for i, j in enumerate(perm):
-            prod = s_mul(prod, data[i][j])
-        if sign < 0:
-            prod = SPair(prod.minus, prod.plus)
-        acc = s_add(acc, prod)
-    return acc
+    return SPair(*_pair_det(data))
 
 
 def s_embed_matrix(A) -> tuple[tuple[SPair, ...], ...]:

@@ -173,6 +173,41 @@ class TestInputHandling:
         assert code == 0
         assert obj["det_inf"] == "1/2"
 
+    @pytest.mark.parametrize("kind,text", [
+        ("det", '{"A":[[1e400]]}'),
+        ("det", '{"A":[[NaN]]}'),
+        ("det", '{"A":[["1/0"]]}'),
+        ("charpoly", '{"A":[[1]],"lam":"1/0"}'),
+        ("oracle", '{"quantity":"sum","xs":[1,-Infinity]}'),
+    ])
+    def test_non_finite_and_zero_denominator_scalars(self, capsys, kind, text):
+        code, obj = invoke(capsys, kind, "--json", text)
+        assert code == 3
+        assert "finite" in obj["error"] or "denominator" in obj["error"]
+
+    @pytest.mark.parametrize("kind,text", [
+        ("det", '{"A":[[1]],"options":5}'),
+        ("det", '{"A":[[1]],"options":[["mode","lower"]]}'),
+        ("oracle", '{"quantity":"sum","xs":[1],"options":{"tol":"x"}}'),
+        ("oracle", '{"quantity":"sum","xs":[1],"options":{"tol":0}}'),
+        ("eigen", '{"A":[[2]],"options":{"tol":true}}'),
+    ])
+    def test_bad_options(self, capsys, kind, text):
+        code, obj = invoke(capsys, kind, "--json", text)
+        assert code == 3
+        assert "options" in obj["error"] or "tol" in obj["error"]
+
+    def test_huge_values_clamp_float_fields(self, capsys):
+        big = "1" + "0" * 400
+        code, obj = invoke(capsys, "det", "--json",
+                           json.dumps({"A": [["-" + big]]}), "--mode", "upper")
+        assert code == 0
+        assert obj["det_inf"] == obj["det_upper"] == "-" + big
+        assert obj["det_inf_float"] == obj["det_upper_float"] == "-inf"
+        code, obj = invoke(capsys, "sym", "--json", json.dumps({"A": [[big]]}))
+        assert code == 0
+        assert obj["s_det_float"] == ["inf", 0.0]
+
     def test_requires_exactly_one_source(self, capsys):
         code, _ = invoke(capsys, "det")
         assert code == 3
