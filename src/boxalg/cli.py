@@ -18,15 +18,15 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 
-from .core import nary_boxplus, smile
+from .core import as_float, as_scalar
 from .eigen import (
     DEFAULT_CHAR_CAP,
+    _eval_classes,
+    _net_classes,
     char_monomials,
-    charpoly_eval,
     eigen_region,
 )
 from .errors import (
@@ -53,8 +53,6 @@ from .solve import (
 )
 from .sym import s_det, s_embed_matrix, s_pair, v_identity_check, v_map
 
-RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
-
 KINDS = ("det", "solve", "maxsolve", "twosided", "hyperplane", "charpoly",
          "eigen", "oracle", "sym")
 
@@ -64,29 +62,10 @@ OK, INFEASIBLE, INPUT_ERROR, CAPACITY = 0, 2, 3, 4
 # --- JSON <-> exact values ----------------------------------------------------
 
 
-def _scalar_in(v) -> Fraction:
-    if isinstance(v, bool):
-        raise DomainError(f"not a scalar: {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise DomainError(f"not a finite number: {v!r}")
-        return Fraction(str(v))
-    if isinstance(v, str):
-        if not RATIONAL_RE.match(v):
-            raise DomainError(f"not a rational string: {v!r}")
-        try:
-            return Fraction(v)
-        except ZeroDivisionError:
-            raise DomainError(f"zero denominator: {v!r}") from None
-    raise DomainError(f"not a scalar: {v!r}")
-
-
 def _vector_in(v) -> tuple[Fraction, ...]:
     if not isinstance(v, list) or not v:
         raise DomainError("expected a nonempty array of scalars")
-    return tuple(_scalar_in(x) for x in v)
+    return tuple(as_scalar(x) for x in v)
 
 
 def _matrix_in(v) -> BoxMatrix:
@@ -95,13 +74,21 @@ def _matrix_in(v) -> BoxMatrix:
     return BoxMatrix([_vector_in(r) for r in v])
 
 
+def _points_in(v) -> list[tuple[Fraction, ...]]:
+    if not isinstance(v, list):
+        raise DomainError("points must be an array of points")
+    return [_vector_in(p) for p in v]
+
+
+# how the oracle reads each input field it knows; other fields are ignored
+ORACLE_FIELDS = {"xs": _vector_in, "b": _vector_in, "x": _vector_in,
+                 "A": _matrix_in, "points": _points_in, "lam": as_scalar}
+
+
 def _float_out(x):
     """A number as a JSON float; non-finite values as "inf", "-inf" or
     "nan", and rationals past the float range clamp to "inf" / "-inf"."""
-    try:
-        f = float(x)
-    except OverflowError:
-        return "inf" if x > 0 else "-inf"
+    f = as_float(x)
     if math.isinf(f):
         return "inf" if f > 0 else "-inf"
     if math.isnan(f):
@@ -119,10 +106,6 @@ def _vec(v) -> list[str]:
 
 def _vec_float(v) -> list:
     return [_float_out(x) for x in v]
-
-
-def _mat(M: BoxMatrix) -> list[list[str]]:
-    return [[_rat(x) for x in row] for row in M.to_rows()]
 
 
 def _slog(z: SignedLog) -> dict:
@@ -220,10 +203,8 @@ def _do_det(data: dict, opts: dict) -> tuple[int, dict]:
     return OK, out
 
 
-def _do_solve(data: dict, opts: dict) -> tuple[int, dict]:
-    det_cap, _ = _caps()
-    system = LimitSystem(_matrix_in(data["A"]), _vector_in(data["b"]))
-    report = cramer_limit_solve(system, det_cap)
+def _solve_out(report) -> tuple[int, dict]:
+    """A Cramer-style :class:`~boxalg.solve.SolveReport` as a result."""
     if report.solution is None:
         return INFEASIBLE, {"det_inf": "0", "det_inf_float": 0.0}
     return OK, {
@@ -235,6 +216,12 @@ def _do_solve(data: dict, opts: dict) -> tuple[int, dict]:
         "satisfied": all(r.satisfied for r in report.per_row),
         "regular": report.regular,
     }
+
+
+def _do_solve(data: dict, opts: dict) -> tuple[int, dict]:
+    det_cap, _ = _caps()
+    system = LimitSystem(_matrix_in(data["A"]), _vector_in(data["b"]))
+    return _solve_out(cramer_limit_solve(system, det_cap))
 
 
 def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
@@ -274,26 +261,12 @@ def _do_twosided(data: dict, opts: dict) -> tuple[int, dict]:
         _matrix_in(data["A"]), _matrix_in(data["C"]),
         _vector_in(data["b"]), _vector_in(data["d"]),
     )
-    report = twosided_solve(system, det_cap)
-    if report.solution is None:
-        return INFEASIBLE, {"det_inf": "0", "det_inf_float": 0.0}
-    return OK, {
-        "det_inf": _rat(report.det),
-        "det_inf_float": _float_out(report.det),
-        "x": _vec(report.solution),
-        "x_float": _vec_float(report.solution),
-        "rows": _rows_out(report.per_row),
-        "satisfied": all(r.satisfied for r in report.per_row),
-        "regular": report.regular,
-    }
+    return _solve_out(twosided_solve(system, det_cap))
 
 
 def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps()
-    points = data["points"]
-    if not isinstance(points, list):
-        raise DomainError("points must be an array of points")
-    H = hyperplane_through([_vector_in(p) for p in points], det_cap)
+    H = hyperplane_through(_points_in(data["points"]), det_cap)
     out = {
         "coeffs": _vec(H.coeffs),
         "coeffs_float": _vec_float(H.coeffs),
@@ -320,15 +293,16 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     }
     lam = data.get("lam")
     if lam is not None:
-        lam = _scalar_in(lam)
+        lam = as_scalar(lam)
         out["lam"] = _rat(lam)
+        classes = _net_classes(ms)
         for mode in ("limit", "lower", "upper"):
-            v = charpoly_eval(ms, lam, mode)
+            v = _eval_classes(classes, lam, mode)
             out[f"eval_{mode}"] = _rat(v)
             out[f"eval_{mode}_float"] = _float_out(v)
         p = _opt_p(opts)
         if p is not None:
-            out["eval_p"] = _slog(charpoly_eval(ms, lam, "p", p=p))
+            out["eval_p"] = _slog(_eval_classes(classes, lam, "p", p))
             out["p"] = p
     return OK, out
 
@@ -363,8 +337,8 @@ def _do_oracle(data: dict, opts: dict) -> tuple[int, dict]:
     quantity = data.get("quantity")
     if not isinstance(quantity, str):
         raise DomainError("oracle problems need a 'quantity' string")
-    inputs = {k: v for k, v in data.items()
-              if k not in ("quantity", "kind", "options")}
+    inputs = {k: parse(data[k]) for k, parse in ORACLE_FIELDS.items()
+              if k in data}
     p_max = opts.get("p_max", DEFAULT_P_MAX)
     tol = opts.get("tol", DEFAULT_TOL)
     rep = sweep(quantity, inputs, p_max=p_max, tol=tol)
@@ -420,7 +394,7 @@ def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
         for item in raw:
             if not isinstance(item, list) or len(item) != 2:
                 raise DomainError(f"not a pair: {item!r}")
-            pairs.append(s_pair(_scalar_in(item[0]), _scalar_in(item[1])))
+            pairs.append(s_pair(as_scalar(item[0]), as_scalar(item[1])))
         values = [v_map(x) for x in pairs]
         out["v_values"] = _vec(values)
         out["v_values_float"] = _vec_float(values)

@@ -16,35 +16,55 @@ power sums live in :mod:`boxalg.signedlog`.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .signedlog import SignedLog, phi_p_sum
+from .signedlog import SignedLog, net_by_magnitude, phi_p_sum
 
 Scalar = Fraction
 
 LOWER = "lower"
 UPPER = "upper"
 
+RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+
 
 def as_scalar(value) -> Fraction:
-    """Coerce ints, rational strings like '-3/4', and Fractions exactly."""
+    """Coerce a scalar exactly.
+
+    Fractions and ints pass; strings must read ``-?digits(/digits)?``;
+    finite floats convert through their decimal repr, so 0.1 reads as
+    1/10. Bools, other strings, non-finite floats and zero denominators
+    raise :class:`DomainError`.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise DomainError(f"not a scalar: {value!r}")
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"not a rational: {value!r}") from exc
+    if isinstance(value, int):
+        return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise DomainError(f"not a finite number: {value!r}")
-        # floats are accepted but converted exactly (binary expansion)
-        return Fraction(value)
+        return Fraction(str(value))
+    if isinstance(value, str):
+        if not RATIONAL_RE.match(value):
+            raise DomainError(f"not a rational string: {value!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator: {value!r}") from None
     raise DomainError(f"not a scalar: {value!r}")
+
+
+def as_float(x) -> float:
+    """x as a float; rationals past the float range clamp to +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def as_vector(values: Iterable) -> tuple[Fraction, ...]:
@@ -69,18 +89,6 @@ def _resolve_index_set(n: int, indices) -> tuple[int, ...]:
     return idx
 
 
-def _net_counts(xs: Sequence[Fraction], idx: Sequence[int]):
-    """Map |x_i| -> (count of +|x_i|) - (count of -|x_i|), zeros skipped."""
-    net: dict[Fraction, int] = {}
-    for i in idx:
-        v = xs[i - 1]
-        if v == 0:
-            continue
-        m = -v if v < 0 else v
-        net[m] = net.get(m, 0) + (1 if v > 0 else -1)
-    return net
-
-
 def xi(xs: Sequence, I, alpha) -> int:
     """Net occurrence count of alpha versus -alpha within positions I."""
     vec = as_vector(xs)
@@ -103,7 +111,7 @@ def residual_set(xs: Sequence, I=None) -> tuple[int, ...]:
     """
     vec = as_vector(xs)
     idx = _resolve_index_set(len(vec), I)
-    net = _net_counts(vec, idx)
+    net = net_by_magnitude(vec[i - 1] for i in idx)
     keep = []
     for i in idx:
         v = vec[i - 1]
@@ -122,13 +130,16 @@ def nary_boxplus(xs: Sequence, I=None) -> Fraction:
         return Fraction(0)
     vec = as_vector(xs)
     idx = _resolve_index_set(len(vec), I)
-    net = _net_counts(vec, idx)
-    best = None
-    for m, n in net.items():
-        if n != 0 and (best is None or m > best):
-            best = m
-    if best is None:
+    return _net_limit(net_by_magnitude(vec[i - 1] for i in idx))
+
+
+def _net_limit(net: dict) -> Fraction:
+    """The dominant-magnitude sum read off a net map: the largest magnitude
+    whose net count survives, with that count's sign; 0 when all cancel."""
+    live = [m for m, c in net.items() if c]
+    if not live:
         return Fraction(0)
+    best = max(live)
     return best if net[best] > 0 else -best
 
 
@@ -175,11 +186,6 @@ def smile(xs: Iterable, mode: str) -> Fraction:
     if has_pos and has_neg:
         return -m if mode == LOWER else m
     return m if has_pos else -m
-
-
-def smile_binary(u, v, mode: str) -> Fraction:
-    """Binary form of :func:`smile`; provided for fold identities."""
-    return smile((u, v), mode)
 
 
 def inner(x: Sequence, y: Sequence, flavor: str = "limit", p: int | None = None):

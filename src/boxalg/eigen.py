@@ -10,12 +10,14 @@ Evaluation nets signs within each (degree, |coeff|) class first. Two
 monomials of equal degree and equal absolute coefficient but opposite sign
 contribute exactly cancelling odd powers at every finite index and every
 argument, so the reduction preserves every evaluation mode while removing
-spurious ties that a plain envelope of the raw multiset would see.
+spurious ties that a plain envelope of the raw multiset would see. Every
+mode reads these per-degree net maps directly: the value of a class at
+lam is one magnitude with a net count, never |net| listed copies.
 
-The spectral region needs only the dominant surviving class per degree.
-:func:`eigen_region` reads those from the subset DP of
-:mod:`boxalg.linalg` run on a_ij - lam delta_ij, in O(2^n n) steps, without
-listing the monomials.
+The subset DP of :mod:`boxalg.linalg`, run on a_ij - lam delta_ij in
+O(2^n n) steps, yields the same per-degree net maps without listing the
+monomials. :func:`eigen_region` reads the dominant surviving class per
+degree from it, and the oracle's charpoly sweep the whole maps.
 """
 
 from __future__ import annotations
@@ -26,17 +28,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .core import as_scalar, nary_boxplus, smile
+from .core import LOWER, UPPER, _net_limit, as_scalar, smile
 from .errors import CapacityError, ConvergenceError, DomainError
 from .linalg import (
     BoxMatrix,
-    BoxVector,
     _dominant_terms,
     as_matrix,
     matvec_limit,
     signed_permutations,
 )
-from .signedlog import SignedLog, odd_exponent, phi_p_sum
+from .signedlog import SignedLog, _phi_p_net, net_by_magnitude, odd_exponent
 
 DEFAULT_CHAR_CAP = 7
 DEFAULT_TIE_TOL = 1e-9
@@ -112,21 +113,12 @@ def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
     return MonomialList(tuple(out), n)
 
 
-def _coerce_monomials(m) -> tuple[Monomial, ...]:
-    if isinstance(m, MonomialList):
-        return m.monomials
-    return tuple(Monomial(as_scalar(c), int(d)) for c, d in m)
-
-
-def _net_classes(m) -> dict[tuple[int, Fraction], int]:
-    """(degree, |coeff|) -> net signed count; zero coefficients skipped."""
-    classes: dict[tuple[int, Fraction], int] = {}
-    for coeff, degree in _coerce_monomials(m):
-        sign = coeff.numerator
-        if sign:
-            key = (degree, coeff if sign > 0 else -coeff)
-            classes[key] = classes.get(key, 0) + (1 if sign > 0 else -1)
-    return classes
+def _net_classes(m) -> dict[int, dict[Fraction, int]]:
+    """Per degree, the net map {|coeff|: net signed count} of the monomials."""
+    by_degree: dict[int, list[Fraction]] = {}
+    for coeff, degree in m:
+        by_degree.setdefault(int(degree), []).append(as_scalar(coeff))
+    return {d: net_by_magnitude(cs) for d, cs in by_degree.items()}
 
 
 def reduced_monomials(m) -> tuple[Monomial, ...]:
@@ -137,12 +129,35 @@ def reduced_monomials(m) -> tuple[Monomial, ...]:
     index, while its envelopes are free of exactly-cancelling ties.
     """
     out = []
-    for (degree, mag), net in sorted(_net_classes(m).items()):
-        if net == 0:
-            continue
-        coeff = mag if net > 0 else -mag
-        out.extend([Monomial(coeff, degree)] * abs(net))
+    classes = _net_classes(m)
+    for degree in sorted(classes):
+        for mag, net in sorted(classes[degree].items()):
+            if net:
+                coeff = mag if net > 0 else -mag
+                out.extend([Monomial(coeff, degree)] * abs(net))
     return tuple(out)
+
+
+def _values_at(classes, lam: Fraction) -> tuple[list[Fraction], list[int]]:
+    """The value |coeff| * lam^degree of every surviving class, and its net
+    count."""
+    values, counts = [], []
+    for degree, net in classes.items():
+        power = lam ** degree
+        for mag, c in net.items():
+            if c:
+                values.append(mag * power)
+                counts.append(c)
+    return values, counts
+
+
+def _eval_classes(classes, lam: Fraction, mode: str, p: Optional[int] = None):
+    """:func:`charpoly_eval` on per-degree net maps."""
+    values, counts = _values_at(classes, lam)
+    if mode in (LOWER, UPPER):
+        return smile([v if c > 0 else -v for v, c in zip(values, counts)], mode)
+    net = net_by_magnitude(values, counts)
+    return _net_limit(net) if mode == "limit" else _phi_p_net(net, p)
 
 
 def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
@@ -151,26 +166,16 @@ def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
     'limit' takes the dominant-magnitude sum of all values c * lam^degree,
     'lower'/'upper' take the matching envelope of the reduced multiset,
     and 'p' returns the finite-index power sum as a SignedLog. Every mode
-    reads the reduced multiset, which gives the raw one's limit sum and
-    power sums (equal magnitudes net either way).
+    reads the per-(degree, |coeff|) net counts, which give the raw
+    multiset's limit sum and power sums (equal magnitudes net either way),
+    and never lists the |net| copies of a class.
     """
     lam = as_scalar(lam)
     if mode == "p" and p is None:
         raise DomainError("mode 'p' requires the index p")
-    if mode not in ("limit", "lower", "upper", "p"):
+    if mode not in ("limit", LOWER, UPPER, "p"):
         raise DomainError(f"unknown mode {mode!r}")
-    classes = _net_classes(m)
-    powers = {d: lam ** d for d in {d for d, _mag in classes}}
-    vals = []
-    for (degree, mag), net in classes.items():
-        if net:
-            v = mag * powers[degree]
-            vals.extend([v if net > 0 else -v] * abs(net))
-    if mode == "limit":
-        return nary_boxplus(vals)
-    if mode == "p":
-        return phi_p_sum([SignedLog.from_rational(v) for v in vals], p)
-    return smile(vals, mode)
+    return _eval_classes(_net_classes(m), lam, mode, p)
 
 
 # --- spectral region ---------------------------------------------------------

@@ -4,16 +4,17 @@ The determinant here is the usual signed sum over permutations, except the
 sum is the dominant-magnitude operation from :mod:`boxalg.core` (or one of
 its semicontinuous envelopes, or a finite-index power sum).
 
-The limit determinant, its envelopes and the balance-pair determinant of
-:mod:`boxalg.sym` never list the n! products. One subset DP over the set of
+No determinant here lists the n! products. One subset DP over the set of
 used columns (O(2^n n) steps) sums them in a semiring that keeps just what
 the result needs: the leading magnitude with its net signed count, the
-whole netted {magnitude: count} group ring when that count cancels, or
-the (plus, minus) balance pair. The same DP with a_ii - lam on the
-diagonal gives the per-degree dominant classes of the characteristic
-monomials (:mod:`boxalg.eigen`). The finite-index determinant still sums
-the listed products (:func:`permutation_products`, Heap's algorithm),
-which also serves the tests as the reference expansion.
+whole net map {magnitude: net signed count} (the group ring) when that
+count cancels, or the (plus, minus) balance pair of :mod:`boxalg.sym`.
+The finite-index determinant is the power sum of that net map, since
+each odd power depends on the products only through it. The same DP with
+a_ii - lam on the diagonal gives the per-degree net maps of the
+characteristic monomials (:mod:`boxalg.eigen`). The listing
+(:func:`permutation_products`, Heap's algorithm) stays as public API and
+as the tests' reference expansion.
 
 Determinant-flavored operations take a size cap and raise
 :class:`~boxalg.errors.CapacityError` past it.
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import LOWER, UPPER, as_vector, nary_boxplus, smile
 from .errors import CapacityError, DomainError
-from .signedlog import SignedLog, phi_p_sum
+from .signedlog import SignedLog, _phi_p_net
 
 BoxVector = tuple[Fraction, ...]
 
@@ -155,17 +156,14 @@ def _check_square(A: BoxMatrix, what: str) -> int:
     return A.rows
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise CapacityError(
-            f"{what} on a {n}x{n} matrix exceeds the size cap {cap} "
-            f"({n}! permutation products)"
-        )
-
-
 def _checked(A, cap: int) -> BoxMatrix:
     M = as_matrix(A)
-    _check_cap(_check_square(M, "determinant"), cap, "determinant")
+    n = _check_square(M, "determinant")
+    if n > cap:
+        raise CapacityError(
+            f"determinant on a {n}x{n} matrix exceeds the size cap {cap} "
+            f"({n}! permutation products)"
+        )
     return M
 
 
@@ -276,16 +274,9 @@ def _integer_rows(M: BoxMatrix) -> tuple[list[list[int]], list[int]]:
     return rows, scales
 
 
-def _dominant_terms(M: BoxMatrix, lam: bool = False) -> dict[int, tuple[Fraction, int]]:
-    """Per degree, the largest magnitude whose net signed count survives,
-    and the sign of that count.
-
-    The terms are the signed permutation products of M (all of degree 0)
-    or, with ``lam``, the characteristic monomials of M (a_ii - lam on the
-    diagonal). Degrees where everything cancels are absent. The leading-
-    term run settles it unless some leading count nets to zero; then the
-    group ring finds the next surviving magnitude.
-    """
+def _dp_entries(M: BoxMatrix, lam: bool):
+    """The subset-DP rows of M (a_ii - lam on the diagonal with ``lam``)
+    as integer polynomial terms, and the scale that divides every term."""
     rows, scales = _integer_rows(M)
     entries = []
     for i, (row, scale) in enumerate(zip(rows, scales)):
@@ -297,16 +288,35 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False) -> dict[int, tuple[Fraction
             if e:
                 line.append((j, e))
         entries.append(line)
+    return entries, math.prod(scales)
+
+
+def _net_terms(M: BoxMatrix, lam: bool = False) -> dict[int, dict[Fraction, int]]:
+    """Per degree, the net map {magnitude: net signed count} of the signed
+    permutation products of M (all of degree 0) or, with ``lam``, of its
+    characteristic monomials. Magnitudes that cancel are dropped."""
+    entries, total = _dp_entries(M, lam)
+    ring = _subset_dp(entries, _ring_step, {0: {1: 1}}) or {}
+    return {d: {Fraction(m, total): c for m, c in nets.items() if c}
+            for d, nets in ring.items()}
+
+
+def _dominant_terms(M: BoxMatrix, lam: bool = False) -> dict[int, tuple[Fraction, int]]:
+    """Per degree, the largest magnitude whose net signed count survives,
+    and the sign of that count (terms as in :func:`_net_terms`).
+
+    Degrees where everything cancels are absent. The leading-term run
+    settles it unless some leading count nets to zero; then the group
+    ring finds the next surviving magnitude.
+    """
+    entries, total = _dp_entries(M, lam)
     top = _subset_dp(entries, _lead_step, {0: (1, 1)}) or {}
-    if not all(c for _m, c in top.values()):
-        top = {}
-        for d, nets in _subset_dp(entries, _ring_step, {0: {1: 1}}).items():
-            live = [m for m, c in nets.items() if c]
-            if live:
-                top[d] = (max(live), nets[max(live)])
-    total = math.prod(scales)
-    return {d: (Fraction(m, total), 1 if c > 0 else -1)
-            for d, (m, c) in top.items()}
+    if all(c for _m, c in top.values()):
+        top = {d: (Fraction(m, total), c) for d, (m, c) in top.items()}
+    else:
+        top = {d: (max(net), net[max(net)])
+               for d, net in _net_terms(M, lam).items() if net}
+    return {d: (m, 1 if c > 0 else -1) for d, (m, c) in top.items()}
 
 
 def _pair_det(rows) -> tuple[Fraction, Fraction]:
@@ -336,15 +346,19 @@ def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
     return smile((plus, -minus), mode)
 
 
+def _det_net(A, cap: int = DEFAULT_DET_CAP) -> dict[Fraction, int]:
+    """Net map of the signed permutation products of a square matrix."""
+    return _net_terms(_checked(A, cap)).get(0, {})
+
+
 def det_p(A, p: int, cap: int = DEFAULT_DET_CAP) -> SignedLog:
     """Finite-index determinant as a signed log value.
 
-    Exact cancellation between products of equal magnitude and opposite
-    sign happens before any exponentiation, so a balanced product multiset
-    gives an exact zero at every p.
+    The power sum reads the net map of the products, so products of equal
+    magnitude and opposite sign cancel before any exponentiation, and a
+    balanced product multiset gives an exact zero at every p.
     """
-    terms = [SignedLog.from_rational(t) for t in permutation_products(A, cap)]
-    return phi_p_sum(terms, p)
+    return _phi_p_net(_det_net(A, cap), p)
 
 
 def cofactor_inf(A, i: int, j: int, cap: int = DEFAULT_DET_CAP) -> Fraction:
@@ -404,8 +418,3 @@ def matvec_limit(A, x: Sequence, mode: str = "exact") -> BoxVector:
     """Matrix-vector product under :func:`matmul_limit` semantics."""
     col = matmul_limit(A, BoxMatrix.from_columns([as_vector(x)]), mode)
     return col.col(1)
-
-
-def wedge_eval(vs: Sequence[Sequence], cap: int = DEFAULT_DET_CAP) -> Fraction:
-    """Limit determinant of the matrix whose columns are the given vectors."""
-    return det_inf(BoxMatrix.from_columns(vs), cap)

@@ -8,6 +8,15 @@ input's magnitude profile: a repeated dominant magnitude approaches its
 limit only like |count|^(1/(2p+1)), so the report carries a near-tie
 flag predicting, from the exact magnitude groups, whether the final gap
 can be expected to beat the tolerance at all.
+
+Each quantity depends on its input only through net maps {magnitude: net
+signed count}: of the vector for ``sum``, of the permutation products
+(from the subset DP of :mod:`boxalg.linalg`) for the determinant-shaped
+quantities, of the characteristic monomial values at lam for
+``charpoly``. A sweep builds its maps once and reads the limit, the
+near-tie flag and every finite-index value from them. The hyperplane
+residual is exact: the determinant of the entrywise q-th power of a
+matrix is the sum of net * m^q over its map.
 """
 
 from __future__ import annotations
@@ -15,21 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .core import as_scalar, as_vector, nary_boxplus
-from .eigen import char_monomials, charpoly_eval, eigen_region, perron_p
+from .core import _net_limit, as_float, as_scalar, as_vector
+from .eigen import DEFAULT_CHAR_CAP, _check_char, _values_at, eigen_region, perron_p
 from .errors import BoxAlgError, DomainError
-from .linalg import (
-    BoxMatrix,
-    as_matrix,
-    det_inf,
-    det_p,
-    permutation_products,
-    replace_column,
+from .linalg import BoxMatrix, _det_net, _net_terms, as_matrix, replace_column
+from .signedlog import (
+    SignedLog,
+    _log_abs_fraction,
+    _phi_p_net,
+    net_by_magnitude,
+    odd_exponent,
 )
-from .signedlog import SignedLog, odd_exponent, phi_p_sum
-from .solve import LimitSystem, cramer_limit_solve
+from .solve import LimitSystem
 
 DEFAULT_P_MAX = 20
 DEFAULT_TOL = 1e-6
@@ -56,17 +64,6 @@ class SweepReport:
             raise DomainError("p values must be strictly increasing")
 
 
-def _magnitude_groups(values: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
-    """Surviving (magnitude, net sign count) pairs, largest magnitude first."""
-    net: dict[Fraction, int] = {}
-    for v in values:
-        if v == 0:
-            continue
-        m = abs(v)
-        net[m] = net.get(m, 0) + (1 if v > 0 else -1)
-    return sorted(((m, c) for m, c in net.items() if c != 0), reverse=True)
-
-
 def predict_near_tie(values: Sequence[Fraction], p_max: int, tol: float) -> bool:
     """Will the relative gap at p_max plausibly still exceed tol?
 
@@ -75,60 +72,36 @@ def predict_near_tie(values: Sequence[Fraction], p_max: int, tol: float) -> bool
     the exact magnitude groups of the value multiset. A balanced multiset
     (no surviving group) is exactly zero at every p and never near-tie.
     """
-    groups = _magnitude_groups(values)
+    return _near_tie(net_by_magnitude(values), p_max, tol)
+
+
+def _near_tie(net: dict, p_max: int, tol: float) -> bool:
+    """:func:`predict_near_tie` on a net map."""
+    groups = sorted(((m, c) for m, c in net.items() if c), reverse=True)
     if not groups:
         return False
     q = odd_exponent(p_max)
     (m1, n1), rest = groups[0], groups[1:]
     pred = abs(math.expm1(math.log(abs(n1)) / q))
-    lm1 = math.log(m1.numerator) - math.log(m1.denominator)
+    lm1 = _log_abs_fraction(m1)
     for m, c in rest:
-        lm = math.log(m.numerator) - math.log(m.denominator)
-        pred += math.exp(math.log(abs(c)) + q * (lm - lm1))
+        pred += math.exp(math.log(abs(c)) + q * (_log_abs_fraction(m) - lm1))
     return pred >= tol
 
 
-def _exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Classical determinant by exact fraction elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    return det
+def _power_sum(net: dict, q: int) -> Fraction:
+    """Sum of net * m^q over a net map: for the map of a matrix's products,
+    the determinant of its entrywise q-th power (q odd)."""
+    return sum((c * m ** q for m, c in net.items()), Fraction(0))
 
 
-def _powered(M: BoxMatrix, q: int) -> list[list[Fraction]]:
-    return [[v ** q for v in row] for row in M.to_rows()]
-
-
-def _gap(value: Optional[SignedLog], limit: Fraction) -> float:
+def _gap(value, limit) -> float:
+    """|value - limit|, the sup norm for vectors; inf for a missing value."""
     if value is None:
         return math.inf
-    return abs(value.to_float() - float(limit))
-
-
-def _vec_gap(value, limit) -> float:
-    if value is None:
-        return math.inf
-    return max(abs(v.to_float() - float(t)) for v, t in zip(value, limit))
-
-
-def _wrap_p(p: int, exc: BoxAlgError) -> BoxAlgError:
-    return type(exc)(f"at p={p}: {exc}")
+    if isinstance(limit, tuple):
+        return max(_gap(v, t) for v, t in zip(value, limit))
+    return abs(value.to_float() - as_float(limit))
 
 
 def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
@@ -159,50 +132,39 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
 
     ps = tuple(range(p_max + 1))
     values: list = []
-    abs_gaps: list[float] = []
     scale = 1.0
-    vector_valued = quantity == "cramer"
+    near_tie = False
 
-    if quantity == "sum":
-        xs = as_vector(inputs["xs"])
-        limit = nary_boxplus(xs)
-        near_tie = predict_near_tie(xs, p_max, tol)
-        terms = [SignedLog.from_rational(v) for v in xs]
-        for p in ps:
-            values.append(phi_p_sum(terms, p))
-
-    elif quantity == "det":
-        A = as_matrix(inputs["A"])
-        prods = permutation_products(A)
-        limit = nary_boxplus(prods)
-        near_tie = predict_near_tie(prods, p_max, tol)
-        for p in ps:
-            try:
-                values.append(det_p(A, p))
-            except BoxAlgError as exc:
-                raise _wrap_p(p, exc) from exc
+    if quantity in ("sum", "det", "charpoly"):
+        if quantity == "sum":
+            net = net_by_magnitude(as_vector(inputs["xs"]))
+        elif quantity == "det":
+            net = _det_net(as_matrix(inputs["A"]))
+        else:
+            A = as_matrix(inputs["A"])
+            lam = as_scalar(inputs["lam"])
+            classes = _net_terms(_check_char(A, DEFAULT_CHAR_CAP), lam=True)
+            net = net_by_magnitude(*_values_at(classes, lam))
+        limit = _net_limit(net)
+        near_tie = _near_tie(net, p_max, tol)
+        values = [_phi_p_net(net, p) for p in ps]
 
     elif quantity == "cramer":
-        A = as_matrix(inputs["A"])
-        b = as_vector(inputs["b"])
-        report = cramer_limit_solve(LimitSystem(A, b))
-        if report.solution is None:
+        system = LimitSystem(as_matrix(inputs["A"]), as_vector(inputs["b"]))
+        A, b = system.A, system.b
+        nets = [_det_net(A)] + [_det_net(replace_column(A, i, b))
+                                for i in range(1, A.rows + 1)]
+        det, *dets = [_net_limit(net) for net in nets]
+        if det == 0:
             raise DomainError("limit determinant is zero; no limit solution")
-        limit = report.solution
-        multisets = [permutation_products(A)] + [
-            permutation_products(replace_column(A, i, b))
-            for i in range(1, A.rows + 1)
-        ]
-        near_tie = any(predict_near_tie(ms, p_max, tol) for ms in multisets)
+        limit = tuple(d / det for d in dets)
+        near_tie = any(_near_tie(net, p_max, tol) for net in nets)
         for p in ps:
-            den = det_p(A, p)
+            den = _phi_p_net(nets[0], p)
             if den.is_zero:
                 values.append(None)  # this finite index is singular
                 continue
-            values.append(tuple(
-                det_p(replace_column(A, i, b), p) / den
-                for i in range(1, A.rows + 1)
-            ))
+            values.append(tuple(_phi_p_net(net, p) / den for net in nets[1:]))
 
     elif quantity == "hyperplane":
         pts = [as_vector(pt) for pt in inputs["points"]]
@@ -212,30 +174,19 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         if len(x) != n:
             raise DomainError(f"x has length {len(x)}, expected {n}")
         limit = Fraction(0)
-        det_limit = det_inf(V)
-        scale = max(1.0, abs(float(det_limit)))
-        near_tie = False  # the residual either vanishes exactly or diverges
+        net = _det_net(V)
+        scale = max(1.0, abs(as_float(_net_limit(net))))
+        # the residual either vanishes exactly or diverges: never near-tie
         ones = tuple(Fraction(1) for _ in range(n))
         rows = V.to_rows()
+        row_nets = [_det_net(BoxMatrix(rows[:i] + (ones,) + rows[i + 1:]))
+                    for i in range(n)]
         for p in ps:
             q = odd_exponent(p)
-            W = _powered(V, q)
-            total = -_exact_det(W)
-            for i in range(n):
-                Wi = _powered(BoxMatrix(rows[:i] + (ones,) + rows[i + 1:]), q)
-                total += _exact_det(Wi) * x[i] ** q
-            residual = SignedLog.from_rational(total).root(q)
-            values.append(residual)
-
-    elif quantity == "charpoly":
-        A = as_matrix(inputs["A"])
-        lam = as_scalar(inputs["lam"])
-        ms = char_monomials(A)
-        limit = charpoly_eval(ms, lam, "limit")
-        vals = [m.coeff * lam ** m.degree for m in ms]
-        near_tie = predict_near_tie(vals, p_max, tol)
-        for p in ps:
-            values.append(charpoly_eval(ms, lam, "p", p=p))
+            total = -_power_sum(net, q) + sum(
+                (_power_sum(ni, q) * xi ** q for ni, xi in zip(row_nets, x)),
+                Fraction(0))
+            values.append(SignedLog.from_rational(total).root(q))
 
     else:  # perron
         A = as_matrix(inputs["A"])
@@ -243,21 +194,18 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         if not region:
             raise DomainError("empty spectral region; no limit value")
         limit = max(region, key=float)
-        near_tie = False
         for p in ps:
             try:
                 rho, _vec = perron_p(A, p)
             except BoxAlgError as exc:
-                raise _wrap_p(p, exc) from exc
+                raise type(exc)(f"at p={p}: {exc}") from exc
             values.append(rho)
 
-    if vector_valued:
-        scale = max([1.0] + [abs(float(t)) for t in limit])
-        abs_gaps = [_vec_gap(v, limit) for v in values]
-    else:
-        if quantity != "hyperplane":
-            scale = max(1.0, abs(float(limit)))
-        abs_gaps = [_gap(v, limit) for v in values]
+    if quantity == "cramer":
+        scale = max([1.0] + [abs(as_float(t)) for t in limit])
+    elif quantity != "hyperplane":
+        scale = max(1.0, abs(as_float(limit)))
+    abs_gaps = [_gap(v, limit) for v in values]
 
     rel_gaps = [g / scale for g in abs_gaps]
     return SweepReport(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -161,62 +162,45 @@ def _tie(lx: float, ly: float, tol: float) -> bool:
     return abs(lx - ly) <= tol * max(1.0, abs(lx), abs(ly))
 
 
-def _group_by_magnitude(values: Sequence[SignedLog], tol: float):
-    """Net the signs of equal-magnitude values.
+def net_by_magnitude(values: Iterable, counts: Iterable[int] | None = None) -> dict:
+    """The net map {|v|: (count of +|v|) - (count of -|v|)} of rationals.
 
-    Returns a list of (logmag, net, exact_mag_or_None) with net != 0.
-    Grouping is exact when every input carries an exact magnitude, otherwise
-    by logmag within ``tol``.
+    Zeros are skipped; ``counts`` weights each value (default 1 each).
+    Equal magnitudes of opposite sign cancel in the limit sum and at every
+    finite index, so every limit and power sum reads its input through
+    this map. Magnitudes whose counts cancel stay in it with net 0.
     """
-    live = [v for v in values if v.sign != 0]
-    if not live:
-        return []
-    if all(v.exact is not None for v in live):
-        buckets: dict[Fraction, list] = {}
-        for v in live:
-            key = abs(v.exact)
-            slot = buckets.get(key)
-            if slot is None:
-                buckets[key] = [v.logmag, v.sign]
-            else:
-                slot[1] += v.sign
-        return [(logmag, net, mag)
-                for mag, (logmag, net) in buckets.items() if net != 0]
-    # float path: cluster sorted logmags
-    live.sort(key=lambda v: v.logmag)
-    groups = []
-    cur_log, cur_net = live[0].logmag, live[0].sign
-    for v in live[1:]:
-        if _tie(v.logmag, cur_log, tol):
-            cur_net += v.sign
-        else:
-            if cur_net != 0:
-                groups.append((cur_log, cur_net, None))
-            cur_log, cur_net = v.logmag, v.sign
-    if cur_net != 0:
-        groups.append((cur_log, cur_net, None))
-    return groups
+    net: dict = {}
+    for v, c in zip(values, repeat(1) if counts is None else counts):
+        n = v.numerator
+        if n > 0:
+            net[v] = net.get(v, 0) + c
+        elif n:
+            net[-v] = net.get(-v, 0) - c
+    return net
 
 
-def phi_p_sum(xs: Iterable[SignedLog], p: int, *,
-              tie_tol: float = DEFAULT_TIE_TOL) -> SignedLog:
-    """The odd-power mean sum (sum x_i^(2p+1))^(1/(2p+1)) of SignedLogs.
+def _phi_p_net(net: dict, p: int, *, keyed_by_log: bool = False) -> SignedLog:
+    """phi_p of a net map {magnitude: net signed count}.
 
-    Equal magnitudes are netted before exponentiation: x^(2p+1) + (-x)^(2p+1)
-    is identically zero for every p, so a fully balanced input returns the
-    exact zero element regardless of p. Surviving magnitude groups enter a
-    split log-sum-exp (positive and negative parts separately) and the two
-    parts are combined by signed subtraction in log domain.
+    Surviving groups enter a split log-sum-exp (positive and negative parts
+    separately), and the two parts are combined by signed subtraction in
+    log domain. A single surviving magnitude with net +-1 is its own exact
+    root. With ``keyed_by_log`` the keys are the log magnitudes of
+    float-born clusters, and the result carries no exact value.
     """
     q = odd_exponent(p)
-    values = list(xs)
-    groups = _group_by_magnitude(values, tie_tol)
+    groups = [(m if keyed_by_log else _log_abs_fraction(m), c, m)
+              for m, c in net.items() if c]
     if not groups:
         return SignedLog.zero()
+    if len(groups) == 1 and not keyed_by_log:
+        logmag, c, mag = groups[0]
+        if abs(c) == 1:
+            return SignedLog(c, logmag, mag if c > 0 else -mag)
     pos, neg = [], []
-    for logmag, net, _mag in groups:
-        term = math.log(abs(net)) + q * logmag
-        (pos if net > 0 else neg).append(term)
+    for logmag, c, _m in groups:
+        (pos if c > 0 else neg).append(math.log(abs(c)) + q * logmag)
     if pos and neg:
         lp, ln = _lse(pos), _lse(neg)
         if lp == ln:
@@ -227,19 +211,34 @@ def phi_p_sum(xs: Iterable[SignedLog], p: int, *,
     else:
         sign = 1 if pos else -1
         total = _lse(pos or neg)
-    exact = None
-    if len(groups) == 1:
-        logmag, net, mag = groups[0]
-        if abs(net) == 1 and mag is not None:
-            # single surviving magnitude with net +-1: the root is exact
-            exact = mag if sign > 0 else -mag
-            return SignedLog(sign, logmag, exact)
-    return SignedLog(sign, total / q, exact)
+    return SignedLog(sign, total / q)
 
 
-def slog_mul(x: SignedLog, y: SignedLog) -> SignedLog:
-    """Product: signs multiply, log magnitudes add."""
-    return x * y
+def phi_p_sum(xs: Iterable[SignedLog], p: int, *,
+              tie_tol: float = DEFAULT_TIE_TOL) -> SignedLog:
+    """The odd-power mean sum (sum x_i^(2p+1))^(1/(2p+1)) of SignedLogs.
+
+    Equal magnitudes are netted before exponentiation: x^(2p+1) + (-x)^(2p+1)
+    is identically zero for every p, so a fully balanced input returns the
+    exact zero element regardless of p. Netting is exact when every input
+    carries an exact value, otherwise by logmag within ``tie_tol``.
+    """
+    odd_exponent(p)
+    live = [v for v in xs if v.sign != 0]
+    if all(v.exact is not None for v in live):
+        return _phi_p_net(net_by_magnitude(v.exact for v in live), p)
+    # float path: cluster sorted logmags
+    live.sort(key=lambda v: v.logmag)
+    clusters: dict[float, int] = {}
+    cur_log, cur_net = live[0].logmag, live[0].sign
+    for v in live[1:]:
+        if _tie(v.logmag, cur_log, tie_tol):
+            cur_net += v.sign
+        else:
+            clusters[cur_log] = cur_net
+            cur_log, cur_net = v.logmag, v.sign
+    clusters[cur_log] = cur_net
+    return _phi_p_net(clusters, p, keyed_by_log=True)
 
 
 def slog_boxplus(x: SignedLog, y: SignedLog, *,
@@ -270,17 +269,12 @@ def psi_ln(value) -> SignedLog:
     return SignedLog.from_rational(value)
 
 
-def psi_exp(z: SignedLog) -> float:
-    """Inverse of the logarithmic embedding, as a float."""
-    return z.to_float()
-
-
 def slog_roundtrip(r, partner=None, *, rel_tol: float = 1e-12) -> bool:
-    """Check psi_exp(psi_ln(r)) == r, and the sum homomorphism when given
+    """Check psi_ln(r).to_float() == r, and the sum homomorphism when given
     a partner: psi_ln(boxplus(r, partner)) equals psi_ln(r) boxplus'd with
     psi_ln(partner) in log domain."""
     z = psi_ln(r)
-    back = psi_exp(z)
+    back = z.to_float()
     want = float(r)
     if back != want and not math.isclose(back, want, rel_tol=rel_tol):
         return False

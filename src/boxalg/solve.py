@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import LOWER, UPPER, as_scalar, as_vector, boxminus, inner, smile
+from .core import LOWER, UPPER, as_vector, boxminus, inner, smile
 from .errors import DomainError
 from .linalg import (
     DEFAULT_DET_CAP,
@@ -178,24 +178,29 @@ def maxsys_reduce(A, b):
     )
 
 
-def maxsys_candidate(A, b) -> BoxVector:
-    """Componentwise-maximal candidate x_j = min over supports of b_i/a_ij."""
+def _column_minima(A, b):
+    """The checked system and, per column, min b_i/a_ij over its positive
+    entries (None for a column with none)."""
     M = as_matrix(A)
     vec = as_vector(b)
     if len(vec) != M.rows:
         raise DomainError(f"right-hand side length {len(vec)} != rows {M.rows}")
     _check_max_inputs(M, vec)
-    out = []
-    for j in range(1, M.cols + 1):
-        ratios = [
-            vec[i - 1] / M.entry(i, j)
-            for i in range(1, M.rows + 1)
-            if M.entry(i, j) > 0
-        ]
-        if not ratios:
+    minima = [
+        min((vec[i] / row[j] for i, row in enumerate(M.to_rows()) if row[j] > 0),
+            default=None)
+        for j in range(M.cols)
+    ]
+    return M, vec, minima
+
+
+def maxsys_candidate(A, b) -> BoxVector:
+    """Componentwise-maximal candidate x_j = min over supports of b_i/a_ij."""
+    _M, _vec, minima = _column_minima(A, b)
+    for j, x in enumerate(minima, start=1):
+        if x is None:
             raise DomainError(f"column {j} has no positive entry")
-        out.append(min(ratios))
-    return tuple(out)
+    return tuple(minima)
 
 
 def maxsys_solve(A, b) -> Optional[BoxVector]:
@@ -205,24 +210,12 @@ def maxsys_solve(A, b) -> Optional[BoxVector]:
     are pinned to zero rather than rejected; only the constrained columns
     go through the candidate formula.
     """
-    M = as_matrix(A)
-    vec = as_vector(b)
-    if len(vec) != M.rows:
-        raise DomainError(f"right-hand side length {len(vec)} != rows {M.rows}")
-    _check_max_inputs(M, vec)
-    x = [Fraction(0)] * M.cols
-    for j in range(1, M.cols + 1):
-        ratios = [
-            vec[i - 1] / M.entry(i, j)
-            for i in range(1, M.rows + 1)
-            if M.entry(i, j) > 0
-        ]
-        if ratios:
-            x[j - 1] = min(ratios)
-    for i in range(1, M.rows + 1):
-        if max(M.entry(i, j + 1) * x[j] for j in range(M.cols)) != vec[i - 1]:
+    M, vec, minima = _column_minima(A, b)
+    x = tuple(Fraction(0) if v is None else v for v in minima)
+    for row, target in zip(M.to_rows(), vec):
+        if max(a * v for a, v in zip(row, x)) != target:
             return None
-    return tuple(x)
+    return x
 
 
 def _perfect_matching_exists(adj: dict[int, set[int]], rows: list[int],

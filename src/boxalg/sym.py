@@ -1,4 +1,4 @@
-"""Balance-pair semiring and the signed-log comparison structure.
+"""Balance-pair semiring.
 
 A pair (plus, minus) of nonnegative rationals carries a sign class:
 positive when plus dominates, negative when minus does, balanced on a
@@ -8,9 +8,6 @@ cross maxima. The associated determinant is associative, which is what
 a Cramer theory would need, but it pays for that by going balanced
 exactly when the dominant permutation-product magnitude is reached with
 both parities, even when the limit determinant itself survives.
-
-The signed-log half of this module is the numeric carrier used across
-the library; it lives in :mod:`boxalg.signedlog` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -21,14 +18,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .core import LOWER, UPPER, as_scalar, smile
 from .errors import CapacityError, DomainError
 from .linalg import DEFAULT_DET_CAP, _pair_det, as_matrix
-from .signedlog import (  # noqa: F401  (re-exported API)
-    SignedLog,
-    psi_exp,
-    psi_ln,
-    slog_boxplus,
-    slog_mul,
-    slog_roundtrip,
-)
 
 
 class SPair(NamedTuple):

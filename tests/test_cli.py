@@ -128,6 +128,38 @@ class TestOracle:
         assert obj["near_tie"] is True
         assert obj["p_values"] == list(range(9))
 
+    @pytest.mark.parametrize("text", [
+        '{"quantity":"sum","xs":5}',
+        '{"quantity":"det","A":5}',
+        '{"quantity":"hyperplane","points":5,"x":[1]}',
+        '{"quantity":"cramer","A":[[1]],"b":7}',
+        '{"quantity":"sum","xs":"12"}',
+        '{"quantity":"sum","xs":["1.5"]}',
+        '{"quantity":"charpoly","A":[[1]],"lam":true}',
+    ])
+    def test_malformed_inputs_exit_three(self, capsys, text):
+        code, obj = invoke(capsys, "oracle", "--json", text)
+        assert code == 3
+        assert "error" in obj
+
+    def test_floats_read_as_decimals(self, capsys):
+        code, obj = invoke(capsys, "oracle", "--json",
+                           '{"quantity":"sum","xs":[0.1,0.2],'
+                           '"options":{"p_max":2}}')
+        assert code == 0
+        assert obj["limit"] == "1/5"
+
+    def test_limit_past_float_range(self, capsys):
+        big = "1" + "0" * 400
+        code, obj = invoke(capsys, "oracle", "--json", json.dumps(
+            {"quantity": "sum", "xs": [big, 1], "options": {"p_max": 2}}))
+        assert code == 0
+        assert obj["limit"] == big
+        assert obj["limit_float"] == "inf"
+        assert obj["values"] == ["inf"] * 3
+        assert set(obj["abs_gaps"] + obj["rel_gaps"]) <= {"nan", "inf"}
+        assert obj["converged"] is False
+
 
 class TestSym:
     def test_balanced_determinant(self, capsys):

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from boxalg import (
     DomainError,
+    as_scalar,
     boxminus,
     boxplus,
     inner,
     nary_boxplus,
     residual_set,
     smile,
-    smile_binary,
     xi,
 )
 
@@ -128,8 +128,8 @@ class TestSmile:
 
     @given(rationals, rationals)
     def test_binary_decomposition(self, u, v):
-        low = smile_binary(u, v, "lower")
-        high = smile_binary(u, v, "upper")
+        low = smile((u, v), "lower")
+        high = smile((u, v), "upper")
         assert boxplus(u, v) == (low + high) / 2
 
     @given(vectors)
@@ -141,7 +141,7 @@ class TestSmile:
     def test_envelopes_associate_over_concatenation(self, xs, ys):
         joined = list(xs) + list(ys)
         for mode in ("lower", "upper"):
-            two_step = smile_binary(smile(xs, mode), smile(ys, mode), mode)
+            two_step = smile((smile(xs, mode), smile(ys, mode)), mode)
             assert two_step == smile(joined, mode)
 
 
@@ -172,3 +172,20 @@ class TestInner:
     def test_unknown_flavor(self):
         with pytest.raises(DomainError):
             inner((F(1),), (F(1),), flavor="median")
+
+
+class TestAsScalar:
+    def test_accepted_forms(self):
+        assert as_scalar(3) == 3
+        assert as_scalar("-3/4") == F(-3, 4)
+        assert as_scalar(0.1) == F(1, 10)
+        assert as_scalar(1e300) == 10 ** 300
+        assert as_scalar(F(2, 3)) == F(2, 3)
+
+    @pytest.mark.parametrize("value", [
+        True, "1.5", "12 ", "1e3", "1/0", float("nan"), float("inf"), None,
+        [1],
+    ])
+    def test_rejected_forms(self, value):
+        with pytest.raises(DomainError):
+            as_scalar(value)

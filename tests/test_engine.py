@@ -1,9 +1,11 @@
-"""Subset-DP determinant kernels against the n! expansions they replace.
+"""Subset-DP determinant kernels and net-map readers against the n!
+expansions and listings they replace.
 
 Seeded random matrices, n = 1..7, over four entry sets. Small integers make
 the top product magnitude cancel often, so the group-ring fallback runs;
 wide integers almost never cancel; rationals with zeros exercise the
-integer row scaling and the zero-entry skip.
+integer row scaling and the zero-entry skip. Finite-index values are
+compared bit for bit: sign, logmag and exact value.
 """
 
 import random
@@ -17,23 +19,29 @@ from boxalg import (
     BoxMatrix,
     SignedLog,
     SPair,
+    DomainError,
     char_monomials,
     charpoly_eval,
     det_inf,
     det_inf_reg,
+    det_p,
     eigen_region,
     nary_boxplus,
+    odd_exponent,
     permutation_products,
     phi_p_sum,
+    predict_near_tie,
     reduced_monomials,
+    replace_column,
     s_add,
     s_det,
     s_embed_matrix,
     s_mul,
     signed_permutations,
     smile,
+    sweep,
 )
-from boxalg import linalg
+from boxalg import eigen, linalg
 
 F = Fraction
 
@@ -176,3 +184,135 @@ class TestCharacteristic:
                 want = phi_p_sum([SignedLog.from_rational(v) for v in raw], p)
                 assert (got.sign, got.logmag, got.exact) == (
                     want.sign, want.logmag, want.exact)
+
+
+def _bits(z):
+    """A finite-index value (or a tuple of them, or None) down to its bits."""
+    if z is None:
+        return None
+    if isinstance(z, tuple):
+        return tuple(_bits(v) for v in z)
+    return (z.sign, z.logmag, z.exact)
+
+
+def _phi(values, p):
+    return phi_p_sum([SignedLog.from_rational(v) for v in values], p)
+
+
+def _vectors():
+    rng = random.Random(20201017)
+    out = []
+    for name, draw in ENTRY_SETS.items():
+        for k in range(6):
+            xs = [F(draw(rng)) for _ in range(rng.randint(1, 40))]
+            out.append(pytest.param(xs, id=f"{name}-{k}"))
+    return out
+
+
+SWEEP_P_MAX = 2
+SWEEP_TOL = 1e-6
+
+
+def _check_sweep(rep, limit, values, listings):
+    assert rep.limit == limit
+    assert [_bits(v) for v in rep.values] == [_bits(v) for v in values]
+    assert rep.near_tie == any(predict_near_tie(ms, SWEEP_P_MAX, SWEEP_TOL)
+                               for ms in listings)
+
+
+class TestFiniteIndex:
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_det_p(self, A):
+        prods = permutation_products(A)
+        for p in (0, 1, 3, 7, 12):
+            assert _bits(det_p(A, p)) == _bits(_phi(prods, p))
+
+    @pytest.mark.parametrize("xs", _vectors())
+    def test_sum_sweep(self, xs):
+        rep = sweep("sum", {"xs": xs}, p_max=SWEEP_P_MAX, tol=SWEEP_TOL)
+        values = [_phi(xs, p) for p in range(SWEEP_P_MAX + 1)]
+        _check_sweep(rep, nary_boxplus(xs), values, [xs])
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_det_sweep(self, A):
+        rep = sweep("det", {"A": A.to_rows()}, p_max=SWEEP_P_MAX,
+                    tol=SWEEP_TOL)
+        prods = permutation_products(A)
+        values = [_phi(prods, p) for p in range(SWEEP_P_MAX + 1)]
+        _check_sweep(rep, nary_boxplus(prods), values, [prods])
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_cramer_sweep(self, A):
+        rng = random.Random(A.rows)
+        b = [F(rng.randint(-9, 9)) for _ in range(A.rows)]
+        listings = [permutation_products(A)] + [
+            permutation_products(replace_column(A, i, b))
+            for i in range(1, A.rows + 1)]
+        det, *dets = [nary_boxplus(ms) for ms in listings]
+        inputs = {"A": A.to_rows(), "b": b}
+        if det == 0:
+            with pytest.raises(DomainError):
+                sweep("cramer", inputs, p_max=SWEEP_P_MAX, tol=SWEEP_TOL)
+            return
+        rep = sweep("cramer", inputs, p_max=SWEEP_P_MAX, tol=SWEEP_TOL)
+        values = []
+        for p in range(SWEEP_P_MAX + 1):
+            den = _phi(listings[0], p)
+            values.append(None if den.is_zero else tuple(
+                _phi(ms, p) / den for ms in listings[1:]))
+        _check_sweep(rep, tuple(d / det for d in dets), values, listings)
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_hyperplane_sweep(self, A):
+        n = A.rows
+        rng = random.Random(n)
+        x = [F(rng.randint(-3, 3)) for _ in range(n)]
+        points = [A.col(j) for j in range(1, n + 1)]
+        rows = A.to_rows()
+        ones = tuple(F(1) for _ in range(n))
+        row_prods = [permutation_products(BoxMatrix(
+            rows[:i] + (ones,) + rows[i + 1:])) for i in range(n)]
+        prods = permutation_products(A)
+        rep = sweep("hyperplane", {"points": points, "x": x},
+                    p_max=SWEEP_P_MAX, tol=SWEEP_TOL)
+        values = []
+        for p in range(SWEEP_P_MAX + 1):
+            q = odd_exponent(p)
+            total = -sum(t ** q for t in prods) + sum(
+                sum(t ** q for t in ms) * xi ** q
+                for ms, xi in zip(row_prods, x))
+            values.append(SignedLog.from_rational(total).root(q))
+        _check_sweep(rep, F(0), values, [])
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_charpoly_sweep(self, A):
+        ms = char_monomials(A)
+        for lam in (F(0), F(-3, 2), F(2))[:3 if A.rows < 6 else 2]:
+            rep = sweep("charpoly", {"A": A.to_rows(), "lam": lam},
+                        p_max=SWEEP_P_MAX, tol=SWEEP_TOL)
+            vals = [m.coeff * lam ** m.degree for m in ms]
+            values = [_phi(vals, p) for p in range(SWEEP_P_MAX + 1)]
+            _check_sweep(rep, nary_boxplus(vals), values, [vals])
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_charpoly_eval_against_reduced_expansion(self, A):
+        ms = char_monomials(A)
+        reduced = reduced_monomials(ms)
+        for lam in (F(0), F(1), F(-1), F(5, 3))[:4 if A.rows < 6 else 2]:
+            vals = [m.coeff * lam ** m.degree for m in reduced]
+            assert charpoly_eval(ms, lam, "limit") == nary_boxplus(vals)
+            for mode in ("lower", "upper"):
+                assert charpoly_eval(ms, lam, mode) == smile(vals, mode)
+            for p in (0, 9):
+                assert _bits(charpoly_eval(ms, lam, "p", p=p)) == _bits(
+                    _phi(vals, p))
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_dp_classes_match_the_listing(self, A):
+        ms = char_monomials(A)
+        def live(classes):
+            return {d: {m: c for m, c in net.items() if c}
+                    for d, net in classes.items() if any(net.values())}
+
+        assert live(linalg._net_terms(A, lam=True)) == live(
+            eigen._net_classes(ms))

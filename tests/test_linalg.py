@@ -23,7 +23,6 @@ from boxalg import (
     replace_column,
     signed_permutations,
     smile,
-    wedge_eval,
 )
 
 F = Fraction
@@ -178,7 +177,7 @@ class TestCofactorAndColumnSwap:
             replace_column(A, 3, (F(1), F(1)))
 
     def test_wedge_of_column_vectors(self):
-        assert wedge_eval([(F(1), F(3)), (F(2), F(4))]) == F(-6)
+        assert det_inf(BoxMatrix.from_columns([(F(1), F(3)), (F(2), F(4))])) == F(-6)
 
 
 class TestMatVec:

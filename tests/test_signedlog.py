@@ -13,10 +13,8 @@ from boxalg import (
     boxplus,
     odd_exponent,
     phi_p_sum,
-    psi_exp,
     psi_ln,
     slog_boxplus,
-    slog_mul,
     slog_roundtrip,
 )
 
@@ -50,7 +48,7 @@ class TestRepresentation:
         a = SignedLog.from_rational(F(2))
         b = SignedLog.from_rational(F(-3))
         assert (-a).to_fraction() == -2
-        assert slog_mul(a, b).to_fraction() == -6
+        assert (a * b).to_fraction() == -6
         assert (a * b).to_fraction() == -6
 
     def test_division(self):
@@ -141,7 +139,7 @@ class TestLimitAgreement:
     @given(nonzero)
     def test_psi_roundtrip(self, r):
         z = psi_ln(r)
-        assert psi_exp(z) == pytest.approx(float(r), rel=REL)
+        assert z.to_float() == pytest.approx(float(r), rel=REL)
 
     @given(rationals)
     def test_roundtrip_helper(self, r):
