@@ -24,8 +24,9 @@ from fractions import Fraction
 from .core import as_float, as_scalar
 from .eigen import (
     DEFAULT_CHAR_CAP,
-    _eval_classes,
-    _net_classes,
+    _char_values,
+    _check_char,
+    _read,
     char_monomials,
     eigen_region,
 )
@@ -43,12 +44,13 @@ from .signedlog import SignedLog
 from .solve import (
     LimitSystem,
     TwoSidedSystem,
+    _candidate,
+    _column_minima,
+    _solution,
     cramer_limit_solve,
     kaykobad_check,
     kaykobad_p_check,
-    maxsys_candidate,
     maxsys_existence_permutation,
-    maxsys_solve,
     twosided_solve,
 )
 from .sym import s_det, s_embed_matrix, s_pair, v_identity_check, v_map
@@ -96,8 +98,8 @@ def _float_out(x):
     return f
 
 
-def _rat(x: Fraction) -> str:
-    return str(Fraction(x))
+def _rat(x) -> str:
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 def _vec(v) -> list[str]:
@@ -225,17 +227,16 @@ def _do_solve(data: dict, opts: dict) -> tuple[int, dict]:
 
 
 def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
-    A = _matrix_in(data["A"])
-    b = _vector_in(data["b"])
+    A, b, minima = _column_minima(_matrix_in(data["A"]), _vector_in(data["b"]))
     out: dict = {}
     try:
-        cand = maxsys_candidate(A, b)
+        cand = _candidate(minima)
         out["candidate"] = _vec(cand)
         out["candidate_float"] = _vec_float(cand)
     except DomainError as exc:
         out["candidate"] = None
         out["candidate_error"] = str(exc)
-    x = maxsys_solve(A, b)
+    x = _solution(A, b, minima)
     out["feasible"] = x is not None
     if x is not None:
         out["x"] = _vec(x)
@@ -244,7 +245,8 @@ def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
         found = maxsys_existence_permutation(A, b)
         out["sigma"] = None if found is None else list(found[0])
         out["strict"] = None if found is None else found[1]
-        if all(A.entry(i, i) > 0 for i in range(1, A.rows + 1)):
+        rows = A.to_rows()
+        if all(rows[i][i] > 0 for i in range(A.rows)):
             out["kaykobad"] = kaykobad_check(A, b)
         else:
             out["kaykobad"] = None
@@ -283,27 +285,30 @@ def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
     return OK, out
 
 
+def _charpoly_evals(A: BoxMatrix, lam, opts: dict) -> dict:
+    lam = as_scalar(lam)
+    at = _char_values(A, lam)
+    out: dict = {"lam": _rat(lam)}
+    for mode in ("limit", "lower", "upper"):
+        v = _read(at, mode)
+        out[f"eval_{mode}"] = _rat(v)
+        out[f"eval_{mode}_float"] = _float_out(v)
+    p = _opt_p(opts)
+    if p is not None:
+        out["eval_p"] = _slog(_read(at, "p", p))
+        out["p"] = p
+    return out
+
+
 def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     _, char_cap = _caps()
-    A = _matrix_in(data["A"])
-    ms = char_monomials(A, char_cap)
-    out: dict = {
-        "count": len(ms),
-        "monomials": [[_rat(m.coeff), m.degree] for m in ms],
-    }
+    A = _check_char(_matrix_in(data["A"]), char_cap)
+    # evaluate first, so the values at lam are freed before the listing
     lam = data.get("lam")
-    if lam is not None:
-        lam = as_scalar(lam)
-        out["lam"] = _rat(lam)
-        classes = _net_classes(ms)
-        for mode in ("limit", "lower", "upper"):
-            v = _eval_classes(classes, lam, mode)
-            out[f"eval_{mode}"] = _rat(v)
-            out[f"eval_{mode}_float"] = _float_out(v)
-        p = _opt_p(opts)
-        if p is not None:
-            out["eval_p"] = _slog(_eval_classes(classes, lam, "p", p))
-            out["p"] = p
+    out = {} if lam is None else _charpoly_evals(A, lam, opts)
+    ms = char_monomials(A, char_cap)
+    out["count"] = len(ms)
+    out["monomials"] = [[_rat(m.coeff), m.degree] for m in ms]
     return OK, out
 
 

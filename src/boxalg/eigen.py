@@ -6,18 +6,26 @@ by exact magnitude across the whole multiset, and premature merging would
 corrupt those counts. Listing it takes sum_k k! C(n, k) monomials, so
 :func:`char_monomials` is capped.
 
+The listing runs in integers: the rows are scaled to integer rows, so
+every coefficient is an integer over one common denominator S, and only
+the finished coefficients become Fractions.
+
 Evaluation nets signs within each (degree, |coeff|) class first. Two
 monomials of equal degree and equal absolute coefficient but opposite sign
 contribute exactly cancelling odd powers at every finite index and every
 argument, so the reduction preserves every evaluation mode while removing
-spurious ties that a plain envelope of the raw multiset would see. Every
-mode reads these per-degree net maps directly: the value of a class at
-lam is one magnitude with a net count, never |net| listed copies.
+spurious ties that a plain envelope of the raw multiset would see. The
+classes are integer net maps {|coeff| * S: net count} per degree. At
+lam = a/b one pass scales every class value by the same positive integer
+S * b^n, which keeps magnitude order and ties, and yields the limit sum's
+net map and both envelopes at once; only the winner becomes a Fraction,
+and the finite-index mode converts the net map once.
 
 The subset DP of :mod:`boxalg.linalg`, run on a_ij - lam delta_ij in
-O(2^n n) steps, yields the same per-degree net maps without listing the
+O(2^n n) steps, yields the same integer classes without listing the
 monomials. :func:`eigen_region` reads the dominant surviving class per
-degree from it, and the oracle's charpoly sweep the whole maps.
+degree from it; the ``charpoly`` CLI kind and the oracle's charpoly sweep
+evaluate its whole maps.
 """
 
 from __future__ import annotations
@@ -25,7 +33,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, cycle
+from operator import add, getitem
 from typing import NamedTuple, Optional, Sequence
 
 from .core import LOWER, UPPER, _net_limit, as_scalar, smile
@@ -33,11 +43,19 @@ from .errors import CapacityError, ConvergenceError, DomainError
 from .linalg import (
     BoxMatrix,
     _dominant_terms,
+    _integer_rows,
+    _ring_terms,
     as_matrix,
     matvec_limit,
     signed_permutations,
 )
-from .signedlog import SignedLog, _phi_p_net, net_by_magnitude, odd_exponent
+from .signedlog import (
+    SignedLog,
+    _log_abs_fraction,
+    _phi_p_net,
+    net_by_magnitude,
+    odd_exponent,
+)
 
 DEFAULT_CHAR_CAP = 7
 DEFAULT_TIE_TOL = 1e-9
@@ -91,34 +109,66 @@ def _check_char(A, cap: int) -> BoxMatrix:
     return M
 
 
+@cache
+def _heap_table(k: int) -> bytes:
+    """The permutations of :func:`~boxalg.linalg.signed_permutations` of k,
+    concatenated as bytes, listed once per k on first use. Heap's
+    algorithm swaps one pair per step, so their signs alternate +1, -1, ..."""
+    return b"".join(bytes(perm) for perm, _sign in signed_permutations(k))
+
+
 def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
     """One signed monomial per (subset H, permutation of H) pair.
 
     The monomial for (H, sigma) has coefficient (-1)^(n-k) sgn(sigma)
     times the product of a[i, sigma(i)] over H (k = |H|) and degree n-k;
-    the empty subset contributes ((-1)^n, n).
+    the empty subset contributes ((-1)^n, n). Order: k ascending, then the
+    subsets in ``combinations`` order, then Heap order.
+
+    The products run over the integer rows of
+    :func:`~boxalg.linalg._integer_rows`: the row multipliers outside H
+    complete each product to an integer over S, the product of all of
+    them, so only the finished coefficients become Fractions.
     """
     M = _check_char(A, cap)
-    n = M.rows
-    rows = M.to_rows()
+    rows, scales = _integer_rows(M)
+    n = len(rows)
+    total = math.prod(scales)
     out = [Monomial(Fraction(-1 if n % 2 else 1), n)]
     for k in range(1, n + 1):
-        outer = Fraction(-1 if (n - k) % 2 else 1)
+        table = _heap_table(k)
         for H in combinations(range(n), k):
-            for perm, sign in signed_permutations(k):
-                prod = outer * sign
-                for pos, target in enumerate(perm):
-                    prod *= rows[H[pos]][H[target]]
-                out.append(Monomial(prod, n - k))
+            perms = zip(*[iter(table)] * k)  # the table's k-tuples
+            sub = [[rows[i][j] for j in H] for i in H]
+            f = math.prod(s for i, s in enumerate(scales) if i not in H)
+            if (n - k) % 2:
+                f = -f
+            out.extend([
+                Monomial(Fraction(g * math.prod(map(getitem, sub, perm)),
+                                  total), n - k)
+                for perm, g in zip(perms, cycle((f, -f)))
+            ])
     return MonomialList(tuple(out), n)
 
 
-def _net_classes(m) -> dict[int, dict[Fraction, int]]:
-    """Per degree, the net map {|coeff|: net signed count} of the monomials."""
-    by_degree: dict[int, list[Fraction]] = {}
+def _net_classes(m) -> tuple[dict[int, dict[int, int]], int]:
+    """Per degree, the net map {|coeff| * S: net signed count} of the
+    monomials, with cancelled classes dropped, and S, the least common
+    denominator of the coefficients."""
+    coeffs, degrees = [], []
     for coeff, degree in m:
-        by_degree.setdefault(int(degree), []).append(as_scalar(coeff))
-    return {d: net_by_magnitude(cs) for d, cs in by_degree.items()}
+        degree = int(degree)
+        if degree < 0:
+            raise DomainError(f"monomial degree {degree} is negative")
+        coeffs.append(as_scalar(coeff))
+        degrees.append(degree)
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    by_degree: dict[int, list[int]] = {}
+    for c, degree in zip(coeffs, degrees):
+        by_degree.setdefault(degree, []).append(
+            c.numerator * (scale // c.denominator))
+    return ({d: {m: c for m, c in net_by_magnitude(cs).items() if c}
+             for d, cs in by_degree.items()}, scale)
 
 
 def reduced_monomials(m) -> tuple[Monomial, ...]:
@@ -129,35 +179,72 @@ def reduced_monomials(m) -> tuple[Monomial, ...]:
     index, while its envelopes are free of exactly-cancelling ties.
     """
     out = []
-    classes = _net_classes(m)
+    classes, scale = _net_classes(m)
     for degree in sorted(classes):
         for mag, net in sorted(classes[degree].items()):
-            if net:
-                coeff = mag if net > 0 else -mag
-                out.extend([Monomial(coeff, degree)] * abs(net))
+            coeff = Fraction(mag if net > 0 else -mag, scale)
+            out.extend([Monomial(coeff, degree)] * abs(net))
     return tuple(out)
 
 
-def _values_at(classes, lam: Fraction) -> tuple[list[Fraction], list[int]]:
-    """The value |coeff| * lam^degree of every surviving class, and its net
-    count."""
-    values, counts = [], []
-    for degree, net in classes.items():
-        power = lam ** degree
-        for mag, c in net.items():
-            if c:
-                values.append(mag * power)
-                counts.append(c)
-    return values, counts
+class _Values(NamedTuple):
+    """The values |coeff| * lam^degree of the surviving classes, each
+    times one positive integer ``den``."""
+
+    net: dict[int, int]  # {scaled |value|: net signed count}
+    top: int             # the largest scaled |value| of a class, 0 if none
+    signs: set[bool]     # the signs (True for +) of the classes at top
+    den: int
 
 
-def _eval_classes(classes, lam: Fraction, mode: str, p: Optional[int] = None):
-    """:func:`charpoly_eval` on per-degree net maps."""
-    values, counts = _values_at(classes, lam)
-    if mode in (LOWER, UPPER):
-        return smile([v if c > 0 else -v for v, c in zip(values, counts)], mode)
-    net = net_by_magnitude(values, counts)
-    return _net_limit(net) if mode == "limit" else _phi_p_net(net, p)
+def _values_at(classes, scale: int, lam: Fraction) -> _Values:
+    """Integer per-degree classes over ``scale`` evaluated at lam, in one
+    pass.
+
+    With lam = a/b (b > 0) and n the top degree, S * b^n scales every
+    value |c|/S * lam^d to the integer |c| * |a|^d * b^(n-d), so magnitude
+    order and ties are kept. A class contributes its net count to the net
+    map, and its own value (the sign of its count) to the envelopes.
+    """
+    a, b = lam.numerator, lam.denominator
+    n = max(classes, default=0)
+    net: dict[int, int] = {}
+    get = net.get
+    top, signs = 0, set()
+    for d, cls in classes.items():
+        w = abs(a) ** d * b ** (n - d)
+        if not w or not cls:  # lam = 0 zeroes every positive degree
+            continue
+        flip = -1 if a < 0 and d % 2 else 1
+        m = max(cls)
+        if m * w > top:
+            top, signs = m * w, set()
+        if m * w == top:
+            signs.add(cls[m] * flip > 0)
+        for m, c in cls.items():
+            v = m * w
+            net[v] = get(v, 0) + c * flip
+    return _Values(net, top, signs, scale * b ** n)
+
+
+def _value_net(at: _Values) -> dict[Fraction, int]:
+    """The net map {|value|: net signed count} of the values at lam."""
+    return {Fraction(v, at.den): c for v, c in at.net.items() if c}
+
+
+def _char_values(M: BoxMatrix, lam: Fraction) -> _Values:
+    """The characteristic monomial values of M at lam, from the integer
+    per-degree classes of the subset DP."""
+    return _values_at(*_ring_terms(M, lam=True), lam)
+
+
+def _read(at: _Values, mode: str, p: Optional[int] = None):
+    """:func:`charpoly_eval`'s reading of the values at lam."""
+    if mode == "p":
+        return _phi_p_net(_value_net(at), p)
+    if mode == "limit":
+        return Fraction(_net_limit(at.net), at.den)
+    return smile([at.top if s else -at.top for s in at.signs], mode) / at.den
 
 
 def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
@@ -175,26 +262,28 @@ def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
         raise DomainError("mode 'p' requires the index p")
     if mode not in ("limit", LOWER, UPPER, "p"):
         raise DomainError(f"unknown mode {mode!r}")
-    return _eval_classes(_net_classes(m), lam, mode, p)
+    return _read(_values_at(*_net_classes(m), lam), mode, p)
 
 
 # --- spectral region ---------------------------------------------------------
 
 
+def _iroot(k: int, e: int) -> int:
+    """floor(k^(1/e)) of an integer k >= 0, by integer Newton steps."""
+    if k < 2:
+        return k
+    r = 1 << -(-k.bit_length() // e)  # 2^ceil(bits/e) > k^(1/e)
+    while True:
+        s = ((e - 1) * r + k // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def _nth_root_exact(q: Fraction, e: int) -> Optional[Fraction]:
     """q^(1/e) when rational, else None (q in lowest terms, q > 0)."""
-    def iroot(k: int) -> Optional[int]:
-        if k == 0:
-            return 0
-        r = round(k ** (1.0 / e))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** e == k:
-                return cand
-        return None
-
-    rn = iroot(q.numerator)
-    rd = iroot(q.denominator)
-    if rn is None or rd is None:
+    rn, rd = _iroot(q.numerator, e), _iroot(q.denominator, e)
+    if rn ** e != q.numerator or rd ** e != q.denominator:
         return None
     return Fraction(rn, rd)
 
@@ -216,17 +305,17 @@ def _member_at_radius(dom: dict[int, tuple[Fraction, int]], halfline: int,
     return len(signs) == 2
 
 
-def _member_at_float(dom: dict[int, tuple[Fraction, int]], lam: float,
-                     tie_tol: float) -> bool:
-    """Float membership with a relative magnitude-tie tolerance."""
-    mags = {d: float(mag) * abs(lam) ** d for d, (mag, _s) in dom.items()}
-    top = max(mags.values())
-    if top == 0.0:
-        return True
+def _member_at_log(dom: dict[int, tuple[Fraction, int]], halfline: int,
+                   logr: float, tie_tol: float) -> bool:
+    """Float membership at lam = halfline * e^logr with a relative
+    magnitude-tie tolerance; log magnitudes, so no value overflows."""
+    logs = {d: _log_abs_fraction(mag) + d * logr
+            for d, (mag, _s) in dom.items()}
+    top = max(logs.values())
     signs = {
-        sign * (1 if lam > 0 or d % 2 == 0 else -1)
+        sign * (1 if halfline > 0 or d % 2 == 0 else -1)
         for d, (mag, sign) in dom.items()
-        if mags[d] >= top * (1.0 - tie_tol)
+        if math.exp(logs[d] - top) >= 1.0 - tie_tol
     }
     return len(signs) == 2
 
@@ -238,10 +327,12 @@ def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP,
     Candidates are lam = 0 plus every cross-degree magnitude-tie radius on
     both half-lines; each is validated exactly through e-th powers of the
     tie equation, so irrational radii are decided without float error.
-    Rational members come back as Fractions, irrational ones as floats.
-    As a guard against region intervals, midpoints between consecutive
-    candidate radii are also sampled (with the tie tolerance) and included
-    if they pass, which the reduction argument rules out.
+    Rational members come back as Fractions, irrational ones as floats
+    (clamped to +-inf past the float range). As a guard against region
+    intervals, midpoints between consecutive candidate radii are also
+    sampled (with the tie tolerance) and included if they pass, which the
+    reduction argument rules out. Radii and midpoints are handled as
+    logs, so no radius overflows a float.
     """
     # per degree, the largest surviving |coeff| class and its sign (the
     # others never reach the magnitude envelope)
@@ -253,7 +344,7 @@ def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP,
 
     degrees = sorted(dom)
     accepted: list[tuple[int, Fraction, int]] = []
-    radii: dict[int, list[float]] = {1: [], -1: []}
+    log_radii: dict[int, list[float]] = {1: [], -1: []}
     for d2, d1 in combinations(degrees, 2):  # d1 > d2
         (mag1, s1), (mag2, s2) = dom[d1], dom[d2]
         q = mag2 / mag1
@@ -263,7 +354,8 @@ def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP,
             es2 = s2 * (1 if halfline > 0 or d2 % 2 == 0 else -1)
             if es1 == es2:
                 continue
-            radii[halfline].append(float(q) ** (1.0 / e))
+            logr = _log_abs_fraction(q) / e
+            log_radii[halfline].append(logr)
             if not _member_at_radius(dom, halfline, q, e):
                 continue
             if any(
@@ -276,17 +368,20 @@ def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP,
             if root is not None:
                 members.append(halfline * root)
             else:
-                logr = (math.log(q.numerator) - math.log(q.denominator)) / e
-                members.append(halfline * math.exp(logr))
+                members.append(SignedLog(halfline, logr).to_float())
 
-    for halfline, rs in radii.items():
-        rs = sorted(set(rs))
+    for halfline, rs in log_radii.items():
+        rs.sort()
         for lo, hi in zip(rs, rs[1:]):
-            mid = halfline * (lo + hi) / 2.0
-            if _member_at_float(dom, mid, tie_tol):
-                members.append(mid)
+            # log of the midpoint (e^lo + e^hi) / 2; one within the tie
+            # tolerance of hi (equal radii reached through different q, e
+            # differ in the last bits) would only find hi's own tie again
+            mid = hi + math.log1p(math.exp(lo - hi)) - math.log(2.0)
+            if (math.exp(mid - hi) < 1.0 - tie_tol
+                    and _member_at_log(dom, halfline, mid, tie_tol)):
+                members.append(SignedLog(halfline, mid).to_float())
 
-    return sorted(members, key=float)
+    return sorted(members)
 
 
 # --- finite-index Perron data ------------------------------------------------
@@ -304,25 +399,22 @@ def perron_p(A, p: int, tol: float = 1e-12,
     M = as_matrix(A)
     if not M.is_square:
         raise DomainError(f"square matrix required, got {M.rows}x{M.cols}")
-    n = M.rows
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if M.entry(i, j) <= 0:
+    rows = M.to_rows()
+    for i, row in enumerate(rows, start=1):
+        for j, a in enumerate(row, start=1):
+            if a <= 0:
                 raise DomainError(f"matrix entry ({i},{j}) must be positive")
     q = odd_exponent(p)
-    logA = [
-        [q * (math.log(M.entry(i, j).numerator) - math.log(M.entry(i, j).denominator))
-         for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    v = [0.0] * n
+    logA = [[q * _log_abs_fraction(a) for a in row] for row in rows]
+    exp, log, fsum = math.exp, math.log, math.fsum
+    v = [0.0] * M.rows
     rho_log = None
     for _ in range(max_iter):
         w = []
-        for i in range(n):
-            terms = [logA[i][j] + v[j] for j in range(n)]
+        for row in logA:
+            terms = list(map(add, row, v))
             m = max(terms)
-            w.append(m + math.log(math.fsum(math.exp(t - m) for t in terms)))
+            w.append(m + log(fsum([exp(t - m) for t in terms])))
         top = max(w)
         new_v = [wi - top for wi in w]
         drift = max(abs(a - b) for a, b in zip(new_v, v))

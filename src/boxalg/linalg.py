@@ -291,19 +291,21 @@ def _dp_entries(M: BoxMatrix, lam: bool):
     return entries, math.prod(scales)
 
 
-def _net_terms(M: BoxMatrix, lam: bool = False) -> dict[int, dict[Fraction, int]]:
+def _ring_terms(M: BoxMatrix, lam: bool = False
+                ) -> tuple[dict[int, dict[int, int]], int]:
     """Per degree, the net map {magnitude: net signed count} of the signed
     permutation products of M (all of degree 0) or, with ``lam``, of its
-    characteristic monomials. Magnitudes that cancel are dropped."""
+    characteristic monomials, and the scale S: every magnitude is the
+    integer key over S. Magnitudes that cancel are dropped."""
     entries, total = _dp_entries(M, lam)
     ring = _subset_dp(entries, _ring_step, {0: {1: 1}}) or {}
-    return {d: {Fraction(m, total): c for m, c in nets.items() if c}
-            for d, nets in ring.items()}
+    return ({d: {m: c for m, c in nets.items() if c}
+             for d, nets in ring.items()}, total)
 
 
 def _dominant_terms(M: BoxMatrix, lam: bool = False) -> dict[int, tuple[Fraction, int]]:
     """Per degree, the largest magnitude whose net signed count survives,
-    and the sign of that count (terms as in :func:`_net_terms`).
+    and the sign of that count (terms as in :func:`_ring_terms`).
 
     Degrees where everything cancels are absent. The leading-term run
     settles it unless some leading count nets to zero; then the group
@@ -311,12 +313,11 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False) -> dict[int, tuple[Fraction
     """
     entries, total = _dp_entries(M, lam)
     top = _subset_dp(entries, _lead_step, {0: (1, 1)}) or {}
-    if all(c for _m, c in top.values()):
-        top = {d: (Fraction(m, total), c) for d, (m, c) in top.items()}
-    else:
-        top = {d: (max(net), net[max(net)])
-               for d, net in _net_terms(M, lam).items() if net}
-    return {d: (m, 1 if c > 0 else -1) for d, (m, c) in top.items()}
+    if not all(c for _m, c in top.values()):
+        ring, total = _ring_terms(M, lam)
+        top = {d: (max(net), net[max(net)]) for d, net in ring.items() if net}
+    return {d: (Fraction(m, total), 1 if c > 0 else -1)
+            for d, (m, c) in top.items()}
 
 
 def _pair_det(rows) -> tuple[Fraction, Fraction]:
@@ -348,7 +349,8 @@ def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
 
 def _det_net(A, cap: int = DEFAULT_DET_CAP) -> dict[Fraction, int]:
     """Net map of the signed permutation products of a square matrix."""
-    return _net_terms(_checked(A, cap)).get(0, {})
+    ring, total = _ring_terms(_checked(A, cap))
+    return {Fraction(m, total): c for m, c in ring.get(0, {}).items()}
 
 
 def det_p(A, p: int, cap: int = DEFAULT_DET_CAP) -> SignedLog:

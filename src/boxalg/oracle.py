@@ -27,9 +27,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import _net_limit, as_float, as_scalar, as_vector
-from .eigen import DEFAULT_CHAR_CAP, _check_char, _values_at, eigen_region, perron_p
+from .eigen import (
+    DEFAULT_CHAR_CAP,
+    _char_values,
+    _check_char,
+    _value_net,
+    eigen_region,
+    perron_p,
+)
 from .errors import BoxAlgError, DomainError
-from .linalg import BoxMatrix, _det_net, _net_terms, as_matrix, replace_column
+from .linalg import BoxMatrix, _det_net, as_matrix, replace_column
 from .signedlog import (
     SignedLog,
     _log_abs_fraction,
@@ -143,8 +150,8 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         else:
             A = as_matrix(inputs["A"])
             lam = as_scalar(inputs["lam"])
-            classes = _net_terms(_check_char(A, DEFAULT_CHAR_CAP), lam=True)
-            net = net_by_magnitude(*_values_at(classes, lam))
+            net = _value_net(_char_values(_check_char(A, DEFAULT_CHAR_CAP),
+                                          lam))
         limit = _net_limit(net)
         near_tie = _near_tie(net, p_max, tol)
         values = [_phi_p_net(net, p) for p in ps]
@@ -193,7 +200,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         region = eigen_region(A)
         if not region:
             raise DomainError("empty spectral region; no limit value")
-        limit = max(region, key=float)
+        limit = max(region)
         for p in ps:
             try:
                 rho, _vec = perron_p(A, p)

@@ -133,9 +133,9 @@ def cramer_limit_solve(sys: LimitSystem, cap: int = DEFAULT_DET_CAP) -> SolveRep
 
 
 def _check_max_inputs(A: BoxMatrix, b: BoxVector) -> None:
-    for i in range(1, A.rows + 1):
-        for j in range(1, A.cols + 1):
-            if A.entry(i, j) < 0:
+    for i, row in enumerate(A.to_rows(), start=1):
+        for j, a in enumerate(row, start=1):
+            if a < 0:
                 raise DomainError(f"matrix entry ({i},{j}) is negative")
     for i, v in enumerate(b, start=1):
         if v < 0:
@@ -194,13 +194,26 @@ def _column_minima(A, b):
     return M, vec, minima
 
 
-def maxsys_candidate(A, b) -> BoxVector:
-    """Componentwise-maximal candidate x_j = min over supports of b_i/a_ij."""
-    _M, _vec, minima = _column_minima(A, b)
+def _candidate(minima) -> BoxVector:
+    """:func:`maxsys_candidate` from the column minima."""
     for j, x in enumerate(minima, start=1):
         if x is None:
             raise DomainError(f"column {j} has no positive entry")
     return tuple(minima)
+
+
+def maxsys_candidate(A, b) -> BoxVector:
+    """Componentwise-maximal candidate x_j = min over supports of b_i/a_ij."""
+    return _candidate(_column_minima(A, b)[2])
+
+
+def _solution(M: BoxMatrix, vec: BoxVector, minima) -> Optional[BoxVector]:
+    """:func:`maxsys_solve` from the checked system and its column minima."""
+    x = tuple(Fraction(0) if v is None else v for v in minima)
+    for row, target in zip(M.to_rows(), vec):
+        if max(a * v for a, v in zip(row, x)) != target:
+            return None
+    return x
 
 
 def maxsys_solve(A, b) -> Optional[BoxVector]:
@@ -210,12 +223,7 @@ def maxsys_solve(A, b) -> Optional[BoxVector]:
     are pinned to zero rather than rejected; only the constrained columns
     go through the candidate formula.
     """
-    M, vec, minima = _column_minima(A, b)
-    x = tuple(Fraction(0) if v is None else v for v in minima)
-    for row, target in zip(M.to_rows(), vec):
-        if max(a * v for a, v in zip(row, x)) != target:
-            return None
-    return x
+    return _solution(*_column_minima(A, b))
 
 
 def _perfect_matching_exists(adj: dict[int, set[int]], rows: list[int],
@@ -261,13 +269,15 @@ def maxsys_existence_permutation(A, b):
         raise DomainError(f"right-hand side length {len(vec)} != size {n}")
     _check_max_inputs(M, vec)
 
+    rows = M.to_rows()
     argmax: dict[int, set[int]] = {}
-    for k in range(1, n + 1):
-        best = max(M.entry(i, k) / vec[i - 1] for i in range(1, n + 1))
-        argmax[k] = {
+    for k in range(n):
+        ratios = [row[k] / v for row, v in zip(rows, vec)]
+        best = max(ratios)
+        argmax[k + 1] = {
             i
-            for i in range(1, n + 1)
-            if M.entry(i, k) > 0 and M.entry(i, k) / vec[i - 1] == best
+            for i, (row, r) in enumerate(zip(rows, ratios), start=1)
+            if row[k] > 0 and r == best
         }
     adj = {j: {k for k in range(1, n + 1) if j in argmax[k]} for j in range(1, n + 1)}
 
@@ -295,15 +305,16 @@ def kaykobad_check(A, b) -> bool:
     if not M.is_square or len(vec) != n:
         raise DomainError("square matrix and matching vector required")
     _check_max_inputs(M, vec)
-    for i in range(1, n + 1):
-        if M.entry(i, i) <= 0:
-            raise DomainError(f"diagonal entry ({i},{i}) must be positive")
-    for i in range(1, n + 1):
+    rows = M.to_rows()
+    for i in range(n):
+        if rows[i][i] <= 0:
+            raise DomainError(f"diagonal entry ({i + 1},{i + 1}) must be positive")
+    for i, row in enumerate(rows):
         total = sum(
-            (M.entry(i, j) * vec[j - 1] / M.entry(j, j) for j in range(1, n + 1) if j != i),
+            (row[j] * vec[j] / rows[j][j] for j in range(n) if j != i),
             Fraction(0),
         )
-        if not vec[i - 1] > total:
+        if not vec[i] > total:
             return False
     return True
 
@@ -322,26 +333,26 @@ def kaykobad_p_check(A, b, sigma: Sequence[int], p: int) -> bool:
     _check_max_inputs(M, vec)
     if sorted(sigma) != list(range(1, n + 1)):
         raise DomainError(f"not a permutation of 1..{n}: {tuple(sigma)!r}")
-    pivots = [M.entry(j, sigma[j - 1]) for j in range(1, n + 1)]
+    rows = M.to_rows()
+    cols = [s - 1 for s in sigma]
+    pivots = [row[c] for row, c in zip(rows, cols)]
     for j, piv in enumerate(pivots, start=1):
         if piv == 0:
             raise DomainError(f"zero pivot at row {j}, column {sigma[j - 1]}")
-    for i in range(1, n + 1):
+    for i, row in enumerate(rows):
         terms = [
-            SignedLog.from_rational(
-                M.entry(i, sigma[j - 1]) * vec[j - 1] / pivots[j - 1]
-            )
-            for j in range(1, n + 1)
+            SignedLog.from_rational(row[cols[j]] * vec[j] / pivots[j])
+            for j in range(n)
             if j != i
         ]
         if not terms:
             continue
         rhs = phi_p_sum(terms, p)
-        lhs = SignedLog.from_rational(vec[i - 1])
+        lhs = SignedLog.from_rational(vec[i])
         if rhs.is_zero:
             continue
         if rhs.exact is not None:
-            if not vec[i - 1] > rhs.exact:
+            if not vec[i] > rhs.exact:
                 return False
         elif not lhs.logmag > rhs.logmag:
             return False

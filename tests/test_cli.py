@@ -1,11 +1,15 @@
 """JSON command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from boxalg.cli import run
+
+BIG = "1" + "0" * 400
 
 
 def invoke(capsys, *argv):
@@ -116,6 +120,42 @@ class TestCharpolyAndEigen:
         assert code == 0
         assert obj["region"] == ["2"]
         assert obj["perron"]["converged"] is True
+
+    # sha256 of the whole stdout, recorded before the integer listing and
+    # the one-pass evaluation replaced the Fraction loops
+    @pytest.mark.parametrize("n, entries, lam, p, digest", [
+        (5, "int", 0, 3,
+         "230e755e1e4c8ef95b494fb69328093eaa1a9568ee9fe201f3504b1a34f9ed4e"),
+        (5, "rational", -3, 0,
+         "2c98de18cbf77a1f43dde10386f64061850926f83664ff77582eb74d37878a0e"),
+        (6, "int", "2/3", 7,
+         "b11fcef6e59bcd3950f8ee83a810b509e275418cf6165d205f4f899955444d43"),
+        (6, "rational", 0, 2,
+         "c5dfc56e4fad5c77ecbf9df451e49e4d213b88e97c721246a5388c451e4f7dd7"),
+        (7, "int", -3, 5,
+         "6ded129e5b5de982ac174863c7681c9a2da7fc3d7167e34c3aeb635f36268ced"),
+        (7, "rational", "2/3", 1,
+         "c124ffe5de0abd2e15e46c537f234e4a65851a7abffb3fe3db00342f2ef40f8a"),
+    ])
+    def test_charpoly_stdout_pinned(self, capsys, n, entries, lam, p, digest):
+        rng = random.Random(n)
+        if entries == "int":
+            A = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+        else:
+            A = [[0 if rng.random() < 0.2
+                  else f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"
+                  for _ in range(n)] for _ in range(n)]
+        text = json.dumps({"A": A, "lam": lam, "options": {"p": p}})
+        assert run(["charpoly", "--json", text]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("rows", [[[BIG, 1], [1, 1]], [[BIG, 0], [0, 1]]])
+    def test_eigen_past_float_range(self, capsys, rows):
+        code, obj = invoke(capsys, "eigen", "--json", json.dumps({"A": rows}))
+        assert code == 0
+        assert obj["region"] == ["1", BIG]
+        assert obj["region_float"] == [1.0, "inf"]
 
 
 class TestOracle:

@@ -1,5 +1,6 @@
 """Characteristic monomials, eigenvalue regions, and positive spectra."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from boxalg import (
     perron_p,
     reduced_monomials,
 )
+from boxalg.eigen import _nth_root_exact
 
 F = Fraction
 REL = 1e-9
@@ -112,6 +114,21 @@ class TestRegion:
         assert all(isinstance(x, float) for x in region)
         assert region[0] == pytest.approx(-(2 ** 0.5), rel=REL)
         assert region[1] == pytest.approx(2 ** 0.5, rel=REL)
+
+    def test_equal_radii_give_one_member(self):
+        # the radius 8 is q^(1/e) for several (q, e) whose float roots
+        # differ in the last bit; no float copy of 8 may join the region
+        A = BoxMatrix([[7, 8, 2, 8], [8, 7, 1, 4], [5, 2, 8, 5], [7, 1, 9, 6]])
+        assert eigen_region(A) == [F(-8), F(49, 8), F(8)]
+
+    def test_radii_past_float_range(self):
+        big = 10 ** 400
+        assert eigen_region(BoxMatrix([[big, 1], [1, 1]])) == [F(1), F(big)]
+        assert eigen_region(BoxMatrix([[0, 2 * big ** 2], [1, 0]])) == [
+            -math.inf, math.inf]
+        assert _nth_root_exact(F(3 ** 600, 7 ** 300), 3) == F(3 ** 200,
+                                                               7 ** 100)
+        assert _nth_root_exact(F(2 * big ** 2), 2) is None
 
     def test_region_values_satisfy_sign_sandwich(self):
         A = BoxMatrix([[1, 2, 1], [2, 2, 9], [1, 1, 3]])

@@ -10,6 +10,7 @@ compared bit for bit: sign, logmag and exact value.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -152,7 +153,49 @@ class TestDeterminants:
         assert ring_runs == []
 
 
+def _fraction_listing(A):
+    """The characteristic monomials listed with Fraction products."""
+    rows = A.to_rows()
+    n = len(rows)
+    out = [(F(-1 if n % 2 else 1), n)]
+    for k in range(1, n + 1):
+        outer = F(-1 if (n - k) % 2 else 1)
+        for H in combinations(range(n), k):
+            for perm, sign in signed_permutations(k):
+                prod = outer * sign
+                for pos, target in enumerate(perm):
+                    prod *= rows[H[pos]][H[target]]
+                out.append((prod, n - k))
+    return out
+
+
 class TestCharacteristic:
+    @pytest.mark.parametrize("A", MATRICES + [
+        pytest.param(BoxMatrix([[0, 0, 0], [F(1, 2), 0, F(2, 3)],
+                                [0, F(5, 7), F(-9, 4)]]), id="mixed-denominators"),
+        pytest.param(BoxMatrix([[0] * 4] * 4), id="zeros"),
+    ])
+    def test_char_monomials_match_the_fraction_listing(self, A):
+        got = [(m.coeff, m.degree) for m in char_monomials(A)]
+        assert got == _fraction_listing(A)
+        assert all(type(c) is Fraction for c, _d in got)
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_dp_values_read_every_mode(self, A):
+        ms = char_monomials(A)
+        reduced = reduced_monomials(ms)
+        lams = (F(0), F(-1), F(2, 3), F(-3, 2), F(7))
+        for lam in lams if A.rows < 6 else lams[:3]:
+            at = eigen._char_values(A, lam)
+            raw = [m.coeff * lam ** m.degree for m in ms]
+            assert eigen._read(at, "limit") == nary_boxplus(raw)
+            for mode in ("lower", "upper"):
+                want = smile([m.coeff * lam ** m.degree for m in reduced],
+                             mode)
+                assert eigen._read(at, mode) == want
+            for p in (0, 5):
+                assert _bits(eigen._read(at, "p", p)) == _bits(_phi(raw, p))
+
     @pytest.mark.parametrize("A", MATRICES)
     def test_eigen_region(self, A):
         ms = char_monomials(A)
@@ -310,9 +353,9 @@ class TestFiniteIndex:
     @pytest.mark.parametrize("A", MATRICES)
     def test_dp_classes_match_the_listing(self, A):
         ms = char_monomials(A)
-        def live(classes):
-            return {d: {m: c for m, c in net.items() if c}
-                    for d, net in classes.items() if any(net.values())}
+        def exact(classes, scale):
+            return {d: {F(m, scale): c for m, c in net.items()}
+                    for d, net in classes.items() if net}
 
-        assert live(linalg._net_terms(A, lam=True)) == live(
-            eigen._net_classes(ms))
+        assert exact(*linalg._ring_terms(A, lam=True)) == exact(
+            *eigen._net_classes(ms))
