@@ -139,17 +139,23 @@ def _rows_out(rows) -> list[dict]:
 # --- option plumbing ----------------------------------------------------------
 
 
-def _caps() -> tuple[int, int]:
+def _cap() -> int | None:
+    """The BOXALG_CAP override of both size caps, None when unset."""
     raw = os.environ.get("BOXALG_CAP")
     if raw is None:
-        return DEFAULT_DET_CAP, DEFAULT_CHAR_CAP
+        return None
     try:
         cap = int(raw)
     except ValueError:
         raise DomainError(f"BOXALG_CAP must be an integer, got {raw!r}")
     if cap < 1:
         raise DomainError(f"BOXALG_CAP must be positive, got {cap}")
-    return cap, cap
+    return cap
+
+
+def _caps() -> tuple[int, int]:
+    cap = _cap()
+    return (DEFAULT_DET_CAP, DEFAULT_CHAR_CAP) if cap is None else (cap, cap)
 
 
 def _merge_opts(data: dict, args) -> dict:
@@ -328,7 +334,8 @@ def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
     if positive and region:
         p_max = opts.get("p_max", DEFAULT_P_MAX)
         tol = opts.get("tol", DEFAULT_TOL)
-        rep = sweep("perron", {"A": A.to_rows()}, p_max=p_max, tol=tol)
+        rep = sweep("perron", {"A": A.to_rows()}, p_max=p_max, tol=tol,
+                    cap=_cap())
         out["perron"] = {
             "limit_float": _float_out(rep.limit),
             "final_rel_gap": _float_out(rep.final_rel_gap),
@@ -346,7 +353,7 @@ def _do_oracle(data: dict, opts: dict) -> tuple[int, dict]:
               if k in data}
     p_max = opts.get("p_max", DEFAULT_P_MAX)
     tol = opts.get("tol", DEFAULT_TOL)
-    rep = sweep(quantity, inputs, p_max=p_max, tol=tol)
+    rep = sweep(quantity, inputs, p_max=p_max, tol=tol, cap=_cap())
     if isinstance(rep.limit, tuple):
         limit = _vec(rep.limit)
         limit_float = _vec_float(rep.limit)

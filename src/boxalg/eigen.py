@@ -26,6 +26,15 @@ O(2^n n) steps, yields the same integer classes without listing the
 monomials. :func:`eigen_region` reads the dominant surviving class per
 degree from it; the ``charpoly`` CLI kind and the oracle's charpoly sweep
 evaluate its whole maps.
+
+The region comes from the Newton polygon. At |lam| = r the degree-d term
+has magnitude m_d r^d (m_d the dominant class of degree d), so the terms
+on top are the points (d, log m_d) on the face of slope -log r of their
+upper hull. Each maximal collinear run of the hull ties at one radius,
+(m_a / m_b)^(1/(b-a)) for any two of its degrees a < b, and that radius
+is a member on a half-line exactly when the run's effective signs (sign *
+(-1)^d on the negative half-line) differ. The hull tests compare powers
+of rationals, so no float enters a verdict.
 """
 
 from __future__ import annotations
@@ -58,7 +67,6 @@ from .signedlog import (
 )
 
 DEFAULT_CHAR_CAP = 7
-DEFAULT_TIE_TOL = 1e-9
 
 
 class Monomial(NamedTuple):
@@ -288,99 +296,44 @@ def _nth_root_exact(q: Fraction, e: int) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
-def _member_at_radius(dom: dict[int, tuple[Fraction, int]], halfline: int,
-                      q: Fraction, e: int) -> bool:
-    """Exact membership at lam = halfline * q^(1/e).
-
-    Magnitudes |c_d| r^d are compared through their e-th powers, which are
-    rational, so no floating point enters the verdict.
-    """
-    keys = {d: mag ** e * q ** d for d, (mag, _s) in dom.items()}
-    top = max(keys.values())
-    signs = {
-        sign * (1 if halfline > 0 or d % 2 == 0 else -1)
-        for d, (mag, sign) in dom.items()
-        if keys[d] == top
-    }
-    return len(signs) == 2
-
-
-def _member_at_log(dom: dict[int, tuple[Fraction, int]], halfline: int,
-                   logr: float, tie_tol: float) -> bool:
-    """Float membership at lam = halfline * e^logr with a relative
-    magnitude-tie tolerance; log magnitudes, so no value overflows."""
-    logs = {d: _log_abs_fraction(mag) + d * logr
-            for d, (mag, _s) in dom.items()}
-    top = max(logs.values())
-    signs = {
-        sign * (1 if halfline > 0 or d % 2 == 0 else -1)
-        for d, (mag, sign) in dom.items()
-        if math.exp(logs[d] - top) >= 1.0 - tie_tol
-    }
-    return len(signs) == 2
-
-
-def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP,
-                 tie_tol: float = DEFAULT_TIE_TOL) -> list:
+def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP) -> list:
     """All lam with lower eval <= 0 <= upper eval, smallest first.
 
-    Candidates are lam = 0 plus every cross-degree magnitude-tie radius on
-    both half-lines; each is validated exactly through e-th powers of the
-    tie equation, so irrational radii are decided without float error.
-    Rational members come back as Fractions, irrational ones as floats
-    (clamped to +-inf past the float range). As a guard against region
-    intervals, midpoints between consecutive candidate radii are also
-    sampled (with the tie tolerance) and included if they pass, which the
-    reduction argument rules out. Radii and midpoints are handled as
-    logs, so no radius overflows a float.
+    lam = 0 when the constant term cancels, and each member radius of the
+    upper hull (see the module docstring), read from its run's lowest
+    degree and the first run degree of the other effective sign. Rational
+    members are Fractions, irrational ones floats (clamped to +-inf).
     """
-    # per degree, the largest surviving |coeff| class and its sign (the
-    # others never reach the magnitude envelope)
     dom = _dominant_terms(_check_char(A, cap), lam=True)
+    mag = {d: m for d, (m, _s) in dom.items()}
 
-    members: list = []
-    if 0 not in dom:
-        members.append(Fraction(0))
+    def bend(a: int, b: int, c: int) -> int:
+        # +1, 0, -1: (b, log m_b) above, on, below the chord a-c, a < b < c
+        left, right = mag[b] ** (c - a), mag[a] ** (c - b) * mag[c] ** (b - a)
+        return (left > right) - (left < right)
 
-    degrees = sorted(dom)
-    accepted: list[tuple[int, Fraction, int]] = []
-    log_radii: dict[int, list[float]] = {1: [], -1: []}
-    for d2, d1 in combinations(degrees, 2):  # d1 > d2
-        (mag1, s1), (mag2, s2) = dom[d1], dom[d2]
-        q = mag2 / mag1
-        e = d1 - d2
+    hull: list[int] = []  # monotone chain, collinear points kept
+    for d in sorted(dom):
+        while len(hull) > 1 and bend(hull[-2], hull[-1], d) < 0:
+            hull.pop()
+        hull.append(d)
+
+    members: list = [] if 0 in dom else [Fraction(0)]
+    start = 0
+    for i in range(1, len(hull)):
+        if i + 1 < len(hull) and bend(hull[start], hull[i], hull[i + 1]) == 0:
+            continue  # the collinear run from hull[start] goes on
+        run, start = hull[start:i + 1], i
         for halfline in (1, -1):
-            es1 = s1 * (1 if halfline > 0 or d1 % 2 == 0 else -1)
-            es2 = s2 * (1 if halfline > 0 or d2 % 2 == 0 else -1)
-            if es1 == es2:
+            signs = [dom[d][1] * (halfline if d % 2 else 1) for d in run]
+            b = next((d for d, s in zip(run, signs) if s != signs[0]), None)
+            if b is None:
                 continue
-            logr = _log_abs_fraction(q) / e
-            log_radii[halfline].append(logr)
-            if not _member_at_radius(dom, halfline, q, e):
-                continue
-            if any(
-                h == halfline and q ** ee == qq ** e
-                for h, qq, ee in accepted
-            ):
-                continue
-            accepted.append((halfline, q, e))
+            q, e = mag[run[0]] / mag[b], b - run[0]
             root = _nth_root_exact(q, e)
-            if root is not None:
-                members.append(halfline * root)
-            else:
-                members.append(SignedLog(halfline, logr).to_float())
-
-    for halfline, rs in log_radii.items():
-        rs.sort()
-        for lo, hi in zip(rs, rs[1:]):
-            # log of the midpoint (e^lo + e^hi) / 2; one within the tie
-            # tolerance of hi (equal radii reached through different q, e
-            # differ in the last bits) would only find hi's own tie again
-            mid = hi + math.log1p(math.exp(lo - hi)) - math.log(2.0)
-            if (math.exp(mid - hi) < 1.0 - tie_tol
-                    and _member_at_log(dom, halfline, mid, tie_tol)):
-                members.append(SignedLog(halfline, mid).to_float())
-
+            log_r = _log_abs_fraction(q) / e
+            members.append(SignedLog(halfline, log_r).to_float()
+                           if root is None else halfline * root)
     return sorted(members)
 
 

@@ -347,8 +347,9 @@ def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
     return smile((plus, -minus), mode)
 
 
-def _det_net(A, cap: int = DEFAULT_DET_CAP) -> dict[Fraction, int]:
+def _det_net(A, cap: int | None = None) -> dict[Fraction, int]:
     """Net map of the signed permutation products of a square matrix."""
+    cap = DEFAULT_DET_CAP if cap is None else cap
     ring, total = _ring_terms(_checked(A, cap))
     return {Fraction(m, total): c for m, c in ring.get(0, {}).items()}
 

@@ -102,17 +102,20 @@ def _power_sum(net: dict, q: int) -> Fraction:
     return sum((c * m ** q for m, c in net.items()), Fraction(0))
 
 
-def _gap(value, limit) -> float:
-    """|value - limit|, the sup norm for vectors; inf for a missing value."""
+def _gap(value, limit, size=None) -> float:
+    """|value - limit|, the sup norm for vectors; inf for a missing value.
+    Given ``size``, an exact SignedLog, both are first divided by it."""
     if value is None:
         return math.inf
     if isinstance(limit, tuple):
-        return max(_gap(v, t) for v, t in zip(value, limit))
+        return max(_gap(v, t, size) for v, t in zip(value, limit))
+    if size is not None:
+        return abs((value / size).to_float() - float(limit / size.exact))
     return abs(value.to_float() - as_float(limit))
 
 
 def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
-          tol: float = DEFAULT_TOL) -> SweepReport:
+          tol: float = DEFAULT_TOL, cap: int | None = None) -> SweepReport:
     """Evaluate one quantity over p in {0..p_max} against its limit value.
 
     Quantities and their inputs:
@@ -126,8 +129,11 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
     Scalar quantities report |value_p - limit| gaps; vector quantities use
     the sup norm. Relative gaps divide by max(1, scale of the limit); the
     hyperplane residual, whose limit is identically zero, scales by the
-    magnitude of the configuration's determinant instead.
+    magnitude of the configuration's determinant instead. A scale past
+    the float range divides in logs, and absolute gaps past it read inf.
+    ``cap`` overrides both size caps, as ``BOXALG_CAP`` does in the CLI.
     """
+    char_cap = DEFAULT_CHAR_CAP if cap is None else cap
     if not isinstance(p_max, int) or p_max < 0:
         raise DomainError(f"p_max must be a nonnegative integer, got {p_max!r}")
     if p_max > HARD_P_MAX:
@@ -139,19 +145,17 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
 
     ps = tuple(range(p_max + 1))
     values: list = []
-    scale = 1.0
     near_tie = False
 
     if quantity in ("sum", "det", "charpoly"):
         if quantity == "sum":
             net = net_by_magnitude(as_vector(inputs["xs"]))
         elif quantity == "det":
-            net = _det_net(as_matrix(inputs["A"]))
+            net = _det_net(as_matrix(inputs["A"]), cap)
         else:
             A = as_matrix(inputs["A"])
             lam = as_scalar(inputs["lam"])
-            net = _value_net(_char_values(_check_char(A, DEFAULT_CHAR_CAP),
-                                          lam))
+            net = _value_net(_char_values(_check_char(A, char_cap), lam))
         limit = _net_limit(net)
         near_tie = _near_tie(net, p_max, tol)
         values = [_phi_p_net(net, p) for p in ps]
@@ -159,8 +163,8 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
     elif quantity == "cramer":
         system = LimitSystem(as_matrix(inputs["A"]), as_vector(inputs["b"]))
         A, b = system.A, system.b
-        nets = [_det_net(A)] + [_det_net(replace_column(A, i, b))
-                                for i in range(1, A.rows + 1)]
+        nets = [_det_net(A, cap)] + [_det_net(replace_column(A, i, b), cap)
+                                     for i in range(1, A.rows + 1)]
         det, *dets = [_net_limit(net) for net in nets]
         if det == 0:
             raise DomainError("limit determinant is zero; no limit solution")
@@ -181,13 +185,13 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         if len(x) != n:
             raise DomainError(f"x has length {len(x)}, expected {n}")
         limit = Fraction(0)
-        net = _det_net(V)
-        scale = max(1.0, abs(as_float(_net_limit(net))))
+        net = _det_net(V, cap)
+        size = _net_limit(net)
         # the residual either vanishes exactly or diverges: never near-tie
         ones = tuple(Fraction(1) for _ in range(n))
         rows = V.to_rows()
-        row_nets = [_det_net(BoxMatrix(rows[:i] + (ones,) + rows[i + 1:]))
-                    for i in range(n)]
+        row_nets = [_det_net(BoxMatrix(rows[:i] + (ones,) + rows[i + 1:]),
+                             cap) for i in range(n)]
         for p in ps:
             q = odd_exponent(p)
             total = -_power_sum(net, q) + sum(
@@ -197,7 +201,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
 
     else:  # perron
         A = as_matrix(inputs["A"])
-        region = eigen_region(A)
+        region = eigen_region(A, cap=char_cap)
         if not region:
             raise DomainError("empty spectral region; no limit value")
         limit = max(region)
@@ -209,12 +213,18 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
             values.append(rho)
 
     if quantity == "cramer":
-        scale = max([1.0] + [abs(as_float(t)) for t in limit])
+        size = max(limit, key=abs)
     elif quantity != "hyperplane":
-        scale = max(1.0, abs(as_float(limit)))
-    abs_gaps = [_gap(v, limit) for v in values]
-
-    rel_gaps = [g / scale for g in abs_gaps]
+        size = limit
+    scale = max(1.0, abs(as_float(size)))
+    if scale < math.inf or not isinstance(size, Fraction):
+        abs_gaps = [_gap(v, limit) for v in values]
+        rel_gaps = [g / scale for g in abs_gaps]
+    else:  # an exact limit past the float range: divide in logs
+        size = SignedLog.from_rational(abs(size))
+        rel_gaps = [_gap(v, limit, size) for v in values]
+        abs_gaps = [SignedLog(1, math.log(g) + size.logmag).to_float()
+                    if g else 0.0 for g in rel_gaps]
     return SweepReport(
         quantity=quantity,
         p_values=ps,

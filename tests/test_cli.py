@@ -150,6 +150,49 @@ class TestCharpolyAndEigen:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the whole stdout, recorded before the region was read from
+    # the upper hull: members negative, irrational and at lam = 0, n = 2..7,
+    # and two positive matrices whose Perron sweep converges
+    @pytest.mark.parametrize("n, entries, digest", [
+        (2, "digits",
+         "8b86d5ad20f7db3a1b6e0ee9e2d43757513157955fdd97eeed12c34740f25cfd"),
+        (3, "small",
+         "067a168972318207c8fe3d925398916cd49eb2709df64cb018890487121b3dad"),
+        (4, "rational",
+         "2e1ed21548c6906fb326c34334bd50da954117601e0baa335d06ba4dcd5334db"),
+        (5, "small",
+         "7f130d80d404560d7090597841e795b0a3d9d624aee386df7d9915bb017cd093"),
+        (6, "rational",
+         "efb87d31968397e285499c91cfa64f9e85666e38c50c0cacf9933dd3e7a4bf29"),
+        (7, "digits",
+         "4928bbb8a6de1bb9d455ffe3ca023abfb27272c4c8c2d68674206b962ce7bda9"),
+        (2, "positive",
+         "f1af46879e4fee888d4a8139584001e0bbd7daee6c3eec752bb0e2b5ffd15437"),
+        (6, "positive",
+         "2af36e7e6866be767494e00544e8f75f6a0c1fce727af2f8e8f1404ac9782ce9"),
+    ])
+    def test_eigen_stdout_pinned(self, capsys, n, entries, digest):
+        rng = random.Random(n)
+        if entries == "rational":
+            A = [[0 if rng.random() < 0.2
+                  else f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"
+                  for _ in range(n)] for _ in range(n)]
+        else:
+            lo, hi = {"digits": (-9, 9), "small": (-2, 2),
+                      "positive": (1, 9)}[entries]
+            A = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+        assert run(["eigen", "--json", json.dumps({"A": A})]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_perron_gap_past_float_range(self, capsys):
+        code, obj = invoke(capsys, "eigen", "--json",
+                           json.dumps({"A": [[BIG, 1], [1, 1]]}))
+        assert code == 0
+        assert obj["perron"]["limit_float"] == "inf"
+        assert 0 < obj["perron"]["final_rel_gap"] < 1e-12
+        assert obj["perron"]["converged"] is True
+
     @pytest.mark.parametrize("rows", [[[BIG, 1], [1, 1]], [[BIG, 0], [0, 1]]])
     def test_eigen_past_float_range(self, capsys, rows):
         code, obj = invoke(capsys, "eigen", "--json", json.dumps({"A": rows}))
@@ -197,8 +240,11 @@ class TestOracle:
         assert obj["limit"] == big
         assert obj["limit_float"] == "inf"
         assert obj["values"] == ["inf"] * 3
-        assert set(obj["abs_gaps"] + obj["rel_gaps"]) <= {"nan", "inf"}
-        assert obj["converged"] is False
+        # relative gaps from log magnitudes; absolute ones clamp to inf
+        assert obj["rel_gaps"][:2] == [0.0, 0.0]
+        assert 0 < obj["rel_gaps"][2] < 1e-12
+        assert obj["abs_gaps"] == [0.0, 0.0, "inf"]
+        assert obj["converged"] is True
 
 
 class TestSym:
@@ -308,6 +354,22 @@ class TestInputHandling:
         code, obj = invoke(capsys, "det", "--json", big)
         assert code == 4
         assert "cap" in obj["error"]
+
+    def test_cap_override_reaches_the_oracle(self, capsys, monkeypatch):
+        monkeypatch.setenv("BOXALG_CAP", "10")
+        A = [[2 if i == j else 1 for j in range(10)] for i in range(10)]
+        code, obj = invoke(capsys, "oracle", "--json", json.dumps(
+            {"quantity": "det", "A": A, "options": {"p_max": 1}}))
+        assert code == 0
+        assert obj["limit"] == "1024"
+
+    def test_cap_override_reaches_the_perron_sweep(self, capsys, monkeypatch):
+        monkeypatch.setenv("BOXALG_CAP", "8")
+        A = [[2 if i == j else 1 for j in range(8)] for i in range(8)]
+        code, obj = invoke(capsys, "eigen", "--json", json.dumps({"A": A}))
+        assert code == 0
+        assert obj["region"] == ["2"]
+        assert obj["perron"]["converged"] is True
 
     def test_cap_override(self, capsys, monkeypatch):
         monkeypatch.setenv("BOXALG_CAP", "2")

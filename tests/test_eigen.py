@@ -121,6 +121,16 @@ class TestRegion:
         A = BoxMatrix([[7, 8, 2, 8], [8, 7, 1, 4], [5, 2, 8, 5], [7, 1, 9, 6]])
         assert eigen_region(A) == [F(-8), F(49, 8), F(8)]
 
+    def test_radius_read_from_its_tie(self):
+        # the degrees 0 and 6 tie at sqrt(6) below the top; the radius is
+        # read from the tie on top, degrees 2 and 4
+        A = BoxMatrix([[1, 1, 2, 2, 1, 1], [1, 3, 1, 2, 2, 2],
+                       [3, 3, 2, 1, 1, 1], [3, 1, 2, 1, 2, 2],
+                       [1, 3, 3, 3, 2, 2], [2, 2, 2, 1, 2, 3]])
+        region = eigen_region(A)
+        assert region == [-math.sqrt(6), F(2), math.sqrt(6), F(3)]
+        assert [type(x) for x in region] == [float, F, float, F]
+
     def test_radii_past_float_range(self):
         big = 10 ** 400
         assert eigen_region(BoxMatrix([[big, 1], [1, 1]])) == [F(1), F(big)]

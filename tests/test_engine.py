@@ -112,6 +112,47 @@ def _reference_dominant(ms):
     return dom
 
 
+def _reference_region(ms):
+    """Every pairwise tie radius of the reduced classes where lower <= 0 <=
+    upper holds exactly, duplicates removed, smallest first.
+
+    A class below the largest of its degree never reaches the top, so the
+    pairs and the top run over the largest class per degree. At lam =
+    h * q^(1/e) the class values |c| r^d are compared through their e-th
+    powers |c|^e q^d, which are rational.
+    """
+    dom = _reference_dominant(ms)
+    found = []  # (h, q, e) with the radius q^(1/e) on the half-line h
+    for (d1, (m1, _)), (d2, _) in combinations(sorted(dom.items()), 2):
+        q, e = m1 / dom[d2][0], d2 - d1
+        keys = {d: m ** e * q ** d for d, (m, _) in dom.items()}
+        top = max(keys.values())
+        for h in (1, -1):
+            signs = {s * (h if d % 2 else 1)
+                     for d, (_, s) in dom.items() if keys[d] == top}
+            if len(signs) == 2 and not any(
+                    hh == h and q ** ee == qq ** e for hh, qq, ee in found):
+                found.append((h, q, e))
+    reduced = reduced_monomials(ms)
+    out = [F(0)] if (charpoly_eval(reduced, 0, "lower") <= 0
+                     <= charpoly_eval(reduced, 0, "upper")) else []
+    for h, q, e in found:
+        root = eigen._nth_root_exact(q, e)
+        out.append(h * root if root is not None
+                   else h * float(q) ** (1 / e))
+    return sorted(out)
+
+
+TIED_BELOW_TOP = [
+    BoxMatrix([[1, 1, 2, 2, 1, 1], [1, 3, 1, 2, 2, 2], [3, 3, 2, 1, 1, 1],
+               [3, 1, 2, 1, 2, 2], [1, 3, 3, 3, 2, 2], [2, 2, 2, 1, 2, 3]]),
+    BoxMatrix([[8, 4, 4, -9, -4, 2, 3], [7, -9, 6, -5, -6, -7, -1],
+               [6, 1, -1, -8, 5, -3, -7], [-4, 1, -3, -7, 2, 3, 1],
+               [3, 5, 3, -6, 1, -2, -6], [0, -8, 5, -9, -5, 6, 1],
+               [-2, 6, -8, -9, 1, 9, -2]]),
+]
+
+
 class TestDeterminants:
     @pytest.mark.parametrize("A", MATRICES)
     def test_det_inf(self, A):
@@ -204,6 +245,20 @@ class TestCharacteristic:
             if isinstance(lam, Fraction):
                 assert charpoly_eval(ms, lam, "lower") <= 0
                 assert charpoly_eval(ms, lam, "upper") >= 0
+
+    @pytest.mark.parametrize("A", MATRICES + [
+        pytest.param(A, id=f"tied-below-top-{k}")
+        for k, A in enumerate(TIED_BELOW_TOP)])
+    def test_eigen_region_is_complete(self, A):
+        region = eigen_region(A)
+        want = _reference_region(char_monomials(A))
+        assert len(region) == len(want)
+        for got, ref in zip(region, want):
+            if isinstance(ref, Fraction):
+                assert type(got) is Fraction and got == ref
+            else:
+                assert type(got) is float
+                assert got == pytest.approx(ref, rel=1e-12)
 
     def test_eigen_fallback_runs_on_small_integers(self, ring_runs):
         for A in SMALL:
