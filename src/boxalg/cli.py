@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .core import as_float, as_scalar
 from .eigen import (
@@ -458,7 +459,9 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def run(argv) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="boxalg",
         description="Exact limit-algebra computations over JSON problems.",
@@ -473,8 +476,12 @@ def run(argv) -> int:
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--mode", choices=("lower", "upper", "exact"),
                         default=None)
+    return parser
+
+
+def run(argv) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else INPUT_ERROR
 

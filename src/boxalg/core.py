@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .signedlog import SignedLog, net_by_magnitude, phi_p_sum
+from .signedlog import SignedLog, _over_lcm, net_by_magnitude, phi_p_sum
 
 Scalar = Fraction
 
@@ -111,17 +111,9 @@ def residual_set(xs: Sequence, I=None) -> tuple[int, ...]:
     """
     vec = as_vector(xs)
     idx = _resolve_index_set(len(vec), I)
-    net = net_by_magnitude(vec[i - 1] for i in idx)
-    keep = []
-    for i in idx:
-        v = vec[i - 1]
-        if v == 0:
-            continue
-        m = -v if v < 0 else v
-        n = net[m]
-        if (n > 0 and v > 0) or (n < 0 and v < 0):
-            keep.append(i)
-    return tuple(keep)
+    ints, _scale = _over_lcm(vec[i - 1] for i in idx)
+    net, _one = net_by_magnitude(ints)
+    return tuple(i for i, m in zip(idx, ints) if net.get(abs(m), 0) * m > 0)
 
 
 def nary_boxplus(xs: Sequence, I=None) -> Fraction:
@@ -133,14 +125,12 @@ def nary_boxplus(xs: Sequence, I=None) -> Fraction:
     return _net_limit(net_by_magnitude(vec[i - 1] for i in idx))
 
 
-def _net_limit(net: dict) -> Fraction:
-    """The dominant-magnitude sum read off a net map: the largest magnitude
-    whose net count survives, with that count's sign; 0 when all cancel."""
-    live = [m for m, c in net.items() if c]
-    if not live:
-        return Fraction(0)
-    best = max(live)
-    return best if net[best] > 0 else -best
+def _net_limit(nets: tuple[dict[int, int], int]) -> Fraction:
+    """The dominant-magnitude sum of a net map ({m: net count}, S): the
+    largest surviving magnitude with its count's sign; 0 when all cancel."""
+    net, scale = nets
+    best = max((m for m, c in net.items() if c), default=0)
+    return Fraction(best if net.get(best, 0) >= 0 else -best, scale)
 
 
 def boxplus(x, y) -> Fraction:

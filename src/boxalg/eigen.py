@@ -18,8 +18,8 @@ spurious ties that a plain envelope of the raw multiset would see. The
 classes are integer net maps {|coeff| * S: net count} per degree. At
 lam = a/b one pass scales every class value by the same positive integer
 S * b^n, which keeps magnitude order and ties, and yields the limit sum's
-net map and both envelopes at once; only the winner becomes a Fraction,
-and the finite-index mode converts the net map once.
+net map (over S * b^n) and both envelopes at once; only the winner
+becomes a Fraction, and the finite-index mode reads the integer map.
 
 The subset DP of :mod:`boxalg.linalg`, run on a_ij - lam delta_ij in
 O(2^n n) steps, yields the same integer classes without listing the
@@ -61,6 +61,7 @@ from .linalg import (
 from .signedlog import (
     SignedLog,
     _log_abs_fraction,
+    _over_lcm,
     _phi_p_net,
     net_by_magnitude,
     odd_exponent,
@@ -170,12 +171,11 @@ def _net_classes(m) -> tuple[dict[int, dict[int, int]], int]:
             raise DomainError(f"monomial degree {degree} is negative")
         coeffs.append(as_scalar(coeff))
         degrees.append(degree)
-    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints, scale = _over_lcm(coeffs)
     by_degree: dict[int, list[int]] = {}
-    for c, degree in zip(coeffs, degrees):
-        by_degree.setdefault(degree, []).append(
-            c.numerator * (scale // c.denominator))
-    return ({d: {m: c for m, c in net_by_magnitude(cs).items() if c}
+    for c, degree in zip(ints, degrees):
+        by_degree.setdefault(degree, []).append(c)
+    return ({d: {m: c for m, c in net_by_magnitude(cs)[0].items() if c}
              for d, cs in by_degree.items()}, scale)
 
 
@@ -235,11 +235,6 @@ def _values_at(classes, scale: int, lam: Fraction) -> _Values:
     return _Values(net, top, signs, scale * b ** n)
 
 
-def _value_net(at: _Values) -> dict[Fraction, int]:
-    """The net map {|value|: net signed count} of the values at lam."""
-    return {Fraction(v, at.den): c for v, c in at.net.items() if c}
-
-
 def _char_values(M: BoxMatrix, lam: Fraction) -> _Values:
     """The characteristic monomial values of M at lam, from the integer
     per-degree classes of the subset DP."""
@@ -249,9 +244,9 @@ def _char_values(M: BoxMatrix, lam: Fraction) -> _Values:
 def _read(at: _Values, mode: str, p: Optional[int] = None):
     """:func:`charpoly_eval`'s reading of the values at lam."""
     if mode == "p":
-        return _phi_p_net(_value_net(at), p)
+        return _phi_p_net((at.net, at.den), p)
     if mode == "limit":
-        return Fraction(_net_limit(at.net), at.den)
+        return _net_limit((at.net, at.den))
     return smile([at.top if s else -at.top for s in at.signs], mode) / at.den
 
 
@@ -304,8 +299,8 @@ def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP) -> list:
     degree and the first run degree of the other effective sign. Rational
     members are Fractions, irrational ones floats (clamped to +-inf).
     """
-    dom = _dominant_terms(_check_char(A, cap), lam=True)
-    mag = {d: m for d, (m, _s) in dom.items()}
+    dom, _scale = _dominant_terms(_check_char(A, cap), lam=True)
+    mag = {d: m for d, (m, _s) in dom.items()}  # each over the one scale
 
     def bend(a: int, b: int, c: int) -> int:
         # +1, 0, -1: (b, log m_b) above, on, below the chord a-c, a < b < c
@@ -329,7 +324,7 @@ def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP) -> list:
             b = next((d for d, s in zip(run, signs) if s != signs[0]), None)
             if b is None:
                 continue
-            q, e = mag[run[0]] / mag[b], b - run[0]
+            q, e = Fraction(mag[run[0]], mag[b]), b - run[0]
             root = _nth_root_exact(q, e)
             log_r = _log_abs_fraction(q) / e
             members.append(SignedLog(halfline, log_r).to_float()

@@ -7,10 +7,12 @@ its semicontinuous envelopes, or a finite-index power sum).
 No determinant here lists the n! products. One subset DP over the set of
 used columns (O(2^n n) steps) sums them in a semiring that keeps just what
 the result needs: the leading magnitude with its net signed count, the
-whole net map {magnitude: net signed count} (the group ring) when that
+whole net map ({m: net signed count}, S) (the group ring) when that
 count cancels, or the (plus, minus) balance pair of :mod:`boxalg.sym`.
-The finite-index determinant is the power sum of that net map, since
-each odd power depends on the products only through it. The same DP with
+The rows are scaled to integers first, so every magnitude is an integer
+m over one scale S, and the maps pass on in that form. The finite-index
+determinant is the power sum of the net map, since each odd power
+depends on the products only through it. The same DP with
 a_ii - lam on the diagonal gives the per-degree net maps of the
 characteristic monomials (:mod:`boxalg.eigen`). The listing
 (:func:`permutation_products`, Heap's algorithm) stays as public API and
@@ -28,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import LOWER, UPPER, as_vector, nary_boxplus, smile
 from .errors import CapacityError, DomainError
-from .signedlog import SignedLog, _phi_p_net
+from .signedlog import SignedLog, _over_lcm, _phi_p_net
 
 BoxVector = tuple[Fraction, ...]
 
@@ -259,19 +261,14 @@ def _pair_step(acc, value, e, odd):
     return max(acc[0], plus), max(acc[1], minus)
 
 
-def _integer_rows(M: BoxMatrix) -> tuple[list[list[int]], list[int]]:
+def _integer_rows(M: BoxMatrix) -> tuple[tuple, tuple]:
     """Each row times the lcm of its denominators, and those multipliers.
 
     Every expanded term takes one factor per row, so all of them scale by
     the product of the multipliers: magnitude order and ties are kept, and
     the DP multiplies ints instead of Fractions.
     """
-    rows, scales = [], []
-    for row in M.to_rows():
-        scale = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
-        scales.append(scale)
-    return rows, scales
+    return tuple(zip(*map(_over_lcm, M.to_rows())))
 
 
 def _dp_entries(M: BoxMatrix, lam: bool):
@@ -303,9 +300,11 @@ def _ring_terms(M: BoxMatrix, lam: bool = False
              for d, nets in ring.items()}, total)
 
 
-def _dominant_terms(M: BoxMatrix, lam: bool = False) -> dict[int, tuple[Fraction, int]]:
-    """Per degree, the largest magnitude whose net signed count survives,
-    and the sign of that count (terms as in :func:`_ring_terms`).
+def _dominant_terms(M: BoxMatrix, lam: bool = False
+                    ) -> tuple[dict[int, tuple[int, int]], int]:
+    """Per degree, the largest magnitude whose net signed count survives
+    and the sign of that count, and the scale S (terms as in
+    :func:`_ring_terms`: every magnitude is its integer over S).
 
     Degrees where everything cancels are absent. The leading-term run
     settles it unless some leading count nets to zero; then the group
@@ -316,8 +315,7 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False) -> dict[int, tuple[Fraction
     if not all(c for _m, c in top.values()):
         ring, total = _ring_terms(M, lam)
         top = {d: (max(net), net[max(net)]) for d, net in ring.items() if net}
-    return {d: (Fraction(m, total), 1 if c > 0 else -1)
-            for d, (m, c) in top.items()}
+    return {d: (m, 1 if c > 0 else -1) for d, (m, c) in top.items()}, total
 
 
 def _pair_det(rows) -> tuple[Fraction, Fraction]:
@@ -331,8 +329,9 @@ def _pair_det(rows) -> tuple[Fraction, Fraction]:
 
 def det_inf(A, cap: int = DEFAULT_DET_CAP) -> Fraction:
     """Limit determinant: dominant-magnitude sum of the signed products."""
-    mag, sign = _dominant_terms(_checked(A, cap)).get(0, (Fraction(0), 1))
-    return mag if sign > 0 else -mag
+    top, total = _dominant_terms(_checked(A, cap))
+    mag, sign = top.get(0, (0, 1))
+    return Fraction(sign * mag, total)
 
 
 def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
@@ -347,11 +346,12 @@ def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
     return smile((plus, -minus), mode)
 
 
-def _det_net(A, cap: int | None = None) -> dict[Fraction, int]:
-    """Net map of the signed permutation products of a square matrix."""
+def _det_net(A, cap: int | None = None) -> tuple[dict[int, int], int]:
+    """Net map ({m: net count}, S) of the signed permutation products of a
+    square matrix."""
     cap = DEFAULT_DET_CAP if cap is None else cap
     ring, total = _ring_terms(_checked(A, cap))
-    return {Fraction(m, total): c for m, c in ring.get(0, {}).items()}
+    return ring.get(0, {}), total
 
 
 def det_p(A, p: int, cap: int = DEFAULT_DET_CAP) -> SignedLog:

@@ -9,14 +9,14 @@ limit only like |count|^(1/(2p+1)), so the report carries a near-tie
 flag predicting, from the exact magnitude groups, whether the final gap
 can be expected to beat the tolerance at all.
 
-Each quantity depends on its input only through net maps {magnitude: net
-signed count}: of the vector for ``sum``, of the permutation products
-(from the subset DP of :mod:`boxalg.linalg`) for the determinant-shaped
-quantities, of the characteristic monomial values at lam for
-``charpoly``. A sweep builds its maps once and reads the limit, the
-near-tie flag and every finite-index value from them. The hyperplane
-residual is exact: the determinant of the entrywise q-th power of a
-matrix is the sum of net * m^q over its map.
+Each quantity depends on its input only through integer net maps ({m:
+net signed count}, S), m/S the magnitude: of the vector for ``sum``, of
+the permutation products (from the subset DP of :mod:`boxalg.linalg`)
+for the determinant-shaped quantities, of the characteristic monomial
+values at lam for ``charpoly``. A sweep builds its maps once and reads
+the limit, the near-tie flag and every finite-index value from them. The
+hyperplane residual is exact: the determinant of the entrywise q-th
+power of a matrix is the sum of net * m^q over its map, over S^q.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .eigen import (
     DEFAULT_CHAR_CAP,
     _char_values,
     _check_char,
-    _value_net,
     eigen_region,
     perron_p,
 )
@@ -39,7 +38,7 @@ from .errors import BoxAlgError, DomainError
 from .linalg import BoxMatrix, _det_net, as_matrix, replace_column
 from .signedlog import (
     SignedLog,
-    _log_abs_fraction,
+    _log_over,
     _phi_p_net,
     net_by_magnitude,
     odd_exponent,
@@ -82,24 +81,26 @@ def predict_near_tie(values: Sequence[Fraction], p_max: int, tol: float) -> bool
     return _near_tie(net_by_magnitude(values), p_max, tol)
 
 
-def _near_tie(net: dict, p_max: int, tol: float) -> bool:
-    """:func:`predict_near_tie` on a net map."""
+def _near_tie(nets: tuple, p_max: int, tol: float) -> bool:
+    """:func:`predict_near_tie` on a net map ({m: net count}, S)."""
+    net, scale = nets
     groups = sorted(((m, c) for m, c in net.items() if c), reverse=True)
     if not groups:
         return False
     q = odd_exponent(p_max)
     (m1, n1), rest = groups[0], groups[1:]
     pred = abs(math.expm1(math.log(abs(n1)) / q))
-    lm1 = _log_abs_fraction(m1)
+    lm1 = _log_over(m1, scale)
     for m, c in rest:
-        pred += math.exp(math.log(abs(c)) + q * (_log_abs_fraction(m) - lm1))
+        pred += math.exp(math.log(abs(c)) + q * (_log_over(m, scale) - lm1))
     return pred >= tol
 
 
-def _power_sum(net: dict, q: int) -> Fraction:
-    """Sum of net * m^q over a net map: for the map of a matrix's products,
-    the determinant of its entrywise q-th power (q odd)."""
-    return sum((c * m ** q for m, c in net.items()), Fraction(0))
+def _power_sum(nets: tuple[dict[int, int], int], q: int) -> Fraction:
+    """Sum of c * (m/S)^q over a net map ({m: c}, S): for the map of a
+    matrix's products, the determinant of its entrywise q-th power."""
+    net, scale = nets
+    return Fraction(sum(c * m ** q for m, c in net.items()), scale ** q)
 
 
 def _gap(value, limit, size=None) -> float:
@@ -155,7 +156,8 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         else:
             A = as_matrix(inputs["A"])
             lam = as_scalar(inputs["lam"])
-            net = _value_net(_char_values(_check_char(A, char_cap), lam))
+            at = _char_values(_check_char(A, char_cap), lam)
+            net = at.net, at.den
         limit = _net_limit(net)
         near_tie = _near_tie(net, p_max, tol)
         values = [_phi_p_net(net, p) for p in ps]

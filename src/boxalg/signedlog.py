@@ -12,6 +12,10 @@ therefore carry their exact magnitude alongside the float log; products
 propagate it, and ``phi_p_sum`` groups by the exact magnitude whenever every
 input has one. Equal magnitudes of opposite sign then cancel bit-exactly at
 every p. Float-born values fall back to a relative logmag tolerance.
+
+The grouping is the integer net map ({m: net signed count}, S) of
+:func:`net_by_magnitude`, m/S the magnitude; every net map in the package
+takes this one form, and each log is read from the reduced fraction m/S.
 """
 
 from __future__ import annotations
@@ -31,6 +35,13 @@ DEFAULT_TIE_TOL = 1e-12
 def _log_abs_fraction(r: Fraction) -> float:
     # math.log accepts arbitrary-precision ints, so huge rationals are fine
     return math.log(abs(r.numerator)) - math.log(r.denominator)
+
+
+def _log_over(m: int, scale: int) -> float:
+    """log(m / scale) for integers m, scale > 0, read from the reduced
+    fraction, so one magnitude has one log whatever its scale."""
+    g = math.gcd(m, scale)
+    return math.log(m // g) - math.log(scale // g)
 
 
 def check_p(p: int) -> int:
@@ -129,10 +140,6 @@ class SignedLog:
             return SignedLog.zero()
         return SignedLog(self.sign, self.logmag / q)
 
-    def scale_rational(self, r) -> "SignedLog":
-        """Multiply by an exact rational factor."""
-        return self * SignedLog.from_rational(r)
-
     def to_float(self) -> float:
         if self.sign == 0:
             return 0.0
@@ -141,9 +148,6 @@ class SignedLog:
         except OverflowError:
             return self.sign * math.inf
 
-    def to_fraction(self) -> Fraction | None:
-        return self.exact
-
     def __repr__(self) -> str:
         if self.exact is not None:
             return f"SignedLog({self.exact})"
@@ -151,98 +155,106 @@ class SignedLog:
 
 
 def _lse(logs: Sequence[float]) -> float:
-    """log(sum(exp(l))) without overflow; logs is nonempty."""
-    m = max(logs)
+    """log(sum(exp(l))) without overflow; -inf for no logs."""
+    m = max(logs, default=-math.inf)
     if m == -math.inf:
         return -math.inf
     return m + math.log(math.fsum(math.exp(l - m) for l in logs))
 
 
-def _tie(lx: float, ly: float, tol: float) -> bool:
-    return abs(lx - ly) <= tol * max(1.0, abs(lx), abs(ly))
+def _tie(lx: float, ly: float) -> bool:
+    return abs(lx - ly) <= DEFAULT_TIE_TOL * max(1.0, abs(lx), abs(ly))
 
 
-def net_by_magnitude(values: Iterable, counts: Iterable[int] | None = None) -> dict:
-    """The net map {|v|: (count of +|v|) - (count of -|v|)} of rationals.
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Rationals as integers over one scale S, their least common
+    denominator: each value v is the returned integer over S."""
+    values = list(values)
+    scale = math.lcm(*[v.denominator for v in values])
+    if scale == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def net_by_magnitude(values: Iterable, counts: Iterable[int] | None = None
+                     ) -> tuple[dict[int, int], int]:
+    """The net map ({m: (count of +m/S) - (count of -m/S)}, S) of rationals,
+    S their least common denominator.
 
     Zeros are skipped; ``counts`` weights each value (default 1 each).
     Equal magnitudes of opposite sign cancel in the limit sum and at every
     finite index, so every limit and power sum reads its input through
     this map. Magnitudes whose counts cancel stay in it with net 0.
     """
-    net: dict = {}
-    for v, c in zip(values, repeat(1) if counts is None else counts):
-        n = v.numerator
-        if n > 0:
-            net[v] = net.get(v, 0) + c
-        elif n:
-            net[-v] = net.get(-v, 0) - c
-    return net
+    ints, scale = _over_lcm(values)
+    net: dict[int, int] = {}
+    get = net.get
+    for m, c in zip(ints, repeat(1) if counts is None else counts):
+        if m > 0:
+            net[m] = get(m, 0) + c
+        elif m:
+            net[-m] = get(-m, 0) - c
+    return net, scale
 
 
-def _phi_p_net(net: dict, p: int, *, keyed_by_log: bool = False) -> SignedLog:
-    """phi_p of a net map {magnitude: net signed count}.
+def _power_mean(groups: Iterable[tuple[float, int]], q: int) -> SignedLog:
+    """(sum of c * exp(logmag)^q)^(1/q) over (logmag, net count c) groups.
 
-    Surviving groups enter a split log-sum-exp (positive and negative parts
-    separately), and the two parts are combined by signed subtraction in
-    log domain. A single surviving magnitude with net +-1 is its own exact
-    root. With ``keyed_by_log`` the keys are the log magnitudes of
-    float-born clusters, and the result carries no exact value.
+    Positive and negative groups enter a split log-sum-exp, and the two
+    parts are combined by signed subtraction in log domain.
+    """
+    pos, neg = [], []
+    for logmag, c in groups:
+        if c:
+            (pos if c > 0 else neg).append(math.log(abs(c)) + q * logmag)
+    lp, ln = _lse(pos), _lse(neg)
+    if lp == ln:
+        return SignedLog.zero()
+    hi, lo = max(lp, ln), min(lp, ln)
+    total = hi + math.log1p(-math.exp(lo - hi))  # exactly hi when lo = -inf
+    return SignedLog(1 if lp > ln else -1, total / q)
+
+
+def _phi_p_net(nets: tuple[dict[int, int], int], p: int) -> SignedLog:
+    """phi_p of a net map ({m: net count}, S).
+
+    A single surviving magnitude with net +-1 is its own exact root; every
+    other map goes through :func:`_power_mean`.
     """
     q = odd_exponent(p)
-    groups = [(m if keyed_by_log else _log_abs_fraction(m), c, m)
-              for m, c in net.items() if c]
-    if not groups:
-        return SignedLog.zero()
-    if len(groups) == 1 and not keyed_by_log:
-        logmag, c, mag = groups[0]
-        if abs(c) == 1:
-            return SignedLog(c, logmag, mag if c > 0 else -mag)
-    pos, neg = [], []
-    for logmag, c, _m in groups:
-        (pos if c > 0 else neg).append(math.log(abs(c)) + q * logmag)
-    if pos and neg:
-        lp, ln = _lse(pos), _lse(neg)
-        if lp == ln:
-            return SignedLog.zero()
-        sign = 1 if lp > ln else -1
-        hi, lo = max(lp, ln), min(lp, ln)
-        total = hi + math.log1p(-math.exp(lo - hi))
-    else:
-        sign = 1 if pos else -1
-        total = _lse(pos or neg)
-    return SignedLog(sign, total / q)
+    net, scale = nets
+    live = [(m, c) for m, c in net.items() if c]
+    if len(live) == 1 and abs(live[0][1]) == 1:
+        (m, c), = live
+        return SignedLog(c, _log_over(m, scale), Fraction(c * m, scale))
+    return _power_mean(((_log_over(m, scale), c) for m, c in live), q)
 
 
-def phi_p_sum(xs: Iterable[SignedLog], p: int, *,
-              tie_tol: float = DEFAULT_TIE_TOL) -> SignedLog:
+def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
     """The odd-power mean sum (sum x_i^(2p+1))^(1/(2p+1)) of SignedLogs.
 
     Equal magnitudes are netted before exponentiation: x^(2p+1) + (-x)^(2p+1)
     is identically zero for every p, so a fully balanced input returns the
     exact zero element regardless of p. Netting is exact when every input
-    carries an exact value, otherwise by logmag within ``tie_tol``.
+    carries an exact value, otherwise by logmag within ``DEFAULT_TIE_TOL``.
     """
-    odd_exponent(p)
+    q = odd_exponent(p)
     live = [v for v in xs if v.sign != 0]
     if all(v.exact is not None for v in live):
         return _phi_p_net(net_by_magnitude(v.exact for v in live), p)
     # float path: cluster sorted logmags
     live.sort(key=lambda v: v.logmag)
-    clusters: dict[float, int] = {}
-    cur_log, cur_net = live[0].logmag, live[0].sign
+    clusters = [(live[0].logmag, live[0].sign)]
     for v in live[1:]:
-        if _tie(v.logmag, cur_log, tie_tol):
-            cur_net += v.sign
+        cur_log, cur_net = clusters[-1]
+        if _tie(v.logmag, cur_log):
+            clusters[-1] = (cur_log, cur_net + v.sign)
         else:
-            clusters[cur_log] = cur_net
-            cur_log, cur_net = v.logmag, v.sign
-    clusters[cur_log] = cur_net
-    return _phi_p_net(clusters, p, keyed_by_log=True)
+            clusters.append((v.logmag, v.sign))
+    return _power_mean(clusters, q)
 
 
-def slog_boxplus(x: SignedLog, y: SignedLog, *,
-                 tie_tol: float = DEFAULT_TIE_TOL) -> SignedLog:
+def slog_boxplus(x: SignedLog, y: SignedLog) -> SignedLog:
     """Dominant-magnitude sum on SignedLogs.
 
     Larger magnitude wins; an equal-magnitude tie keeps the value when the
@@ -256,7 +268,7 @@ def slog_boxplus(x: SignedLog, y: SignedLog, *,
     if x.exact is not None and y.exact is not None:
         tied = abs(x.exact) == abs(y.exact)
     else:
-        tied = _tie(x.logmag, y.logmag, tie_tol)
+        tied = _tie(x.logmag, y.logmag)
     if tied:
         return x if x.sign == y.sign else SignedLog.zero()
     return x if x.logmag > y.logmag else y

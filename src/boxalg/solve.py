@@ -226,30 +226,6 @@ def maxsys_solve(A, b) -> Optional[BoxVector]:
     return _solution(*_column_minima(A, b))
 
 
-def _perfect_matching_exists(adj: dict[int, set[int]], rows: list[int],
-                             fixed: dict[int, int]) -> bool:
-    """Augmenting-path test that `rows` can all be matched, given fixed pairs."""
-    match = {c: r for r, c in fixed.items()}  # column -> row
-    locked_cols = set(match)
-
-    def try_row(r: int, seen: set[int]) -> bool:
-        for c in sorted(adj[r]):
-            if c in seen or c in locked_cols:
-                continue
-            seen.add(c)
-            if c not in match or try_row(match[c], seen):
-                match[c] = r
-                return True
-        return False
-
-    for r in rows:
-        if r in fixed:
-            continue
-        if not try_row(r, set()):
-            return False
-    return True
-
-
 def maxsys_existence_permutation(A, b):
     """Permutation witness for solvability of the max-equation system.
 
@@ -279,20 +255,38 @@ def maxsys_existence_permutation(A, b):
             for i, (row, r) in enumerate(zip(rows, ratios), start=1)
             if row[k] > 0 and r == best
         }
-    adj = {j: {k for k in range(1, n + 1) if j in argmax[k]} for j in range(1, n + 1)}
+    adj = {j: sorted(k for k in range(1, n + 1) if j in argmax[k])
+           for j in range(1, n + 1)}
 
-    sigma: dict[int, int] = {}
+    owner: dict[int, int] = {}  # column -> row, one augmenting-path matching
+
+    def augment(r: int, seen: set[int]) -> bool:
+        for c in adj[r]:
+            if c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = r
+                    return True
+        return False
+
+    if not all(augment(r, set()) for r in range(1, n + 1)):
+        return None
+    sigma = {r: c for c, r in owner.items()}
+    # Row by row, the smallest column an alternating cycle through the later
+    # rows can hand over: search back from the row's own column, each later
+    # row r moving from sigma[r] to a column it may take (reach[c]).
     for j in range(1, n + 1):
-        placed = False
-        for k in sorted(adj[j] - set(sigma.values())):
-            trial = dict(sigma)
-            trial[j] = k
-            if _perfect_matching_exists(adj, list(range(1, n + 1)), trial):
-                sigma[j] = k
-                placed = True
-                break
-        if not placed:
-            return None
+        free = sigma[j]
+        reach, todo = {free: free}, [free]
+        for c in todo:
+            for r in argmax[c]:
+                if r > j and sigma[r] not in reach:
+                    reach[sigma[r]] = c
+                    todo.append(sigma[r])
+        c, r = min(k for k in adj[j] if k in reach), j
+        while c != free:  # hand c to r; its owner moves on to reach[c]
+            owner[c], sigma[r], r, c = r, c, owner[c], reach[c]
+        owner[c], sigma[r] = r, c
     strict = all(len(argmax[sigma[j]]) == 1 for j in range(1, n + 1))
     return tuple(sigma[j] for j in range(1, n + 1)), strict
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -247,6 +248,47 @@ class TestOracle:
         assert obj["converged"] is True
 
 
+    # sha256 of the whole stdout of a seeded batch of rational sweeps,
+    # recorded while the net maps were still keyed by Fraction
+    @pytest.mark.parametrize("quantity, digest", [
+        ("sum", "bd1631a43d15d9aecf4941a3105a0f69cc96957132a7b22dbdbf388ef83a7625"),
+        ("det", "e406f1cad24f3a08f7d853be5a8fcb690ad05db1621ac89127e9dee10bfa8ea2"),
+        ("cramer", "a6d23d72105ae2c67a3eb2c9f1f3464a93ce3d990e8eb1aecf7f445a8a76f433"),
+        ("hyperplane", "52454644472a9cd63b5d1272776d578fab7cdf790581b70620a636da05518118"),
+        ("charpoly", "1e8627cd3408414989c8447e2ff0cfab12834f974d44145895e276cf93089a4c"),
+    ])
+    def test_rational_sweeps_pinned(self, capsys, quantity, digest):
+        rng = random.Random(quantity)
+
+        def rat():
+            if rng.random() < 0.2:
+                return "0"
+            return f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"
+
+        def mat(n):
+            return [[rat() for _ in range(n)] for _ in range(n)]
+
+        batch = []
+        for k in range(8):
+            n = 1 + k % 4
+            item = {"quantity": quantity, "options": {"p_max": k}}
+            if quantity == "sum":
+                xs = [rat() for _ in range(40 * (k + 1))]
+                item["xs"] = xs + [str(-Fraction(x)) for x in xs[::3]]
+            elif quantity == "det":
+                item["A"] = mat(n)
+            elif quantity == "cramer":
+                item.update(A=mat(n), b=[rat() for _ in range(n)])
+            elif quantity == "hyperplane":
+                item.update(points=mat(n), x=[rat() for _ in range(n)])
+            else:
+                item.update(A=mat(n), lam=rat())
+            batch.append(item)
+        run(["oracle", "--json", json.dumps(batch)])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestSym:
     def test_balanced_determinant(self, capsys):
         code, obj = invoke(capsys, "sym", "--json",
@@ -411,6 +453,20 @@ class TestBatch:
 
 
 class TestDeterminism:
+    def test_usage_error_leaves_the_parser_as_it_was(self, capsys):
+        text = '{"A":[[1,-2],[3,"1/2"]],"options":{"p":3}}'
+        assert run(["det", "--json", text, "--mode", "upper"]) == 0
+        first = capsys.readouterr().out
+        assert run(["det", "--json", text, "--mode", "sideways"]) == 3
+        err = capsys.readouterr()
+        assert err.out == "" and "invalid choice" in err.err
+        assert run(["det", "--json", text, "--mode", "upper"]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["det", "--help"]) == 0
+        assert "--json" in capsys.readouterr().out
+
     def test_repeat_runs_are_byte_identical(self, capsys):
         run(["eigen", "--json", '{"A":[[1,2,1],[2,2,9],[1,1,3]]}'])
         first = capsys.readouterr().out

@@ -112,6 +112,13 @@ def _reference_dominant(ms):
     return dom
 
 
+def _dominant(A):
+    """:func:`linalg._dominant_terms` of the characteristic monomials, each
+    integer magnitude read back over the scale as a Fraction."""
+    top, scale = linalg._dominant_terms(A, lam=True)
+    return {d: (F(m, scale), s) for d, (m, s) in top.items()}
+
+
 def _reference_region(ms):
     """Every pairwise tie radius of the reduced classes where lower <= 0 <=
     upper holds exactly, duplicates removed, smallest first.
@@ -240,7 +247,7 @@ class TestCharacteristic:
     @pytest.mark.parametrize("A", MATRICES)
     def test_eigen_region(self, A):
         ms = char_monomials(A)
-        assert linalg._dominant_terms(A, lam=True) == _reference_dominant(ms)
+        assert _dominant(A) == _reference_dominant(ms)
         for lam in eigen_region(A):
             if isinstance(lam, Fraction):
                 assert charpoly_eval(ms, lam, "lower") <= 0
@@ -263,7 +270,7 @@ class TestCharacteristic:
     def test_eigen_fallback_runs_on_small_integers(self, ring_runs):
         for A in SMALL:
             want = _reference_dominant(char_monomials(A))
-            assert linalg._dominant_terms(A, lam=True) == want
+            assert _dominant(A) == want
         assert len(ring_runs) >= 3
 
     @pytest.mark.parametrize("A", MATRICES)

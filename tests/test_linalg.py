@@ -139,7 +139,7 @@ class TestDeterminant:
     def test_finite_exponent_exact_when_single_product_survives(self):
         A = BoxMatrix([[2, 0], [0, 3]])
         for p in (0, 5, 17):
-            assert det_p(A, p).to_fraction() == F(6)
+            assert det_p(A, p).exact == F(6)
 
     @settings(deadline=None)
     @given(random_matrix(3), entries.filter(lambda t: t != 0),

@@ -1,6 +1,7 @@
 """Signed log-magnitude arithmetic and finite-exponent power sums."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from boxalg import (
     DomainError,
     SignedLog,
+    net_by_magnitude,
     boxplus,
     odd_exponent,
     phi_p_sum,
@@ -30,14 +32,14 @@ class TestRepresentation:
     def test_from_rational_roundtrip(self):
         z = SignedLog.from_rational(F(-3, 4))
         assert z.sign == -1
-        assert z.to_fraction() == F(-3, 4)
+        assert z.exact == F(-3, 4)
         assert z.to_float() == pytest.approx(-0.75, rel=REL)
 
     def test_zero(self):
         z = SignedLog.zero()
         assert z.is_zero
         assert z.to_float() == 0.0
-        assert z.to_fraction() == 0
+        assert z.exact == 0
 
     def test_from_float_has_no_exact_part(self):
         z = SignedLog.from_float(2.5)
@@ -47,14 +49,14 @@ class TestRepresentation:
     def test_negation_and_product(self):
         a = SignedLog.from_rational(F(2))
         b = SignedLog.from_rational(F(-3))
-        assert (-a).to_fraction() == -2
-        assert (a * b).to_fraction() == -6
-        assert (a * b).to_fraction() == -6
+        assert (-a).exact == -2
+        assert (a * b).exact == -6
+        assert (a * b).exact == -6
 
     def test_division(self):
         a = SignedLog.from_rational(F(-6))
         b = SignedLog.from_rational(F(4))
-        assert (a / b).to_fraction() == F(-3, 2)
+        assert (a / b).exact == F(-3, 2)
         with pytest.raises(DomainError):
             a / SignedLog.zero()
 
@@ -79,7 +81,7 @@ class TestPowerSum:
     def test_single_survivor_is_exact(self):
         xs = [SignedLog.from_rational(v) for v in (F(3), F(-3), F(2))]
         z = phi_p_sum(xs, 5)
-        assert z.to_fraction() == F(2)
+        assert z.exact == F(2)
 
     def test_balanced_input_is_exactly_zero(self):
         xs = [SignedLog.from_rational(v) for v in (F(3), F(-3), F(1), F(-1))]
@@ -134,7 +136,7 @@ class TestLimitAgreement:
         if want == 0:
             assert got.is_zero
         else:
-            assert got.to_fraction() == want
+            assert got.exact == want
 
     @given(nonzero)
     def test_psi_roundtrip(self, r):
@@ -156,3 +158,27 @@ class TestLimitAgreement:
             gaps.append(abs(z.to_float() - (-2.0)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-8
+
+
+
+class TestNetMap:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_net_by_magnitude_matches_a_fraction_keyed_map(self, seed):
+        """({m: net}, S) holds the same magnitudes m/S and net counts as a
+        map keyed by the Fraction magnitudes, S is the least common
+        denominator, and magnitudes that cancel stay with net 0."""
+        rng = random.Random(seed)
+        values = [F(0) if rng.random() < 0.15
+                  else F(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 7, 9)))
+                  for _ in range(rng.randint(0, 60))]
+        values += [-v for v in values[:rng.randint(0, len(values))]]
+        rng.shuffle(values)
+        counts = [rng.randint(-3, 5) for _ in values] if seed % 2 else None
+        want = {}
+        for v, c in zip(values, counts or [1] * len(values)):
+            if v:
+                want[abs(v)] = want.get(abs(v), 0) + (c if v > 0 else -c)
+        net, scale = net_by_magnitude(iter(values), counts)
+        assert scale == math.lcm(*[v.denominator for v in values])
+        assert all(type(m) is int and m > 0 for m in net)
+        assert {F(m, scale): c for m, c in net.items()} == want

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,47 @@ from boxalg import (
 )
 
 F = Fraction
+
+
+def _reference_existence(A, b):
+    """The matching search this package used before, one full augmenting-
+    path matching per trial column: (sigma, strict) or None."""
+    rows, n = A.to_rows(), A.rows
+    argmax = {}
+    for k in range(n):
+        ratios = [row[k] / v for row, v in zip(rows, b)]
+        best = max(ratios)
+        argmax[k + 1] = {i for i, (row, r) in enumerate(zip(rows, ratios), 1)
+                         if row[k] > 0 and r == best}
+    adj = {j: {k for k in range(1, n + 1) if j in argmax[k]}
+           for j in range(1, n + 1)}
+
+    def perfect(fixed):
+        match = {c: r for r, c in fixed.items()}
+        locked = set(match)
+
+        def try_row(r, seen):
+            for c in sorted(adj[r]):
+                if c in seen or c in locked:
+                    continue
+                seen.add(c)
+                if c not in match or try_row(match[c], seen):
+                    match[c] = r
+                    return True
+            return False
+
+        return all(r in fixed or try_row(r, set()) for r in range(1, n + 1))
+
+    sigma = {}
+    for j in range(1, n + 1):
+        for k in sorted(adj[j] - set(sigma.values())):
+            if perfect({**sigma, j: k}):
+                sigma[j] = k
+                break
+        else:
+            return None
+    strict = all(len(argmax[sigma[j]]) == 1 for j in range(1, n + 1))
+    return tuple(sigma[j] for j in range(1, n + 1)), strict
 
 
 class TestCramer:
@@ -174,6 +217,25 @@ class TestMaxSystem:
                 break
         if tie_free:
             assert (x is not None) == (found is not None)
+
+    def test_existence_matches_per_trial_matching(self):
+        """One matching plus alternating-cycle hand-overs gives the same
+        certificate as a full matching per trial column, on seeded systems
+        whose right-hand side is the max-times image of a positive x."""
+        rng = random.Random(4242)
+        found = 0
+        for _ in range(3000):
+            n = rng.randint(1, 8)
+            rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+            x = [rng.randint(1, 3) for _ in range(n)]
+            b = tuple(F(max(a * v for a, v in zip(row, x))) for row in rows)
+            if 0 in b:
+                continue
+            A = BoxMatrix(rows)
+            want = _reference_existence(A, b)
+            assert maxsys_existence_permutation(A, b) == want
+            found += want is not None
+        assert found > 1000
 
     def test_tied_cover_has_no_certificate(self):
         # Two rows whose only positive entries share a column can both be
