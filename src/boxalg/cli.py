@@ -30,6 +30,7 @@ from .eigen import (
     _read,
     char_monomials,
     eigen_region,
+    perron_p,
 )
 from .errors import (
     BoxAlgError,
@@ -40,18 +41,17 @@ from .errors import (
 )
 from .geom import hyperplane_contains, hyperplane_through
 from .linalg import DEFAULT_DET_CAP, BoxMatrix, det_inf, det_inf_reg, det_p
-from .oracle import DEFAULT_P_MAX, DEFAULT_TOL, sweep
+from .oracle import DEFAULT_P_MAX, DEFAULT_TOL, _check_sweep, _gaps, sweep
 from .signedlog import SignedLog
 from .solve import (
     LimitSystem,
     TwoSidedSystem,
     _candidate,
-    _column_minima,
+    _dominates,
+    _max_columns,
     _solution,
+    _witness,
     cramer_limit_solve,
-    kaykobad_check,
-    kaykobad_p_check,
-    maxsys_existence_permutation,
     twosided_solve,
 )
 from .sym import s_det, s_embed_matrix, s_pair, v_identity_check, v_map
@@ -234,32 +234,31 @@ def _do_solve(data: dict, opts: dict) -> tuple[int, dict]:
 
 
 def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
-    A, b, minima = _column_minima(_matrix_in(data["A"]), _vector_in(data["b"]))
+    A, b, cols = _max_columns(_matrix_in(data["A"]), _vector_in(data["b"]))
     out: dict = {}
     try:
-        cand = _candidate(minima)
+        cand = _candidate(cols)
         out["candidate"] = _vec(cand)
         out["candidate_float"] = _vec_float(cand)
     except DomainError as exc:
         out["candidate"] = None
         out["candidate_error"] = str(exc)
-    x = _solution(A, b, minima)
+    x = _solution(A.rows, cols)
     out["feasible"] = x is not None
     if x is not None:
         out["x"] = _vec(x)
         out["x_float"] = _vec_float(x)
     if A.is_square:
-        found = maxsys_existence_permutation(A, b)
+        found = _witness(cols)
         out["sigma"] = None if found is None else list(found[0])
         out["strict"] = None if found is None else found[1]
         rows = A.to_rows()
-        if all(rows[i][i] > 0 for i in range(A.rows)):
-            out["kaykobad"] = kaykobad_check(A, b)
-        else:
-            out["kaykobad"] = None
+        diagonal = all(rows[i][i] > 0 for i in range(A.rows))
+        out["kaykobad"] = _dominates(rows, b, range(A.rows), 1) if diagonal else None
         p = _opt_p(opts)
-        if p is not None and found is not None:
-            out["kaykobad_p"] = kaykobad_p_check(A, b, found[0], p)
+        if p is not None and found is not None:  # sigma's pivots are tight: > 0
+            sigma = [k - 1 for k in found[0]]
+            out["kaykobad_p"] = _dominates(rows, b, sigma, 2 * p + 1)
             out["p"] = p
     return (OK if x is not None else INFEASIBLE), out
 
@@ -327,22 +326,17 @@ def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
         "region": [_region_value(x) for x in region],
         "region_float": [_float_out(x) for x in region],
     }
-    positive = all(
-        A.entry(i, j) > 0
-        for i in range(1, A.rows + 1)
-        for j in range(1, A.cols + 1)
-    )
-    if positive and region:
+    if region and all(a > 0 for row in A.to_rows() for a in row):
         p_max = opts.get("p_max", DEFAULT_P_MAX)
         tol = opts.get("tol", DEFAULT_TOL)
-        rep = sweep("perron", {"A": A.to_rows()}, p_max=p_max, tol=tol,
-                    cap=_cap())
-        out["perron"] = {
-            "limit_float": _float_out(rep.limit),
-            "final_rel_gap": _float_out(rep.final_rel_gap),
-            "converged": rep.converged,
-            "p_max": p_max,
-        }
+        _check_sweep(p_max, tol)
+        limit = max(region)
+        try:  # the run at p_max alone; a bool p_max runs as its int
+            gap = _gaps([perron_p(A, int(p_max))[0]], limit, limit)[1][0]
+        except ConvergenceError:  # unsettled: no gap, the region stands
+            gap = math.inf
+        out["perron"] = {"limit_float": _float_out(limit), "p_max": p_max,
+                         "final_rel_gap": _float_out(gap), "converged": gap < tol}
     return OK, out
 
 

@@ -115,6 +115,30 @@ def _gap(value, limit, size=None) -> float:
     return abs(value.to_float() - as_float(limit))
 
 
+def _check_sweep(p_max: int, tol: float) -> None:
+    """The guard on a sweep's p_max and tol."""
+    if not isinstance(p_max, int) or p_max < 0:
+        raise DomainError(f"p_max must be a nonnegative integer, got {p_max!r}")
+    if p_max > HARD_P_MAX:
+        raise DomainError(f"p_max {p_max} exceeds the guard {HARD_P_MAX}")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+
+
+def _gaps(values, limit, size) -> tuple[list[float], list[float]]:
+    """Absolute and relative gaps of each value to the limit, relative to
+    max(1, |size|). A size past the float range divides in logs, and the
+    absolute gaps past it read inf."""
+    scale = max(1.0, abs(as_float(size)))
+    if scale < math.inf or not isinstance(size, Fraction):
+        abs_gaps = [_gap(v, limit) for v in values]
+        return abs_gaps, [g / scale for g in abs_gaps]
+    size = SignedLog.from_rational(abs(size))
+    rel_gaps = [_gap(v, limit, size) for v in values]
+    return [SignedLog(1, math.log(g) + size.logmag).to_float()
+            if g else 0.0 for g in rel_gaps], rel_gaps
+
+
 def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
           tol: float = DEFAULT_TOL, cap: int | None = None) -> SweepReport:
     """Evaluate one quantity over p in {0..p_max} against its limit value.
@@ -135,12 +159,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
     ``cap`` overrides both size caps, as ``BOXALG_CAP`` does in the CLI.
     """
     char_cap = DEFAULT_CHAR_CAP if cap is None else cap
-    if not isinstance(p_max, int) or p_max < 0:
-        raise DomainError(f"p_max must be a nonnegative integer, got {p_max!r}")
-    if p_max > HARD_P_MAX:
-        raise DomainError(f"p_max {p_max} exceeds the guard {HARD_P_MAX}")
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    _check_sweep(p_max, tol)
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}; pick from {QUANTITIES}")
 
@@ -218,15 +237,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         size = max(limit, key=abs)
     elif quantity != "hyperplane":
         size = limit
-    scale = max(1.0, abs(as_float(size)))
-    if scale < math.inf or not isinstance(size, Fraction):
-        abs_gaps = [_gap(v, limit) for v in values]
-        rel_gaps = [g / scale for g in abs_gaps]
-    else:  # an exact limit past the float range: divide in logs
-        size = SignedLog.from_rational(abs(size))
-        rel_gaps = [_gap(v, limit, size) for v in values]
-        abs_gaps = [SignedLog(1, math.log(g) + size.logmag).to_float()
-                    if g else 0.0 for g in rel_gaps]
+    abs_gaps, rel_gaps = _gaps(values, limit, size)
     return SweepReport(
         quantity=quantity,
         p_values=ps,

@@ -3,14 +3,23 @@
 Three families live here. Square limit systems are solved by Cramer
 quotients of limit determinants and verified against the sandwich
 inequalities (lower envelope of each row value below the right-hand side,
-upper envelope above). Nonnegative max-equation systems get the classical
-componentwise-maximal candidate, a permutation-matching existence test,
-and the diagonal-dominance style sufficient conditions. Two-sided systems
-reduce to a one-sided limit system by the entrywise signed difference.
+upper envelope above). Two-sided systems reduce to a one-sided limit
+system by the entrywise signed difference.
+
+Nonnegative max-equation systems max_j a_ij x_j = b_i (b > 0) are read
+from one scan of the columns: x_j = min b_i/a_ij over positive a_ij is
+the principal solution, and the rows attaining it are the column's tight
+rows. As a_ij x_j <= b_i with equality exactly there, the system is
+solvable exactly when the tight rows cover every row, and the permutation
+witness is a matching of rows to columns where they are tight. Both
+Kaykobad-style conditions are one test of b_i^q against the q-th power
+sum of a_{i,sigma(j)} b_j / a_{j,sigma(j)} over j != i: in integers while
+the powers stay small, in logs with a guarded margin past that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -25,7 +34,7 @@ from .linalg import (
     det_inf,
     replace_column,
 )
-from .signedlog import SignedLog, phi_p_sum
+from .signedlog import _over_lcm, odd_exponent
 
 
 class LimitSystem:
@@ -178,85 +187,66 @@ def maxsys_reduce(A, b):
     )
 
 
-def _column_minima(A, b):
-    """The checked system and, per column, min b_i/a_ij over its positive
-    entries (None for a column with none)."""
+def _max_columns(A, b):
+    """The checked system and, per column, (x_j, the 1-based rows attaining
+    it): x_j the least b_i/a_ij over positive a_ij, the ratios compared as
+    integer cross products over one scale; (None, ()) for a column with no
+    positive entry."""
     M = as_matrix(A)
     vec = as_vector(b)
-    if len(vec) != M.rows:
-        raise DomainError(f"right-hand side length {len(vec)} != rows {M.rows}")
+    n, m = M.rows, M.cols
+    if len(vec) != n:
+        raise DomainError(f"right-hand side length {len(vec)} != rows {n}")
     _check_max_inputs(M, vec)
-    minima = [
-        min((vec[i] / row[j] for i, row in enumerate(M.to_rows()) if row[j] > 0),
-            default=None)
-        for j in range(M.cols)
-    ]
-    return M, vec, minima
+    ints, _scale = _over_lcm([a for row in M.to_rows() for a in row] + list(vec))
+    cols = []
+    for j in range(m):
+        num, den, tight = 0, 0, []  # x_j = num/den once a row is tight
+        for i, (a, t) in enumerate(zip(ints[j:n * m:m], ints[n * m:]), start=1):
+            if a:
+                diff = t * den - num * a
+                if diff < 0 or not tight:
+                    num, den, tight = t, a, [i]
+                elif diff == 0:
+                    tight.append(i)
+        cols.append((Fraction(num, den), tuple(tight)) if tight else (None, ()))
+    return M, vec, cols
 
 
-def _candidate(minima) -> BoxVector:
-    """:func:`maxsys_candidate` from the column minima."""
-    for j, x in enumerate(minima, start=1):
+def _candidate(cols) -> BoxVector:
+    """:func:`maxsys_candidate` from the column scan."""
+    for j, (x, _tight) in enumerate(cols, start=1):
         if x is None:
             raise DomainError(f"column {j} has no positive entry")
-    return tuple(minima)
+    return tuple(x for x, _tight in cols)
 
 
 def maxsys_candidate(A, b) -> BoxVector:
     """Componentwise-maximal candidate x_j = min over supports of b_i/a_ij."""
-    return _candidate(_column_minima(A, b)[2])
+    return _candidate(_max_columns(A, b)[2])
 
 
-def _solution(M: BoxMatrix, vec: BoxVector, minima) -> Optional[BoxVector]:
-    """:func:`maxsys_solve` from the checked system and its column minima."""
-    x = tuple(Fraction(0) if v is None else v for v in minima)
-    for row, target in zip(M.to_rows(), vec):
-        if max(a * v for a, v in zip(row, x)) != target:
-            return None
-    return x
+def _solution(n: int, cols) -> Optional[BoxVector]:
+    """:func:`maxsys_solve` from the column scan of n rows: row i attains
+    b_i exactly when it is tight in some column."""
+    if len({i for _x, tight in cols for i in tight}) < n:
+        return None
+    return tuple(Fraction(0) if x is None else x for x, _tight in cols)
 
 
 def maxsys_solve(A, b) -> Optional[BoxVector]:
-    """The candidate if it satisfies every row's max equation, else None.
-
-    Columns with no positive entry never influence a row maximum, so they
-    are pinned to zero rather than rejected; only the constrained columns
-    go through the candidate formula.
-    """
-    return _solution(*_column_minima(A, b))
+    """The candidate if it satisfies every row's max equation, else None;
+    a column with no positive entry never reaches a row maximum, so it is
+    pinned to zero rather than rejected."""
+    M, _vec, cols = _max_columns(A, b)
+    return _solution(M.rows, cols)
 
 
-def maxsys_existence_permutation(A, b):
-    """Permutation witness for solvability of the max-equation system.
-
-    Row j may take column k only when a_jk > 0 and j maximizes a_ik/b_i
-    over all rows i. A perfect matching of rows to columns under this rule
-    is returned as (sigma, strict) with sigma the lexicographically
-    smallest assignment (sigma[j] read for j = 1..n); strict reports
-    whether every matched column's maximizer is unique, in which case the
-    solution of the system is unique as well. None when no matching exists.
-    """
-    M = as_matrix(A)
-    vec = as_vector(b)
-    n = M.rows
-    if not M.is_square:
-        raise DomainError(f"matrix must be square, got {M.rows}x{M.cols}")
-    if len(vec) != n:
-        raise DomainError(f"right-hand side length {len(vec)} != size {n}")
-    _check_max_inputs(M, vec)
-
-    rows = M.to_rows()
-    argmax: dict[int, set[int]] = {}
-    for k in range(n):
-        ratios = [row[k] / v for row, v in zip(rows, vec)]
-        best = max(ratios)
-        argmax[k + 1] = {
-            i
-            for i, (row, r) in enumerate(zip(rows, ratios), start=1)
-            if row[k] > 0 and r == best
-        }
-    adj = {j: sorted(k for k in range(1, n + 1) if j in argmax[k])
-           for j in range(1, n + 1)}
+def _witness(cols):
+    """:func:`maxsys_existence_permutation` from the column scan."""
+    n = len(cols)
+    argmax = {k: tight for k, (_x, tight) in enumerate(cols, start=1)}
+    adj = {j: [k for k in argmax if j in argmax[k]] for j in range(1, n + 1)}
 
     owner: dict[int, int] = {}  # column -> row, one augmenting-path matching
 
@@ -291,66 +281,105 @@ def maxsys_existence_permutation(A, b):
     return tuple(sigma[j] for j in range(1, n + 1)), strict
 
 
-def kaykobad_check(A, b) -> bool:
-    """Strict dominance b_i > sum_{j != i} a_ij b_j / a_jj for every row."""
-    M = as_matrix(A)
-    vec = as_vector(b)
-    n = M.rows
-    if not M.is_square or len(vec) != n:
-        raise DomainError("square matrix and matching vector required")
-    _check_max_inputs(M, vec)
-    rows = M.to_rows()
-    for i in range(n):
-        if rows[i][i] <= 0:
-            raise DomainError(f"diagonal entry ({i + 1},{i + 1}) must be positive")
-    for i, row in enumerate(rows):
-        total = sum(
-            (row[j] * vec[j] / rows[j][j] for j in range(n) if j != i),
-            Fraction(0),
-        )
-        if not vec[i] > total:
-            return False
-    return True
+def maxsys_existence_permutation(A, b):
+    """Permutation witness for solvability of the max-equation system.
 
-
-def kaykobad_p_check(A, b, sigma: Sequence[int], p: int) -> bool:
-    """Finite-index dominance along a permutation, in signed-log arithmetic.
-
-    For each row i the odd-power sum of a_{i,sigma(j)} b_j / a_{j,sigma(j)}
-    over j != i is compared (after taking the matching root) against b_i.
+    Row j may take column k only when a_jk > 0 and j maximizes a_ik/b_i
+    over all rows i, that is when j is tight in column k. A perfect
+    matching of rows to columns under this rule is returned as
+    (sigma, strict) with sigma the lexicographically smallest assignment
+    (sigma[j] read for j = 1..n); strict reports whether every matched
+    column's maximizer is unique, in which case the solution of the system
+    is unique as well. None when no matching exists.
     """
     M = as_matrix(A)
     vec = as_vector(b)
-    n = M.rows
-    if not M.is_square or len(vec) != n:
+    if not M.is_square:
+        raise DomainError(f"matrix must be square, got {M.rows}x{M.cols}")
+    if len(vec) != M.rows:
+        raise DomainError(f"right-hand side length {len(vec)} != size {M.rows}")
+    return _witness(_max_columns(M, vec)[2])
+
+
+_EXACT_BITS = 1 << 16  # the largest power _dominates forms exactly, in bits
+
+
+def _dominates(rows, b, cols, q: int) -> bool:
+    """True when b_i^q > sum_{j != i} (a_{i,cols[j]} b_j / a_{j,cols[j]})^q
+    for every row i, with 0-based columns and positive pivots a_{j,cols[j]}.
+
+    Both sides, times one scale and the lcm L of the pivots, are integers.
+    A row fails when its largest term reaches b_i, and passes without the
+    powers when Bernoulli's inequality puts b_i^q above (terms) * top^q.
+    Otherwise the powers are compared exactly while b_i^q stays within
+    _EXACT_BITS, and past that as q log(b_i/top) against
+    log sum (y/top)^q in floats. Each side is then off by at most about
+    q ulps per term, and a row within 256 times that of a tie raises
+    DomainError rather than guess.
+    """
+    n = len(b)
+    ints, _scale = _over_lcm([a for row in rows for a in row] + list(b))
+    pivots = [ints[j * n + c] for j, c in enumerate(cols)]
+    lcm = math.lcm(*pivots)
+    w = [t * (lcm // piv) for t, piv in zip(ints[n * n:], pivots)]
+    for i in range(n):
+        x = ints[n * n + i] * lcm
+        ys = [ints[i * n + c] * wj
+              for j, (c, wj) in enumerate(zip(cols, w)) if j != i]
+        top = max(ys, default=0)
+        if x <= top:
+            return False
+        if q * (x - top) > (len(ys) - 1) * top:
+            continue
+        if (q - 1) * x.bit_length() <= _EXACT_BITS:
+            if x ** q <= sum(y ** q for y in ys):
+                return False
+            continue
+        if q < 2 ** 44:  # past that the margin exceeds any gap left here
+            gap = q * math.log(x / top) - math.log(math.fsum(
+                math.exp(q * math.log(r)) for r in (y / top for y in ys) if r))
+            if abs(gap) > q * len(ys) * 2.0 ** -44:
+                if gap < 0:
+                    return False
+                continue
+        raise DomainError(
+            f"row {i + 1} lies too close to a tie to decide at p = {q // 2}")
+    return True
+
+
+def _square_max(A, b):
+    """The rows and right-hand side of a checked square max system."""
+    M = as_matrix(A)
+    vec = as_vector(b)
+    if not M.is_square or len(vec) != M.rows:
         raise DomainError("square matrix and matching vector required")
     _check_max_inputs(M, vec)
+    return M.to_rows(), vec
+
+
+def kaykobad_check(A, b) -> bool:
+    """Strict dominance b_i > sum_{j != i} a_ij b_j / a_jj for every row."""
+    rows, vec = _square_max(A, b)
+    for i, row in enumerate(rows):
+        if row[i] <= 0:
+            raise DomainError(f"diagonal entry ({i + 1},{i + 1}) must be positive")
+    return _dominates(rows, vec, range(len(vec)), 1)
+
+
+def kaykobad_p_check(A, b, sigma: Sequence[int], p: int) -> bool:
+    """Finite-index dominance along a permutation: for each row i,
+    b_i^(2p+1) strictly above the sum over j != i of
+    (a_{i,sigma(j)} b_j / a_{j,sigma(j)})^(2p+1), decided as in
+    :func:`_dominates` (exactly unless a large p meets a near tie)."""
+    rows, vec = _square_max(A, b)
+    n = len(vec)
     if sorted(sigma) != list(range(1, n + 1)):
         raise DomainError(f"not a permutation of 1..{n}: {tuple(sigma)!r}")
-    rows = M.to_rows()
     cols = [s - 1 for s in sigma]
-    pivots = [row[c] for row, c in zip(rows, cols)]
-    for j, piv in enumerate(pivots, start=1):
-        if piv == 0:
-            raise DomainError(f"zero pivot at row {j}, column {sigma[j - 1]}")
-    for i, row in enumerate(rows):
-        terms = [
-            SignedLog.from_rational(row[cols[j]] * vec[j] / pivots[j])
-            for j in range(n)
-            if j != i
-        ]
-        if not terms:
-            continue
-        rhs = phi_p_sum(terms, p)
-        lhs = SignedLog.from_rational(vec[i])
-        if rhs.is_zero:
-            continue
-        if rhs.exact is not None:
-            if not vec[i] > rhs.exact:
-                return False
-        elif not lhs.logmag > rhs.logmag:
-            return False
-    return True
+    for j, c in enumerate(cols):
+        if rows[j][c] == 0:
+            raise DomainError(f"zero pivot at row {j + 1}, column {c + 1}")
+    return _dominates(rows, vec, cols, odd_exponent(p))
 
 
 # --- two-sided systems -------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,83 @@ class TestMaxsolve:
         assert code == 2
         assert obj["feasible"] is False
         assert obj["sigma"] is None
+
+    def test_kaykobad_p_tie_is_exact(self, capsys):
+        # row 2 at q = 23: its terms 2 * 18 / 6 = 6 and 1 * 4 / 4 = 1 sum to
+        # 6^23 + 1, above b_2^23 = 6^23, which floats cannot tell apart
+        code, obj = invoke(capsys, "maxsolve", "--json",
+                           '{"A":[[6,2,0],[2,6,1],[1,3,4]],"b":[18,6,4],'
+                           '"options":{"p":11}}')
+        assert code == 0
+        assert obj["sigma"] == [1, 2, 3]
+        assert obj["kaykobad_p"] is False
+
+    def test_kaykobad_p_near_tie_at_a_huge_index(self, capsys):
+        # row 1 at q = 2 * 10^9 + 1 is decided in logs, not by exact powers
+        start = time.perf_counter()
+        code, obj = invoke(capsys, "maxsolve", "--json",
+                           '{"A":[[1,1,1],[0,1,0],[0,0,1]],'
+                           '"b":[10000000001,10000000000,1],'
+                           '"options":{"p":1000000000}}')
+        assert time.perf_counter() - start < 0.5
+        assert code == 0 and obj["sigma"] == [1, 2, 3]
+        assert obj["kaykobad"] is False and obj["kaykobad_p"] is True
+
+    def test_one_scan_and_one_validation(self, capsys, monkeypatch):
+        import boxalg.solve as solve
+        calls = {"_max_columns": 0, "_check_max_inputs": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(solve, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(solve, name, counted)
+        monkeypatch.setattr("boxalg.cli._max_columns", solve._max_columns)
+        code, obj = invoke(capsys, "maxsolve", "--json",
+                           '{"A":[[2,3],[4,1]],"b":[1,1],"options":{"p":2}}')
+        assert code == 0 and obj["kaykobad_p"] is True
+        assert calls == {"_max_columns": 1, "_check_max_inputs": 1}
+
+    # sha256 of the whole stdout of seeded batches, recorded before the
+    # column scan replaced the three ratio passes: square and non-square
+    # systems, zero columns, infeasible systems, with and without p
+    @pytest.mark.parametrize("entries, digest", [
+        ("int",
+         "b4592e34ad19d06d23096d1b69aa4d60f886e29a2e61e67ab4f270bc9dbacc66"),
+        ("rational",
+         "42c25ab2570574837c8b6128af8c83ce55cf82cee52385abdb9e2532dab36535"),
+    ])
+    def test_maxsolve_stdout_pinned(self, capsys, entries, digest):
+        rng = random.Random(f"maxsolve/{entries}")
+
+        def scalar():
+            if rng.random() < 0.3:
+                return 0
+            if entries == "int":
+                return rng.randint(1, 9)
+            return f"{rng.randint(1, 9)}/{rng.randint(1, 4)}"
+
+        batch = []
+        for k in range(60):
+            n = 1 + k % 6
+            m = n if k % 3 else rng.randint(1, 6)
+            A = [[scalar() for _ in range(m)] for _ in range(n)]
+            if k % 5 == 0:
+                j = rng.randrange(m)
+                for row in A:
+                    row[j] = 0
+            if k % 2:  # the max-times image of a positive vector: feasible
+                x = [rng.randint(1, 6) for _ in range(m)]
+                b = [str(max(Fraction(a) * v for a, v in zip(row, x)) or 1)
+                     for row in A]
+            else:
+                b = [rng.randint(1, 9) for _ in range(n)]
+            item = {"A": A, "b": b}
+            if k % 4 < 2:
+                item["options"] = {"p": rng.randint(0, 12)}
+            batch.append(item)
+        run(["maxsolve", "--json", json.dumps(batch)])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTwosided:
@@ -193,6 +271,39 @@ class TestCharpolyAndEigen:
         assert obj["perron"]["limit_float"] == "inf"
         assert 0 < obj["perron"]["final_rel_gap"] < 1e-12
         assert obj["perron"]["converged"] is True
+
+    def test_unsettled_perron_keeps_the_region(self, capsys):
+        A = [[1, 1, 2, 2, 3, 2, 1], [2, 2, 2, 2, 3, 2, 2], [3, 2, 1, 3, 2, 1, 2],
+             [1, 2, 1, 3, 1, 2, 3], [3, 2, 1, 3, 2, 3, 3], [2, 1, 2, 1, 1, 2, 2],
+             [1, 2, 2, 1, 2, 1, 1]]
+        code, obj = invoke(capsys, "eigen", "--json", json.dumps({"A": A}))
+        assert code == 0
+        assert obj["region"] == ["-3", "-2", "2", "3"]
+        assert obj["perron"] == {"converged": False, "final_rel_gap": "inf",
+                                 "limit_float": 3.0, "p_max": 20}
+
+    def test_one_region_and_one_perron_run(self, capsys, monkeypatch):
+        import boxalg.cli as cli
+        calls = []
+        for name in ("eigen_region", "perron_p"):
+            def counted(*args, _f=getattr(cli, name), _name=name, **kw):
+                calls.append((_name, args[1:]))
+                return _f(*args, **kw)
+            monkeypatch.setattr(cli, name, counted)
+        code, obj = invoke(capsys, "eigen", "--json",
+                           '{"A":[[2,1],[1,2]],"options":{"p_max":12}}')
+        assert code == 0 and obj["perron"]["converged"] is True
+        assert calls == [("eigen_region", ()), ("perron_p", (12,))]
+
+    @pytest.mark.parametrize("p_max, message", [
+        (-1, "p_max must be a nonnegative integer"),
+        (65, "exceeds the guard"),
+    ])
+    def test_perron_keeps_the_sweep_guard(self, capsys, p_max, message):
+        code, obj = invoke(capsys, "eigen", "--json", json.dumps(
+            {"A": [[2, 1], [1, 2]], "options": {"p_max": p_max}}))
+        assert code == 3
+        assert message in obj["error"]
 
     @pytest.mark.parametrize("rows", [[[BIG, 1], [1, 1]], [[BIG, 0], [0, 1]]])
     def test_eigen_past_float_range(self, capsys, rows):

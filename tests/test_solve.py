@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,43 @@ from boxalg import (
     twosided_solve,
     verify_limit_system,
 )
+import boxalg.solve as solve
+from boxalg.solve import _max_columns
 
 F = Fraction
+
+
+def _reference_kaykobad(A, b):
+    """The Fraction-sum loop this package used to decide the Kaykobad
+    condition, kept as a reference for the integer test."""
+    rows, n = A.to_rows(), A.rows
+    for i, row in enumerate(rows):
+        total = sum(
+            (row[j] * b[j] / rows[j][j] for j in range(n) if j != i),
+            Fraction(0),
+        )
+        if not b[i] > total:
+            return False
+    return True
+
+
+def _seeded_max_system(rng, n, m, entries):
+    """A nonnegative n x m system with positive b: zeros, small integers
+    (where ratio ties are common) or rationals, and a right-hand side that
+    is either the max-times image of a positive x or drawn freely."""
+    def scalar():
+        if rng.random() < 0.25:
+            return F(0)
+        if entries == "small":
+            return F(rng.randint(1, 3))
+        return F(rng.randint(1, 9), rng.randint(1, 4))
+    rows = [[scalar() for _ in range(m)] for _ in range(n)]
+    if rng.random() < 0.5:
+        x = [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(m)]
+        b = [max(a * v for a, v in zip(row, x)) or F(1) for row in rows]
+    else:
+        b = [scalar() or F(1) for _ in range(n)]
+    return BoxMatrix(rows), tuple(b)
 
 
 def _reference_existence(A, b):
@@ -236,6 +272,148 @@ class TestMaxSystem:
             assert maxsys_existence_permutation(A, b) == want
             found += want is not None
         assert found > 1000
+
+    def test_column_scan_matches_the_definitions(self):
+        """x_j is the least b_i/a_ij over the column's positive entries, its
+        tight rows are those with a_ij x_j = b_i, the system is feasible
+        exactly when every row maximum reaches b_i, and on a square system
+        the tight rows are the argmax of a_ik/b_i over positive a_ik."""
+        rng = random.Random(7)
+        feasible = tied = 0
+        for k in range(1500):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            if k % 2:
+                m = n
+            A, b = _seeded_max_system(rng, n, m, ("small", "rational")[k % 3 == 0])
+            rows = A.to_rows()
+            _M, _b, cols = _max_columns(A, b)
+            assert len(cols) == m
+            for j, (x, tight) in enumerate(cols):
+                support = [i for i in range(n) if rows[i][j] > 0]
+                if not support:
+                    assert (x, tight) == (None, ())
+                    continue
+                assert x == min(b[i] / rows[i][j] for i in support)
+                assert tight == tuple(i + 1 for i in support
+                                      if rows[i][j] * x == b[i])
+                tied += len(tight) > 1
+                if n == m:
+                    ratios = [rows[i][j] / b[i] for i in range(n)]
+                    assert set(tight) == {i + 1 for i in support
+                                          if ratios[i] == max(ratios)}
+            x = tuple(F(0) if v is None else v for v, _t in cols)
+            ok = all(max(a * v for a, v in zip(row, x)) == t
+                     for row, t in zip(rows, b))
+            assert maxsys_solve(A, b) == (x if ok else None)
+            feasible += ok
+        assert feasible > 300 and tied > 300
+
+    def test_kaykobad_matches_fraction_sums(self):
+        rng = random.Random(11)
+        verdicts = set()
+        for k in range(1500):
+            n = rng.randint(1, 6)
+            A, b = _seeded_max_system(rng, n, n, ("small", "rational")[k % 2])
+            rows = [list(r) for r in A.to_rows()]
+            for i in range(n):
+                rows[i][i] = rows[i][i] or F(rng.randint(1, 4))
+            A = BoxMatrix(rows)
+            want = _reference_kaykobad(A, b)
+            assert kaykobad_check(A, b) is want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_kaykobad_tie_is_not_strict(self):
+        # 2 * 1 / 1 is exactly b_1, so the strict inequality fails
+        assert kaykobad_check(BoxMatrix([[1, 2], [0, 1]]), (F(2), F(1))) is False
+
+    def test_kaykobad_p_matches_exact_power_sums(self):
+        rng = random.Random(12)
+        verdicts = set()
+        for k in range(600):
+            n = rng.randint(1, 5)
+            A, b = _seeded_max_system(rng, n, n, ("small", "rational")[k % 2])
+            found = maxsys_existence_permutation(A, b)
+            if found is None:
+                continue
+            sigma, p = found[0], rng.randint(0, 6)
+            q, rows = 2 * p + 1, A.to_rows()
+            want = all(
+                b[i] ** q > sum((rows[i][sigma[j] - 1] * b[j]
+                                 / rows[j][sigma[j] - 1]) ** q
+                                for j in range(n) if j != i)
+                for i in range(n))
+            assert kaykobad_p_check(A, b, sigma, p) is want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_kaykobad_p_tie_is_not_strict(self):
+        # 3^3 + 4^3 + 5^3 = 6^3: row 1 only ties at p = 1
+        A = BoxMatrix([[1, 3, 4, 5], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        b = (F(6), F(1), F(1), F(1))
+        assert kaykobad_p_check(A, b, (1, 2, 3, 4), 1) is False
+        assert kaykobad_p_check(A, b, (1, 2, 3, 4), 2) is True
+        assert kaykobad_p_check(A, b, (1, 2, 3, 4), 0) is False
+
+    def test_kaykobad_p_large_index(self):
+        # far from a tie the largest term decides
+        A = BoxMatrix([[1, 3, 4, 5], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert kaykobad_p_check(A, (F(6), F(1), F(1), F(1)),
+                                (1, 2, 3, 4), 10 ** 5) is True
+        assert kaykobad_p_check(A, (F(5), F(1), F(1), F(1)),
+                                (1, 2, 3, 4), 10 ** 5) is False
+
+    def test_kaykobad_p_near_tie_at_a_huge_index(self):
+        # row 1 at q = 2 * 10^9 + 1: 10^10 + 1 against 10^10 and 1, so
+        # Bernoulli cannot decide and the exact power would need ~8 GB
+        A = BoxMatrix([[1, 1, 1], [0, 1, 0], [0, 0, 1]])
+        b = (F(10 ** 10 + 1), F(10 ** 10), F(1))
+        start = time.perf_counter()
+        assert kaykobad_p_check(A, b, (1, 2, 3), 10 ** 9) is True
+        assert time.perf_counter() - start < 0.5
+
+    def test_kaykobad_p_past_the_exact_budget(self):
+        # 3^3 + 4^3 + 5^3 = 6^3 scaled by K: at q = 3 the powers of 6K
+        # outgrow the exact budget, so the rows are decided in logs
+        K = 10 ** 10000
+        A = BoxMatrix([[1, 3, 4, 5], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+        def check(b1):
+            return kaykobad_p_check(A, (F(b1), F(K), F(K), F(K)), (1, 2, 3, 4), 1)
+
+        assert 2 * (6 * K).bit_length() > solve._EXACT_BITS
+        with pytest.raises(DomainError, match="too close to a tie to decide at p = 1"):
+            check(6 * K)
+        assert check(6 * K + K // 10 ** 6) is True
+        assert check(6 * K - K // 10 ** 6) is False
+
+    def test_kaykobad_logs_agree_with_the_exact_powers(self, monkeypatch):
+        # the same seeded rows decided once exactly and once in logs (no
+        # exact budget): the logs agree wherever they decide, and they
+        # decline only at exact ties
+        rng = random.Random(13)
+        cases = []
+        for k in range(800):
+            n = rng.randint(2, 5)
+            A, b = _seeded_max_system(rng, n, n, ("small", "rational")[k % 2])
+            found = maxsys_existence_permutation(A, b)
+            if found is not None:
+                p = rng.choice((0, 0, 1, 2, 5))
+                cases.append((A, b, found[0], p, kaykobad_p_check(A, b, found[0], p)))
+        monkeypatch.setattr(solve, "_EXACT_BITS", -1)
+        declined = 0
+        for A, b, sigma, p, want in cases:
+            try:
+                assert kaykobad_p_check(A, b, sigma, p) is want
+            except DomainError:
+                q, rows, n = 2 * p + 1, A.to_rows(), len(b)
+                assert want is False and any(
+                    b[i] ** q == sum((rows[i][sigma[j] - 1] * b[j]
+                                      / rows[j][sigma[j] - 1]) ** q
+                                     for j in range(n) if j != i)
+                    for i in range(n))
+                declined += 1
+        assert len(cases) > 250 and 0 < declined < len(cases) // 10
 
     def test_tied_cover_has_no_certificate(self):
         # Two rows whose only positive entries share a column can both be
