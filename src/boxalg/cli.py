@@ -25,10 +25,10 @@ from functools import cache
 from .core import as_float, as_scalar
 from .eigen import (
     DEFAULT_CHAR_CAP,
+    _char_levels,
     _char_values,
     _check_char,
     _read,
-    char_monomials,
     eigen_region,
     perron_p,
 )
@@ -312,9 +312,13 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     # evaluate first, so the values at lam are freed before the listing
     lam = data.get("lam")
     out = {} if lam is None else _charpoly_evals(A, lam, opts)
-    ms = char_monomials(A, char_cap)
+    levels, scale = _char_levels(A)
+    out["monomials"] = ms = []
+    for degree, level in levels:
+        # equal coefficients share one entry, formatted once
+        entry = {c: [_rat(Fraction(c, scale)), degree] for c in set(level)}
+        ms.extend(map(entry.__getitem__, level))
     out["count"] = len(ms)
-    out["monomials"] = [[_rat(m.coeff), m.degree] for m in ms]
     return OK, out
 
 

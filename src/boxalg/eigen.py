@@ -126,6 +126,29 @@ def _heap_table(k: int) -> bytes:
     return b"".join(bytes(perm) for perm, _sign in signed_permutations(k))
 
 
+def _char_levels(M: BoxMatrix) -> tuple[list[tuple[int, list[int]]], int]:
+    """The listing of :func:`char_monomials` in integers: the row
+    multipliers of :func:`~boxalg.linalg._integer_rows` outside H complete
+    each product to an integer over S, the product of all of them.
+    Returns [(n - k, the coefficients times S) for k = 0..n] and S."""
+    rows, scales = _integer_rows(M)
+    n = len(rows)
+    total = math.prod(scales)
+    levels = [(n, [-total if n % 2 else total])]
+    for k in range(1, n + 1):
+        table, level = _heap_table(k), []
+        for H in combinations(range(n), k):
+            perms = zip(*[iter(table)] * k)  # the table's k-tuples
+            sub = [[rows[i][j] for j in H] for i in H]
+            f = math.prod(s for i, s in enumerate(scales) if i not in H)
+            if (n - k) % 2:
+                f = -f
+            level.extend([g * math.prod(map(getitem, sub, perm))
+                          for perm, g in zip(perms, cycle((f, -f)))])
+        levels.append((n - k, level))
+    return levels, total
+
+
 def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
     """One signed monomial per (subset H, permutation of H) pair.
 
@@ -133,31 +156,11 @@ def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
     times the product of a[i, sigma(i)] over H (k = |H|) and degree n-k;
     the empty subset contributes ((-1)^n, n). Order: k ascending, then the
     subsets in ``combinations`` order, then Heap order.
-
-    The products run over the integer rows of
-    :func:`~boxalg.linalg._integer_rows`: the row multipliers outside H
-    complete each product to an integer over S, the product of all of
-    them, so only the finished coefficients become Fractions.
     """
-    M = _check_char(A, cap)
-    rows, scales = _integer_rows(M)
-    n = len(rows)
-    total = math.prod(scales)
-    out = [Monomial(Fraction(-1 if n % 2 else 1), n)]
-    for k in range(1, n + 1):
-        table = _heap_table(k)
-        for H in combinations(range(n), k):
-            perms = zip(*[iter(table)] * k)  # the table's k-tuples
-            sub = [[rows[i][j] for j in H] for i in H]
-            f = math.prod(s for i, s in enumerate(scales) if i not in H)
-            if (n - k) % 2:
-                f = -f
-            out.extend([
-                Monomial(Fraction(g * math.prod(map(getitem, sub, perm)),
-                                  total), n - k)
-                for perm, g in zip(perms, cycle((f, -f)))
-            ])
-    return MonomialList(tuple(out), n)
+    levels, total = _char_levels(_check_char(A, cap))
+    return MonomialList(tuple(Monomial(Fraction(c, total), d)
+                              for d, level in levels for c in level),
+                        len(levels) - 1)
 
 
 def _net_classes(m) -> tuple[dict[int, dict[int, int]], int]:

@@ -2,8 +2,9 @@
 
 The points sit as the columns of a square matrix V. Coefficient i of the
 hyperplane is the limit determinant of V with row i overwritten by ones,
-the right-hand side is the limit determinant of V itself, and membership
-is the usual sandwich: the lower envelope of the componentwise products
+the right-hand side is the limit determinant of V itself: as V^T with
+column i replaced by ones, all n + 1 come from one DP on [V^T | ones].
+Membership is the usual sandwich: the lower envelope of the products
 must not exceed the right-hand side, the upper envelope must reach it.
 """
 
@@ -14,7 +15,7 @@ from typing import Sequence
 
 from .core import LOWER, UPPER, as_vector, smile
 from .errors import DegenerateConfigurationError, DomainError
-from .linalg import DEFAULT_DET_CAP, BoxMatrix, BoxVector, det_inf
+from .linalg import DEFAULT_DET_CAP, _cramer_dets
 
 
 class LimitHyperplane:
@@ -43,18 +44,11 @@ def hyperplane_through(points: Sequence[Sequence],
     if n == 0 or any(len(p) != n for p in pts):
         raise DomainError(f"need n points of length n, got lengths "
                           f"{[len(p) for p in pts]}")
-    V = BoxMatrix.from_columns(pts)
-    rhs = det_inf(V, cap)
+    rhs, *coeffs = _cramer_dets(pts, (1,) * n, cap)
     if rhs == 0:
         raise DegenerateConfigurationError(
             "the points are degenerate: the limit determinant vanishes"
         )
-    rows = V.to_rows()
-    ones = tuple(Fraction(1) for _ in range(n))
-    coeffs = tuple(
-        det_inf(BoxMatrix(rows[:i] + (ones,) + rows[i + 1:]), cap)
-        for i in range(n)
-    )
     return LimitHyperplane(coeffs, rhs)
 
 

@@ -14,9 +14,12 @@ m over one scale S, and the maps pass on in that form. The finite-index
 determinant is the power sum of the net map, since each odd power
 depends on the products only through it. The same DP with
 a_ii - lam on the diagonal gives the per-degree net maps of the
-characteristic monomials (:mod:`boxalg.eigen`). The listing
-(:func:`permutation_products`, Heap's algorithm) stays as public API and
-as the tests' reference expansion.
+characteristic monomials (:mod:`boxalg.eigen`). On the bordered matrix
+[A | b] its last layer holds Cramer's n + 1 determinants, one per
+left-out column: without b, det A; without column i, the minor
+(-1)^(n-1-i) det A_i(b), the sign of moving b from the last column to
+column i. The listing (:func:`permutation_products`, Heap's algorithm)
+stays as public API and as the tests' reference expansion.
 
 Determinant-flavored operations take a size cap and raise
 :class:`~boxalg.errors.CapacityError` past it.
@@ -195,8 +198,8 @@ def _subset_dp(entries, step, one):
     column j adds one inversion per used column above j, so the sign flips
     when their count is odd. ``step(acc, value, e, odd)`` returns acc plus
     value * e (negated when odd); acc is None for the semiring zero and may
-    be updated in place. Returns the full-mask sum, None when every product
-    is zero.
+    be updated in place. Returns the last layer, {mask: sum}: one mask per
+    set of columns the products can use, none when every product is zero.
     """
     layer = {0: one}
     for row in entries:
@@ -208,7 +211,7 @@ def _subset_dp(entries, step, one):
                     nxt[key] = step(nxt.get(key), value, e,
                                     (mask >> j).bit_count() & 1)
         layer = nxt
-    return layer.get((1 << len(entries)) - 1)
+    return layer
 
 
 # Polynomial semirings: {degree of lam: coefficient data}; an entry is a
@@ -271,9 +274,10 @@ def _integer_rows(M: BoxMatrix) -> tuple[tuple, tuple]:
     return tuple(zip(*map(_over_lcm, M.to_rows())))
 
 
-def _dp_entries(M: BoxMatrix, lam: bool):
-    """The subset-DP rows of M (a_ii - lam on the diagonal with ``lam``)
-    as integer polynomial terms, and the scale that divides every term."""
+def _dp_slots(M: BoxMatrix, lam: bool, step, one) -> tuple[dict, int]:
+    """The subset DP of M's rows as integer terms (a_ii - lam on the
+    diagonal with ``lam``) per slot, a degree of lam for a square M or a
+    left-out column of a bordered one, and the scale S of every term."""
     rows, scales = _integer_rows(M)
     entries = []
     for i, (row, scale) in enumerate(zip(rows, scales)):
@@ -285,37 +289,39 @@ def _dp_entries(M: BoxMatrix, lam: bool):
             if e:
                 line.append((j, e))
         entries.append(line)
-    return entries, math.prod(scales)
+    layer, full = _subset_dp(entries, step, one), (1 << M.cols) - 1
+    if M.is_square:
+        return layer.get(full, {}), math.prod(scales)
+    return ({(full ^ mask).bit_length() - 1: sums[0]
+             for mask, sums in layer.items()}, math.prod(scales))
 
 
 def _ring_terms(M: BoxMatrix, lam: bool = False
                 ) -> tuple[dict[int, dict[int, int]], int]:
-    """Per degree, the net map {magnitude: net signed count} of the signed
-    permutation products of M (all of degree 0) or, with ``lam``, of its
+    """Per slot (:func:`_dp_slots`), the net map {magnitude: net signed
+    count} of the signed permutation products or, with ``lam``, of the
     characteristic monomials, and the scale S: every magnitude is the
     integer key over S. Magnitudes that cancel are dropped."""
-    entries, total = _dp_entries(M, lam)
-    ring = _subset_dp(entries, _ring_step, {0: {1: 1}}) or {}
-    return ({d: {m: c for m, c in nets.items() if c}
-             for d, nets in ring.items()}, total)
+    ring, total = _dp_slots(M, lam, _ring_step, {0: {1: 1}})
+    return ({k: {m: c for m, c in nets.items() if c}
+             for k, nets in ring.items()}, total)
 
 
 def _dominant_terms(M: BoxMatrix, lam: bool = False
                     ) -> tuple[dict[int, tuple[int, int]], int]:
-    """Per degree, the largest magnitude whose net signed count survives
+    """Per slot, the largest magnitude whose net signed count survives
     and the sign of that count, and the scale S (terms as in
     :func:`_ring_terms`: every magnitude is its integer over S).
 
-    Degrees where everything cancels are absent. The leading-term run
+    Slots where everything cancels are absent. The leading-term run
     settles it unless some leading count nets to zero; then the group
     ring finds the next surviving magnitude.
     """
-    entries, total = _dp_entries(M, lam)
-    top = _subset_dp(entries, _lead_step, {0: (1, 1)}) or {}
+    top, total = _dp_slots(M, lam, _lead_step, {0: (1, 1)})
     if not all(c for _m, c in top.values()):
         ring, total = _ring_terms(M, lam)
-        top = {d: (max(net), net[max(net)]) for d, net in ring.items() if net}
-    return {d: (m, 1 if c > 0 else -1) for d, (m, c) in top.items()}, total
+        top = {k: (max(net), net[max(net)]) for k, net in ring.items() if net}
+    return {k: (m, 1 if c > 0 else -1) for k, (m, c) in top.items()}, total
 
 
 def _pair_det(rows) -> tuple[Fraction, Fraction]:
@@ -323,7 +329,8 @@ def _pair_det(rows) -> tuple[Fraction, Fraction]:
     pairs of nonnegative rationals."""
     entries = [[(j, e) for j, e in enumerate(row) if e[0] or e[1]]
                for row in rows]
-    plus, minus = _subset_dp(entries, _pair_step, (1, 0)) or (0, 0)
+    layer = _subset_dp(entries, _pair_step, (1, 0))
+    plus, minus = layer.get((1 << len(rows)) - 1, (0, 0))
     return Fraction(plus), Fraction(minus)
 
 
@@ -352,6 +359,28 @@ def _det_net(A, cap: int | None = None) -> tuple[dict[int, int], int]:
     cap = DEFAULT_DET_CAP if cap is None else cap
     ring, total = _ring_terms(_checked(A, cap))
     return ring.get(0, {}), total
+
+
+def _cramer_slots(A, b, cap: int | None, read, zero) -> tuple[list, int]:
+    """``read`` of one DP on [A | b]: the slot of det A, then that of each
+    det A_i(b) with its sign (-1)^(n-1-i), and the scale S."""
+    rows = _checked(A, DEFAULT_DET_CAP if cap is None else cap).to_rows()
+    n = len(rows)
+    slots, total = read(BoxMatrix(r + (v,) for r, v in zip(rows, b)))
+    return [(slots.get(k, zero), 1 if k == n else (-1) ** (n - 1 - k))
+            for k in (n, *range(n))], total
+
+
+def _cramer_dets(A, b, cap: int = DEFAULT_DET_CAP) -> list[Fraction]:
+    """det_inf of A, then of each A_i(b) (column i replaced by b)."""
+    slots, total = _cramer_slots(A, b, cap, _dominant_terms, (0, 1))
+    return [Fraction(s * m * c, total) for (m, c), s in slots]
+
+
+def _cramer_nets(A, b, cap: int | None = None) -> list[tuple[dict, int]]:
+    """Net maps ({m: net count}, S) of A, then of each A_i(b)."""
+    slots, total = _cramer_slots(A, b, cap, _ring_terms, {})
+    return [({m: s * c for m, c in net.items()}, total) for net, s in slots]
 
 
 def det_p(A, p: int, cap: int = DEFAULT_DET_CAP) -> SignedLog:

@@ -14,9 +14,11 @@ net signed count}, S), m/S the magnitude: of the vector for ``sum``, of
 the permutation products (from the subset DP of :mod:`boxalg.linalg`)
 for the determinant-shaped quantities, of the characteristic monomial
 values at lam for ``charpoly``. A sweep builds its maps once and reads
-the limit, the near-tie flag and every finite-index value from them. The
-hyperplane residual is exact: the determinant of the entrywise q-th
-power of a matrix is the sum of net * m^q over its map, over S^q.
+the limit, the near-tie flag and every finite-index value from them; the
+maps of ``cramer`` and ``hyperplane`` come from one DP on [A | b], with
+(V^T, ones) for the hyperplane's. The hyperplane residual is exact: the
+determinant of the entrywise q-th power of a matrix is the sum of net *
+m^q over its map, over S^q.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .eigen import (
     eigen_region,
     perron_p,
 )
-from .errors import BoxAlgError, DomainError
-from .linalg import BoxMatrix, _det_net, as_matrix, replace_column
+from .errors import BoxAlgError, ConvergenceError, DomainError
+from .linalg import BoxMatrix, _check_square, _cramer_nets, _det_net, as_matrix
 from .signedlog import (
     SignedLog,
     _log_over,
@@ -183,9 +185,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
 
     elif quantity == "cramer":
         system = LimitSystem(as_matrix(inputs["A"]), as_vector(inputs["b"]))
-        A, b = system.A, system.b
-        nets = [_det_net(A, cap)] + [_det_net(replace_column(A, i, b), cap)
-                                     for i in range(1, A.rows + 1)]
+        nets = _cramer_nets(system.A, system.b, cap)
         det, *dets = [_net_limit(net) for net in nets]
         if det == 0:
             raise DomainError("limit determinant is zero; no limit solution")
@@ -206,13 +206,10 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         if len(x) != n:
             raise DomainError(f"x has length {len(x)}, expected {n}")
         limit = Fraction(0)
-        net = _det_net(V, cap)
+        _check_square(V, "determinant")
+        net, *row_nets = _cramer_nets(zip(*V.to_rows()), (1,) * n, cap)
         size = _net_limit(net)
         # the residual either vanishes exactly or diverges: never near-tie
-        ones = tuple(Fraction(1) for _ in range(n))
-        rows = V.to_rows()
-        row_nets = [_det_net(BoxMatrix(rows[:i] + (ones,) + rows[i + 1:]),
-                             cap) for i in range(n)]
         for p in ps:
             q = odd_exponent(p)
             total = -_power_sum(net, q) + sum(
@@ -229,6 +226,8 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         for p in ps:
             try:
                 rho, _vec = perron_p(A, p)
+            except ConvergenceError:
+                rho = None  # unsettled at this p: no value, an inf gap
             except BoxAlgError as exc:
                 raise type(exc)(f"at p={p}: {exc}") from exc
             values.append(rho)

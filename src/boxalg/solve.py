@@ -30,9 +30,8 @@ from .linalg import (
     DEFAULT_DET_CAP,
     BoxMatrix,
     BoxVector,
+    _cramer_dets,
     as_matrix,
-    det_inf,
-    replace_column,
 )
 from .signedlog import _over_lcm, odd_exponent
 
@@ -112,13 +111,7 @@ def verify_limit_system(sys: LimitSystem, x: Sequence) -> VerifyReport:
 
 def is_regular(sys: LimitSystem, x: Sequence) -> bool:
     """True when every row's lower and upper envelopes agree at x."""
-    vec = as_vector(x)
-    if len(vec) != sys.A.cols:
-        raise DomainError(f"x has length {len(vec)}, expected {sys.A.cols}")
-    return all(
-        inner(sys.A.row(i), vec, LOWER) == inner(sys.A.row(i), vec, UPPER)
-        for i in range(1, sys.A.rows + 1)
-    )
+    return all(r.lower == r.upper for r in verify_limit_system(sys, x).rows)
 
 
 def cramer_limit_solve(sys: LimitSystem, cap: int = DEFAULT_DET_CAP) -> SolveReport:
@@ -127,15 +120,12 @@ def cramer_limit_solve(sys: LimitSystem, cap: int = DEFAULT_DET_CAP) -> SolveRep
     When the limit determinant of A vanishes there is no Cramer solution;
     the report then carries det=0, no solution, and no row bounds.
     """
-    det = det_inf(sys.A, cap)
+    det, *dets = _cramer_dets(sys.A, sys.b, cap)
     if det == 0:
         return SolveReport(None, det, (), False)
-    x = tuple(
-        det_inf(replace_column(sys.A, i, sys.b), cap) / det
-        for i in range(1, sys.A.rows + 1)
-    )
-    report = verify_limit_system(sys, x)
-    return SolveReport(x, det, report.rows, is_regular(sys, x))
+    x = tuple(d / det for d in dets)
+    rows = verify_limit_system(sys, x).rows
+    return SolveReport(x, det, rows, all(r.lower == r.upper for r in rows))
 
 
 # --- nonnegative max-equation systems ---------------------------------------
@@ -447,5 +437,5 @@ def twosided_solve(sys: TwoSidedSystem, cap: int = DEFAULT_DET_CAP) -> SolveRepo
     )
     # regularity of a two-sided system is its own notion (envelopes of the
     # original sides), not regularity of the reduced system
-    return SolveReport(base.solution, base.det, rows,
-                       twosided_is_regular(sys, base.solution))
+    return SolveReport(base.solution, base.det, rows, all(
+        c.a_lower == c.a_upper and c.c_lower == c.c_upper for c in originals))

@@ -184,6 +184,67 @@ class TestHyperplane:
         assert "degenerate" in obj["error"]
 
 
+def _cramer_batch(entries: str) -> list:
+    """Seeded solve, twosided and hyperplane problems: singular systems,
+    degenerate point sets, queries, zero right-hand sides and ones equal
+    to a column, non-square inputs and a b or query of the wrong length."""
+    rng = random.Random(f"cramer-kinds/{entries}")
+
+    def scalar():
+        if entries == "small":
+            return rng.randint(-2, 2)
+        if entries == "wide":
+            return rng.randint(-99, 99)
+        return "0" if rng.random() < 0.3 else (
+            f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}")
+
+    def vec(n):
+        return [scalar() for _ in range(n)]
+
+    batch = []
+    for k in range(90):
+        n = 1 + k // 3 % 7
+        m = n + 1 if k % 11 == 5 else n  # non-square
+        rows = [vec(m) for _ in range(n)]
+        if k % 7 == 3 and n > 1:  # singular: a repeated row / point
+            rows[1] = list(rows[0])
+        b = vec(n + 1 if k % 13 == 7 else n)
+        if k % 9 == 4:
+            b = [0] * len(b)
+        elif k % 9 == 8:
+            b = [row[0] for row in rows]
+        kind = ("solve", "twosided", "hyperplane")[k % 3]
+        if kind == "solve":
+            batch.append({"kind": kind, "A": rows, "b": b})
+        elif kind == "twosided":
+            batch.append({"kind": kind, "A": rows,
+                          "C": [vec(n) for _ in range(n)], "b": b,
+                          "d": vec(n)})
+        else:
+            item = {"kind": kind, "points": rows}
+            if k % 2:
+                item["queries"] = [vec(len(rows[0])), b]
+            batch.append(item)
+    return batch
+
+
+class TestCramerKinds:
+    # sha256 of the whole stdout of seeded batches, recorded while det A
+    # and each column-replaced determinant still took a DP of their own
+    @pytest.mark.parametrize("entries, digest", [
+        ("small",
+         "7d238518e1650f4aed76debf3d7759441f986de228d6f5dd5fad0922ccf23e8e"),
+        ("wide",
+         "00f03d89ed535d3be3972ee8726f0a2f35a3137b47584b28c3463e3cd1b3737d"),
+        ("rational",
+         "55341ce7289f26705237ac1c6ed02f88aa71ab09e7d2279ef5092cfba10b65fc"),
+    ])
+    def test_stdout_pinned(self, capsys, entries, digest):
+        run(["solve", "--json", json.dumps(_cramer_batch(entries))])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestCharpolyAndEigen:
     def test_monomials_and_evaluations(self, capsys):
         code, obj = invoke(capsys, "charpoly", "--json",
@@ -199,6 +260,24 @@ class TestCharpolyAndEigen:
         assert code == 0
         assert obj["region"] == ["2"]
         assert obj["perron"]["converged"] is True
+
+    # small entries repeat a few coefficients, which the listing formats
+    # once each; the entries must still follow char_monomials one by one
+    @pytest.mark.parametrize("pool", [
+        [-2, -1, 0, 1, 2], [0, 1], ["1/2", "-3/4", 0, 2, "5/3"], [0]])
+    def test_listing_follows_char_monomials(self, capsys, pool):
+        from boxalg import BoxMatrix, char_monomials
+        rng = random.Random(len(pool))
+        for n in range(1, 7):
+            A = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            code, obj = invoke(capsys, "charpoly", "--json",
+                               json.dumps({"A": A}))
+            assert code == 0
+            ms = char_monomials(BoxMatrix([[Fraction(x) for x in row]
+                                           for row in A]))
+            assert obj["monomials"] == [[str(m.coeff), m.degree]
+                                        for m in ms]
+            assert obj["count"] == len(ms)
 
     # sha256 of the whole stdout, recorded before the integer listing and
     # the one-pass evaluation replaced the Fraction loops
@@ -336,6 +415,41 @@ class TestOracle:
         code, obj = invoke(capsys, "oracle", "--json", text)
         assert code == 3
         assert "error" in obj
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"quantity":"hyperplane","points":[[1,2],[3,4],[5,6]],"x":[1,1]}',
+         "determinant needs a square matrix, got 2x3"),
+        ('{"quantity":"hyperplane","points":[[1,2],[3,4],[5,6]],'
+         '"x":[1,1,1]}', "x has length 3, expected 2"),
+        ('{"quantity":"cramer","A":[[1,2],[3,4]],"b":[1,1,1]}',
+         "right-hand side length 3 != size 2"),
+    ])
+    def test_malformed_shapes_keep_their_messages(self, capsys, text,
+                                                  message):
+        code, obj = invoke(capsys, "oracle", "--json", text)
+        assert code == 3
+        assert obj == {"error": message}
+
+    def test_unsettled_perron_keeps_the_settled_values(self, capsys):
+        # the limit-cancel seed 1 block 2 matrix: power iteration settles
+        # up to p = 9 and not from p = 10 on
+        A = [[1, 1, 2, 2, 3, 2, 1], [2, 2, 2, 2, 3, 2, 2], [3, 2, 1, 3, 2, 1, 2],
+             [1, 2, 1, 3, 1, 2, 3], [3, 2, 1, 3, 2, 3, 3], [2, 1, 2, 1, 1, 2, 2],
+             [1, 2, 2, 1, 2, 1, 1]]
+        code, obj = invoke(capsys, "oracle", "--json",
+                           json.dumps({"quantity": "perron", "A": A}))
+        assert code == 0
+        assert obj["limit"] == "3"
+        assert all(isinstance(v, float) for v in obj["values"][:10])
+        assert obj["values"][10:] == [None] * 11
+        assert obj["abs_gaps"][10:] == obj["rel_gaps"][10:] == ["inf"] * 11
+        assert obj["final_rel_gap"] == "inf" and obj["converged"] is False
+
+    def test_perron_still_rejects_a_non_positive_entry(self, capsys):
+        code, obj = invoke(capsys, "oracle", "--json",
+                           '{"quantity":"perron","A":[[1,0],[0,1]]}')
+        assert code == 3
+        assert obj == {"error": "at p=0: matrix entry (1,2) must be positive"}
 
     def test_floats_read_as_decimals(self, capsys):
         code, obj = invoke(capsys, "oracle", "--json",

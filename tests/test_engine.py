@@ -8,6 +8,7 @@ integer row scaling and the zero-entry skip. Finite-index values are
 compared bit for bit: sign, logmag and exact value.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -18,6 +19,7 @@ from boxalg import (
     S_ONE,
     S_ZERO,
     BoxMatrix,
+    CapacityError,
     SignedLog,
     SPair,
     DomainError,
@@ -43,6 +45,7 @@ from boxalg import (
     sweep,
 )
 from boxalg import eigen, linalg
+from boxalg.cli import run
 
 F = Fraction
 
@@ -421,3 +424,136 @@ class TestFiniteIndex:
 
         assert exact(*linalg._ring_terms(A, lam=True)) == exact(
             *eigen._net_classes(ms))
+
+
+def _bordered_cases():
+    """Seeded (A, b), n = 1..7, each b drawn, zero or a column of A."""
+    rng = random.Random(20201018)
+    out = []
+    for name in ("small", "wide", "rational"):
+        draw = ENTRY_SETS[name]
+        for n in range(1, 8):
+            for b_kind in ("drawn", "zero", "column"):
+                A = BoxMatrix([[draw(rng) for _ in range(n)]
+                               for _ in range(n)])
+                if b_kind == "drawn":
+                    b = [draw(rng) for _ in range(n)]
+                elif b_kind == "zero":
+                    b = [0] * n
+                else:
+                    b = A.col(rng.randint(1, n))
+                out.append(pytest.param(A, tuple(F(v) for v in b),
+                                        id=f"{name}-n{n}-{b_kind}"))
+    return out
+
+
+BORDERED = _bordered_cases()
+
+
+def _exact(nets):
+    """A net map ({m: c}, S) keyed by the magnitude m/S as a Fraction."""
+    net, scale = nets
+    return {F(m, scale): c for m, c in net.items()}
+
+
+def _with_ones_row(V, i):
+    rows = V.to_rows()
+    return BoxMatrix(rows[:i] + ((1,) * V.rows,) + rows[i + 1:])
+
+
+class TestBorderedDP:
+    """One subset DP on [A | b] against det A and the n matrices with a
+    column replaced by b (or, for hyperplanes, a row replaced by ones)."""
+
+    def test_cases_reach_both_parities_and_the_fallback(self, ring_runs):
+        live = {A.rows % 2 for A, _b in (p.values for p in BORDERED)
+                if det_inf(A) != 0}
+        assert live == {0, 1}
+        ring_runs.clear()
+        for A, b in (p.values for p in BORDERED if p.id.startswith("small")):
+            linalg._cramer_dets(A, b)
+        assert ring_runs and max(ring_runs) == 7
+
+    @pytest.mark.parametrize("A, b", BORDERED)
+    def test_dets_match_the_replaced_columns(self, A, b):
+        dets = linalg._cramer_dets(A, b)
+        assert dets[0] == det_inf(A)
+        assert dets[1:] == [det_inf(replace_column(A, i, b))
+                            for i in range(1, A.rows + 1)]
+
+    @pytest.mark.parametrize("A, b", BORDERED)
+    def test_nets_match_the_replaced_columns(self, A, b):
+        nets = [_exact(net) for net in linalg._cramer_nets(A, b)]
+        assert nets[0] == _exact(linalg._det_net(A))
+        assert nets[1:] == [_exact(linalg._det_net(replace_column(A, i, b)))
+                            for i in range(1, A.rows + 1)]
+
+    @pytest.mark.parametrize("A, b", BORDERED)
+    def test_hyperplane_rows_of_ones(self, A, b):
+        points = A.to_rows()  # as the columns of V
+        V = BoxMatrix.from_columns(points)
+        ones = (1,) * A.rows
+        replaced = [_with_ones_row(V, i) for i in range(A.rows)]
+        assert linalg._cramer_dets(points, ones) == [det_inf(V)] + [
+            det_inf(M) for M in replaced]
+        assert [_exact(net) for net in linalg._cramer_nets(points, ones)] == [
+            _exact(linalg._det_net(M)) for M in [V] + replaced]
+
+    def test_cap_applies_to_n(self):
+        A = BoxMatrix.identity(4)
+        with pytest.raises(CapacityError, match="size cap 3"):
+            linalg._cramer_dets(A, (1,) * 4, cap=3)
+        with pytest.raises(CapacityError, match="size cap 3"):
+            linalg._cramer_nets(A, (1,) * 4, cap=3)
+        assert linalg._cramer_dets(A, (1, 2, 3, 4), cap=4) == [1, 1, 2, 3, 4]
+
+
+@pytest.fixture
+def dp_runs(monkeypatch):
+    """The semiring of every subset-DP run: 'lead', 'ring' or 'pair'."""
+    runs = []
+    inner = linalg._subset_dp
+    names = {linalg._lead_step: "lead", linalg._ring_step: "ring",
+             linalg._pair_step: "pair"}
+
+    def spy(entries, step, one):
+        runs.append(names[step])
+        return inner(entries, step, one)
+
+    monkeypatch.setattr(linalg, "_subset_dp", spy)
+    return runs
+
+
+class TestOneBorderedRun:
+    """A Cramer-shaped problem runs one DP: the leading-term one, plus one
+    group-ring run when a leading count cancels; a sweep runs the group
+    ring once."""
+
+    CANCELLING = TOP_CANCELLING.to_rows()
+    WIDE = [[3, -1, 3], [2, -4, 1], [-4, 5, 3]]
+
+    @pytest.mark.parametrize("rows, expected", [
+        (WIDE, ["lead"]), (CANCELLING, ["lead", "ring"])])
+    def test_cli_kinds(self, capsys, dp_runs, rows, expected):
+        A = [[str(a) for a in row] for row in rows]
+        zeros = [["0"] * 3] * 3
+        for kind, problem in [
+                ("solve", {"A": A, "b": ["1", "2", "3"]}),
+                ("twosided", {"A": A, "C": zeros, "b": ["1", "2", "3"],
+                              "d": ["0", "0", "0"]}),
+                ("hyperplane", {"points": A, "queries": [["1", "1", "1"]]})]:
+            dp_runs.clear()
+            assert run([kind, "--json", json.dumps(problem)]) == 0
+            capsys.readouterr()
+            assert dp_runs == expected, kind
+
+    @pytest.mark.parametrize("rows", [WIDE, CANCELLING])
+    def test_sweeps(self, capsys, dp_runs, rows):
+        A = [[str(a) for a in row] for row in rows]
+        for problem in [
+                {"quantity": "cramer", "A": A, "b": ["1", "2", "3"]},
+                {"quantity": "hyperplane", "points": A, "x": ["1", "0", "2"]}]:
+            dp_runs.clear()
+            assert run(["oracle", "--json", json.dumps(problem)]) == 0
+            capsys.readouterr()
+            assert dp_runs == ["ring"], problem["quantity"]

@@ -1,5 +1,6 @@
 """Finite-exponent sweeps against exact limit values."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,22 @@ class TestPerronSweep:
         assert rep.limit == F(1)
         assert not rep.converged
         assert rep.final_rel_gap == pytest.approx(2 ** (1 / 41) - 1, rel=1e-9)
+
+
+    def test_unsettled_index_reads_as_a_missing_value(self):
+        A = [[1, 1, 2, 2, 3, 2, 1], [2, 2, 2, 2, 3, 2, 2], [3, 2, 1, 3, 2, 1, 2],
+             [1, 2, 1, 3, 1, 2, 3], [3, 2, 1, 3, 2, 3, 3], [2, 1, 2, 1, 1, 2, 2],
+             [1, 2, 2, 1, 2, 1, 1]]
+        rep = sweep("perron", {"A": A}, p_max=12)
+        assert rep.limit == F(3)
+        assert None not in rep.values[:10]
+        assert rep.values[10:] == (None, None, None)
+        assert rep.abs_gaps[10:] == rep.rel_gaps[10:] == (math.inf,) * 3
+        assert rep.final_gap == math.inf and not rep.converged
+
+    def test_other_errors_still_raise_at_their_index(self):
+        with pytest.raises(DomainError, match="^at p=0: matrix entry"):
+            sweep("perron", {"A": [[1, 0], [0, 1]]})
 
 
 class TestPredictor:

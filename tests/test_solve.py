@@ -154,6 +154,47 @@ class TestCramer:
             LimitSystem(BoxMatrix([[1, 2]]), (F(1), F(2)))
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of solve.<name>, still answering through it."""
+    calls = []
+    inner = getattr(solve, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(solve, name, counted)
+    return calls
+
+
+class TestRegularityFromTheCheckedRows:
+    @pytest.mark.parametrize("A, b, regular", [
+        ([[2, 1], [1, 3]], (4, 3), True),
+        ([[2, 1], [2, 3]], (4, 3), False),
+    ])
+    def test_one_sided_rows_are_checked_once(self, monkeypatch, A, b,
+                                             regular):
+        system = LimitSystem(BoxMatrix(A), b)
+        calls = _counting(monkeypatch, "verify_limit_system")
+        report = cramer_limit_solve(system)
+        assert len(calls) == 1
+        assert report.regular is regular
+        assert report.regular == is_regular(system, report.solution)
+
+    @pytest.mark.parametrize("C, regular", [
+        ([[1, 1], [2, 2]], True),
+        ([[3, -3], [-1, -3]], False),
+    ])
+    def test_two_sided_rows_are_checked_once(self, monkeypatch, C, regular):
+        system = TwoSidedSystem(BoxMatrix([[2, 1], [1, 3]]), BoxMatrix(C),
+                                (F(4), F(3)), (F(3), F(2)))
+        calls = _counting(monkeypatch, "twosided_row_checks")
+        report = twosided_solve(system)
+        assert len(calls) == 1
+        assert report.regular is regular
+        assert report.regular == twosided_is_regular(system, report.solution)
+
+
 class TestMaxSystem:
     def test_two_by_two_pinned(self):
         A = BoxMatrix([[2, 3], [4, 1]])
