@@ -149,33 +149,23 @@ def boxminus(x, y) -> Fraction:
     return boxplus(as_scalar(x), -as_scalar(y))
 
 
-def _check_mode(mode: str) -> str:
-    if mode not in (LOWER, UPPER):
-        raise DomainError(f"mode must be 'lower' or 'upper', got {mode!r}")
-    return mode
+def _envelopes(xs: Iterable) -> tuple[Fraction, Fraction]:
+    """(lower, upper) envelopes of xs in one pass. With M the largest
+    magnitude present, a tie of +M and -M resolves to -M in the lower and
+    +M in the upper envelope; otherwise both are the single extreme of
+    magnitude M, and both are 0 for an empty or all-zero input."""
+    vec = [as_scalar(v) for v in xs]
+    m = max(map(abs, vec), default=Fraction(0))
+    return (-m if -m in vec else m), (m if m in vec else -m)
 
 
 def smile(xs: Iterable, mode: str) -> Fraction:
-    """Semicontinuous envelope of the dominant-magnitude sum.
-
-    Let M be the largest magnitude present. If M = 0 (or the input is
-    empty), the result is 0. If both +M and -M occur, the tie resolves to
-    -M in lower mode and +M in upper mode; otherwise the single extreme of
-    magnitude M is returned in both modes. Associative, so the n-ary value
-    equals any fold of the binary operation.
-    """
-    _check_mode(mode)
-    vec = tuple(as_scalar(v) for v in xs)
-    if not vec:
-        return Fraction(0)
-    m = max(abs(v) for v in vec)
-    if m == 0:
-        return Fraction(0)
-    has_pos = m in vec
-    has_neg = -m in vec
-    if has_pos and has_neg:
-        return -m if mode == LOWER else m
-    return m if has_pos else -m
+    """Semicontinuous envelope of the dominant-magnitude sum: the ``mode``
+    component of :func:`_envelopes`. Associative, so the n-ary value
+    equals any fold of the binary operation."""
+    if mode not in (LOWER, UPPER):
+        raise DomainError(f"mode must be 'lower' or 'upper', got {mode!r}")
+    return _envelopes(xs)[mode == UPPER]
 
 
 def inner(x: Sequence, y: Sequence, flavor: str = "limit", p: int | None = None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import LOWER, UPPER, as_vector, smile
+from .core import _envelopes, as_vector
 from .errors import DegenerateConfigurationError, DomainError
 from .linalg import DEFAULT_DET_CAP, _cramer_dets
 
@@ -56,5 +56,5 @@ def hyperplane_contains(H: LimitHyperplane, x: Sequence) -> bool:
     vec = as_vector(x)
     if len(vec) != len(H.coeffs):
         raise DomainError(f"point has length {len(vec)}, expected {len(H.coeffs)}")
-    products = tuple(c * v for c, v in zip(H.coeffs, vec))
-    return smile(products, LOWER) <= H.rhs <= smile(products, UPPER)
+    lo, hi = _envelopes(c * v for c, v in zip(H.coeffs, vec))
+    return lo <= H.rhs <= hi

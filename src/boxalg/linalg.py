@@ -5,10 +5,12 @@ sum is the dominant-magnitude operation from :mod:`boxalg.core` (or one of
 its semicontinuous envelopes, or a finite-index power sum).
 
 No determinant here lists the n! products. One subset DP over the set of
-used columns (O(2^n n) steps) sums them in a semiring that keeps just what
-the result needs: the leading magnitude with its net signed count, the
-whole net map ({m: net signed count}, S) (the group ring) when that
-count cancels, or the (plus, minus) balance pair of :mod:`boxalg.sym`.
+used columns (O(2^n n) steps) sums them in one of two semirings. The
+leading terms keep the largest positive and the largest negative
+magnitude with their counts: the limit determinant reads their net
+count, the regularized ones and the balance-pair determinant of
+:mod:`boxalg.sym` read the two magnitudes. The group ring keeps the whole
+net map ({m: net signed count}, S) for when the leading count cancels.
 The rows are scaled to integers first, so every magnitude is an integer
 m over one scale S, and the maps pass on in that form. The finite-index
 determinant is the power sum of the net map, since each odd power
@@ -59,6 +61,8 @@ class BoxMatrix:
         cdata = tuple(as_vector(c) for c in cols)
         if not cdata:
             raise DomainError("matrix must have at least one column")
+        if any(len(c) != len(cdata[0]) for c in cdata):
+            raise DomainError("columns have inconsistent lengths")
         return cls(zip(*cdata))
 
     @classmethod
@@ -219,20 +223,34 @@ def _subset_dp(entries, step, one):
 
 
 def _lead_step(acc, value, e, odd):
-    """Leading terms: per degree, (largest magnitude, net count at it)."""
+    """Leading terms: per degree, (P, cp, N, cn), the largest positive
+    magnitude P with its count cp and the largest negative magnitude N with
+    its count cn; a sign with no term reads 0, 0. A negative term or an odd
+    inversion count swaps the sides; a sum takes each side's maximum and
+    adds the counts on a tie."""
     if acc is None:
         acc = {}
+    get = acc.get
     for shift, a, s in e:
-        if odd:
-            s = -s
-        for d, (m, c) in value.items():
+        swap = (s < 0) ^ odd
+        for d, (p, cp, n, cn) in value.items():
+            if swap:
+                p, cp, n, cn = n, cn, p, cp
             d += shift
-            m *= a
-            cur = acc.get(d)
-            if cur is None or m > cur[0]:
-                acc[d] = (m, s * c)
-            elif m == cur[0]:
-                acc[d] = (m, cur[1] + s * c)
+            p *= a
+            n *= a
+            cur = get(d)
+            if cur is not None:
+                q, cq, r, cr = cur
+                if p < q:
+                    p, cp = q, cq
+                elif p == q:
+                    cp += cq
+                if n < r:
+                    n, cn = r, cr
+                elif n == r:
+                    cn += cr
+            acc[d] = (p, cp, n, cn)
     return acc
 
 
@@ -249,19 +267,6 @@ def _ring_step(acc, value, e, odd):
                 m *= a
                 out[m] = out.get(m, 0) + s * c
     return acc
-
-
-def _pair_step(acc, value, e, odd):
-    """Balance pairs (plus, minus): products cross, sums take maxima, and
-    negation swaps the components."""
-    p, q = value
-    ep, eq = e
-    plus, minus = max(p * ep, q * eq), max(p * eq, q * ep)
-    if odd:
-        plus, minus = minus, plus
-    if acc is None:
-        return plus, minus
-    return max(acc[0], plus), max(acc[1], minus)
 
 
 def _integer_rows(M: BoxMatrix) -> tuple[tuple, tuple]:
@@ -317,7 +322,9 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False
     settles it unless some leading count nets to zero; then the group
     ring finds the next surviving magnitude.
     """
-    top, total = _dp_slots(M, lam, _lead_step, {0: (1, 1)})
+    top, total = _dp_slots(M, lam, _lead_step, {0: (1, 1, 0, 0)})
+    top = {k: (max(p, n), cp * (p >= n) - cn * (n >= p))
+           for k, (p, cp, n, cn) in top.items()}
     if not all(c for _m, c in top.values()):
         ring, total = _ring_terms(M, lam)
         top = {k: (max(net), net[max(net)]) for k, net in ring.items() if net}
@@ -326,12 +333,18 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False
 
 def _pair_det(rows) -> tuple[Fraction, Fraction]:
     """(plus, minus) of the balance-pair determinant of a square matrix of
-    pairs of nonnegative rationals."""
-    entries = [[(j, e) for j, e in enumerate(row) if e[0] or e[1]]
-               for row in rows]
-    layer = _subset_dp(entries, _pair_step, (1, 0))
-    plus, minus = layer.get((1 << len(rows)) - 1, (0, 0))
-    return Fraction(plus), Fraction(minus)
+    pairs of nonnegative rationals: the largest positive and negative
+    leading terms, each pair (p, q) read as the terms +p and -q."""
+    entries, total = [], 1
+    for row in rows:
+        ints, scale = _over_lcm(v for pair in row for v in pair)
+        entries.append([(j, [(0, m, s) for m, s in ((p, 1), (q, -1)) if m])
+                        for j, (p, q) in enumerate(zip(ints[::2], ints[1::2]))
+                        if p or q])
+        total *= scale
+    layer = _subset_dp(entries, _lead_step, {0: (1, 1, 0, 0)})
+    p, _cp, n, _cn = layer.get((1 << len(rows)) - 1, {0: (0, 0, 0, 0)})[0]
+    return Fraction(p, total), Fraction(n, total)
 
 
 def det_inf(A, cap: int = DEFAULT_DET_CAP) -> Fraction:
@@ -344,13 +357,13 @@ def det_inf(A, cap: int = DEFAULT_DET_CAP) -> Fraction:
 def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
     """Lower or upper regularized determinant (smile over the products).
 
-    Only the largest positive and largest negative product matter, which
-    is the balance-pair determinant of the embedded matrix.
+    Only the largest positive and the largest negative product matter,
+    and the leading-term run carries both: smile of the two, over S.
     """
-    rows = _checked(A, cap).to_rows()
-    plus, minus = _pair_det([[(a, 0) if a > 0 else (0, -a) for a in row]
-                             for row in rows])
-    return smile((plus, -minus), mode)
+    top, total = _dp_slots(_checked(A, cap), False, _lead_step,
+                           {0: (1, 1, 0, 0)})
+    p, _cp, n, _cn = top.get(0, (0, 0, 0, 0))
+    return smile((Fraction(p, total), Fraction(-n, total)), mode)
 
 
 def _det_net(A, cap: int | None = None) -> tuple[dict[int, int], int]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import LOWER, UPPER, as_vector, boxminus, inner, smile
+from .core import _envelopes, as_vector, boxminus
 from .errors import DomainError
 from .linalg import (
     DEFAULT_DET_CAP,
@@ -102,10 +102,9 @@ def verify_limit_system(sys: LimitSystem, x: Sequence) -> VerifyReport:
     if len(vec) != sys.A.cols:
         raise DomainError(f"x has length {len(vec)}, expected {sys.A.cols}")
     rows = []
-    for i in range(1, sys.A.rows + 1):
-        lo = inner(sys.A.row(i), vec, LOWER)
-        hi = inner(sys.A.row(i), vec, UPPER)
-        rows.append(RowBounds(lo, hi, lo <= sys.b[i - 1] <= hi))
+    for row, t in zip(sys.A.to_rows(), sys.b):
+        lo, hi = _envelopes(a * v for a, v in zip(row, vec))
+        rows.append(RowBounds(lo, hi, lo <= t <= hi))
     return VerifyReport(tuple(rows), all(r.satisfied for r in rows))
 
 
@@ -383,11 +382,6 @@ class TwoSidedRowCheck(NamedTuple):
     satisfied: bool
 
 
-def _side_values(row: BoxVector, x: BoxVector, t: Fraction) -> tuple[Fraction, Fraction]:
-    products = tuple(a * v for a, v in zip(row, x)) + (t,)
-    return smile(products, LOWER), smile(products, UPPER)
-
-
 def twosided_row_checks(sys: TwoSidedSystem, x: Sequence) -> tuple[TwoSidedRowCheck, ...]:
     """Original two-sided inequalities rowwise at x.
 
@@ -399,9 +393,10 @@ def twosided_row_checks(sys: TwoSidedSystem, x: Sequence) -> tuple[TwoSidedRowCh
     if len(vec) != sys.A.cols:
         raise DomainError(f"x has length {len(vec)}, expected {sys.A.cols}")
     out = []
-    for i in range(1, sys.A.rows + 1):
-        a_lo, a_hi = _side_values(sys.A.row(i), vec, sys.d[i - 1])
-        c_lo, c_hi = _side_values(sys.C.row(i), vec, sys.b[i - 1])
+    for a_row, c_row, b, d in zip(sys.A.to_rows(), sys.C.to_rows(),
+                                  sys.b, sys.d):
+        a_lo, a_hi = _envelopes([*(a * v for a, v in zip(a_row, vec)), d])
+        c_lo, c_hi = _envelopes([*(c * v for c, v in zip(c_row, vec)), b])
         out.append(TwoSidedRowCheck(a_lo, c_lo, a_hi, c_hi, a_lo <= c_lo and a_hi >= c_hi))
     return tuple(out)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import LOWER, UPPER, as_scalar, smile
+from .core import _envelopes, as_scalar
 from .errors import CapacityError, DomainError
 from .linalg import DEFAULT_DET_CAP, _pair_det, as_matrix
 
@@ -77,8 +77,10 @@ def s_det(rows: Sequence[Sequence[SPair]], cap: int = DEFAULT_DET_CAP) -> SPair:
 
     Even permutations contribute their product pair as is; odd ones
     contribute it with plus and minus exchanged (the semiring's negation).
-    The sum runs through the subset DP of :mod:`boxalg.linalg` in
-    O(2^n n) pair operations instead of over the n! permutations.
+    Read each pair (p, q) as the two terms +p and -q: plus and minus are
+    then the largest positive and the largest negative permutation
+    product, which the leading-term subset DP of :mod:`boxalg.linalg`
+    finds in O(2^n n) integer steps instead of over the n! permutations.
     """
     data = [tuple(s_pair(*x) for x in r) for r in rows]
     n = len(data)
@@ -121,6 +123,6 @@ def v_identity_check(xs: Iterable[SPair]) -> bool:
     total = pairs[0]
     for x in pairs[1:]:
         total = s_add(total, x)
-    values = [v_map(x) for x in pairs]
-    rhs = (smile(values, UPPER) + smile(values, LOWER)) / 2
+    lower, upper = _envelopes(v_map(x) for x in pairs)
+    rhs = (upper + lower) / 2
     return v_map(total) == rhs

@@ -42,6 +42,58 @@ class TestDet:
         assert obj["det_p"]["sign"] == 1
         assert obj["p"] == 4
 
+    # sha256 of the whole stdout of seeded batches, recorded while the
+    # regularized determinants still ran a balance-pair DP on Fractions
+    @pytest.mark.parametrize("entries, digest", [
+        ("small",
+         "1154b85efcabdc68a53d5d4bad2a8b6c996da1b63b20a7de3e7eb2f843659b53"),
+        ("rational",
+         "5645c78c69dc7bea4975c30b481cca6cdb89f99d305f69ec58f7c9214d7b6b73"),
+    ])
+    def test_stdout_pinned(self, capsys, entries, digest):
+        run(["det", "--json", json.dumps(_det_sym_batch("det", entries))])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _det_sym_batch(kind: str, entries: str) -> list:
+    """Seeded det (every mode, with and without p) or sym (A, pairs or
+    both) problems: all-zero and 1x1 matrices, a 10x10 matrix past the
+    determinant cap and malformed shapes among them."""
+    rng = random.Random(f"det-sym/{kind}/{entries}")
+
+    def scalar():
+        if entries == "small":
+            return rng.randint(-2, 2)
+        return "0" if rng.random() < 0.3 else (
+            f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}")
+
+    batch = []
+    for k in range(80):
+        n = 1 + k % 7
+        A = [[scalar() for _ in range(n)] for _ in range(n)]
+        if k % 10 == 3:
+            A = [[0] * n for _ in range(n)]
+        elif k % 10 == 7:
+            A = [[scalar() for _ in range(10)] for _ in range(10)]
+        elif k % 10 == 9:
+            A[0] = A[0] + [scalar()]  # ragged rows
+        if kind == "det":
+            opts = {}
+            mode = ("lower", "upper", "exact", None)[k % 4]
+            if mode:
+                opts["mode"] = mode
+            if k % 3 == 1:
+                opts["p"] = rng.randint(0, 9)
+            item = {"A": A, "options": opts} if opts else {"A": A}
+        else:
+            pairs = [[rng.randint(0, 3), rng.randint(0, 3)]
+                     for _ in range(rng.randint(1, 5))]
+            item = ({"A": A}, {"pairs": pairs},
+                    {"A": A, "pairs": pairs})[k % 3]
+        batch.append(item)
+    return batch
+
 
 class TestSolve:
     def test_regular_system(self, capsys):
@@ -451,6 +503,13 @@ class TestOracle:
         assert code == 3
         assert obj == {"error": "at p=0: matrix entry (1,2) must be positive"}
 
+    def test_hyperplane_rejects_ragged_points(self, capsys):
+        code, obj = invoke(capsys, "oracle", "--json",
+                           '{"quantity":"hyperplane","points":[[1,2,7],[3,4]],'
+                           '"x":[1,1]}')
+        assert code == 3
+        assert obj == {"error": "columns have inconsistent lengths"}
+
     def test_floats_read_as_decimals(self, capsys):
         code, obj = invoke(capsys, "oracle", "--json",
                            '{"quantity":"sum","xs":[0.1,0.2],'
@@ -535,6 +594,19 @@ class TestSym:
                            '{"pairs":[[5,5],[2,0]]}')
         assert code == 0
         assert obj["v_identity"] is False
+
+    # sha256 of the whole stdout of seeded batches, recorded while s_det
+    # still ran a balance-pair DP on Fractions
+    @pytest.mark.parametrize("entries, digest", [
+        ("small",
+         "6b29e97d3f43a894a9889c6b29a000df71a979a279bfbc9491f8d038faf5d33a"),
+        ("rational",
+         "6316b1cb4df0791fb9c9f541d7128c3105aaffb2126cd4bded706db2916a2e6f"),
+    ])
+    def test_stdout_pinned(self, capsys, entries, digest):
+        run(["sym", "--json", json.dumps(_det_sym_batch("sym", entries))])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestInputHandling:

@@ -60,6 +60,9 @@ ENTRY_SETS = {
 PER_SIZE = {1: 3, 2: 4, 3: 6, 4: 4, 5: 3, 6: 2, 7: 1}
 
 TOP_CANCELLING = BoxMatrix([[3, 2, 3], [1, 3, 2], [3, 1, 3]])
+# one even and two odd products share the top magnitude 1: the counts net
+# to -1 while both signs are present
+MIXED_PARITY_TOP = BoxMatrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
 
 
 def _matrices():
@@ -74,6 +77,14 @@ def _matrices():
 
 
 MATRICES = _matrices()
+EDGE_MATRICES = [
+    pytest.param(BoxMatrix([[0] * 3] * 3), id="zeros"),
+    pytest.param(BoxMatrix([[1, -2, 3], [0, 0, 0], [4, 5, -6]]),
+                 id="zero-row"),
+    pytest.param(BoxMatrix([[-3]]), id="negative-1x1"),
+    pytest.param(TOP_CANCELLING, id="top-cancelling"),
+    pytest.param(MIXED_PARITY_TOP, id="mixed-parity-top"),
+]
 SMALL = [p.values[0] for p in MATRICES if p.id.startswith("small-")]
 
 
@@ -168,16 +179,22 @@ class TestDeterminants:
     def test_det_inf(self, A):
         assert det_inf(A) == nary_boxplus(permutation_products(A))
 
-    @pytest.mark.parametrize("A", MATRICES)
+    @pytest.mark.parametrize("A", MATRICES + EDGE_MATRICES)
     def test_envelopes(self, A):
         prods = permutation_products(A)
         for mode in ("lower", "upper"):
             assert det_inf_reg(A, mode) == smile(prods, mode)
 
-    @pytest.mark.parametrize("A", MATRICES)
+    @pytest.mark.parametrize("A", MATRICES + EDGE_MATRICES)
     def test_pair_determinant_of_embedding(self, A):
         rows = s_embed_matrix(A)
         assert s_det(rows) == _pair_expansion(rows)
+
+    def test_mixed_parity_top(self):
+        A = MIXED_PARITY_TOP
+        assert det_inf(A) == -1
+        assert (det_inf_reg(A, "lower"), det_inf_reg(A, "upper")) == (-1, 1)
+        assert s_det(s_embed_matrix(A)) == (1, 1)
 
     def test_pair_determinant_of_general_pairs(self):
         rng = random.Random(5)
@@ -186,6 +203,14 @@ class TestDeterminants:
                 rows = [[SPair(F(rng.randint(0, 4)),
                                F(rng.randint(0, 4), rng.randint(1, 3)))
                          for _ in range(n)] for _ in range(n)]
+                assert s_det(rows) == _pair_expansion(rows)
+        for n in range(1, 7):
+            for k in range(3):
+                rows = [[SPair(F(rng.randint(0, 4), rng.randint(1, 3)),
+                               F(rng.randint(0, 4), rng.randint(1, 3)))
+                         for _ in range(n)] for _ in range(n)]
+                if k:
+                    rows[rng.randrange(n)] = [S_ZERO] * n
                 assert s_det(rows) == _pair_expansion(rows)
 
     def test_pinned_top_cancelling_matrix_falls_back(self, ring_runs):
@@ -510,14 +535,16 @@ class TestBorderedDP:
 
 @pytest.fixture
 def dp_runs(monkeypatch):
-    """The semiring of every subset-DP run: 'lead', 'ring' or 'pair'."""
+    """The semiring of every subset-DP run: 'lead' or 'ring'. Every
+    magnitude handed to a run must be an int."""
     runs = []
     inner = linalg._subset_dp
-    names = {linalg._lead_step: "lead", linalg._ring_step: "ring",
-             linalg._pair_step: "pair"}
+    names = {linalg._lead_step: "lead", linalg._ring_step: "ring"}
 
     def spy(entries, step, one):
         runs.append(names[step])
+        assert all(type(a) is int
+                   for row in entries for _j, e in row for _d, a, _s in e)
         return inner(entries, step, one)
 
     monkeypatch.setattr(linalg, "_subset_dp", spy)
@@ -546,6 +573,21 @@ class TestOneBorderedRun:
             assert run([kind, "--json", json.dumps(problem)]) == 0
             capsys.readouterr()
             assert dp_runs == expected, kind
+
+    @pytest.mark.parametrize("rows, ring", [
+        (WIDE, 0), (CANCELLING, 1), (MIXED_PARITY_TOP.to_rows(), 0),
+        ([["1/2", "-2/3", "0"], ["3/4", "5", "-1/6"], ["0", "7/3", "2"]], 0)])
+    def test_det_and_sym_kinds_run_lead_dps(self, capsys, dp_runs, rows,
+                                            ring):
+        A = [[str(a) for a in row] for row in rows]
+        for kind, problem in [
+                ("det", {"A": A, "options": {"mode": "lower"}}),
+                ("det", {"A": A, "options": {"mode": "upper"}}),
+                ("sym", {"A": A})]:
+            dp_runs.clear()
+            assert run([kind, "--json", json.dumps(problem)]) == 0
+            capsys.readouterr()
+            assert sorted(dp_runs) == ["lead"] * 2 + ["ring"] * ring, kind
 
     @pytest.mark.parametrize("rows", [WIDE, CANCELLING])
     def test_sweeps(self, capsys, dp_runs, rows):

@@ -49,6 +49,10 @@ class TestBoxMatrix:
         A = BoxMatrix.from_columns([[1, 2], [3, 4]])
         assert A.to_rows() == ((F(1), F(3)), (F(2), F(4)))
 
+    def test_from_columns_rejects_ragged_columns(self):
+        with pytest.raises(DomainError, match="columns have inconsistent"):
+            BoxMatrix.from_columns([[1, 2, 7], [3, 4]])
+
     def test_identity(self):
         eye = BoxMatrix.identity(3)
         assert det_inf(eye) == 1

@@ -16,6 +16,7 @@ from boxalg import (
     BoxMatrix,
     cramer_limit_solve,
     det_inf,
+    inner,
     is_regular,
     kaykobad_check,
     kaykobad_p_check,
@@ -23,6 +24,7 @@ from boxalg import (
     maxsys_existence_permutation,
     maxsys_reduce,
     maxsys_solve,
+    smile,
     twosided_is_regular,
     twosided_row_checks,
     twosided_solve,
@@ -152,6 +154,31 @@ class TestCramer:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             LimitSystem(BoxMatrix([[1, 2]]), (F(1), F(2)))
+
+    def test_verified_rows_match_inner(self):
+        rng = random.Random(11)
+        for k in range(60):
+            n = 1 + k % 6
+
+            def draw():
+                if k % 2:
+                    return F(rng.randint(-2, 2))
+                return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+            A = BoxMatrix([[draw() for _ in range(n)] for _ in range(n)])
+            C = BoxMatrix([[draw() for _ in range(n)] for _ in range(n)])
+            b, d, x = ([draw() for _ in range(n)] for _ in range(3))
+            rows = verify_limit_system(LimitSystem(A, b), x).rows
+            for i, r in enumerate(rows, start=1):
+                lo = inner(A.row(i), x, "lower")
+                hi = inner(A.row(i), x, "upper")
+                assert r == (lo, hi, lo <= b[i - 1] <= hi)
+            checks = twosided_row_checks(TwoSidedSystem(A, C, b, d), x)
+            for i, c in enumerate(checks, start=1):
+                a_side = [a * v for a, v in zip(A.row(i), x)] + [d[i - 1]]
+                c_side = [a * v for a, v in zip(C.row(i), x)] + [b[i - 1]]
+                assert c[:4] == (smile(a_side, "lower"), smile(c_side, "lower"),
+                                 smile(a_side, "upper"), smile(c_side, "upper"))
 
 
 def _counting(monkeypatch, name):
