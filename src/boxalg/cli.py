@@ -7,9 +7,11 @@ Output keys are sorted and the encoding is compact, so identical inputs
 produce byte-identical outputs.
 
 Exit codes: 0 success, 2 infeasible or no result (singular systems,
-degenerate configurations, non-convergence), 3 input error (bad JSON,
-bad shapes, bad values), 4 capacity exceeded. The environment variable
-BOXALG_CAP overrides the determinant and characteristic size caps.
+degenerate configurations, non-convergence), 3 input error (unreadable
+input, bad JSON, bad shapes, bad values), 4 capacity exceeded (a size cap,
+or a result with more digits than Python prints as an integer). The
+environment variable BOXALG_CAP overrides the determinant and
+characteristic size caps.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .core import as_float, as_scalar
+from .core import as_float, as_scalar, as_vector
 from .eigen import (
     DEFAULT_CHAR_CAP,
     _char_levels,
@@ -42,7 +44,7 @@ from .errors import (
 from .geom import hyperplane_contains, hyperplane_through
 from .linalg import DEFAULT_DET_CAP, BoxMatrix, det_inf, det_inf_reg, det_p
 from .oracle import DEFAULT_P_MAX, DEFAULT_TOL, _check_sweep, _gaps, sweep
-from .signedlog import SignedLog
+from .signedlog import SignedLog, check_p
 from .solve import (
     LimitSystem,
     TwoSidedSystem,
@@ -65,16 +67,21 @@ OK, INFEASIBLE, INPUT_ERROR, CAPACITY = 0, 2, 3, 4
 # --- JSON <-> exact values ----------------------------------------------------
 
 
-def _vector_in(v) -> tuple[Fraction, ...]:
+def _array(v, of: str = "scalars") -> list:
+    """v itself when it is a nonempty JSON array."""
     if not isinstance(v, list) or not v:
-        raise DomainError("expected a nonempty array of scalars")
-    return tuple(as_scalar(x) for x in v)
+        raise DomainError(f"expected a nonempty array of {of}")
+    return v
+
+
+def _vector_in(v) -> tuple[Fraction, ...]:
+    return as_vector(_array(v))
 
 
 def _matrix_in(v) -> BoxMatrix:
-    if not isinstance(v, list) or not v:
-        raise DomainError("expected a nonempty array of rows")
-    return BoxMatrix([_vector_in(r) for r in v])
+    # BoxMatrix coerces each row as the map yields it, so the first fault
+    # reported is the first in reading order
+    return BoxMatrix(map(_array, _array(v, "rows")))
 
 
 def _points_in(v) -> list[tuple[Fraction, ...]]:
@@ -100,15 +107,28 @@ def _float_out(x):
 
 
 def _rat(x) -> str:
-    return str(x if type(x) is Fraction else Fraction(x))
+    try:
+        return str(x if type(x) is Fraction else Fraction(x))
+    except ValueError:  # Python's limit on int-to-str conversion
+        raise CapacityError(
+            "result too long to print: more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
 
 
-def _vec(v) -> list[str]:
-    return [_rat(x) for x in v]
-
-
-def _vec_float(v) -> list:
-    return [_float_out(x) for x in v]
+def _exact(out: dict, **values) -> dict:
+    """Write each exact value under its key and its float under the key
+    plus "_float". A rational prints as its canonical string, a float (an
+    irrational region member or Perron limit) as itself, a sequence as a
+    list of either."""
+    for key, v in values.items():
+        many = isinstance(v, (tuple, list))
+        items = v if many else (v,)
+        exact = [_float_out(x) if isinstance(x, float) else _rat(x)
+                 for x in items]
+        floats = [_float_out(x) for x in items]
+        out[key], out[key + "_float"] = ((exact, floats) if many
+                                         else (exact[0], floats[0]))
+    return out
 
 
 def _slog(z: SignedLog) -> dict:
@@ -118,23 +138,6 @@ def _slog(z: SignedLog) -> dict:
         "float": _float_out(z.to_float()),
         "exact": None if z.exact is None else _rat(z.exact),
     }
-
-
-def _region_value(x):
-    return _rat(x) if isinstance(x, Fraction) else _float_out(x)
-
-
-def _rows_out(rows) -> list[dict]:
-    return [
-        {
-            "lower": _rat(r.lower),
-            "lower_float": _float_out(r.lower),
-            "upper": _rat(r.upper),
-            "upper_float": _float_out(r.upper),
-            "satisfied": r.satisfied,
-        }
-        for r in rows
-    ]
 
 
 # --- option plumbing ----------------------------------------------------------
@@ -183,11 +186,7 @@ def _merge_opts(data: dict, args) -> dict:
 
 def _opt_p(opts) -> int | None:
     p = opts.get("p")
-    if p is None:
-        return None
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-        raise DomainError(f"p must be a nonnegative integer, got {p!r}")
-    return p
+    return None if p is None else check_p(p)
 
 
 # --- handlers (each returns (exit_code, json_object)) -------------------------
@@ -196,13 +195,10 @@ def _opt_p(opts) -> int | None:
 def _do_det(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps()
     A = _matrix_in(data["A"])
-    d = det_inf(A, det_cap)
-    out = {"det_inf": _rat(d), "det_inf_float": _float_out(d)}
+    out = _exact({}, det_inf=det_inf(A, det_cap))
     mode = opts.get("mode")
     if mode in ("lower", "upper"):
-        r = det_inf_reg(A, mode, det_cap)
-        out[f"det_{mode}"] = _rat(r)
-        out[f"det_{mode}_float"] = _float_out(r)
+        _exact(out, **{f"det_{mode}": det_inf_reg(A, mode, det_cap)})
     elif mode not in (None, "exact"):
         raise DomainError(f"mode must be lower, upper or exact, got {mode!r}")
     p = _opt_p(opts)
@@ -215,16 +211,12 @@ def _do_det(data: dict, opts: dict) -> tuple[int, dict]:
 def _solve_out(report) -> tuple[int, dict]:
     """A Cramer-style :class:`~boxalg.solve.SolveReport` as a result."""
     if report.solution is None:
-        return INFEASIBLE, {"det_inf": "0", "det_inf_float": 0.0}
-    return OK, {
-        "det_inf": _rat(report.det),
-        "det_inf_float": _float_out(report.det),
-        "x": _vec(report.solution),
-        "x_float": _vec_float(report.solution),
-        "rows": _rows_out(report.per_row),
-        "satisfied": all(r.satisfied for r in report.per_row),
-        "regular": report.regular,
-    }
+        return INFEASIBLE, _exact({}, det_inf=0)
+    rows = [_exact({"satisfied": r.satisfied}, lower=r.lower, upper=r.upper)
+            for r in report.per_row]
+    return OK, _exact({"rows": rows, "regular": report.regular,
+                       "satisfied": all(r.satisfied for r in report.per_row)},
+                      det_inf=report.det, x=report.solution)
 
 
 def _do_solve(data: dict, opts: dict) -> tuple[int, dict]:
@@ -237,17 +229,14 @@ def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
     A, b, cols = _max_columns(_matrix_in(data["A"]), _vector_in(data["b"]))
     out: dict = {}
     try:
-        cand = _candidate(cols)
-        out["candidate"] = _vec(cand)
-        out["candidate_float"] = _vec_float(cand)
+        _exact(out, candidate=_candidate(cols))
     except DomainError as exc:
         out["candidate"] = None
         out["candidate_error"] = str(exc)
     x = _solution(A.rows, cols)
     out["feasible"] = x is not None
     if x is not None:
-        out["x"] = _vec(x)
-        out["x_float"] = _vec_float(x)
+        _exact(out, x=x)
     if A.is_square:
         found = _witness(cols)
         out["sigma"] = None if found is None else list(found[0])
@@ -275,19 +264,12 @@ def _do_twosided(data: dict, opts: dict) -> tuple[int, dict]:
 def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps()
     H = hyperplane_through(_points_in(data["points"]), det_cap)
-    out = {
-        "coeffs": _vec(H.coeffs),
-        "coeffs_float": _vec_float(H.coeffs),
-        "rhs": _rat(H.rhs),
-        "rhs_float": _float_out(H.rhs),
-    }
+    out = _exact({}, coeffs=H.coeffs, rhs=H.rhs)
     queries = data.get("queries")
     if queries is not None:
         if not isinstance(queries, list):
             raise DomainError("queries must be an array of points")
-        out["members"] = [
-            hyperplane_contains(H, _vector_in(q)) for q in queries
-        ]
+        out["members"] = [hyperplane_contains(H, _array(q)) for q in queries]
     return OK, out
 
 
@@ -296,9 +278,7 @@ def _charpoly_evals(A: BoxMatrix, lam, opts: dict) -> dict:
     at = _char_values(A, lam)
     out: dict = {"lam": _rat(lam)}
     for mode in ("limit", "lower", "upper"):
-        v = _read(at, mode)
-        out[f"eval_{mode}"] = _rat(v)
-        out[f"eval_{mode}_float"] = _float_out(v)
+        _exact(out, **{f"eval_{mode}": _read(at, mode)})
     p = _opt_p(opts)
     if p is not None:
         out["eval_p"] = _slog(_read(at, "p", p))
@@ -326,10 +306,7 @@ def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
     _, char_cap = _caps()
     A = _matrix_in(data["A"])
     region = eigen_region(A, cap=char_cap)
-    out: dict = {
-        "region": [_region_value(x) for x in region],
-        "region_float": [_float_out(x) for x in region],
-    }
+    out = _exact({}, region=region)
     if region and all(a > 0 for row in A.to_rows() for a in row):
         p_max = opts.get("p_max", DEFAULT_P_MAX)
         tol = opts.get("tol", DEFAULT_TOL)
@@ -353,15 +330,6 @@ def _do_oracle(data: dict, opts: dict) -> tuple[int, dict]:
     p_max = opts.get("p_max", DEFAULT_P_MAX)
     tol = opts.get("tol", DEFAULT_TOL)
     rep = sweep(quantity, inputs, p_max=p_max, tol=tol, cap=_cap())
-    if isinstance(rep.limit, tuple):
-        limit = _vec(rep.limit)
-        limit_float = _vec_float(rep.limit)
-    elif isinstance(rep.limit, Fraction):
-        limit = _rat(rep.limit)
-        limit_float = _float_out(rep.limit)
-    else:
-        limit = _float_out(rep.limit)
-        limit_float = limit
     values = []
     for v in rep.values:
         if v is None:
@@ -370,19 +338,17 @@ def _do_oracle(data: dict, opts: dict) -> tuple[int, dict]:
             values.append([_float_out(z.to_float()) for z in v])
         else:
             values.append(_float_out(v.to_float()))
-    return OK, {
+    return OK, _exact({
         "quantity": rep.quantity,
         "p_values": list(rep.p_values),
         "values": values,
-        "limit": limit,
-        "limit_float": limit_float,
         "abs_gaps": [_float_out(g) for g in rep.abs_gaps],
         "rel_gaps": [_float_out(g) for g in rep.rel_gaps],
         "final_gap": _float_out(rep.final_gap),
         "final_rel_gap": _float_out(rep.final_rel_gap),
         "converged": rep.converged,
         "near_tie": rep.near_tie,
-    }
+    }, limit=rep.limit)
 
 
 def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
@@ -391,12 +357,9 @@ def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
     if "A" in data:
         A = _matrix_in(data["A"])
         d = s_det(s_embed_matrix(A), det_cap)
-        out["s_det"] = [_rat(d.plus), _rat(d.minus)]
-        out["s_det_float"] = [_float_out(d.plus), _float_out(d.minus)]
+        _exact(out, s_det=(d.plus, d.minus))
         out["balanced_with_zero"] = d.plus == d.minus
-        di = det_inf(A, det_cap)
-        out["det_inf"] = _rat(di)
-        out["det_inf_float"] = _float_out(di)
+        _exact(out, det_inf=det_inf(A, det_cap))
     if "pairs" in data:
         raw = data["pairs"]
         if not isinstance(raw, list) or not raw:
@@ -405,10 +368,8 @@ def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
         for item in raw:
             if not isinstance(item, list) or len(item) != 2:
                 raise DomainError(f"not a pair: {item!r}")
-            pairs.append(s_pair(as_scalar(item[0]), as_scalar(item[1])))
-        values = [v_map(x) for x in pairs]
-        out["v_values"] = _vec(values)
-        out["v_values_float"] = _vec_float(values)
+            pairs.append(s_pair(*item))
+        _exact(out, v_values=[v_map(x) for x in pairs])
         out["v_identity"] = v_identity_check(pairs)
     if not out:
         raise DomainError("sym problems need 'A' (pair determinant) or 'pairs'")
@@ -447,8 +408,8 @@ def _guarded(kind: str, data, args) -> tuple[int, dict]:
         return CAPACITY, {"error": str(exc)}
     except (DegenerateConfigurationError, ConvergenceError) as exc:
         return INFEASIBLE, {"error": str(exc)}
-    except DomainError as exc:
-        return INPUT_ERROR, {"error": str(exc)}
+    except RecursionError:  # the repr of an input nested near Python's limit
+        return INPUT_ERROR, {"error": "input nested too deeply"}
     except BoxAlgError as exc:
         return INPUT_ERROR, {"error": str(exc)}
 
@@ -491,15 +452,15 @@ def run(argv) -> int:
         return INPUT_ERROR
 
     if args.json_file is not None:
-        if args.json_file == "-":
-            text = sys.stdin.read()
-        else:
-            try:
+        try:
+            if args.json_file == "-":
+                text = sys.stdin.read()
+            else:
                 with open(args.json_file, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
-                _emit({"error": f"cannot read {args.json_file}: {exc}"})
-                return INPUT_ERROR
+        except (OSError, UnicodeDecodeError) as exc:
+            _emit({"error": f"cannot read {args.json_file}: {exc}"})
+            return INPUT_ERROR
     else:
         text = args.json_text
 
@@ -510,6 +471,9 @@ def run(argv) -> int:
             "error": f"malformed JSON at line {exc.lineno} column {exc.colno} "
                      f"(char {exc.pos}): {exc.msg}"
         })
+        return INPUT_ERROR
+    except (RecursionError, ValueError) as exc:  # Python's nesting, digits
+        _emit({"error": f"unreadable JSON: {exc}"})
         return INPUT_ERROR
 
     if isinstance(payload, list):

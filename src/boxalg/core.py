@@ -36,15 +36,15 @@ def as_scalar(value) -> Fraction:
 
     Fractions and ints pass; strings must read ``-?digits(/digits)?``;
     finite floats convert through their decimal repr, so 0.1 reads as
-    1/10. Bools, other strings, non-finite floats and zero denominators
-    raise :class:`DomainError`.
+    1/10. Bools, other strings, non-finite floats, zero denominators and
+    strings past Python's integer digit limit raise :class:`DomainError`.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool):
         raise DomainError(f"not a scalar: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         if not math.isfinite(value):
             raise DomainError(f"not a finite number: {value!r}")
@@ -56,6 +56,8 @@ def as_scalar(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise DomainError(f"zero denominator: {value!r}") from None
+        except ValueError as exc:  # past Python's int-string digit limit
+            raise DomainError(f"cannot read a rational string: {exc}") from None
     raise DomainError(f"not a scalar: {value!r}")
 
 

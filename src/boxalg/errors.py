@@ -10,11 +10,12 @@ class DomainError(BoxAlgError, ValueError):
 
 
 class CapacityError(BoxAlgError):
-    """Requested enumeration exceeds the configured cap.
+    """A request exceeds a configured cap.
 
-    Factorial-size enumerations are refused outright rather than attempted;
-    the cap can be raised explicitly by the caller (or via BOXALG_CAP in the
-    CLI) when the blowup is intentional.
+    Matrices above the determinant or characteristic size cap are refused
+    outright rather than attempted; the cap can be raised explicitly by the
+    caller (or via BOXALG_CAP in the CLI). The CLI also raises it for a
+    result with more digits than Python converts to a string.
     """
 
 

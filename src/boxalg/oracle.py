@@ -123,7 +123,7 @@ def _check_sweep(p_max: int, tol: float) -> None:
         raise DomainError(f"p_max must be a nonnegative integer, got {p_max!r}")
     if p_max > HARD_P_MAX:
         raise DomainError(f"p_max {p_max} exceeds the guard {HARD_P_MAX}")
-    if not tol > 0:
+    if tol is None or not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
 
 

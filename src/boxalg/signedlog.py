@@ -21,6 +21,7 @@ takes this one form, and each log is read from the reduced fraction m/S.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -201,12 +202,17 @@ def _power_mean(groups: Iterable[tuple[float, int]], q: int) -> SignedLog:
     """(sum of c * exp(logmag)^q)^(1/q) over (logmag, net count c) groups.
 
     Positive and negative groups enter a split log-sum-exp, and the two
-    parts are combined by signed subtraction in log domain.
+    parts are combined by signed subtraction in log domain. When q times
+    the top logmag leaves the float range, only the top group is left.
     """
+    live = [(logmag, c) for logmag, c in groups if c]
+    if live:
+        top, c = max(live)
+        if q > sys.float_info.max or math.isinf(q * top):
+            return SignedLog(1 if c > 0 else -1, top)
     pos, neg = [], []
-    for logmag, c in groups:
-        if c:
-            (pos if c > 0 else neg).append(math.log(abs(c)) + q * logmag)
+    for logmag, c in live:
+        (pos if c > 0 else neg).append(math.log(abs(c)) + q * logmag)
     lp, ln = _lse(pos), _lse(neg)
     if lp == ln:
         return SignedLog.zero()

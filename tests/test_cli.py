@@ -1,15 +1,19 @@
 """JSON command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import io
 import json
+import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from boxalg.cli import run
+from boxalg.cli import KINDS, _float_out, run
+from boxalg.core import RATIONAL_RE
 
 BIG = "1" + "0" * 400
 
@@ -648,6 +652,8 @@ class TestInputHandling:
         ("oracle", '{"quantity":"sum","xs":[1],"options":{"tol":"x"}}'),
         ("oracle", '{"quantity":"sum","xs":[1],"options":{"tol":0}}'),
         ("eigen", '{"A":[[2]],"options":{"tol":true}}'),
+        ("eigen", '{"A":[[2]],"options":{"tol":null}}'),
+        ("oracle", '{"quantity":"sum","xs":[1],"options":{"tol":null}}'),
     ])
     def test_bad_options(self, capsys, kind, text):
         code, obj = invoke(capsys, kind, "--json", text)
@@ -725,6 +731,170 @@ class TestInputHandling:
         monkeypatch.setenv("BOXALG_CAP", "lots")
         code, obj = invoke(capsys, "det", "--json", '{"A":[[1]]}')
         assert code == 3
+
+
+def _malformed_batch() -> list:
+    """Problems whose fields each go wrong in a different way, for every
+    oracle quantity; the first fault each reports is pinned by digest."""
+    valid = {"A": [[1, 2], [3, 4]], "C": [[1, 0], [0, 1]], "b": [1, 2],
+             "d": [2, 1], "points": [[1, 2], [3, 5]], "queries": [[1, 1]],
+             "xs": [1, -1, 2], "x": [1, 1], "lam": 1, "pairs": [[1, 2]]}
+    faults = [
+        {"A": [["x", 1], 5], "points": [["x", 1], 5]},  # junk, then a non-row
+        {"A": [[1, 2], []], "points": [[1, 2], []]},  # an empty row
+        {"A": [[1, 2], ["q"]], "points": [[1, 2], ["q"]]},  # short and junk
+        {"A": [[1, "y"], [3, 4]], "b": ["z", 1]},  # bad A and bad b
+        {"C": [[1, True], [0, 1]], "d": [None, 1]},
+        {"points": 5, "queries": 7},
+        {"queries": "q"},
+        {"queries": [[1, "w"], 3]},
+        {"xs": ["v", 5], "x": 3},
+        {"pairs": [["x", 1], 5]},
+        {"A": "bad", "b": {}},
+        {"A": [[1, 2], [3, "u"]], "lam": "1/0"},
+        {"A": [], "C": [], "b": [], "d": [], "points": [], "queries": [],
+         "xs": [], "x": [], "pairs": []},
+    ]
+    return [{**valid, **fault, "quantity": q}
+            for fault in faults
+            for q in ("sum", "det", "cramer", "hyperplane", "charpoly")]
+
+
+def _seeded_documents(kind: str, rng: random.Random) -> list:
+    """Problems of one kind over integer entries, rationals with zeros,
+    entries past the float range and positive matrices (whose eigen
+    regions often hold irrational members)."""
+    pools = {
+        "int": list(range(-9, 10)),
+        "rational": [0, "0", "3/4", "-5/7", "1/3", 2, -1],
+        "big": [BIG, "-" + BIG, 1, -2, "1/2"],
+        "positive": list(range(1, 10)),
+    }
+    pairs = [0, "0", "3/4", "1/3", 2, BIG]
+    docs = []
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        name = "positive" if kind in ("eigen", "maxsolve") else rng.choice(
+            sorted(pools))
+        pool = pools[name]
+        vec = lambda: [rng.choice(pool) for _ in range(n)]  # noqa: E731
+        mat = lambda: [vec() for _ in range(n)]  # noqa: E731
+        docs.append({
+            "A": mat(), "C": mat(), "b": vec(), "d": vec(), "x": vec(),
+            "points": mat(), "queries": [vec(), vec()], "xs": vec(),
+            "lam": rng.choice(pool),
+            "pairs": [[rng.choice(pairs), rng.choice(pairs)] for _ in range(3)],
+            "quantity": rng.choice(["sum", "det", "cramer", "hyperplane",
+                                    "charpoly", "perron"]),
+            "options": {"p_max": 2, "p": rng.choice([0, 3]),
+                        "mode": rng.choice(["lower", "upper", "exact"])},
+        })
+    return docs
+
+
+def _check_float_siblings(obj, seen: dict) -> None:
+    """Each <key>_float with a <key> sibling is _float_out of that sibling
+    read back as a Fraction; lists elementwise, a float member itself."""
+    if isinstance(obj, list):
+        for v in obj:
+            _check_float_siblings(v, seen)
+    elif isinstance(obj, dict):
+        for key, v in obj.items():
+            if key + "_float" in obj:
+                _same_value(v, obj[key + "_float"], seen)
+            _check_float_siblings(v, seen)
+
+
+def _same_value(exact, flt, seen: dict) -> None:
+    if isinstance(exact, list):
+        assert isinstance(flt, list) and len(flt) == len(exact)
+        for e, f in zip(exact, flt):
+            _same_value(e, f, seen)
+    elif isinstance(exact, str) and RATIONAL_RE.match(exact):
+        assert _float_out(Fraction(exact)) == flt
+        seen["rational"] += 1
+    else:  # a float member, or its clamp "inf" / "-inf"
+        assert exact == flt
+        assert isinstance(exact, float) or exact in ("inf", "-inf")
+        seen["float"] += 1
+
+
+class TestBoundary:
+    # sha256 of the stdout and exit code of the malformed batch for every
+    # kind, recorded while the CLI still coerced every scalar itself
+    def test_first_faults_pinned(self):
+        out = io.StringIO()
+        for kind in KINDS:
+            with contextlib.redirect_stdout(out):
+                code = run([kind, "--json", json.dumps(_malformed_batch())])
+            out.write(f"exit {code}\n")
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "6a3c9f4fc2dff9a815a15135d41ef8b9bd06ce661b271b16e3d6e0827f38a504")
+
+    def test_every_float_sibling_reads_its_exact_value(self, capsys):
+        rng = random.Random(2024)
+        seen = {"rational": 0, "float": 0}
+        for kind in KINDS:
+            run([kind, "--json", json.dumps(_seeded_documents(kind, rng))])
+            _check_float_siblings(json.loads(capsys.readouterr().out), seen)
+        assert seen["rational"] > 1000 and seen["float"] > 10
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[" * 100_000 + "]" * 100_000, "unreadable JSON",
+                     id="deep"),
+        pytest.param('{"A":[[1%s]]}' % ("0" * 5000), "unreadable JSON",
+                     id="json-digits"),
+        pytest.param('{"A":[["1%s"]]}' % ("0" * 5000),
+                     "cannot read a rational string", id="string-digits"),
+    ])
+    def test_input_past_python_limits_exits_three(self, capsys, text,
+                                                  message):
+        code, obj = invoke(capsys, "det", "--json", text)
+        assert code == 3 and message in obj["error"]
+
+    def test_input_nested_near_the_recursion_limit_exits_three(self, capsys):
+        # near the limit json.loads may read an input whose repr, in the
+        # error message, then recurses too deeply
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 60, limit + 10):
+            nested = "[" * depth + "]" * depth
+            code, obj = invoke(capsys, "det", "--json", '{"A":[[%s]]}' % nested)
+            assert code == 3 and set(obj) == {"error"}
+
+    def test_undecodable_input_exits_three(self, capsys, monkeypatch,
+                                           tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_bytes(b'{"A":[[1\xff]]}')
+        code, obj = invoke(capsys, "det", "--file", str(path))
+        assert code == 3 and "cannot read" in obj["error"]
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(path.read_bytes()), encoding="utf-8"))
+        code, obj = invoke(capsys, "det", "--file", "-")
+        assert code == 3 and "cannot read -" in obj["error"]
+
+    def test_result_past_the_digit_limit_exits_four(self, capsys):
+        big = "1" + "0" * 3000  # det_inf = big^2 has 6,001 digits
+        A = [[big, 0], [0, big]]
+        for kind, doc in (("det", {"A": A}), ("charpoly", {"A": A, "lam": 1})):
+            code, obj = invoke(capsys, kind, "--json", json.dumps(doc))
+            assert code == 4 and "too long to print" in obj["error"]
+        code, items = invoke(capsys, "det", "--json",
+                             json.dumps([{"A": [[1]]}, {"A": A}, {"A": [[2]]}]))
+        assert code == 4
+        assert [it["code"] for it in items] == [0, 4, 0]
+        assert items[2]["result"]["det_inf"] == "2"
+
+    @pytest.mark.parametrize("p", [10 ** 306, 10 ** 307, 5 * 10 ** 307,
+                                   10 ** 400],
+                             ids=["1e306", "1e307", "5e307", "1e400"])
+    def test_index_past_the_float_range(self, capsys, p):
+        A = [[99, 98], [97, 96]]
+        for kind, doc in (("det", {"A": A}), ("charpoly", {"A": A, "lam": 3})):
+            doc["options"] = {"p": p}
+            code, obj = invoke(capsys, kind, "--json", json.dumps(doc))
+            z = obj["det_p" if kind == "det" else "eval_p"]
+            assert code == 0 and z["sign"] == -1
+            assert z["logmag"] == pytest.approx(math.log(9506), rel=1e-15)
 
 
 class TestBatch:

@@ -6,6 +6,7 @@ import io
 import json
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,9 +104,13 @@ def near_tie(draw):
 
 
 def _keeps_the_contract(kind, payload):
+    _one_document([kind, "--json", json.dumps(payload)])
+
+
+def _one_document(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = run([kind, "--json", json.dumps(payload)])
+        code = run(argv)
     assert code in (0, 2, 3, 4)
     out = buf.getvalue()
     assert out.endswith("\n") and out.count("\n") == 1
@@ -124,3 +129,36 @@ def test_every_input_keeps_the_contract(kind, payload):
 @given(near_tie())
 def test_near_tie_maxsolve_at_a_huge_index_keeps_the_contract(payload):
     _keeps_the_contract("maxsolve", payload)
+
+
+BIG = "1" + "0" * 3000  # its square has 6,001 digits
+HUGE_P = {"1e306": 10 ** 306, "1e307": 10 ** 307, "5e307": 5 * 10 ** 307,
+          "1e400": 10 ** 400}
+
+
+# Python's own limits: nesting depth, the 4,300-digit cap on int-string
+# conversion (on input and on output), and indices whose power 2p+1 times
+# a log leaves the float range
+@pytest.mark.parametrize("kind, text", [
+    pytest.param("det", "[" * 100_000 + "]" * 100_000, id="deep"),
+    pytest.param("det", '{"A":[[1%s]]}' % ("0" * 5000), id="json-digits"),
+    pytest.param("det", '{"A":[["1%s"]]}' % ("0" * 5000), id="string-digits"),
+    pytest.param("det", json.dumps({"A": [[BIG, 0], [0, BIG]]}),
+                 id="det-digits"),
+    pytest.param("det", json.dumps([{"A": [[1]]}, {"A": [[BIG, 0], [0, BIG]]}]),
+                 id="batch-digits"),
+    pytest.param("charpoly", json.dumps({"A": [[BIG, 0], [0, BIG]], "lam": 1}),
+                 id="charpoly-digits"),
+    *(pytest.param(kind, json.dumps({"A": [[99, 98], [97, 96]], "lam": 3,
+                                     "options": {"p": p}}),
+                   id=f"{kind}-p{label}")
+      for kind in ("det", "charpoly") for label, p in HUGE_P.items()),
+])
+def test_inputs_at_python_limits_keep_the_contract(kind, text):
+    _one_document([kind, "--json", text])
+
+
+def test_undecodable_file_keeps_the_contract(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_bytes(b'{"A":[[1\xff]]}')
+    _one_document(["det", "--file", str(path)])

@@ -13,6 +13,7 @@ from boxalg import (
     SignedLog,
     net_by_magnitude,
     boxplus,
+    inner,
     odd_exponent,
     phi_p_sum,
     psi_ln,
@@ -102,6 +103,25 @@ class TestPowerSum:
         z = phi_p_sum(xs, 10)
         assert math.isfinite(z.logmag)
         assert z.logmag == pytest.approx(40 * math.log(10), rel=1e-9)
+
+    @pytest.mark.parametrize("p", [10 ** 306, 10 ** 307, 5 * 10 ** 307,
+                                   10 ** 400],
+                             ids=["1e306", "1e307", "5e307", "1e400"])
+    def test_index_past_the_float_range_leaves_the_top_group(self, p):
+        """Once (2p+1) times a log leaves the float range, the power mean
+        is its top group: the same sign and log as at p = 10^306."""
+        for xs, sign, top in (
+            ([F(9504), F(-9506)], -1, math.log(9506)),
+            ([F(-9504), F(9506), F(9506)], 1, math.log(9506)),
+            ([F(1, 3), F(-1, 2)], -1, math.log(F(1, 2))),
+        ):
+            for z in (phi_p_sum([SignedLog.from_rational(x) for x in xs], p),
+                      phi_p_sum([SignedLog.from_float(float(x)) for x in xs], p),
+                      inner(xs, [1] * len(xs), "p", p)):
+                assert z.sign == sign
+                assert z.logmag == pytest.approx(top, rel=1e-15)
+        zero = [SignedLog.from_rational(F(3)), SignedLog.from_rational(F(-3))]
+        assert phi_p_sum(zero, p).is_zero
 
     @given(st.lists(nonzero, min_size=1, max_size=6), small_p)
     def test_sign_matches_exact_power_sum(self, values, p):
