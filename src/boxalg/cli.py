@@ -28,9 +28,10 @@ from .core import as_float, as_scalar, as_vector
 from .eigen import (
     DEFAULT_CHAR_CAP,
     _char_levels,
-    _char_values,
     _check_char,
+    _degree_classes,
     _read,
+    _values_at,
     eigen_region,
     perron_p,
 )
@@ -106,9 +107,11 @@ def _float_out(x):
     return f
 
 
-def _rat(x) -> str:
+def _rat(x, scale: int = 1) -> str:
+    """The canonical string of the rational x / scale."""
     try:
-        return str(x if type(x) is Fraction else Fraction(x))
+        return str(x if scale == 1 and type(x) in (int, Fraction)
+                   else Fraction(x, scale))
     except ValueError:  # Python's limit on int-to-str conversion
         raise CapacityError(
             "result too long to print: more than "
@@ -273,30 +276,29 @@ def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
     return OK, out
 
 
-def _charpoly_evals(A: BoxMatrix, lam, opts: dict) -> dict:
-    lam = as_scalar(lam)
-    at = _char_values(A, lam)
+def _charpoly_evals(levels, scale: int, lam: Fraction, opts: dict) -> dict:
+    at = _values_at(_degree_classes(levels), scale, lam)
     out: dict = {"lam": _rat(lam)}
     for mode in ("limit", "lower", "upper"):
         _exact(out, **{f"eval_{mode}": _read(at, mode)})
     p = _opt_p(opts)
     if p is not None:
-        out["eval_p"] = _slog(_read(at, "p", p))
-        out["p"] = p
+        out["eval_p"], out["p"] = _slog(_read(at, "p", p)), p
     return out
 
 
 def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     _, char_cap = _caps()
     A = _check_char(_matrix_in(data["A"]), char_cap)
-    # evaluate first, so the values at lam are freed before the listing
     lam = data.get("lam")
-    out = {} if lam is None else _charpoly_evals(A, lam, opts)
+    lam = None if lam is None else as_scalar(lam)
     levels, scale = _char_levels(A)
+    # net the values at lam from the listing, freed before it is formatted
+    out = {} if lam is None else _charpoly_evals(levels, scale, lam, opts)
     out["monomials"] = ms = []
     for degree, level in levels:
         # equal coefficients share one entry, formatted once
-        entry = {c: [_rat(Fraction(c, scale)), degree] for c in set(level)}
+        entry = {c: [_rat(c, scale), degree] for c in set(level)}
         ms.extend(map(entry.__getitem__, level))
     out["count"] = len(ms)
     return OK, out

@@ -24,8 +24,8 @@ becomes a Fraction, and the finite-index mode reads the integer map.
 The subset DP of :mod:`boxalg.linalg`, run on a_ij - lam delta_ij in
 O(2^n n) steps, yields the same integer classes without listing the
 monomials. :func:`eigen_region` reads the dominant surviving class per
-degree from it; the ``charpoly`` CLI kind and the oracle's charpoly sweep
-evaluate its whole maps.
+degree from it and the oracle's charpoly sweep its whole maps; the
+``charpoly`` CLI kind runs no DP and nets the listing it prints instead.
 
 The region comes from the Newton polygon. At |lam| = r the degree-d term
 has magnitude m_d r^d (m_d the dominant class of degree d), so the terms
@@ -40,6 +40,7 @@ of rationals, so no float enters a verdict.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -53,7 +54,6 @@ from .linalg import (
     BoxMatrix,
     _dominant_terms,
     _integer_rows,
-    _ring_terms,
     as_matrix,
     matvec_limit,
     signed_permutations,
@@ -163,23 +163,29 @@ def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
                         len(levels) - 1)
 
 
+def _degree_classes(levels) -> dict[int, dict[int, int]]:
+    """Per degree, the net map {|c|: net signed count} of (degree, [int c,
+    ...]) pairs, each degree once, with cancelled classes dropped. Equal
+    coefficients are tallied first, so each distinct one is netted once."""
+    tallies = ((d, Counter(cs)) for d, cs in levels)
+    return {d: {m: c for m, c in net_by_magnitude(t, t.values())[0].items()
+                if c} for d, t in tallies}
+
+
 def _net_classes(m) -> tuple[dict[int, dict[int, int]], int]:
-    """Per degree, the net map {|coeff| * S: net signed count} of the
-    monomials, with cancelled classes dropped, and S, the least common
-    denominator of the coefficients."""
+    """The classes of :func:`_degree_classes` of monomials (coeff, degree),
+    each coefficient over S, their least common denominator, and S."""
     coeffs, degrees = [], []
     for coeff, degree in m:
-        degree = int(degree)
-        if degree < 0:
-            raise DomainError(f"monomial degree {degree} is negative")
+        if type(degree) is not int or degree < 0:
+            raise DomainError(f"monomial degree {degree!r} is not an int >= 0")
         coeffs.append(as_scalar(coeff))
         degrees.append(degree)
     ints, scale = _over_lcm(coeffs)
     by_degree: dict[int, list[int]] = {}
     for c, degree in zip(ints, degrees):
         by_degree.setdefault(degree, []).append(c)
-    return ({d: {m: c for m, c in net_by_magnitude(cs)[0].items() if c}
-             for d, cs in by_degree.items()}, scale)
+    return _degree_classes(by_degree.items()), scale
 
 
 def reduced_monomials(m) -> tuple[Monomial, ...]:
@@ -236,12 +242,6 @@ def _values_at(classes, scale: int, lam: Fraction) -> _Values:
             v = m * w
             net[v] = get(v, 0) + c * flip
     return _Values(net, top, signs, scale * b ** n)
-
-
-def _char_values(M: BoxMatrix, lam: Fraction) -> _Values:
-    """The characteristic monomial values of M at lam, from the integer
-    per-degree classes of the subset DP."""
-    return _values_at(*_ring_terms(M, lam=True), lam)
 
 
 def _read(at: _Values, mode: str, p: Optional[int] = None):

@@ -31,13 +31,14 @@ from typing import Sequence
 from .core import _net_limit, as_float, as_scalar, as_vector
 from .eigen import (
     DEFAULT_CHAR_CAP,
-    _char_values,
     _check_char,
+    _values_at,
     eigen_region,
     perron_p,
 )
 from .errors import BoxAlgError, ConvergenceError, DomainError
-from .linalg import BoxMatrix, _check_square, _cramer_nets, _det_net, as_matrix
+from .linalg import (BoxMatrix, _check_square, _cramer_nets, _det_net,
+                     _ring_terms, as_matrix)
 from .signedlog import (
     SignedLog,
     _log_over,
@@ -175,9 +176,9 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         elif quantity == "det":
             net = _det_net(as_matrix(inputs["A"]), cap)
         else:
-            A = as_matrix(inputs["A"])
-            lam = as_scalar(inputs["lam"])
-            at = _char_values(_check_char(A, char_cap), lam)
+            A, lam = as_matrix(inputs["A"]), as_scalar(inputs["lam"])
+            classes = _ring_terms(_check_char(A, char_cap), lam=True)
+            at = _values_at(*classes, lam)
             net = at.net, at.den
         limit = _net_limit(net)
         near_tie = _near_tie(net, p_max, tol)

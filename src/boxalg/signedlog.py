@@ -171,7 +171,7 @@ def _over_lcm(values) -> tuple[list[int], int]:
     """Rationals as integers over one scale S, their least common
     denominator: each value v is the returned integer over S."""
     values = list(values)
-    scale = math.lcm(*[v.denominator for v in values])
+    scale = math.lcm(*{v.denominator for v in values})
     if scale == 1:
         return [v.numerator for v in values], 1
     return [v.numerator * (scale // v.denominator) for v in values], scale
@@ -198,12 +198,13 @@ def net_by_magnitude(values: Iterable, counts: Iterable[int] | None = None
     return net, scale
 
 
-def _power_mean(groups: Iterable[tuple[float, int]], q: int) -> SignedLog:
+def _power_mean(groups, q: int, exact_zero=None) -> SignedLog:
     """(sum of c * exp(logmag)^q)^(1/q) over (logmag, net count c) groups.
 
     Positive and negative groups enter a split log-sum-exp, and the two
     parts are combined by signed subtraction in log domain. When q times
     the top logmag leaves the float range, only the top group is left.
+    Parts that tie within rounding give 0 when ``exact_zero()`` says so.
     """
     live = [(logmag, c) for logmag, c in groups if c]
     if live:
@@ -214,7 +215,7 @@ def _power_mean(groups: Iterable[tuple[float, int]], q: int) -> SignedLog:
     for logmag, c in live:
         (pos if c > 0 else neg).append(math.log(abs(c)) + q * logmag)
     lp, ln = _lse(pos), _lse(neg)
-    if lp == ln:
+    if lp == ln or (exact_zero and _tie(lp, ln) and exact_zero()):
         return SignedLog.zero()
     hi, lo = max(lp, ln), min(lp, ln)
     total = hi + math.log1p(-math.exp(lo - hi))  # exactly hi when lo = -inf
@@ -225,7 +226,8 @@ def _phi_p_net(nets: tuple[dict[int, int], int], p: int) -> SignedLog:
     """phi_p of a net map ({m: net count}, S).
 
     A single surviving magnitude with net +-1 is its own exact root; every
-    other map goes through :func:`_power_mean`.
+    other map goes through :func:`_power_mean`, and the integer sum of
+    c * m^q (each m^q up to 2^16 bits) settles a tie of its two parts.
     """
     q = odd_exponent(p)
     net, scale = nets
@@ -233,7 +235,9 @@ def _phi_p_net(nets: tuple[dict[int, int], int], p: int) -> SignedLog:
     if len(live) == 1 and abs(live[0][1]) == 1:
         (m, c), = live
         return SignedLog(c, _log_over(m, scale), Fraction(c * m, scale))
-    return _power_mean(((_log_over(m, scale), c) for m, c in live), q)
+    return _power_mean(((_log_over(m, scale), c) for m, c in live), q,
+                       lambda: q * max(live)[0].bit_length() <= 1 << 16
+                       and not sum(c * m ** q for m, c in live))
 
 
 def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:

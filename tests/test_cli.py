@@ -335,8 +335,25 @@ class TestCharpolyAndEigen:
                                         for m in ms]
             assert obj["count"] == len(ms)
 
+    # entry pools whose top class of some degree cancels: -2..2 at n = 6
+    # and 7 (degrees 4 and 6), 0..1 at n = 5 (degree 2)
+    CHARPOLY_POOLS = {"-2..2": [-2, -1, 0, 1, 2], "0..1": [0, 1],
+                      "small-rational": [0, "1/2", "-3/4", 2, "5/3"]}
+
+    def _charpoly_matrix(self, n, entries):
+        rng = random.Random(n)
+        if entries == "int":
+            return [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+        if entries == "rational":
+            return [[0 if rng.random() < 0.2
+                     else f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"
+                     for _ in range(n)] for _ in range(n)]
+        return [[rng.choice(self.CHARPOLY_POOLS[entries]) for _ in range(n)]
+                for _ in range(n)]
+
     # sha256 of the whole stdout, recorded before the integer listing and
-    # the one-pass evaluation replaced the Fraction loops
+    # the one-pass evaluation replaced the Fraction loops; the rows without
+    # p, recorded while the values at lam still came from the subset DP
     @pytest.mark.parametrize("n, entries, lam, p, digest", [
         (5, "int", 0, 3,
          "230e755e1e4c8ef95b494fb69328093eaa1a9568ee9fe201f3504b1a34f9ed4e"),
@@ -350,19 +367,37 @@ class TestCharpolyAndEigen:
          "6ded129e5b5de982ac174863c7681c9a2da7fc3d7167e34c3aeb635f36268ced"),
         (7, "rational", "2/3", 1,
          "c124ffe5de0abd2e15e46c537f234e4a65851a7abffb3fe3db00342f2ef40f8a"),
+        (6, "-2..2", 1, None,
+         "7ead9a1e506c73a95d658b7d88f20e7802fd2239a097d66bd30ed5ff36fba0f6"),
+        (7, "-2..2", "-2/3", None,
+         "b6a5298df3824e98702c803268300cba39fb00a1e831a302d2c7f0a26dd42820"),
+        (5, "0..1", 2, None,
+         "1a44ec2a2251d7a3224678caf702cc6c76edcaf096e7ce350d29996ab915bf7a"),
+        (6, "-2..2", 0, None,
+         "0c9d52d11475257f226ed706cfe5c9794f03402a5290791a7c1266437afe3c48"),
+        (5, "0..1", 0, None,
+         "8f43a228e8d151a80e5f17749c1bf9e67aec305759c352079d4a8399b592dd43"),
+        (4, "small-rational", "5/3", None,
+         "6b876d425e6830b870b383bf8404a0a11766d5f8ef674ea7874ea1dacfb85d5a"),
     ])
     def test_charpoly_stdout_pinned(self, capsys, n, entries, lam, p, digest):
-        rng = random.Random(n)
-        if entries == "int":
-            A = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
-        else:
-            A = [[0 if rng.random() < 0.2
-                  else f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"
-                  for _ in range(n)] for _ in range(n)]
-        text = json.dumps({"A": A, "lam": lam, "options": {"p": p}})
+        text = json.dumps({"A": self._charpoly_matrix(n, entries), "lam": lam,
+                           "options": {} if p is None else {"p": p}})
         assert run(["charpoly", "--json", text]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # recorded with the rows without p above
+    def test_charpoly_batch_pinned(self, capsys):
+        m = self._charpoly_matrix
+        batch = [{"A": m(6, "-2..2"), "lam": -1}, {"A": m(5, "0..1")},
+                 {"A": m(4, "small-rational"), "lam": 0, "options": {"p": 2}},
+                 {"A": m(3, "-2..2"), "lam": "x"},
+                 {"A": m(4, "small-rational")}]
+        assert run(["charpoly", "--json", json.dumps(batch)]) == 3
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f983c5e269c43893b14a009dfc2c6a4228384762637fa524a3f6e318b2017785")
 
     # sha256 of the whole stdout, recorded before the region was read from
     # the upper hull: members negative, irrational and at lam = 0, n = 2..7,

@@ -96,6 +96,17 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             charpoly_eval(ms, F(1), "sideways")
 
+    def test_degree_must_be_an_int(self):
+        # a degree is read as given, never truncated or parsed: 1.5 would
+        # evaluate as degree 1, and "2" or True as a degree they are not
+        for degree in (1.5, 2.0, "2", True, False, None, -1):
+            ms = [(F(1), degree), (F(1), 0)]
+            with pytest.raises(DomainError, match="not an int >= 0"):
+                charpoly_eval(ms, 2)
+            with pytest.raises(DomainError, match="not an int >= 0"):
+                reduced_monomials(ms)
+        assert charpoly_eval([(F(1), 1), (F(1), 0)], 2) == 2
+
 
 class TestRegion:
     def test_symmetric_two_by_two(self):

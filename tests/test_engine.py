@@ -45,7 +45,7 @@ from boxalg import (
     sweep,
 )
 from boxalg import eigen, linalg
-from boxalg.cli import run
+from boxalg.cli import _slog, run
 
 F = Fraction
 
@@ -113,6 +113,12 @@ def _pair_expansion(rows):
             prod = SPair(prod.minus, prod.plus)
         acc = s_add(acc, prod)
     return acc
+
+
+def _ring_values(M, lam):
+    """The characteristic values of M at lam read from the classes of the
+    group-ring subset DP, as the oracle's charpoly sweep reads them."""
+    return eigen._values_at(*linalg._ring_terms(M, lam=True), lam)
 
 
 def _reference_dominant(ms):
@@ -262,7 +268,7 @@ class TestCharacteristic:
         reduced = reduced_monomials(ms)
         lams = (F(0), F(-1), F(2, 3), F(-3, 2), F(7))
         for lam in lams if A.rows < 6 else lams[:3]:
-            at = eigen._char_values(A, lam)
+            at = _ring_values(A, lam)
             raw = [m.coeff * lam ** m.degree for m in ms]
             assert eigen._read(at, "limit") == nary_boxplus(raw)
             for mode in ("lower", "upper"):
@@ -451,6 +457,54 @@ class TestFiniteIndex:
             *eigen._net_classes(ms))
 
 
+CHARPOLY_ENTRIES = {**ENTRY_SETS, "binary": lambda rng: rng.randint(0, 1),
+                    "positive": lambda rng: rng.randint(1, 3)}
+CHARPOLY_LAMS = (F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(7),
+                 F(5, 3))
+
+
+def _charpoly_cases():
+    """Seeded (A, lams, p), n = 1..7, for every entry set: every lam up to
+    n = 5, fewer above, where each reference listing is longer."""
+    rng = random.Random(20201019)
+    out = []
+    for name, draw in CHARPOLY_ENTRIES.items():
+        for n in range(1, 8):
+            A = [[draw(rng) for _ in range(n)] for _ in range(n)]
+            lams = rng.sample(CHARPOLY_LAMS, {6: 2, 7: 1}.get(n, 9))
+            out.append(pytest.param(A, lams, rng.choice((0, 1, 5, 40)),
+                                    id=f"{name}-n{n}"))
+    return out
+
+
+class TestCharpolyKind:
+    """The charpoly kind nets its own listing at lam; every value it
+    prints must equal the group-ring reader's and charpoly_eval's."""
+
+    @pytest.mark.parametrize("A, lams, p", _charpoly_cases())
+    def test_values_equal_both_readers(self, capsys, A, lams, p):
+        M = BoxMatrix(A)
+        ms = char_monomials(M)
+        rows = [[str(a) for a in row] for row in A]
+        for lam in lams:
+            at = _ring_values(M, lam)
+            printed = []
+            for options in ({}, {"p": p}):
+                problem = {"A": rows, "lam": str(lam), "options": options}
+                assert run(["charpoly", "--json", json.dumps(problem)]) == 0
+                printed.append(json.loads(capsys.readouterr().out))
+            without_p, with_p = printed
+            assert "eval_p" not in without_p
+            for mode in ("limit", "lower", "upper"):
+                want = eigen._read(at, mode)
+                assert charpoly_eval(ms, lam, mode) == want
+                assert without_p[f"eval_{mode}"] == str(want), (lam, mode)
+                assert with_p[f"eval_{mode}"] == str(want), (lam, mode)
+            want = eigen._read(at, "p", p)
+            assert _bits(charpoly_eval(ms, lam, "p", p)) == _bits(want)
+            assert with_p["eval_p"] == _slog(want), lam
+
+
 def _bordered_cases():
     """Seeded (A, b), n = 1..7, each b drawn, zero or a column of A."""
     rng = random.Random(20201018)
@@ -554,7 +608,7 @@ def dp_runs(monkeypatch):
 class TestOneBorderedRun:
     """A Cramer-shaped problem runs one DP: the leading-term one, plus one
     group-ring run when a leading count cancels; a sweep runs the group
-    ring once."""
+    ring once, and the charpoly kind, which nets its listing, runs none."""
 
     CANCELLING = TOP_CANCELLING.to_rows()
     WIDE = [[3, -1, 3], [2, -4, 1], [-4, 5, 3]]
@@ -594,8 +648,21 @@ class TestOneBorderedRun:
         A = [[str(a) for a in row] for row in rows]
         for problem in [
                 {"quantity": "cramer", "A": A, "b": ["1", "2", "3"]},
-                {"quantity": "hyperplane", "points": A, "x": ["1", "0", "2"]}]:
+                {"quantity": "hyperplane", "points": A, "x": ["1", "0", "2"]},
+                {"quantity": "charpoly", "A": A, "lam": "-2/3"}]:
             dp_runs.clear()
             assert run(["oracle", "--json", json.dumps(problem)]) == 0
             capsys.readouterr()
             assert dp_runs == ["ring"], problem["quantity"]
+
+    @pytest.mark.parametrize("rows", [
+        WIDE, CANCELLING,
+        [["1/2", "0", "-2"], ["3", "5/3", "1"], ["0", "-1", "7/4"]]])
+    @pytest.mark.parametrize("options", [{}, {"p": 3}])
+    def test_charpoly_kind_runs_no_dp(self, capsys, dp_runs, rows, options):
+        A = [[str(a) for a in row] for row in rows]
+        for lam in ("2", "0", "-2/3", None):
+            problem = {"A": A, "lam": lam, "options": options}
+            assert run(["charpoly", "--json", json.dumps(problem)]) == 0
+            capsys.readouterr()
+        assert dp_runs == []

@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxalg import (
+    BoxMatrix,
     DomainError,
     SignedLog,
+    det_p,
     net_by_magnitude,
     boxplus,
     inner,
@@ -78,6 +80,20 @@ class TestPowerSum:
     def test_p_zero_is_plain_sum(self):
         xs = [SignedLog.from_rational(F(k)) for k in (1, 2, 3)]
         assert phi_p_sum(xs, 0).to_float() == pytest.approx(6.0, rel=REL)
+
+    def test_exact_cancellation_across_magnitudes_is_zero(self):
+        """The two log-sum-exp parts of these sums differ in the last bits,
+        but the power sums are exactly 0, so the result is the zero."""
+        for values, p in (([1, -8, F(7, 2), F(7, 2)], 0),
+                          ([3, 4, 5, -6], 1)):  # 3^3 + 4^3 + 5^3 = 6^3
+            z = phi_p_sum([SignedLog.from_rational(F(v)) for v in values], p)
+            assert z.is_zero and z.exact == 0
+        rng = random.Random(1)
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1 % (n - 1)])]
+            assert det_p(BoxMatrix(rows), 0).is_zero, rows
 
     def test_single_survivor_is_exact(self):
         xs = [SignedLog.from_rational(v) for v in (F(3), F(-3), F(2))]
