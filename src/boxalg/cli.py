@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .core import as_float, as_scalar, as_vector
+from .core import _scalars, as_float, as_scalar
 from .eigen import (
     DEFAULT_CHAR_CAP,
     _char_levels,
@@ -75,8 +75,8 @@ def _array(v, of: str = "scalars") -> list:
     return v
 
 
-def _vector_in(v) -> tuple[Fraction, ...]:
-    return as_vector(_array(v))
+def _vector_in(v) -> list:
+    return _scalars(_array(v))
 
 
 def _matrix_in(v) -> BoxMatrix:
@@ -85,7 +85,7 @@ def _matrix_in(v) -> BoxMatrix:
     return BoxMatrix(map(_array, _array(v, "rows")))
 
 
-def _points_in(v) -> list[tuple[Fraction, ...]]:
+def _points_in(v) -> list[list]:
     if not isinstance(v, list):
         raise DomainError("points must be an array of points")
     return [_vector_in(p) for p in v]
@@ -229,7 +229,7 @@ def _do_solve(data: dict, opts: dict) -> tuple[int, dict]:
 
 
 def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
-    A, b, cols = _max_columns(_matrix_in(data["A"]), _vector_in(data["b"]))
+    A, rhs, cols = _max_columns(_matrix_in(data["A"]), _vector_in(data["b"]))
     out: dict = {}
     try:
         _exact(out, candidate=_candidate(cols))
@@ -244,13 +244,12 @@ def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
         found = _witness(cols)
         out["sigma"] = None if found is None else list(found[0])
         out["strict"] = None if found is None else found[1]
-        rows = A.to_rows()
-        diagonal = all(rows[i][i] > 0 for i in range(A.rows))
-        out["kaykobad"] = _dominates(rows, b, range(A.rows), 1) if diagonal else None
+        diagonal = all(row[i] > 0 for i, row in enumerate(A._ints))
+        out["kaykobad"] = _dominates(A, rhs, range(A.rows), 1) if diagonal else None
         p = _opt_p(opts)
         if p is not None and found is not None:  # sigma's pivots are tight: > 0
             sigma = [k - 1 for k in found[0]]
-            out["kaykobad_p"] = _dominates(rows, b, sigma, 2 * p + 1)
+            out["kaykobad_p"] = _dominates(A, rhs, sigma, 2 * p + 1)
             out["p"] = p
     return (OK if x is not None else INFEASIBLE), out
 
@@ -309,7 +308,7 @@ def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
     A = _matrix_in(data["A"])
     region = eigen_region(A, cap=char_cap)
     out = _exact({}, region=region)
-    if region and all(a > 0 for row in A.to_rows() for a in row):
+    if region and all(a > 0 for row in A._ints for a in row):
         p_max = opts.get("p_max", DEFAULT_P_MAX)
         tol = opts.get("tol", DEFAULT_TOL)
         _check_sweep(p_max, tol)

@@ -32,12 +32,13 @@ RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
 def as_scalar(value) -> Fraction:
-    """Coerce a scalar exactly.
+    """Coerce a scalar exactly, to a Fraction.
 
-    Fractions and ints pass; strings must read ``-?digits(/digits)?``;
-    finite floats convert through their decimal repr, so 0.1 reads as
-    1/10. Bools, other strings, non-finite floats, zero denominators and
-    strings past Python's integer digit limit raise :class:`DomainError`.
+    Fractions pass and ints become Fractions (:func:`_scalars` is where
+    ints pass unwrapped); strings must read ``-?digits(/digits)?``; finite
+    floats convert through their decimal repr, so 0.1 reads as 1/10.
+    Bools, other strings, non-finite floats, zero denominators and strings
+    past Python's integer digit limit raise :class:`DomainError`.
     """
     if isinstance(value, bool):
         raise DomainError(f"not a scalar: {value!r}")
@@ -69,11 +70,17 @@ def as_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def as_vector(values: Iterable) -> tuple[Fraction, ...]:
-    vec = tuple(as_scalar(v) for v in values)
+def _scalars(values: Iterable) -> list:
+    """A nonempty vector checked by :func:`as_scalar` in reading order,
+    but with its ints passed unwrapped, for the integer readers."""
+    vec = [v if type(v) is int else as_scalar(v) for v in values]
     if not vec:
         raise DomainError("vector must be nonempty")
     return vec
+
+
+def as_vector(values: Iterable) -> tuple[Fraction, ...]:
+    return tuple(map(as_scalar, _scalars(values)))
 
 
 def _resolve_index_set(n: int, indices) -> tuple[int, ...]:

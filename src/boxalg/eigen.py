@@ -6,9 +6,9 @@ by exact magnitude across the whole multiset, and premature merging would
 corrupt those counts. Listing it takes sum_k k! C(n, k) monomials, so
 :func:`char_monomials` is capped.
 
-The listing runs in integers: the rows are scaled to integer rows, so
-every coefficient is an integer over one common denominator S, and only
-the finished coefficients become Fractions.
+The listing runs in integers: it reads the matrix's integer rows over
+their row scales, so every coefficient is an integer over one common
+denominator S, and only the finished coefficients become Fractions.
 
 Evaluation nets signs within each (degree, |coeff|) class first. Two
 monomials of equal degree and equal absolute coefficient but opposite sign
@@ -53,7 +53,6 @@ from .errors import CapacityError, ConvergenceError, DomainError
 from .linalg import (
     BoxMatrix,
     _dominant_terms,
-    _integer_rows,
     as_matrix,
     matvec_limit,
     signed_permutations,
@@ -61,6 +60,7 @@ from .linalg import (
 from .signedlog import (
     SignedLog,
     _log_abs_fraction,
+    _log_over,
     _over_lcm,
     _phi_p_net,
     net_by_magnitude,
@@ -127,11 +127,11 @@ def _heap_table(k: int) -> bytes:
 
 
 def _char_levels(M: BoxMatrix) -> tuple[list[tuple[int, list[int]]], int]:
-    """The listing of :func:`char_monomials` in integers: the row
-    multipliers of :func:`~boxalg.linalg._integer_rows` outside H complete
-    each product to an integer over S, the product of all of them.
-    Returns [(n - k, the coefficients times S) for k = 0..n] and S."""
-    rows, scales = _integer_rows(M)
+    """The listing of :func:`char_monomials` in integers: M's integer rows
+    over their row scales, with the scales of the rows outside H
+    completing each product to an integer over S, the product of all of
+    them. Returns [(n - k, the coefficients times S) for k = 0..n] and S."""
+    rows, scales = M._ints, M._scales
     n = len(rows)
     total = math.prod(scales)
     levels = [(n, [-total if n % 2 else total])]
@@ -350,13 +350,13 @@ def perron_p(A, p: int, tol: float = 1e-12,
     M = as_matrix(A)
     if not M.is_square:
         raise DomainError(f"square matrix required, got {M.rows}x{M.cols}")
-    rows = M.to_rows()
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(M._ints, start=1):
         for j, a in enumerate(row, start=1):
             if a <= 0:
                 raise DomainError(f"matrix entry ({i},{j}) must be positive")
     q = odd_exponent(p)
-    logA = [[q * _log_abs_fraction(a) for a in row] for row in rows]
+    logA = [[q * _log_over(a, s) for a in row]
+            for row, s in zip(M._ints, M._scales)]
     exp, log, fsum = math.exp, math.log, math.fsum
     v = [0.0] * M.rows
     rho_log = None

@@ -10,10 +10,9 @@ must not exceed the right-hand side, the upper envelope must reach it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .core import _envelopes, as_vector
+from .core import _envelopes, _scalars, as_scalar, as_vector
 from .errors import DegenerateConfigurationError, DomainError
 from .linalg import DEFAULT_DET_CAP, _cramer_dets
 
@@ -25,7 +24,7 @@ class LimitHyperplane:
 
     def __init__(self, coeffs: Sequence, rhs):
         self.coeffs = as_vector(coeffs)
-        self.rhs = Fraction(rhs)
+        self.rhs = as_scalar(rhs)
         if self.rhs == 0:
             raise DomainError("hyperplane right-hand side must be nonzero")
         if all(c == 0 for c in self.coeffs):
@@ -39,7 +38,7 @@ class LimitHyperplane:
 def hyperplane_through(points: Sequence[Sequence],
                        cap: int = DEFAULT_DET_CAP) -> LimitHyperplane:
     """Hyperplane through n points of length n (points become columns)."""
-    pts = [as_vector(pt) for pt in points]
+    pts = [_scalars(pt) for pt in points]
     n = len(pts)
     if n == 0 or any(len(p) != n for p in pts):
         raise DomainError(f"need n points of length n, got lengths "

@@ -11,12 +11,13 @@ magnitude with their counts: the limit determinant reads their net
 count, the regularized ones and the balance-pair determinant of
 :mod:`boxalg.sym` read the two magnitudes. The group ring keeps the whole
 net map ({m: net signed count}, S) for when the leading count cancels.
-The rows are scaled to integers first, so every magnitude is an integer
-m over one scale S, and the maps pass on in that form. The finite-index
-determinant is the power sum of the net map, since each odd power
-depends on the products only through it. The same DP with
-a_ii - lam on the diagonal gives the per-degree net maps of the
-characteristic monomials (:mod:`boxalg.eigen`). On the bordered matrix
+A :class:`BoxMatrix` keeps each row as integers over the row's own
+scale, which the DP reads as they are, so every magnitude is an integer
+m over one scale S, the product of the row scales, and the maps pass on
+in that form. The finite-index determinant is the power sum of the net
+map, since each odd power depends on the products only through it. The
+same DP with a_ii - lam on the diagonal gives the per-degree net maps of
+the characteristic monomials (:mod:`boxalg.eigen`). On the bordered matrix
 [A | b] its last layer holds Cramer's n + 1 determinants, one per
 left-out column: without b, det A; without column i, the minor
 (-1)^(n-1-i) det A_i(b), the sign of moving b from the last column to
@@ -31,9 +32,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .core import LOWER, UPPER, as_vector, nary_boxplus, smile
+from .core import LOWER, UPPER, _scalars, as_vector, nary_boxplus, smile
 from .errors import CapacityError, DomainError
 from .signedlog import SignedLog, _over_lcm, _phi_p_net
 
@@ -43,22 +45,28 @@ DEFAULT_DET_CAP = 9
 
 
 class BoxMatrix:
-    """Immutable rational matrix with 1-based element helpers."""
+    """Immutable rational matrix with 1-based element helpers.
 
-    __slots__ = ("_rows",)
+    Row i is kept from construction as integers over its scale s_i, the
+    lcm of the row's denominators: a canonical form, which the integer
+    readers take as it is. Fraction rows are built per call.
+    """
+
+    __slots__ = ("_ints", "_scales")
 
     def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(as_vector(r) for r in rows)
-        if not data:
+        scaled = [_over_lcm(_scalars(r)) for r in rows]
+        if not scaled:
             raise DomainError("matrix must have at least one row")
-        width = len(data[0])
-        if any(len(r) != width for r in data):
+        ints, self._scales = zip(*scaled)
+        width = len(ints[0])
+        if any(len(r) != width for r in ints):
             raise DomainError("rows have inconsistent lengths")
-        self._rows = data
+        self._ints = tuple(map(tuple, ints))
 
     @classmethod
     def from_columns(cls, cols: Iterable[Iterable]) -> "BoxMatrix":
-        cdata = tuple(as_vector(c) for c in cols)
+        cdata = tuple(_scalars(c) for c in cols)
         if not cdata:
             raise DomainError("matrix must have at least one column")
         if any(len(c) != len(cdata[0]) for c in cdata):
@@ -73,11 +81,11 @@ class BoxMatrix:
 
     @property
     def rows(self) -> int:
-        return len(self._rows)
+        return len(self._ints)
 
     @property
     def cols(self) -> int:
-        return len(self._rows[0])
+        return len(self._ints[0])
 
     @property
     def is_square(self) -> bool:
@@ -85,16 +93,17 @@ class BoxMatrix:
 
     def row(self, i: int) -> BoxVector:
         self._check_row(i)
-        return self._rows[i - 1]
+        return _fractions(self._ints[i - 1], self._scales[i - 1])
 
     def col(self, j: int) -> BoxVector:
         self._check_col(j)
-        return tuple(r[j - 1] for r in self._rows)
+        return tuple(Fraction(r[j - 1], s)
+                     for r, s in zip(self._ints, self._scales))
 
     def entry(self, i: int, j: int) -> Fraction:
         self._check_row(i)
         self._check_col(j)
-        return self._rows[i - 1][j - 1]
+        return Fraction(self._ints[i - 1][j - 1], self._scales[i - 1])
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entry(*ij)
@@ -105,14 +114,11 @@ class BoxMatrix:
         self._check_col(j)
         if self.rows < 2 or self.cols < 2:
             raise DomainError("minor needs at least a 2x2 matrix")
-        return BoxMatrix(
-            tuple(v for cc, v in enumerate(r, start=1) if cc != j)
-            for rr, r in enumerate(self._rows, start=1)
-            if rr != i
-        )
+        rows = self.to_rows()
+        return BoxMatrix(r[:j - 1] + r[j:] for r in rows[:i - 1] + rows[i:])
 
     def to_rows(self) -> tuple[BoxVector, ...]:
-        return self._rows
+        return tuple(map(_fractions, self._ints, self._scales))
 
     def _check_row(self, i: int) -> None:
         if not isinstance(i, int) or not 1 <= i <= self.rows:
@@ -123,14 +129,21 @@ class BoxMatrix:
             raise DomainError(f"column index {j!r} out of range 1..{self.cols}")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BoxMatrix) and self._rows == other._rows
+        return (isinstance(other, BoxMatrix) and self._ints == other._ints
+                and self._scales == other._scales)
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash((self._ints, self._scales))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(v) for v in r) for r in self._rows)
+        body = "; ".join(" ".join(str(v) for v in r) for r in self.to_rows())
         return f"BoxMatrix[{body}]"
+
+
+def _fractions(ints: Iterable[int], scale: int) -> BoxVector:
+    """The integers over scale, as Fractions."""
+    return tuple(map(Fraction, ints) if scale == 1
+                 else (Fraction(a, scale) for a in ints))
 
 
 def as_matrix(value) -> BoxMatrix:
@@ -269,21 +282,13 @@ def _ring_step(acc, value, e, odd):
     return acc
 
 
-def _integer_rows(M: BoxMatrix) -> tuple[tuple, tuple]:
-    """Each row times the lcm of its denominators, and those multipliers.
-
-    Every expanded term takes one factor per row, so all of them scale by
-    the product of the multipliers: magnitude order and ties are kept, and
-    the DP multiplies ints instead of Fractions.
-    """
-    return tuple(zip(*map(_over_lcm, M.to_rows())))
-
-
 def _dp_slots(M: BoxMatrix, lam: bool, step, one) -> tuple[dict, int]:
     """The subset DP of M's rows as integer terms (a_ii - lam on the
     diagonal with ``lam``) per slot, a degree of lam for a square M or a
-    left-out column of a bordered one, and the scale S of every term."""
-    rows, scales = _integer_rows(M)
+    left-out column of a bordered one, and the scale S of every term: each
+    term takes one factor per row, so it scales by S, the product of M's
+    row scales, which keeps magnitude order and ties."""
+    rows, scales = M._ints, M._scales
     entries = []
     for i, (row, scale) in enumerate(zip(rows, scales)):
         line = []
@@ -335,15 +340,13 @@ def _pair_det(rows) -> tuple[Fraction, Fraction]:
     """(plus, minus) of the balance-pair determinant of a square matrix of
     pairs of nonnegative rationals: the largest positive and negative
     leading terms, each pair (p, q) read as the terms +p and -q."""
-    entries, total = [], 1
-    for row in rows:
-        ints, scale = _over_lcm(v for pair in row for v in pair)
-        entries.append([(j, [(0, m, s) for m, s in ((p, 1), (q, -1)) if m])
-                        for j, (p, q) in enumerate(zip(ints[::2], ints[1::2]))
-                        if p or q])
-        total *= scale
+    M = BoxMatrix([v for pair in row for v in pair] for row in rows)
+    entries = [[(j, [(0, m, s) for m, s in ((p, 1), (q, -1)) if m])
+                for j, (p, q) in enumerate(zip(r[::2], r[1::2])) if p or q]
+               for r in M._ints]
     layer = _subset_dp(entries, _lead_step, {0: (1, 1, 0, 0)})
-    p, _cp, n, _cn = layer.get((1 << len(rows)) - 1, {0: (0, 0, 0, 0)})[0]
+    p, _cp, n, _cn = layer.get((1 << M.rows) - 1, {0: (0, 0, 0, 0)})[0]
+    total = math.prod(M._scales)
     return Fraction(p, total), Fraction(n, total)
 
 
@@ -376,12 +379,15 @@ def _det_net(A, cap: int | None = None) -> tuple[dict[int, int], int]:
 
 def _cramer_slots(A, b, cap: int | None, read, zero) -> tuple[list, int]:
     """``read`` of one DP on [A | b]: the slot of det A, then that of each
-    det A_i(b) with its sign (-1)^(n-1-i), and the scale S."""
-    rows = _checked(A, DEFAULT_DET_CAP if cap is None else cap).to_rows()
-    n = len(rows)
-    slots, total = read(BoxMatrix(r + (v,) for r, v in zip(rows, b)))
+    det A_i(b) with its sign (-1)^(n-1-i), and the scale S. The DP runs
+    on row i of [A | b] times A's row scale s_i, A's integers then s_i b_i,
+    and the product of the s_i is folded into S."""
+    M = _checked(A, DEFAULT_DET_CAP if cap is None else cap)
+    n = M.rows
+    slots, total = read(BoxMatrix((*row, s * v)
+                                  for row, s, v in zip(M._ints, M._scales, b)))
     return [(slots.get(k, zero), 1 if k == n else (-1) ** (n - 1 - k))
-            for k in (n, *range(n))], total
+            for k in (n, *range(n))], total * math.prod(M._scales)
 
 
 def _cramer_dets(A, b, cap: int = DEFAULT_DET_CAP) -> list[Fraction]:
@@ -422,10 +428,8 @@ def replace_column(A, i: int, b: Sequence) -> BoxMatrix:
     vec = as_vector(b)
     if len(vec) != M.rows:
         raise DomainError(f"column length {len(vec)} != row count {M.rows}")
-    return BoxMatrix(
-        tuple(vec[r] if c == i - 1 else v for c, v in enumerate(row))
-        for r, row in enumerate(M.to_rows())
-    )
+    return BoxMatrix(row[:i - 1] + (v,) + row[i:]
+                     for row, v in zip(M.to_rows(), vec))
 
 
 def matmul_limit(A, B, mode: str = "exact") -> BoxMatrix:
@@ -447,16 +451,9 @@ def matmul_limit(A, B, mode: str = "exact") -> BoxMatrix:
             return smile(ts, _m)
     else:
         raise DomainError(f"mode must be 'exact', 'lower' or 'upper', got {mode!r}")
-    rows = []
-    for i in range(1, MA.rows + 1):
-        r = MA.row(i)
-        rows.append(
-            tuple(
-                agg(tuple(r[k] * MB.entry(k + 1, j) for k in range(MA.cols)))
-                for j in range(1, MB.cols + 1)
-            )
-        )
-    return BoxMatrix(rows)
+    cols = tuple(zip(*MB.to_rows()))
+    return BoxMatrix(tuple(agg(tuple(map(mul, r, c))) for c in cols)
+                     for r in MA.to_rows())
 
 
 def matvec_limit(A, x: Sequence, mode: str = "exact") -> BoxVector:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import _net_limit, as_float, as_scalar, as_vector
+from .core import _net_limit, _scalars, as_float, as_scalar, as_vector
 from .eigen import (
     DEFAULT_CHAR_CAP,
     _check_char,
@@ -172,7 +172,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
 
     if quantity in ("sum", "det", "charpoly"):
         if quantity == "sum":
-            net = net_by_magnitude(as_vector(inputs["xs"]))
+            net = net_by_magnitude(_scalars(inputs["xs"]))
         elif quantity == "det":
             net = _det_net(as_matrix(inputs["A"]), cap)
         else:
@@ -200,7 +200,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
             values.append(tuple(_phi_p_net(net, p) / den for net in nets[1:]))
 
     elif quantity == "hyperplane":
-        pts = [as_vector(pt) for pt in inputs["points"]]
+        pts = [_scalars(pt) for pt in inputs["points"]]
         x = as_vector(inputs["x"])
         V = BoxMatrix.from_columns(pts)
         n = V.rows
@@ -208,7 +208,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
             raise DomainError(f"x has length {len(x)}, expected {n}")
         limit = Fraction(0)
         _check_square(V, "determinant")
-        net, *row_nets = _cramer_nets(zip(*V.to_rows()), (1,) * n, cap)
+        net, *row_nets = _cramer_nets(pts, (1,) * n, cap)  # V^T
         size = _net_limit(net)
         # the residual either vanishes exactly or diverges: never near-tie
         for p in ps:

@@ -22,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .core import _envelopes, as_vector, boxminus
+from .core import _envelopes, _scalars, as_vector, boxminus
 from .errors import DomainError
 from .linalg import (
     DEFAULT_DET_CAP,
@@ -130,8 +131,8 @@ def cramer_limit_solve(sys: LimitSystem, cap: int = DEFAULT_DET_CAP) -> SolveRep
 # --- nonnegative max-equation systems ---------------------------------------
 
 
-def _check_max_inputs(A: BoxMatrix, b: BoxVector) -> None:
-    for i, row in enumerate(A.to_rows(), start=1):
+def _check_max_inputs(A: BoxMatrix, b) -> None:
+    for i, row in enumerate(A._ints, start=1):
         for j, a in enumerate(row, start=1):
             if a < 0:
                 raise DomainError(f"matrix entry ({i},{j}) is negative")
@@ -157,49 +158,46 @@ def maxsys_reduce(A, b):
     vec = as_vector(b)
     if len(vec) != M.rows:
         raise DomainError(f"right-hand side length {len(vec)} != rows {M.rows}")
+    rows = M.to_rows()
     zero_rows = {i for i, v in enumerate(vec, start=1) if v == 0}
-    forced = {
-        j
-        for j in range(1, M.cols + 1)
-        for i in zero_rows
-        if M.entry(i, j) > 0
-    }
+    forced = tuple(sorted({j for i in zero_rows
+                           for j, a in enumerate(rows[i - 1], start=1) if a > 0}))
     keep_rows = tuple(i for i in range(1, M.rows + 1) if i not in zero_rows)
     keep_cols = tuple(j for j in range(1, M.cols + 1) if j not in forced)
     if not keep_rows or not keep_cols:
-        return None, (), keep_rows, keep_cols, tuple(sorted(forced))
-    sub = BoxMatrix(
-        tuple(M.entry(i, j) for j in keep_cols) for i in keep_rows
-    )
-    return sub, tuple(vec[i - 1] for i in keep_rows), keep_rows, keep_cols, tuple(
-        sorted(forced)
-    )
+        return None, (), keep_rows, keep_cols, forced
+    sub = BoxMatrix(tuple(rows[i - 1][j - 1] for j in keep_cols)
+                    for i in keep_rows)
+    return sub, tuple(vec[i - 1] for i in keep_rows), keep_rows, keep_cols, forced
 
 
 def _max_columns(A, b):
-    """The checked system and, per column, (x_j, the 1-based rows attaining
-    it): x_j the least b_i/a_ij over positive a_ij, the ratios compared as
-    integer cross products over one scale; (None, ()) for a column with no
+    """The checked system M, b as integers B over its own scale T, and per
+    column (x_j, the 1-based rows attaining it): x_j the least b_i/a_ij,
+    that is B_i s_i / (T A_ij) over M's positive integers A_ij over s_i,
+    compared as integer cross products; (None, ()) for a column with no
     positive entry."""
     M = as_matrix(A)
-    vec = as_vector(b)
-    n, m = M.rows, M.cols
-    if len(vec) != n:
-        raise DomainError(f"right-hand side length {len(vec)} != rows {n}")
+    vec = _scalars(b)
+    if len(vec) != M.rows:
+        raise DomainError(f"right-hand side length {len(vec)} != rows {M.rows}")
     _check_max_inputs(M, vec)
-    ints, _scale = _over_lcm([a for row in M.to_rows() for a in row] + list(vec))
+    rhs, scale = _over_lcm(vec)
+    ts = list(map(mul, rhs, M._scales))
     cols = []
-    for j in range(m):
-        num, den, tight = 0, 0, []  # x_j = num/den once a row is tight
-        for i, (a, t) in enumerate(zip(ints[j:n * m:m], ints[n * m:]), start=1):
+    for j in range(M.cols):
+        num, den, tight = 0, 0, []  # x_j = num/(den T) once a row is tight
+        for i, (row, t) in enumerate(zip(M._ints, ts), start=1):
+            a = row[j]
             if a:
                 diff = t * den - num * a
                 if diff < 0 or not tight:
                     num, den, tight = t, a, [i]
                 elif diff == 0:
                     tight.append(i)
-        cols.append((Fraction(num, den), tuple(tight)) if tight else (None, ()))
-    return M, vec, cols
+        cols.append((Fraction(num, den * scale), tuple(tight)) if tight
+                    else (None, ()))
+    return M, rhs, cols
 
 
 def _candidate(cols) -> BoxVector:
@@ -293,11 +291,14 @@ def maxsys_existence_permutation(A, b):
 _EXACT_BITS = 1 << 16  # the largest power _dominates forms exactly, in bits
 
 
-def _dominates(rows, b, cols, q: int) -> bool:
+def _dominates(M: BoxMatrix, rhs, cols, q: int) -> bool:
     """True when b_i^q > sum_{j != i} (a_{i,cols[j]} b_j / a_{j,cols[j]})^q
-    for every row i, with 0-based columns and positive pivots a_{j,cols[j]}.
+    for every row i, with 0-based columns and positive pivots a_{j,cols[j]};
+    ``rhs`` is b as integers over its own scale T.
 
-    Both sides, times one scale and the lcm L of the pivots, are integers.
+    With A_ij M's integers over the row scales s_i, B_i b's over T and L
+    the lcm of the integer pivots, row i's sides times T s_i L are the
+    integers B_i s_i L and A_{i,cols[j]} B_j s_j L / A_{j,cols[j]}.
     A row fails when its largest term reaches b_i, and passes without the
     powers when Bernoulli's inequality puts b_i^q above (terms) * top^q.
     Otherwise the powers are compared exactly while b_i^q stays within
@@ -306,15 +307,13 @@ def _dominates(rows, b, cols, q: int) -> bool:
     q ulps per term, and a row within 256 times that of a tie raises
     DomainError rather than guess.
     """
-    n = len(b)
-    ints, _scale = _over_lcm([a for row in rows for a in row] + list(b))
-    pivots = [ints[j * n + c] for j, c in enumerate(cols)]
+    rows, scales = M._ints, M._scales
+    pivots = [rows[j][c] for j, c in enumerate(cols)]
     lcm = math.lcm(*pivots)
-    w = [t * (lcm // piv) for t, piv in zip(ints[n * n:], pivots)]
-    for i in range(n):
-        x = ints[n * n + i] * lcm
-        ys = [ints[i * n + c] * wj
-              for j, (c, wj) in enumerate(zip(cols, w)) if j != i]
+    w = [t * s * (lcm // piv) for t, s, piv in zip(rhs, scales, pivots)]
+    for i, (row, t, s) in enumerate(zip(rows, rhs, scales)):
+        x = t * s * lcm
+        ys = [row[c] * wj for j, (c, wj) in enumerate(zip(cols, w)) if j != i]
         top = max(ys, default=0)
         if x <= top:
             return False
@@ -337,22 +336,23 @@ def _dominates(rows, b, cols, q: int) -> bool:
 
 
 def _square_max(A, b):
-    """The rows and right-hand side of a checked square max system."""
+    """A checked square max system: the matrix, and the right-hand side as
+    integers over its own scale."""
     M = as_matrix(A)
-    vec = as_vector(b)
+    vec = _scalars(b)
     if not M.is_square or len(vec) != M.rows:
         raise DomainError("square matrix and matching vector required")
     _check_max_inputs(M, vec)
-    return M.to_rows(), vec
+    return M, _over_lcm(vec)[0]
 
 
 def kaykobad_check(A, b) -> bool:
     """Strict dominance b_i > sum_{j != i} a_ij b_j / a_jj for every row."""
-    rows, vec = _square_max(A, b)
-    for i, row in enumerate(rows):
+    M, rhs = _square_max(A, b)
+    for i, row in enumerate(M._ints):
         if row[i] <= 0:
             raise DomainError(f"diagonal entry ({i + 1},{i + 1}) must be positive")
-    return _dominates(rows, vec, range(len(vec)), 1)
+    return _dominates(M, rhs, range(M.rows), 1)
 
 
 def kaykobad_p_check(A, b, sigma: Sequence[int], p: int) -> bool:
@@ -360,15 +360,15 @@ def kaykobad_p_check(A, b, sigma: Sequence[int], p: int) -> bool:
     b_i^(2p+1) strictly above the sum over j != i of
     (a_{i,sigma(j)} b_j / a_{j,sigma(j)})^(2p+1), decided as in
     :func:`_dominates` (exactly unless a large p meets a near tie)."""
-    rows, vec = _square_max(A, b)
-    n = len(vec)
+    M, rhs = _square_max(A, b)
+    n = M.rows
     if sorted(sigma) != list(range(1, n + 1)):
         raise DomainError(f"not a permutation of 1..{n}: {tuple(sigma)!r}")
     cols = [s - 1 for s in sigma]
     for j, c in enumerate(cols):
-        if rows[j][c] == 0:
+        if M._ints[j][c] == 0:
             raise DomainError(f"zero pivot at row {j + 1}, column {c + 1}")
-    return _dominates(rows, vec, cols, odd_exponent(p))
+    return _dominates(M, rhs, cols, odd_exponent(p))
 
 
 # --- two-sided systems -------------------------------------------------------
@@ -415,11 +415,8 @@ def twosided_solve(sys: TwoSidedSystem, cap: int = DEFAULT_DET_CAP) -> SolveRepo
     against the reduced sandwich inequalities and against the original
     two-sided inequalities; a row's satisfied flag requires both.
     """
-    n = sys.A.rows
-    D = BoxMatrix(
-        tuple(boxminus(sys.A.entry(i, j), sys.C.entry(i, j)) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
+    D = BoxMatrix(tuple(map(boxminus, a_row, c_row))
+                  for a_row, c_row in zip(sys.A.to_rows(), sys.C.to_rows()))
     r = tuple(boxminus(b, d) for b, d in zip(sys.b, sys.d))
     reduced = LimitSystem(D, r)
     base = cramer_limit_solve(reduced, cap)

@@ -649,6 +649,37 @@ class TestSym:
 
 
 class TestInputHandling:
+    def test_integer_inputs_are_read_once(self, capsys, monkeypatch):
+        # all-integer problems reach the integer kernels without a Fraction
+        # coercion, and a max system's matrix is scaled once, when it is
+        # built: the column scan and the Kaykobad tests scale only b
+        import boxalg.solve as solve
+        coerced, scaled = [], []
+
+        def as_scalar(value, _f=sys.modules["boxalg.core"].as_scalar):
+            coerced.append(value)
+            return _f(value)
+
+        def over_lcm(values, _f=solve._over_lcm):
+            values = list(values)
+            scaled.append(values)
+            return _f(values)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "boxalg" and hasattr(module, "as_scalar"):
+                monkeypatch.setattr(module, "as_scalar", as_scalar)
+        monkeypatch.setattr(solve, "_over_lcm", over_lcm)
+        for kind, doc in (
+                ("oracle", '{"quantity":"sum","xs":[3,-3,2,5,-5,1],'
+                           '"options":{"p_max":4}}'),
+                ("det", '{"A":[[2,1,0],[1,2,1],[0,1,2]],"options":{"p":2}}'),
+                ("maxsolve", '{"A":[[2,3],[4,1]],"b":[5,7],"options":{"p":2}}')):
+            code, obj = invoke(capsys, kind, "--json", doc)
+            assert code == 0 and "error" not in obj
+        assert obj["kaykobad"] is not None and "kaykobad_p" in obj
+        assert coerced == []
+        assert scaled == [[5, 7]]
+
     def test_malformed_json_reports_position(self, capsys):
         code, obj = invoke(capsys, "det", "--json", '{"A": [[1,')
         assert code == 3

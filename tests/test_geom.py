@@ -51,6 +51,17 @@ class TestConstruction:
         with pytest.raises(DomainError):
             LimitHyperplane((F(1), F(1)), F(0))
 
+    def test_rhs_follows_the_scalar_rule(self):
+        # the right-hand side reads like every other scalar input: 0.1 as
+        # the decimal 1/10, as it does among the coefficients
+        H = LimitHyperplane((0.1, 2), 0.1)
+        assert H.rhs == H.coeffs[0] == F(1, 10)
+        assert type(H.rhs) is F
+        assert LimitHyperplane((1, 1), "-3/4").rhs == F(-3, 4)
+        for bad in ("1.5", True, float("inf"), "1/0"):
+            with pytest.raises(DomainError):
+                LimitHyperplane((F(1), F(1)), bad)
+
 
 class TestMembership:
     def test_membership_is_a_sandwich(self):

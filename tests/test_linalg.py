@@ -1,6 +1,7 @@
 """Matrices, permutation expansions, and limit determinants."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from boxalg import (
     BoxMatrix,
     CapacityError,
     DomainError,
+    as_vector,
     boxplus,
     cofactor_inf,
     det_inf,
@@ -81,6 +83,73 @@ class TestBoxMatrix:
         B = BoxMatrix([[F(1), F(2)], [F(3), F(4)]])
         assert A == B
         assert hash(A) == hash(B)
+
+    def test_one_form_whatever_the_spelling(self):
+        # seeded matrices of ints, of rationals with zeros and a different
+        # denominator in each row, and of entries past the float range,
+        # spelled as ints, rational strings, decimal floats and Fractions:
+        # one matrix, read back as the same Fractions, and the same after
+        # a round trip through minor, from_columns and replace_column
+        rng = random.Random(31)
+
+        def value(kind, den):
+            if kind == "int":
+                return F(rng.randint(-9, 9))
+            if kind == "rational":
+                return F(0) if rng.random() < 0.3 else F(rng.randint(-30, 30), den)
+            return rng.choice((-1, 1)) * F(rng.randint(10 ** 310, 10 ** 320), den)
+
+        spellings = {
+            "int": lambda v: int(v) if v.denominator == 1 else None,
+            "string": str,
+            "float": lambda v: (float(v) if abs(v) < 2 ** 53
+                                and F(str(float(v))) == v else None),
+            "fraction": lambda v: v,
+        }
+        seen = set()
+        for k in range(300):
+            kind = ("int", "rational", "wide")[k % 3]
+            n, m = rng.randint(1, 5), rng.randint(1, 5)
+            dens = [rng.choice((1, 2, 3, 4, 5, 7, 8, 10)) for _ in range(n)]
+            want = [[value(kind, d) for _ in range(m)] for d in dens]
+            forms = []
+            for name, spell in spellings.items():
+                rows = [[spell(v) for v in row] for row in want]
+                if all(v is not None for row in rows for v in row):
+                    forms.append(BoxMatrix(rows))
+                    seen.add((kind, name))
+            mixed = [[rng.choice([s(v) for s in spellings.values()
+                                  if s(v) is not None]) for v in row]
+                     for row in want]
+            A = BoxMatrix(mixed)
+            for M in forms:
+                assert M == A and hash(M) == hash(A)
+            rows = A.to_rows()
+            assert rows == tuple(as_vector(r) for r in want)
+            assert all(type(v) is F for row in rows for v in row)
+            for i in range(1, n + 1):
+                assert A.row(i) == rows[i - 1]
+                for j in range(1, m + 1):
+                    assert type(A.entry(i, j)) is F
+                    assert A.entry(i, j) == A[i, j] == want[i - 1][j - 1]
+            for j in range(1, m + 1):
+                assert A.col(j) == tuple(r[j - 1] for r in want)
+                assert all(type(v) is F for v in A.col(j))
+                assert replace_column(A, j, A.col(j)) == A
+                b = [value(kind, 1) for _ in range(n)]
+                B = replace_column(A, j, [str(v) for v in b])
+                assert B.col(j) == tuple(b)
+                if n > 1 and m > 1:
+                    assert B.minor(1, j) == A.minor(1, j)
+            assert BoxMatrix.from_columns(zip(*mixed)) == A
+            if n > 1 and m > 1:
+                i, j = rng.randint(1, n), rng.randint(1, m)
+                assert A.minor(i, j) == BoxMatrix(
+                    [v for c, v in enumerate(row, 1) if c != j]
+                    for r, row in enumerate(want, 1) if r != i)
+        assert {(kind, "fraction") for kind in ("int", "rational", "wide")} <= seen
+        assert {("int", "int"), ("int", "float"), ("rational", "float"),
+                ("wide", "int")} <= seen
 
 
 class TestPermutations:

@@ -53,14 +53,18 @@ def _reference_kaykobad(A, b):
 def _seeded_max_system(rng, n, m, entries):
     """A nonnegative n x m system with positive b: zeros, small integers
     (where ratio ties are common) or rationals, and a right-hand side that
-    is either the max-times image of a positive x or drawn freely."""
-    def scalar():
+    is either the max-times image of a positive x or drawn freely. The
+    "by-row" rationals take one denominator per row, so the rows' scales
+    differ from each other and from b's."""
+    def scalar(den=None):
         if rng.random() < 0.25:
             return F(0)
         if entries == "small":
             return F(rng.randint(1, 3))
-        return F(rng.randint(1, 9), rng.randint(1, 4))
-    rows = [[scalar() for _ in range(m)] for _ in range(n)]
+        return F(rng.randint(1, 9), den or rng.randint(1, 4))
+    dens = [rng.choice((1, 2, 3, 5, 6, 7)) if entries == "by-row" else None
+            for _ in range(n)]
+    rows = [[scalar(den) for _ in range(m)] for den in dens]
     if rng.random() < 0.5:
         x = [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(m)]
         b = [max(a * v for a, v in zip(row, x)) or F(1) for row in rows]
@@ -348,11 +352,12 @@ class TestMaxSystem:
         the tight rows are the argmax of a_ik/b_i over positive a_ik."""
         rng = random.Random(7)
         feasible = tied = 0
-        for k in range(1500):
+        for k in range(2000):
             n, m = rng.randint(1, 6), rng.randint(1, 6)
             if k % 2:
                 m = n
-            A, b = _seeded_max_system(rng, n, m, ("small", "rational")[k % 3 == 0])
+            entries = ("small", "rational")[k % 3 == 0] if k < 1500 else "by-row"
+            A, b = _seeded_max_system(rng, n, m, entries)
             rows = A.to_rows()
             _M, _b, cols = _max_columns(A, b)
             assert len(cols) == m
@@ -370,6 +375,8 @@ class TestMaxSystem:
                     assert set(tight) == {i + 1 for i in support
                                           if ratios[i] == max(ratios)}
             x = tuple(F(0) if v is None else v for v, _t in cols)
+            if all(v is not None for v, _t in cols):
+                assert maxsys_candidate(A, b) == x
             ok = all(max(a * v for a, v in zip(row, x)) == t
                      for row, t in zip(rows, b))
             assert maxsys_solve(A, b) == (x if ok else None)
@@ -379,9 +386,10 @@ class TestMaxSystem:
     def test_kaykobad_matches_fraction_sums(self):
         rng = random.Random(11)
         verdicts = set()
-        for k in range(1500):
+        for k in range(2000):
             n = rng.randint(1, 6)
-            A, b = _seeded_max_system(rng, n, n, ("small", "rational")[k % 2])
+            entries = ("small", "rational")[k % 2] if k < 1500 else "by-row"
+            A, b = _seeded_max_system(rng, n, n, entries)
             rows = [list(r) for r in A.to_rows()]
             for i in range(n):
                 rows[i][i] = rows[i][i] or F(rng.randint(1, 4))
@@ -398,9 +406,10 @@ class TestMaxSystem:
     def test_kaykobad_p_matches_exact_power_sums(self):
         rng = random.Random(12)
         verdicts = set()
-        for k in range(600):
+        for k in range(800):
             n = rng.randint(1, 5)
-            A, b = _seeded_max_system(rng, n, n, ("small", "rational")[k % 2])
+            entries = ("small", "rational")[k % 2] if k < 600 else "by-row"
+            A, b = _seeded_max_system(rng, n, n, entries)
             found = maxsys_existence_permutation(A, b)
             if found is None:
                 continue
