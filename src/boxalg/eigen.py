@@ -35,6 +35,14 @@ upper hull. Each maximal collinear run of the hull ties at one radius,
 is a member on a half-line exactly when the run's effective signs (sign *
 (-1)^d on the negative half-line) differ. The hull tests compare powers
 of rationals, so no float enters a verdict.
+
+The finite-index Perron data of a positive matrix come from Noda
+iteration on the entrywise power B = A^(q), run in floats after a
+tropical scaling: Karp's maximum cycle mean of q log A and a max-plus
+subeigenvector give a diagonal similarity of B / e^lam with every entry
+at most 1 and spectral radius in [1, n], so the run neither overflows
+nor loses to underflow anything that moves the result, however far apart
+the entries are (see :func:`perron_p`).
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, cycle
-from operator import add, getitem
+from operator import add, getitem, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .core import LOWER, UPPER, _net_limit, as_scalar, smile
@@ -338,14 +346,76 @@ def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP) -> list:
 # --- finite-index Perron data ------------------------------------------------
 
 
+def _max_cycle_mean(L) -> float:
+    """Karp's maximum cycle mean of the complete digraph with arc weights
+    L[i][j]: with D_k(v) the heaviest k-arc walk ending at v from any
+    start, it is max over v of min over k < n of (D_n(v) - D_k(v))/(n - k)."""
+    n = len(L)
+    D = [[0.0] * n]
+    for _ in range(n):
+        D.append([max(map(add, D[-1], col)) for col in zip(*L)])
+    return max(min((D[n][v] - D[k][v]) / (n - k) for k in range(n))
+               for v in range(n))
+
+
+def _subeigenvector(C) -> list[float]:
+    """A column of the max-plus Kleene star of C, whose maximum cycle mean
+    is 0: u with C[i][j] + u[j] <= u[i]. The column is that of a critical
+    node (the heaviest closed walk through it weighs 0), so every row i
+    has an arc with C[i][j] + u[j] = u[i]."""
+    S = [row[:] for row in C]
+    for k, Sk in enumerate(S):  # Floyd-Warshall: heaviest paths
+        for Si in S:
+            w = Si[k]
+            Si[:] = [max(a, w + b) for a, b in zip(Si, Sk)]
+    j = max(range(len(S)), key=lambda i: S[i][i])
+    return [0.0 if i == j else row[j] for i, row in enumerate(S)]
+
+
+def _triplet_solve(N, u, v, b) -> Optional[list[float]]:
+    """Solve M y = b for the M-matrix M with off-diagonal entries -N[i][j]
+    (N's diagonal is not read) and M u = v, u > 0, v >= 0, by Gaussian
+    elimination in triplet form (Alfa, Xue and Ye, Math. Comp. 71, 2002).
+    Each pivot is read as (v_k + sum_j N[k][j] u_j) / u_k and every update
+    adds nonnegative terms, so no step subtracts. Returns None at a zero
+    pivot, when M is singular."""
+    n = len(u)
+    N, v, b = [row[:] for row in N], v[:], b[:]
+    pivots = []
+    for k in range(n):
+        Nk = N[k]
+        d = (v[k] + sum(map(mul, Nk[k + 1:], u[k + 1:]))) / u[k]
+        if not d:
+            return None
+        pivots.append(d)
+        for i in range(k + 1, n):
+            f = N[i][k] / d
+            if f:
+                N[i][k + 1:] = [a + f * c for a, c in zip(N[i][k + 1:],
+                                                          Nk[k + 1:])]
+                v[i] += f * v[k]
+                b[i] += f * b[k]
+    y = [0.0] * n
+    for k in reversed(range(n)):
+        y[k] = (b[k] + sum(map(mul, N[k][k + 1:], y[k + 1:]))) / pivots[k]
+    return y
+
+
 def perron_p(A, p: int, tol: float = 1e-12,
-             max_iter: int = 1000) -> tuple[SignedLog, tuple[SignedLog, ...]]:
+             max_iter: int = 100) -> tuple[SignedLog, tuple[SignedLog, ...]]:
     """Dominant eigenpair of the odd-power image of a positive matrix.
 
-    Power iteration runs in log space on the entrywise (2p+1)-th powers,
-    starting from the all-ones vector with sup-norm normalization. The
-    returned value is the (2p+1)-th root of the dominant eigenvalue; the
-    vector is the eigenvector of the powered matrix, sup-norm 1.
+    B = A^(q), q = 2p+1 entrywise, is scaled tropically before any float
+    is exponentiated: with L = q log A, lam its maximum cycle mean (Karp)
+    and u a max-plus subeigenvector of L - lam, the matrix B'_ij =
+    exp(L_ij - lam + u_j - u_i) has every entry <= 1 and rho(B') in [1, n],
+    so an entry that underflows cannot move the result. Noda iteration on
+    B' (Numer. Math. 17, 1971) reads the Collatz-Wielandt bracket [min,
+    max] of (B'x)_i / x_i and solves (top I - B') y = x, subtraction-free,
+    with top the bracket's maximum; it stops when the bracket closes to
+    ``tol`` relative, or at a zero pivot, where top is an eigenvalue and
+    so rho(B'). The returned value is the q-th root of rho(B) = e^lam
+    top; the vector is B's eigenvector e^u_i x_i, sup-norm 1.
     """
     M = as_matrix(A)
     if not M.is_square:
@@ -355,29 +425,33 @@ def perron_p(A, p: int, tol: float = 1e-12,
             if a <= 0:
                 raise DomainError(f"matrix entry ({i},{j}) must be positive")
     q = odd_exponent(p)
-    logA = [[q * _log_over(a, s) for a in row]
-            for row, s in zip(M._ints, M._scales)]
-    exp, log, fsum = math.exp, math.log, math.fsum
-    v = [0.0] * M.rows
-    rho_log = None
+    L = [[q * _log_over(a, s) for a in row]
+         for row, s in zip(M._ints, M._scales)]
+    lam = _max_cycle_mean(L)
+    C = [[a - lam for a in row] for row in L]
+    u = _subeigenvector(C)
+    exp, fsum = math.exp, math.fsum
+    B = [[exp(c + uj - ui) for c, uj in zip(row, u)]
+         for row, ui in zip(C, u)]
+    x = [1.0] * M.rows
     for _ in range(max_iter):
-        w = []
-        for row in logA:
-            terms = list(map(add, row, v))
-            m = max(terms)
-            w.append(m + log(fsum([exp(t - m) for t in terms])))
-        top = max(w)
-        new_v = [wi - top for wi in w]
-        drift = max(abs(a - b) for a, b in zip(new_v, v))
-        settled = rho_log is not None and abs(top - rho_log) <= tol and drift <= tol
-        v, rho_log = new_v, top
-        if settled:
-            rho = SignedLog(1, rho_log / q)
-            vec = tuple(SignedLog(1, vi) for vi in v)
-            return rho, vec
-    raise ConvergenceError(
-        f"power iteration did not settle within {max_iter} iterations"
-    )
+        ratios = [fsum(map(mul, row, x)) / xi for row, xi in zip(B, x)]
+        top = max(ratios)
+        if top - min(ratios) <= tol * top:
+            break
+        y = _triplet_solve(B, x, [(top - r) * xi
+                                  for r, xi in zip(ratios, x)], x)
+        if y is None:
+            break
+        m = max(y)
+        x = [yi / m for yi in y]
+    else:
+        raise ConvergenceError(
+            f"Noda iteration did not settle within {max_iter} iterations")
+    logs = [ui + math.log(xi) for ui, xi in zip(u, x)]
+    top_log = max(logs)
+    return (SignedLog(1, (lam + math.log(top)) / q),
+            tuple(SignedLog(1, g - top_log) for g in logs))
 
 
 def boxtimes_eig_check(A, lam, v: Sequence) -> bool:

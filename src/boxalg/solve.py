@@ -102,11 +102,17 @@ def verify_limit_system(sys: LimitSystem, x: Sequence) -> VerifyReport:
     vec = as_vector(x)
     if len(vec) != sys.A.cols:
         raise DomainError(f"x has length {len(vec)}, expected {sys.A.cols}")
-    rows = []
-    for row, t in zip(sys.A.to_rows(), sys.b):
-        lo, hi = _envelopes(a * v for a, v in zip(row, vec))
-        rows.append(RowBounds(lo, hi, lo <= t <= hi))
-    return VerifyReport(tuple(rows), all(r.satisfied for r in rows))
+    rows = _sandwich(sys.A.to_rows(), sys.b, vec)
+    return VerifyReport(rows, all(r.satisfied for r in rows))
+
+
+def _sandwich(rows, b, x) -> tuple[RowBounds, ...]:
+    """:func:`verify_limit_system` on Fraction rows, b and x."""
+    out = []
+    for row, t in zip(rows, b):
+        lo, hi = _envelopes(a * v for a, v in zip(row, x))
+        out.append(RowBounds(lo, hi, lo <= t <= hi))
+    return tuple(out)
 
 
 def is_regular(sys: LimitSystem, x: Sequence) -> bool:
@@ -120,11 +126,18 @@ def cramer_limit_solve(sys: LimitSystem, cap: int = DEFAULT_DET_CAP) -> SolveRep
     When the limit determinant of A vanishes there is no Cramer solution;
     the report then carries det=0, no solution, and no row bounds.
     """
-    det, *dets = _cramer_dets(sys.A, sys.b, cap)
+    return _cramer_report(sys.A, sys.b, cap,
+                          lambda x: verify_limit_system(sys, x).rows)
+
+
+def _cramer_report(A: BoxMatrix, b, cap: int, check) -> SolveReport:
+    """:func:`cramer_limit_solve` of A x = b, its rows checked at the
+    solution x by ``check(x)``."""
+    det, *dets = _cramer_dets(A, b, cap)
     if det == 0:
         return SolveReport(None, det, (), False)
     x = tuple(d / det for d in dets)
-    rows = verify_limit_system(sys, x).rows
+    rows = check(x)
     return SolveReport(x, det, rows, all(r.lower == r.upper for r in rows))
 
 
@@ -392,11 +405,15 @@ def twosided_row_checks(sys: TwoSidedSystem, x: Sequence) -> tuple[TwoSidedRowCh
     vec = as_vector(x)
     if len(vec) != sys.A.cols:
         raise DomainError(f"x has length {len(vec)}, expected {sys.A.cols}")
+    return _row_checks(sys.A.to_rows(), sys.C.to_rows(), sys.b, sys.d, vec)
+
+
+def _row_checks(a_rows, c_rows, b, d, x) -> tuple[TwoSidedRowCheck, ...]:
+    """:func:`twosided_row_checks` on Fraction rows of A and C and on x."""
     out = []
-    for a_row, c_row, b, d in zip(sys.A.to_rows(), sys.C.to_rows(),
-                                  sys.b, sys.d):
-        a_lo, a_hi = _envelopes([*(a * v for a, v in zip(a_row, vec)), d])
-        c_lo, c_hi = _envelopes([*(c * v for c, v in zip(c_row, vec)), b])
+    for a_row, c_row, bi, di in zip(a_rows, c_rows, b, d):
+        a_lo, a_hi = _envelopes([*(a * v for a, v in zip(a_row, x)), di])
+        c_lo, c_hi = _envelopes([*(c * v for c, v in zip(c_row, x)), bi])
         out.append(TwoSidedRowCheck(a_lo, c_lo, a_hi, c_hi, a_lo <= c_lo and a_hi >= c_hi))
     return tuple(out)
 
@@ -415,14 +432,15 @@ def twosided_solve(sys: TwoSidedSystem, cap: int = DEFAULT_DET_CAP) -> SolveRepo
     against the reduced sandwich inequalities and against the original
     two-sided inequalities; a row's satisfied flag requires both.
     """
-    D = BoxMatrix(tuple(map(boxminus, a_row, c_row))
-                  for a_row, c_row in zip(sys.A.to_rows(), sys.C.to_rows()))
-    r = tuple(boxminus(b, d) for b, d in zip(sys.b, sys.d))
-    reduced = LimitSystem(D, r)
-    base = cramer_limit_solve(reduced, cap)
+    a_rows, c_rows = sys.A.to_rows(), sys.C.to_rows()
+    d_rows = [tuple(map(boxminus, a_row, c_row))
+              for a_row, c_row in zip(a_rows, c_rows)]
+    r = tuple(map(boxminus, sys.b, sys.d))
+    base = _cramer_report(BoxMatrix(d_rows), r, cap,
+                          lambda x: _sandwich(d_rows, r, x))
     if base.solution is None:
         return base
-    originals = twosided_row_checks(sys, base.solution)
+    originals = _row_checks(a_rows, c_rows, sys.b, sys.d, base.solution)
     rows = tuple(
         RowBounds(rb.lower, rb.upper, rb.satisfied and oc.satisfied)
         for rb, oc in zip(base.per_row, originals)

@@ -17,6 +17,24 @@ from boxalg.core import RATIONAL_RE
 
 BIG = "1" + "0" * 400
 
+# the limit-cancel seed 1 block 2 eigen matrix: power iteration did not
+# settle on it from p = 10 on, Noda iteration settles at every p
+SETTLES_NOW = [[1, 1, 2, 2, 3, 2, 1], [2, 2, 2, 2, 3, 2, 2],
+               [3, 2, 1, 3, 2, 1, 2], [1, 2, 1, 3, 1, 2, 3],
+               [3, 2, 1, 3, 2, 3, 3], [2, 1, 2, 1, 1, 2, 2],
+               [1, 2, 2, 1, 2, 1, 1]]
+
+
+def _unsettled_from(p_first):
+    """perron_p, raising ConvergenceError from p = p_first on."""
+    from boxalg import ConvergenceError, perron_p
+
+    def perron(A, p, *args, **kw):
+        if p >= p_first:
+            raise ConvergenceError("did not settle")
+        return perron_p(A, p, *args, **kw)
+    return perron
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -442,15 +460,26 @@ class TestCharpolyAndEigen:
         assert 0 < obj["perron"]["final_rel_gap"] < 1e-12
         assert obj["perron"]["converged"] is True
 
-    def test_unsettled_perron_keeps_the_region(self, capsys):
-        A = [[1, 1, 2, 2, 3, 2, 1], [2, 2, 2, 2, 3, 2, 2], [3, 2, 1, 3, 2, 1, 2],
-             [1, 2, 1, 3, 1, 2, 3], [3, 2, 1, 3, 2, 3, 3], [2, 1, 2, 1, 1, 2, 2],
-             [1, 2, 2, 1, 2, 1, 1]]
-        code, obj = invoke(capsys, "eigen", "--json", json.dumps({"A": A}))
+    def test_unsettled_perron_keeps_the_region(self, capsys, monkeypatch):
+        import boxalg.cli as cli
+        monkeypatch.setattr(cli, "perron_p", _unsettled_from(0))
+        code, obj = invoke(capsys, "eigen", "--json",
+                           json.dumps({"A": SETTLES_NOW}))
         assert code == 0
         assert obj["region"] == ["-3", "-2", "2", "3"]
         assert obj["perron"] == {"converged": False, "final_rel_gap": "inf",
                                  "limit_float": 3.0, "p_max": 20}
+
+    def test_former_unsettled_matrix_settles(self, capsys):
+        code, obj = invoke(capsys, "eigen", "--json",
+                           json.dumps({"A": SETTLES_NOW}))
+        assert code == 0
+        assert isinstance(obj["perron"]["final_rel_gap"], float)
+        code, obj = invoke(capsys, "oracle", "--json",
+                           json.dumps({"quantity": "perron", "A": SETTLES_NOW}))
+        assert code == 0
+        assert all(isinstance(v, float) for v in obj["values"])
+        assert len(obj["values"]) == 21
 
     def test_one_region_and_one_perron_run(self, capsys, monkeypatch):
         import boxalg.cli as cli
@@ -521,14 +550,12 @@ class TestOracle:
         assert code == 3
         assert obj == {"error": message}
 
-    def test_unsettled_perron_keeps_the_settled_values(self, capsys):
-        # the limit-cancel seed 1 block 2 matrix: power iteration settles
-        # up to p = 9 and not from p = 10 on
-        A = [[1, 1, 2, 2, 3, 2, 1], [2, 2, 2, 2, 3, 2, 2], [3, 2, 1, 3, 2, 1, 2],
-             [1, 2, 1, 3, 1, 2, 3], [3, 2, 1, 3, 2, 3, 3], [2, 1, 2, 1, 1, 2, 2],
-             [1, 2, 2, 1, 2, 1, 1]]
+    def test_unsettled_perron_keeps_the_settled_values(self, capsys,
+                                                       monkeypatch):
+        import boxalg.oracle as oracle
+        monkeypatch.setattr(oracle, "perron_p", _unsettled_from(10))
         code, obj = invoke(capsys, "oracle", "--json",
-                           json.dumps({"quantity": "perron", "A": A}))
+                           json.dumps({"quantity": "perron", "A": SETTLES_NOW}))
         assert code == 0
         assert obj["limit"] == "3"
         assert all(isinstance(v, float) for v in obj["values"][:10])

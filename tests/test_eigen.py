@@ -1,6 +1,7 @@
 """Characteristic monomials, eigenvalue regions, and positive spectra."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,55 @@ class TestPositiveSpectrum:
     def test_requires_strictly_positive_entries(self):
         with pytest.raises(DomainError):
             perron_p(BoxMatrix([[1, 0], [0, 1]]), 3)
+
+    @pytest.mark.parametrize("hi", [99, 3])
+    def test_value_inside_its_vectors_exact_bracket(self, hi):
+        # the Collatz-Wielandt bracket [min, max] of (Bx)_i / x_i holds
+        # rho(B) for every positive x; here it is exact, in Fractions,
+        # against the integer B = A^(q) and the returned vector
+        rng = random.Random(hi)
+        for n in range(2, 8):
+            for _ in range(3):
+                A = [[rng.randint(1, hi) for _ in range(n)] for _ in range(n)]
+                for p in (0, 5, 10, 20):
+                    q = 2 * p + 1
+                    rho, vec = perron_p(A, p)
+                    x = [F(v.to_float()) for v in vec]
+                    assert max(x) == 1 and min(x) > 0
+                    ratios = [sum(a ** q * xj for a, xj in zip(row, x)) / xi
+                              for row, xi in zip(A, x)]
+                    lo, hi_ = math.log(min(ratios)), math.log(max(ratios))
+                    assert hi_ - lo < 1e-11
+                    assert lo - 1e-12 <= q * rho.logmag <= hi_ + 1e-12
+
+    @staticmethod
+    def _within_friedland_bound(A, p):
+        # mu <= rho(A^(q))^(1/q) <= n^(1/q) mu, with mu the maximum cycle
+        # geometric mean, the top of the eigen region; compared in logs
+        q, n = 2 * p + 1, len(A)
+        log_mu = math.log(max(eigen_region(A)))
+        slack = 1e-12 * max(1.0, abs(log_mu))
+        rho, vec = perron_p(A, p)
+        assert log_mu - slack <= rho.logmag
+        assert rho.logmag <= log_mu + math.log(n) / q + slack
+        assert max(v.logmag for v in vec) == 0.0
+
+    @pytest.mark.parametrize("A, p", [
+        # B = A^(q) scaled by its largest entry alone is nilpotent in floats
+        ([[1, 10 ** 8], [1, 1]], 64),
+        ([[10 ** 8, 1], [1, 1]], 20),
+    ])
+    def test_friedland_bound_far_apart_entries(self, A, p):
+        self._within_friedland_bound(A, p)
+
+    def test_friedland_bound_wide_entries(self):
+        rng = random.Random(30)
+        for n in range(2, 7):
+            for _ in range(4):
+                A = [[rng.randint(1, 10 ** rng.randint(0, 30))
+                      for _ in range(n)] for _ in range(n)]
+                for p in (0, 7, 20, 64):
+                    self._within_friedland_bound(A, p)
 
 
 class TestEigenCheck:

@@ -219,11 +219,26 @@ class TestRegularityFromTheCheckedRows:
     def test_two_sided_rows_are_checked_once(self, monkeypatch, C, regular):
         system = TwoSidedSystem(BoxMatrix([[2, 1], [1, 3]]), BoxMatrix(C),
                                 (F(4), F(3)), (F(3), F(2)))
-        calls = _counting(monkeypatch, "twosided_row_checks")
+        calls = _counting(monkeypatch, "_row_checks")
         report = twosided_solve(system)
         assert len(calls) == 1
         assert report.regular is regular
         assert report.regular == twosided_is_regular(system, report.solution)
+
+    def test_two_sided_reads_the_fraction_rows_once(self, monkeypatch):
+        # A's and C's rows give D = A (-) C and the original checks; D's
+        # rows are checked as built, so no matrix's rows are read again
+        reads = []
+        to_rows = BoxMatrix.to_rows
+
+        def counted(M):
+            reads.append(M)
+            return to_rows(M)
+        monkeypatch.setattr(BoxMatrix, "to_rows", counted)
+        A, C = BoxMatrix([[2, 1], [1, 3]]), BoxMatrix([[1, 1], [2, 2]])
+        report = twosided_solve(TwoSidedSystem(A, C, (4, 3), (3, 2)))
+        assert report.solution is not None
+        assert reads == [A, C]
 
 
 class TestMaxSystem:
