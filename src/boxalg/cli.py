@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -107,11 +108,11 @@ def _float_out(x):
     return f
 
 
-def _rat(x, scale: int = 1) -> str:
-    """The canonical string of the rational x / scale."""
+def _rat(xs, scale: int = 1) -> list[str]:
+    """The canonical strings of the rationals x / scale for x in xs."""
     try:
-        return str(x if scale == 1 and type(x) in (int, Fraction)
-                   else Fraction(x, scale))
+        return (list(map(str, xs)) if scale == 1
+                else [str(Fraction(x, scale)) for x in xs])
     except ValueError:  # Python's limit on int-to-str conversion
         raise CapacityError(
             "result too long to print: more than "
@@ -126,8 +127,8 @@ def _exact(out: dict, **values) -> dict:
     for key, v in values.items():
         many = isinstance(v, (tuple, list))
         items = v if many else (v,)
-        exact = [_float_out(x) if isinstance(x, float) else _rat(x)
-                 for x in items]
+        exact = [_float_out(x) if isinstance(x, float) else r
+                 for x, r in zip(items, _rat(items))]
         floats = [_float_out(x) for x in items]
         out[key], out[key + "_float"] = ((exact, floats) if many
                                          else (exact[0], floats[0]))
@@ -139,7 +140,7 @@ def _slog(z: SignedLog) -> dict:
         "sign": z.sign,
         "logmag": _float_out(z.logmag),
         "float": _float_out(z.to_float()),
-        "exact": None if z.exact is None else _rat(z.exact),
+        "exact": None if z.exact is None else _rat([z.exact])[0],
     }
 
 
@@ -275,9 +276,9 @@ def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
     return OK, out
 
 
-def _charpoly_evals(levels, scale: int, lam: Fraction, opts: dict) -> dict:
-    at = _values_at(_degree_classes(levels), scale, lam)
-    out: dict = {"lam": _rat(lam)}
+def _charpoly_evals(tallies, scale: int, lam: Fraction, opts: dict) -> dict:
+    at = _values_at(_degree_classes(tallies), scale, lam)
+    out: dict = {"lam": _rat([lam])[0]}
     for mode in ("limit", "lower", "upper"):
         _exact(out, **{f"eval_{mode}": _read(at, mode)})
     p = _opt_p(opts)
@@ -292,12 +293,12 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     lam = data.get("lam")
     lam = None if lam is None else as_scalar(lam)
     levels, scale = _char_levels(A)
-    # net the values at lam from the listing, freed before it is formatted
-    out = {} if lam is None else _charpoly_evals(levels, scale, lam, opts)
+    tallies = [(degree, Counter(level)) for degree, level in levels]
+    out = {} if lam is None else _charpoly_evals(tallies, scale, lam, opts)
     out["monomials"] = ms = []
-    for degree, level in levels:
+    for (degree, level), (_, t) in zip(levels, tallies):
         # equal coefficients share one entry, formatted once
-        entry = {c: [_rat(c, scale), degree] for c in set(level)}
+        entry = {c: [r, degree] for c, r in zip(t, _rat(t, scale))}
         ms.extend(map(entry.__getitem__, level))
     out["count"] = len(ms)
     return OK, out
@@ -313,8 +314,8 @@ def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
         tol = opts.get("tol", DEFAULT_TOL)
         _check_sweep(p_max, tol)
         limit = max(region)
-        try:  # the run at p_max alone; a bool p_max runs as its int
-            gap = _gaps([perron_p(A, int(p_max))[0]], limit, limit)[1][0]
+        try:  # the run at p_max alone
+            gap = _gaps([perron_p(A, p_max)[0]], limit, limit)[1][0]
         except ConvergenceError:  # unsettled: no gap, the region stands
             gap = math.inf
         out["perron"] = {"limit_float": _float_out(limit), "p_max": p_max,

@@ -48,7 +48,7 @@ the entries are (see :func:`perron_p`).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -171,11 +171,10 @@ def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
                         len(levels) - 1)
 
 
-def _degree_classes(levels) -> dict[int, dict[int, int]]:
-    """Per degree, the net map {|c|: net signed count} of (degree, [int c,
-    ...]) pairs, each degree once, with cancelled classes dropped. Equal
-    coefficients are tallied first, so each distinct one is netted once."""
-    tallies = ((d, Counter(cs)) for d, cs in levels)
+def _degree_classes(tallies) -> dict[int, dict[int, int]]:
+    """Per degree, the net map {|c|: net signed count} of (degree, {int c:
+    count}) pairs, each degree once, with cancelled classes dropped. Each
+    distinct coefficient is netted once."""
     return {d: {m: c for m, c in net_by_magnitude(t, t.values())[0].items()
                 if c} for d, t in tallies}
 
@@ -190,9 +189,9 @@ def _net_classes(m) -> tuple[dict[int, dict[int, int]], int]:
         coeffs.append(as_scalar(coeff))
         degrees.append(degree)
     ints, scale = _over_lcm(coeffs)
-    by_degree: dict[int, list[int]] = {}
+    by_degree: dict[int, Counter] = defaultdict(Counter)
     for c, degree in zip(ints, degrees):
-        by_degree.setdefault(degree, []).append(c)
+        by_degree[degree][c] += 1
     return _degree_classes(by_degree.items()), scale
 
 

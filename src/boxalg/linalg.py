@@ -183,9 +183,7 @@ def _checked(A, cap: int) -> BoxMatrix:
     n = _check_square(M, "determinant")
     if n > cap:
         raise CapacityError(
-            f"determinant on a {n}x{n} matrix exceeds the size cap {cap} "
-            f"({n}! permutation products)"
-        )
+            f"determinant on a {n}x{n} matrix exceeds the size cap {cap}")
     return M
 
 

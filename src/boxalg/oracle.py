@@ -120,7 +120,7 @@ def _gap(value, limit, size=None) -> float:
 
 def _check_sweep(p_max: int, tol: float) -> None:
     """The guard on a sweep's p_max and tol."""
-    if not isinstance(p_max, int) or p_max < 0:
+    if not isinstance(p_max, int) or isinstance(p_max, bool) or p_max < 0:
         raise DomainError(f"p_max must be a nonnegative integer, got {p_max!r}")
     if p_max > HARD_P_MAX:
         raise DomainError(f"p_max {p_max} exceeds the guard {HARD_P_MAX}")

@@ -14,6 +14,7 @@ import pytest
 
 from boxalg.cli import KINDS, _float_out, run
 from boxalg.core import RATIONAL_RE
+from boxalg.eigen import perron_p
 
 BIG = "1" + "0" * 400
 
@@ -65,12 +66,14 @@ class TestDet:
         assert obj["p"] == 4
 
     # sha256 of the whole stdout of seeded batches, recorded while the
-    # regularized determinants still ran a balance-pair DP on Fractions
+    # regularized determinants still ran a balance-pair DP on Fractions;
+    # re-recorded when the size-cap message lost its "(10! permutation
+    # products)" tail, with every other byte of the batches unchanged
     @pytest.mark.parametrize("entries, digest", [
         ("small",
-         "1154b85efcabdc68a53d5d4bad2a8b6c996da1b63b20a7de3e7eb2f843659b53"),
+         "44164affa48c55f0d71697e207d14c476812f040d492fc8f59a0028a30ebcc7d"),
         ("rational",
-         "5645c78c69dc7bea4975c30b481cca6cdb89f99d305f69ec58f7c9214d7b6b73"),
+         "1666892b921ec10ae080e938ade01fcc1875e4c48407838d467110c412956f1e"),
     ])
     def test_stdout_pinned(self, capsys, entries, digest):
         run(["det", "--json", json.dumps(_det_sym_batch("det", entries))])
@@ -353,6 +356,23 @@ class TestCharpolyAndEigen:
                                         for m in ms]
             assert obj["count"] == len(ms)
 
+    # the listing formats each degree's distinct coefficients in one call
+    @pytest.mark.parametrize("entries", ["int", "rational"])
+    def test_listing_formats_once_per_level(self, capsys, monkeypatch,
+                                            entries):
+        import boxalg.cli as cli
+        calls = []
+
+        def counted(xs, scale=1, _rat=cli._rat):
+            calls.append(scale)
+            return _rat(xs, scale)
+        monkeypatch.setattr(cli, "_rat", counted)
+        code, obj = invoke(capsys, "charpoly", "--json", json.dumps(
+            {"A": self._charpoly_matrix(7, entries)}))
+        assert code == 0 and obj["count"] == 13700
+        assert len(calls) == 8
+        assert (set(calls) == {1}) == (entries == "int")
+
     # entry pools whose top class of some degree cancels: -2..2 at n = 6
     # and 7 (degrees 4 and 6), 0..1 at n = 5 (degree 2)
     CHARPOLY_POOLS = {"-2..2": [-2, -1, 0, 1, 2], "0..1": [0, 1],
@@ -457,8 +477,12 @@ class TestCharpolyAndEigen:
                            json.dumps({"A": [[BIG, 1], [1, 1]]}))
         assert code == 0
         assert obj["perron"]["limit_float"] == "inf"
-        assert 0 < obj["perron"]["final_rel_gap"] < 1e-12
+        gap = obj["perron"]["final_rel_gap"]
+        assert isinstance(gap, float) and gap < 1e-12
         assert obj["perron"]["converged"] is True
+        # the true gap is far below any float; check the value it measures
+        logmag = perron_p([[BIG, 1], [1, 1]], 20)[0].logmag
+        assert logmag == pytest.approx(math.log(10 ** 400), rel=1e-12)
 
     def test_unsettled_perron_keeps_the_region(self, capsys, monkeypatch):
         import boxalg.cli as cli
@@ -497,6 +521,7 @@ class TestCharpolyAndEigen:
     @pytest.mark.parametrize("p_max, message", [
         (-1, "p_max must be a nonnegative integer"),
         (65, "exceeds the guard"),
+        (True, "p_max must be a nonnegative integer, got True"),
     ])
     def test_perron_keeps_the_sweep_guard(self, capsys, p_max, message):
         code, obj = invoke(capsys, "eigen", "--json", json.dumps(
@@ -543,6 +568,8 @@ class TestOracle:
          '"x":[1,1,1]}', "x has length 3, expected 2"),
         ('{"quantity":"cramer","A":[[1,2],[3,4]],"b":[1,1,1]}',
          "right-hand side length 3 != size 2"),
+        ('{"quantity":"sum","xs":[1,2],"options":{"p_max":true}}',
+         "p_max must be a nonnegative integer, got True"),
     ])
     def test_malformed_shapes_keep_their_messages(self, capsys, text,
                                                   message):
@@ -791,7 +818,8 @@ class TestInputHandling:
         big = json.dumps({"A": [[1] * 10 for _ in range(10)]})
         code, obj = invoke(capsys, "det", "--json", big)
         assert code == 4
-        assert "cap" in obj["error"]
+        assert obj == {"error": "determinant on a 10x10 matrix exceeds the "
+                                "size cap 9"}
 
     def test_cap_override_reaches_the_oracle(self, capsys, monkeypatch):
         monkeypatch.setenv("BOXALG_CAP", "10")
@@ -968,7 +996,10 @@ class TestBoundary:
     def test_result_past_the_digit_limit_exits_four(self, capsys):
         big = "1" + "0" * 3000  # det_inf = big^2 has 6,001 digits
         A = [[big, 0], [0, big]]
-        for kind, doc in (("det", {"A": A}), ("charpoly", {"A": A, "lam": 1})):
+        A7 = [[f"{big}/7", 0], [0, f"{big}/7"]]  # a listing over S = 49
+        # without lam the listing's own guard trips, at S = 1 and S > 1
+        for kind, doc in (("det", {"A": A}), ("charpoly", {"A": A, "lam": 1}),
+                          ("charpoly", {"A": A}), ("charpoly", {"A": A7})):
             code, obj = invoke(capsys, kind, "--json", json.dumps(doc))
             assert code == 4 and "too long to print" in obj["error"]
         code, items = invoke(capsys, "det", "--json",
@@ -976,6 +1007,11 @@ class TestBoundary:
         assert code == 4
         assert [it["code"] for it in items] == [0, 4, 0]
         assert items[2]["result"]["det_inf"] == "2"
+        code, items = invoke(capsys, "charpoly", "--json",
+                             json.dumps([{"A": [[1]]}, {"A": A7}, {"A": [[2]]}]))
+        assert code == 4
+        assert [it["code"] for it in items] == [0, 4, 0]
+        assert items[2]["result"]["monomials"] == [["-1", 1], ["2", 0]]
 
     @pytest.mark.parametrize("p", [10 ** 306, 10 ** 307, 5 * 10 ** 307,
                                    10 ** 400],

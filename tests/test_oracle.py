@@ -127,6 +127,11 @@ class TestGuards:
         with pytest.raises(DomainError):
             sweep("det", {"A": [[1]]}, p_max=65)
 
+    def test_bool_depth_is_no_depth(self):
+        with pytest.raises(DomainError, match="p_max must be a nonnegative "
+                                              "integer, got True"):
+            sweep("det", {"A": [[1]]}, p_max=True)
+
     def test_unknown_quantity(self):
         with pytest.raises(DomainError):
             sweep("median", {"A": [[1]]})
