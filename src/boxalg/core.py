@@ -73,7 +73,9 @@ def as_float(x) -> float:
 def _scalars(values: Iterable) -> list:
     """A nonempty vector checked by :func:`as_scalar` in reading order,
     but with its ints passed unwrapped, for the integer readers."""
-    vec = [v if type(v) is int else as_scalar(v) for v in values]
+    vec = list(values)
+    if set(map(type, vec)) != {int}:
+        vec = [v if type(v) is int else as_scalar(v) for v in vec]
     if not vec:
         raise DomainError("vector must be nonempty")
     return vec

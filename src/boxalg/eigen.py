@@ -254,7 +254,7 @@ def _values_at(classes, scale: int, lam: Fraction) -> _Values:
 def _read(at: _Values, mode: str, p: Optional[int] = None):
     """:func:`charpoly_eval`'s reading of the values at lam."""
     if mode == "p":
-        return _phi_p_net((at.net, at.den), p)
+        return _phi_p_net((at.net, at.den), (p,))[0]
     if mode == "limit":
         return _net_limit((at.net, at.den))
     return smile([at.top if s else -at.top for s in at.signs], mode) / at.den

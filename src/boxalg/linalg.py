@@ -407,7 +407,7 @@ def det_p(A, p: int, cap: int = DEFAULT_DET_CAP) -> SignedLog:
     magnitude and opposite sign cancel before any exponentiation, and a
     balanced product multiset gives an exact zero at every p.
     """
-    return _phi_p_net(_det_net(A, cap), p)
+    return _phi_p_net(_det_net(A, cap), (p,))[0]
 
 
 def cofactor_inf(A, i: int, j: int, cap: int = DEFAULT_DET_CAP) -> Fraction:

@@ -41,7 +41,7 @@ from .linalg import (BoxMatrix, _check_square, _cramer_nets, _det_net,
                      _ring_terms, as_matrix)
 from .signedlog import (
     SignedLog,
-    _log_over,
+    _net_logs,
     _phi_p_net,
     net_by_magnitude,
     odd_exponent,
@@ -80,22 +80,25 @@ def predict_near_tie(values: Sequence[Fraction], p_max: int, tol: float) -> bool
     other group decays like (m/m1)^(2p+1); both effects are summed from
     the exact magnitude groups of the value multiset. A balanced multiset
     (no surviving group) is exactly zero at every p and never near-tie.
+    The values are read as a ``sum`` sweep reads its vector.
     """
-    return _near_tie(net_by_magnitude(values), p_max, tol)
+    net = net_by_magnitude(_scalars(values))
+    return _near_tie(net, _net_logs(net), p_max, tol)
 
 
-def _near_tie(nets: tuple, p_max: int, tol: float) -> bool:
-    """:func:`predict_near_tie` on a net map ({m: net count}, S)."""
-    net, scale = nets
-    groups = sorted(((m, c) for m, c in net.items() if c), reverse=True)
-    if not groups:
+def _near_tie(nets: tuple, groups: list, p_max: int, tol: float) -> bool:
+    """:func:`predict_near_tie` on a net map ({m: net count}, S) and its
+    :func:`~boxalg.signedlog._net_logs` groups."""
+    net, _scale = nets
+    ranked = sorted(zip((m for m, c in net.items() if c), groups),
+                    reverse=True)
+    if not ranked:
         return False
     q = odd_exponent(p_max)
-    (m1, n1), rest = groups[0], groups[1:]
+    (_m1, (lm1, n1)), rest = ranked[0], ranked[1:]
     pred = abs(math.expm1(math.log(abs(n1)) / q))
-    lm1 = _log_over(m1, scale)
-    for m, c in rest:
-        pred += math.exp(math.log(abs(c)) + q * (_log_over(m, scale) - lm1))
+    for _m, (logmag, c) in rest:
+        pred += math.exp(math.log(abs(c)) + q * (logmag - lm1))
     return pred >= tol
 
 
@@ -181,8 +184,9 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
             at = _values_at(*classes, lam)
             net = at.net, at.den
         limit = _net_limit(net)
-        near_tie = _near_tie(net, p_max, tol)
-        values = [_phi_p_net(net, p) for p in ps]
+        groups = _net_logs(net)
+        near_tie = _near_tie(net, groups, p_max, tol)
+        values = _phi_p_net(net, ps, groups)
 
     elif quantity == "cramer":
         system = LimitSystem(as_matrix(inputs["A"]), as_vector(inputs["b"]))
@@ -191,13 +195,13 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         if det == 0:
             raise DomainError("limit determinant is zero; no limit solution")
         limit = tuple(d / det for d in dets)
-        near_tie = any(_near_tie(net, p_max, tol) for net in nets)
-        for p in ps:
-            den = _phi_p_net(nets[0], p)
-            if den.is_zero:
-                values.append(None)  # this finite index is singular
-                continue
-            values.append(tuple(_phi_p_net(net, p) / den for net in nets[1:]))
+        groups = [_net_logs(net) for net in nets]
+        near_tie = any(_near_tie(net, g, p_max, tol)
+                       for net, g in zip(nets, groups))
+        den, *nums = [_phi_p_net(net, ps, g) for net, g in zip(nets, groups)]
+        # None where the finite index is singular
+        values = [None if d.is_zero else tuple(v[i] / d for v in nums)
+                  for i, d in enumerate(den)]
 
     elif quantity == "hyperplane":
         pts = [_scalars(pt) for pt in inputs["points"]]

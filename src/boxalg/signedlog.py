@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -182,15 +182,19 @@ def net_by_magnitude(values: Iterable, counts: Iterable[int] | None = None
     """The net map ({m: (count of +m/S) - (count of -m/S)}, S) of rationals,
     S their least common denominator.
 
-    Zeros are skipped; ``counts`` weights each value (default 1 each).
+    Zeros are skipped; ``counts`` weights each value (default: equal
+    values, an int and its equal Fraction too, are tallied before netting).
     Equal magnitudes of opposite sign cancel in the limit sum and at every
     finite index, so every limit and power sum reads its input through
     this map. Magnitudes whose counts cancel stay in it with net 0.
     """
+    if counts is None:
+        values = Counter(values)
+        counts = values.values()
     ints, scale = _over_lcm(values)
     net: dict[int, int] = {}
     get = net.get
-    for m, c in zip(ints, repeat(1) if counts is None else counts):
+    for m, c in zip(ints, counts):
         if m > 0:
             net[m] = get(m, 0) + c
         elif m:
@@ -198,46 +202,60 @@ def net_by_magnitude(values: Iterable, counts: Iterable[int] | None = None
     return net, scale
 
 
-def _power_mean(groups, q: int, exact_zero=None) -> SignedLog:
-    """(sum of c * exp(logmag)^q)^(1/q) over (logmag, net count c) groups.
+def _net_logs(nets: tuple[dict[int, int], int]) -> list[tuple[float, int]]:
+    """The groups (log(m/S), net count c) of a net map ({m: c}, S), one
+    per live magnitude m, in the map's order."""
+    net, scale = nets
+    return [(_log_over(m, scale), c) for m, c in net.items() if c]
+
+
+def _power_means(groups, qs: Sequence[int], exact_zero=None) -> list:
+    """(sum of c * exp(logmag)^q)^(1/q) at each q in ``qs`` over (logmag,
+    net count c != 0) groups, whose log|c|, signs and top are read once.
 
     Positive and negative groups enter a split log-sum-exp, and the two
     parts are combined by signed subtraction in log domain. When q times
     the top logmag leaves the float range, only the top group is left.
-    Parts that tie within rounding give 0 when ``exact_zero()`` says so.
+    Parts that tie within rounding give 0 when ``exact_zero(q)`` says so.
     """
-    live = [(logmag, c) for logmag, c in groups if c]
-    if live:
-        top, c = max(live)
-        if q > sys.float_info.max or math.isinf(q * top):
-            return SignedLog(1 if c > 0 else -1, top)
-    pos, neg = [], []
-    for logmag, c in live:
-        (pos if c > 0 else neg).append(math.log(abs(c)) + q * logmag)
-    lp, ln = _lse(pos), _lse(neg)
-    if lp == ln or (exact_zero and _tie(lp, ln) and exact_zero()):
-        return SignedLog.zero()
-    hi, lo = max(lp, ln), min(lp, ln)
-    total = hi + math.log1p(-math.exp(lo - hi))  # exactly hi when lo = -inf
-    return SignedLog(1 if lp > ln else -1, total / q)
+    top, top_c = max(groups, default=(-math.inf, 0))
+    pos = [(math.log(c), logmag) for logmag, c in groups if c > 0]
+    neg = [(math.log(-c), logmag) for logmag, c in groups if c < 0]
+
+    def at(q: int) -> SignedLog:
+        if top_c and (q > sys.float_info.max or math.isinf(q * top)):
+            return SignedLog(1 if top_c > 0 else -1, top)
+        lp = _lse([lc + q * logmag for lc, logmag in pos])
+        ln = _lse([lc + q * logmag for lc, logmag in neg])
+        if lp == ln or (exact_zero and _tie(lp, ln) and exact_zero(q)):
+            return SignedLog.zero()
+        hi, lo = max(lp, ln), min(lp, ln)
+        total = hi + math.log1p(-math.exp(lo - hi))  # exactly hi if lo = -inf
+        return SignedLog(1 if lp > ln else -1, total / q)
+    return [at(q) for q in qs]
 
 
-def _phi_p_net(nets: tuple[dict[int, int], int], p: int) -> SignedLog:
-    """phi_p of a net map ({m: net count}, S).
+def _phi_p_net(nets: tuple[dict[int, int], int], ps: Sequence[int],
+               groups: list | None = None) -> list[SignedLog]:
+    """phi_p of a net map ({m: net count}, S) at each p in ``ps``, given
+    its :func:`_net_logs` groups or reading them.
 
     A single surviving magnitude with net +-1 is its own exact root; every
-    other map goes through :func:`_power_mean`, and the integer sum of
+    other map goes through :func:`_power_means`, and the integer sum of
     c * m^q (each m^q up to 2^16 bits) settles a tie of its two parts.
     """
-    q = odd_exponent(p)
+    qs = [odd_exponent(p) for p in ps]
     net, scale = nets
-    live = [(m, c) for m, c in net.items() if c]
-    if len(live) == 1 and abs(live[0][1]) == 1:
-        (m, c), = live
-        return SignedLog(c, _log_over(m, scale), Fraction(c * m, scale))
-    return _power_mean(((_log_over(m, scale), c) for m, c in live), q,
-                       lambda: q * max(live)[0].bit_length() <= 1 << 16
-                       and not sum(c * m ** q for m, c in live))
+    groups = _net_logs(nets) if groups is None else groups
+    if len(groups) == 1 and abs(groups[0][1]) == 1:
+        m, c = next((m, c) for m, c in net.items() if c)
+        return [SignedLog(c, groups[0][0], Fraction(c * m, scale)) for _ in qs]
+
+    def exact_zero(q: int) -> bool:
+        live = [(m, c) for m, c in net.items() if c]
+        return (q * max(live)[0].bit_length() <= 1 << 16
+                and not sum(c * m ** q for m, c in live))
+    return _power_means(groups, qs, exact_zero)
 
 
 def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
@@ -251,7 +269,7 @@ def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
     q = odd_exponent(p)
     live = [v for v in xs if v.sign != 0]
     if all(v.exact is not None for v in live):
-        return _phi_p_net(net_by_magnitude(v.exact for v in live), p)
+        return _phi_p_net(net_by_magnitude(v.exact for v in live), (p,))[0]
     # float path: cluster sorted logmags
     live.sort(key=lambda v: v.logmag)
     clusters = [(live[0].logmag, live[0].sign)]
@@ -261,7 +279,7 @@ def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
             clusters[-1] = (cur_log, cur_net + v.sign)
         else:
             clusters.append((v.logmag, v.sign))
-    return _power_mean(clusters, q)
+    return _power_means([(logmag, c) for logmag, c in clusters if c], (q,))[0]
 
 
 def slog_boxplus(x: SignedLog, y: SignedLog) -> SignedLog:

@@ -14,7 +14,7 @@ import pytest
 
 from boxalg.cli import KINDS, _float_out, run
 from boxalg.core import RATIONAL_RE
-from boxalg.eigen import perron_p
+from boxalg.eigen import eigen_region, perron_p
 
 BIG = "1" + "0" * 400
 
@@ -471,6 +471,23 @@ class TestCharpolyAndEigen:
         assert run(["eigen", "--json", json.dumps({"A": A})]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("p_max, tol", [(20, 1e-6), (2, 1e-6), (2, 1e-2)])
+    def test_perron_block_end_to_end(self, capsys, n, p_max, tol):
+        """The Perron block's gap is the relative gap of perron_p at p_max
+        to the largest region member, and ``converged`` is that gap < tol."""
+        rng = random.Random(n)
+        A = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+        code, obj = invoke(capsys, "eigen", "--json", json.dumps(
+            {"A": A, "options": {"p_max": p_max, "tol": tol}}))
+        assert code == 0
+        limit = float(max(eigen_region(A)))
+        rho = perron_p(A, p_max)[0].to_float()
+        gap = abs(rho - limit) / max(1.0, abs(limit))
+        assert obj["perron"] == {"limit_float": limit, "p_max": p_max,
+                                 "final_rel_gap": gap,
+                                 "converged": gap < tol}
 
     def test_perron_gap_past_float_range(self, capsys):
         code, obj = invoke(capsys, "eigen", "--json",

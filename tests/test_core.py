@@ -17,6 +17,7 @@ from boxalg import (
     smile,
     xi,
 )
+from boxalg.core import _scalars
 
 F = Fraction
 
@@ -189,3 +190,24 @@ class TestAsScalar:
     def test_rejected_forms(self, value):
         with pytest.raises(DomainError):
             as_scalar(value)
+
+
+class TestScalars:
+    def test_ints_pass_unwrapped(self):
+        vec = _scalars(iter([3, -1, 0]))
+        assert vec == [3, -1, 0] and all(type(v) is int for v in vec)
+
+    def test_mixed_vector_coerces_the_rest(self):
+        vec = _scalars([1, 2.5, "1/3", F(4, 2)])
+        assert vec == [1, F(5, 2), F(1, 3), F(2)]
+        assert type(vec[0]) is int and type(vec[1]) is F
+
+    @pytest.mark.parametrize("values, message", [
+        ([1, True], "not a scalar: True"),
+        ([1, "x", True], "not a rational string: 'x'"),
+        ([2, None, "y"], "not a scalar: None"),
+        ([], "vector must be nonempty"),
+    ])
+    def test_first_fault_in_reading_order(self, values, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            _scalars(values)

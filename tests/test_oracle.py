@@ -121,6 +121,49 @@ class TestPredictor:
     def test_flags_close_second_magnitude(self):
         assert predict_near_tie([F(100), F(-99)], 20, TOL) is True
 
+    def test_reads_values_as_a_sum_sweep_does(self):
+        """Floats and rational strings read exactly (0.5 is 1/2), as the
+        ``sum`` sweep reads its vector, and give the Fraction answer."""
+        for p_max in (0, 3, 20):
+            want = predict_near_tie([F(1, 2), F(1)], p_max, TOL)
+            assert predict_near_tie([0.5, 1], p_max, TOL) is want
+            assert predict_near_tie(["1/2", 1], p_max, TOL) is want
+
+    @pytest.mark.parametrize("values, message", [
+        ([True, 1], "not a scalar: True"),
+        ([1, "x"], "not a rational string: 'x'"),
+        ([], "vector must be nonempty"),
+    ])
+    def test_rejects_what_a_sum_sweep_rejects(self, values, message):
+        with pytest.raises(DomainError, match=message):
+            predict_near_tie(values, 3, TOL)
+        with pytest.raises(DomainError, match=message):
+            sweep("sum", {"xs": values}, p_max=3)
+
+
+class TestExactZeroAtOneIndex:
+    """Exact cancellation at a single p: the tie is settled with the q at
+    hand, and no other index inherits that p's zero."""
+
+    def test_sum_vanishes_at_p_1_only(self):
+        # 3^3 + 4^3 + 5^3 = 6^3
+        rep = sweep("sum", {"xs": [3, 4, 5, -6]}, p_max=3)
+        assert [v.sign for v in rep.values] == [1, 0, -1, -1]
+        assert rep.values[1].exact == 0
+
+    A = [[1, 9, -2], [7, 7, 0], [6, -8, 2]]
+
+    def test_det_vanishes_at_p_1_only(self):
+        rep = sweep("det", {"A": self.A}, p_max=3)
+        assert [v.sign for v in rep.values] == [1, 0, -1, -1]
+        assert rep.values[1].exact == 0
+
+    def test_cramer_is_singular_at_p_1_only(self):
+        rep = sweep("cramer", {"A": self.A, "b": [1, 1, 1]}, p_max=3)
+        assert [v is None for v in rep.values] == [False, True, False, False]
+        assert rep.abs_gaps[1] == math.inf
+        assert all(len(v) == 3 for i, v in enumerate(rep.values) if i != 1)
+
 
 class TestGuards:
     def test_depth_guard(self):

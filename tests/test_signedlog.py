@@ -218,3 +218,22 @@ class TestNetMap:
         assert scale == math.lcm(*[v.denominator for v in values])
         assert all(type(m) is int and m > 0 for m in net)
         assert {F(m, scale): c for m, c in net.items()} == want
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tally_matches_per_value_netting(self, seed):
+        """Tallying equal values first (an int and an equal Fraction share
+        one tally) gives the map, and the key order, of netting each value
+        in turn; so do ``counts`` over repeated values."""
+        rng = random.Random(1000 + seed)
+        pool = [0, 2, F(2), -2, F(-2), 3, F(3, 2), F(-3, 2), F(7, 6), -5]
+        values = [rng.choice(pool) for _ in range(rng.randint(0, 80))]
+        counts = [rng.randint(-3, 5) for _ in values] if seed % 2 else None
+        scale = math.lcm(*[F(v).denominator for v in values])
+        want = {}
+        for v, c in zip(values, counts or [1] * len(values)):
+            m = int(F(v) * scale)
+            if m:
+                want[abs(m)] = want.get(abs(m), 0) + (c if m > 0 else -c)
+        net, got_scale = net_by_magnitude(iter(values), counts)
+        assert got_scale == scale
+        assert list(net.items()) == list(want.items())
