@@ -247,11 +247,11 @@ def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
         out["strict"] = None if found is None else found[1]
         diagonal = all(row[i] > 0 for i, row in enumerate(A._ints))
         out["kaykobad"] = _dominates(A, rhs, range(A.rows), 1) if diagonal else None
-        p = _opt_p(opts)
-        if p is not None and found is not None:  # sigma's pivots are tight: > 0
-            sigma = [k - 1 for k in found[0]]
-            out["kaykobad_p"] = _dominates(A, rhs, sigma, 2 * p + 1)
-            out["p"] = p
+    p = _opt_p(opts)
+    if p is not None and A.is_square and found is not None:
+        sigma = [k - 1 for k in found[0]]  # sigma's pivots are tight: > 0
+        out["kaykobad_p"] = _dominates(A, rhs, sigma, 2 * p + 1)
+        out["p"] = p
     return (OK if x is not None else INFEASIBLE), out
 
 
@@ -294,7 +294,11 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     lam = None if lam is None else as_scalar(lam)
     levels, scale = _char_levels(A)
     tallies = [(degree, Counter(level)) for degree, level in levels]
-    out = {} if lam is None else _charpoly_evals(tallies, scale, lam, opts)
+    if lam is None:
+        _opt_p(opts)
+        out = {}
+    else:
+        out = _charpoly_evals(tallies, scale, lam, opts)
     out["monomials"] = ms = []
     for (degree, level), (_, t) in zip(levels, tallies):
         # equal coefficients share one entry, formatted once
@@ -308,11 +312,11 @@ def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
     _, char_cap = _caps()
     A = _matrix_in(data["A"])
     region = eigen_region(A, cap=char_cap)
+    p_max = opts.get("p_max", DEFAULT_P_MAX)
+    tol = opts.get("tol", DEFAULT_TOL)
+    _check_sweep(p_max, tol)
     out = _exact({}, region=region)
     if region and all(a > 0 for row in A._ints for a in row):
-        p_max = opts.get("p_max", DEFAULT_P_MAX)
-        tol = opts.get("tol", DEFAULT_TOL)
-        _check_sweep(p_max, tol)
         limit = max(region)
         try:  # the run at p_max alone
             gap = _gaps([perron_p(A, p_max)[0]], limit, limit)[1][0]

@@ -4,8 +4,9 @@ The determinant here is the usual signed sum over permutations, except the
 sum is the dominant-magnitude operation from :mod:`boxalg.core` (or one of
 its semicontinuous envelopes, or a finite-index power sum).
 
-No determinant here lists the n! products. One subset DP over the set of
-used columns (O(2^n n) steps) sums them in one of two semirings. The
+No determinant here lists the n! products. One subset DP sums them in
+one of two semirings; each state is keyed by the set of used columns and
+the degree of lam, so a plain determinant takes O(2^n n) steps. The
 leading terms keep the largest positive and the largest negative
 magnitude with their counts: the limit determinant reads their net
 count, the regularized ones and the balance-pair determinant of
@@ -16,8 +17,9 @@ scale, which the DP reads as they are, so every magnitude is an integer
 m over one scale S, the product of the row scales, and the maps pass on
 in that form. The finite-index determinant is the power sum of the net
 map, since each odd power depends on the products only through it. The
-same DP with a_ii - lam on the diagonal gives the per-degree net maps of
-the characteristic monomials (:mod:`boxalg.eigen`). On the bordered matrix
+same DP with a_ii - lam on the diagonal, a term of degree 1, keeps one
+state per degree and gives the per-degree net maps of the characteristic
+monomials (:mod:`boxalg.eigen`). On the bordered matrix
 [A | b] its last layer holds Cramer's n + 1 determinants, one per
 left-out column: without b, det A; without column i, the minor
 (-1)^(n-1-i) det A_i(b), the sign of moving b from the last column to
@@ -204,104 +206,94 @@ def permutation_products(A, cap: int = DEFAULT_DET_CAP) -> tuple[Fraction, ...]:
 # --- subset DP ---------------------------------------------------------------
 
 
-def _subset_dp(entries, step, one):
+def _subset_dp(entries, width, step, one):
     """Semiring sum over all permutations of the products of chosen entries.
 
-    ``entries[i]`` lists (j, e) for the nonzero entries e of row i. After
-    row i the state is the mask of used columns, holding the semiring sum
-    over the partial permutations that use exactly those columns. Taking
-    column j adds one inversion per used column above j, so the sign flips
-    when their count is odd. ``step(acc, value, e, odd)`` returns acc plus
-    value * e (negated when odd); acc is None for the semiring zero and may
-    be updated in place. Returns the last layer, {mask: sum}: one mask per
-    set of columns the products can use, none when every product is zero.
+    ``entries[i]`` lists the terms (j, shift, a, s) of row i: in column j,
+    the integer magnitude a > 0 with sign s, times lam**shift. A state
+    key is the mask of the used columns plus the degree of lam times
+    2**width, and holds the semiring sum over the partial permutations
+    that reach it. Taking column j adds one inversion per used column
+    above j, so the sign flips when their count is odd.
+    ``step(acc, value, a, s)`` returns acc plus value * s * a; acc is None
+    for the semiring zero and may be updated in place. Returns the last
+    layer, {key: sum}, empty when every product is zero.
     """
     layer = {0: one}
+    top = 1 << width
     for row in entries:
+        terms = [(1 << j, top - (2 << j), (1 << j) + (shift << width), a, s)
+                 for j, shift, a, s in row]
         nxt: dict = {}
-        for mask, value in layer.items():
-            for j, e in row:
-                if not mask >> j & 1:
-                    key = mask | 1 << j
-                    nxt[key] = step(nxt.get(key), value, e,
-                                    (mask >> j).bit_count() & 1)
+        get = nxt.get
+        for key, value in layer.items():
+            for bit, above, inc, a, s in terms:
+                if not key & bit:
+                    k = key + inc
+                    nxt[k] = step(get(k), value, a,
+                                  -s if (key & above).bit_count() & 1 else s)
         layer = nxt
     return layer
 
 
-# Polynomial semirings: {degree of lam: coefficient data}; an entry is a
-# list of terms (degree shift, magnitude, sign) with integer magnitudes.
+def _lead_step(acc, value, a, s):
+    """Leading terms: (P, cp, N, cn), the largest positive magnitude P with
+    its count cp and the largest negative magnitude N with its count cn; a
+    sign with no term reads 0, 0. A negative factor swaps the sides; a sum
+    takes each side's maximum and adds the counts on a tie."""
+    if s > 0:
+        p, cp, n, cn = value
+    else:
+        n, cn, p, cp = value
+    p *= a
+    n *= a
+    if acc is not None:
+        q, cq, r, cr = acc
+        if p < q:
+            p, cp = q, cq
+        elif p == q:
+            cp += cq
+        if n < r:
+            n, cn = r, cr
+        elif n == r:
+            cn += cr
+    return p, cp, n, cn
 
 
-def _lead_step(acc, value, e, odd):
-    """Leading terms: per degree, (P, cp, N, cn), the largest positive
-    magnitude P with its count cp and the largest negative magnitude N with
-    its count cn; a sign with no term reads 0, 0. A negative term or an odd
-    inversion count swaps the sides; a sum takes each side's maximum and
-    adds the counts on a tie."""
+def _ring_step(acc, value, a, s):
+    """Group ring: {magnitude: net signed count}."""
     if acc is None:
         acc = {}
-    get = acc.get
-    for shift, a, s in e:
-        swap = (s < 0) ^ odd
-        for d, (p, cp, n, cn) in value.items():
-            if swap:
-                p, cp, n, cn = n, cn, p, cp
-            d += shift
-            p *= a
-            n *= a
-            cur = get(d)
-            if cur is not None:
-                q, cq, r, cr = cur
-                if p < q:
-                    p, cp = q, cq
-                elif p == q:
-                    cp += cq
-                if n < r:
-                    n, cn = r, cr
-                elif n == r:
-                    cn += cr
-            acc[d] = (p, cp, n, cn)
-    return acc
-
-
-def _ring_step(acc, value, e, odd):
-    """Group ring: per degree, {magnitude: net signed count}."""
-    if acc is None:
-        acc = {}
-    for shift, a, s in e:
-        if odd:
-            s = -s
-        for d, nets in value.items():
-            out = acc.setdefault(d + shift, {})
-            for m, c in nets.items():
-                m *= a
-                out[m] = out.get(m, 0) + s * c
+    for m, c in value.items():
+        m *= a
+        acc[m] = acc.get(m, 0) + s * c
     return acc
 
 
 def _dp_slots(M: BoxMatrix, lam: bool, step, one) -> tuple[dict, int]:
     """The subset DP of M's rows as integer terms (a_ii - lam on the
-    diagonal with ``lam``) per slot, a degree of lam for a square M or a
-    left-out column of a bordered one, and the scale S of every term: each
-    term takes one factor per row, so it scales by S, the product of M's
-    row scales, which keeps magnitude order and ties."""
-    rows, scales = M._ints, M._scales
+    diagonal with ``lam``) per slot, and the scale S of every term. A
+    square M uses every column, so a final key's bits above the mask give
+    the slot, the degree of lam; a bordered one leaves one column out,
+    which is the slot. Each term takes one factor per row, so it scales
+    by S, the product of M's row scales, which keeps magnitude order and
+    ties."""
+    rows, scales, width = M._ints, M._scales, M.cols
     entries = []
     for i, (row, scale) in enumerate(zip(rows, scales)):
         line = []
         for j, a in enumerate(row):
-            e = [(0, abs(a), 1 if a > 0 else -1)] if a else []
+            if a:
+                line.append((j, 0, abs(a), 1 if a > 0 else -1))
             if lam and i == j:
-                e.append((1, scale, -1))
-            if e:
-                line.append((j, e))
+                line.append((j, 1, scale, -1))
         entries.append(line)
-    layer, full = _subset_dp(entries, step, one), (1 << M.cols) - 1
+    layer, full = _subset_dp(entries, width, step, one), (1 << width) - 1
     if M.is_square:
-        return layer.get(full, {}), math.prod(scales)
-    return ({(full ^ mask).bit_length() - 1: sums[0]
-             for mask, sums in layer.items()}, math.prod(scales))
+        slots = {key >> width: v for key, v in layer.items()}
+    else:
+        slots = {(full ^ key).bit_length() - 1: v for key, v in layer.items()}
+    return slots, math.prod(scales)
 
 
 def _ring_terms(M: BoxMatrix, lam: bool = False
@@ -310,7 +302,7 @@ def _ring_terms(M: BoxMatrix, lam: bool = False
     count} of the signed permutation products or, with ``lam``, of the
     characteristic monomials, and the scale S: every magnitude is the
     integer key over S. Magnitudes that cancel are dropped."""
-    ring, total = _dp_slots(M, lam, _ring_step, {0: {1: 1}})
+    ring, total = _dp_slots(M, lam, _ring_step, {1: 1})
     return ({k: {m: c for m, c in nets.items() if c}
              for k, nets in ring.items()}, total)
 
@@ -325,7 +317,7 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False
     settles it unless some leading count nets to zero; then the group
     ring finds the next surviving magnitude.
     """
-    top, total = _dp_slots(M, lam, _lead_step, {0: (1, 1, 0, 0)})
+    top, total = _dp_slots(M, lam, _lead_step, (1, 1, 0, 0))
     top = {k: (max(p, n), cp * (p >= n) - cn * (n >= p))
            for k, (p, cp, n, cn) in top.items()}
     if not all(c for _m, c in top.values()):
@@ -339,11 +331,10 @@ def _pair_det(rows) -> tuple[Fraction, Fraction]:
     pairs of nonnegative rationals: the largest positive and negative
     leading terms, each pair (p, q) read as the terms +p and -q."""
     M = BoxMatrix([v for pair in row for v in pair] for row in rows)
-    entries = [[(j, [(0, m, s) for m, s in ((p, 1), (q, -1)) if m])
-                for j, (p, q) in enumerate(zip(r[::2], r[1::2])) if p or q]
-               for r in M._ints]
-    layer = _subset_dp(entries, _lead_step, {0: (1, 1, 0, 0)})
-    p, _cp, n, _cn = layer.get((1 << M.rows) - 1, {0: (0, 0, 0, 0)})[0]
+    entries = [[(j, 0, m, s) for j, pq in enumerate(zip(r[::2], r[1::2]))
+                for m, s in zip(pq, (1, -1)) if m] for r in M._ints]
+    layer = _subset_dp(entries, M.rows, _lead_step, (1, 1, 0, 0))
+    p, _cp, n, _cn = layer.get((1 << M.rows) - 1, (0, 0, 0, 0))
     total = math.prod(M._scales)
     return Fraction(p, total), Fraction(n, total)
 
@@ -362,7 +353,7 @@ def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
     and the leading-term run carries both: smile of the two, over S.
     """
     top, total = _dp_slots(_checked(A, cap), False, _lead_step,
-                           {0: (1, 1, 0, 0)})
+                           (1, 1, 0, 0))
     p, _cp, n, _cn = top.get(0, (0, 0, 0, 0))
     return smile((Fraction(p, total), Fraction(-n, total)), mode)
 

@@ -41,6 +41,8 @@ def _log_abs_fraction(r: Fraction) -> float:
 def _log_over(m: int, scale: int) -> float:
     """log(m / scale) for integers m, scale > 0, read from the reduced
     fraction, so one magnitude has one log whatever its scale."""
+    if scale == 1:
+        return math.log(m)
     g = math.gcd(m, scale)
     return math.log(m // g) - math.log(scale // g)
 

@@ -797,6 +797,22 @@ class TestInputHandling:
         assert code == 3
         assert "options" in obj["error"] or "tol" in obj["error"]
 
+    @pytest.mark.parametrize("kind, text, message", [
+        pytest.param("eigen", '{"A":[[1,-2],[3,4]],"options":{"p_max":-5}}',
+                     "p_max must be", id="eigen-mixed-signs"),
+        pytest.param("maxsolve",
+                     '{"A":[[1,2,1],[3,4,1]],"b":[1,2],"options":{"p":-3}}',
+                     "p must be", id="maxsolve-non-square"),
+        pytest.param("charpoly", '{"A":[[1,2],[3,4]],"options":{"p":-3}}',
+                     "p must be", id="charpoly-without-lam"),
+    ])
+    def test_options_checked_on_every_input(self, capsys, kind, text,
+                                            message):
+        # a kind checks each option it reads, also on the inputs whose
+        # result does not use it
+        code, obj = invoke(capsys, kind, "--json", text)
+        assert code == 3 and message in obj["error"]
+
     def test_huge_values_clamp_float_fields(self, capsys):
         big = "1" + "0" * 400
         code, obj = invoke(capsys, "det", "--json",

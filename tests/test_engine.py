@@ -94,10 +94,10 @@ def ring_runs(monkeypatch):
     runs = []
     inner = linalg._subset_dp
 
-    def spy(entries, step, one):
+    def spy(entries, width, step, one):
         if step is linalg._ring_step:
             runs.append(len(entries))
-        return inner(entries, step, one)
+        return inner(entries, width, step, one)
 
     monkeypatch.setattr(linalg, "_subset_dp", spy)
     return runs
@@ -595,11 +595,11 @@ def dp_runs(monkeypatch):
     inner = linalg._subset_dp
     names = {linalg._lead_step: "lead", linalg._ring_step: "ring"}
 
-    def spy(entries, step, one):
+    def spy(entries, width, step, one):
         runs.append(names[step])
         assert all(type(a) is int
-                   for row in entries for _j, e in row for _d, a, _s in e)
-        return inner(entries, step, one)
+                   for row in entries for _j, _shift, a, _s in row)
+        return inner(entries, width, step, one)
 
     monkeypatch.setattr(linalg, "_subset_dp", spy)
     return runs
