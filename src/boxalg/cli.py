@@ -30,7 +30,6 @@ from .eigen import (
     DEFAULT_CHAR_CAP,
     _char_levels,
     _check_char,
-    _degree_classes,
     _read,
     _values_at,
     eigen_region,
@@ -277,7 +276,7 @@ def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
 
 
 def _charpoly_evals(tallies, scale: int, lam: Fraction, opts: dict) -> dict:
-    at = _values_at(_degree_classes(tallies), scale, lam)
+    at = _values_at(tallies, scale, lam)
     out: dict = {"lam": _rat([lam])[0]}
     for mode in ("limit", "lower", "upper"):
         _exact(out, **{f"eval_{mode}": _read(at, mode)})
@@ -293,15 +292,15 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     lam = data.get("lam")
     lam = None if lam is None else as_scalar(lam)
     levels, scale = _char_levels(A)
-    tallies = [(degree, Counter(level)) for degree, level in levels]
+    tallies = {degree: Counter(level) for degree, level in levels}
     if lam is None:
         _opt_p(opts)
         out = {}
     else:
         out = _charpoly_evals(tallies, scale, lam, opts)
     out["monomials"] = ms = []
-    for (degree, level), (_, t) in zip(levels, tallies):
-        # equal coefficients share one entry, formatted once
+    for degree, level in levels:
+        t = tallies[degree]  # equal coefficients share one formatted entry
         entry = {c: [r, degree] for c, r in zip(t, _rat(t, scale))}
         ms.extend(map(entry.__getitem__, level))
     out["count"] = len(ms)

@@ -10,22 +10,23 @@ The listing runs in integers: it reads the matrix's integer rows over
 their row scales, so every coefficient is an integer over one common
 denominator S, and only the finished coefficients become Fractions.
 
-Evaluation nets signs within each (degree, |coeff|) class first. Two
-monomials of equal degree and equal absolute coefficient but opposite sign
-contribute exactly cancelling odd powers at every finite index and every
-argument, so the reduction preserves every evaluation mode while removing
-spurious ties that a plain envelope of the raw multiset would see. The
-classes are integer net maps {|coeff| * S: net count} per degree. At
-lam = a/b one pass scales every class value by the same positive integer
-S * b^n, which keeps magnitude order and ties, and yields the limit sum's
-net map (over S * b^n) and both envelopes at once; only the winner
+Evaluation nets each degree's tally {coeff * S: count} as it reads it.
+Two monomials of equal degree and equal absolute coefficient but opposite
+sign contribute exactly cancelling odd powers at every finite index and
+every argument, so netting each (degree, |coeff|) class preserves every
+evaluation mode while removing spurious ties that a plain envelope of the
+raw multiset would see. At lam = a/b the pass scales every value by the
+same positive integer S * b^n, which keeps magnitude order and ties, and
+yields the limit sum's net map (over S * b^n) and both envelopes, read
+from each degree's largest surviving class, at once; only the winner
 becomes a Fraction, and the finite-index mode reads the integer map.
 
 The subset DP of :mod:`boxalg.linalg`, run on a_ij - lam delta_ij in
-O(2^n n) steps, yields the same integer classes without listing the
-monomials. :func:`eigen_region` reads the dominant surviving class per
-degree from it and the oracle's charpoly sweep its whole maps; the
-``charpoly`` CLI kind runs no DP and nets the listing it prints instead.
+O(2^n n) steps, yields the netted classes {|coeff| * S: net count}, a
+tally like any other, without listing the monomials. :func:`eigen_region`
+reads the dominant surviving class per degree from it and the oracle's
+charpoly sweep its whole maps; the ``charpoly`` CLI kind runs no DP and
+evaluates the tallies of the listing it prints.
 
 The region comes from the Newton polygon. At |lam| = r the degree-d term
 has magnitude m_d r^d (m_d the dominant class of degree d), so the terms
@@ -76,6 +77,7 @@ from .signedlog import (
 )
 
 DEFAULT_CHAR_CAP = 7
+NODA_TOL, NODA_STEPS = 1e-12, 100  # perron_p's bracket width, step limit
 
 
 class Monomial(NamedTuple):
@@ -171,17 +173,9 @@ def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
                         len(levels) - 1)
 
 
-def _degree_classes(tallies) -> dict[int, dict[int, int]]:
-    """Per degree, the net map {|c|: net signed count} of (degree, {int c:
-    count}) pairs, each degree once, with cancelled classes dropped. Each
-    distinct coefficient is netted once."""
-    return {d: {m: c for m, c in net_by_magnitude(t, t.values())[0].items()
-                if c} for d, t in tallies}
-
-
-def _net_classes(m) -> tuple[dict[int, dict[int, int]], int]:
-    """The classes of :func:`_degree_classes` of monomials (coeff, degree),
-    each coefficient over S, their least common denominator, and S."""
+def _tallies(m) -> tuple[dict[int, Counter], int]:
+    """Per degree, the tally {c: count} of monomials (coeff, degree), each
+    coeff an integer c over S, their least common denominator; and S."""
     coeffs, degrees = [], []
     for coeff, degree in m:
         if type(degree) is not int or degree < 0:
@@ -189,10 +183,10 @@ def _net_classes(m) -> tuple[dict[int, dict[int, int]], int]:
         coeffs.append(as_scalar(coeff))
         degrees.append(degree)
     ints, scale = _over_lcm(coeffs)
-    by_degree: dict[int, Counter] = defaultdict(Counter)
+    tallies: dict[int, Counter] = defaultdict(Counter)
     for c, degree in zip(ints, degrees):
-        by_degree[degree][c] += 1
-    return _degree_classes(by_degree.items()), scale
+        tallies[degree][c] += 1
+    return tallies, scale
 
 
 def reduced_monomials(m) -> tuple[Monomial, ...]:
@@ -203,51 +197,58 @@ def reduced_monomials(m) -> tuple[Monomial, ...]:
     index, while its envelopes are free of exactly-cancelling ties.
     """
     out = []
-    classes, scale = _net_classes(m)
-    for degree in sorted(classes):
-        for mag, net in sorted(classes[degree].items()):
+    tallies, scale = _tallies(m)
+    for degree, t in sorted(tallies.items()):
+        for mag, net in sorted(net_by_magnitude(t, t.values())[0].items()):
             coeff = Fraction(mag if net > 0 else -mag, scale)
             out.extend([Monomial(coeff, degree)] * abs(net))
     return tuple(out)
 
 
 class _Values(NamedTuple):
-    """The values |coeff| * lam^degree of the surviving classes, each
-    times one positive integer ``den``."""
+    """The values coeff * lam^degree of the monomials, each times one
+    positive integer ``den``."""
 
     net: dict[int, int]  # {scaled |value|: net signed count}
-    top: int             # the largest scaled |value| of a class, 0 if none
+    top: int             # the largest scaled |value| of a surviving class
     signs: set[bool]     # the signs (True for +) of the classes at top
     den: int
 
 
-def _values_at(classes, scale: int, lam: Fraction) -> _Values:
-    """Integer per-degree classes over ``scale`` evaluated at lam, in one
-    pass.
+def _values_at(tallies, scale: int, lam: Fraction) -> _Values:
+    """Per-degree tallies {integer c over ``scale``: count} evaluated at
+    lam and netted in one pass.
 
     With lam = a/b (b > 0) and n the top degree, S * b^n scales every
-    value |c|/S * lam^d to the integer |c| * |a|^d * b^(n-d), so magnitude
-    order and ties are kept. A class contributes its net count to the net
-    map, and its own value (the sign of its count) to the envelopes.
-    """
+    value c/S * lam^d to the integer c * a^d * b^(n-d), keeping magnitude
+    order and ties. Each count enters the net map with its value's sign,
+    zero coefficients skipped. A degree's envelope value is its largest
+    |c| whose counts of +c and -c differ, read only when |c| beats the
+    degree's best so far, with the sign of the larger side."""
     a, b = lam.numerator, lam.denominator
-    n = max(classes, default=0)
+    n = max(tallies, default=0)
     net: dict[int, int] = {}
     get = net.get
     top, signs = 0, set()
-    for d, cls in classes.items():
-        w = abs(a) ** d * b ** (n - d)
-        if not w or not cls:  # lam = 0 zeroes every positive degree
+    for d, t in tallies.items():
+        w = a ** d * b ** (n - d)  # signed as lam^d
+        if not w:  # lam = 0 zeroes every positive degree
             continue
-        flip = -1 if a < 0 and d % 2 else 1
-        m = max(cls)
-        if m * w > top:
-            top, signs = m * w, set()
-        if m * w == top:
-            signs.add(cls[m] * flip > 0)
-        for m, c in cls.items():
-            v = m * w
-            net[v] = get(v, 0) + c * flip
+        best = 0
+        for c, k in t.items():
+            v = c * w
+            if v > 0:
+                net[v] = get(v, 0) + k
+                if v > best and k != t.get(-c, 0):
+                    best, up = v, k > t.get(-c, 0)
+            elif v:
+                net[-v] = get(-v, 0) - k
+                if -v > best and k != t.get(-c, 0):
+                    best, up = -v, k < t.get(-c, 0)
+        if best > top:
+            top, signs = best, set()
+        if best and best == top:
+            signs.add(up)
     return _Values(net, top, signs, scale * b ** n)
 
 
@@ -275,7 +276,7 @@ def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
         raise DomainError("mode 'p' requires the index p")
     if mode not in ("limit", LOWER, UPPER, "p"):
         raise DomainError(f"unknown mode {mode!r}")
-    return _read(_values_at(*_net_classes(m), lam), mode, p)
+    return _read(_values_at(*_tallies(m), lam), mode, p)
 
 
 # --- spectral region ---------------------------------------------------------
@@ -400,8 +401,7 @@ def _triplet_solve(N, u, v, b) -> Optional[list[float]]:
     return y
 
 
-def perron_p(A, p: int, tol: float = 1e-12,
-             max_iter: int = 100) -> tuple[SignedLog, tuple[SignedLog, ...]]:
+def perron_p(A, p: int) -> tuple[SignedLog, tuple[SignedLog, ...]]:
     """Dominant eigenpair of the odd-power image of a positive matrix.
 
     B = A^(q), q = 2p+1 entrywise, is scaled tropically before any float
@@ -412,9 +412,10 @@ def perron_p(A, p: int, tol: float = 1e-12,
     B' (Numer. Math. 17, 1971) reads the Collatz-Wielandt bracket [min,
     max] of (B'x)_i / x_i and solves (top I - B') y = x, subtraction-free,
     with top the bracket's maximum; it stops when the bracket closes to
-    ``tol`` relative, or at a zero pivot, where top is an eigenvalue and
+    ``NODA_TOL`` relative, or at a zero pivot, where top is an eigenvalue and
     so rho(B'). The returned value is the q-th root of rho(B) = e^lam
-    top; the vector is B's eigenvector e^u_i x_i, sup-norm 1.
+    top; the vector is B's eigenvector e^u_i x_i, sup-norm 1. A bracket
+    still open after ``NODA_STEPS`` steps raises ConvergenceError.
     """
     M = as_matrix(A)
     if not M.is_square:
@@ -433,10 +434,10 @@ def perron_p(A, p: int, tol: float = 1e-12,
     B = [[exp(c + uj - ui) for c, uj in zip(row, u)]
          for row, ui in zip(C, u)]
     x = [1.0] * M.rows
-    for _ in range(max_iter):
+    for _ in range(NODA_STEPS):
         ratios = [fsum(map(mul, row, x)) / xi for row, xi in zip(B, x)]
         top = max(ratios)
-        if top - min(ratios) <= tol * top:
+        if top - min(ratios) <= NODA_TOL * top:
             break
         y = _triplet_solve(B, x, [(top - r) * xi
                                   for r, xi in zip(ratios, x)], x)
@@ -446,7 +447,7 @@ def perron_p(A, p: int, tol: float = 1e-12,
         x = [yi / m for yi in y]
     else:
         raise ConvergenceError(
-            f"Noda iteration did not settle within {max_iter} iterations")
+            f"Noda iteration did not settle within {NODA_STEPS} iterations")
     logs = [ui + math.log(xi) for ui, xi in zip(u, x)]
     top_log = max(logs)
     return (SignedLog(1, (lam + math.log(top)) / q),

@@ -511,6 +511,22 @@ class TestCharpolyAndEigen:
         assert obj["perron"] == {"converged": False, "final_rel_gap": "inf",
                                  "limit_float": 3.0, "p_max": 20}
 
+    def test_step_limit_reaches_the_unsettled_path(self, capsys,
+                                                   monkeypatch):
+        # the real perron_p, allowed one Noda step on a matrix that needs
+        # more: it raises, and the kind still prints its region
+        import boxalg.eigen as eigen
+        from boxalg import ConvergenceError
+        A = [[1, 2, 1], [2, 2, 9], [1, 1, 3]]
+        monkeypatch.setattr(eigen, "NODA_STEPS", 1)
+        with pytest.raises(ConvergenceError):
+            perron_p(A, 20)
+        code, obj = invoke(capsys, "eigen", "--json", json.dumps({"A": A}))
+        assert code == 0
+        assert obj["region"] == ["-3", "-2", "3"]
+        assert obj["perron"] == {"converged": False, "final_rel_gap": "inf",
+                                 "limit_float": 3.0, "p_max": 20}
+
     def test_former_unsettled_matrix_settles(self, capsys):
         code, obj = invoke(capsys, "eigen", "--json",
                            json.dumps({"A": SETTLES_NOW}))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,15 +14,19 @@ from boxalg import (
     CapacityError,
     DomainError,
     Monomial,
+    SignedLog,
     boxtimes_eig_check,
     char_monomials,
     charpoly_eval,
     eigen_region,
     expected_monomial_count,
+    nary_boxplus,
     perron_p,
+    phi_p_sum,
     reduced_monomials,
+    smile,
 )
-from boxalg.eigen import _nth_root_exact
+from boxalg.eigen import _nth_root_exact, _read, _values_at
 
 F = Fraction
 REL = 1e-9
@@ -107,6 +112,55 @@ class TestEvaluation:
             with pytest.raises(DomainError, match="not an int >= 0"):
                 reduced_monomials(ms)
         assert charpoly_eval([(F(1), 1), (F(1), 0)], 2) == 2
+
+
+# hand-built tallies {c: count} per degree, each c over SCALE: a zero
+# coefficient, a +-9 pair cancelling at degree 2's largest |c| (its
+# envelope must read 4), and a degree (1) whose every class cancels
+LISTING_TALLIES = {2: Counter({9: 2, -9: 2, 4: 1, -1: 3, 0: 5}),
+                   1: Counter({6: 1, -6: 1, 0: 2}),
+                   0: Counter({-5: 1, 2: 2})}
+# group-ring classes {m > 0: net count}, one count negative at the top
+RING_TALLIES = {3: {1: 1}, 2: {5: -2, 3: 1}, 1: {4: 3}, 0: {7: -1}}
+SCALE = 6
+
+
+class TestValuesAt:
+    """:func:`_values_at` nets the tallies while it evaluates them; every
+    mode is checked against references that never call it."""
+
+    @staticmethod
+    def _monomials(tallies):
+        # |count| copies of c, of -c for a negative (ring) count
+        return [Monomial(F(c if k > 0 else -c, SCALE), d)
+                for d, t in tallies.items() for c, k in t.items()
+                for _ in range(abs(k))]
+
+    @pytest.mark.parametrize("tallies", [LISTING_TALLIES, RING_TALLIES],
+                             ids=["listing", "ring"])
+    @pytest.mark.parametrize("lam", [F(0), F(1), F(3), F(-2, 3), F(-7, 2)],
+                             ids=str)
+    def test_every_mode_against_the_expansion(self, tallies, lam):
+        ms = self._monomials(tallies)
+        vals = [m.coeff * lam ** m.degree for m in ms]
+        reduced = [m.coeff * lam ** m.degree for m in reduced_monomials(ms)]
+        at = _values_at(tallies, SCALE, lam)
+        assert 0 not in at.net
+        assert _read(at, "limit") == nary_boxplus(vals)
+        for mode in ("lower", "upper"):
+            assert _read(at, mode) == smile(reduced, mode)
+        for p in (0, 1, 7):
+            got = _read(at, "p", p)
+            want = phi_p_sum([SignedLog.from_rational(v) for v in vals], p)
+            assert (got.sign, got.logmag, got.exact) == (
+                want.sign, want.logmag, want.exact)
+
+    def test_cancelled_top_class_is_passed_over(self):
+        # at lam = 3 the cancelled +-9 class of degree 2 (81) would top
+        # every value; the envelopes read the surviving 4 * 9 = 36
+        at = _values_at(LISTING_TALLIES, SCALE, F(3))
+        assert (at.top, at.signs) == (36, {True})
+        assert _read(at, "lower") == _read(at, "upper") == F(36, SCALE)
 
 
 class TestRegion:

@@ -30,6 +30,7 @@ from boxalg import (
     det_p,
     eigen_region,
     nary_boxplus,
+    net_by_magnitude,
     odd_exponent,
     permutation_products,
     phi_p_sum,
@@ -453,8 +454,10 @@ class TestFiniteIndex:
             return {d: {F(m, scale): c for m, c in net.items()}
                     for d, net in classes.items() if net}
 
-        assert exact(*linalg._ring_terms(A, lam=True)) == exact(
-            *eigen._net_classes(ms))
+        tallies, scale = eigen._tallies(ms)
+        listed = {d: {m: c for m, c in net_by_magnitude(t, t.values())[0]
+                      .items() if c} for d, t in tallies.items()}
+        assert exact(*linalg._ring_terms(A, lam=True)) == exact(listed, scale)
 
 
 CHARPOLY_ENTRIES = {**ENTRY_SETS, "binary": lambda rng: rng.randint(0, 1),
