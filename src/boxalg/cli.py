@@ -4,7 +4,9 @@ One problem per invocation (or a JSON array for batch mode), JSON in and
 JSON out. Rationals travel as canonical strings like "-3/4" so nothing is
 lost to floats; a float rendering rides alongside under a ``_float`` key.
 Output keys are sorted and the encoding is compact, so identical inputs
-produce byte-identical outputs.
+produce byte-identical outputs. One emitter writes every document, single
+or batch; it splices in raw fragments, JSON text a handler has already
+encoded (only the `charpoly` listing is one).
 
 Exit codes: 0 success, 2 infeasible or no result (singular systems,
 degenerate configurations, non-convergence), 3 input error (unreadable
@@ -132,6 +134,13 @@ def _exact(out: dict, **values) -> dict:
         out[key], out[key + "_float"] = ((exact, floats) if many
                                          else (exact[0], floats[0]))
     return out
+
+
+class _Fragment(str):
+    """JSON text that :func:`_emit` writes as is: the `charpoly` listing."""
+
+
+_KEY = '"monomials":'  # the listing's key, as compact JSON writes it
 
 
 def _slog(z: SignedLog) -> dict:
@@ -298,12 +307,14 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
         out = {}
     else:
         out = _charpoly_evals(tallies, scale, lam, opts)
-    out["monomials"] = ms = []
+    texts = []
     for degree, level in levels:
-        t = tallies[degree]  # equal coefficients share one formatted entry
-        entry = {c: [r, degree] for c, r in zip(t, _rat(t, scale))}
-        ms.extend(map(entry.__getitem__, level))
-    out["count"] = len(ms)
+        t = tallies[degree]  # equal coefficients share one formatted string
+        r = dict(zip(t, _rat(t, scale)))
+        between = f'",{degree}],["'  # ends one ["r",degree], starts the next
+        texts.append(f'["{between.join(map(r.__getitem__, level))}",{degree}]')
+    out["monomials"] = _Fragment("[" + ",".join(texts) + "]")
+    out["count"] = sum(len(level) for _, level in levels)
     return OK, out
 
 
@@ -420,7 +431,24 @@ def _guarded(kind: str, data, args) -> tuple[int, dict]:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    """Print obj, a result or a batch of {"code", "result"} items, as one
+    compact, key-sorted JSON document. Each result's ``monomials`` fragment
+    is encoded as 0 and its text spliced in for that key's bytes, which can
+    be nothing but a key: compact JSON escapes every '"' inside a string."""
+    results = ([item["result"] for item in obj] if isinstance(obj, list)
+               else [obj])
+    fragments = []
+    for result in results:
+        if isinstance(result.get("monomials"), _Fragment):
+            fragments.append(result["monomials"])
+            result["monomials"] = 0
+    pieces = json.dumps(obj, sort_keys=True,
+                        separators=(",", ":")).split(_KEY + "0")
+    assert len(pieces) == len(fragments) + 1
+    parts = [pieces[0]]
+    for fragment, piece in zip(fragments, pieces[1:]):
+        parts += (_KEY, fragment, piece)
+    print("".join(parts))
 
 
 @cache

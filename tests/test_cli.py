@@ -437,6 +437,72 @@ class TestCharpolyAndEigen:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f983c5e269c43893b14a009dfc2c6a4228384762637fa524a3f6e318b2017785")
 
+    # the listing's entries embed _rat's strings in JSON text unescaped
+    def test_rat_text_needs_no_json_escaping(self):
+        import boxalg.cli as cli
+        big = 10 ** (sys.get_int_max_str_digits() or 4300) - 1  # most digits
+        xs = [0, 1, -1, 7, -123456789, big, -big, -big // 3]
+        for scale in (1, 2, 7, 10 ** 40, big):
+            texts = cli._rat(xs, scale)
+            texts += cli._rat([Fraction(x, scale) for x in xs])
+            for s in texts:
+                assert json.dumps(s) == '"' + s + '"'
+                assert RATIONAL_RE.fullmatch(s)
+
+    # the listing is spliced into the document as raw text: stdout must be
+    # the compact, key-sorted encoding of the document it parses to
+    def _assert_canonical(self, out):
+        doc = json.dumps(json.loads(out), sort_keys=True,
+                         separators=(",", ":"))
+        assert out == doc + "\n"
+
+    def test_spliced_batch_is_canonical(self, capsys, monkeypatch):
+        import boxalg.cli as cli
+        from boxalg import BoxMatrix, char_monomials
+        built = []
+
+        class Counted(cli._Fragment):
+            def __new__(cls, text):
+                built.append(text)
+                return super().__new__(cls, text)
+        monkeypatch.setattr(cli, "_Fragment", Counted)
+        big = "1" + "0" * 3000
+        m = self._charpoly_matrix
+        batch = [{"A": [[5]]}, {"A": m(7, "-2..2"), "lam": 2},
+                 {"A": m(3, "rational"), "lam": "1/2", "options": {"p": 3}},
+                 {"A": m(8, "-2..2")},  # over the characteristic cap
+                 {"A": [[f"{big}/7", 0], [0, f"{big}/7"]]},  # digit limit
+                 {"kind": 'x"monomials":0', "A": [[1]]},
+                 {"kind": "det", "A": [[1, 2], [3, 4]]},
+                 {"A": [[2, 1], [1, 2]]}]
+        assert run(["charpoly", "--json", json.dumps(batch)]) == 4
+        out = capsys.readouterr().out
+        self._assert_canonical(out)
+        items = json.loads(out)
+        assert [it["code"] for it in items] == [0, 0, 0, 4, 4, 3, 0, 0]
+        assert '"monomials":0' in items[5]["result"]["error"]
+        assert items[6]["result"]["det_inf"] == "-6"
+        assert "too long to print" in items[4]["result"]["error"]
+        assert len(built) == 4  # the digit guard fired before a fragment
+        for i in (0, 1, 2, 7):
+            ms = char_monomials(BoxMatrix([[Fraction(x) for x in row]
+                                           for row in batch[i]["A"]]))
+            assert items[i]["result"]["monomials"] == [
+                [str(mono.coeff), mono.degree] for mono in ms]
+            assert items[i]["result"]["count"] == len(ms)
+
+    @pytest.mark.parametrize("lam", [None, "-2/3"])
+    def test_spliced_single_is_canonical(self, capsys, lam):
+        for n, entries in ((1, "int"), (7, "-2..2"), (4, "rational")):
+            doc = {"A": self._charpoly_matrix(n, entries),
+                   "options": {"p": 3}}
+            if lam is not None:
+                doc["lam"] = lam
+            assert run(["charpoly", "--json", json.dumps(doc)]) == 0
+            out = capsys.readouterr().out
+            self._assert_canonical(out)
+            assert ("eval_limit" in json.loads(out)) == (lam is not None)
+
     # sha256 of the whole stdout, recorded before the region was read from
     # the upper hull: members negative, irrational and at lam = 0, n = 2..7,
     # and two positive matrices whose Perron sweep converges
