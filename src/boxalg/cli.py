@@ -1,11 +1,12 @@
 """Command-line front end.
 
 One problem per invocation (or a JSON array for batch mode), JSON in and
-JSON out. Rationals travel as canonical strings like "-3/4" so nothing is
-lost to floats; a float rendering rides alongside under a ``_float`` key.
-Output keys are sorted and the encoding is compact, so identical inputs
-produce byte-identical outputs. One emitter writes every document, single
-or batch; it splices in raw fragments, JSON text a handler has already
+JSON out; one parser reads the kind and the options, in either order.
+Rationals travel as canonical strings like "-3/4" so nothing is lost to
+floats; a float rendering rides alongside under a ``_float`` key. Output
+keys are sorted and the encoding is compact, so identical inputs produce
+byte-identical outputs. One emitter writes every document, single or
+batch; it splices in raw fragments, JSON text a handler has already
 encoded (only the `charpoly` listing is one).
 
 Exit codes: 0 success, 2 infeasible or no result (singular systems,
@@ -35,7 +36,6 @@ from .eigen import (
     _read,
     _values_at,
     eigen_region,
-    perron_p,
 )
 from .errors import (
     BoxAlgError,
@@ -46,7 +46,8 @@ from .errors import (
 )
 from .geom import hyperplane_contains, hyperplane_through
 from .linalg import DEFAULT_DET_CAP, BoxMatrix, det_inf, det_inf_reg, det_p
-from .oracle import DEFAULT_P_MAX, DEFAULT_TOL, _check_sweep, _gaps, sweep
+from .oracle import (DEFAULT_P_MAX, DEFAULT_TOL, _check_sweep, _gaps,
+                     _perron, sweep)
 from .signedlog import SignedLog, check_p
 from .solve import (
     LimitSystem,
@@ -284,17 +285,6 @@ def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
     return OK, out
 
 
-def _charpoly_evals(tallies, scale: int, lam: Fraction, opts: dict) -> dict:
-    at = _values_at(tallies, scale, lam)
-    out: dict = {"lam": _rat([lam])[0]}
-    for mode in ("limit", "lower", "upper"):
-        _exact(out, **{f"eval_{mode}": _read(at, mode)})
-    p = _opt_p(opts)
-    if p is not None:
-        out["eval_p"], out["p"] = _slog(_read(at, "p", p)), p
-    return out
-
-
 def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     _, char_cap = _caps()
     A = _check_char(_matrix_in(data["A"]), char_cap)
@@ -302,11 +292,15 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     lam = None if lam is None else as_scalar(lam)
     levels, scale = _char_levels(A)
     tallies = {degree: Counter(level) for degree, level in levels}
-    if lam is None:
-        _opt_p(opts)
-        out = {}
-    else:
-        out = _charpoly_evals(tallies, scale, lam, opts)
+    out: dict = {}
+    if lam is not None:
+        at = _values_at(tallies, scale, lam)
+        out["lam"] = _rat([lam])[0]
+        for mode in ("limit", "lower", "upper"):
+            _exact(out, **{f"eval_{mode}": _read(at, mode)})
+    p = _opt_p(opts)  # read after the evaluations, whose faults come first
+    if lam is not None and p is not None:
+        out["eval_p"], out["p"] = _slog(_read(at, "p", p)), p
     texts = []
     for degree, level in levels:
         t = tallies[degree]  # equal coefficients share one formatted string
@@ -327,12 +321,9 @@ def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
     _check_sweep(p_max, tol)
     out = _exact({}, region=region)
     if region and all(a > 0 for row in A._ints for a in row):
-        limit = max(region)
-        try:  # the run at p_max alone
-            gap = _gaps([perron_p(A, p_max)[0]], limit, limit)[1][0]
-        except ConvergenceError:  # unsettled: no gap, the region stands
-            gap = math.inf
-        out["perron"] = {"limit_float": _float_out(limit), "p_max": p_max,
+        # the run at p_max alone
+        gap = _gaps(*_perron(A, region, (p_max,), char_cap))[1][0]
+        out["perron"] = {"limit_float": _float_out(max(region)), "p_max": p_max,
                          "final_rel_gap": _float_out(gap), "converged": gap < tol}
     return OK, out
 
@@ -458,16 +449,13 @@ def _parser() -> argparse.ArgumentParser:
         prog="boxalg",
         description="Exact limit-algebra computations over JSON problems.",
     )
-    sub = parser.add_subparsers(dest="kind")
-    for kind in KINDS:
-        sp = sub.add_parser(kind)
-        sp.add_argument("--json", dest="json_text")
-        sp.add_argument("--file", dest="json_file")
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--pmax", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--mode", choices=("lower", "upper", "exact"),
-                        default=None)
+    parser.add_argument("kind", nargs="?", choices=KINDS)
+    parser.add_argument("--json", dest="json_text")
+    parser.add_argument("--file", dest="json_file")
+    parser.add_argument("--p", type=int)
+    parser.add_argument("--pmax", type=int)
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--mode", choices=("lower", "upper", "exact"))
     return parser
 
 

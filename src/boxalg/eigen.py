@@ -302,14 +302,9 @@ def _nth_root_exact(q: Fraction, e: int) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
-def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP) -> list:
-    """All lam with lower eval <= 0 <= upper eval, smallest first.
-
-    lam = 0 when the constant term cancels, and each member radius of the
-    upper hull (see the module docstring), read from its run's lowest
-    degree and the first run degree of the other effective sign. Rational
-    members are Fractions, irrational ones floats (clamped to +-inf).
-    """
+def _radii(A, cap: int):
+    """The members of :func:`eigen_region`, unsorted, as (half-line, exact
+    root or None, log of the radius)."""
     dom, _scale = _dominant_terms(_check_char(A, cap), lam=True)
     mag = {d: m for d, (m, _s) in dom.items()}  # each over the one scale
 
@@ -324,7 +319,8 @@ def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP) -> list:
             hull.pop()
         hull.append(d)
 
-    members: list = [] if 0 in dom else [Fraction(0)]
+    if 0 not in dom:
+        yield 1, Fraction(0), -math.inf
     start = 0
     for i in range(1, len(hull)):
         if i + 1 < len(hull) and bend(hull[start], hull[i], hull[i + 1]) == 0:
@@ -333,14 +329,22 @@ def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP) -> list:
         for halfline in (1, -1):
             signs = [dom[d][1] * (halfline if d % 2 else 1) for d in run]
             b = next((d for d, s in zip(run, signs) if s != signs[0]), None)
-            if b is None:
-                continue
-            q, e = Fraction(mag[run[0]], mag[b]), b - run[0]
-            root = _nth_root_exact(q, e)
-            log_r = _log_abs_fraction(q) / e
-            members.append(SignedLog(halfline, log_r).to_float()
-                           if root is None else halfline * root)
-    return sorted(members)
+            if b is not None:
+                q, e = Fraction(mag[run[0]], mag[b]), b - run[0]
+                yield halfline, _nth_root_exact(q, e), _log_abs_fraction(q) / e
+
+
+def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP) -> list:
+    """All lam with lower eval <= 0 <= upper eval, smallest first.
+
+    lam = 0 when the constant term cancels, and each member radius of the
+    upper hull (see the module docstring), read from its run's lowest
+    degree and the first run degree of the other effective sign. Rational
+    members are Fractions, irrational ones floats (clamped to +-inf).
+    """
+    return sorted(halfline * root if root is not None
+                  else SignedLog(halfline, log_r).to_float()
+                  for halfline, root, log_r in _radii(A, cap))
 
 
 # --- finite-index Perron data ------------------------------------------------

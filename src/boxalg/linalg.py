@@ -358,20 +358,19 @@ def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
     return smile((Fraction(p, total), Fraction(-n, total)), mode)
 
 
-def _det_net(A, cap: int | None = None) -> tuple[dict[int, int], int]:
+def _det_net(A, cap: int = DEFAULT_DET_CAP) -> tuple[dict[int, int], int]:
     """Net map ({m: net count}, S) of the signed permutation products of a
     square matrix."""
-    cap = DEFAULT_DET_CAP if cap is None else cap
     ring, total = _ring_terms(_checked(A, cap))
     return ring.get(0, {}), total
 
 
-def _cramer_slots(A, b, cap: int | None, read, zero) -> tuple[list, int]:
+def _cramer_slots(A, b, cap: int, read, zero) -> tuple[list, int]:
     """``read`` of one DP on [A | b]: the slot of det A, then that of each
     det A_i(b) with its sign (-1)^(n-1-i), and the scale S. The DP runs
     on row i of [A | b] times A's row scale s_i, A's integers then s_i b_i,
     and the product of the s_i is folded into S."""
-    M = _checked(A, DEFAULT_DET_CAP if cap is None else cap)
+    M = _checked(A, cap)
     n = M.rows
     slots, total = read(BoxMatrix((*row, s * v)
                                   for row, s, v in zip(M._ints, M._scales, b)))
@@ -385,7 +384,7 @@ def _cramer_dets(A, b, cap: int = DEFAULT_DET_CAP) -> list[Fraction]:
     return [Fraction(s * m * c, total) for (m, c), s in slots]
 
 
-def _cramer_nets(A, b, cap: int | None = None) -> list[tuple[dict, int]]:
+def _cramer_nets(A, b, cap: int = DEFAULT_DET_CAP) -> list[tuple[dict, int]]:
     """Net maps ({m: net count}, S) of A, then of each A_i(b)."""
     slots, total = _cramer_slots(A, b, cap, _ring_terms, {})
     return [({m: s * c for m, c in net.items()}, total) for net, s in slots]

@@ -13,12 +13,13 @@ Each quantity depends on its input only through integer net maps ({m:
 net signed count}, S), m/S the magnitude: of the vector for ``sum``, of
 the permutation products (from the subset DP of :mod:`boxalg.linalg`)
 for the determinant-shaped quantities, of the characteristic monomial
-values at lam for ``charpoly``. A sweep builds its maps once and reads
-the limit, the near-tie flag and every finite-index value from them; the
-maps of ``cramer`` and ``hyperplane`` come from one DP on [A | b], with
-(V^T, ones) for the hyperplane's. The hyperplane residual is exact: the
-determinant of the entrywise q-th power of a matrix is the sum of net *
-m^q over its map, over S^q.
+values at lam for ``charpoly``. ``sum``, ``det``, ``charpoly`` and
+``cramer`` share one pipeline that reads the limit, the near-tie flag and
+every finite-index value from maps built once. The maps of ``cramer`` and
+``hyperplane`` come from one DP on [A | b], with (V^T, ones) for the
+hyperplane's, whose residual is exact: the determinant of the entrywise
+q-th power is the sum of net * m^q over the map, over S^q. ``perron``
+shares its Perron path with the CLI's ``eigen`` kind.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from .core import _net_limit, _scalars, as_float, as_scalar, as_vector
 from .eigen import (
     DEFAULT_CHAR_CAP,
     _check_char,
+    _radii,
     _values_at,
     eigen_region,
     perron_p,
 )
 from .errors import BoxAlgError, ConvergenceError, DomainError
-from .linalg import (BoxMatrix, _check_square, _cramer_nets, _det_net,
-                     _ring_terms, as_matrix)
+from .linalg import (DEFAULT_DET_CAP, BoxMatrix, _check_square, _cramer_nets,
+                     _det_net, _ring_terms, as_matrix)
 from .signedlog import (
     SignedLog,
     _net_logs,
@@ -111,13 +113,15 @@ def _power_sum(nets: tuple[dict[int, int], int], q: int) -> Fraction:
 
 def _gap(value, limit, size=None) -> float:
     """|value - limit|, the sup norm for vectors; inf for a missing value.
-    Given ``size``, an exact SignedLog, both are first divided by it."""
+    Given ``size``, a SignedLog, both are first divided by it; an inexact
+    size is the limit itself, an irrational past the float range."""
     if value is None:
         return math.inf
     if isinstance(limit, tuple):
         return max(_gap(v, t, size) for v, t in zip(value, limit))
     if size is not None:
-        return abs((value / size).to_float() - float(limit / size.exact))
+        unit = 1.0 if size.exact is None else float(limit / size.exact)
+        return abs((value / size).to_float() - unit)
     return abs(value.to_float() - as_float(limit))
 
 
@@ -133,16 +137,39 @@ def _check_sweep(p_max: int, tol: float) -> None:
 
 def _gaps(values, limit, size) -> tuple[list[float], list[float]]:
     """Absolute and relative gaps of each value to the limit, relative to
-    max(1, |size|). A size past the float range divides in logs, and the
-    absolute gaps past it read inf."""
-    scale = max(1.0, abs(as_float(size)))
-    if scale < math.inf or not isinstance(size, Fraction):
-        abs_gaps = [_gap(v, limit) for v in values]
-        return abs_gaps, [g / scale for g in abs_gaps]
-    size = SignedLog.from_rational(abs(size))
+    max(1, |size|). A size past the float range, a rational or the
+    SignedLog of an irrational limit, divides in logs, and the absolute
+    gaps past it read inf."""
+    if not isinstance(size, SignedLog):
+        scale = max(1.0, abs(as_float(size)))
+        if scale < math.inf:
+            abs_gaps = [_gap(v, limit) for v in values]
+            return abs_gaps, [g / scale for g in abs_gaps]
+        size = SignedLog.from_rational(abs(size))
     rel_gaps = [_gap(v, limit, size) for v in values]
     return [SignedLog(1, math.log(g) + size.logmag).to_float()
             if g else 0.0 for g in rel_gaps], rel_gaps
+
+
+def _perron(A, region: list, ps, cap: int) -> tuple:
+    """(values, limit, size) for :func:`_gaps`: the Perron run at each p in
+    ``ps``, None where it does not settle (every other error gets an ``at
+    p=`` prefix), against the largest region member, sized by its log when
+    it is an irrational past the float range."""
+    values = []
+    for p in ps:
+        try:
+            values.append(perron_p(A, p)[0])
+        except ConvergenceError:
+            values.append(None)
+        except BoxAlgError as exc:
+            raise type(exc)(f"at p={p}: {exc}") from exc
+    limit = max(region)
+    if limit != math.inf:
+        return values, limit, limit
+    # an irrational past the float range: the largest positive radius's log
+    return values, limit, SignedLog(1, max(
+        log_r for halfline, _root, log_r in _radii(A, cap) if halfline > 0))
 
 
 def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
@@ -164,46 +191,15 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
     the float range divides in logs, and absolute gaps past it read inf.
     ``cap`` overrides both size caps, as ``BOXALG_CAP`` does in the CLI.
     """
-    char_cap = DEFAULT_CHAR_CAP if cap is None else cap
     _check_sweep(p_max, tol)
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}; pick from {QUANTITIES}")
-
+    det_cap, char_cap = ((DEFAULT_DET_CAP, DEFAULT_CHAR_CAP) if cap is None
+                         else (cap, cap))
     ps = tuple(range(p_max + 1))
-    values: list = []
     near_tie = False
 
-    if quantity in ("sum", "det", "charpoly"):
-        if quantity == "sum":
-            net = net_by_magnitude(_scalars(inputs["xs"]))
-        elif quantity == "det":
-            net = _det_net(as_matrix(inputs["A"]), cap)
-        else:
-            A, lam = as_matrix(inputs["A"]), as_scalar(inputs["lam"])
-            classes = _ring_terms(_check_char(A, char_cap), lam=True)
-            at = _values_at(*classes, lam)
-            net = at.net, at.den
-        limit = _net_limit(net)
-        groups = _net_logs(net)
-        near_tie = _near_tie(net, groups, p_max, tol)
-        values = _phi_p_net(net, ps, groups)
-
-    elif quantity == "cramer":
-        system = LimitSystem(as_matrix(inputs["A"]), as_vector(inputs["b"]))
-        nets = _cramer_nets(system.A, system.b, cap)
-        det, *dets = [_net_limit(net) for net in nets]
-        if det == 0:
-            raise DomainError("limit determinant is zero; no limit solution")
-        limit = tuple(d / det for d in dets)
-        groups = [_net_logs(net) for net in nets]
-        near_tie = any(_near_tie(net, g, p_max, tol)
-                       for net, g in zip(nets, groups))
-        den, *nums = [_phi_p_net(net, ps, g) for net, g in zip(nets, groups)]
-        # None where the finite index is singular
-        values = [None if d.is_zero else tuple(v[i] / d for v in nums)
-                  for i, d in enumerate(den)]
-
-    elif quantity == "hyperplane":
+    if quantity == "hyperplane":
         pts = [_scalars(pt) for pt in inputs["points"]]
         x = as_vector(inputs["x"])
         V = BoxMatrix.from_columns(pts)
@@ -212,9 +208,10 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
             raise DomainError(f"x has length {len(x)}, expected {n}")
         limit = Fraction(0)
         _check_square(V, "determinant")
-        net, *row_nets = _cramer_nets(pts, (1,) * n, cap)  # V^T
+        net, *row_nets = _cramer_nets(pts, (1,) * n, det_cap)  # V^T
         size = _net_limit(net)
         # the residual either vanishes exactly or diverges: never near-tie
+        values = []
         for p in ps:
             q = odd_exponent(p)
             total = -_power_sum(net, q) + sum(
@@ -222,25 +219,41 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
                 Fraction(0))
             values.append(SignedLog.from_rational(total).root(q))
 
-    else:  # perron
+    elif quantity == "perron":
         A = as_matrix(inputs["A"])
         region = eigen_region(A, cap=char_cap)
         if not region:
             raise DomainError("empty spectral region; no limit value")
-        limit = max(region)
-        for p in ps:
-            try:
-                rho, _vec = perron_p(A, p)
-            except ConvergenceError:
-                rho = None  # unsettled at this p: no value, an inf gap
-            except BoxAlgError as exc:
-                raise type(exc)(f"at p={p}: {exc}") from exc
-            values.append(rho)
+        values, limit, size = _perron(A, region, ps, char_cap)
 
-    if quantity == "cramer":
-        size = max(limit, key=abs)
-    elif quantity != "hyperplane":
+    else:  # sum, det, charpoly and cramer: one pipeline over net maps
+        if quantity == "sum":
+            nets = [net_by_magnitude(_scalars(inputs["xs"]))]
+        elif quantity == "det":
+            nets = [_det_net(as_matrix(inputs["A"]), det_cap)]
+        elif quantity == "charpoly":
+            A, lam = as_matrix(inputs["A"]), as_scalar(inputs["lam"])
+            at = _values_at(*_ring_terms(_check_char(A, char_cap), lam=True),
+                            lam)
+            nets = [(at.net, at.den)]
+        else:  # det A, then each det A_i(b)
+            system = LimitSystem(as_matrix(inputs["A"]), as_vector(inputs["b"]))
+            nets = _cramer_nets(system.A, system.b, det_cap)
+        limit, *dets = [_net_limit(net) for net in nets]
         size = limit
+        if quantity == "cramer":
+            if limit == 0:
+                raise DomainError("limit determinant is zero; no limit solution")
+            limit = tuple(d / limit for d in dets)
+            size = max(limit, key=abs)
+        groups = [_net_logs(net) for net in nets]
+        near_tie = any(_near_tie(net, g, p_max, tol)
+                       for net, g in zip(nets, groups))
+        values, *nums = [_phi_p_net(net, ps, g) for net, g in zip(nets, groups)]
+        if nums:  # cramer: x_i at each p, None where det A_p is 0
+            values = [None if d.is_zero else tuple(v[i] / d for v in nums)
+                      for i, d in enumerate(values)]
+
     abs_gaps, rel_gaps = _gaps(values, limit, size)
     return SweepReport(
         quantity=quantity,

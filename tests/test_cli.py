@@ -17,6 +17,9 @@ from boxalg.core import RATIONAL_RE
 from boxalg.eigen import eigen_region, perron_p
 
 BIG = "1" + "0" * 400
+# a positive matrix whose Perron limit, sqrt(2) * 10^400, is an irrational
+# region member past the float range
+IRRATIONAL_BIG = [[1, BIG], ["2" + "0" * 400, 1]]
 
 # the limit-cancel seed 1 block 2 eigen matrix: power iteration did not
 # settle on it from p = 10 on, Noda iteration settles at every p
@@ -567,9 +570,19 @@ class TestCharpolyAndEigen:
         logmag = perron_p([[BIG, 1], [1, 1]], 20)[0].logmag
         assert logmag == pytest.approx(math.log(10 ** 400), rel=1e-12)
 
+    def test_perron_gap_past_float_range_irrational(self, capsys):
+        code, obj = invoke(capsys, "eigen", "--json",
+                           json.dumps({"A": IRRATIONAL_BIG}))
+        assert code == 0
+        assert obj["region"] == ["-inf", "inf"]
+        gap = obj["perron"]["final_rel_gap"]
+        assert isinstance(gap, float) and gap < 1e-12
+        assert obj["perron"]["limit_float"] == "inf"
+        assert obj["perron"]["converged"] is True
+
     def test_unsettled_perron_keeps_the_region(self, capsys, monkeypatch):
-        import boxalg.cli as cli
-        monkeypatch.setattr(cli, "perron_p", _unsettled_from(0))
+        import boxalg.oracle as oracle
+        monkeypatch.setattr(oracle, "perron_p", _unsettled_from(0))
         code, obj = invoke(capsys, "eigen", "--json",
                            json.dumps({"A": SETTLES_NOW}))
         assert code == 0
@@ -606,12 +619,13 @@ class TestCharpolyAndEigen:
 
     def test_one_region_and_one_perron_run(self, capsys, monkeypatch):
         import boxalg.cli as cli
+        import boxalg.oracle as oracle
         calls = []
-        for name in ("eigen_region", "perron_p"):
-            def counted(*args, _f=getattr(cli, name), _name=name, **kw):
+        for module, name in ((cli, "eigen_region"), (oracle, "perron_p")):
+            def counted(*args, _f=getattr(module, name), _name=name, **kw):
                 calls.append((_name, args[1:]))
                 return _f(*args, **kw)
-            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(module, name, counted)
         code, obj = invoke(capsys, "eigen", "--json",
                            '{"A":[[2,1],[1,2]],"options":{"p_max":12}}')
         assert code == 0 and obj["perron"]["converged"] is True
@@ -688,6 +702,20 @@ class TestOracle:
         assert obj["values"][10:] == [None] * 11
         assert obj["abs_gaps"][10:] == obj["rel_gaps"][10:] == ["inf"] * 11
         assert obj["final_rel_gap"] == "inf" and obj["converged"] is False
+
+    def test_perron_gaps_past_float_range_irrational(self, capsys):
+        text = json.dumps({"quantity": "perron", "A": IRRATIONAL_BIG})
+        assert run(["oracle", "--json", text]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        obj = json.loads(out)
+        assert obj["limit"] == "inf" and obj["converged"] is True
+        assert all(isinstance(g, float) and g < 1e-12
+                   for g in obj["rel_gaps"])
+        # an absolute gap is the relative one times the limit: inf unless 0
+        assert obj["abs_gaps"] == ["inf" if g else 0.0
+                                   for g in obj["rel_gaps"]]
+        assert "inf" in obj["abs_gaps"]
 
     def test_perron_still_rejects_a_non_positive_entry(self, capsys):
         code, obj = invoke(capsys, "oracle", "--json",
@@ -1173,6 +1201,31 @@ class TestDeterminism:
         assert err.out == "" and "invalid choice" in err.err
         assert run(["det", "--json", text, "--mode", "upper"]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("kind, text, options", [
+        ("det", '{"A":[[1,-2],[3,"1/2"]]}', ["--mode", "upper", "--p", "2"]),
+        ("oracle", '{"quantity":"det","A":[[-1,1],[1,1]]}',
+         ["--pmax", "5", "--tol", "0.01"]),
+        ("eigen", '{"A":[[2,1],[1,2]]}', ["--pmax", "3"]),
+        ("charpoly", '[{"A":[[2,1],[1,2]],"lam":2},{"A":[[1]]}]', ["--p", "1"]),
+    ])
+    def test_options_before_the_kind(self, capsys, kind, text, options):
+        outs = []
+        for argv in ([kind, "--json", text, *options],
+                     ["--json", text, *options, kind],
+                     [*options, kind, "--json", text]):
+            assert run(argv) == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            outs.append(out.out)
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_json_without_a_kind_gets_the_json_error(self, capsys):
+        assert run(["--json", '{"A":[[1]]}']) == 3
+        out = capsys.readouterr()
+        assert out.err == "" and out.out.count("\n") == 1
+        assert json.loads(out.out) == {
+            "error": f"missing subcommand; pick from {', '.join(KINDS)}"}
 
     def test_help_exits_zero(self, capsys):
         assert run(["det", "--help"]) == 0

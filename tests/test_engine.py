@@ -658,6 +658,16 @@ class TestOneBorderedRun:
             capsys.readouterr()
             assert dp_runs == ["ring"], problem["quantity"]
 
+    @pytest.mark.parametrize("rows, expected", [
+        ([[2, 1], [1, 2]], ["lead"]),
+        # the degree-0 leading count cancels, so the leading-term run is
+        # followed by a group-ring run
+        ([[1, 1], [1, 1]], ["lead", "ring"])])
+    def test_eigen_kind(self, capsys, dp_runs, rows, expected):
+        assert run(["eigen", "--json", json.dumps({"A": rows})]) == 0
+        assert "perron" in json.loads(capsys.readouterr().out)
+        assert dp_runs == expected
+
     @pytest.mark.parametrize("rows", [
         WIDE, CANCELLING,
         [["1/2", "0", "-2"], ["3", "5/3", "1"], ["0", "-1", "7/4"]]])

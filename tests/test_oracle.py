@@ -91,6 +91,21 @@ class TestPerronSweep:
         assert rep.final_rel_gap == pytest.approx(2 ** (1 / 41) - 1, rel=1e-9)
 
 
+    def test_irrational_limit_past_float_range(self):
+        # the limit is r = sqrt(2) * 10^400 and rho_p = (c^q + r^q)^(1/q),
+        # q = 2p+1, so each relative gap is (1 + (c/r)^q)^(1/q) - 1
+        c, big = 5 * 10 ** 399, 10 ** 400
+        rep = sweep("perron", {"A": [[c, big], [2 * big, c]]})
+        assert rep.limit == math.inf
+        ratio = 1 / (2 * math.sqrt(2))
+        for p, gap in enumerate(rep.rel_gaps[:8]):
+            q = 2 * p + 1
+            assert gap == pytest.approx((1 + ratio ** q) ** (1 / q) - 1,
+                                        rel=1e-6, abs=1e-12)
+        assert rep.abs_gaps[:8] == (math.inf,) * 8
+        assert not any(map(math.isnan, rep.abs_gaps + rep.rel_gaps))
+        assert rep.converged
+
     def test_unsettled_index_reads_as_a_missing_value(self, monkeypatch):
         import boxalg.oracle as oracle
 
