@@ -228,7 +228,7 @@ def _solve_out(report) -> tuple[int, dict]:
     rows = [_exact({"satisfied": r.satisfied}, lower=r.lower, upper=r.upper)
             for r in report.per_row]
     return OK, _exact({"rows": rows, "regular": report.regular,
-                       "satisfied": all(r.satisfied for r in report.per_row)},
+                       "satisfied": report.satisfied},
                       det_inf=report.det, x=report.solution)
 
 

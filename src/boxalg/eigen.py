@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, cycle
@@ -90,29 +89,6 @@ def expected_monomial_count(n: int) -> int:
     return sum(
         math.factorial(k) * math.comb(n, k) for k in range(n + 1)
     )
-
-
-@dataclass(frozen=True)
-class MonomialList:
-    monomials: tuple[Monomial, ...]
-    size: int
-
-    def __post_init__(self):
-        want = expected_monomial_count(self.size)
-        if len(self.monomials) != want:
-            raise DomainError(
-                f"monomial multiset for size {self.size} must have {want} "
-                f"entries, got {len(self.monomials)}"
-            )
-        for m in self.monomials:
-            if not 0 <= m.degree <= self.size:
-                raise DomainError(f"degree {m.degree} outside 0..{self.size}")
-
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def __len__(self):
-        return len(self.monomials)
 
 
 def _check_char(A, cap: int) -> BoxMatrix:
@@ -159,7 +135,7 @@ def _char_levels(M: BoxMatrix) -> tuple[list[tuple[int, list[int]]], int]:
     return levels, total
 
 
-def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
+def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> tuple[Monomial, ...]:
     """One signed monomial per (subset H, permutation of H) pair.
 
     The monomial for (H, sigma) has coefficient (-1)^(n-k) sgn(sigma)
@@ -168,9 +144,8 @@ def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> MonomialList:
     subsets in ``combinations`` order, then Heap order.
     """
     levels, total = _char_levels(_check_char(A, cap))
-    return MonomialList(tuple(Monomial(Fraction(c, total), d)
-                              for d, level in levels for c in level),
-                        len(levels) - 1)
+    return tuple(Monomial(Fraction(c, total), d)
+                 for d, level in levels for c in level)
 
 
 def _tallies(m) -> tuple[dict[int, Counter], int]:

@@ -18,8 +18,9 @@ values at lam for ``charpoly``. ``sum``, ``det``, ``charpoly`` and
 every finite-index value from maps built once. The maps of ``cramer`` and
 ``hyperplane`` come from one DP on [A | b], with (V^T, ones) for the
 hyperplane's, whose residual is exact: the determinant of the entrywise
-q-th power is the sum of net * m^q over the map, over S^q. ``perron``
-shares its Perron path with the CLI's ``eigen`` kind.
+q-th power is the map's power sum. :mod:`boxalg.signedlog` owns that sum
+and the bit budget under which the other values settle ties exactly.
+``perron`` shares its Perron path with the CLI's ``eigen`` kind.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .signedlog import (
     SignedLog,
     _net_logs,
     _phi_p_net,
+    _power_sum,
     net_by_magnitude,
     odd_exponent,
 )
@@ -102,13 +104,6 @@ def _near_tie(nets: tuple, groups: list, p_max: int, tol: float) -> bool:
     for _m, (logmag, c) in rest:
         pred += math.exp(math.log(abs(c)) + q * (logmag - lm1))
     return pred >= tol
-
-
-def _power_sum(nets: tuple[dict[int, int], int], q: int) -> Fraction:
-    """Sum of c * (m/S)^q over a net map ({m: c}, S): for the map of a
-    matrix's products, the determinant of its entrywise q-th power."""
-    net, scale = nets
-    return Fraction(sum(c * m ** q for m, c in net.items()), scale ** q)
 
 
 def _gap(value, limit, size=None) -> float:

@@ -16,6 +16,11 @@ every p. Float-born values fall back to a relative logmag tolerance.
 The grouping is the integer net map ({m: net signed count}, S) of
 :func:`net_by_magnitude`, m/S the magnitude; every net map in the package
 takes this one form, and each log is read from the reduced fraction m/S.
+
+This module owns the exact odd-power rules: :func:`_power_sum` is the one
+exact power sum of a net map, and ``EXACT_BITS`` the one budget, in bits,
+of the powers the package forms exactly (here, to settle a tie of the
+two parts of a power sum; in :mod:`boxalg.solve`, to decide dominance).
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from .errors import DomainError
 #: relative tolerance for magnitude ties between float-born values
 #: (applied to the difference of logmags, scaled by max(1, |logmag|))
 DEFAULT_TIE_TOL = 1e-12
+
+#: the largest power, in bits, that the exact odd-power rules form
+EXACT_BITS = 1 << 16
 
 
 def _log_abs_fraction(r: Fraction) -> float:
@@ -211,14 +219,23 @@ def _net_logs(nets: tuple[dict[int, int], int]) -> list[tuple[float, int]]:
     return [(_log_over(m, scale), c) for m, c in net.items() if c]
 
 
-def _power_means(groups, qs: Sequence[int], exact_zero=None) -> list:
+def _power_sum(nets: tuple[dict[int, int], int], q: int) -> Fraction:
+    """Sum of c * (m/S)^q over a net map ({m: c}, S), exactly: for the map
+    of a matrix's products, the determinant of its entrywise q-th power."""
+    net, scale = nets
+    return Fraction(sum(c * m ** q for m, c in net.items() if c), scale ** q)
+
+
+def _power_means(groups, qs: Sequence[int], exact=None) -> list:
     """(sum of c * exp(logmag)^q)^(1/q) at each q in ``qs`` over (logmag,
     net count c != 0) groups, whose log|c|, signs and top are read once.
 
     Positive and negative groups enter a split log-sum-exp, and the two
     parts are combined by signed subtraction in log domain. When q times
     the top logmag leaves the float range, only the top group is left.
-    Parts that tie within rounding give 0 when ``exact_zero(q)`` says so.
+    Parts that tie within rounding ask ``exact(q)``, the exact sum or
+    None: a zero sum gives 0, and parts with equal logs, whose difference
+    would be log1p(-1), read the root of the sum (0 when it is None).
     """
     top, top_c = max(groups, default=(-math.inf, 0))
     pos = [(math.log(c), logmag) for logmag, c in groups if c > 0]
@@ -229,8 +246,11 @@ def _power_means(groups, qs: Sequence[int], exact_zero=None) -> list:
             return SignedLog(1 if top_c > 0 else -1, top)
         lp = _lse([lc + q * logmag for lc, logmag in pos])
         ln = _lse([lc + q * logmag for lc, logmag in neg])
-        if lp == ln or (exact_zero and _tie(lp, ln) and exact_zero(q)):
+        s = exact(q) if exact and _tie(lp, ln) else None
+        if s == 0 or (lp == ln and s is None):
             return SignedLog.zero()
+        if lp == ln:
+            return SignedLog.from_rational(s).root(q)
         hi, lo = max(lp, ln), min(lp, ln)
         total = hi + math.log1p(-math.exp(lo - hi))  # exactly hi if lo = -inf
         return SignedLog(1 if lp > ln else -1, total / q)
@@ -243,8 +263,8 @@ def _phi_p_net(nets: tuple[dict[int, int], int], ps: Sequence[int],
     its :func:`_net_logs` groups or reading them.
 
     A single surviving magnitude with net +-1 is its own exact root; every
-    other map goes through :func:`_power_means`, and the integer sum of
-    c * m^q (each m^q up to 2^16 bits) settles a tie of its two parts.
+    other map goes through :func:`_power_means`, and :func:`_power_sum`
+    (each m^q up to ``EXACT_BITS``) settles a tie of its two parts.
     """
     qs = [odd_exponent(p) for p in ps]
     net, scale = nets
@@ -253,11 +273,11 @@ def _phi_p_net(nets: tuple[dict[int, int], int], ps: Sequence[int],
         m, c = next((m, c) for m, c in net.items() if c)
         return [SignedLog(c, groups[0][0], Fraction(c * m, scale)) for _ in qs]
 
-    def exact_zero(q: int) -> bool:
-        live = [(m, c) for m, c in net.items() if c]
-        return (q * max(live)[0].bit_length() <= 1 << 16
-                and not sum(c * m ** q for m, c in live))
-    return _power_means(groups, qs, exact_zero)
+    def exact(q: int) -> Fraction | None:
+        if q * max(m for m, c in net.items() if c).bit_length() > EXACT_BITS:
+            return None
+        return _power_sum(nets, q)
+    return _power_means(groups, qs, exact)
 
 
 def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:

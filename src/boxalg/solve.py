@@ -14,7 +14,8 @@ solvable exactly when the tight rows cover every row, and the permutation
 witness is a matching of rows to columns where they are tight. Both
 Kaykobad-style conditions are one test of b_i^q against the q-th power
 sum of a_{i,sigma(j)} b_j / a_{j,sigma(j)} over j != i: in integers while
-the powers stay small, in logs with a guarded margin past that.
+the powers stay within the budget that :mod:`boxalg.signedlog` owns,
+``EXACT_BITS``, in logs with a guarded margin past that.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
+from . import signedlog
 from .core import _envelopes, _scalars, as_vector, boxminus
 from .errors import DomainError
 from .linalg import (
@@ -95,6 +97,12 @@ class SolveReport:
     def __post_init__(self):
         if (self.solution is None) != (self.det == 0):
             raise DomainError("solution must be present exactly when det is nonzero")
+
+    @property
+    def satisfied(self) -> bool:
+        """Every row is satisfied at the solution; False without one."""
+        return self.solution is not None and all(
+            r.satisfied for r in self.per_row)
 
 
 def verify_limit_system(sys: LimitSystem, x: Sequence) -> VerifyReport:
@@ -301,9 +309,6 @@ def maxsys_existence_permutation(A, b):
     return _witness(_max_columns(M, vec)[2])
 
 
-_EXACT_BITS = 1 << 16  # the largest power _dominates forms exactly, in bits
-
-
 def _dominates(M: BoxMatrix, rhs, cols, q: int) -> bool:
     """True when b_i^q > sum_{j != i} (a_{i,cols[j]} b_j / a_{j,cols[j]})^q
     for every row i, with 0-based columns and positive pivots a_{j,cols[j]};
@@ -315,7 +320,7 @@ def _dominates(M: BoxMatrix, rhs, cols, q: int) -> bool:
     A row fails when its largest term reaches b_i, and passes without the
     powers when Bernoulli's inequality puts b_i^q above (terms) * top^q.
     Otherwise the powers are compared exactly while b_i^q stays within
-    _EXACT_BITS, and past that as q log(b_i/top) against
+    ``signedlog.EXACT_BITS``, and past that as q log(b_i/top) against
     log sum (y/top)^q in floats. Each side is then off by at most about
     q ulps per term, and a row within 256 times that of a tie raises
     DomainError rather than guess.
@@ -332,7 +337,7 @@ def _dominates(M: BoxMatrix, rhs, cols, q: int) -> bool:
             return False
         if q * (x - top) > (len(ys) - 1) * top:
             continue
-        if (q - 1) * x.bit_length() <= _EXACT_BITS:
+        if (q - 1) * x.bit_length() <= signedlog.EXACT_BITS:
             if x ** q <= sum(y ** q for y in ys):
                 return False
             continue

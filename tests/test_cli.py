@@ -660,6 +660,15 @@ class TestOracle:
         assert obj["near_tie"] is True
         assert obj["p_values"] == list(range(9))
 
+    def test_equal_logs_of_a_nonzero_sum(self, capsys):
+        # 10^16 and 10^16 - 1 have equal float logs, but their power sums
+        # at p = 0 and 1 are 1 and 3 * 10^32 - 3 * 10^16 + 1, not 0
+        code, obj = invoke(capsys, "oracle", "--json",
+                           '{"quantity":"sum","xs":[10000000000000000,'
+                           '-9999999999999999],"options":{"p_max":1}}')
+        assert code == 0
+        assert obj["values"] == [1.0, 66943295008.21706]
+
     @pytest.mark.parametrize("text", [
         '{"quantity":"sum","xs":5}',
         '{"quantity":"det","A":5}',

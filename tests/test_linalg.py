@@ -209,6 +209,18 @@ class TestDeterminant:
         assert z.sign == -1
         assert z.to_float() == pytest.approx(-40.0, rel=1e-3)
 
+    def test_finite_exponent_near_cancellation_reads_the_exact_sum(self):
+        # the two products 10^16 and 10^16 - 1 have equal float logs; the
+        # power sums are 1 and 3 * 10^32 - 3 * 10^16 + 1, read as the
+        # root of the exact sum, log(s) / q through one exp
+        A = BoxMatrix([[10 ** 8, 10 ** 8 - 1], [10 ** 8 + 1, 10 ** 8]])
+        for p, want in ((0, 1.0), (1, 66943295008.21706)):
+            q = 2 * p + 1
+            s = sum(x ** q for x in permutation_products(A))
+            assert math.exp(math.log(s) / q) == want
+            z = det_p(A, p)
+            assert (z.sign, z.to_float()) == (1, want)
+
     def test_finite_exponent_exact_when_single_product_survives(self):
         A = BoxMatrix([[2, 0], [0, 3]])
         for p in (0, 5, 17):

@@ -1,4 +1,5 @@
-"""The command-line examples of README.md, run as written."""
+"""The examples of README.md, run as written: the command-line examples
+one by one, the python blocks in order in one namespace."""
 
 import re
 from pathlib import Path
@@ -17,6 +18,8 @@ EXAMPLE = re.compile(
     r"^\$ boxalg (\w+) --json '([^']*)'.*\n((?:(?!\$ |```)[^\n]+\n)*)", re.M)
 
 EXAMPLES = EXAMPLE.findall(README)
+
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
 
 
 def test_the_readme_has_its_examples():
@@ -40,3 +43,11 @@ def test_example_runs_as_shown(capsys, kind, problem, shown):
         found = out.find(piece, at)
         assert found >= 0, f"{piece!r} not in {out[at:]!r}"
         at = found + len(piece)
+
+
+def test_python_blocks_run_in_order():
+    # each block may use the names of the blocks before it
+    assert len(PYTHON_BLOCKS) >= 2
+    namespace: dict = {}
+    for block in PYTHON_BLOCKS:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -95,6 +95,37 @@ class TestPowerSum:
             rows[-1] = [a + b for a, b in zip(rows[0], rows[1 % (n - 1)])]
             assert det_p(BoxMatrix(rows), 0).is_zero, rows
 
+    def test_equal_logs_of_a_nonzero_sum_read_the_exact_sum(self):
+        """10^16 and 10^16 - 1 have bitwise equal float logs, so the two
+        parts tie exactly in floats; the exact sum 1 is read instead of 0,
+        while a map that cancels exactly still reads the exact zero."""
+        z = phi_p_sum([SignedLog.from_rational(10 ** 16),
+                       SignedLog.from_rational(-(10 ** 16 - 1))], 0)
+        assert (z.sign, z.to_float(), z.exact) == (1, 1.0, None)
+        for values, p in (([10 ** 16, -(10 ** 16 - 1), -1], 0),
+                          ([3, 4, 5, -6], 1)):
+            z = phi_p_sum([SignedLog.from_rational(v) for v in values], p)
+            assert z.is_zero and z.exact == 0
+
+    def test_seeded_equal_logs_read_the_root_of_the_exact_sum(self):
+        # x against -y with equal float logs: the value at each p is the
+        # q-th root of x^q - y^q, through one log and one exp
+        rng = random.Random(20)
+        seen = 0
+        for _ in range(400):
+            x = rng.randint(10 ** 15, 10 ** 18)
+            y = x + rng.choice((-3, -2, -1, 1, 2, 3))
+            if math.log(x) != math.log(y):
+                continue
+            seen += 1
+            xs = [SignedLog.from_rational(x), SignedLog.from_rational(-y)]
+            for p in (0, 1, 2):
+                q = odd_exponent(p)
+                s = x ** q - y ** q
+                assert phi_p_sum(xs, p).to_float() == math.copysign(
+                    math.exp(math.log(abs(s)) / q), s)
+        assert seen > 100
+
     def test_single_survivor_is_exact(self):
         xs = [SignedLog.from_rational(v) for v in (F(3), F(-3), F(2))]
         z = phi_p_sum(xs, 5)

@@ -30,6 +30,7 @@ from boxalg import (
     twosided_solve,
     verify_limit_system,
 )
+import boxalg.signedlog as signedlog
 import boxalg.solve as solve
 from boxalg.solve import _max_columns
 
@@ -145,6 +146,16 @@ class TestCramer:
         assert report.solution is None
         assert report.per_row == ()
         assert not report.regular
+
+    def test_satisfied_needs_a_solution_and_every_row(self):
+        A = BoxMatrix([[3, -1, 3], [2, -4, 1], [-4, 5, 3]])
+        assert cramer_limit_solve(LimitSystem(A, (F(6), F(8), F(4)))).satisfied
+        singular = LimitSystem(BoxMatrix([[1, 1], [1, 1]]), (F(1), F(2)))
+        assert cramer_limit_solve(singular).satisfied is False
+        rows = (solve.RowBounds(F(1), F(1), True),
+                solve.RowBounds(F(0), F(1), False))
+        report = solve.SolveReport((F(1), F(1)), F(1), rows, False)
+        assert report.satisfied is False
 
     def test_regularity_means_envelopes_collapse(self):
         system = LimitSystem(BoxMatrix([[2, 1], [1, 3]]), (F(4), F(3)))
@@ -473,7 +484,7 @@ class TestMaxSystem:
         def check(b1):
             return kaykobad_p_check(A, (F(b1), F(K), F(K), F(K)), (1, 2, 3, 4), 1)
 
-        assert 2 * (6 * K).bit_length() > solve._EXACT_BITS
+        assert 2 * (6 * K).bit_length() > signedlog.EXACT_BITS
         with pytest.raises(DomainError, match="too close to a tie to decide at p = 1"):
             check(6 * K)
         assert check(6 * K + K // 10 ** 6) is True
@@ -492,7 +503,7 @@ class TestMaxSystem:
             if found is not None:
                 p = rng.choice((0, 0, 1, 2, 5))
                 cases.append((A, b, found[0], p, kaykobad_p_check(A, b, found[0], p)))
-        monkeypatch.setattr(solve, "_EXACT_BITS", -1)
+        monkeypatch.setattr(signedlog, "EXACT_BITS", -1)
         declined = 0
         for A, b, sigma, p, want in cases:
             try:
