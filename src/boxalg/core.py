@@ -160,23 +160,29 @@ def boxminus(x, y) -> Fraction:
     return boxplus(as_scalar(x), -as_scalar(y))
 
 
-def _envelopes(xs: Iterable) -> tuple[Fraction, Fraction]:
-    """(lower, upper) envelopes of xs in one pass. With M the largest
-    magnitude present, a tie of +M and -M resolves to -M in the lower and
-    +M in the upper envelope; otherwise both are the single extreme of
-    magnitude M, and both are 0 for an empty or all-zero input."""
-    vec = [as_scalar(v) for v in xs]
-    m = max(map(abs, vec), default=Fraction(0))
-    return (-m if -m in vec else m), (m if m in vec else -m)
+def _envelopes(xs: Iterable) -> tuple:
+    """(lower, upper) envelopes of exact numbers, mostly integers over one
+    denominator. With M the largest magnitude present, a tie of +M and -M
+    gives -M lower and +M upper; otherwise both are the one extreme of
+    magnitude M, and both are 0 for no or only zero inputs."""
+    vec = list(xs)
+    lo, hi = min(vec, default=0), max(vec, default=0)
+    return (lo, lo) if -lo > hi else (hi, hi) if hi > -lo else (lo, hi)
+
+
+def _envelope(ints: Iterable[int], mode: str) -> int:
+    """The ``mode`` component of :func:`_envelopes`."""
+    if mode not in (LOWER, UPPER):
+        raise DomainError(f"mode must be 'lower' or 'upper', got {mode!r}")
+    return _envelopes(ints)[mode == UPPER]
 
 
 def smile(xs: Iterable, mode: str) -> Fraction:
-    """Semicontinuous envelope of the dominant-magnitude sum: the ``mode``
-    component of :func:`_envelopes`. Associative, so the n-ary value
+    """Semicontinuous envelope of the dominant-magnitude sum, read on xs
+    over their least common denominator. Associative, so the n-ary value
     equals any fold of the binary operation."""
-    if mode not in (LOWER, UPPER):
-        raise DomainError(f"mode must be 'lower' or 'upper', got {mode!r}")
-    return _envelopes(xs)[mode == UPPER]
+    ints, scale = _over_lcm([as_scalar(v) for v in xs])
+    return Fraction(_envelope(ints, mode), scale)
 
 
 def inner(x: Sequence, y: Sequence, flavor: str = "limit", p: int | None = None):

@@ -56,7 +56,7 @@ from itertools import combinations, cycle
 from operator import add, getitem, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .core import LOWER, UPPER, _net_limit, as_scalar, smile
+from .core import LOWER, UPPER, _envelope, _net_limit, as_scalar
 from .errors import CapacityError, ConvergenceError, DomainError
 from .linalg import (
     BoxMatrix,
@@ -233,7 +233,8 @@ def _read(at: _Values, mode: str, p: Optional[int] = None):
         return _phi_p_net((at.net, at.den), (p,))[0]
     if mode == "limit":
         return _net_limit((at.net, at.den))
-    return smile([at.top if s else -at.top for s in at.signs], mode) / at.den
+    tops = [at.top if s else -at.top for s in at.signs]
+    return Fraction(_envelope(tops, mode), at.den)
 
 
 def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):

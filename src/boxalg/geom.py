@@ -5,14 +5,15 @@ hyperplane is the limit determinant of V with row i overwritten by ones,
 the right-hand side is the limit determinant of V itself: as V^T with
 column i replaced by ones, all n + 1 come from one DP on [V^T | ones].
 Membership is the usual sandwich: the lower envelope of the products
-must not exceed the right-hand side, the upper envelope must reach it.
+must not exceed the right-hand side, the upper envelope must reach it,
+compared as integer cross products over one denominator.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import _envelopes, _scalars, as_scalar, as_vector
+from .core import _envelopes, _over_lcm, _scalars, as_scalar, as_vector
 from .errors import DegenerateConfigurationError, DomainError
 from .linalg import DEFAULT_DET_CAP, _cramer_dets
 
@@ -52,8 +53,11 @@ def hyperplane_through(points: Sequence[Sequence],
 
 
 def hyperplane_contains(H: LimitHyperplane, x: Sequence) -> bool:
+    """The sandwich at x: the envelopes of the integers K_j X_j, with the
+    coefficients K_j over S and x over L, hold rhs S L between them."""
     vec = as_vector(x)
     if len(vec) != len(H.coeffs):
         raise DomainError(f"point has length {len(vec)}, expected {len(H.coeffs)}")
-    lo, hi = _envelopes(c * v for c, v in zip(H.coeffs, vec))
-    return lo <= H.rhs <= hi
+    (ks, s), (xs, lcm), t = _over_lcm(H.coeffs), _over_lcm(vec), H.rhs.denominator
+    lo, hi = _envelopes(k * v for k, v in zip(ks, xs))
+    return lo * t <= H.rhs.numerator * s * lcm <= hi * t

@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .core import LOWER, UPPER, _scalars, as_vector, nary_boxplus, smile
+from .core import LOWER, UPPER, _envelope, _scalars, as_vector, nary_boxplus, smile
 from .errors import CapacityError, DomainError
 from .signedlog import SignedLog, _over_lcm, _phi_p_net
 
@@ -65,6 +65,13 @@ class BoxMatrix:
         if any(len(r) != width for r in ints):
             raise DomainError("rows have inconsistent lengths")
         self._ints = tuple(map(tuple, ints))
+
+    @classmethod
+    def _from_ints(cls, ints, scales) -> "BoxMatrix":
+        """A matrix from integer rows over scales, already canonical."""
+        M = cls.__new__(cls)
+        M._ints, M._scales = tuple(map(tuple, ints)), tuple(scales)
+        return M
 
     @classmethod
     def from_columns(cls, cols: Iterable[Iterable]) -> "BoxMatrix":
@@ -355,7 +362,7 @@ def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
     top, total = _dp_slots(_checked(A, cap), False, _lead_step,
                            (1, 1, 0, 0))
     p, _cp, n, _cn = top.get(0, (0, 0, 0, 0))
-    return smile((Fraction(p, total), Fraction(-n, total)), mode)
+    return Fraction(_envelope((p, -n), mode), total)
 
 
 def _det_net(A, cap: int = DEFAULT_DET_CAP) -> tuple[dict[int, int], int]:

@@ -4,7 +4,9 @@ Three families live here. Square limit systems are solved by Cramer
 quotients of limit determinants and verified against the sandwich
 inequalities (lower envelope of each row value below the right-hand side,
 upper envelope above). Two-sided systems reduce to a one-sided limit
-system by the entrywise signed difference.
+system by the entrywise signed difference, built in integers. Each check
+compares integer cross products, with x over one denominator; only the
+printed bounds become Fractions.
 
 Nonnegative max-equation systems max_j a_ij x_j = b_i (b > 0) are read
 from one scan of the columns: x_j = min b_i/a_ij over positive a_ij is
@@ -27,7 +29,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import signedlog
-from .core import _envelopes, _scalars, as_vector, boxminus
+from .core import _envelopes, _scalars, as_vector
 from .errors import DomainError
 from .linalg import (
     DEFAULT_DET_CAP,
@@ -106,21 +108,25 @@ class SolveReport:
 
 
 def verify_limit_system(sys: LimitSystem, x: Sequence) -> VerifyReport:
-    """Sandwich check of every row at x: lower value <= b_i <= upper value."""
+    """Sandwich check of every row at x: lower value <= b_i <= upper value,
+    read as lo T <= B_i den <= hi T with b = B / T and :func:`_sides`."""
     vec = as_vector(x)
     if len(vec) != sys.A.cols:
         raise DomainError(f"x has length {len(vec)}, expected {sys.A.cols}")
-    rows = _sandwich(sys.A.to_rows(), sys.b, vec)
+    bs, t = _over_lcm(sys.b)
+    rows = tuple(RowBounds(Fraction(lo, den), Fraction(hi, den),
+                           lo * t <= v * den <= hi * t)
+                 for (lo, hi, den), v in zip(_sides(sys.A, _over_lcm(vec)), bs))
     return VerifyReport(rows, all(r.satisfied for r in rows))
 
 
-def _sandwich(rows, b, x) -> tuple[RowBounds, ...]:
-    """:func:`verify_limit_system` on Fraction rows, b and x."""
-    out = []
-    for row, t in zip(rows, b):
-        lo, hi = _envelopes(a * v for a, v in zip(row, x))
-        out.append(RowBounds(lo, hi, lo <= t <= hi))
-    return tuple(out)
+def _sides(M: BoxMatrix, x, v=None) -> list[tuple[int, int, int]]:
+    """(lo, hi, den) per row i: the envelopes of M's row at x = X / L and of
+    v_i = V_i / T (default 0), read on R_ij X_j T, V_i s_i L over s_i L T."""
+    (xs, lcm), (vs, t) = x, v or ([0] * M.rows, 1)
+    xs = [u * t for u in xs] if t > 1 else xs
+    return [(*_envelopes([*map(mul, row, xs), w * s * lcm]), s * lcm * t)
+            for row, s, w in zip(M._ints, M._scales, vs)]
 
 
 def is_regular(sys: LimitSystem, x: Sequence) -> bool:
@@ -134,19 +140,16 @@ def cramer_limit_solve(sys: LimitSystem, cap: int = DEFAULT_DET_CAP) -> SolveRep
     When the limit determinant of A vanishes there is no Cramer solution;
     the report then carries det=0, no solution, and no row bounds.
     """
-    return _cramer_report(sys.A, sys.b, cap,
-                          lambda x: verify_limit_system(sys, x).rows)
+    det, x = _cramer_solution(sys.A, sys.b, cap)
+    rows = () if x is None else verify_limit_system(sys, x).rows
+    return SolveReport(x, det, rows, x is not None
+                       and all(r.lower == r.upper for r in rows))
 
 
-def _cramer_report(A: BoxMatrix, b, cap: int, check) -> SolveReport:
-    """:func:`cramer_limit_solve` of A x = b, its rows checked at the
-    solution x by ``check(x)``."""
+def _cramer_solution(A: BoxMatrix, b, cap: int):
+    """det A and the Cramer solution of A x = b, None when det A = 0."""
     det, *dets = _cramer_dets(A, b, cap)
-    if det == 0:
-        return SolveReport(None, det, (), False)
-    x = tuple(d / det for d in dets)
-    rows = check(x)
-    return SolveReport(x, det, rows, all(r.lower == r.upper for r in rows))
+    return det, (tuple(v / det for v in dets) if det else None)
 
 
 # --- nonnegative max-equation systems ---------------------------------------
@@ -410,23 +413,32 @@ def twosided_row_checks(sys: TwoSidedSystem, x: Sequence) -> tuple[TwoSidedRowCh
     vec = as_vector(x)
     if len(vec) != sys.A.cols:
         raise DomainError(f"x has length {len(vec)}, expected {sys.A.cols}")
-    return _row_checks(sys.A.to_rows(), sys.C.to_rows(), sys.b, sys.d, vec)
+    return tuple(TwoSidedRowCheck(*(Fraction(side[k], side[2]) for k in (0, 1)
+                                    for side in (a, c)), ok)
+                 for a, c, ok in _row_checks(sys, _over_lcm(vec)))
 
 
-def _row_checks(a_rows, c_rows, b, d, x) -> tuple[TwoSidedRowCheck, ...]:
-    """:func:`twosided_row_checks` on Fraction rows of A and C and on x."""
-    out = []
-    for a_row, c_row, bi, di in zip(a_rows, c_rows, b, d):
-        a_lo, a_hi = _envelopes([*(a * v for a, v in zip(a_row, x)), di])
-        c_lo, c_hi = _envelopes([*(c * v for c, v in zip(c_row, x)), bi])
-        out.append(TwoSidedRowCheck(a_lo, c_lo, a_hi, c_hi, a_lo <= c_lo and a_hi >= c_hi))
-    return tuple(out)
+def _row_checks(sys: TwoSidedSystem, x) -> list[tuple]:
+    """:func:`twosided_row_checks` at x = X / L: per row the A and C sides
+    from :func:`_sides` and whether they pass, as cross products."""
+    b, d = _over_lcm(sys.b), _over_lcm(sys.d)
+    return [(a, c, a[0] * c[2] <= c[0] * a[2] and a[1] * c[2] >= c[1] * a[2])
+            for a, c in zip(_sides(sys.A, x, d), _sides(sys.C, x, b))]
 
 
 def twosided_is_regular(sys: TwoSidedSystem, x: Sequence) -> bool:
     """True when both enveloped sides collapse (lower = upper) in every row."""
     checks = twosided_row_checks(sys, x)
     return all(c.a_lower == c.a_upper and c.c_lower == c.c_upper for c in checks)
+
+
+def _minus(a_row, sa: int, c_row, sc: int) -> tuple[list[int], int]:
+    """Row a/sa (-) c/sc in canonical form: over sa sc, whichever of a sc
+    and -c sa is larger in magnitude, (a sc - c sa) / 2 on a tie (a sc or 0)."""
+    out = [a if abs(a) > abs(c) else -c if abs(a) < abs(c) else (a - c) // 2
+           for a, c in ((a * sc, c * sa) for a, c in zip(a_row, c_row))]
+    g = math.gcd(*out, sa * sc)
+    return [v // g for v in out], sa * sc // g
 
 
 def twosided_solve(sys: TwoSidedSystem, cap: int = DEFAULT_DET_CAP) -> SolveReport:
@@ -437,20 +449,17 @@ def twosided_solve(sys: TwoSidedSystem, cap: int = DEFAULT_DET_CAP) -> SolveRepo
     against the reduced sandwich inequalities and against the original
     two-sided inequalities; a row's satisfied flag requires both.
     """
-    a_rows, c_rows = sys.A.to_rows(), sys.C.to_rows()
-    d_rows = [tuple(map(boxminus, a_row, c_row))
-              for a_row, c_row in zip(a_rows, c_rows)]
-    r = tuple(map(boxminus, sys.b, sys.d))
-    base = _cramer_report(BoxMatrix(d_rows), r, cap,
-                          lambda x: _sandwich(d_rows, r, x))
-    if base.solution is None:
-        return base
-    originals = _row_checks(a_rows, c_rows, sys.b, sys.d, base.solution)
-    rows = tuple(
-        RowBounds(rb.lower, rb.upper, rb.satisfied and oc.satisfied)
-        for rb, oc in zip(base.per_row, originals)
-    )
-    # regularity of a two-sided system is its own notion (envelopes of the
-    # original sides), not regularity of the reduced system
-    return SolveReport(base.solution, base.det, rows, all(
-        c.a_lower == c.a_upper and c.c_lower == c.c_upper for c in originals))
+    D = BoxMatrix._from_ints(*zip(*map(_minus, sys.A._ints, sys.A._scales,
+                                       sys.C._ints, sys.C._scales)))
+    rhs, t = _minus(*_over_lcm(sys.b), *_over_lcm(sys.d))
+    r = [Fraction(v, t) for v in rhs]
+    det, x = _cramer_solution(D, r, cap)
+    if x is None:
+        return SolveReport(None, det, (), False)
+    checks = _row_checks(sys, _over_lcm(x))
+    rows = tuple(RowBounds(rb.lower, rb.upper, rb.satisfied and ok)
+                 for rb, (_a, _c, ok) in zip(
+                     verify_limit_system(LimitSystem(D, r), x).rows, checks))
+    # regular: both original sides collapse, not the reduced system's rows
+    return SolveReport(x, det, rows, all(a[0] == a[1] and c[0] == c[1]
+                                         for a, c, _ok in checks))

@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 from boxalg import (
     DomainError,
+    LimitHyperplane,
     LimitSystem,
     TwoSidedSystem,
     BoxMatrix,
+    boxminus,
     cramer_limit_solve,
     det_inf,
+    hyperplane_contains,
     inner,
     is_regular,
     kaykobad_check,
@@ -24,6 +27,7 @@ from boxalg import (
     maxsys_existence_permutation,
     maxsys_reduce,
     maxsys_solve,
+    replace_column,
     smile,
     twosided_is_regular,
     twosided_row_checks,
@@ -49,6 +53,91 @@ def _reference_kaykobad(A, b):
         if not b[i] > total:
             return False
     return True
+
+
+def _reference_envelopes(xs):
+    """The Fraction envelopes this package used before it read them in
+    integers: on a tie of +M and -M, -M is lower and +M upper."""
+    vec = [F(v) for v in xs]
+    m = max(map(abs, vec), default=F(0))
+    return (-m if -m in vec else m), (m if m in vec else -m)
+
+
+def _reference_sandwich(rows, b, x):
+    """The Fraction-row sandwich check this package used before its
+    integer one, kept as a reference for it."""
+    out = []
+    for row, t in zip(rows, b):
+        lo, hi = _reference_envelopes(a * v for a, v in zip(row, x))
+        out.append(solve.RowBounds(lo, hi, lo <= t <= hi))
+    return tuple(out)
+
+
+def _reference_row_checks(a_rows, c_rows, b, d, x):
+    """The Fraction-row two-sided check this package used before its
+    integer one, kept as a reference for it."""
+    out = []
+    for a_row, c_row, bi, di in zip(a_rows, c_rows, b, d):
+        a_lo, a_hi = _reference_envelopes([*(a * v for a, v in zip(a_row, x)), di])
+        c_lo, c_hi = _reference_envelopes([*(c * v for c, v in zip(c_row, x)), bi])
+        out.append(solve.TwoSidedRowCheck(a_lo, c_lo, a_hi, c_hi,
+                                          a_lo <= c_lo and a_hi >= c_hi))
+    return tuple(out)
+
+
+def _reference_cramer(rows, b):
+    """Cramer's rule from one limit determinant per column, each row of
+    the solution checked by :func:`_reference_sandwich`."""
+    A = BoxMatrix(rows)
+    det = det_inf(A)
+    if det == 0:
+        return solve.SolveReport(None, det, (), False)
+    x = tuple(det_inf(replace_column(A, i, b)) / det
+              for i in range(1, A.rows + 1))
+    checked = _reference_sandwich(A.to_rows(), b, x)
+    return solve.SolveReport(x, det, checked,
+                             all(r.lower == r.upper for r in checked))
+
+
+def _reference_twosided(a_rows, c_rows, b, d):
+    """The two-sided solve as it was built on Fraction rows: D = A (-) C
+    entry by entry, then both checks on Fraction rows."""
+    d_rows = [list(map(boxminus, a_row, c_row))
+              for a_row, c_row in zip(a_rows, c_rows)]
+    base = _reference_cramer(d_rows, list(map(boxminus, b, d)))
+    if base.solution is None:
+        return base
+    originals = _reference_row_checks(a_rows, c_rows, b, d, base.solution)
+    rows = tuple(solve.RowBounds(rb.lower, rb.upper,
+                                 rb.satisfied and oc.satisfied)
+                 for rb, oc in zip(base.per_row, originals))
+    return solve.SolveReport(base.solution, base.det, rows, all(
+        c.a_lower == c.a_upper and c.c_lower == c.c_upper for c in originals))
+
+
+def _seeded_two_sided(rng, n, entries):
+    """Seeded A, C, b, d and a point x: each row of A and of C over its own
+    denominator, b, d and x each over one of their own. Every third system
+    forces a tie of +M and -M at the top of one row of A and x (paired with
+    d_i = -M on the two-sided side), and every fifth takes C = A in one
+    row, so that row of D = A (-) C is zero and often D is singular."""
+    lo, hi = entries
+
+    def vec(den):
+        return [F(rng.randint(lo, hi), den) for _ in range(n)]
+
+    A = [vec(rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(n)]
+    C = [vec(rng.choice((1, 1, 2, 5, 6))) for _ in range(n)]
+    b, d = vec(rng.choice((1, 2, 3))), vec(rng.choice((1, 2, 5)))
+    x = [v or F(1) for v in vec(rng.choice((1, 3, 4)))]
+    k = rng.randrange(3 * 5)
+    if n > 1 and k % 3 == 0:
+        i, (j, l) = rng.randrange(n), rng.sample(range(n), 2)
+        top = 1 + max(abs(a * v) for a, v in zip(A[i], x))
+        A[i][j], A[i][l], d[i] = top / x[j], -top / x[l], -top
+    if k % 5 == 0:
+        C[rng.randrange(n)] = A[rng.randrange(n)]
+    return A, C, b, d, x
 
 
 def _seeded_max_system(rng, n, m, entries):
@@ -236,9 +325,9 @@ class TestRegularityFromTheCheckedRows:
         assert report.regular is regular
         assert report.regular == twosided_is_regular(system, report.solution)
 
-    def test_two_sided_reads_the_fraction_rows_once(self, monkeypatch):
-        # A's and C's rows give D = A (-) C and the original checks; D's
-        # rows are checked as built, so no matrix's rows are read again
+    def test_solvers_never_read_the_fraction_rows(self, monkeypatch):
+        # D = A (-) C and every check are read from the integer rows, so
+        # no solver or membership test builds a matrix's Fraction rows
         reads = []
         to_rows = BoxMatrix.to_rows
 
@@ -249,7 +338,102 @@ class TestRegularityFromTheCheckedRows:
         A, C = BoxMatrix([[2, 1], [1, 3]]), BoxMatrix([[1, 1], [2, 2]])
         report = twosided_solve(TwoSidedSystem(A, C, (4, 3), (3, 2)))
         assert report.solution is not None
-        assert reads == [A, C]
+        report = cramer_limit_solve(LimitSystem(A, ("1/2", 3)))
+        assert report.solution is not None
+        assert hyperplane_contains(LimitHyperplane((1, -1), 2), (2, -2))
+        assert reads == []
+
+
+class TestIntegerChecksMatchTheFractionReference:
+    """The solvers' integer checks against the Fraction-row code they
+    replaced, field for field: every bound and every flag."""
+
+    @pytest.mark.parametrize("entries", [(-2, 2), (-99, 99)])
+    def test_solvers_and_checks_match(self, entries):
+        rng = random.Random(21 + entries[1])
+        seen = {"tie": 0, "negative det": 0, "singular D": 0, "rows": 0}
+        for k in range(150):
+            n = 1 + k % 5
+            A, C, b, d, x = _seeded_two_sided(rng, n, entries)
+            one = LimitSystem(BoxMatrix(A), b)
+            two = TwoSidedSystem(BoxMatrix(A), BoxMatrix(C), b, d)
+            report = verify_limit_system(one, x)
+            want = _reference_sandwich(A, b, x)
+            assert report == (want, all(r.satisfied for r in want))
+            assert all(type(v) is F for r in report.rows for v in r[:2])
+            assert twosided_row_checks(two, x) == _reference_row_checks(
+                A, C, b, d, x)
+            solved = cramer_limit_solve(one)
+            assert solved == _reference_cramer(A, b)
+            assert twosided_solve(two) == _reference_twosided(A, C, b, d)
+            H = LimitHyperplane(A[0] if any(A[0]) else [1] * n, b[0] or 1)
+            for point in (x, solved.solution or x):
+                lo, hi = _reference_envelopes(
+                    c * v for c, v in zip(H.coeffs, point))
+                assert hyperplane_contains(H, point) == (lo <= H.rhs <= hi)
+            checked = _reference_row_checks(A, C, b, d, x)
+            seen["tie"] += any(r.lower != r.upper for r in want) or any(
+                c.a_lower != c.a_upper for c in checked)
+            seen["negative det"] += solved.det < 0
+            seen["singular D"] += twosided_solve(two).solution is None
+            seen["rows"] += len(solved.per_row)
+        assert all(seen.values()), seen
+
+
+def _reduced(monkeypatch, A, C, b, d):
+    """The matrix and right-hand side that twosided_solve hands to its
+    Cramer step: D = A (-) C and r = b (-) d."""
+    seen = []
+    cramer = solve._cramer_solution
+
+    def spy(M, r, cap):
+        seen.append((M, r))
+        return cramer(M, r, cap)
+    with monkeypatch.context() as patched:
+        patched.setattr(solve, "_cramer_solution", spy)
+        twosided_solve(TwoSidedSystem(A, C, b, d))
+    return seen[0]
+
+
+class TestIntegerDifference:
+    """D = A (-) C is built in integers, in BoxMatrix's canonical form: the
+    same integers and scales as BoxMatrix of the Fraction boxminus values.
+    A tie |a| = |c| is a = c (giving 0) or a = -c (giving a), so the halving
+    on a tie always leaves an integer over the row's scale."""
+
+    @staticmethod
+    def _assert_canonical(monkeypatch, A, C, b, d):
+        D, r = _reduced(monkeypatch, A, C, b, d)
+        want = BoxMatrix([[boxminus(a, c) for a, c in zip(a_row, c_row)]
+                          for a_row, c_row in zip(A, C)])
+        assert (D._ints, D._scales) == (want._ints, want._scales)
+        assert list(r) == list(map(boxminus, b, d))
+        return D
+
+    def test_ties_scales_and_a_zero_row(self, monkeypatch):
+        A = [["3/2", "-1/3", 5], [2, "1/2", "-7/4"], ["2/3", "-2/5", 1]]
+        C = [["-3/2", "-1/3", "5/6"], ["2/3", "-1/2", "7/4"],
+             ["2/3", "-2/5", 1]]
+        D = self._assert_canonical(monkeypatch, A, C, ["1/2", 3, -1],
+                                   [1, "-3/7", 1])
+        # a = -c ties keep a, a = c ties give 0; the third row cancels
+        assert D.to_rows() == ((F(3, 2), F(0), F(5)),
+                               (F(2), F(1, 2), F(-7, 4)),
+                               (F(0), F(0), F(0)))
+        assert D._scales == (2, 4, 1)
+
+    def test_seeded_rows_match_boxminus(self, monkeypatch):
+        rng = random.Random(2121)
+        for k in range(200):
+            n = 1 + k % 4
+
+            def vec():
+                den = rng.choice((1, 2, 3, 4))
+                return [F(rng.randint(-3, 3), den) for _ in range(n)]
+            A, C = [vec() for _ in range(n)], [vec() for _ in range(n)]
+            if k % 4 == 0:
+                C[0] = [-a if rng.random() < 0.5 else a for a in A[0]]
+            self._assert_canonical(monkeypatch, A, C, vec(), vec())
 
 
 class TestMaxSystem:
