@@ -9,6 +9,8 @@ corrupt those counts. Listing it takes sum_k k! C(n, k) monomials, so
 The listing runs in integers: it reads the matrix's integer rows over
 their row scales, so every coefficient is an integer over one common
 denominator S, and only the finished coefficients become Fractions.
+Each k's permutations are stored once, by column, and each subset of
+size k lists in k + 2 C-level passes, with no Python step per permutation.
 
 Evaluation nets each degree's tally {coeff * S: count} as it reads it.
 Two monomials of equal degree and equal absolute coefficient but opposite
@@ -53,7 +55,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, cycle
-from operator import add, getitem, mul
+from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .core import LOWER, UPPER, _envelope, _net_limit, as_scalar
@@ -86,9 +88,7 @@ class Monomial(NamedTuple):
 
 def expected_monomial_count(n: int) -> int:
     """Sum over k of k! * C(n, k), counting the degree-n term once (k=0)."""
-    return sum(
-        math.factorial(k) * math.comb(n, k) for k in range(n + 1)
-    )
+    return sum(math.perm(n, k) for k in range(n + 1))
 
 
 def _check_char(A, cap: int) -> BoxMatrix:
@@ -105,32 +105,29 @@ def _check_char(A, cap: int) -> BoxMatrix:
 
 
 @cache
-def _heap_table(k: int) -> bytes:
-    """The permutations of :func:`~boxalg.linalg.signed_permutations` of k,
-    concatenated as bytes, listed once per k on first use. Heap's
-    algorithm swaps one pair per step, so their signs alternate +1, -1, ..."""
-    return b"".join(bytes(perm) for perm, _sign in signed_permutations(k))
+def _heap_columns(k: int) -> tuple[bytes, ...]:
+    """Column t holds perm[t] of each permutation of k in the Heap order of
+    :func:`signed_permutations`, whose signs alternate +1, -1, ..."""
+    return tuple(map(bytes, zip(*(p for p, _s in signed_permutations(k)))))
 
 
 def _char_levels(M: BoxMatrix) -> tuple[list[tuple[int, list[int]]], int]:
-    """The listing of :func:`char_monomials` in integers: M's integer rows
-    over their row scales, with the scales of the rows outside H
-    completing each product to an integer over S, the product of all of
-    them. Returns [(n - k, the coefficients times S) for k = 0..n] and S."""
+    """:func:`char_monomials` in integers: [(n - k, the coefficients times
+    S) for k = 0..n] and S, the product of the row scales (those outside H
+    complete each product over S). A subset of size k takes k + 2 C-level
+    passes: each row read at its column, the products, the signs."""
     rows, scales = M._ints, M._scales
     n = len(rows)
     total = math.prod(scales)
     levels = [(n, [-total if n % 2 else total])]
     for k in range(1, n + 1):
-        table, level = _heap_table(k), []
+        columns, level = _heap_columns(k), []
         for H in combinations(range(n), k):
-            perms = zip(*[iter(table)] * k)  # the table's k-tuples
-            sub = [[rows[i][j] for j in H] for i in H]
+            picks = [map([rows[i][j] for j in H].__getitem__, column)
+                     for i, column in zip(H, columns)]
             f = math.prod(s for i, s in enumerate(scales) if i not in H)
-            if (n - k) % 2:
-                f = -f
-            level.extend([g * math.prod(map(getitem, sub, perm))
-                          for perm, g in zip(perms, cycle((f, -f)))])
+            level.extend(map(mul, cycle((-f, f) if (n - k) % 2 else (f, -f)),
+                             map(math.prod, zip(*picks))))
         levels.append((n - k, level))
     return levels, total
 

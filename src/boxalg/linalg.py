@@ -375,12 +375,14 @@ def _det_net(A, cap: int = DEFAULT_DET_CAP) -> tuple[dict[int, int], int]:
 def _cramer_slots(A, b, cap: int, read, zero) -> tuple[list, int]:
     """``read`` of one DP on [A | b]: the slot of det A, then that of each
     det A_i(b) with its sign (-1)^(n-1-i), and the scale S. The DP runs
-    on row i of [A | b] times A's row scale s_i, A's integers then s_i b_i,
-    and the product of the s_i is folded into S."""
+    on row i of [A | b] times A's row scale s_i: with s_i b_i = p/q, A's
+    integers times q, then p, over q; S takes the product of the s_i."""
     M = _checked(A, cap)
     n = M.rows
-    slots, total = read(BoxMatrix((*row, s * v)
-                                  for row, s, v in zip(M._ints, M._scales, b)))
+    ts = [s * v for s, v in zip(M._scales, b)]
+    slots, total = read(BoxMatrix._from_ints(
+        ([a * t.denominator for a in row] + [t.numerator]
+         for row, t in zip(M._ints, ts)), [t.denominator for t in ts]))
     return [(slots.get(k, zero), 1 if k == n else (-1) ** (n - 1 - k))
             for k in (n, *range(n))], total * math.prod(M._scales)
 

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +25,10 @@ from boxalg import (
     perron_p,
     phi_p_sum,
     reduced_monomials,
+    signed_permutations,
     smile,
 )
-from boxalg.eigen import _nth_root_exact, _read, _values_at
+from boxalg.eigen import _heap_columns, _nth_root_exact, _read, _values_at
 
 F = Fraction
 REL = 1e-9
@@ -112,6 +114,65 @@ class TestEvaluation:
             with pytest.raises(DomainError, match="not an int >= 0"):
                 reduced_monomials(ms)
         assert charpoly_eval([(F(1), 1), (F(1), 0)], 2) == 2
+
+
+def _inversion_sign(perm) -> int:
+    """The parity sign of a permutation from its inversion count."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+
+
+def _reference_listing(rows):
+    """The characteristic listing in Fractions, one monomial per (H, sigma):
+    (-1)^(n-k) sgn(sigma) prod_t a[H_t][H_sigma(t)] of degree n - k, with
+    the empty subset first, then k ascending, the subsets in combinations
+    order and the permutations in Heap order. Every Heap sign is checked
+    against the inversion count's parity on the way."""
+    n = len(rows)
+    out = [(F((-1) ** n), n)]
+    for k in range(1, n + 1):
+        for H in combinations(range(n), k):
+            for perm, sign in signed_permutations(k):
+                assert sign == _inversion_sign(perm)
+                coeff = F((-1) ** (n - k) * sign)
+                for t, u in enumerate(perm):
+                    coeff *= rows[H[t]][H[u]]
+                out.append((coeff, n - k))
+    return out
+
+
+class TestListingReference:
+    """:func:`char_monomials` against a listing that never reads the
+    column tables."""
+
+    POOLS = {"-2..2": range(-2, 3), "0..1": range(2), "-99..99": range(-99, 100)}
+
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_integer_matrices(self, pool):
+        rng = random.Random(pool)
+        for n in range(1, 8):
+            rows = [[F(rng.choice(self.POOLS[pool])) for _ in range(n)]
+                    for _ in range(n)]
+            got = [(m.coeff, m.degree) for m in char_monomials(BoxMatrix(rows))]
+            assert got == _reference_listing(rows)
+            assert len(got) == expected_monomial_count(n)
+
+    def test_rows_with_different_denominators(self):
+        rng = random.Random(22)
+        for n in range(1, 8):
+            rows = [[F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+                     for _ in range(n)] for _ in range(n)]
+            M = BoxMatrix(rows)
+            if n > 2:
+                assert len(set(M._scales)) > 1
+            got = [(m.coeff, m.degree) for m in char_monomials(M)]
+            assert got == _reference_listing(rows)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_column_table_read_by_rows(self, k):
+        perms = list(signed_permutations(k))
+        assert list(zip(*_heap_columns(k))) == [p for p, _s in perms]
+        # the listing reads the signs as alternating from +1
+        assert [s for _p, s in perms] == [(-1) ** m for m in range(len(perms))]
 
 
 # hand-built tallies {c: count} per degree, each c over SCALE: a zero

@@ -581,6 +581,37 @@ class TestBorderedDP:
         assert [_exact(net) for net in linalg._cramer_nets(points, ones)] == [
             _exact(linalg._det_net(M)) for M in [V] + replaced]
 
+    def test_bordered_rows_equal_the_constructor(self):
+        # [A | b] is built in integers; its rows must be the canonical rows
+        # BoxMatrix builds from A's integers and s_i b_i
+        rng = random.Random(22)
+        seen, tally = [], {"zero b": 0, "rational b": 0, "reduced": 0,
+                           "mixed scales": 0, "ones": 0}
+
+        def read(B):
+            seen.append(B)
+            return {}, 1
+        for case in range(120):
+            n = 1 + case % 6
+            A = BoxMatrix([[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 6)))
+                            for _ in range(n)] for _ in range(n)])
+            if case % 4 == 3:
+                b, tally["ones"] = (1,) * n, tally["ones"] + 1
+            else:
+                b = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 3, 4)))
+                          for _ in range(n))
+            linalg._cramer_slots(A, b, 9, read, None)
+            ref = BoxMatrix((*row, s * v)
+                            for row, s, v in zip(A._ints, A._scales, b))
+            assert (seen[-1]._ints, seen[-1]._scales) == (ref._ints, ref._scales)
+            tally["zero b"] += 0 in b
+            tally["rational b"] += any(Fraction(v).denominator > 1 for v in b)
+            tally["reduced"] += any(Fraction(s * v).denominator
+                                    < Fraction(v).denominator
+                                    for s, v in zip(A._scales, b))
+            tally["mixed scales"] += len(set(A._scales)) > 1
+        assert min(tally.values()) >= 10, tally
+
     def test_cap_applies_to_n(self):
         A = BoxMatrix.identity(4)
         with pytest.raises(CapacityError, match="size cap 3"):
