@@ -14,7 +14,8 @@ degenerate configurations, non-convergence), 3 input error (unreadable
 input, bad JSON, bad shapes, bad values), 4 capacity exceeded (a size cap,
 or a result with more digits than Python prints as an integer). The
 environment variable BOXALG_CAP overrides the determinant and
-characteristic size caps.
+characteristic size caps. As in the library, :mod:`boxalg.oracle` resolves
+that override and checks ``tol``, and :mod:`boxalg.sym` checks each pair.
 """
 
 from __future__ import annotations
@@ -29,14 +30,7 @@ from fractions import Fraction
 from functools import cache
 
 from .core import _scalars, as_float, as_scalar
-from .eigen import (
-    DEFAULT_CHAR_CAP,
-    _char_levels,
-    _check_char,
-    _read,
-    _values_at,
-    eigen_region,
-)
+from .eigen import _char_levels, _check_char, _read, _values_at, eigen_region
 from .errors import (
     BoxAlgError,
     CapacityError,
@@ -45,9 +39,9 @@ from .errors import (
     DomainError,
 )
 from .geom import hyperplane_contains, hyperplane_through
-from .linalg import DEFAULT_DET_CAP, BoxMatrix, det_inf, det_inf_reg, det_p
-from .oracle import (DEFAULT_P_MAX, DEFAULT_TOL, _check_sweep, _gaps,
-                     _perron, sweep)
+from .linalg import BoxMatrix, det_inf, det_inf_reg, det_p
+from .oracle import (DEFAULT_P_MAX, DEFAULT_TOL, _caps, _check_sweep,
+                     _check_tol, _gaps, _perron, sweep)
 from .signedlog import SignedLog, check_p
 from .solve import (
     LimitSystem,
@@ -60,7 +54,7 @@ from .solve import (
     cramer_limit_solve,
     twosided_solve,
 )
-from .sym import s_det, s_embed_matrix, s_pair, v_identity_check, v_map
+from .sym import _as_pair, s_det, s_embed_matrix, v_identity_check, v_map
 
 KINDS = ("det", "solve", "maxsolve", "twosided", "hyperplane", "charpoly",
          "eigen", "oracle", "sym")
@@ -170,11 +164,6 @@ def _cap() -> int | None:
     return cap
 
 
-def _caps() -> tuple[int, int]:
-    cap = _cap()
-    return (DEFAULT_DET_CAP, DEFAULT_CHAR_CAP) if cap is None else (cap, cap)
-
-
 def _merge_opts(data: dict, args) -> dict:
     """The problem's options with the command-line flags laid over them."""
     opts = data.get("options", {})
@@ -189,11 +178,8 @@ def _merge_opts(data: dict, args) -> dict:
         opts["tol"] = args.tol
     if args.mode is not None:
         opts["mode"] = args.mode
-    tol = opts.get("tol")
-    if tol is not None and (isinstance(tol, bool)
-                            or not isinstance(tol, (int, float))
-                            or not 0 < tol < math.inf):
-        raise DomainError(f"tol must be a positive real number, got {tol!r}")
+    if opts.get("tol") is not None:  # a kind that reads tol rejects null
+        _check_tol(opts["tol"])
     return opts
 
 
@@ -206,7 +192,7 @@ def _opt_p(opts) -> int | None:
 
 
 def _do_det(data: dict, opts: dict) -> tuple[int, dict]:
-    det_cap, _ = _caps()
+    det_cap, _ = _caps(_cap())
     A = _matrix_in(data["A"])
     out = _exact({}, det_inf=det_inf(A, det_cap))
     mode = opts.get("mode")
@@ -233,7 +219,7 @@ def _solve_out(report) -> tuple[int, dict]:
 
 
 def _do_solve(data: dict, opts: dict) -> tuple[int, dict]:
-    det_cap, _ = _caps()
+    det_cap, _ = _caps(_cap())
     system = LimitSystem(_matrix_in(data["A"]), _vector_in(data["b"]))
     return _solve_out(cramer_limit_solve(system, det_cap))
 
@@ -265,7 +251,7 @@ def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
 
 
 def _do_twosided(data: dict, opts: dict) -> tuple[int, dict]:
-    det_cap, _ = _caps()
+    det_cap, _ = _caps(_cap())
     system = TwoSidedSystem(
         _matrix_in(data["A"]), _matrix_in(data["C"]),
         _vector_in(data["b"]), _vector_in(data["d"]),
@@ -274,7 +260,7 @@ def _do_twosided(data: dict, opts: dict) -> tuple[int, dict]:
 
 
 def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
-    det_cap, _ = _caps()
+    det_cap, _ = _caps(_cap())
     H = hyperplane_through(_points_in(data["points"]), det_cap)
     out = _exact({}, coeffs=H.coeffs, rhs=H.rhs)
     queries = data.get("queries")
@@ -286,7 +272,7 @@ def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
 
 
 def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
-    _, char_cap = _caps()
+    _, char_cap = _caps(_cap())
     A = _check_char(_matrix_in(data["A"]), char_cap)
     lam = data.get("lam")
     lam = None if lam is None else as_scalar(lam)
@@ -313,7 +299,7 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
 
 
 def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
-    _, char_cap = _caps()
+    _, char_cap = _caps(_cap())
     A = _matrix_in(data["A"])
     region = eigen_region(A, cap=char_cap)
     p_max = opts.get("p_max", DEFAULT_P_MAX)
@@ -359,7 +345,7 @@ def _do_oracle(data: dict, opts: dict) -> tuple[int, dict]:
 
 
 def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
-    det_cap, _ = _caps()
+    det_cap, _ = _caps(_cap())
     out: dict = {}
     if "A" in data:
         A = _matrix_in(data["A"])
@@ -371,11 +357,7 @@ def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
         raw = data["pairs"]
         if not isinstance(raw, list) or not raw:
             raise DomainError("pairs must be a nonempty array of [plus, minus]")
-        pairs = []
-        for item in raw:
-            if not isinstance(item, list) or len(item) != 2:
-                raise DomainError(f"not a pair: {item!r}")
-            pairs.append(s_pair(*item))
+        pairs = list(map(_as_pair, raw))
         _exact(out, v_values=[v_map(x) for x in pairs])
         out["v_identity"] = v_identity_check(pairs)
     if not out:

@@ -145,14 +145,9 @@ def _net_limit(nets: tuple[dict[int, int], int]) -> Fraction:
 
 
 def boxplus(x, y) -> Fraction:
-    """Binary dominant-magnitude sum; an exact tie averages (x, -x -> 0)."""
-    a, b = as_scalar(x), as_scalar(y)
-    ma, mb = abs(a), abs(b)
-    if ma > mb:
-        return a
-    if ma < mb:
-        return b
-    return (a + b) / 2
+    """Binary dominant-magnitude sum, :func:`nary_boxplus` of the pair: an
+    exact tie nets, to x for (x, x) and to their average 0 for (x, -x)."""
+    return nary_boxplus((x, y))
 
 
 def boxminus(x, y) -> Fraction:

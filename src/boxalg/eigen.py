@@ -69,7 +69,6 @@ from .linalg import (
 )
 from .signedlog import (
     SignedLog,
-    _log_abs_fraction,
     _log_over,
     _over_lcm,
     _phi_p_net,
@@ -91,10 +90,16 @@ def expected_monomial_count(n: int) -> int:
     return sum(math.perm(n, k) for k in range(n + 1))
 
 
-def _check_char(A, cap: int) -> BoxMatrix:
+def _square(A) -> BoxMatrix:
+    """A as a matrix checked square: the characteristic and Perron inputs."""
     M = as_matrix(A)
     if not M.is_square:
         raise DomainError(f"square matrix required, got {M.rows}x{M.cols}")
+    return M
+
+
+def _check_char(A, cap: int) -> BoxMatrix:
+    M = _square(A)
     n = M.rows
     if n > cap:
         raise CapacityError(
@@ -304,7 +309,8 @@ def _radii(A, cap: int):
             b = next((d for d, s in zip(run, signs) if s != signs[0]), None)
             if b is not None:
                 q, e = Fraction(mag[run[0]], mag[b]), b - run[0]
-                yield halfline, _nth_root_exact(q, e), _log_abs_fraction(q) / e
+                yield (halfline, _nth_root_exact(q, e),
+                       _log_over(mag[run[0]], mag[b]) / e)
 
 
 def eigen_region(A, *, cap: int = DEFAULT_CHAR_CAP) -> list:
@@ -394,9 +400,7 @@ def perron_p(A, p: int) -> tuple[SignedLog, tuple[SignedLog, ...]]:
     top; the vector is B's eigenvector e^u_i x_i, sup-norm 1. A bracket
     still open after ``NODA_STEPS`` steps raises ConvergenceError.
     """
-    M = as_matrix(A)
-    if not M.is_square:
-        raise DomainError(f"square matrix required, got {M.rows}x{M.cols}")
+    M = _square(A)
     for i, row in enumerate(M._ints, start=1):
         for j, a in enumerate(row, start=1):
             if a <= 0:

@@ -20,7 +20,9 @@ every finite-index value from maps built once. The maps of ``cramer`` and
 hyperplane's, whose residual is exact: the determinant of the entrywise
 q-th power is the map's power sum. :mod:`boxalg.signedlog` owns that sum
 and the bit budget under which the other values settle ties exactly.
-``perron`` shares its Perron path with the CLI's ``eigen`` kind.
+``perron`` shares its Perron path with the CLI's ``eigen`` kind, and
+this module owns two rules for both: the ``tol`` check and the cap
+override's resolver.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ def predict_near_tie(values: Sequence[Fraction], p_max: int, tol: float) -> bool
     (no surviving group) is exactly zero at every p and never near-tie.
     The values are read as a ``sum`` sweep reads its vector.
     """
+    _check_tol(tol)
     net = net_by_magnitude(_scalars(values))
     return _near_tie(net, _net_logs(net), p_max, tol)
 
@@ -120,14 +123,25 @@ def _gap(value, limit, size=None) -> float:
     return abs(value.to_float() - as_float(limit))
 
 
+def _check_tol(tol) -> None:
+    """The one tol check, the library's and the CLI's: a finite real > 0."""
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction))
+            or not 0 < tol < math.inf):
+        raise DomainError(f"tol must be a positive real number, got {tol!r}")
+
+
 def _check_sweep(p_max: int, tol: float) -> None:
     """The guard on a sweep's p_max and tol."""
     if not isinstance(p_max, int) or isinstance(p_max, bool) or p_max < 0:
         raise DomainError(f"p_max must be a nonnegative integer, got {p_max!r}")
     if p_max > HARD_P_MAX:
         raise DomainError(f"p_max {p_max} exceeds the guard {HARD_P_MAX}")
-    if tol is None or not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
+
+
+def _caps(cap: int | None) -> tuple[int, int]:
+    """(det_cap, char_cap): both ``cap`` when it is given, else the defaults."""
+    return (DEFAULT_DET_CAP, DEFAULT_CHAR_CAP) if cap is None else (cap, cap)
 
 
 def _gaps(values, limit, size) -> tuple[list[float], list[float]]:
@@ -189,8 +203,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
     _check_sweep(p_max, tol)
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}; pick from {QUANTITIES}")
-    det_cap, char_cap = ((DEFAULT_DET_CAP, DEFAULT_CHAR_CAP) if cap is None
-                         else (cap, cap))
+    det_cap, char_cap = _caps(cap)
     ps = tuple(range(p_max + 1))
     near_tie = False
 

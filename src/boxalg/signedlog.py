@@ -41,11 +41,6 @@ DEFAULT_TIE_TOL = 1e-12
 EXACT_BITS = 1 << 16
 
 
-def _log_abs_fraction(r: Fraction) -> float:
-    # math.log accepts arbitrary-precision ints, so huge rationals are fine
-    return math.log(abs(r.numerator)) - math.log(r.denominator)
-
-
 def _log_over(m: int, scale: int) -> float:
     """log(m / scale) for integers m, scale > 0, read from the reduced
     fraction, so one magnitude has one log whatever its scale."""
@@ -99,7 +94,7 @@ class SignedLog:
         if r == 0:
             return cls.zero()
         sign = 1 if r > 0 else -1
-        return cls(sign, _log_abs_fraction(r), r)
+        return cls(sign, _log_over(abs(r.numerator), r.denominator), r)
 
     @classmethod
     def from_float(cls, value: float) -> "SignedLog":

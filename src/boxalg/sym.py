@@ -7,7 +7,8 @@ components like a sign rule, and the balance relation compares the
 cross maxima. The associated determinant is associative, which is what
 a Cramer theory would need, but it pays for that by going balanced
 exactly when the dominant permutation-product magnitude is reached with
-both parities, even when the limit determinant itself survives.
+both parities, even when the limit determinant itself survives. Every
+pair read, by the library or the CLI, passes one shape check.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ def s_pair(plus, minus) -> SPair:
     return SPair(p, m)
 
 
+def _as_pair(x) -> SPair:
+    """x, a list or tuple of two entries, as a checked pair: the one shape
+    check of a pair, for the library and the CLI."""
+    if not isinstance(x, (list, tuple)) or len(x) != 2:
+        raise DomainError(f"not a pair: {x!r}")
+    return s_pair(*x)
+
+
 def s_embed(value) -> SPair:
     """A real scalar as a pair: magnitude on the side matching its sign."""
     v = as_scalar(value)
@@ -51,12 +60,12 @@ def s_embed(value) -> SPair:
 
 
 def s_add(x: SPair, y: SPair) -> SPair:
-    x, y = s_pair(*x), s_pair(*y)
+    x, y = _as_pair(x), _as_pair(y)
     return SPair(max(x.plus, y.plus), max(x.minus, y.minus))
 
 
 def s_mul(t: SPair, x: SPair) -> SPair:
-    t, x = s_pair(*t), s_pair(*x)
+    t, x = _as_pair(t), _as_pair(x)
     return SPair(
         max(t.plus * x.plus, t.minus * x.minus),
         max(t.plus * x.minus, t.minus * x.plus),
@@ -64,7 +73,7 @@ def s_mul(t: SPair, x: SPair) -> SPair:
 
 
 def balanced(x: SPair, y: SPair) -> bool:
-    x, y = s_pair(*x), s_pair(*y)
+    x, y = _as_pair(x), _as_pair(y)
     return max(x.plus, y.minus) == max(y.plus, x.minus)
 
 
@@ -82,7 +91,7 @@ def s_det(rows: Sequence[Sequence[SPair]], cap: int = DEFAULT_DET_CAP) -> SPair:
     product, which the leading-term subset DP of :mod:`boxalg.linalg`
     finds in O(2^n n) integer steps instead of over the n! permutations.
     """
-    data = [tuple(s_pair(*x) for x in r) for r in rows]
+    data = [tuple(map(_as_pair, r)) for r in rows]
     n = len(data)
     if n == 0 or any(len(r) != n for r in data):
         raise DomainError("square matrix of pairs required")
@@ -101,7 +110,7 @@ def s_embed_matrix(A) -> tuple[tuple[SPair, ...], ...]:
 
 def v_map(x: SPair) -> Fraction:
     """Collapse a pair to its signed representative (balanced goes to 0)."""
-    x = s_pair(*x)
+    x = _as_pair(x)
     if x.is_positive:
         return x.plus
     if x.is_negative:
@@ -117,7 +126,7 @@ def v_identity_check(xs: Iterable[SPair]) -> bool:
     the dominant pairs are strictly signed; a dominant balanced pair can
     break it, and this check reports that honestly.
     """
-    pairs = [s_pair(*x) for x in xs]
+    pairs = list(map(_as_pair, xs))
     if not pairs:
         return True
     total = pairs[0]

@@ -297,11 +297,15 @@ def test_criterion_09d_decomposition_and_sandwich():
         assert low <= nary_boxplus(xs) <= high
         assert smile([-v for v in xs], "lower") == -high
         u, v = _random_fraction(rng), _random_fraction(rng)
-        pair_low = smile((u, v), "lower")
-        pair_high = smile((u, v), "upper")
-        assert boxplus(u, v) == (pair_low + pair_high) / 2
+        # a free pair, a forced +-tie, an equal pair and zero operands
+        for a, b in ((u, v), (u, -u), (u, u), (u, F(0)), (F(0), v),
+                     (F(0), F(0))):
+            pair_low = smile((a, b), "lower")
+            pair_high = smile((a, b), "upper")
+            assert boxplus(a, b) == (pair_low + pair_high) / 2
     print("criterion 9d PASS: 1000 random vectors satisfy the envelope "
-          "sandwich and the binary midpoint decomposition")
+          "sandwich and the binary midpoint decomposition, ties and zeros "
+          "included")
 
 
 def test_criterion_09e_determinant_covariance():

@@ -824,6 +824,13 @@ class TestSym:
         assert code == 0
         assert obj["v_identity"] is False
 
+    @pytest.mark.parametrize("item", ["[3]", "[1,2,3]", '"ab"', "5"])
+    def test_malformed_pair(self, capsys, item):
+        code, obj = invoke(capsys, "sym", "--json",
+                           f'{{"pairs":[[2,0],{item}]}}')
+        assert code == 3
+        assert obj == {"error": f"not a pair: {json.loads(item)!r}"}
+
     # sha256 of the whole stdout of seeded batches, recorded while s_det
     # still ran a balance-pair DP on Fractions
     @pytest.mark.parametrize("entries, digest", [
@@ -910,11 +917,23 @@ class TestInputHandling:
         ("eigen", '{"A":[[2]],"options":{"tol":true}}'),
         ("eigen", '{"A":[[2]],"options":{"tol":null}}'),
         ("oracle", '{"quantity":"sum","xs":[1],"options":{"tol":null}}'),
+        ("oracle", '{"quantity":"sum","xs":[1],"options":{"tol":true}}'),
+        ("eigen", '{"A":[[2]],"options":{"tol":"x"}}'),
+        ("eigen", '{"A":[[2]],"options":{"tol":-1}}'),
+        ("solve", '{"A":[[1]],"b":[1],"options":{"tol":0}}'),
+        ("solve", '{"A":[[1]],"b":[1],"options":{"tol":Infinity}}'),
     ])
     def test_bad_options(self, capsys, kind, text):
+        # every kind checks a tol it is given, by the library's one rule;
+        # the kinds that read tol also reject a null one
         code, obj = invoke(capsys, kind, "--json", text)
         assert code == 3
-        assert "options" in obj["error"] or "tol" in obj["error"]
+        opts = json.loads(text)["options"]
+        if isinstance(opts, dict):
+            assert obj["error"] == ("tol must be a positive real number, "
+                                    f"got {opts['tol']!r}")
+        else:
+            assert obj["error"].startswith("options must be a JSON object")
 
     @pytest.mark.parametrize("kind, text, message", [
         pytest.param("eigen", '{"A":[[1,-2],[3,4]],"options":{"p_max":-5}}',

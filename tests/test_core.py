@@ -41,6 +41,16 @@ class TestBinary:
         assert boxplus(F(0), F(-2)) == F(-2)
         assert boxplus(F(5), F(0)) == F(5)
 
+    @pytest.mark.parametrize("bad, message", [
+        (True, "not a scalar: True"),
+        ("1.5", "not a rational string: '1.5'"),
+    ])
+    def test_operands_coerce_through_as_scalar(self, bad, message):
+        for call in (lambda: boxplus(bad, F(1)), lambda: boxplus(F(1), bad),
+                     lambda: as_scalar(bad)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call()
+
     def test_subtraction_negates_second(self):
         assert boxminus(F(2), F(5)) == F(-5)
         assert boxminus(F(3), F(3)) == F(0)

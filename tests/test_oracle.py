@@ -1,6 +1,7 @@
 """Finite-exponent sweeps against exact limit values."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,19 @@ class TestGuards:
         with pytest.raises(DomainError, match="p_max must be a nonnegative "
                                               "integer, got True"):
             sweep("det", {"A": [[1]]}, p_max=True)
+
+    @pytest.mark.parametrize("tol", ["x", True, math.inf, math.nan, 0, -1])
+    def test_one_tol_rule_for_sweep_and_predictor(self, tol):
+        message = re.escape(f"tol must be a positive real number, got {tol!r}")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            sweep("sum", {"xs": [1, 2]}, p_max=3, tol=tol)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            predict_near_tie([1, 2], 3, tol)
+
+    @pytest.mark.parametrize("tol", [1, 0.5, F(1, 10 ** 6)])
+    def test_positive_real_tols_pass(self, tol):
+        assert sweep("sum", {"xs": [2, 1]}, p_max=3, tol=tol).p_values[-1] == 3
+        assert predict_near_tie([2, 1], 3, tol) in (True, False)
 
     def test_unknown_quantity(self):
         with pytest.raises(DomainError):

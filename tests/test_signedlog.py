@@ -38,6 +38,16 @@ class TestRepresentation:
         assert z.exact == F(-3, 4)
         assert z.to_float() == pytest.approx(-0.75, rel=REL)
 
+    @pytest.mark.parametrize("r", [
+        F(-3, 4), F(5), F(1, 7), F(10 ** 400, 3), F(-7, 10 ** 400),
+        F(3 ** 500, 2 ** 900), F(-1),
+    ])
+    def test_logmag_is_the_log_of_the_reduced_fraction(self, r):
+        z = SignedLog.from_rational(r)
+        assert z.logmag == (math.log(abs(r.numerator))
+                            - math.log(r.denominator))
+        assert z.sign == (1 if r > 0 else -1) and z.exact == r
+
     def test_zero(self):
         z = SignedLog.zero()
         assert z.is_zero

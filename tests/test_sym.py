@@ -1,5 +1,6 @@
 """Balance-pair semiring and its collapse back to signed values."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,24 @@ class TestPairs:
     def test_negative_components_rejected(self):
         with pytest.raises(DomainError):
             s_pair(F(-1), F(0))
+
+    @pytest.mark.parametrize("call, bad", [
+        (lambda: s_det([[1]]), 1),
+        (lambda: v_identity_check([(1,)]), (1,)),
+        (lambda: s_add((1, 2, 3), (1, 1)), (1, 2, 3)),
+        (lambda: s_mul((1, 1), [2]), [2]),
+        (lambda: balanced((1, 1), None), None),
+        (lambda: v_map("ab"), "ab"),
+    ], ids=["s_det", "v_identity_check", "s_add", "s_mul", "balanced",
+            "v_map"])
+    def test_malformed_pair_rejected(self, call, bad):
+        message = re.escape(f"not a pair: {bad!r}")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call()
+
+    def test_lists_and_tuples_of_two_are_pairs(self):
+        assert s_add([1, 4], (F(3), "2")) == SPair(F(3), F(4))
+        assert v_map(s_pair(1, 3)) == F(-3)
 
     def test_add_is_componentwise_max(self):
         assert s_add(SPair(F(1), F(4)), SPair(F(3), F(2))) == SPair(F(3), F(4))
