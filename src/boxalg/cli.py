@@ -30,7 +30,8 @@ from fractions import Fraction
 from functools import cache
 
 from .core import _scalars, as_float, as_scalar
-from .eigen import _char_levels, _check_char, _read, _values_at, eigen_region
+from .eigen import (_char_levels, _check_char, _read, _top_values, _values_at,
+                    eigen_region)
 from .errors import (
     BoxAlgError,
     CapacityError,
@@ -280,19 +281,24 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     tallies = {degree: Counter(level) for degree, level in levels}
     out: dict = {}
     if lam is not None:
-        at = _values_at(tallies, scale, lam)
+        at = (_top_values(tallies, scale, lam)
+              or _values_at(tallies, scale, lam))
         out["lam"] = _rat([lam])[0]
         for mode in ("limit", "lower", "upper"):
             _exact(out, **{f"eval_{mode}": _read(at, mode)})
     p = _opt_p(opts)  # read after the evaluations, whose faults come first
     if lam is not None and p is not None:
+        at = _values_at(tallies, scale, lam)
         out["eval_p"], out["p"] = _slog(_read(at, "p", p)), p
     texts = []
     for degree, level in levels:
-        t = tallies[degree]  # equal coefficients share one formatted string
-        r = dict(zip(t, _rat(t, scale)))
+        t = tallies[degree]
+        if scale == 1 and 2 * len(t) > len(level):  # mostly distinct: no dict
+            strs = _rat(level)
+        else:  # equal coefficients share one formatted string
+            strs = map(dict(zip(t, _rat(t, scale))).__getitem__, level)
         between = f'",{degree}],["'  # ends one ["r",degree], starts the next
-        texts.append(f'["{between.join(map(r.__getitem__, level))}",{degree}]')
+        texts.append(f'["{between.join(strs)}",{degree}]')
     out["monomials"] = _Fragment("[" + ",".join(texts) + "]")
     out["count"] = sum(len(level) for _, level in levels)
     return OK, out

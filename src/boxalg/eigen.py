@@ -9,8 +9,12 @@ corrupt those counts. Listing it takes sum_k k! C(n, k) monomials, so
 The listing runs in integers: it reads the matrix's integer rows over
 their row scales, so every coefficient is an integer over one common
 denominator S, and only the finished coefficients become Fractions.
-Each k's permutations are stored once, by column, and each subset of
-size k lists in k + 2 C-level passes, with no Python step per permutation.
+Each k's permutations are stored once, as index tables in Heap order,
+and each subset of size k lists by suffix products: the product over
+rows j..k-1 is shared by the j! consecutive permutations that agree
+there. That is one C-level pass per row down to row 2, then one that
+reads the signed products of rows 0 and 1 from a table, with no Python
+step per permutation.
 
 Evaluation nets each degree's tally {coeff * S: count} as it reads it.
 Two monomials of equal degree and equal absolute coefficient but opposite
@@ -22,6 +26,10 @@ same positive integer S * b^n, which keeps magnitude order and ties, and
 yields the limit sum's net map (over S * b^n) and both envelopes, read
 from each degree's largest surviving class, at once; only the winner
 becomes a Fraction, and the finite-index mode reads the integer map.
+The limit and the envelopes are first read from each degree's top class
+alone. That settles them unless a cancelled top class lies above the
+value read or its count nets to 0; only then, and always for the
+finite-index mode, does the pass run over every class.
 
 The subset DP of :mod:`boxalg.linalg`, run on a_ij - lam delta_ij in
 O(2^n n) steps, yields the netted classes {|coeff| * S: net count}, a
@@ -51,12 +59,13 @@ the entries are (see :func:`perron_p`).
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, cycle
+from itertools import chain, combinations, repeat
 from operator import add, mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import LOWER, UPPER, _envelope, _net_limit, as_scalar
 from .errors import CapacityError, ConvergenceError, DomainError
@@ -110,31 +119,53 @@ def _check_char(A, cap: int) -> BoxMatrix:
 
 
 @cache
-def _heap_columns(k: int) -> tuple[bytes, ...]:
-    """Column t holds perm[t] of each permutation of k in the Heap order of
-    :func:`signed_permutations`, whose signs alternate +1, -1, ..."""
-    return tuple(map(bytes, zip(*(p for p, _s in signed_permutations(k)))))
+def _heap_tables(k: int) -> tuple[tuple[bytes, ...], array]:
+    """The permutations of k in the Heap order of :func:`signed_permutations`
+    as index tables. Positions j..k-1 stay fixed over each block of j!
+    permutations, so for j = k-1 down to 2 a table holds perm[j] of each
+    block. The last holds, per permutation m, its entry m % 2 * k^2 +
+    perm[0] * k + perm[1] in the products of rows 0 and 1 followed by
+    their negations: the signs alternate +1, -1, ..."""
+    perms = [p for p, _s in signed_permutations(k)]
+    blocks = tuple(bytes(p[j] for p in perms[::math.factorial(j)])
+                   for j in range(k - 1, 1, -1))
+    # k = 1 reads its one row against a row of ones, at column 0
+    pairs = array("H", [m % 2 * k * k + x * k + y for m, (x, y, *_rest)
+                        in enumerate(p + (0,) for p in perms)])
+    return blocks, pairs
 
 
 def _char_levels(M: BoxMatrix) -> tuple[list[tuple[int, list[int]]], int]:
     """:func:`char_monomials` in integers: [(n - k, the coefficients times
     S) for k = 0..n] and S, the product of the row scales (those outside H
-    complete each product over S). A subset of size k takes k + 2 C-level
-    passes: each row read at its column, the products, the signs."""
+    complete each product over S). A subset of size k lists by suffix
+    products: one C-level pass per row k-1 down to 2, over the k!/j! blocks
+    of :func:`_heap_tables`, then one over the k! permutations that reads
+    the signed products of rows 0 and 1 from a 2k^2 table."""
     rows, scales = M._ints, M._scales
     n = len(rows)
     total = math.prod(scales)
     levels = [(n, [-total if n % 2 else total])]
     for k in range(1, n + 1):
-        columns, level = _heap_columns(k), []
+        blocks, pairs = _heap_tables(k)
+        level: list[int] = []
         for H in combinations(range(n), k):
-            picks = [map([rows[i][j] for j in H].__getitem__, column)
-                     for i, column in zip(H, columns)]
-            f = math.prod(s for i, s in enumerate(scales) if i not in H)
-            level.extend(map(mul, cycle((-f, f) if (n - k) % 2 else (f, -f)),
-                             map(math.prod, zip(*picks))))
+            sub = [[rows[i][j] for j in H] for i in H]
+            f = total // math.prod(map(scales.__getitem__, H))
+            suffix = [-f if (n - k) % 2 else f]
+            for j, block in zip(range(k - 1, 1, -1), blocks):
+                suffix = list(map(mul, _each(suffix, j + 1),
+                                  map(sub[j].__getitem__, block)))
+            pair = [x * y for x in sub[0] for y in (sub[1] if k > 1 else (1,))]
+            pair += [-v for v in pair]
+            level += map(mul, _each(suffix, 2), map(pair.__getitem__, pairs))
         levels.append((n - k, level))
     return levels, total
+
+
+def _each(xs: list, times: int) -> Iterator:
+    """Each of xs ``times`` times in a row."""
+    return chain.from_iterable(zip(*repeat(xs, times)))
 
 
 def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> tuple[Monomial, ...]:
@@ -186,7 +217,8 @@ class _Values(NamedTuple):
     """The values coeff * lam^degree of the monomials, each times one
     positive integer ``den``."""
 
-    net: dict[int, int]  # {scaled |value|: net signed count}
+    net: dict[int, int]  # {scaled |value|: net signed count}, or the
+                         # top's alone (:func:`_top_values`, not for 'p')
     top: int             # the largest scaled |value| of a surviving class
     signs: set[bool]     # the signs (True for +) of the classes at top
     den: int
@@ -194,7 +226,9 @@ class _Values(NamedTuple):
 
 def _values_at(tallies, scale: int, lam: Fraction) -> _Values:
     """Per-degree tallies {integer c over ``scale``: count} evaluated at
-    lam and netted in one pass.
+    lam and netted in one pass over every class: the pass that mode 'p',
+    the oracle's sweep and a cancelled top class (see :func:`_top_values`)
+    read.
 
     With lam = a/b (b > 0) and n the top degree, S * b^n scales every
     value c/S * lam^d to the integer c * a^d * b^(n-d), keeping magnitude
@@ -229,6 +263,38 @@ def _values_at(tallies, scale: int, lam: Fraction) -> _Values:
     return _Values(net, top, signs, scale * b ** n)
 
 
+def _top_values(tallies, scale: int, lam: Fraction) -> Optional[_Values]:
+    """:func:`_values_at` for the limit and the envelopes, read from each
+    degree's top class alone (its largest |c|, by ``max`` and ``min`` over
+    the tally's keys), with the net map holding the top value only; None
+    when that reading cannot settle them, and the full pass must.
+
+    A top class whose counts of +c and -c differ is its degree's envelope
+    class, and no other value of the degree is as large. So the largest of
+    them, with the signs of the degrees that reach it, gives both envelopes,
+    and its count netted over those degrees gives the limit, unless a
+    cancelled top class is larger (the envelope class under it is not
+    known) or the net count is 0 (the limit lies below)."""
+    a, b = lam.numerator, lam.denominator
+    n = max(tallies, default=0)
+    top, signs, net, hidden = 0, set(), 0, 0
+    for d, t in tallies.items():
+        w = a ** d * b ** (n - d)  # signed as lam^d
+        c = max(max(t), -min(t))
+        k = (t.get(c, 0) - t.get(-c, 0)) * ((w > 0) - (w < 0))
+        v = c * abs(w)
+        if not k:  # a cancelled class, or no value but 0
+            hidden = max(hidden, v)
+        elif v > top:
+            top, signs, net = v, {k > 0}, k
+        elif v == top:
+            signs.add(k > 0)
+            net += k
+    if not net or hidden > top:
+        return None
+    return _Values({top: net}, top, signs, scale * b ** n)
+
+
 def _read(at: _Values, mode: str, p: Optional[int] = None):
     """:func:`charpoly_eval`'s reading of the values at lam."""
     if mode == "p":
@@ -254,7 +320,9 @@ def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
         raise DomainError("mode 'p' requires the index p")
     if mode not in ("limit", LOWER, UPPER, "p"):
         raise DomainError(f"unknown mode {mode!r}")
-    return _read(_values_at(*_tallies(m), lam), mode, p)
+    tallies, scale = _tallies(m)
+    at = None if mode == "p" else _top_values(tallies, scale, lam)
+    return _read(at or _values_at(tallies, scale, lam), mode, p)
 
 
 # --- spectral region ---------------------------------------------------------

@@ -86,9 +86,10 @@ def predict_near_tie(values: Sequence[Fraction], p_max: int, tol: float) -> bool
     other group decays like (m/m1)^(2p+1); both effects are summed from
     the exact magnitude groups of the value multiset. A balanced multiset
     (no surviving group) is exactly zero at every p and never near-tie.
-    The values are read as a ``sum`` sweep reads its vector.
+    The values are read as a ``sum`` sweep reads its vector, and p_max
+    and tol pass the sweep's guard.
     """
-    _check_tol(tol)
+    _check_sweep(p_max, tol)
     net = net_by_magnitude(_scalars(values))
     return _near_tie(net, _net_logs(net), p_max, tol)
 

@@ -440,6 +440,21 @@ class TestCharpolyAndEigen:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f983c5e269c43893b14a009dfc2c6a4228384762637fa524a3f6e318b2017785")
 
+    @pytest.mark.parametrize("entries", ["int", "-2..2", "rational"])
+    def test_index_leaves_the_limit_reads_alone(self, capsys, entries):
+        """options.p reads its value from the full pass; eval_limit,
+        eval_lower and eval_upper read as without it, whether the top
+        classes settle them or the full pass does."""
+        for n in range(2, 8):
+            for lam in (0, -3, "2/3", 1):
+                doc = {"A": self._charpoly_matrix(n, entries), "lam": lam}
+                _, plain = invoke(capsys, "charpoly", "--json", json.dumps(doc))
+                doc["options"] = {"p": 3}
+                code, with_p = invoke(capsys, "charpoly", "--json",
+                                      json.dumps(doc))
+                assert code == 0 and with_p["p"] == 3
+                assert {key: with_p[key] for key in plain} == plain
+
     # the listing's entries embed _rat's strings in JSON text unescaped
     def test_rat_text_needs_no_json_escaping(self):
         import boxalg.cli as cli

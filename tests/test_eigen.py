@@ -28,7 +28,8 @@ from boxalg import (
     signed_permutations,
     smile,
 )
-from boxalg.eigen import _heap_columns, _nth_root_exact, _read, _values_at
+from boxalg.eigen import (_char_levels, _heap_tables, _nth_root_exact, _read,
+                          _tallies, _top_values, _values_at)
 
 F = Fraction
 REL = 1e-9
@@ -130,13 +131,12 @@ def _reference_listing(rows):
     n = len(rows)
     out = [(F((-1) ** n), n)]
     for k in range(1, n + 1):
+        perms = list(signed_permutations(k))
+        assert all(sign == _inversion_sign(perm) for perm, sign in perms)
         for H in combinations(range(n), k):
-            for perm, sign in signed_permutations(k):
-                assert sign == _inversion_sign(perm)
-                coeff = F((-1) ** (n - k) * sign)
-                for t, u in enumerate(perm):
-                    coeff *= rows[H[t]][H[u]]
-                out.append((coeff, n - k))
+            for perm, sign in perms:
+                coeff = math.prod(rows[H[t]][H[u]] for t, u in enumerate(perm))
+                out.append((F((-1) ** (n - k) * sign * coeff), n - k))
     return out
 
 
@@ -169,10 +169,28 @@ class TestListingReference:
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_column_table_read_by_rows(self, k):
-        perms = list(signed_permutations(k))
-        assert list(zip(*_heap_columns(k))) == [p for p, _s in perms]
+        """Every permutation and its sign rebuilt from the tables: perm[j]
+        from the block table of j (blocks of j! permutations), perm[0],
+        perm[1] and the sign from the pair entry."""
+        blocks, pairs = _heap_tables(k)
+        assert len(pairs) == math.factorial(k)
+        rebuilt = []
+        for m, entry in enumerate(pairs):
+            sign, (x, y) = -1 if entry >= k * k else 1, divmod(entry % (k * k), k)
+            tail = [block[m // math.factorial(j)]
+                    for j, block in zip(range(k - 1, 1, -1), blocks)]
+            rebuilt.append(((x, y, *reversed(tail))[:k], sign))
+        assert rebuilt == list(signed_permutations(k))
         # the listing reads the signs as alternating from +1
-        assert [s for _p, s in perms] == [(-1) ** m for m in range(len(perms))]
+        assert [s for _p, s in rebuilt] == [(-1) ** m for m in range(len(rebuilt))]
+
+    def test_eight_by_eight_under_a_raised_cap(self):
+        # no workload lists k = 8; the default cap stops at 7
+        rng = random.Random(8)
+        rows = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)]
+        got = [(m.coeff, m.degree) for m in char_monomials(rows, cap=8)]
+        assert len(got) == expected_monomial_count(8) == 109601
+        assert got == _reference_listing(rows)  # in order, so as multisets
 
 
 # hand-built tallies {c: count} per degree, each c over SCALE: a zero
@@ -222,6 +240,67 @@ class TestValuesAt:
         at = _values_at(LISTING_TALLIES, SCALE, F(3))
         assert (at.top, at.signs) == (36, {True})
         assert _read(at, "lower") == _read(at, "upper") == F(36, SCALE)
+
+
+class TestTopValues:
+    """:func:`_top_values` against the full pass it stands in for, on the
+    listings' own tallies: where the top classes settle the limit and the
+    envelopes it must agree with :func:`_values_at` and :func:`_read`, and
+    the inputs must reach both outcomes."""
+
+    POOLS = {"-99..99": range(-99, 100), "-2..2": range(-2, 3),
+             "0..1": range(2), "small-rational": [0, F(1, 2), F(-3, 4), 2,
+                                                  F(5, 3), -1]}
+    LAMS = [F(0), F(-3), F(2), F(1, 2), F(-5, 3)]
+
+    @classmethod
+    def _matrices(cls):
+        rng = random.Random(24)
+        for pool in cls.POOLS.values():
+            for n in range(1, 8):
+                yield [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        for n in range(1, 8):  # skew-symmetric: odd k cancels whole
+            rows = [[0] * n for _ in range(n)]
+            for i, j in combinations(range(n), 2):
+                rows[i][j] = rng.randint(-9, 9)
+                rows[j][i] = -rows[i][j]
+            yield rows
+
+    def test_agrees_with_the_full_pass(self):
+        outcomes = Counter()
+        for rows in self._matrices():
+            levels, scale = _char_levels(BoxMatrix(rows))
+            tallies = {d: Counter(level) for d, level in levels}
+            for lam in self.LAMS:
+                full = _values_at(tallies, scale, lam)
+                at = _top_values(tallies, scale, lam)
+                outcomes[at is not None] += 1
+                if at is None:
+                    continue
+                for mode in ("limit", "lower", "upper"):
+                    assert _read(at, mode) == _read(full, mode), (rows, lam)
+        assert outcomes[True] and outcomes[False], outcomes
+
+    def test_falls_back_where_a_read_class_cancels(self):
+        # a cancelled +-9 class of degree 2 tops the surviving 4 at lam = 3
+        assert _top_values(LISTING_TALLIES, SCALE, F(3)) is None
+        # 4 - 2 * 4 + 4: the top value nets to 0 over three degrees
+        levels, scale = _char_levels(BoxMatrix([[2, 1], [1, 2]]))
+        tallies = {d: Counter(level) for d, level in levels}
+        assert _top_values(tallies, scale, F(2)) is None
+        # at lam = 4 degree 2 alone is on top
+        at = _top_values(tallies, scale, F(4))
+        assert (at.net, at.top, at.signs) == ({16: 1}, 16, {True})
+
+    @pytest.mark.parametrize("lam", LAMS, ids=str)
+    def test_charpoly_eval_reads_either_way(self, lam):
+        for rows in self._matrices():
+            if len(rows) > 5:
+                continue
+            ms = char_monomials(BoxMatrix(rows))
+            full = _values_at(*_tallies(ms), lam)
+            for mode in ("limit", "lower", "upper"):
+                assert charpoly_eval(ms, lam, mode) == _read(full, mode)
 
 
 class TestRegion:

@@ -199,6 +199,18 @@ class TestGuards:
         with pytest.raises(DomainError, match=f"^{message}$"):
             predict_near_tie([1, 2], 3, tol)
 
+    @pytest.mark.parametrize("p_max, message", [
+        (65, "p_max 65 exceeds the guard 64"),
+        (-1, "p_max must be a nonnegative integer, got -1"),
+        (1.5, "p_max must be a nonnegative integer, got 1.5"),
+        (True, "p_max must be a nonnegative integer, got True"),
+    ], ids=["65", "-1", "1.5", "True"])
+    def test_one_p_max_guard_for_sweep_and_predictor(self, p_max, message):
+        for check in (lambda: sweep("sum", {"xs": [1, 2]}, p_max=p_max),
+                      lambda: predict_near_tie([1, 2], p_max, TOL)):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                check()
+
     @pytest.mark.parametrize("tol", [1, 0.5, F(1, 10 ** 6)])
     def test_positive_real_tols_pass(self, tol):
         assert sweep("sum", {"xs": [2, 1]}, p_max=3, tol=tol).p_values[-1] == 3
