@@ -30,8 +30,7 @@ from fractions import Fraction
 from functools import cache
 
 from .core import _scalars, as_float, as_scalar
-from .eigen import (_char_levels, _check_char, _read, _top_values, _values_at,
-                    eigen_region)
+from .eigen import _char_levels, _check_char, _eval_at, _net_at, eigen_region
 from .errors import (
     BoxAlgError,
     CapacityError,
@@ -43,7 +42,7 @@ from .geom import hyperplane_contains, hyperplane_through
 from .linalg import BoxMatrix, det_inf, det_inf_reg, det_p
 from .oracle import (DEFAULT_P_MAX, DEFAULT_TOL, _caps, _check_sweep,
                      _check_tol, _gaps, _perron, sweep)
-from .signedlog import SignedLog, check_p
+from .signedlog import SignedLog, _phi_p_net, check_p, odd_exponent
 from .solve import (
     LimitSystem,
     TwoSidedSystem,
@@ -246,7 +245,7 @@ def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
     p = _opt_p(opts)
     if p is not None and A.is_square and found is not None:
         sigma = [k - 1 for k in found[0]]  # sigma's pivots are tight: > 0
-        out["kaykobad_p"] = _dominates(A, rhs, sigma, 2 * p + 1)
+        out["kaykobad_p"] = _dominates(A, rhs, sigma, odd_exponent(p))
         out["p"] = p
     return (OK if x is not None else INFEASIBLE), out
 
@@ -281,15 +280,13 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     tallies = {degree: Counter(level) for degree, level in levels}
     out: dict = {}
     if lam is not None:
-        at = (_top_values(tallies, scale, lam)
-              or _values_at(tallies, scale, lam))
+        limit, lower, upper = _eval_at(tallies, scale, lam)
         out["lam"] = _rat([lam])[0]
-        for mode in ("limit", "lower", "upper"):
-            _exact(out, **{f"eval_{mode}": _read(at, mode)})
+        _exact(out, eval_limit=limit, eval_lower=lower, eval_upper=upper)
     p = _opt_p(opts)  # read after the evaluations, whose faults come first
     if lam is not None and p is not None:
-        at = _values_at(tallies, scale, lam)
-        out["eval_p"], out["p"] = _slog(_read(at, "p", p)), p
+        net = _net_at(tallies, scale, lam)
+        out["eval_p"], out["p"] = _slog(_phi_p_net(net, (p,))[0]), p
     texts = []
     for degree, level in levels:
         t = tallies[degree]
@@ -357,7 +354,7 @@ def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
         A = _matrix_in(data["A"])
         d = s_det(s_embed_matrix(A), det_cap)
         _exact(out, s_det=(d.plus, d.minus))
-        out["balanced_with_zero"] = d.plus == d.minus
+        out["balanced_with_zero"] = d.is_balanced
         _exact(out, det_inf=det_inf(A, det_cap))
     if "pairs" in data:
         raw = data["pairs"]

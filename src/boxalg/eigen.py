@@ -16,20 +16,20 @@ there. That is one C-level pass per row down to row 2, then one that
 reads the signed products of rows 0 and 1 from a table, with no Python
 step per permutation.
 
-Evaluation nets each degree's tally {coeff * S: count} as it reads it.
-Two monomials of equal degree and equal absolute coefficient but opposite
-sign contribute exactly cancelling odd powers at every finite index and
-every argument, so netting each (degree, |coeff|) class preserves every
+Evaluation reads each degree's tally {coeff * S: count}. Two monomials
+of equal degree and equal absolute coefficient but opposite sign
+contribute exactly cancelling odd powers at every finite index and every
+argument, so netting each (degree, |coeff|) class preserves every
 evaluation mode while removing spurious ties that a plain envelope of the
-raw multiset would see. At lam = a/b the pass scales every value by the
-same positive integer S * b^n, which keeps magnitude order and ties, and
-yields the limit sum's net map (over S * b^n) and both envelopes, read
-from each degree's largest surviving class, at once; only the winner
-becomes a Fraction, and the finite-index mode reads the integer map.
-The limit and the envelopes are first read from each degree's top class
-alone. That settles them unless a cancelled top class lies above the
-value read or its count nets to 0; only then, and always for the
-finite-index mode, does the pass run over every class.
+raw multiset would see. At lam = a/b every value is scaled by the same
+positive integer S * b^n, which keeps magnitude order and ties, and only
+the winner becomes a Fraction. A degree's dominant class is its largest
+|coeff| whose + and - counts differ, and every value above the largest
+dominant value cancels within its own degree. So :func:`_eval_at` reads
+the limit and both envelopes from each degree's dominant class, scanning
+a degree only when its top class cancels; :func:`_net_at` nets every
+class into the whole map, which the finite-index mode reads, and the
+limit too when the largest dominant value nets to 0 across degrees.
 
 The subset DP of :mod:`boxalg.linalg`, run on a_ij - lam delta_ij in
 O(2^n n) steps, yields the netted classes {|coeff| * S: net count}, a
@@ -67,7 +67,7 @@ from itertools import chain, combinations, repeat
 from operator import add, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .core import LOWER, UPPER, _envelope, _net_limit, as_scalar
+from .core import LOWER, UPPER, _envelopes, _net_limit, as_scalar
 from .errors import CapacityError, ConvergenceError, DomainError
 from .linalg import (
     BoxMatrix,
@@ -183,9 +183,14 @@ def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> tuple[Monomial, ...]:
 
 def _tallies(m) -> tuple[dict[int, Counter], int]:
     """Per degree, the tally {c: count} of monomials (coeff, degree), each
-    coeff an integer c over S, their least common denominator; and S."""
+    coeff an integer c over S, their least common denominator; and S. The
+    one shape check of a monomial: a list or tuple of two, so a
+    :class:`Monomial` passes."""
     coeffs, degrees = [], []
-    for coeff, degree in m:
+    for mono in m:
+        if not isinstance(mono, (list, tuple)) or len(mono) != 2:
+            raise DomainError(f"not a monomial: {mono!r}")
+        coeff, degree = mono
         if type(degree) is not int or degree < 0:
             raise DomainError(f"monomial degree {degree!r} is not an int >= 0")
         coeffs.append(as_scalar(coeff))
@@ -213,96 +218,62 @@ def reduced_monomials(m) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-class _Values(NamedTuple):
-    """The values coeff * lam^degree of the monomials, each times one
-    positive integer ``den``."""
-
-    net: dict[int, int]  # {scaled |value|: net signed count}, or the
-                         # top's alone (:func:`_top_values`, not for 'p')
-    top: int             # the largest scaled |value| of a surviving class
-    signs: set[bool]     # the signs (True for +) of the classes at top
-    den: int
-
-
-def _values_at(tallies, scale: int, lam: Fraction) -> _Values:
-    """Per-degree tallies {integer c over ``scale``: count} evaluated at
-    lam and netted in one pass over every class: the pass that mode 'p',
-    the oracle's sweep and a cancelled top class (see :func:`_top_values`)
-    read.
-
-    With lam = a/b (b > 0) and n the top degree, S * b^n scales every
-    value c/S * lam^d to the integer c * a^d * b^(n-d), keeping magnitude
-    order and ties. Each count enters the net map with its value's sign,
-    zero coefficients skipped. A degree's envelope value is its largest
-    |c| whose counts of +c and -c differ, read only when |c| beats the
-    degree's best so far, with the sign of the larger side."""
+def _net_at(tallies, scale: int, lam: Fraction) -> tuple[dict[int, int], int]:
+    """Per-degree tallies {integer c over ``scale``: count} at lam, netted
+    into one map ({den * |value|: net signed count}, den): what mode 'p',
+    the oracle's sweep and an unsettled :func:`_eval_at` limit read. With
+    lam = a/b (b > 0) and n the top degree, den = S * b^n scales each value
+    c/S * lam^d to the integer c * a^d * b^(n-d), keeping magnitude order
+    and ties; zero values are skipped."""
     a, b = lam.numerator, lam.denominator
     n = max(tallies, default=0)
     net: dict[int, int] = {}
     get = net.get
-    top, signs = 0, set()
     for d, t in tallies.items():
         w = a ** d * b ** (n - d)  # signed as lam^d
         if not w:  # lam = 0 zeroes every positive degree
             continue
-        best = 0
         for c, k in t.items():
             v = c * w
             if v > 0:
                 net[v] = get(v, 0) + k
-                if v > best and k != t.get(-c, 0):
-                    best, up = v, k > t.get(-c, 0)
             elif v:
                 net[-v] = get(-v, 0) - k
-                if -v > best and k != t.get(-c, 0):
-                    best, up = -v, k < t.get(-c, 0)
-        if best > top:
-            top, signs = best, set()
-        if best and best == top:
-            signs.add(up)
-    return _Values(net, top, signs, scale * b ** n)
+    return net, scale * b ** n
 
 
-def _top_values(tallies, scale: int, lam: Fraction) -> Optional[_Values]:
-    """:func:`_values_at` for the limit and the envelopes, read from each
-    degree's top class alone (its largest |c|, by ``max`` and ``min`` over
-    the tally's keys), with the net map holding the top value only; None
-    when that reading cannot settle them, and the full pass must.
+def _eval_at(tallies, scale: int, lam: Fraction
+             ) -> tuple[Fraction, Fraction, Fraction]:
+    """(limit, lower, upper) of the tallies of :func:`_net_at` at lam, read
+    from each degree's dominant class: its largest |c| whose counts of +c
+    and -c differ. That is its top class (by ``max`` and ``min`` over the
+    keys) unless the top cancels; only then are the degree's keys scanned.
 
-    A top class whose counts of +c and -c differ is its degree's envelope
-    class, and no other value of the degree is as large. So the largest of
-    them, with the signs of the degrees that reach it, gives both envelopes,
-    and its count netted over those degrees gives the limit, unless a
-    cancelled top class is larger (the envelope class under it is not
-    known) or the net count is 0 (the limit lies below)."""
+    Every value above the largest dominant value cancels within its own
+    degree. So that value, with the signs of the degrees that reach it,
+    gives both envelopes of the netted classes, and its count netted over
+    those degrees gives the limit; only when that count nets to 0 does the
+    limit come from the whole net map."""
     a, b = lam.numerator, lam.denominator
     n = max(tallies, default=0)
-    top, signs, net, hidden = 0, set(), 0, 0
+    top, signs, net = 0, set(), 0
     for d, t in tallies.items():
         w = a ** d * b ** (n - d)  # signed as lam^d
         c = max(max(t), -min(t))
+        if w and t.get(c, 0) == t.get(-c, 0):  # the top cancels: scan
+            c = max((abs(x) for x in t if t[x] != t.get(-x, 0)), default=0)
         k = (t.get(c, 0) - t.get(-c, 0)) * ((w > 0) - (w < 0))
         v = c * abs(w)
-        if not k:  # a cancelled class, or no value but 0
-            hidden = max(hidden, v)
-        elif v > top:
+        if k and v > top:  # k = 0: every class cancels, or lam^d = 0
             top, signs, net = v, {k > 0}, k
-        elif v == top:
+        elif k and v == top:
             signs.add(k > 0)
             net += k
-    if not net or hidden > top:
-        return None
-    return _Values({top: net}, top, signs, scale * b ** n)
-
-
-def _read(at: _Values, mode: str, p: Optional[int] = None):
-    """:func:`charpoly_eval`'s reading of the values at lam."""
-    if mode == "p":
-        return _phi_p_net((at.net, at.den), (p,))[0]
-    if mode == "limit":
-        return _net_limit((at.net, at.den))
-    tops = [at.top if s else -at.top for s in at.signs]
-    return Fraction(_envelope(tops, mode), at.den)
+    den = scale * b ** n
+    limit = (Fraction(top if net > 0 else -top, den) if net
+             else _net_limit(_net_at(tallies, scale, lam)))
+    lower, upper = _envelopes(top if s else -top for s in signs)
+    return limit, Fraction(lower, den), Fraction(upper, den)
 
 
 def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
@@ -313,7 +284,8 @@ def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
     and 'p' returns the finite-index power sum as a SignedLog. Every mode
     reads the per-(degree, |coeff|) net counts, which give the raw
     multiset's limit sum and power sums (equal magnitudes net either way),
-    and never lists the |net| copies of a class.
+    and never lists the |net| copies of a class: 'p' through
+    :func:`_net_at`, the other three through :func:`_eval_at`.
     """
     lam = as_scalar(lam)
     if mode == "p" and p is None:
@@ -321,8 +293,9 @@ def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
     if mode not in ("limit", LOWER, UPPER, "p"):
         raise DomainError(f"unknown mode {mode!r}")
     tallies, scale = _tallies(m)
-    at = None if mode == "p" else _top_values(tallies, scale, lam)
-    return _read(at or _values_at(tallies, scale, lam), mode, p)
+    if mode == "p":
+        return _phi_p_net(_net_at(tallies, scale, lam), (p,))[0]
+    return _eval_at(tallies, scale, lam)[("limit", LOWER, UPPER).index(mode)]
 
 
 # --- spectral region ---------------------------------------------------------

@@ -36,8 +36,8 @@ from .core import _net_limit, _scalars, as_float, as_scalar, as_vector
 from .eigen import (
     DEFAULT_CHAR_CAP,
     _check_char,
+    _net_at,
     _radii,
-    _values_at,
     eigen_region,
     perron_p,
 )
@@ -242,9 +242,8 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
             nets = [_det_net(as_matrix(inputs["A"]), det_cap)]
         elif quantity == "charpoly":
             A, lam = as_matrix(inputs["A"]), as_scalar(inputs["lam"])
-            at = _values_at(*_ring_terms(_check_char(A, char_cap), lam=True),
-                            lam)
-            nets = [(at.net, at.den)]
+            nets = [_net_at(*_ring_terms(_check_char(A, char_cap), lam=True),
+                            lam)]
         else:  # det A, then each det A_i(b)
             system = LimitSystem(as_matrix(inputs["A"]), as_vector(inputs["b"]))
             nets = _cramer_nets(system.A, system.b, det_cap)

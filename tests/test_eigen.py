@@ -28,8 +28,11 @@ from boxalg import (
     signed_permutations,
     smile,
 )
-from boxalg.eigen import (_char_levels, _heap_tables, _nth_root_exact, _read,
-                          _tallies, _top_values, _values_at)
+from boxalg import eigen
+from boxalg.core import _net_limit
+from boxalg.eigen import (_char_levels, _eval_at, _heap_tables, _net_at,
+                          _nth_root_exact, _tallies)
+from boxalg.signedlog import _phi_p_net
 
 F = Fraction
 REL = 1e-9
@@ -115,6 +118,25 @@ class TestEvaluation:
             with pytest.raises(DomainError, match="not an int >= 0"):
                 reduced_monomials(ms)
         assert charpoly_eval([(F(1), 1), (F(1), 0)], 2) == 2
+
+    @pytest.mark.parametrize("mono", [(1,), 1, (1, 2, 3), [], "ab", None,
+                                      {1: 2, 3: 4}], ids=repr)
+    def test_malformed_monomial(self, mono):
+        message = f"not a monomial: {mono!r}"
+        for mode, p in (("limit", None), ("upper", None), ("p", 2)):
+            with pytest.raises(DomainError) as err:
+                charpoly_eval([(F(1), 0), mono], 2, mode, p)
+            assert str(err.value) == message
+        with pytest.raises(DomainError) as err:
+            reduced_monomials([mono])
+        assert str(err.value) == message
+
+    def test_lists_and_tuples_of_two_are_monomials(self):
+        ms = [Monomial(F(1), 2), [F(-3), 1], ("1/2", 0)]
+        assert charpoly_eval(ms, 2) == -6
+        assert reduced_monomials(ms) == (Monomial(F(1, 2), 0),
+                                         Monomial(F(-3), 1),
+                                         Monomial(F(1), 2))
 
 
 def _inversion_sign(perm) -> int:
@@ -204,9 +226,29 @@ RING_TALLIES = {3: {1: 1}, 2: {5: -2, 3: 1}, 1: {4: 3}, 0: {7: -1}}
 SCALE = 6
 
 
+def _bits(x):
+    return x.sign, x.logmag, x.exact
+
+
+@pytest.fixture
+def whole_map_reads(monkeypatch):
+    """The tallies each :func:`_net_at` call nets, as :func:`_eval_at`
+    reaches it."""
+    reads = []
+
+    def spy(tallies, scale, lam):
+        reads.append(tallies)
+        return _net_at(tallies, scale, lam)
+
+    monkeypatch.setattr(eigen, "_net_at", spy)
+    return reads
+
+
 class TestValuesAt:
-    """:func:`_values_at` nets the tallies while it evaluates them; every
-    mode is checked against references that never call it."""
+    """:func:`_net_at` nets the tallies while it evaluates them, and
+    :func:`_eval_at` reads the limit and the envelopes; every reading is
+    checked against references that never call them. Group-ring (DP)
+    tallies only ever feed :func:`_net_at`."""
 
     @staticmethod
     def _monomials(tallies):
@@ -222,31 +264,31 @@ class TestValuesAt:
     def test_every_mode_against_the_expansion(self, tallies, lam):
         ms = self._monomials(tallies)
         vals = [m.coeff * lam ** m.degree for m in ms]
-        reduced = [m.coeff * lam ** m.degree for m in reduced_monomials(ms)]
-        at = _values_at(tallies, SCALE, lam)
-        assert 0 not in at.net
-        assert _read(at, "limit") == nary_boxplus(vals)
-        for mode in ("lower", "upper"):
-            assert _read(at, mode) == smile(reduced, mode)
+        net = _net_at(tallies, SCALE, lam)
+        assert 0 not in net[0]
+        assert _net_limit(net) == nary_boxplus(vals)
         for p in (0, 1, 7):
-            got = _read(at, "p", p)
             want = phi_p_sum([SignedLog.from_rational(v) for v in vals], p)
-            assert (got.sign, got.logmag, got.exact) == (
-                want.sign, want.logmag, want.exact)
+            assert _bits(_phi_p_net(net, (p,))[0]) == _bits(want)
+        if tallies is LISTING_TALLIES:
+            reduced = [m.coeff * lam ** m.degree for m in reduced_monomials(ms)]
+            assert _eval_at(tallies, SCALE, lam) == (
+                nary_boxplus(vals), smile(reduced, "lower"),
+                smile(reduced, "upper"))
 
     def test_cancelled_top_class_is_passed_over(self):
         # at lam = 3 the cancelled +-9 class of degree 2 (81) would top
-        # every value; the envelopes read the surviving 4 * 9 = 36
-        at = _values_at(LISTING_TALLIES, SCALE, F(3))
-        assert (at.top, at.signs) == (36, {True})
-        assert _read(at, "lower") == _read(at, "upper") == F(36, SCALE)
+        # every value; all three read the surviving 4 * 9 = 36
+        assert _eval_at(LISTING_TALLIES, SCALE, F(3)) == (F(36, SCALE),) * 3
 
 
 class TestTopValues:
-    """:func:`_top_values` against the full pass it stands in for, on the
-    listings' own tallies: where the top classes settle the limit and the
-    envelopes it must agree with :func:`_values_at` and :func:`_read`, and
-    the inputs must reach both outcomes."""
+    """:func:`_eval_at` on the listings' own tallies, against the whole
+    net map and against an expansion of the listing: the limit is the
+    dominant-magnitude sum of the values, the envelopes are smile of the
+    reduced values. The inputs must reach all three ways of reading: every
+    top class settles, a degree's top class cancels and its keys are
+    scanned, and the top count nets to 0 so the whole map is read."""
 
     POOLS = {"-99..99": range(-99, 100), "-2..2": range(-2, 3),
              "0..1": range(2), "small-rational": [0, F(1, 2), F(-3, 4), 2,
@@ -267,40 +309,68 @@ class TestTopValues:
             yield rows
 
     def test_agrees_with_the_full_pass(self):
-        outcomes = Counter()
+        # the limit of the whole net map, which only a top count netting
+        # to 0 makes _eval_at read
         for rows in self._matrices():
             levels, scale = _char_levels(BoxMatrix(rows))
             tallies = {d: Counter(level) for d, level in levels}
             for lam in self.LAMS:
-                full = _values_at(tallies, scale, lam)
-                at = _top_values(tallies, scale, lam)
-                outcomes[at is not None] += 1
-                if at is None:
-                    continue
-                for mode in ("limit", "lower", "upper"):
-                    assert _read(at, mode) == _read(full, mode), (rows, lam)
-        assert outcomes[True] and outcomes[False], outcomes
+                assert _eval_at(tallies, scale, lam)[0] == _net_limit(
+                    _net_at(tallies, scale, lam)), (rows, lam)
 
-    def test_falls_back_where_a_read_class_cancels(self):
-        # a cancelled +-9 class of degree 2 tops the surviving 4 at lam = 3
-        assert _top_values(LISTING_TALLIES, SCALE, F(3)) is None
-        # 4 - 2 * 4 + 4: the top value nets to 0 over three degrees
+    def test_every_way_of_reading_against_the_expansion(self,
+                                                        whole_map_reads):
+        outcomes = Counter()
+        for rows in self._matrices():
+            ms = char_monomials(BoxMatrix(rows))
+            reduced = reduced_monomials(ms)
+            levels, scale = _char_levels(BoxMatrix(rows))
+            tallies = {d: Counter(level) for d, level in levels}
+            for lam in self.LAMS:
+                vals = [m.coeff * lam ** m.degree for m in reduced]
+                want = (nary_boxplus(m.coeff * lam ** m.degree for m in ms),
+                        smile(vals, "lower"), smile(vals, "upper"))
+                whole_map_reads.clear()
+                assert _eval_at(tallies, scale, lam) == want, (rows, lam)
+                # a degree at lam^d != 0 whose top class c cancels
+                scanned = any(lam ** d and t[c] == t[-c]
+                              for d, t in tallies.items()
+                              for c in [max(max(t), -min(t))])
+                outcomes["whole map" if whole_map_reads else
+                         "scanned" if scanned else "settled"] += 1
+        assert len(outcomes) == 3, outcomes
+
+    def test_falls_back_where_a_read_class_cancels(self, whole_map_reads):
+        # a cancelled +-9 class of degree 2 tops the surviving 4 at lam = 3:
+        # degree 2 is scanned, and the value read settles the limit
+        assert _eval_at(LISTING_TALLIES, SCALE, F(3))[0] == F(36, SCALE)
+        assert not whole_map_reads
+        # 4 - 2 * 4 + 4: the top value nets to 0 over three degrees, and
+        # the limit is read from the whole map
         levels, scale = _char_levels(BoxMatrix([[2, 1], [1, 2]]))
         tallies = {d: Counter(level) for d, level in levels}
-        assert _top_values(tallies, scale, F(2)) is None
+        assert _eval_at(tallies, scale, F(2)) == (F(-1), F(-4), F(4))
+        assert whole_map_reads == [tallies]
         # at lam = 4 degree 2 alone is on top
-        at = _top_values(tallies, scale, F(4))
-        assert (at.net, at.top, at.signs) == ({16: 1}, 16, {True})
+        assert _eval_at(tallies, scale, F(4)) == (F(16),) * 3
+        assert whole_map_reads == [tallies]
 
     @pytest.mark.parametrize("lam", LAMS, ids=str)
     def test_charpoly_eval_reads_either_way(self, lam):
+        # from the monomials' tallies or from the listing's integer levels
         for rows in self._matrices():
             if len(rows) > 5:
                 continue
             ms = char_monomials(BoxMatrix(rows))
-            full = _values_at(*_tallies(ms), lam)
-            for mode in ("limit", "lower", "upper"):
-                assert charpoly_eval(ms, lam, mode) == _read(full, mode)
+            levels, scale = _char_levels(BoxMatrix(rows))
+            tallies = {d: Counter(level) for d, level in levels}
+            net = _net_at(tallies, scale, lam)
+            want = _eval_at(tallies, scale, lam)
+            assert want[0] == _net_limit(net)
+            for mode, value in zip(("limit", "lower", "upper"), want):
+                assert charpoly_eval(ms, lam, mode) == value
+            assert _bits(charpoly_eval(ms, lam, "p", 3)) == _bits(
+                _phi_p_net(net, (3,))[0])
 
 
 class TestRegion:

@@ -47,6 +47,8 @@ from boxalg import (
 )
 from boxalg import eigen, linalg
 from boxalg.cli import _slog, run
+from boxalg.core import _net_limit
+from boxalg.signedlog import _phi_p_net
 
 F = Fraction
 
@@ -116,10 +118,11 @@ def _pair_expansion(rows):
     return acc
 
 
-def _ring_values(M, lam):
-    """The characteristic values of M at lam read from the classes of the
-    group-ring subset DP, as the oracle's charpoly sweep reads them."""
-    return eigen._values_at(*linalg._ring_terms(M, lam=True), lam)
+def _ring_net(M, lam):
+    """The net map of the characteristic values of M at lam, read from the
+    classes of the group-ring subset DP, as the oracle's charpoly sweep
+    reads them."""
+    return eigen._net_at(*linalg._ring_terms(M, lam=True), lam)
 
 
 def _reference_dominant(ms):
@@ -265,19 +268,21 @@ class TestCharacteristic:
 
     @pytest.mark.parametrize("A", MATRICES)
     def test_dp_values_read_every_mode(self, A):
+        # the DP's net map gives the limit and mode 'p'; the envelopes are
+        # read from the listing's tallies, as the charpoly kind reads them
         ms = char_monomials(A)
         reduced = reduced_monomials(ms)
+        tallies, scale = eigen._tallies(ms)
         lams = (F(0), F(-1), F(2, 3), F(-3, 2), F(7))
         for lam in lams if A.rows < 6 else lams[:3]:
-            at = _ring_values(A, lam)
+            net = _ring_net(A, lam)
             raw = [m.coeff * lam ** m.degree for m in ms]
-            assert eigen._read(at, "limit") == nary_boxplus(raw)
-            for mode in ("lower", "upper"):
-                want = smile([m.coeff * lam ** m.degree for m in reduced],
-                             mode)
-                assert eigen._read(at, mode) == want
+            assert _net_limit(net) == nary_boxplus(raw)
+            vals = [m.coeff * lam ** m.degree for m in reduced]
+            assert eigen._eval_at(tallies, scale, lam) == (
+                nary_boxplus(raw), smile(vals, "lower"), smile(vals, "upper"))
             for p in (0, 5):
-                assert _bits(eigen._read(at, "p", p)) == _bits(_phi(raw, p))
+                assert _bits(_phi_p_net(net, (p,))[0]) == _bits(_phi(raw, p))
 
     @pytest.mark.parametrize("A", MATRICES)
     def test_eigen_region(self, A):
@@ -482,15 +487,20 @@ def _charpoly_cases():
 
 class TestCharpolyKind:
     """The charpoly kind nets its own listing at lam; every value it
-    prints must equal the group-ring reader's and charpoly_eval's."""
+    prints must equal charpoly_eval's and a reference: the group-ring net
+    map's limit and mode 'p', smile of the reduced values' envelopes."""
 
     @pytest.mark.parametrize("A, lams, p", _charpoly_cases())
     def test_values_equal_both_readers(self, capsys, A, lams, p):
         M = BoxMatrix(A)
         ms = char_monomials(M)
         rows = [[str(a) for a in row] for row in A]
+        reduced = reduced_monomials(ms)
         for lam in lams:
-            at = _ring_values(M, lam)
+            net = _ring_net(M, lam)
+            vals = [m.coeff * lam ** m.degree for m in reduced]
+            wants = (_net_limit(net), smile(vals, "lower"),
+                     smile(vals, "upper"))
             printed = []
             for options in ({}, {"p": p}):
                 problem = {"A": rows, "lam": str(lam), "options": options}
@@ -498,12 +508,11 @@ class TestCharpolyKind:
                 printed.append(json.loads(capsys.readouterr().out))
             without_p, with_p = printed
             assert "eval_p" not in without_p
-            for mode in ("limit", "lower", "upper"):
-                want = eigen._read(at, mode)
+            for mode, want in zip(("limit", "lower", "upper"), wants):
                 assert charpoly_eval(ms, lam, mode) == want
                 assert without_p[f"eval_{mode}"] == str(want), (lam, mode)
                 assert with_p[f"eval_{mode}"] == str(want), (lam, mode)
-            want = eigen._read(at, "p", p)
+            want = _phi_p_net(net, (p,))[0]
             assert _bits(charpoly_eval(ms, lam, "p", p)) == _bits(want)
             assert with_p["eval_p"] == _slog(want), lam
 
