@@ -39,7 +39,7 @@ from .errors import (
     DomainError,
 )
 from .geom import hyperplane_contains, hyperplane_through
-from .linalg import BoxMatrix, det_inf, det_inf_reg, det_p
+from .linalg import BoxMatrix, _det_lead, det_inf, det_p
 from .oracle import (DEFAULT_P_MAX, DEFAULT_TOL, _caps, _check_sweep,
                      _check_tol, _gaps, _perron, sweep)
 from .signedlog import SignedLog, _phi_p_net, check_p, odd_exponent
@@ -194,10 +194,12 @@ def _opt_p(opts) -> int | None:
 def _do_det(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps(_cap())
     A = _matrix_in(data["A"])
-    out = _exact({}, det_inf=det_inf(A, det_cap))
     mode = opts.get("mode")
-    if mode in ("lower", "upper"):
-        _exact(out, **{f"det_{mode}": det_inf_reg(A, mode, det_cap)})
+    smiled = mode if mode in ("lower", "upper") else None
+    det, reg = _det_lead(A, det_cap, smiled)
+    out = _exact({}, det_inf=det)
+    if smiled:
+        _exact(out, **{f"det_{mode}": reg})
     elif mode not in (None, "exact"):
         raise DomainError(f"mode must be lower, upper or exact, got {mode!r}")
     p = _opt_p(opts)

@@ -79,6 +79,7 @@ from .linalg import (
 from .signedlog import (
     SignedLog,
     _log_over,
+    _nth_root_exact,
     _over_lcm,
     _phi_p_net,
     net_by_magnitude,
@@ -299,26 +300,6 @@ def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
 
 
 # --- spectral region ---------------------------------------------------------
-
-
-def _iroot(k: int, e: int) -> int:
-    """floor(k^(1/e)) of an integer k >= 0, by integer Newton steps."""
-    if k < 2:
-        return k
-    r = 1 << -(-k.bit_length() // e)  # 2^ceil(bits/e) > k^(1/e)
-    while True:
-        s = ((e - 1) * r + k // r ** (e - 1)) // e
-        if s >= r:
-            return r
-        r = s
-
-
-def _nth_root_exact(q: Fraction, e: int) -> Optional[Fraction]:
-    """q^(1/e) when rational, else None (q in lowest terms, q > 0)."""
-    rn, rd = _iroot(q.numerator, e), _iroot(q.denominator, e)
-    if rn ** e != q.numerator or rd ** e != q.denominator:
-        return None
-    return Fraction(rn, rd)
 
 
 def _radii(A, cap: int):

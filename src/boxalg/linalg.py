@@ -15,16 +15,24 @@ net map ({m: net signed count}, S) for when the leading count cancels.
 A :class:`BoxMatrix` keeps each row as integers over the row's own
 scale, which the DP reads as they are, so every magnitude is an integer
 m over one scale S, the product of the row scales, and the maps pass on
-in that form. The finite-index determinant is the power sum of the net
-map, since each odd power depends on the products only through it. The
-same DP with a_ii - lam on the diagonal, a term of degree 1, keeps one
-state per degree and gives the per-degree net maps of the characteristic
-monomials (:mod:`boxalg.eigen`). On the bordered matrix
-[A | b] its last layer holds Cramer's n + 1 determinants, one per
+in that form. The same DP with a_ii - lam on the diagonal, a term of
+degree 1, keeps one state per degree and gives the per-degree net maps
+of the characteristic monomials (:mod:`boxalg.eigen`). On the bordered
+matrix [A | b] its last layer holds Cramer's n + 1 determinants, one per
 left-out column: without b, det A; without column i, the minor
 (-1)^(n-1-i) det A_i(b), the sign of moving b from the last column to
 column i. The listing (:func:`permutation_products`, Heap's algorithm)
 stays as public API and as the tests' reference expansion.
+
+The finite-index determinant needs no DP: the sum of the signed products
+raised to the power q = 2p + 1 is det(A^(q)), the ordinary determinant of
+the entrywise power, an integer over S^q. Fraction-free elimination
+(Bareiss, Math. Comp. 22, 1968) gives that integer exactly in O(n^3)
+steps, and the value is its q-th root: exact when the root is rational,
+else one log of the exact quotient, so parts that nearly cancel lose no
+precision. It runs while the powers fit the package's exact budget
+(``signedlog.EXACT_BITS``, on the largest product magnitude); past it
+the power sum reads the group ring's net map in logs.
 
 Determinant-flavored operations take a size cap and raise
 :class:`~boxalg.errors.CapacityError` past it.
@@ -39,7 +47,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import LOWER, UPPER, _envelope, _scalars, as_vector, nary_boxplus, smile
 from .errors import CapacityError, DomainError
-from .signedlog import SignedLog, _over_lcm, _phi_p_net
+from .signedlog import (EXACT_BITS, SignedLog, _nth_root_exact, _over_lcm,
+                        _phi_p_net, odd_exponent)
 
 BoxVector = tuple[Fraction, ...]
 
@@ -314,17 +323,25 @@ def _ring_terms(M: BoxMatrix, lam: bool = False
              for k, nets in ring.items()}, total)
 
 
-def _dominant_terms(M: BoxMatrix, lam: bool = False
+def _lead_terms(M: BoxMatrix, lam: bool = False) -> tuple[dict, int]:
+    """The leading-term run of M: per slot, (P, cp, N, cn) as in
+    :func:`_lead_step`, and the scale S."""
+    return _dp_slots(M, lam, _lead_step, (1, 1, 0, 0))
+
+
+def _dominant_terms(M: BoxMatrix, lam: bool = False,
+                    lead: tuple[dict, int] | None = None
                     ) -> tuple[dict[int, tuple[int, int]], int]:
     """Per slot, the largest magnitude whose net signed count survives
     and the sign of that count, and the scale S (terms as in
     :func:`_ring_terms`: every magnitude is its integer over S).
 
     Slots where everything cancels are absent. The leading-term run
-    settles it unless some leading count nets to zero; then the group
-    ring finds the next surviving magnitude.
+    (``lead``, when the caller has it) settles it unless some leading
+    count nets to zero; then the group ring finds the next surviving
+    magnitude.
     """
-    top, total = _dp_slots(M, lam, _lead_step, (1, 1, 0, 0))
+    top, total = lead or _lead_terms(M, lam)
     top = {k: (max(p, n), cp * (p >= n) - cn * (n >= p))
            for k, (p, cp, n, cn) in top.items()}
     if not all(c for _m, c in top.values()):
@@ -346,23 +363,38 @@ def _pair_det(rows) -> tuple[Fraction, Fraction]:
     return Fraction(p, total), Fraction(n, total)
 
 
+def _smile_det(lead: tuple[dict, int], mode: str) -> Fraction:
+    """The regularized determinant read from a square matrix's
+    leading-term run (slots, S): smile of P and -N, over S."""
+    top, total = lead
+    p, _cp, n, _cn = top.get(0, (0, 0, 0, 0))
+    return Fraction(_envelope((p, -n), mode), total)
+
+
+def _det_lead(A, cap: int, mode: str | None = None
+              ) -> tuple[Fraction, Fraction | None]:
+    """det_inf of a square A and, given ``mode``, its regularized
+    determinant, from one leading-term run: the group ring runs only when
+    the leading count cancels."""
+    M = _checked(A, cap)
+    lead = _lead_terms(M)
+    top, total = _dominant_terms(M, lead=lead)
+    mag, sign = top.get(0, (0, 1))
+    return Fraction(sign * mag, total), mode and _smile_det(lead, mode)
+
+
 def det_inf(A, cap: int = DEFAULT_DET_CAP) -> Fraction:
     """Limit determinant: dominant-magnitude sum of the signed products."""
-    top, total = _dominant_terms(_checked(A, cap))
-    mag, sign = top.get(0, (0, 1))
-    return Fraction(sign * mag, total)
+    return _det_lead(A, cap)[0]
 
 
 def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
     """Lower or upper regularized determinant (smile over the products).
 
     Only the largest positive and the largest negative product matter,
-    and the leading-term run carries both: smile of the two, over S.
+    and the leading-term run carries both.
     """
-    top, total = _dp_slots(_checked(A, cap), False, _lead_step,
-                           (1, 1, 0, 0))
-    p, _cp, n, _cn = top.get(0, (0, 0, 0, 0))
-    return Fraction(_envelope((p, -n), mode), total)
+    return _smile_det(_lead_terms(_checked(A, cap)), mode)
 
 
 def _det_net(A, cap: int = DEFAULT_DET_CAP) -> tuple[dict[int, int], int]:
@@ -399,14 +431,61 @@ def _cramer_nets(A, b, cap: int = DEFAULT_DET_CAP) -> list[tuple[dict, int]]:
     return [({m: s * c for m, c in net.items()}, total) for net, s in slots]
 
 
-def det_p(A, p: int, cap: int = DEFAULT_DET_CAP) -> SignedLog:
-    """Finite-index determinant as a signed log value.
+def _bareiss(rows) -> int:
+    """The determinant of a square integer matrix by fraction-free
+    elimination: step k replaces each entry below and right of the pivot
+    by (pivot * a_ij - a_ik * a_kj) // (the previous pivot), a division
+    that is exact, so every entry stays an integer minor. A zero pivot
+    swaps in the next row with a nonzero entry in its column, which
+    flips the sign; when there is none, the determinant is 0."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0
+            a[k], a[i], sign = a[i], a[k], -sign
+        pivot, top = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(pivot * x - f * y) // prev
+                           for x, y in zip(row[k + 1:], top)]
+        prev = pivot
+    return sign * a[-1][-1]
 
-    The power sum reads the net map of the products, so products of equal
-    magnitude and opposite sign cancel before any exponentiation, and a
-    balanced product multiset gives an exact zero at every p.
+
+def _power_det(ints, scales, q: int) -> Fraction:
+    """det(A^(q)) of the entrywise q-th power of A, given as integer rows
+    over their scales, exactly: the Bareiss determinant of the powered
+    integers over the q-th power of the scales' product."""
+    return Fraction(_bareiss([[a ** q for a in row] for row in ints]),
+                    math.prod(scales) ** q)
+
+
+def det_p(A, p: int, cap: int = DEFAULT_DET_CAP) -> SignedLog:
+    """Finite-index determinant as a signed log value: the q-th root of
+    det(A^(q)), q = 2p + 1.
+
+    Within the exact budget (q times the bits of the largest product
+    magnitude, prod_i max_j |a_ij| over S, at most ``EXACT_BITS``) the
+    root reads the exact determinant: 0 exactly when it vanishes, the
+    rational root when there is one, else its log over q. Past the budget
+    the power sum reads the group ring's net map, in which products of
+    equal magnitude and opposite sign cancel before any exponentiation.
     """
-    return _phi_p_net(_det_net(A, cap), (p,))[0]
+    M = _checked(A, cap)
+    q = odd_exponent(p)
+    bits = math.prod(max(map(abs, row)) for row in M._ints).bit_length()
+    if q * bits > EXACT_BITS:
+        return _phi_p_net(_det_net(M, cap), (p,))[0]
+    value = _power_det(M._ints, M._scales, q)
+    if not value:
+        return SignedLog.zero()
+    root = _nth_root_exact(abs(value), q)
+    if root is None:
+        return SignedLog.from_rational(value).root(q)
+    return SignedLog.from_rational(root if value > 0 else -root)
 
 
 def cofactor_inf(A, i: int, j: int, cap: int = DEFAULT_DET_CAP) -> Fraction:

@@ -15,11 +15,13 @@ the permutation products (from the subset DP of :mod:`boxalg.linalg`)
 for the determinant-shaped quantities, of the characteristic monomial
 values at lam for ``charpoly``. ``sum``, ``det``, ``charpoly`` and
 ``cramer`` share one pipeline that reads the limit, the near-tie flag and
-every finite-index value from maps built once. The maps of ``cramer`` and
-``hyperplane`` come from one DP on [A | b], with (V^T, ones) for the
-hyperplane's, whose residual is exact: the determinant of the entrywise
-q-th power is the map's power sum. :mod:`boxalg.signedlog` owns that sum
-and the bit budget under which the other values settle ties exactly.
+every finite-index value from maps built once; the maps of ``cramer``
+come from one DP on [A | b]. ``hyperplane`` builds no map. Its residual
+at p is exact: with P the points as rows, -det of the bordered
+[[P | 1], [x | 1]] raised entrywise to q = 2p + 1, which the Bareiss
+determinant of :mod:`boxalg.linalg` gives as an integer over the scales;
+its size is det_inf of P, one leading-term run. :mod:`boxalg.signedlog`
+owns the bit budget under which the other values settle ties exactly.
 ``perron`` shares its Perron path with the CLI's ``eigen`` kind, and
 this module owns two rules for both: the ``tol`` check and the cap
 override's resolver.
@@ -43,12 +45,12 @@ from .eigen import (
 )
 from .errors import BoxAlgError, ConvergenceError, DomainError
 from .linalg import (DEFAULT_DET_CAP, BoxMatrix, _check_square, _cramer_nets,
-                     _det_net, _ring_terms, as_matrix)
+                     _det_net, _power_det, _ring_terms, as_matrix, det_inf)
 from .signedlog import (
     SignedLog,
     _net_logs,
+    _over_lcm,
     _phi_p_net,
-    _power_sum,
     net_by_magnitude,
     odd_exponent,
 )
@@ -217,15 +219,18 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
             raise DomainError(f"x has length {len(x)}, expected {n}")
         limit = Fraction(0)
         _check_square(V, "determinant")
-        net, *row_nets = _cramer_nets(pts, (1,) * n, det_cap)  # V^T
-        size = _net_limit(net)
+        P = BoxMatrix(pts)  # V^T
+        size = det_inf(P, det_cap)
+        # [[P | 1], [x | 1]] in integer rows over their scales
+        xs, sx = _over_lcm(x)
+        rows = [row + (s,) for row, s in zip(P._ints, P._scales)]
+        rows.append((*xs, sx))
+        scales = (*P._scales, sx)
         # the residual either vanishes exactly or diverges: never near-tie
         values = []
         for p in ps:
             q = odd_exponent(p)
-            total = -_power_sum(net, q) + sum(
-                (_power_sum(ni, q) * xi ** q for ni, xi in zip(row_nets, x)),
-                Fraction(0))
+            total = -_power_det(rows, scales, q)
             values.append(SignedLog.from_rational(total).root(q))
 
     elif quantity == "perron":

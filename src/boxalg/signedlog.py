@@ -18,9 +18,12 @@ The grouping is the integer net map ({m: net signed count}, S) of
 takes this one form, and each log is read from the reduced fraction m/S.
 
 This module owns the exact odd-power rules: :func:`_power_sum` is the one
-exact power sum of a net map, and ``EXACT_BITS`` the one budget, in bits,
-of the powers the package forms exactly (here, to settle a tie of the
-two parts of a power sum; in :mod:`boxalg.solve`, to decide dominance).
+exact power sum of a net map, ``EXACT_BITS`` the one budget, in bits, of
+the powers the package forms exactly (here, to settle a tie of the two
+parts of a power sum; in :mod:`boxalg.linalg`, to read ``det_p`` from an
+integer determinant; in :mod:`boxalg.solve`, to decide dominance), and
+:func:`_nth_root_exact` the one exact rational root (of ``det_p``, and of
+the radii of :mod:`boxalg.eigen`).
 """
 
 from __future__ import annotations
@@ -48,6 +51,26 @@ def _log_over(m: int, scale: int) -> float:
         return math.log(m)
     g = math.gcd(m, scale)
     return math.log(m // g) - math.log(scale // g)
+
+
+def _iroot(k: int, e: int) -> int:
+    """floor(k^(1/e)) of an integer k >= 0, by integer Newton steps."""
+    if k < 2:
+        return k
+    r = 1 << -(-k.bit_length() // e)  # 2^ceil(bits/e) > k^(1/e)
+    while True:
+        s = ((e - 1) * r + k // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
+def _nth_root_exact(q: Fraction, e: int) -> Fraction | None:
+    """q^(1/e) when rational, else None (q in lowest terms, q > 0)."""
+    rn, rd = _iroot(q.numerator, e), _iroot(q.denominator, e)
+    if rn ** e != q.numerator or rd ** e != q.denominator:
+        return None
+    return Fraction(rn, rd)
 
 
 def check_p(p: int) -> int:

@@ -71,12 +71,14 @@ class TestDet:
     # sha256 of the whole stdout of seeded batches, recorded while the
     # regularized determinants still ran a balance-pair DP on Fractions;
     # re-recorded when the size-cap message lost its "(10! permutation
-    # products)" tail, with every other byte of the batches unchanged
+    # products)" tail, with every other byte of the batches unchanged, and
+    # when det_p became the root of the exact det(A^(q)): only det_p
+    # fields changed (4 and 7 of them), each to the exact-root reading
     @pytest.mark.parametrize("entries, digest", [
         ("small",
-         "44164affa48c55f0d71697e207d14c476812f040d492fc8f59a0028a30ebcc7d"),
+         "75eb4f608a0cb40697ff2e7215d464ccf8b8537577f1cc2993e36049f77a3705"),
         ("rational",
-         "1666892b921ec10ae080e938ade01fcc1875e4c48407838d467110c412956f1e"),
+         "aff7536d4a72891bca4c40d38b6a551b36397aaf251d0377a38a2d609eb7f216"),
     ])
     def test_stdout_pinned(self, capsys, entries, digest):
         run(["det", "--json", json.dumps(_det_sym_batch("det", entries))])

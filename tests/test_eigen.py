@@ -30,9 +30,8 @@ from boxalg import (
 )
 from boxalg import eigen
 from boxalg.core import _net_limit
-from boxalg.eigen import (_char_levels, _eval_at, _heap_tables, _net_at,
-                          _nth_root_exact, _tallies)
-from boxalg.signedlog import _phi_p_net
+from boxalg.eigen import _char_levels, _eval_at, _heap_tables, _net_at
+from boxalg.signedlog import _nth_root_exact, _phi_p_net
 
 F = Fraction
 REL = 1e-9

@@ -9,6 +9,7 @@ compared bit for bit: sign, logmag and exact value.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -48,7 +49,7 @@ from boxalg import (
 from boxalg import eigen, linalg
 from boxalg.cli import _slog, run
 from boxalg.core import _net_limit
-from boxalg.signedlog import _phi_p_net
+from boxalg.signedlog import EXACT_BITS, _nth_root_exact, _phi_p_net, _power_sum
 
 F = Fraction
 
@@ -168,7 +169,7 @@ def _reference_region(ms):
     out = [F(0)] if (charpoly_eval(reduced, 0, "lower") <= 0
                      <= charpoly_eval(reduced, 0, "upper")) else []
     for h, q, e in found:
-        root = eigen._nth_root_exact(q, e)
+        root = _nth_root_exact(q, e)
         out.append(h * root if root is not None
                    else h * float(q) ** (1 / e))
     return sorted(out)
@@ -182,6 +183,31 @@ TIED_BELOW_TOP = [
                [3, 5, 3, -6, 1, -2, -6], [0, -8, 5, -9, -5, 6, 1],
                [-2, 6, -8, -9, 1, 9, -2]]),
 ]
+
+
+class TestBareiss:
+    @pytest.mark.parametrize("A", MATRICES + EDGE_MATRICES)
+    def test_equals_the_sum_of_the_products(self, A):
+        # the integer rows' determinant is det A times the row scales
+        want = sum(permutation_products(A)) * math.prod(A._scales)
+        assert linalg._bareiss(A._ints) == want
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 2, 1], [3, 0, 4], [5, 6, 0]],  # zero leading pivot
+        [[1, 1, 1], [1, 1, 2], [1, 2, 1]],  # zero second pivot
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],  # a swap at every step
+        [[0, 1], [2, 3]],
+        [[0, 1, 2], [0, 3, 4], [5, 6, 7]],
+        [[0, 1], [0, 3]],  # no pivot in the column: 0
+    ])
+    def test_row_swaps(self, rows):
+        want = sum(permutation_products(BoxMatrix(rows)))
+        assert linalg._bareiss(rows) == want
+        assert linalg._bareiss(rows[::-1]) == want * (-1) ** (
+            len(rows) * (len(rows) - 1) // 2)
+
+    def test_one_by_one(self):
+        assert [linalg._bareiss([[a]]) for a in (-7, 0, 5)] == [-7, 0, 5]
 
 
 class TestDeterminants:
@@ -344,6 +370,42 @@ def _phi(values, p):
     return phi_p_sum([SignedLog.from_rational(v) for v in values], p)
 
 
+def _exact_root(values, p):
+    """The q-th root of the exact power sum of the values, q = 2p + 1: the
+    rational root, exact, when there is one, else the root of the sum's
+    log."""
+    q = odd_exponent(p)
+    s = sum((v ** q for v in values), F(0))
+    root = _nth_root_exact(abs(s), q) if s else None
+    if root is None:
+        return SignedLog.from_rational(s).root(q)
+    return SignedLog.from_rational(root if s > 0 else -root)
+
+
+def _det_p_matrices():
+    """Seeded matrices, n = 1..7, on which det_p often cancels: 0..1
+    entries, and singular ones (a row the sum of two others, or a
+    repeated row) over small integers and rationals."""
+    rng = random.Random(20261019)
+    out = []
+    for n in range(1, 8):
+        for k in range(2):
+            A = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+            out.append(pytest.param(BoxMatrix(A), id=f"binary-n{n}-{k}"))
+        for name in ("small", "rational"):
+            draw = ENTRY_SETS[name]
+            A = [[F(draw(rng)) for _ in range(n)] for _ in range(n)]
+            if n > 2:
+                A[-1] = [a + b for a, b in zip(A[0], A[1])]
+            elif n == 2:
+                A[1] = A[0]
+            out.append(pytest.param(BoxMatrix(A), id=f"singular-{name}-n{n}"))
+    return out
+
+
+DET_P_MATRICES = _det_p_matrices()
+
+
 def _vectors():
     rng = random.Random(20201017)
     out = []
@@ -366,11 +428,57 @@ def _check_sweep(rep, limit, values, listings):
 
 
 class TestFiniteIndex:
-    @pytest.mark.parametrize("A", MATRICES)
+    @pytest.mark.parametrize("A", MATRICES + EDGE_MATRICES + DET_P_MATRICES)
     def test_det_p(self, A):
+        # det_p is the q-th root of det(A^(q)), the exact power sum of the
+        # products, exact when that root is rational
         prods = permutation_products(A)
         for p in (0, 1, 3, 7, 12):
-            assert _bits(det_p(A, p)) == _bits(_phi(prods, p))
+            assert _bits(det_p(A, p)) == _bits(_exact_root(prods, p))
+
+    def test_det_p_near_cancellation(self):
+        # the two products nearly cancel in logs; the exact determinant
+        # of A^(q) is read instead
+        z = det_p(BoxMatrix([[10 ** 4, 9999], [10001, 10 ** 4]]), 0)
+        assert (z.sign, z.exact, z.to_float()) == (1, 1, 1.0)
+        assert _slog(z)["exact"] == "1"
+        # det(A^(3)) = 2999999999997000000000001, not a cube; the cube
+        # root 144224957.0306927632... sits 1.76 float ulps from exp of its
+        # correctly rounded log, so the log is the exact one to 1 ulp and
+        # the float is within 2 ulps
+        z = det_p(BoxMatrix([[10 ** 6, 10 ** 6 - 1],
+                             [10 ** 6 + 1, 10 ** 6]]), 1)
+        root = F(1442249570306927632464869174652669, 10 ** 25)
+        assert z.sign == 1 and z.exact is None
+        assert abs(z.logmag - math.log(root)) <= math.ulp(z.logmag)
+        assert abs(z.to_float() - root) <= 2 * math.ulp(float(root))
+
+    def test_det_p_past_the_budget_reads_the_ring(self, ring_runs):
+        # q times the bits of the largest product magnitude passes
+        # EXACT_BITS at p = 12, so the group ring's power sum is read
+        big = 2 ** 3000
+        A = BoxMatrix([[big + 1, 3], [-5, big]])
+        prods = permutation_products(A)
+        assert 25 * (big * (big + 1)).bit_length() > EXACT_BITS
+        assert _bits(det_p(A, 12)) == _bits(_phi(prods, 12))
+        assert ring_runs == [2]
+        assert _bits(det_p(A, 0)) == _bits(_exact_root(prods, 0))
+        assert ring_runs == [2]
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_characteristic_value_is_one_determinant(self, A):
+        # the q-th powers of the characteristic values at lam = a/b sum to
+        # det(A^(q) - lam^q I); row i times s_i^q b^q is integer
+        for lam in (F(0), F(-3, 2), F(2)):
+            net = _ring_net(A, lam)
+            a, b = lam.numerator, lam.denominator
+            for p in (0, 1, 3):
+                q = odd_exponent(p)
+                rows = [[x ** q * b ** q - (a ** q * s ** q if i == j else 0)
+                         for j, x in enumerate(row)]
+                        for i, (row, s) in enumerate(zip(A._ints, A._scales))]
+                scale = math.prod(s ** q * b ** q for s in A._scales)
+                assert linalg._bareiss(rows) == _power_sum(net, q) * scale
 
     @pytest.mark.parametrize("xs", _vectors())
     def test_sum_sweep(self, xs):
@@ -428,6 +536,27 @@ class TestFiniteIndex:
                 for ms, xi in zip(row_prods, x))
             values.append(SignedLog.from_rational(total).root(q))
         _check_sweep(rep, F(0), values, [])
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_hyperplane_residuals_match_the_bordered_nets(self, A):
+        # the residual read before the Bareiss determinant: the power sums
+        # of the net maps of V^T and of its rows replaced by ones
+        n = A.rows
+        rng = random.Random(n)
+        x = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        points = A.to_rows()
+        rep = sweep("hyperplane", {"points": points, "x": x}, p_max=4,
+                    tol=SWEEP_TOL)
+        net, *row_nets = linalg._cramer_nets(points, (1,) * n)
+        values = []
+        for p in range(5):
+            q = odd_exponent(p)
+            total = -_power_sum(net, q) + sum(
+                (_power_sum(ni, q) * xi ** q for ni, xi in zip(row_nets, x)),
+                F(0))
+            values.append(SignedLog.from_rational(total).root(q))
+        assert [_bits(v) for v in rep.values] == [_bits(v) for v in values]
+        assert rep.limit == 0
 
     @pytest.mark.parametrize("A", MATRICES)
     def test_charpoly_sweep(self, A):
@@ -650,8 +779,10 @@ def dp_runs(monkeypatch):
 
 class TestOneBorderedRun:
     """A Cramer-shaped problem runs one DP: the leading-term one, plus one
-    group-ring run when a leading count cancels; a sweep runs the group
-    ring once, and the charpoly kind, which nets its listing, runs none."""
+    group-ring run when a leading count cancels. So does a det problem,
+    whatever its mode and p, and a hyperplane sweep, whose residuals are
+    Bareiss determinants. The other sweeps run the group ring once, and
+    the charpoly kind, which nets its listing, runs none."""
 
     CANCELLING = TOP_CANCELLING.to_rows()
     WIDE = [[3, -1, 3], [2, -4, 1], [-4, 5, 3]]
@@ -677,26 +808,29 @@ class TestOneBorderedRun:
     def test_det_and_sym_kinds_run_lead_dps(self, capsys, dp_runs, rows,
                                             ring):
         A = [[str(a) for a in row] for row in rows]
-        for kind, problem in [
-                ("det", {"A": A, "options": {"mode": "lower"}}),
-                ("det", {"A": A, "options": {"mode": "upper"}}),
-                ("sym", {"A": A})]:
+        for kind, problem, leads in [
+                ("det", {"A": A, "options": {"mode": "lower"}}, 1),
+                ("det", {"A": A, "options": {"mode": "upper", "p": 3}}, 1),
+                ("sym", {"A": A}, 2)]:
             dp_runs.clear()
             assert run([kind, "--json", json.dumps(problem)]) == 0
             capsys.readouterr()
-            assert sorted(dp_runs) == ["lead"] * 2 + ["ring"] * ring, kind
+            assert sorted(dp_runs) == ["lead"] * leads + ["ring"] * ring, kind
 
     @pytest.mark.parametrize("rows", [WIDE, CANCELLING])
     def test_sweeps(self, capsys, dp_runs, rows):
         A = [[str(a) for a in row] for row in rows]
-        for problem in [
-                {"quantity": "cramer", "A": A, "b": ["1", "2", "3"]},
-                {"quantity": "hyperplane", "points": A, "x": ["1", "0", "2"]},
-                {"quantity": "charpoly", "A": A, "lam": "-2/3"}]:
+        lead = ["lead"] + ["ring"] * (rows is self.CANCELLING)
+        for problem, expected in [
+                ({"quantity": "cramer", "A": A, "b": ["1", "2", "3"]},
+                 ["ring"]),
+                ({"quantity": "hyperplane", "points": A, "x": ["1", "0", "2"]},
+                 lead),
+                ({"quantity": "charpoly", "A": A, "lam": "-2/3"}, ["ring"])]:
             dp_runs.clear()
             assert run(["oracle", "--json", json.dumps(problem)]) == 0
             capsys.readouterr()
-            assert dp_runs == ["ring"], problem["quantity"]
+            assert dp_runs == expected, problem["quantity"]
 
     @pytest.mark.parametrize("rows, expected", [
         ([[2, 1], [1, 2]], ["lead"]),
