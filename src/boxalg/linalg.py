@@ -28,11 +28,10 @@ The finite-index determinant needs no DP: the sum of the signed products
 raised to the power q = 2p + 1 is det(A^(q)), the ordinary determinant of
 the entrywise power, an integer over S^q. Fraction-free elimination
 (Bareiss, Math. Comp. 22, 1968) gives that integer exactly in O(n^3)
-steps, and the value is its q-th root: exact when the root is rational,
-else one log of the exact quotient, so parts that nearly cancel lose no
-precision. It runs while the powers fit the package's exact budget
-(``signedlog.EXACT_BITS``, on the largest product magnitude); past it
-the power sum reads the group ring's net map in logs.
+steps, and ``signedlog._root`` reads the value from it. It runs while the
+powers fit the package's exact budget (``signedlog._in_budget``, on the
+largest product magnitude and S); past it the power sum reads the group
+ring's net map in logs.
 
 Determinant-flavored operations take a size cap and raise
 :class:`~boxalg.errors.CapacityError` past it.
@@ -47,8 +46,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import LOWER, UPPER, _envelope, _scalars, as_vector, nary_boxplus, smile
 from .errors import CapacityError, DomainError
-from .signedlog import (EXACT_BITS, SignedLog, _nth_root_exact, _over_lcm,
-                        _phi_p_net, odd_exponent)
+from .signedlog import (SignedLog, _in_budget, _over_lcm, _phi_p_net, _root,
+                        odd_exponent)
 
 BoxVector = tuple[Fraction, ...]
 
@@ -464,28 +463,19 @@ def _power_det(ints, scales, q: int) -> Fraction:
 
 
 def det_p(A, p: int, cap: int = DEFAULT_DET_CAP) -> SignedLog:
-    """Finite-index determinant as a signed log value: the q-th root of
-    det(A^(q)), q = 2p + 1.
-
-    Within the exact budget (q times the bits of the largest product
-    magnitude, prod_i max_j |a_ij| over S, at most ``EXACT_BITS``) the
-    root reads the exact determinant: 0 exactly when it vanishes, the
-    rational root when there is one, else its log over q. Past the budget
-    the power sum reads the group ring's net map, in which products of
-    equal magnitude and opposite sign cancel before any exponentiation.
+    """Finite-index determinant as a signed log value: ``signedlog._root``
+    of det(A^(q)), q = 2p + 1, while ``signedlog._in_budget`` holds for
+    the largest product magnitude, prod_i max_j |a_ij|, over S, the
+    product of the row scales. Past the budget the power sum reads the
+    group ring's net map, in which products of equal magnitude and
+    opposite sign cancel before any exponentiation.
     """
     M = _checked(A, cap)
     q = odd_exponent(p)
-    bits = math.prod(max(map(abs, row)) for row in M._ints).bit_length()
-    if q * bits > EXACT_BITS:
+    top = math.prod(max(map(abs, row)) for row in M._ints)
+    if not _in_budget(q, top, math.prod(M._scales)):
         return _phi_p_net(_det_net(M, cap), (p,))[0]
-    value = _power_det(M._ints, M._scales, q)
-    if not value:
-        return SignedLog.zero()
-    root = _nth_root_exact(abs(value), q)
-    if root is None:
-        return SignedLog.from_rational(value).root(q)
-    return SignedLog.from_rational(root if value > 0 else -root)
+    return _root(_power_det(M._ints, M._scales, q), q)
 
 
 def cofactor_inf(A, i: int, j: int, cap: int = DEFAULT_DET_CAP) -> Fraction:

@@ -20,8 +20,8 @@ come from one DP on [A | b]. ``hyperplane`` builds no map. Its residual
 at p is exact: with P the points as rows, -det of the bordered
 [[P | 1], [x | 1]] raised entrywise to q = 2p + 1, which the Bareiss
 determinant of :mod:`boxalg.linalg` gives as an integer over the scales;
-its size is det_inf of P, one leading-term run. :mod:`boxalg.signedlog`
-owns the bit budget under which the other values settle ties exactly.
+its size is det_inf of P, one leading-term run. ``signedlog._root`` reads
+the residual, and every power sum of a net map within the bit budget.
 ``perron`` shares its Perron path with the CLI's ``eigen`` kind, and
 this module owns two rules for both: the ``tol`` check and the cap
 override's resolver.
@@ -51,6 +51,7 @@ from .signedlog import (
     _net_logs,
     _over_lcm,
     _phi_p_net,
+    _root,
     net_by_magnitude,
     odd_exponent,
 )
@@ -92,15 +93,13 @@ def predict_near_tie(values: Sequence[Fraction], p_max: int, tol: float) -> bool
     and tol pass the sweep's guard.
     """
     _check_sweep(p_max, tol)
-    net = net_by_magnitude(_scalars(values))
-    return _near_tie(net, _net_logs(net), p_max, tol)
+    return _near_tie(net_by_magnitude(_scalars(values)), p_max, tol)
 
 
-def _near_tie(nets: tuple, groups: list, p_max: int, tol: float) -> bool:
-    """:func:`predict_near_tie` on a net map ({m: net count}, S) and its
-    :func:`~boxalg.signedlog._net_logs` groups."""
+def _near_tie(nets: tuple, p_max: int, tol: float) -> bool:
+    """:func:`predict_near_tie` on a net map ({m: net count}, S)."""
     net, _scale = nets
-    ranked = sorted(zip((m for m, c in net.items() if c), groups),
+    ranked = sorted(zip((m for m, c in net.items() if c), _net_logs(nets)),
                     reverse=True)
     if not ranked:
         return False
@@ -227,11 +226,8 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         rows.append((*xs, sx))
         scales = (*P._scales, sx)
         # the residual either vanishes exactly or diverges: never near-tie
-        values = []
-        for p in ps:
-            q = odd_exponent(p)
-            total = -_power_det(rows, scales, q)
-            values.append(SignedLog.from_rational(total).root(q))
+        values = [_root(-_power_det(rows, scales, q), q)
+                  for q in map(odd_exponent, ps)]
 
     elif quantity == "perron":
         A = as_matrix(inputs["A"])
@@ -259,10 +255,8 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
                 raise DomainError("limit determinant is zero; no limit solution")
             limit = tuple(d / limit for d in dets)
             size = max(limit, key=abs)
-        groups = [_net_logs(net) for net in nets]
-        near_tie = any(_near_tie(net, g, p_max, tol)
-                       for net, g in zip(nets, groups))
-        values, *nums = [_phi_p_net(net, ps, g) for net, g in zip(nets, groups)]
+        near_tie = any(_near_tie(net, p_max, tol) for net in nets)
+        values, *nums = [_phi_p_net(net, ps) for net in nets]
         if nums:  # cramer: x_i at each p, None where det A_p is 0
             values = [None if d.is_zero else tuple(v[i] / d for v in nums)
                       for i, d in enumerate(values)]

@@ -17,13 +17,14 @@ The grouping is the integer net map ({m: net signed count}, S) of
 :func:`net_by_magnitude`, m/S the magnitude; every net map in the package
 takes this one form, and each log is read from the reduced fraction m/S.
 
-This module owns the exact odd-power rules: :func:`_power_sum` is the one
-exact power sum of a net map, ``EXACT_BITS`` the one budget, in bits, of
-the powers the package forms exactly (here, to settle a tie of the two
-parts of a power sum; in :mod:`boxalg.linalg`, to read ``det_p`` from an
-integer determinant; in :mod:`boxalg.solve`, to decide dominance), and
-:func:`_nth_root_exact` the one exact rational root (of ``det_p``, and of
-the radii of :mod:`boxalg.eigen`).
+This module owns the exact odd-power rules: :func:`_power_sums` are the
+exact power sums of a net map, :func:`_root` the one reader of an exact
+power sum, ``EXACT_BITS`` the one budget, in bits, of the powers the
+package forms exactly (:func:`_in_budget` for power sums; in
+:mod:`boxalg.solve`, to decide dominance), and :func:`_nth_root_exact` the
+one exact rational root (of :func:`_root`, and of the radii of
+:mod:`boxalg.eigen`). Every finite-index value within the budget is the
+:func:`_root` of its exact sum; past it the logs of the net map are read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -54,10 +55,13 @@ def _log_over(m: int, scale: int) -> float:
 
 
 def _iroot(k: int, e: int) -> int:
-    """floor(k^(1/e)) of an integer k >= 0, by integer Newton steps."""
+    """floor(k^(1/e)) of an integer k >= 0, by integer Newton steps from
+    an overestimate read off the float log, right to about 30 bits."""
     if k < 2:
         return k
-    r = 1 << -(-k.bit_length() // e)  # 2^ceil(bits/e) > k^(1/e)
+    t = math.log2(k) / e
+    n = max(int(t) - 52, 0)
+    r = (int(2.0 ** (t - n) * (1 + 2.0 ** -20)) + 1) << n
     while True:
         s = ((e - 1) * r + k // r ** (e - 1)) // e
         if s >= r:
@@ -66,7 +70,7 @@ def _iroot(k: int, e: int) -> int:
 
 
 def _nth_root_exact(q: Fraction, e: int) -> Fraction | None:
-    """q^(1/e) when rational, else None (q in lowest terms, q > 0)."""
+    """q^(1/e) when rational, else None (q in lowest terms, q >= 0)."""
     rn, rd = _iroot(q.numerator, e), _iroot(q.denominator, e)
     if rn ** e != q.numerator or rd ** e != q.denominator:
         return None
@@ -237,23 +241,40 @@ def _net_logs(nets: tuple[dict[int, int], int]) -> list[tuple[float, int]]:
     return [(_log_over(m, scale), c) for m, c in net.items() if c]
 
 
-def _power_sum(nets: tuple[dict[int, int], int], q: int) -> Fraction:
-    """Sum of c * (m/S)^q over a net map ({m: c}, S), exactly: for the map
+def _power_sums(nets: tuple[dict[int, int], int],
+                qs: Sequence[int]) -> Iterator[Fraction]:
+    """Sum of c * (m/S)^q over a net map ({m: c}, S), exactly, at each q of
+    ``qs`` (increasing: each term steps on by m^(q - last q)); for a map
     of a matrix's products, the determinant of its entrywise q-th power."""
     net, scale = nets
-    return Fraction(sum(c * m ** q for m, c in net.items() if c), scale ** q)
+    ms = [m for m, c in net.items() if c]
+    ts, last = [c for c in net.values() if c], 0
+    for q in qs:
+        ts, last = [t * m ** (q - last) for t, m in zip(ts, ms)], q
+        yield Fraction(sum(ts), scale ** q)
 
 
-def _power_means(groups, qs: Sequence[int], exact=None) -> list:
+def _in_budget(q: int, top: int, scale: int) -> bool:
+    """Whether q times the bits of max(top, scale) is within the budget."""
+    return q * max(top, scale).bit_length() <= EXACT_BITS
+
+
+def _root(value: Fraction, q: int) -> SignedLog:
+    """The q-th root of an exact power sum: 0 exactly when it vanishes,
+    the rational root when there is one, else the root of its log."""
+    root = _nth_root_exact(abs(value), q)
+    if root is None:
+        n, d = value.numerator, value.denominator
+        return SignedLog(1 if n > 0 else -1, _log_over(abs(n), d) / q)
+    return SignedLog.from_rational(root if value > 0 else -root)
+
+
+def _power_means(groups, qs: Sequence[int]) -> list:
     """(sum of c * exp(logmag)^q)^(1/q) at each q in ``qs`` over (logmag,
-    net count c != 0) groups, whose log|c|, signs and top are read once.
-
-    Positive and negative groups enter a split log-sum-exp, and the two
-    parts are combined by signed subtraction in log domain. When q times
-    the top logmag leaves the float range, only the top group is left.
-    Parts that tie within rounding ask ``exact(q)``, the exact sum or
-    None: a zero sum gives 0, and parts with equal logs, whose difference
-    would be log1p(-1), read the root of the sum (0 when it is None).
+    net count c != 0) groups, whose log|c|, signs and top are read once:
+    a split log-sum-exp of the positive and the negative groups, whose
+    parts are subtracted in log domain (0 when their logs are equal), or
+    the top group alone once q times its logmag leaves the float range.
     """
     top, top_c = max(groups, default=(-math.inf, 0))
     pos = [(math.log(c), logmag) for logmag, c in groups if c > 0]
@@ -264,38 +285,35 @@ def _power_means(groups, qs: Sequence[int], exact=None) -> list:
             return SignedLog(1 if top_c > 0 else -1, top)
         lp = _lse([lc + q * logmag for lc, logmag in pos])
         ln = _lse([lc + q * logmag for lc, logmag in neg])
-        s = exact(q) if exact and _tie(lp, ln) else None
-        if s == 0 or (lp == ln and s is None):
-            return SignedLog.zero()
         if lp == ln:
-            return SignedLog.from_rational(s).root(q)
+            return SignedLog.zero()
         hi, lo = max(lp, ln), min(lp, ln)
         total = hi + math.log1p(-math.exp(lo - hi))  # exactly hi if lo = -inf
         return SignedLog(1 if lp > ln else -1, total / q)
     return [at(q) for q in qs]
 
 
-def _phi_p_net(nets: tuple[dict[int, int], int], ps: Sequence[int],
-               groups: list | None = None) -> list[SignedLog]:
-    """phi_p of a net map ({m: net count}, S) at each p in ``ps``, given
-    its :func:`_net_logs` groups or reading them.
-
-    A single surviving magnitude with net +-1 is its own exact root; every
-    other map goes through :func:`_power_means`, and :func:`_power_sum`
-    (each m^q up to ``EXACT_BITS``) settles a tie of its two parts.
+def _phi_p_net(nets: tuple[dict[int, int], int],
+               ps: Sequence[int]) -> list[SignedLog]:
+    """phi_p of a net map ({m: net count}, S) at each p in ``ps``, in
+    increasing order: within the budget (:func:`_in_budget`), the
+    :func:`_root` of the exact :func:`_power_sums`. Past it the logs go
+    through :func:`_power_means`, except that a single surviving
+    magnitude with net +-1 is its own exact root.
     """
     qs = [odd_exponent(p) for p in ps]
     net, scale = nets
-    groups = _net_logs(nets) if groups is None else groups
+    top = max((m for m, c in net.items() if c), default=0)
+    inside = [q for q in qs if _in_budget(q, top, scale)]
+    out = list(map(_root, _power_sums(nets, inside), inside))
+    if len(out) == len(qs):
+        return out
+    groups = _net_logs(nets)
     if len(groups) == 1 and abs(groups[0][1]) == 1:
-        m, c = next((m, c) for m, c in net.items() if c)
-        return [SignedLog(c, groups[0][0], Fraction(c * m, scale)) for _ in qs]
-
-    def exact(q: int) -> Fraction | None:
-        if q * max(m for m, c in net.items() if c).bit_length() > EXACT_BITS:
-            return None
-        return _power_sum(nets, q)
-    return _power_means(groups, qs, exact)
+        c = groups[0][1]
+        return out + [SignedLog(c, groups[0][0], Fraction(c * top, scale))
+                      for _ in qs[len(out):]]
+    return out + _power_means(groups, qs[len(out):])
 
 
 def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
@@ -310,15 +328,12 @@ def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
     live = [v for v in xs if v.sign != 0]
     if all(v.exact is not None for v in live):
         return _phi_p_net(net_by_magnitude(v.exact for v in live), (p,))[0]
-    # float path: cluster sorted logmags
-    live.sort(key=lambda v: v.logmag)
-    clusters = [(live[0].logmag, live[0].sign)]
-    for v in live[1:]:
-        cur_log, cur_net = clusters[-1]
-        if _tie(v.logmag, cur_log):
-            clusters[-1] = (cur_log, cur_net + v.sign)
+    clusters = []  # float path: cluster sorted logmags
+    for v in sorted(live, key=lambda v: v.logmag):
+        if clusters and _tie(v.logmag, clusters[-1][0]):
+            clusters[-1][1] += v.sign
         else:
-            clusters.append((v.logmag, v.sign))
+            clusters.append([v.logmag, v.sign])
     return _power_means([(logmag, c) for logmag, c in clusters if c], (q,))[0]
 
 

@@ -395,21 +395,22 @@ class TestCharpolyAndEigen:
                 for _ in range(n)]
 
     # sha256 of the whole stdout, recorded before the integer listing and
-    # the one-pass evaluation replaced the Fraction loops; the rows without
-    # p, recorded while the values at lam still came from the subset DP
+    # the one-pass evaluation replaced the Fraction loops, the rows with p
+    # re-recorded when eval_p became the exact root of its power sum; the
+    # rows without p, recorded while the values at lam came from the DP
     @pytest.mark.parametrize("n, entries, lam, p, digest", [
         (5, "int", 0, 3,
-         "230e755e1e4c8ef95b494fb69328093eaa1a9568ee9fe201f3504b1a34f9ed4e"),
+         "848f18ca1c58968722f8e315fcf607886d09f00f9c8aa52c5bb8024bc725c988"),
         (5, "rational", -3, 0,
-         "2c98de18cbf77a1f43dde10386f64061850926f83664ff77582eb74d37878a0e"),
+         "e8dba7f8307e987c4d1beba02509254635f02cf236dc3deeb952144480e9544b"),
         (6, "int", "2/3", 7,
-         "b11fcef6e59bcd3950f8ee83a810b509e275418cf6165d205f4f899955444d43"),
+         "1b17875019d629f4294b5b88209ee307ff8fd0261a1e0d73087c65b938d2b2eb"),
         (6, "rational", 0, 2,
-         "c5dfc56e4fad5c77ecbf9df451e49e4d213b88e97c721246a5388c451e4f7dd7"),
+         "fa4287c188fc316a67cff409c9fe3ed039027b81543ed59feccda7f49c52a534"),
         (7, "int", -3, 5,
-         "6ded129e5b5de982ac174863c7681c9a2da7fc3d7167e34c3aeb635f36268ced"),
+         "adf8885c52c4a5d4ded3f30de443aef79e5ff8541cb0ecc8f7eaee82789bec83"),
         (7, "rational", "2/3", 1,
-         "c124ffe5de0abd2e15e46c537f234e4a65851a7abffb3fe3db00342f2ef40f8a"),
+         "054aff259a8f4a191edc2e9ec62f3597a77bbf3b1f7b585a18a78f41595639d1"),
         (6, "-2..2", 1, None,
          "7ead9a1e506c73a95d658b7d88f20e7802fd2239a097d66bd30ed5ff36fba0f6"),
         (7, "-2..2", "-2/3", None,
@@ -430,7 +431,7 @@ class TestCharpolyAndEigen:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    # recorded with the rows without p above
+    # recorded with the rows without p above, re-recorded with those with p
     def test_charpoly_batch_pinned(self, capsys):
         m = self._charpoly_matrix
         batch = [{"A": m(6, "-2..2"), "lam": -1}, {"A": m(5, "0..1")},
@@ -440,7 +441,7 @@ class TestCharpolyAndEigen:
         assert run(["charpoly", "--json", json.dumps(batch)]) == 3
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "f983c5e269c43893b14a009dfc2c6a4228384762637fa524a3f6e318b2017785")
+            "2694d50a42f57b418f695d95d7c4f6d7ac3983a96592b1bf241f9cb4ffb37620")
 
     @pytest.mark.parametrize("entries", ["int", "-2..2", "rational"])
     def test_index_leaves_the_limit_reads_alone(self, capsys, entries):
@@ -779,13 +780,14 @@ class TestOracle:
 
 
     # sha256 of the whole stdout of a seeded batch of rational sweeps,
-    # recorded while the net maps were still keyed by Fraction
+    # recorded while the net maps were still keyed by Fraction, and
+    # re-recorded when each finite-index value became the exact root
     @pytest.mark.parametrize("quantity, digest", [
-        ("sum", "bd1631a43d15d9aecf4941a3105a0f69cc96957132a7b22dbdbf388ef83a7625"),
-        ("det", "e406f1cad24f3a08f7d853be5a8fcb690ad05db1621ac89127e9dee10bfa8ea2"),
-        ("cramer", "a6d23d72105ae2c67a3eb2c9f1f3464a93ce3d990e8eb1aecf7f445a8a76f433"),
-        ("hyperplane", "52454644472a9cd63b5d1272776d578fab7cdf790581b70620a636da05518118"),
-        ("charpoly", "1e8627cd3408414989c8447e2ff0cfab12834f974d44145895e276cf93089a4c"),
+        ("sum", "7a1ddef914f114b4464a46a7c1fc6ab672e30b6c9a2496590d52dfd807f5e5e0"),
+        ("det", "fe082152fb0c9fcfeb3ea4d1b49ddb392d00f72c9d9871055793b8c0b71d2fe5"),
+        ("cramer", "574223e06ab5f2f540c2e716ab562dbc24b84d3edf43dbbe4d7292160598ce6c"),
+        ("hyperplane", "81a5b702d029499d4b1f25d855849ed485393fa03a0c7526f90b8a6275a9a5eb"),
+        ("charpoly", "ef73cf394f7adc63d094b01bc44aa6fb819d8f0c5437bc574cd703dc55b2027f"),
     ])
     def test_rational_sweeps_pinned(self, capsys, quantity, digest):
         rng = random.Random(quantity)
@@ -1130,7 +1132,8 @@ def _same_value(exact, flt, seen: dict) -> None:
 
 class TestBoundary:
     # sha256 of the stdout and exit code of the malformed batch for every
-    # kind, recorded while the CLI still coerced every scalar itself
+    # kind, recorded while the CLI still coerced every scalar itself, and
+    # re-recorded when each finite-index value became the exact root
     def test_first_faults_pinned(self):
         out = io.StringIO()
         for kind in KINDS:
@@ -1138,7 +1141,7 @@ class TestBoundary:
                 code = run([kind, "--json", json.dumps(_malformed_batch())])
             out.write(f"exit {code}\n")
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
-            "6a3c9f4fc2dff9a815a15135d41ef8b9bd06ce661b271b16e3d6e0827f38a504")
+            "f272f63724d3bf6a12e70fe0d89af71bc182bb1396c1e495bff4860088de163a")
 
     def test_every_float_sibling_reads_its_exact_value(self, capsys):
         rng = random.Random(2024)

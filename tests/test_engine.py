@@ -46,10 +46,10 @@ from boxalg import (
     smile,
     sweep,
 )
-from boxalg import eigen, linalg
+from boxalg import eigen, linalg, signedlog
 from boxalg.cli import _slog, run
 from boxalg.core import _net_limit
-from boxalg.signedlog import EXACT_BITS, _nth_root_exact, _phi_p_net, _power_sum
+from boxalg.signedlog import EXACT_BITS, _nth_root_exact, _phi_p_net, _power_sums
 
 F = Fraction
 
@@ -370,16 +370,19 @@ def _phi(values, p):
     return phi_p_sum([SignedLog.from_rational(v) for v in values], p)
 
 
-def _exact_root(values, p):
-    """The q-th root of the exact power sum of the values, q = 2p + 1: the
-    rational root, exact, when there is one, else the root of the sum's
-    log."""
-    q = odd_exponent(p)
-    s = sum((v ** q for v in values), F(0))
+def _root_of(s, q):
+    """The q-th root of an exact sum s: the rational root, exact, when
+    there is one, else the root of the sum's log."""
     root = _nth_root_exact(abs(s), q) if s else None
     if root is None:
         return SignedLog.from_rational(s).root(q)
     return SignedLog.from_rational(root if s > 0 else -root)
+
+
+def _exact_root(values, p):
+    """The q-th root of the exact power sum of the values, q = 2p + 1."""
+    q = odd_exponent(p)
+    return _root_of(sum((v ** q for v in values), F(0)), q)
 
 
 def _det_p_matrices():
@@ -465,20 +468,34 @@ class TestFiniteIndex:
         assert _bits(det_p(A, 0)) == _bits(_exact_root(prods, 0))
         assert ring_runs == [2]
 
+    def test_det_p_budget_counts_the_row_scales(self, ring_runs):
+        # 1/3^8000 has a 1-bit numerator over a 12,680-bit scale: its
+        # 129th power is past the budget, so the ring is read, and the
+        # lone product is its own exact root
+        A = BoxMatrix([[F(1, 3 ** 8000)]])
+        z = det_p(A, 64)
+        assert ring_runs == [1]
+        assert _bits(z) == _bits(_phi(permutation_products(A), 64))
+        assert z.exact == F(1, 3 ** 8000)
+        assert _bits(det_p(A, 2)) == _bits(_exact_root([F(1, 3 ** 8000)], 2))
+        assert ring_runs == [1]
+
     @pytest.mark.parametrize("A", MATRICES)
     def test_characteristic_value_is_one_determinant(self, A):
         # the q-th powers of the characteristic values at lam = a/b sum to
-        # det(A^(q) - lam^q I); row i times s_i^q b^q is integer
+        # det(A^(q) - lam^q I); row i times s_i^q b^q is integer. The
+        # power sums of q = 1, 3, 7 come from one run, each stepped on
+        # from the last
         for lam in (F(0), F(-3, 2), F(2)):
             net = _ring_net(A, lam)
             a, b = lam.numerator, lam.denominator
-            for p in (0, 1, 3):
-                q = odd_exponent(p)
+            qs = [odd_exponent(p) for p in (0, 1, 3)]
+            for q, power_sum in zip(qs, _power_sums(net, qs)):
                 rows = [[x ** q * b ** q - (a ** q * s ** q if i == j else 0)
                          for j, x in enumerate(row)]
                         for i, (row, s) in enumerate(zip(A._ints, A._scales))]
                 scale = math.prod(s ** q * b ** q for s in A._scales)
-                assert linalg._bareiss(rows) == _power_sum(net, q) * scale
+                assert linalg._bareiss(rows) == power_sum * scale
 
     @pytest.mark.parametrize("xs", _vectors())
     def test_sum_sweep(self, xs):
@@ -534,7 +551,7 @@ class TestFiniteIndex:
             total = -sum(t ** q for t in prods) + sum(
                 sum(t ** q for t in ms) * xi ** q
                 for ms, xi in zip(row_prods, x))
-            values.append(SignedLog.from_rational(total).root(q))
+            values.append(_root_of(total, q))
         _check_sweep(rep, F(0), values, [])
 
     @pytest.mark.parametrize("A", MATRICES)
@@ -551,10 +568,10 @@ class TestFiniteIndex:
         values = []
         for p in range(5):
             q = odd_exponent(p)
-            total = -_power_sum(net, q) + sum(
-                (_power_sum(ni, q) * xi ** q for ni, xi in zip(row_nets, x)),
-                F(0))
-            values.append(SignedLog.from_rational(total).root(q))
+            total = -next(_power_sums(net, [q])) + sum(
+                (next(_power_sums(ni, [q])) * xi ** q
+                 for ni, xi in zip(row_nets, x)), F(0))
+            values.append(_root_of(total, q))
         assert [_bits(v) for v in rep.values] == [_bits(v) for v in values]
         assert rep.limit == 0
 
@@ -592,6 +609,126 @@ class TestFiniteIndex:
         listed = {d: {m: c for m, c in net_by_magnitude(t, t.values())[0]
                       .items() if c} for d, t in tallies.items()}
         assert exact(*linalg._ring_terms(A, lam=True)) == exact(listed, scale)
+
+
+def _near_cancelling():
+    """10^k against -(10^k - 1), k = 1..16: their power sums are small
+    differences of large powers, 1 at p = 0."""
+    return [[F(10 ** k), F(-(10 ** k - 1))] for k in range(1, 17)]
+
+
+def _small_vectors():
+    rng = random.Random(20261021)
+    return [[F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 12))]
+            for _ in range(40)]
+
+
+def _char_identity_matrices():
+    """Seeded matrices, n = 1..7, over -2..2, 0..1 and rationals."""
+    rng = random.Random(20261022)
+    draws = {"small": ENTRY_SETS["small"], "binary": lambda r: r.randint(0, 1),
+             "rational": ENTRY_SETS["rational"]}
+    return [pytest.param(BoxMatrix([[draw(rng) for _ in range(n)]
+                                    for _ in range(n)]), id=f"{name}-n{n}")
+            for name, draw in draws.items() for n in range(1, 8)]
+
+
+class TestExactRoot:
+    """Every finite-index value within the exact budget is the root of its
+    exact power sum, read here by the tests' own reader, bit for bit."""
+
+    P_VALUES = (0, 1, 2, 5)
+
+    def test_phi_p_sum(self):
+        for xs in _small_vectors() + _near_cancelling():
+            for p in self.P_VALUES:
+                assert _bits(_phi(xs, p)) == _bits(_exact_root(xs, p)), xs
+
+    def test_sum_and_det_sweeps(self):
+        for xs in _small_vectors() + _near_cancelling():
+            rep = sweep("sum", {"xs": xs}, p_max=5)
+            assert [_bits(v) for v in rep.values] == [
+                _bits(_exact_root(xs, p)) for p in range(6)]
+        for A in SMALL + [BoxMatrix([[10 ** k, 10 ** k - 1],
+                                     [10 ** k + 1, 10 ** k]])
+                          for k in range(1, 9)]:
+            rep = sweep("det", {"A": A.to_rows()}, p_max=5)
+            prods = permutation_products(A)
+            assert [_bits(v) for v in rep.values] == [
+                _bits(_exact_root(prods, p)) for p in range(6)]
+
+    @pytest.mark.parametrize("A", SMALL)
+    def test_cramer_sweep(self, A):
+        b = [F(v) for v in random.Random(A.rows).choices(range(-2, 3),
+                                                          k=A.rows)]
+        listings = [permutation_products(A)] + [
+            permutation_products(replace_column(A, i, b))
+            for i in range(1, A.rows + 1)]
+        if nary_boxplus(listings[0]) == 0:
+            return
+        rep = sweep("cramer", {"A": A.to_rows(), "b": b}, p_max=5)
+        for p, v in enumerate(rep.values):
+            den, *nums = [_exact_root(ms, p) for ms in listings]
+            want = None if den.is_zero else tuple(x / den for x in nums)
+            assert _bits(v) == _bits(want)
+
+    def test_near_cancelling_pairs_read_exactly_one(self):
+        z = _phi([10 ** 8, -(10 ** 8 - 1)], 0)
+        assert (z.sign, z.exact, z.to_float()) == (1, 1, 1.0)
+        rep = sweep("det", {"A": [[10 ** 4, 9999], [10001, 10 ** 4]]})
+        z = rep.values[0]
+        assert (z.sign, z.exact, z.to_float()) == (1, 1, 1.0)
+        assert rep.abs_gaps[0] == 10 ** 8 - 1
+
+    def test_past_the_budget_reads_the_logs(self, monkeypatch):
+        # q = 25 times the 3,002 bits of the top magnitude is past the
+        # budget, so p = 12 takes the log-sum-exp; p = 0 does not
+        calls = []
+        inner = signedlog._power_means
+
+        def spy(groups, qs):
+            calls.append(tuple(qs))
+            return inner(groups, qs)
+
+        monkeypatch.setattr(signedlog, "_power_means", spy)
+        xs = [3 * 2 ** 3000, -(2 ** 3000)]
+        assert 25 * (3 * 2 ** 3000).bit_length() > EXACT_BITS
+        assert _bits(_phi(xs, 0)) == _bits(_exact_root(xs, 0))
+        assert calls == []
+        z = _phi(xs, 12)
+        assert calls == [(25,)]
+        assert z.sign == 1 and z.exact is None
+        assert z.logmag == pytest.approx(
+            3000 * math.log(2) + math.log(3 ** 25 - 1) / 25, rel=1e-12)
+        rep = sweep("sum", {"xs": xs}, p_max=12)
+        assert calls[1:] == [(23, 25)]  # 21 * 3,002 is within the budget
+        assert [_bits(v) for v in rep.values[:11]] == [
+            _bits(_exact_root(xs, p)) for p in range(11)]
+
+    @pytest.mark.parametrize("A", _char_identity_matrices())
+    def test_characteristic_identity(self, capsys, A):
+        # at lam = a/b the power sum of the characteristic values is
+        # det(b^q A^(q) - a^q I) / (S^q b^(qn)); every reader of mode p
+        # must read that determinant's root
+        n, ms = A.rows, char_monomials(A)
+        rows = [[str(a) for a in row] for row in A.to_rows()]
+        for lam in (F(0), F(1), F(-3, 2), F(2)):
+            a, b = lam.numerator, lam.denominator
+            rep = sweep("charpoly", {"A": A.to_rows(), "lam": lam}, p_max=3)
+            for p in range(4):
+                q = odd_exponent(p)
+                det = linalg._bareiss([
+                    [x ** q * b ** q - (a ** q * s ** q if i == j else 0)
+                     for j, x in enumerate(row)]
+                    for i, (row, s) in enumerate(zip(A._ints, A._scales))])
+                scale = math.prod(A._scales) ** q * b ** (q * n)
+                want = _root_of(F(det, scale), q)
+                assert _bits(charpoly_eval(ms, lam, "p", p)) == _bits(want)
+                assert _bits(rep.values[p]) == _bits(want)
+                problem = {"A": rows, "lam": str(lam), "options": {"p": p}}
+                assert run(["charpoly", "--json", json.dumps(problem)]) == 0
+                out = json.loads(capsys.readouterr().out)
+                assert out["eval_p"] == _slog(want), (lam, p)
 
 
 CHARPOLY_ENTRIES = {**ENTRY_SETS, "binary": lambda rng: rng.randint(0, 1),

@@ -107,11 +107,12 @@ class TestPowerSum:
 
     def test_equal_logs_of_a_nonzero_sum_read_the_exact_sum(self):
         """10^16 and 10^16 - 1 have bitwise equal float logs, so the two
-        parts tie exactly in floats; the exact sum 1 is read instead of 0,
-        while a map that cancels exactly still reads the exact zero."""
+        parts tie exactly in floats; the exact sum 1, its own root, is read
+        instead of 0, while a map that cancels exactly still reads the
+        exact zero."""
         z = phi_p_sum([SignedLog.from_rational(10 ** 16),
                        SignedLog.from_rational(-(10 ** 16 - 1))], 0)
-        assert (z.sign, z.to_float(), z.exact) == (1, 1.0, None)
+        assert (z.sign, z.to_float(), z.exact) == (1, 1.0, 1)
         for values, p in (([10 ** 16, -(10 ** 16 - 1), -1], 0),
                           ([3, 4, 5, -6], 1)):
             z = phi_p_sum([SignedLog.from_rational(v) for v in values], p)
