@@ -30,8 +30,9 @@ the entrywise power, an integer over S^q. Fraction-free elimination
 (Bareiss, Math. Comp. 22, 1968) gives that integer exactly in O(n^3)
 steps, and ``signedlog._root`` reads the value from it. It runs while the
 powers fit the package's exact budget (``signedlog._in_budget``, on the
-largest product magnitude and S); past it the power sum reads the group
-ring's net map in logs.
+largest product magnitude and S); past it ``signedlog._phi_p_net`` reads
+the group ring's net map. :func:`_powered_dets` owns that choice, for
+``det_p`` and the oracle's ``hyperplane`` residual.
 
 Determinant-flavored operations take a size cap and raise
 :class:`~boxalg.errors.CapacityError` past it.
@@ -454,28 +455,27 @@ def _bareiss(rows) -> int:
     return sign * a[-1][-1]
 
 
-def _power_det(ints, scales, q: int) -> Fraction:
-    """det(A^(q)) of the entrywise q-th power of A, given as integer rows
-    over their scales, exactly: the Bareiss determinant of the powered
-    integers over the q-th power of the scales' product."""
-    return Fraction(_bareiss([[a ** q for a in row] for row in ints]),
-                    math.prod(scales) ** q)
+def _powered_dets(M: BoxMatrix, ps: Sequence[int], cap: int
+                  ) -> list[SignedLog]:
+    """det(M^(q))^(1/q), q = 2p + 1, of a square M at each p in ``ps``
+    (increasing): the Bareiss determinant of the powered integers over S^q
+    while the budget holds for prod_i max_j |a_ij| and S, the product of
+    the row scales; past it, one group-ring run held to ``cap``."""
+    top = math.prod(max(map(abs, row)) for row in M._ints)
+    scale, out = math.prod(M._scales), []
+    for p in ps:
+        q = odd_exponent(p)
+        if not _in_budget(q, top, scale):
+            return out + _phi_p_net(_det_net(M, cap), ps[len(out):])
+        powered = _bareiss([[a ** q for a in row] for row in M._ints])
+        out.append(_root(Fraction(powered, scale ** q), q))
+    return out
 
 
 def det_p(A, p: int, cap: int = DEFAULT_DET_CAP) -> SignedLog:
-    """Finite-index determinant as a signed log value: ``signedlog._root``
-    of det(A^(q)), q = 2p + 1, while ``signedlog._in_budget`` holds for
-    the largest product magnitude, prod_i max_j |a_ij|, over S, the
-    product of the row scales. Past the budget the power sum reads the
-    group ring's net map, in which products of equal magnitude and
-    opposite sign cancel before any exponentiation.
-    """
-    M = _checked(A, cap)
-    q = odd_exponent(p)
-    top = math.prod(max(map(abs, row)) for row in M._ints)
-    if not _in_budget(q, top, math.prod(M._scales)):
-        return _phi_p_net(_det_net(M, cap), (p,))[0]
-    return _root(_power_det(M._ints, M._scales, q), q)
+    """Finite-index determinant det(A^(q))^(1/q), q = 2p + 1, as a signed
+    log value (:func:`_powered_dets`)."""
+    return _powered_dets(_checked(A, cap), (p,), cap)[0]
 
 
 def cofactor_inf(A, i: int, j: int, cap: int = DEFAULT_DET_CAP) -> Fraction:

@@ -16,12 +16,10 @@ for the determinant-shaped quantities, of the characteristic monomial
 values at lam for ``charpoly``. ``sum``, ``det``, ``charpoly`` and
 ``cramer`` share one pipeline that reads the limit, the near-tie flag and
 every finite-index value from maps built once; the maps of ``cramer``
-come from one DP on [A | b]. ``hyperplane`` builds no map. Its residual
-at p is exact: with P the points as rows, -det of the bordered
-[[P | 1], [x | 1]] raised entrywise to q = 2p + 1, which the Bareiss
-determinant of :mod:`boxalg.linalg` gives as an integer over the scales;
-its size is det_inf of P, one leading-term run. ``signedlog._root`` reads
-the residual, and every power sum of a net map within the bit budget.
+come from one DP on [A | b]. With P the points as rows, the
+``hyperplane`` residual at p is -det of the bordered [[P | 1], [x | 1]]
+raised entrywise to q = 2p + 1, read by ``linalg._powered_dets`` as
+``det_p`` is; its size is det_inf of P, one leading-term run.
 ``perron`` shares its Perron path with the CLI's ``eigen`` kind, and
 this module owns two rules for both: the ``tol`` check and the cap
 override's resolver.
@@ -45,13 +43,12 @@ from .eigen import (
 )
 from .errors import BoxAlgError, ConvergenceError, DomainError
 from .linalg import (DEFAULT_DET_CAP, BoxMatrix, _check_square, _cramer_nets,
-                     _det_net, _power_det, _ring_terms, as_matrix, det_inf)
+                     _det_net, _powered_dets, _ring_terms, as_matrix, det_inf)
 from .signedlog import (
     SignedLog,
-    _net_logs,
     _over_lcm,
     _phi_p_net,
-    _root,
+    _top_logs,
     net_by_magnitude,
     odd_exponent,
 )
@@ -98,16 +95,14 @@ def predict_near_tie(values: Sequence[Fraction], p_max: int, tol: float) -> bool
 
 def _near_tie(nets: tuple, p_max: int, tol: float) -> bool:
     """:func:`predict_near_tie` on a net map ({m: net count}, S)."""
-    net, _scale = nets
-    ranked = sorted(zip((m for m, c in net.items() if c), _net_logs(nets)),
-                    reverse=True)
-    if not ranked:
+    _top, groups = _top_logs(nets)
+    if not groups:
         return False
     q = odd_exponent(p_max)
-    (_m1, (lm1, n1)), rest = ranked[0], ranked[1:]
+    (_r, n1), rest = groups[0], groups[1:]
     pred = abs(math.expm1(math.log(abs(n1)) / q))
-    for _m, (logmag, c) in rest:
-        pred += math.exp(math.log(abs(c)) + q * (logmag - lm1))
+    for r, c in rest:
+        pred += math.exp(math.log(abs(c)) + q * r)
     return pred >= tol
 
 
@@ -222,12 +217,11 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         size = det_inf(P, det_cap)
         # [[P | 1], [x | 1]] in integer rows over their scales
         xs, sx = _over_lcm(x)
-        rows = [row + (s,) for row, s in zip(P._ints, P._scales)]
-        rows.append((*xs, sx))
-        scales = (*P._scales, sx)
+        bordered = BoxMatrix._from_ints(
+            [*(row + (s,) for row, s in zip(P._ints, P._scales)), (*xs, sx)],
+            (*P._scales, sx))
         # the residual either vanishes exactly or diverges: never near-tie
-        values = [_root(-_power_det(rows, scales, q), q)
-                  for q in map(odd_exponent, ps)]
+        values = [-v for v in _powered_dets(bordered, ps, det_cap)]
 
     elif quantity == "perron":
         A = as_matrix(inputs["A"])

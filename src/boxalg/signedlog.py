@@ -17,14 +17,14 @@ The grouping is the integer net map ({m: net signed count}, S) of
 :func:`net_by_magnitude`, m/S the magnitude; every net map in the package
 takes this one form, and each log is read from the reduced fraction m/S.
 
-This module owns the exact odd-power rules: :func:`_power_sums` are the
-exact power sums of a net map, :func:`_root` the one reader of an exact
-power sum, ``EXACT_BITS`` the one budget, in bits, of the powers the
-package forms exactly (:func:`_in_budget` for power sums; in
-:mod:`boxalg.solve`, to decide dominance), and :func:`_nth_root_exact` the
-one exact rational root (of :func:`_root`, and of the radii of
-:mod:`boxalg.eigen`). Every finite-index value within the budget is the
-:func:`_root` of its exact sum; past it the logs of the net map are read.
+This module owns the odd-power rules: :func:`_power_sums` are the exact
+power sums of a net map, :func:`_root` the one reader of an exact power
+sum, :func:`_in_budget` the one budget (``EXACT_BITS``) of the powers the
+package forms exactly, :func:`_power_means` the one reader past it, of
+logs relative to the top magnitude (:func:`_top_logs`), which raises
+DomainError at a tie its floats cannot resolve, and :func:`_nth_root_exact`
+the one exact rational root (of :func:`_root`, and of the radii of
+:mod:`boxalg.eigen`). Dominance in :mod:`boxalg.solve` uses the same two.
 """
 
 from __future__ import annotations
@@ -234,13 +234,6 @@ def net_by_magnitude(values: Iterable, counts: Iterable[int] | None = None
     return net, scale
 
 
-def _net_logs(nets: tuple[dict[int, int], int]) -> list[tuple[float, int]]:
-    """The groups (log(m/S), net count c) of a net map ({m: c}, S), one
-    per live magnitude m, in the map's order."""
-    net, scale = nets
-    return [(_log_over(m, scale), c) for m, c in net.items() if c]
-
-
 def _power_sums(nets: tuple[dict[int, int], int],
                 qs: Sequence[int]) -> Iterator[Fraction]:
     """Sum of c * (m/S)^q over a net map ({m: c}, S), exactly, at each q of
@@ -269,27 +262,37 @@ def _root(value: Fraction, q: int) -> SignedLog:
     return SignedLog.from_rational(root if value > 0 else -root)
 
 
-def _power_means(groups, qs: Sequence[int]) -> list:
-    """(sum of c * exp(logmag)^q)^(1/q) at each q in ``qs`` over (logmag,
-    net count c != 0) groups, whose log|c|, signs and top are read once:
-    a split log-sum-exp of the positive and the negative groups, whose
-    parts are subtracted in log domain (0 when their logs are equal), or
-    the top group alone once q times its logmag leaves the float range.
-    """
-    top, top_c = max(groups, default=(-math.inf, 0))
-    pos = [(math.log(c), logmag) for logmag, c in groups if c > 0]
-    neg = [(math.log(-c), logmag) for logmag, c in groups if c < 0]
+def _top_logs(nets: tuple[dict[int, int], int]) -> tuple[int, list]:
+    """(top, groups) of a net map ({m: c}, S): its largest live magnitude
+    top and, largest first, each live m as (r, c) with r = log(m / top),
+    read from the exact int ratio; (0, []) when every count cancels."""
+    live = sorted(((m, c) for m, c in nets[0].items() if c), reverse=True)
+    top = live[0][0] if live else 0
+    return top, [(math.log(f) if (f := m / top) else _log_over(m, top), c)
+                 for m, c in live]
+
+
+def _power_means(base: float, groups, qs: Sequence[int]) -> list:
+    """(sum of c * exp(base + r)^q)^(1/q) at each q in ``qs`` over (r, net
+    count c != 0) groups, r = log(m / top): a split log-sum-exp of the
+    positive and the negative groups, subtracted in log domain. Each part
+    is off by about q ulps per group, so parts within q * (groups) * 2^-44
+    of each other raise DomainError rather than guess the sign."""
+    pos = [(math.log(c), r) for r, c in groups if c > 0]
+    neg = [(math.log(-c), r) for r, c in groups if c < 0]
 
     def at(q: int) -> SignedLog:
-        if top_c and (q > sys.float_info.max or math.isinf(q * top)):
-            return SignedLog(1 if top_c > 0 else -1, top)
-        lp = _lse([lc + q * logmag for lc, logmag in pos])
-        ln = _lse([lc + q * logmag for lc, logmag in neg])
-        if lp == ln:
+        if not groups:
             return SignedLog.zero()
+        qf = float(min(q, sys.float_info.max))  # q * r < 0 leaves the range
+        lp = _lse([lc + qf * r for lc, r in pos])
+        ln = _lse([lc + qf * r for lc, r in neg])
+        if abs(lp - ln) <= len(groups) * 2.0 ** -44 * qf:
+            raise DomainError(
+                f"too close to a tie to decide at p = {q // 2}")
         hi, lo = max(lp, ln), min(lp, ln)
         total = hi + math.log1p(-math.exp(lo - hi))  # exactly hi if lo = -inf
-        return SignedLog(1 if lp > ln else -1, total / q)
+        return SignedLog(1 if lp > ln else -1, base + total / qf)
     return [at(q) for q in qs]
 
 
@@ -308,12 +311,13 @@ def _phi_p_net(nets: tuple[dict[int, int], int],
     out = list(map(_root, _power_sums(nets, inside), inside))
     if len(out) == len(qs):
         return out
-    groups = _net_logs(nets)
+    top, groups = _top_logs(nets)
+    base = _log_over(top, scale) if top else 0.0
     if len(groups) == 1 and abs(groups[0][1]) == 1:
         c = groups[0][1]
-        return out + [SignedLog(c, groups[0][0], Fraction(c * top, scale))
+        return out + [SignedLog(c, base, Fraction(c * top, scale))
                       for _ in qs[len(out):]]
-    return out + _power_means(groups, qs[len(out):])
+    return out + _power_means(base, groups, qs[len(out):])
 
 
 def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
@@ -323,6 +327,7 @@ def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
     is identically zero for every p, so a fully balanced input returns the
     exact zero element regardless of p. Netting is exact when every input
     carries an exact value, otherwise by logmag within ``DEFAULT_TIE_TOL``.
+    A sum read in logs too close to a tie to decide raises DomainError.
     """
     q = odd_exponent(p)
     live = [v for v in xs if v.sign != 0]
@@ -334,7 +339,9 @@ def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
             clusters[-1][1] += v.sign
         else:
             clusters.append([v.logmag, v.sign])
-    return _power_means([(logmag, c) for logmag, c in clusters if c], (q,))[0]
+    top = max((logmag for logmag, c in clusters if c), default=0.0)
+    return _power_means(top, [(logmag - top, c) for logmag, c in clusters
+                              if c], (q,))[0]
 
 
 def slog_boxplus(x: SignedLog, y: SignedLog) -> SignedLog:

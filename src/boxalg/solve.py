@@ -16,8 +16,8 @@ solvable exactly when the tight rows cover every row, and the permutation
 witness is a matching of rows to columns where they are tight. Both
 Kaykobad-style conditions are one test of b_i^q against the q-th power
 sum of a_{i,sigma(j)} b_j / a_{j,sigma(j)} over j != i: in integers while
-the powers stay within the budget that :mod:`boxalg.signedlog` owns,
-``EXACT_BITS``, in logs with a guarded margin past that.
+the powers stay within the budget that :mod:`boxalg.signedlog` owns
+(``_in_budget``), past it by that module's guarded log reader.
 """
 
 from __future__ import annotations
@@ -319,14 +319,14 @@ def _dominates(M: BoxMatrix, rhs, cols, q: int) -> bool:
 
     With A_ij M's integers over the row scales s_i, B_i b's over T and L
     the lcm of the integer pivots, row i's sides times T s_i L are the
-    integers B_i s_i L and A_{i,cols[j]} B_j s_j L / A_{j,cols[j]}.
+    integers x = B_i s_i L and y_j = A_{i,cols[j]} B_j s_j L / A_{j,cols[j]}.
     A row fails when its largest term reaches b_i, and passes without the
-    powers when Bernoulli's inequality puts b_i^q above (terms) * top^q.
-    Otherwise the powers are compared exactly while b_i^q stays within
-    ``signedlog.EXACT_BITS``, and past that as q log(b_i/top) against
-    log sum (y/top)^q in floats. Each side is then off by at most about
-    q ulps per term, and a row within 256 times that of a tie raises
-    DomainError rather than guess.
+    powers when Bernoulli's inequality puts x^q above (terms) * top^q.
+    Otherwise x^q is compared with sum y_j^q exactly while
+    ``signedlog._in_budget`` holds for x, and past it as the sign of the
+    power sum of the groups {x: +1, y_j: -1}, read by
+    ``signedlog._power_means``, which raises DomainError for a row too
+    close to a tie to decide.
     """
     rows, scales = M._ints, M._scales
     pivots = [rows[j][c] for j, c in enumerate(cols)]
@@ -340,19 +340,17 @@ def _dominates(M: BoxMatrix, rhs, cols, q: int) -> bool:
             return False
         if q * (x - top) > (len(ys) - 1) * top:
             continue
-        if (q - 1) * x.bit_length() <= signedlog.EXACT_BITS:
+        if signedlog._in_budget(q, x, 1):
             if x ** q <= sum(y ** q for y in ys):
                 return False
             continue
-        if q < 2 ** 44:  # past that the margin exceeds any gap left here
-            gap = q * math.log(x / top) - math.log(math.fsum(
-                math.exp(q * math.log(r)) for r in (y / top for y in ys) if r))
-            if abs(gap) > q * len(ys) * 2.0 ** -44:
-                if gap < 0:
-                    return False
-                continue
-        raise DomainError(
-            f"row {i + 1} lies too close to a tie to decide at p = {q // 2}")
+        nets = signedlog.net_by_magnitude([x, *(-y for y in ys)])
+        try:
+            [v] = signedlog._power_means(0.0, signedlog._top_logs(nets)[1], (q,))
+        except DomainError as exc:
+            raise DomainError(f"row {i + 1} lies {exc}") from exc
+        if v.sign < 0:
+            return False
     return True
 
 

@@ -11,6 +11,7 @@ compared bit for bit: sign, logmag and exact value.
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -686,9 +687,9 @@ class TestExactRoot:
         calls = []
         inner = signedlog._power_means
 
-        def spy(groups, qs):
+        def spy(base, groups, qs):
             calls.append(tuple(qs))
-            return inner(groups, qs)
+            return inner(base, groups, qs)
 
         monkeypatch.setattr(signedlog, "_power_means", spy)
         xs = [3 * 2 ** 3000, -(2 ** 3000)]
@@ -729,6 +730,134 @@ class TestExactRoot:
                 assert run(["charpoly", "--json", json.dumps(problem)]) == 0
                 out = json.loads(capsys.readouterr().out)
                 assert out["eval_p"] == _slog(want), (lam, p)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _power_sum_signs(values, p_max):
+    """The sign of the exact power sum of the values at p = 0..p_max."""
+    return [_sign(sum((v ** odd_exponent(p) for v in values), F(0)))
+            for p in range(p_max + 1)]
+
+
+# the FOUND hyperplane sweep: a 4x4 bordered matrix whose entries have up
+# to 1,270 bits, past the budget from p = 11
+BIG_POINTS = [[F(1, 3 ** 800), 2, 3], [4, F(5, 7 ** 300), 6], [7, 8, 10 ** 200]]
+
+
+class TestPastTheBudget:
+    """Past the exact budget every finite-index value is read from logs
+    relative to the top magnitude, by one reader that decides the sign of
+    the exact power sum or declines at a tie its floats cannot resolve,
+    and every powered determinant comes from one function."""
+
+    def test_a_tie_in_floats_is_declined(self):
+        # 2^3000 + 1 and -2^3000 have equal float logs; their power sum at
+        # q = 25 is about 25 * 2^72000, not 0, so the reader raises
+        xs = [2 ** 3000 + 1, -(2 ** 3000)]
+        assert 25 * (2 ** 3000 + 1).bit_length() > EXACT_BITS
+        with pytest.raises(DomainError,
+                           match="too close to a tie to decide at p = 12"):
+            _phi(xs, 12)
+        with pytest.raises(DomainError, match="too close to a tie to decide"):
+            sweep("sum", {"xs": xs}, p_max=12)
+        # 21 times the 3,001 bits is within the budget: read exactly
+        assert _bits(_phi(xs, 10)) == _bits(_exact_root(xs, 10))
+
+    def test_hyperplane_sweep_reads_one_ring_past_the_budget(self, ring_runs):
+        x = [1, 2, 3]
+        bordered = BoxMatrix([[*pt, 1] for pt in BIG_POINTS] + [[*x, 1]])
+        prods = permutation_products(bordered)
+        top = math.prod(max(map(abs, row)) for row in bordered._ints)
+        scale = math.prod(bordered._scales)
+        start = time.perf_counter()
+        rep = sweep("hyperplane", {"points": BIG_POINTS, "x": x}, p_max=64)
+        assert time.perf_counter() - start < 2
+        assert ring_runs == [4]
+        inside = [p for p in range(65)
+                  if signedlog._in_budget(odd_exponent(p), top, scale)]
+        assert inside == list(range(12))
+        for p, v in enumerate(rep.values):
+            q = odd_exponent(p)
+            if p in inside:  # the Bareiss root, bit for bit
+                want = _root_of(-sum(t ** q for t in prods), q)
+            else:
+                want = -_phi(prods, p)
+            assert _bits(v) == _bits(want), p
+
+    def test_bordered_matrix_is_held_to_the_cap_past_the_budget(self):
+        # P is 2x2 within cap 2; its bordered matrix is 3x3, which only the
+        # group ring, past the budget, is held to
+        small = {"points": [[1, 2], [3, 5]], "x": [1, 1]}
+        big = {"points": [[2 ** 3000, 1], [1, 2 ** 3000 + 1]], "x": [1, 1]}
+        assert sweep("hyperplane", small, p_max=64, cap=2).values
+        assert sweep("hyperplane", big, p_max=3, cap=2).values
+        with pytest.raises(CapacityError, match="exceeds the size cap 2"):
+            sweep("hyperplane", big, p_max=12, cap=2)
+        assert sweep("hyperplane", big, p_max=12).values
+
+    def test_logs_agree_with_the_exact_power_sums(self, monkeypatch):
+        # with no exact budget every reading is in logs: phi_p_sum and the
+        # sum, det and cramer sweeps must have the exact power sum's sign
+        # wherever they decide, and decline only where it is an exact 0
+        rng = random.Random(20261024)
+        draws = (lambda: F(rng.randint(-4, 4)),
+                 lambda: F(rng.randint(-9, 9), rng.randint(1, 6)))
+        vectors = [[draws[k % 2]() for _ in range(rng.randint(1, 8))]
+                   for k in range(120)] + [[F(3), F(4), F(5), F(-6)]]
+        systems = [([[draws[k % 2]() for _ in range(n)] for _ in range(n)],
+                    [draws[k % 2]() for _ in range(n)])
+                   for k in range(60) for n in [rng.randint(1, 4)]]
+        monkeypatch.setattr(signedlog, "EXACT_BITS", -1)
+        declined = 0
+        for xs in vectors:
+            want = _power_sum_signs(xs, 5)
+            for p in range(6):
+                try:
+                    assert _phi(xs, p).sign == want[p], (xs, p)
+                except DomainError:
+                    assert want[p] == 0, (xs, p)
+                    declined += 1
+            try:
+                rep = sweep("sum", {"xs": xs}, p_max=5)
+            except DomainError:
+                assert 0 in want
+            else:
+                assert [v.sign for v in rep.values] == want, xs
+        for A, b in systems:
+            listings = [permutation_products(A)] + [
+                permutation_products(replace_column(A, i, b))
+                for i in range(1, len(A) + 1)]
+            den, *nums = [_power_sum_signs(ms, 5) for ms in listings]
+            try:
+                rep = sweep("det", {"A": A}, p_max=5)
+            except DomainError:
+                assert 0 in den
+            else:
+                assert [v.sign for v in rep.values] == den, A
+            if nary_boxplus(listings[0]) == 0:
+                continue
+            try:
+                rep = sweep("cramer", {"A": A, "b": b}, p_max=5)
+            except DomainError:
+                assert 0 in den or any(0 in num for num in nums)
+            else:
+                assert [None if v is None else tuple(x.sign for x in v)
+                        for v in rep.values] == [
+                    None if d == 0 else tuple(num[p] * d for num in nums)
+                    for p, d in enumerate(den)], (A, b)
+        assert 0 < declined < 20
+
+    def test_the_euler_identity_is_declined(self, monkeypatch):
+        # 3^3 + 4^3 + 5^3 = 6^3: in logs the two parts tie at p = 1 only
+        monkeypatch.setattr(signedlog, "EXACT_BITS", -1)
+        xs = [3, 4, 5, -6]
+        with pytest.raises(DomainError,
+                           match="too close to a tie to decide at p = 1"):
+            _phi(xs, 1)
+        assert [_phi(xs, p).sign for p in (0, 2, 3)] == [1, -1, -1]
 
 
 CHARPOLY_ENTRIES = {**ENTRY_SETS, "binary": lambda rng: rng.randint(0, 1),
