@@ -1,13 +1,14 @@
 """Command-line front end.
 
 One problem per invocation (or a JSON array for batch mode), JSON in and
-JSON out; one parser reads the kind and the options, in either order.
-Rationals travel as canonical strings like "-3/4" so nothing is lost to
-floats; a float rendering rides alongside under a ``_float`` key. Output
-keys are sorted and the encoding is compact, so identical inputs produce
-byte-identical outputs. One emitter writes every document, single or
-batch; it splices in raw fragments, JSON text a handler has already
-encoded (only the `charpoly` listing is one).
+JSON out; one parser reads the kind and the options, in either order, and
+the kinds are the keys of one handler table. Rationals travel as canonical
+strings like "-3/4" so nothing is lost to floats; a float rendering rides
+alongside under a ``_float`` key. Output keys are sorted and the encoding
+is compact, so identical inputs produce byte-identical outputs. One emitter
+writes every document, single or batch; it splices in raw fragments, JSON
+text a handler has already encoded (only the `charpoly` listing is one).
+The `det` and `sym` kinds read one leading-term run (``linalg._det_lead``).
 
 Exit codes: 0 success, 2 infeasible or no result (singular systems,
 degenerate configurations, non-convergence), 3 input error (unreadable
@@ -29,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 
-from .core import _scalars, as_float, as_scalar
+from .core import _envelope, _scalars, as_float, as_scalar
 from .eigen import _char_levels, _check_char, _eval_at, _net_at, eigen_region
 from .errors import (
     BoxAlgError,
@@ -39,10 +40,11 @@ from .errors import (
     DomainError,
 )
 from .geom import hyperplane_contains, hyperplane_through
-from .linalg import BoxMatrix, _det_lead, det_inf, det_p
+# no handler calls det_inf; the benchmark's tracer tests read it here
+from .linalg import BoxMatrix, _det_lead, det_inf, det_p  # noqa: F401
 from .oracle import (DEFAULT_P_MAX, DEFAULT_TOL, _caps, _check_sweep,
                      _check_tol, _gaps, _perron, sweep)
-from .signedlog import SignedLog, _phi_p_net, check_p, odd_exponent
+from .signedlog import SignedLog, _decided, _phi_p_net, check_p, odd_exponent
 from .solve import (
     LimitSystem,
     TwoSidedSystem,
@@ -54,10 +56,7 @@ from .solve import (
     cramer_limit_solve,
     twosided_solve,
 )
-from .sym import _as_pair, s_det, s_embed_matrix, v_identity_check, v_map
-
-KINDS = ("det", "solve", "maxsolve", "twosided", "hyperplane", "charpoly",
-         "eigen", "oracle", "sym")
+from .sym import _as_pair, v_identity_check, v_map
 
 OK, INFEASIBLE, INPUT_ERROR, CAPACITY = 0, 2, 3, 4
 
@@ -195,11 +194,10 @@ def _do_det(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps(_cap())
     A = _matrix_in(data["A"])
     mode = opts.get("mode")
-    smiled = mode if mode in ("lower", "upper") else None
-    det, reg = _det_lead(A, det_cap, smiled)
-    out = _exact({}, det_inf=det)
-    if smiled:
-        _exact(out, **{f"det_{mode}": reg})
+    plus, minus, limit = _det_lead(A, det_cap)
+    out = _exact({}, det_inf=limit())
+    if mode in ("lower", "upper"):
+        _exact(out, **{f"det_{mode}": _envelope((plus, -minus), mode)})
     elif mode not in (None, "exact"):
         raise DomainError(f"mode must be lower, upper or exact, got {mode!r}")
     p = _opt_p(opts)
@@ -287,8 +285,8 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
         _exact(out, eval_limit=limit, eval_lower=lower, eval_upper=upper)
     p = _opt_p(opts)  # read after the evaluations, whose faults come first
     if lam is not None and p is not None:
-        net = _net_at(tallies, scale, lam)
-        out["eval_p"], out["p"] = _slog(_phi_p_net(net, (p,))[0]), p
+        [value] = _phi_p_net(_net_at(tallies, scale, lam), (p,))
+        out["eval_p"], out["p"] = _slog(_decided(value, p)), p
     texts = []
     for degree, level in levels:
         t = tallies[degree]
@@ -353,11 +351,10 @@ def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps(_cap())
     out: dict = {}
     if "A" in data:
-        A = _matrix_in(data["A"])
-        d = s_det(s_embed_matrix(A), det_cap)
-        _exact(out, s_det=(d.plus, d.minus))
-        out["balanced_with_zero"] = d.is_balanced
-        _exact(out, det_inf=det_inf(A, det_cap))
+        plus, minus, limit = _det_lead(_matrix_in(data["A"]), det_cap,
+                                       "pair determinant")
+        _exact(out, s_det=(plus, minus), det_inf=limit())
+        out["balanced_with_zero"] = plus == minus
     if "pairs" in data:
         raw = data["pairs"]
         if not isinstance(raw, list) or not raw:
@@ -381,6 +378,7 @@ HANDLERS = {
     "oracle": _do_oracle,
     "sym": _do_sym,
 }
+KINDS = tuple(HANDLERS)
 
 
 def _run_one(kind: str, data, args) -> tuple[int, dict]:

@@ -81,6 +81,7 @@ from .signedlog import (
     _log_over,
     _nth_root_exact,
     _over_lcm,
+    _decided,
     _phi_p_net,
     net_by_magnitude,
     odd_exponent,
@@ -295,7 +296,7 @@ def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
         raise DomainError(f"unknown mode {mode!r}")
     tallies, scale = _tallies(m)
     if mode == "p":
-        return _phi_p_net(_net_at(tallies, scale, lam), (p,))[0]
+        return _decided(_phi_p_net(_net_at(tallies, scale, lam), (p,))[0], p)
     return _eval_at(tallies, scale, lam)[("limit", LOWER, UPPER).index(mode)]
 
 

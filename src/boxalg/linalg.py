@@ -8,21 +8,22 @@ No determinant here lists the n! products. One subset DP sums them in
 one of two semirings; each state is keyed by the set of used columns and
 the degree of lam, so a plain determinant takes O(2^n n) steps. The
 leading terms keep the largest positive and the largest negative
-magnitude with their counts: the limit determinant reads their net
-count, the regularized ones and the balance-pair determinant of
-:mod:`boxalg.sym` read the two magnitudes. The group ring keeps the whole
-net map ({m: net signed count}, S) for when the leading count cancels.
-A :class:`BoxMatrix` keeps each row as integers over the row's own
-scale, which the DP reads as they are, so every magnitude is an integer
-m over one scale S, the product of the row scales, and the maps pass on
-in that form. The same DP with a_ii - lam on the diagonal, a term of
-degree 1, keeps one state per degree and gives the per-degree net maps
-of the characteristic monomials (:mod:`boxalg.eigen`). On the bordered
-matrix [A | b] its last layer holds Cramer's n + 1 determinants, one per
-left-out column: without b, det A; without column i, the minor
-(-1)^(n-1-i) det A_i(b), the sign of moving b from the last column to
-column i. The listing (:func:`permutation_products`, Heap's algorithm)
-stays as public API and as the tests' reference expansion.
+magnitude with their counts. One run of them (:func:`_det_lead`) gives
+the balance-pair determinant of :mod:`boxalg.sym` (the two magnitudes),
+which holds both regularized ones, and the limit determinant (their net
+count); the group ring, the whole net map ({m: net signed count}, S),
+runs only when that count cancels. A :class:`BoxMatrix` keeps each row
+as integers over the row's own scale, which the DP reads as they are, so
+every magnitude is an integer m over one scale S, the product of the row
+scales, and the maps pass on in that form. The same DP with a_ii - lam
+on the diagonal, a term of degree 1, keeps one state per degree and
+gives the per-degree net maps of the characteristic monomials
+(:mod:`boxalg.eigen`). On the bordered matrix [A | b] its last layer
+holds Cramer's n + 1 determinants, one per left-out column: without b,
+det A; without column i, the minor (-1)^(n-1-i) det A_i(b), the sign of
+moving b from the last column to column i. The listing
+(:func:`permutation_products`, Heap's algorithm) stays as public API and
+as the tests' reference expansion.
 
 The finite-index determinant needs no DP: the sum of the signed products
 raised to the power q = 2p + 1 is det(A^(q)), the ordinary determinant of
@@ -34,8 +35,8 @@ largest product magnitude and S); past it ``signedlog._phi_p_net`` reads
 the group ring's net map. :func:`_powered_dets` owns that choice, for
 ``det_p`` and the oracle's ``hyperplane`` residual.
 
-Determinant-flavored operations take a size cap and raise
-:class:`~boxalg.errors.CapacityError` past it.
+Determinant-flavored operations take a size cap; one check, :func:`_checked`,
+raises :class:`~boxalg.errors.CapacityError` past it.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import LOWER, UPPER, _envelope, _scalars, as_vector, nary_boxplus, smile
 from .errors import CapacityError, DomainError
-from .signedlog import (SignedLog, _in_budget, _over_lcm, _phi_p_net, _root,
-                        odd_exponent)
+from .signedlog import (SignedLog, _decided, _in_budget, _over_lcm, _phi_p_net,
+                        _root, odd_exponent)
 
 BoxVector = tuple[Fraction, ...]
 
@@ -190,18 +191,14 @@ def signed_permutations(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
             i += 1
 
 
-def _check_square(A: BoxMatrix, what: str) -> int:
-    if not A.is_square:
-        raise DomainError(f"{what} needs a square matrix, got {A.rows}x{A.cols}")
-    return A.rows
-
-
-def _checked(A, cap: int) -> BoxMatrix:
+def _checked(A, cap: float, what: str = "determinant") -> BoxMatrix:
+    """A as a square matrix within ``cap``; ``what`` names it in each fault."""
     M = as_matrix(A)
-    n = _check_square(M, "determinant")
+    n = M.rows
+    if not M.is_square:
+        raise DomainError(f"{what} needs a square matrix, got {n}x{M.cols}")
     if n > cap:
-        raise CapacityError(
-            f"determinant on a {n}x{n} matrix exceeds the size cap {cap}")
+        raise CapacityError(f"{what} on a {n}x{n} matrix exceeds the size cap {cap}")
     return M
 
 
@@ -363,38 +360,34 @@ def _pair_det(rows) -> tuple[Fraction, Fraction]:
     return Fraction(p, total), Fraction(n, total)
 
 
-def _smile_det(lead: tuple[dict, int], mode: str) -> Fraction:
-    """The regularized determinant read from a square matrix's
-    leading-term run (slots, S): smile of P and -N, over S."""
-    top, total = lead
-    p, _cp, n, _cn = top.get(0, (0, 0, 0, 0))
-    return Fraction(_envelope((p, -n), mode), total)
-
-
-def _det_lead(A, cap: int, mode: str | None = None
-              ) -> tuple[Fraction, Fraction | None]:
-    """det_inf of a square A and, given ``mode``, its regularized
-    determinant, from one leading-term run: the group ring runs only when
-    the leading count cancels."""
-    M = _checked(A, cap)
+def _det_lead(A, cap: int, what: str = "determinant"
+              ) -> tuple[Fraction, Fraction, Callable[[], Fraction]]:
+    """One leading-term run of a square A (:func:`_checked` with ``what``):
+    (plus, minus, limit), its largest positive product P/S and minus its
+    largest negative one N/S (the pair determinant, which holds both
+    envelopes), and a call reading det_inf from the same run, which runs
+    the group ring only when the leading count cancels."""
+    M = _checked(A, cap, what)
     lead = _lead_terms(M)
-    top, total = _dominant_terms(M, lead=lead)
-    mag, sign = top.get(0, (0, 1))
-    return Fraction(sign * mag, total), mode and _smile_det(lead, mode)
+    p, _cp, n, _cn = lead[0].get(0, (0, 0, 0, 0))
+
+    def limit() -> Fraction:
+        top, total = _dominant_terms(M, lead=lead)
+        mag, sign = top.get(0, (0, 1))
+        return Fraction(sign * mag, total)
+    return Fraction(p, lead[1]), Fraction(n, lead[1]), limit
 
 
 def det_inf(A, cap: int = DEFAULT_DET_CAP) -> Fraction:
     """Limit determinant: dominant-magnitude sum of the signed products."""
-    return _det_lead(A, cap)[0]
+    return _det_lead(A, cap)[2]()
 
 
 def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
-    """Lower or upper regularized determinant (smile over the products).
-
-    Only the largest positive and the largest negative product matter,
-    and the leading-term run carries both.
-    """
-    return _smile_det(_lead_terms(_checked(A, cap)), mode)
+    """Lower or upper regularized determinant (smile over the products): an
+    envelope of the two products of :func:`_det_lead`'s pair."""
+    plus, minus, _limit = _det_lead(A, cap)
+    return _envelope((plus, -minus), mode)
 
 
 def _det_net(A, cap: int = DEFAULT_DET_CAP) -> tuple[dict[int, int], int]:
@@ -475,13 +468,12 @@ def _powered_dets(M: BoxMatrix, ps: Sequence[int], cap: int
 def det_p(A, p: int, cap: int = DEFAULT_DET_CAP) -> SignedLog:
     """Finite-index determinant det(A^(q))^(1/q), q = 2p + 1, as a signed
     log value (:func:`_powered_dets`)."""
-    return _powered_dets(_checked(A, cap), (p,), cap)[0]
+    return _decided(_powered_dets(_checked(A, cap), (p,), cap)[0], p)
 
 
 def cofactor_inf(A, i: int, j: int, cap: int = DEFAULT_DET_CAP) -> Fraction:
-    M = as_matrix(A)
-    n = _check_square(M, "cofactor")
-    if n < 2:
+    M = _checked(A, math.inf, "cofactor")  # the minor's det_inf holds cap
+    if M.rows < 2:
         raise DomainError("cofactor needs at least a 2x2 matrix")
     sub = det_inf(M.minor(i, j), cap)
     return sub if (i + j) % 2 == 0 else -sub

@@ -42,7 +42,7 @@ from .eigen import (
     perron_p,
 )
 from .errors import BoxAlgError, ConvergenceError, DomainError
-from .linalg import (DEFAULT_DET_CAP, BoxMatrix, _check_square, _cramer_nets,
+from .linalg import (DEFAULT_DET_CAP, BoxMatrix, _cramer_nets,
                      _det_net, _powered_dets, _ring_terms, as_matrix, det_inf)
 from .signedlog import (
     SignedLog,
@@ -195,6 +195,8 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
     hyperplane residual, whose limit is identically zero, scales by the
     magnitude of the configuration's determinant instead. A scale past
     the float range divides in logs, and absolute gaps past it read inf.
+    A p whose reading declines (a tie in logs, or a Perron run that does
+    not settle) has value None and gap inf; the other ps keep theirs.
     ``cap`` overrides both size caps, as ``BOXALG_CAP`` does in the CLI.
     """
     _check_sweep(p_max, tol)
@@ -212,16 +214,16 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
         if len(x) != n:
             raise DomainError(f"x has length {len(x)}, expected {n}")
         limit = Fraction(0)
-        _check_square(V, "determinant")
-        P = BoxMatrix(pts)  # V^T
-        size = det_inf(P, det_cap)
+        size = det_inf(V, det_cap)  # that of P = V^T
+        P = BoxMatrix(pts)
         # [[P | 1], [x | 1]] in integer rows over their scales
         xs, sx = _over_lcm(x)
         bordered = BoxMatrix._from_ints(
             [*(row + (s,) for row, s in zip(P._ints, P._scales)), (*xs, sx)],
             (*P._scales, sx))
         # the residual either vanishes exactly or diverges: never near-tie
-        values = [-v for v in _powered_dets(bordered, ps, det_cap)]
+        values = [None if v is None else -v
+                  for v in _powered_dets(bordered, ps, det_cap)]
 
     elif quantity == "perron":
         A = as_matrix(inputs["A"])
@@ -251,9 +253,10 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
             size = max(limit, key=abs)
         near_tie = any(_near_tie(net, p_max, tol) for net in nets)
         values, *nums = [_phi_p_net(net, ps) for net in nets]
-        if nums:  # cramer: x_i at each p, None where det A_p is 0
-            values = [None if d.is_zero else tuple(v[i] / d for v in nums)
-                      for i, d in enumerate(values)]
+        if nums:  # cramer: x_i at each p, None where det A_p is 0 or unread
+            values = [None if d is None or d.is_zero or None in col
+                      else tuple(v / d for v in col)
+                      for d, col in zip(values, zip(*nums))]
 
     abs_gaps, rel_gaps = _gaps(values, limit, size)
     return SweepReport(

@@ -21,10 +21,11 @@ This module owns the odd-power rules: :func:`_power_sums` are the exact
 power sums of a net map, :func:`_root` the one reader of an exact power
 sum, :func:`_in_budget` the one budget (``EXACT_BITS``) of the powers the
 package forms exactly, :func:`_power_means` the one reader past it, of
-logs relative to the top magnitude (:func:`_top_logs`), which raises
-DomainError at a tie its floats cannot resolve, and :func:`_nth_root_exact`
-the one exact rational root (of :func:`_root`, and of the radii of
-:mod:`boxalg.eigen`). Dominance in :mod:`boxalg.solve` uses the same two.
+logs relative to the top magnitude (:func:`_top_logs`), which declines
+(None; DomainError for a single value) a tie its floats cannot resolve,
+and :func:`_nth_root_exact` the one exact rational root (of :func:`_root`,
+and of the radii of :mod:`boxalg.eigen`). Dominance in :mod:`boxalg.solve`
+uses the same two.
 """
 
 from __future__ import annotations
@@ -277,32 +278,38 @@ def _power_means(base: float, groups, qs: Sequence[int]) -> list:
     count c != 0) groups, r = log(m / top): a split log-sum-exp of the
     positive and the negative groups, subtracted in log domain. Each part
     is off by about q ulps per group, so parts within q * (groups) * 2^-44
-    of each other raise DomainError rather than guess the sign."""
+    of each other read None (declined) rather than a guessed sign."""
     pos = [(math.log(c), r) for r, c in groups if c > 0]
     neg = [(math.log(-c), r) for r, c in groups if c < 0]
 
-    def at(q: int) -> SignedLog:
+    def at(q: int) -> SignedLog | None:
         if not groups:
             return SignedLog.zero()
         qf = float(min(q, sys.float_info.max))  # q * r < 0 leaves the range
         lp = _lse([lc + qf * r for lc, r in pos])
         ln = _lse([lc + qf * r for lc, r in neg])
         if abs(lp - ln) <= len(groups) * 2.0 ** -44 * qf:
-            raise DomainError(
-                f"too close to a tie to decide at p = {q // 2}")
+            return None
         hi, lo = max(lp, ln), min(lp, ln)
         total = hi + math.log1p(-math.exp(lo - hi))  # exactly hi if lo = -inf
         return SignedLog(1 if lp > ln else -1, base + total / qf)
     return [at(q) for q in qs]
 
 
+def _decided(value: SignedLog | None, p: int) -> SignedLog:
+    """A single value at p; DomainError where the log reader declined it."""
+    if value is None:
+        raise DomainError(f"too close to a tie to decide at p = {p}")
+    return value
+
+
 def _phi_p_net(nets: tuple[dict[int, int], int],
-               ps: Sequence[int]) -> list[SignedLog]:
+               ps: Sequence[int]) -> list[SignedLog | None]:
     """phi_p of a net map ({m: net count}, S) at each p in ``ps``, in
     increasing order: within the budget (:func:`_in_budget`), the
     :func:`_root` of the exact :func:`_power_sums`. Past it the logs go
-    through :func:`_power_means`, except that a single surviving
-    magnitude with net +-1 is its own exact root.
+    through :func:`_power_means` (None where it declines), except that a
+    single surviving magnitude with net +-1 is its own exact root.
     """
     qs = [odd_exponent(p) for p in ps]
     net, scale = nets
@@ -332,7 +339,8 @@ def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
     q = odd_exponent(p)
     live = [v for v in xs if v.sign != 0]
     if all(v.exact is not None for v in live):
-        return _phi_p_net(net_by_magnitude(v.exact for v in live), (p,))[0]
+        return _decided(_phi_p_net(net_by_magnitude(v.exact for v in live),
+                                   (p,))[0], p)
     clusters = []  # float path: cluster sorted logmags
     for v in sorted(live, key=lambda v: v.logmag):
         if clusters and _tie(v.logmag, clusters[-1][0]):
@@ -340,8 +348,8 @@ def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
         else:
             clusters.append([v.logmag, v.sign])
     top = max((logmag for logmag, c in clusters if c), default=0.0)
-    return _power_means(top, [(logmag - top, c) for logmag, c in clusters
-                              if c], (q,))[0]
+    return _decided(_power_means(top, [(logmag - top, c) for logmag, c
+                                       in clusters if c], (q,))[0], p)
 
 
 def slog_boxplus(x: SignedLog, y: SignedLog) -> SignedLog:

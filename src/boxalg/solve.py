@@ -346,7 +346,8 @@ def _dominates(M: BoxMatrix, rhs, cols, q: int) -> bool:
             continue
         nets = signedlog.net_by_magnitude([x, *(-y for y in ys)])
         try:
-            [v] = signedlog._power_means(0.0, signedlog._top_logs(nets)[1], (q,))
+            v = signedlog._decided(signedlog._power_means(
+                0.0, signedlog._top_logs(nets)[1], (q,))[0], q // 2)
         except DomainError as exc:
             raise DomainError(f"row {i + 1} lies {exc}") from exc
         if v.sign < 0:

@@ -8,7 +8,8 @@ cross maxima. The associated determinant is associative, which is what
 a Cramer theory would need, but it pays for that by going balanced
 exactly when the dominant permutation-product magnitude is reached with
 both parities, even when the limit determinant itself survives. Every
-pair read, by the library or the CLI, passes one shape check.
+pair read, by the library or the CLI, passes one shape check, and every
+pair determinant one size check, ``linalg._checked``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import _envelopes, as_scalar
-from .errors import CapacityError, DomainError
-from .linalg import DEFAULT_DET_CAP, _pair_det, as_matrix
+from .errors import DomainError
+from .linalg import DEFAULT_DET_CAP, _checked, _pair_det, as_matrix
 
 
 class SPair(NamedTuple):
@@ -88,17 +89,12 @@ def s_det(rows: Sequence[Sequence[SPair]], cap: int = DEFAULT_DET_CAP) -> SPair:
     contribute it with plus and minus exchanged (the semiring's negation).
     Read each pair (p, q) as the two terms +p and -q: plus and minus are
     then the largest positive and the largest negative permutation
-    product, which the leading-term subset DP of :mod:`boxalg.linalg`
-    finds in O(2^n n) integer steps instead of over the n! permutations.
+    product, which a leading-term subset DP of :mod:`boxalg.linalg` finds
+    in O(2^n n) integer steps; of an embedded real matrix they are read by
+    ``linalg._det_lead``, with det_inf from the same run (the CLI's kind).
     """
     data = [tuple(map(_as_pair, r)) for r in rows]
-    n = len(data)
-    if n == 0 or any(len(r) != n for r in data):
-        raise DomainError("square matrix of pairs required")
-    if n > cap:
-        raise CapacityError(
-            f"pair determinant on a {n}x{n} matrix exceeds the size cap {cap}"
-        )
+    _checked([[x.plus for x in r] for r in data], cap, "pair determinant")
     return SPair(*_pair_det(data))
 
 

@@ -843,6 +843,15 @@ class TestSym:
         assert code == 0
         assert obj["v_identity"] is False
 
+    @pytest.mark.parametrize("A, code, error", [
+        ([[1] * 10] * 10, 4,
+         "pair determinant on a 10x10 matrix exceeds the size cap 9"),
+        ([[1, 2, 3], [4, 5, 6]], 3,
+         "pair determinant needs a square matrix, got 2x3")])
+    def test_pair_determinant_faults(self, capsys, A, code, error):
+        assert invoke(capsys, "sym", "--json", json.dumps({"A": A})) == (
+            code, {"error": error})
+
     @pytest.mark.parametrize("item", ["[3]", "[1,2,3]", '"ab"', "5"])
     def test_malformed_pair(self, capsys, item):
         code, obj = invoke(capsys, "sym", "--json",
@@ -1274,6 +1283,19 @@ class TestDeterminism:
         assert out.err == "" and out.out.count("\n") == 1
         assert json.loads(out.out) == {
             "error": f"missing subcommand; pick from {', '.join(KINDS)}"}
+
+    def test_kinds_are_the_handlers_in_order(self, capsys):
+        # the usage message and the argparse choices list the kinds in
+        # this order, written once as the handler table's keys
+        kinds = ("det", "solve", "maxsolve", "twosided", "hyperplane",
+                 "charpoly", "eigen", "oracle", "sym")
+        assert KINDS == kinds
+        assert run([]) == 3
+        assert capsys.readouterr().out == (
+            '{"error":"missing subcommand; pick from ' + ", ".join(kinds)
+            + '"}\n')
+        assert run(["nope"]) == 3
+        assert "{" + ",".join(kinds) + "}" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert run(["det", "--help"]) == 0

@@ -761,10 +761,40 @@ class TestPastTheBudget:
         with pytest.raises(DomainError,
                            match="too close to a tie to decide at p = 12"):
             _phi(xs, 12)
-        with pytest.raises(DomainError, match="too close to a tie to decide"):
-            sweep("sum", {"xs": xs}, p_max=12)
         # 21 times the 3,001 bits is within the budget: read exactly
         assert _bits(_phi(xs, 10)) == _bits(_exact_root(xs, 10))
+        # a sweep reads None where phi_p_sum declines and keeps the rest
+        rep = sweep("sum", {"xs": xs}, p_max=12)
+        assert [_bits(v) for v in rep.values] == [
+            _bits(_exact_root(xs, p)) for p in range(11)] + [None, None]
+        assert rep.abs_gaps[11:] == rep.rel_gaps[11:] == (math.inf,) * 2
+        assert not rep.converged
+
+    @pytest.mark.parametrize("quantity, inputs, declined", [
+        # det and hyperplane: the two products 2^3000 + 1 and -2^3000
+        ("det", {"A": [[2 ** 3000 + 1, 1], [2 ** 3000, 1]]}, 11),
+        ("hyperplane", {"points": [[2 ** 3000 + 1]], "x": [2 ** 3000]}, 11),
+        # cramer: det A is 1, x_1's numerator is that difference
+        ("cramer", {"A": [[1, 1], [0, 1]], "b": [2 ** 3000 + 1, 2 ** 3000]},
+         11),
+        # charpoly: lam^2 = 2^6000 and -a_11 lam = -(2^6000 + 2^3000) tie
+        # in floats, past the budget from p = 5 (11 * 6,001 bits)
+        ("charpoly", {"A": [[2 ** 3000 + 1, 0], [0, 1]], "lam": 2 ** 3000},
+         5)])
+    def test_every_sweep_reads_none_where_it_declines(self, quantity, inputs,
+                                                       declined):
+        rep = sweep(quantity, inputs, p_max=12)
+        assert None not in rep.values[:declined]
+        assert rep.values[declined:] == (None,) * (13 - declined)
+        assert rep.abs_gaps[declined:] == (math.inf,) * (13 - declined)
+
+    def test_the_cli_sweep_keeps_the_decided_values(self, capsys):
+        xs = [str(2 ** 3000 + 1), str(-(2 ** 3000))]
+        problem = {"quantity": "sum", "xs": xs, "options": {"p_max": 12}}
+        assert run(["oracle", "--json", json.dumps(problem)]) == 0
+        values = json.loads(capsys.readouterr().out)["values"]
+        assert values[0] == 1.0
+        assert None not in values[:11] and values[11:] == [None, None]
 
     def test_hyperplane_sweep_reads_one_ring_past_the_budget(self, ring_runs):
         x = [1, 2, 3]
@@ -801,7 +831,8 @@ class TestPastTheBudget:
     def test_logs_agree_with_the_exact_power_sums(self, monkeypatch):
         # with no exact budget every reading is in logs: phi_p_sum and the
         # sum, det and cramer sweeps must have the exact power sum's sign
-        # wherever they decide, and decline only where it is an exact 0
+        # wherever they decide, and decline only where it is an exact 0;
+        # a sweep reads None exactly where phi_p_sum declines
         rng = random.Random(20261024)
         draws = (lambda: F(rng.randint(-4, 4)),
                  lambda: F(rng.randint(-9, 9), rng.randint(1, 6)))
@@ -812,42 +843,41 @@ class TestPastTheBudget:
                    for k in range(60) for n in [rng.randint(1, 4)]]
         monkeypatch.setattr(signedlog, "EXACT_BITS", -1)
         declined = 0
-        for xs in vectors:
-            want = _power_sum_signs(xs, 5)
+
+        def signs(values):
+            """The sign phi_p_sum reads at p = 0..5, None where it declines,
+            which must be only where the exact power sum is 0. A sweep's
+            values read as ``v and v.sign``: a SignedLog is never false."""
+            want, out = _power_sum_signs(values, 5), []
             for p in range(6):
                 try:
-                    assert _phi(xs, p).sign == want[p], (xs, p)
+                    out.append(_phi(values, p).sign)
                 except DomainError:
-                    assert want[p] == 0, (xs, p)
-                    declined += 1
-            try:
-                rep = sweep("sum", {"xs": xs}, p_max=5)
-            except DomainError:
-                assert 0 in want
-            else:
-                assert [v.sign for v in rep.values] == want, xs
+                    assert want[p] == 0, (values, p)
+                    out.append(None)
+                else:
+                    assert out[p] == want[p], (values, p)
+            return out
+
+        for xs in vectors:
+            want = signs(xs)
+            declined += want.count(None)
+            rep = sweep("sum", {"xs": xs}, p_max=5)
+            assert [v and v.sign for v in rep.values] == want, xs
         for A, b in systems:
             listings = [permutation_products(A)] + [
                 permutation_products(replace_column(A, i, b))
                 for i in range(1, len(A) + 1)]
-            den, *nums = [_power_sum_signs(ms, 5) for ms in listings]
-            try:
-                rep = sweep("det", {"A": A}, p_max=5)
-            except DomainError:
-                assert 0 in den
-            else:
-                assert [v.sign for v in rep.values] == den, A
+            den, *nums = map(signs, listings)
+            rep = sweep("det", {"A": A}, p_max=5)
+            assert [v and v.sign for v in rep.values] == den, A
             if nary_boxplus(listings[0]) == 0:
                 continue
-            try:
-                rep = sweep("cramer", {"A": A, "b": b}, p_max=5)
-            except DomainError:
-                assert 0 in den or any(0 in num for num in nums)
-            else:
-                assert [None if v is None else tuple(x.sign for x in v)
-                        for v in rep.values] == [
-                    None if d == 0 else tuple(num[p] * d for num in nums)
-                    for p, d in enumerate(den)], (A, b)
+            rep = sweep("cramer", {"A": A, "b": b}, p_max=5)
+            assert [None if v is None else tuple(x.sign for x in v)
+                    for v in rep.values] == [
+                None if not d or None in col else tuple(n * d for n in col)
+                for d, col in zip(den, zip(*nums))], (A, b)
         assert 0 < declined < 20
 
     def test_the_euler_identity_is_declined(self, monkeypatch):
@@ -1077,7 +1107,7 @@ class TestOneBorderedRun:
         for kind, problem, leads in [
                 ("det", {"A": A, "options": {"mode": "lower"}}, 1),
                 ("det", {"A": A, "options": {"mode": "upper", "p": 3}}, 1),
-                ("sym", {"A": A}, 2)]:
+                ("sym", {"A": A}, 1)]:
             dp_runs.clear()
             assert run([kind, "--json", json.dumps(problem)]) == 0
             capsys.readouterr()
@@ -1119,3 +1149,56 @@ class TestOneBorderedRun:
             assert run(["charpoly", "--json", json.dumps(problem)]) == 0
             capsys.readouterr()
         assert dp_runs == []
+
+
+LEAD_ENTRIES = {**ENTRY_SETS, "binary": lambda rng: rng.randint(0, 1)}
+
+
+class TestOneLeadRun:
+    """det_inf, both envelopes and the pair determinant of a matrix come
+    from one leading-term run, which runs the group ring only when
+    det_inf's leading count cancels."""
+
+    def test_pair_is_the_largest_products(self):
+        # 1,000 seeded matrices over five entry sets, n = 1..7, and the
+        # all-zero ones: the run's (plus, minus) is the embedded pair
+        # determinant, the largest positive product and minus the largest
+        # negative one; its det_inf is the dominant-magnitude sum
+        rng = random.Random(20261020)
+        cases = [[[draw(rng) for _ in range(n)] for _ in range(n)]
+                 for _ in range(40) for draw in LEAD_ENTRIES.values()
+                 for n in range(1, 6)]
+        cases += [[[draw(rng) for _ in range(n)] for _ in range(n)]
+                  for draw in LEAD_ENTRIES.values() for n in (6, 7)
+                  for _ in range(5)]
+        cases += [[[0] * n for _ in range(n)] for n in range(1, 8)]
+        assert len(cases) >= 1000
+        balanced = 0
+        for rows in cases:
+            A = BoxMatrix(rows)
+            prods = permutation_products(A)
+            want = (max((v for v in prods if v > 0), default=0),
+                    max((-v for v in prods if v < 0), default=0))
+            plus, minus, limit = linalg._det_lead(A, 9)
+            assert (plus, minus) == want == s_det(s_embed_matrix(A)), rows
+            assert limit() == nary_boxplus(prods), rows
+            balanced += plus == minus
+        assert 100 < balanced < len(cases) - 100
+
+    def test_envelopes_run_no_ring(self, dp_runs):
+        assert det_inf_reg(TOP_CANCELLING, "lower") == -27
+        assert dp_runs == ["lead"]
+        dp_runs.clear()
+        assert det_inf(TOP_CANCELLING) == 12
+        assert dp_runs == ["lead", "ring"]
+
+    def test_one_message_template(self):
+        for what, call in [
+                ("determinant", lambda A: det_inf(A, 2)),
+                ("pair determinant", lambda A: s_det(s_embed_matrix(A), 2))]:
+            with pytest.raises(CapacityError, match=(
+                    f"^{what} on a 3x3 matrix exceeds the size cap 2$")):
+                call(TOP_CANCELLING)
+            with pytest.raises(DomainError, match=(
+                    f"^{what} needs a square matrix, got 2x3$")):
+                call([[1, 2, 3], [4, 5, 6]])
