@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 
 from .core import _envelope, _scalars, as_float, as_scalar
-from .eigen import _char_levels, _check_char, _eval_at, _net_at, eigen_region
+from .eigen import _CHAR, _char_levels, _eval_at, _net_at, eigen_region
 from .errors import (
     BoxAlgError,
     CapacityError,
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .geom import hyperplane_contains, hyperplane_through
 # no handler calls det_inf; the benchmark's tracer tests read it here
-from .linalg import BoxMatrix, _det_lead, det_inf, det_p  # noqa: F401
+from .linalg import BoxMatrix, _checked, _det_lead, det_inf, det_p  # noqa: F401
 from .oracle import (DEFAULT_P_MAX, DEFAULT_TOL, _caps, _check_sweep,
                      _check_tol, _gaps, _perron, sweep)
 from .signedlog import SignedLog, _decided, _phi_p_net, check_p, odd_exponent
@@ -273,7 +273,7 @@ def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
 
 def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     _, char_cap = _caps(_cap())
-    A = _check_char(_matrix_in(data["A"]), char_cap)
+    A = _checked(_matrix_in(data["A"]), char_cap, _CHAR)
     lam = data.get("lam")
     lam = None if lam is None else as_scalar(lam)
     levels, scale = _char_levels(A)

@@ -68,9 +68,10 @@ from operator import add, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import LOWER, UPPER, _envelopes, _net_limit, as_scalar
-from .errors import CapacityError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .linalg import (
     BoxMatrix,
+    _checked,
     _dominant_terms,
     as_matrix,
     matvec_limit,
@@ -88,6 +89,7 @@ from .signedlog import (
 )
 
 DEFAULT_CHAR_CAP = 7
+_CHAR = "characteristic multiset"  # the name of a characteristic input in faults
 NODA_TOL, NODA_STEPS = 1e-12, 100  # perron_p's bracket width, step limit
 
 
@@ -99,25 +101,6 @@ class Monomial(NamedTuple):
 def expected_monomial_count(n: int) -> int:
     """Sum over k of k! * C(n, k), counting the degree-n term once (k=0)."""
     return sum(math.perm(n, k) for k in range(n + 1))
-
-
-def _square(A) -> BoxMatrix:
-    """A as a matrix checked square: the characteristic and Perron inputs."""
-    M = as_matrix(A)
-    if not M.is_square:
-        raise DomainError(f"square matrix required, got {M.rows}x{M.cols}")
-    return M
-
-
-def _check_char(A, cap: int) -> BoxMatrix:
-    M = _square(A)
-    n = M.rows
-    if n > cap:
-        raise CapacityError(
-            f"characteristic multiset for a {n}x{n} matrix exceeds the size "
-            f"cap {cap} ({expected_monomial_count(n)} monomials)"
-        )
-    return M
 
 
 @cache
@@ -178,7 +161,7 @@ def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> tuple[Monomial, ...]:
     the empty subset contributes ((-1)^n, n). Order: k ascending, then the
     subsets in ``combinations`` order, then Heap order.
     """
-    levels, total = _char_levels(_check_char(A, cap))
+    levels, total = _char_levels(_checked(A, cap, _CHAR))
     return tuple(Monomial(Fraction(c, total), d)
                  for d, level in levels for c in level)
 
@@ -306,7 +289,7 @@ def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
 def _radii(A, cap: int):
     """The members of :func:`eigen_region`, unsorted, as (half-line, exact
     root or None, log of the radius)."""
-    dom, _scale = _dominant_terms(_check_char(A, cap), lam=True)
+    dom, _scale = _dominant_terms(_checked(A, cap, _CHAR), lam=True)
     mag = {d: m for d, (m, _s) in dom.items()}  # each over the one scale
 
     def bend(a: int, b: int, c: int) -> int:
@@ -423,7 +406,7 @@ def perron_p(A, p: int) -> tuple[SignedLog, tuple[SignedLog, ...]]:
     top; the vector is B's eigenvector e^u_i x_i, sup-norm 1. A bracket
     still open after ``NODA_STEPS`` steps raises ConvergenceError.
     """
-    M = _square(A)
+    M = _checked(A, math.inf, "Perron data")
     for i, row in enumerate(M._ints, start=1):
         for j, a in enumerate(row, start=1):
             if a <= 0:

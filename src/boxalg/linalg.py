@@ -5,14 +5,25 @@ sum is the dominant-magnitude operation from :mod:`boxalg.core` (or one of
 its semicontinuous envelopes, or a finite-index power sum).
 
 No determinant here lists the n! products. One subset DP sums them in
-one of two semirings; each state is keyed by the set of used columns and
-the degree of lam, so a plain determinant takes O(2^n n) steps. The
+one of three semirings; each state is keyed by the set of used columns
+and the degree of lam, so a plain determinant takes O(2^n n) steps. The
 leading terms keep the largest positive and the largest negative
 magnitude with their counts. One run of them (:func:`_det_lead`) gives
 the balance-pair determinant of :mod:`boxalg.sym` (the two magnitudes),
 which holds both regularized ones, and the limit determinant (their net
 count); the group ring, the whole net map ({m: net signed count}, S),
-runs only when that count cancels. A :class:`BoxMatrix` keeps each row
+runs only when that count cancels. The group ring runs in dicts, or
+packed in one int per state by Kronecker substitution (Harvey, J.
+Symbolic Comput. 44, 2009; :func:`_packing`): when every entry magnitude
+(with lam, every row scale too) factors over the primes 2..13 and the
+box D = prod_p (T_p + 1) is at most 64, T_p the sum of the rows' largest
+exponents of p, each product magnitude m is a digit idx(m) < D of
+w = bit_length(n!) + 1 bits, which holds any count of a state's at most
+n! terms, and a product step is a shift and an add. A packed run costs
+about what a leading-term run does, so :func:`_dominant_terms`, when no
+leading-term run is in hand (the eigen region, the Cramer readers),
+reads a packed ring at once rather than the leading terms and then a
+ring. A :class:`BoxMatrix` keeps each row
 as integers over the row's own scale, which the DP reads as they are, so
 every magnitude is an integer m over one scale S, the product of the row
 scales, and the maps pass on in that form. The same DP with a_ii - lam
@@ -43,6 +54,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -223,11 +235,12 @@ def _subset_dp(entries, width, step, one):
     """Semiring sum over all permutations of the products of chosen entries.
 
     ``entries[i]`` lists the terms (j, shift, a, s) of row i: in column j,
-    the integer magnitude a > 0 with sign s, times lam**shift. A state
-    key is the mask of the used columns plus the degree of lam times
-    2**width, and holds the semiring sum over the partial permutations
-    that reach it. Taking column j adds one inversion per used column
-    above j, so the sign flips when their count is odd.
+    the factor a with sign s, times lam**shift; a is an integer magnitude
+    > 0, or its bit shift in the packed ring. A state key is the mask of
+    the used columns plus the degree of lam times 2**width, and holds the
+    semiring sum over the partial permutations that reach it. Taking
+    column j adds one inversion per used column above j, so the sign
+    flips when their count is odd.
     ``step(acc, value, a, s)`` returns acc plus value * s * a; acc is None
     for the semiring zero and may be updated in place. Returns the last
     layer, {key: sum}, empty when every product is zero.
@@ -283,17 +296,97 @@ def _ring_step(acc, value, a, s):
     return acc
 
 
-def _dp_slots(M: BoxMatrix, lam: bool, step, one) -> tuple[dict, int]:
-    """The subset DP of M's rows as integer terms (a_ii - lam on the
-    diagonal with ``lam``) per slot, and the scale S of every term. A
-    square M uses every column, so a final key's bits above the mask give
-    the slot, the degree of lam; a bordered one leaves one column out,
-    which is the slot. Each term takes one factor per row, so it scales
-    by S, the product of M's row scales, which keeps magnitude order and
-    ties."""
-    rows, scales, width = M._ints, M._scales, M.cols
+def _packed_step(acc, value, a, s):
+    """Packed group ring: the net map as one int, the sum of c * 2^(w
+    idx(m)) (:func:`_packing`); the factor a is its shift w idx(a)."""
+    value = value << a if s > 0 else -value << a
+    return value if acc is None else acc + value
+
+
+#: the primes a packed ring's magnitudes factor over, and its largest box
+PACK_PRIMES = (2, 3, 5, 7, 11, 13)
+PACK_BOX = 64
+# a multiple of every lcm over PACK_PRIMES with each exponent below the box
+_PACK_MULTIPLE = math.prod(PACK_PRIMES) ** (PACK_BOX - 1)
+
+
+@lru_cache(maxsize=1024)
+def _exponents(m: int) -> tuple[int, ...]:
+    """The exponent of each of ``PACK_PRIMES`` in m."""
+    out = []
+    for p in PACK_PRIMES:
+        e = 0
+        while not m % p:
+            m //= p
+            e += 1
+        out.append(e)
+    return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _box(tops: tuple[int, ...], n: int
+         ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The packed layout of n rows whose exponents of ``PACK_PRIMES`` sum
+    to at most ``tops``: the digit width w = bit_length(n!) + 1, the shift
+    of one more factor p for each prime p, and the magnitude at each
+    digit, in mixed radix with radix T_p + 1 for p."""
+    w = math.factorial(n).bit_length() + 1
+    strides, table = [], [1]
+    for p, t in zip(PACK_PRIMES, tops):
+        strides.append(w * len(table))
+        table = [m * p ** e for e in range(t + 1) for m in table]
+    return w, tuple(strides), tuple(table)
+
+
+def _packing(entries):
+    """How the group ring of the DP terms ``entries`` packs into ints:
+    ({magnitude: shift}, the reader of a packed map), or None.
+
+    It packs when every magnitude factors over ``PACK_PRIMES`` and the
+    box D = prod_p (T_p + 1) is at most ``PACK_BOX``, T_p the sum over
+    rows of the row's largest exponent of p: the exponent of p in the
+    product of the rows' lcms. Every product then has a mixed-radix index
+    idx(m) < D, and idx of a product is the sum of its factors' idx. A
+    state's net count at one magnitude is at most its number of terms,
+    i!/d! <= n! (i rows, d factors lam), so each count is a signed digit
+    of w = bit_length(n!) + 1 bits (:func:`_box`), and a factor a is the
+    shift w idx(a)."""
+    lcms = []
+    for row in entries:
+        lcms.append(math.lcm(*{term[2] for term in row}))
+        if _PACK_MULTIPLE % lcms[-1]:
+            return None
+    tops = _exponents(math.prod(lcms))
+    if math.prod(t + 1 for t in tops) > PACK_BOX:
+        return None
+    w, strides, table = _box(tops, len(entries))
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = half * ((1 << w * len(table)) - 1) // mask  # half in every digit
+
+    def unpack(x: int) -> dict[int, int]:
+        """The net map {m: c != 0} of a packed one. The bias lifts every
+        digit to c + 2^(w - 1) in [0, 2^w), so no digit borrows, and its
+        xor leaves the digits with c != 0 the only ones set."""
+        x += bias
+        live, at, out = x ^ bias, 0, {}
+        while live:
+            skip = ((live & -live).bit_length() - 1) // w  # zero digits
+            x >>= skip * w
+            live >>= (skip + 1) * w
+            at += skip
+            out[table[at]] = (x & mask) - half
+            x >>= w
+            at += 1
+        return out
+    mags = {term[2] for row in entries for term in row}
+    return {a: sum(map(mul, _exponents(a), strides)) for a in mags}, unpack
+
+
+def _dp_entries(M: BoxMatrix, lam: bool) -> list[list[tuple]]:
+    """M's rows as the integer terms of :func:`_subset_dp`, with a_ii - lam
+    on the diagonal with ``lam``: lam's factor is the row scale s_i."""
     entries = []
-    for i, (row, scale) in enumerate(zip(rows, scales)):
+    for i, (row, scale) in enumerate(zip(M._ints, M._scales)):
         line = []
         for j, a in enumerate(row):
             if a:
@@ -301,12 +394,38 @@ def _dp_slots(M: BoxMatrix, lam: bool, step, one) -> tuple[dict, int]:
             if lam and i == j:
                 line.append((j, 1, scale, -1))
         entries.append(line)
+    return entries
+
+
+def _dp_slots(M: BoxMatrix, entries, step, one) -> tuple[dict, int]:
+    """The subset DP of M's terms ``entries`` (:func:`_dp_entries`) per
+    slot, and the scale S of every term. A square M uses every column, so
+    a final key's bits above the mask give the slot, the degree of lam; a
+    bordered one leaves one column out, which is the slot. Each term takes
+    one factor per row, so it scales by S, the product of M's row scales,
+    which keeps magnitude order and ties."""
+    width = M.cols
     layer, full = _subset_dp(entries, width, step, one), (1 << width) - 1
     if M.is_square:
         slots = {key >> width: v for key, v in layer.items()}
     else:
         slots = {(full ^ key).bit_length() - 1: v for key, v in layer.items()}
-    return slots, math.prod(scales)
+    return slots, math.prod(M._scales)
+
+
+def _ring_run(M: BoxMatrix, entries, packing) -> tuple[dict, int]:
+    """The group ring of M's terms ``entries`` as :func:`_ring_terms`
+    gives it: packed in ints when ``packing`` (:func:`_packing`) is
+    given, else in dicts."""
+    if packing is None:
+        ring, total = _dp_slots(M, entries, _ring_step, {1: 1})
+        return ({k: {m: c for m, c in nets.items() if c}
+                 for k, nets in ring.items()}, total)
+    shifts, unpack = packing
+    ring, total = _dp_slots(
+        M, [[(j, d, shifts[a], s) for j, d, a, s in row] for row in entries],
+        _packed_step, 1)
+    return {k: unpack(x) for k, x in ring.items()}, total
 
 
 def _ring_terms(M: BoxMatrix, lam: bool = False
@@ -314,16 +433,24 @@ def _ring_terms(M: BoxMatrix, lam: bool = False
     """Per slot (:func:`_dp_slots`), the net map {magnitude: net signed
     count} of the signed permutation products or, with ``lam``, of the
     characteristic monomials, and the scale S: every magnitude is the
-    integer key over S. Magnitudes that cancel are dropped."""
-    ring, total = _dp_slots(M, lam, _ring_step, {1: 1})
-    return ({k: {m: c for m, c in nets.items() if c}
-             for k, nets in ring.items()}, total)
+    integer key over S. Magnitudes that cancel are dropped. The ring runs
+    packed in ints when :func:`_packing` allows, else in dicts."""
+    entries = _dp_entries(M, lam)
+    return _ring_run(M, entries, _packing(entries))
 
 
 def _lead_terms(M: BoxMatrix, lam: bool = False) -> tuple[dict, int]:
     """The leading-term run of M: per slot, (P, cp, N, cn) as in
     :func:`_lead_step`, and the scale S."""
-    return _dp_slots(M, lam, _lead_step, (1, 1, 0, 0))
+    return _dp_slots(M, _dp_entries(M, lam), _lead_step, (1, 1, 0, 0))
+
+
+def _ring_tops(ring: dict, total: int
+               ) -> tuple[dict[int, tuple[int, int]], int]:
+    """Per slot of a group ring, its largest surviving magnitude and the
+    sign of its count, and the scale S; slots that cancel are absent."""
+    return {k: (m := max(net), 1 if net[m] > 0 else -1)
+            for k, net in ring.items() if net}, total
 
 
 def _dominant_terms(M: BoxMatrix, lam: bool = False,
@@ -333,17 +460,23 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False,
     and the sign of that count, and the scale S (terms as in
     :func:`_ring_terms`: every magnitude is its integer over S).
 
-    Slots where everything cancels are absent. The leading-term run
-    (``lead``, when the caller has it) settles it unless some leading
-    count nets to zero; then the group ring finds the next surviving
-    magnitude.
+    Slots where everything cancels are absent. With no ``lead``, a ring
+    that packs is read at once: one packed run costs about what a
+    leading-term run does. Otherwise the leading-term run (``lead``, when
+    the caller has it) settles it unless some leading count nets to
+    zero; then the group ring finds the next surviving magnitude.
     """
-    top, total = lead or _lead_terms(M, lam)
+    if lead is None:
+        entries = _dp_entries(M, lam)
+        packing = _packing(entries)
+        if packing is not None:
+            return _ring_tops(*_ring_run(M, entries, packing))
+        lead = _dp_slots(M, entries, _lead_step, (1, 1, 0, 0))
+    top, total = lead
     top = {k: (max(p, n), cp * (p >= n) - cn * (n >= p))
            for k, (p, cp, n, cn) in top.items()}
     if not all(c for _m, c in top.values()):
-        ring, total = _ring_terms(M, lam)
-        top = {k: (max(net), net[max(net)]) for k, net in ring.items() if net}
+        return _ring_tops(*_ring_terms(M, lam))
     return {k: (m, 1 if c > 0 else -1) for k, (m, c) in top.items()}, total
 
 

@@ -35,7 +35,7 @@ from typing import Sequence
 from .core import _net_limit, _scalars, as_float, as_scalar, as_vector
 from .eigen import (
     DEFAULT_CHAR_CAP,
-    _check_char,
+    _CHAR,
     _net_at,
     _radii,
     eigen_region,
@@ -43,7 +43,8 @@ from .eigen import (
 )
 from .errors import BoxAlgError, ConvergenceError, DomainError
 from .linalg import (DEFAULT_DET_CAP, BoxMatrix, _cramer_nets,
-                     _det_net, _powered_dets, _ring_terms, as_matrix, det_inf)
+                     _checked, _det_net, _powered_dets, _ring_terms,
+                     as_matrix, det_inf)
 from .signedlog import (
     SignedLog,
     _over_lcm,
@@ -239,8 +240,8 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
             nets = [_det_net(as_matrix(inputs["A"]), det_cap)]
         elif quantity == "charpoly":
             A, lam = as_matrix(inputs["A"]), as_scalar(inputs["lam"])
-            nets = [_net_at(*_ring_terms(_check_char(A, char_cap), lam=True),
-                            lam)]
+            A = _checked(A, char_cap, _CHAR)
+            nets = [_net_at(*_ring_terms(A, lam=True), lam)]
         else:  # det A, then each det A_i(b)
             system = LimitSystem(as_matrix(inputs["A"]), as_vector(inputs["b"]))
             nets = _cramer_nets(system.A, system.b, det_cap)

@@ -34,6 +34,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -70,8 +71,30 @@ def _iroot(k: int, e: int) -> int:
         r = s
 
 
+@lru_cache(maxsize=256)
+def _residue_primes(e: int) -> tuple[int, ...]:
+    """The four smallest primes P = 1 (mod e): modulo each, the e-th
+    powers prime to P are the k with k^((P - 1)/e) = 1."""
+    out, P = [], e + 1
+    while len(out) < 4:
+        if all(P % d for d in range(2, math.isqrt(P) + 1)):
+            out.append(P)
+        P += e
+    return tuple(out)
+
+
 def _nth_root_exact(q: Fraction, e: int) -> Fraction | None:
-    """q^(1/e) when rational, else None (q in lowest terms, q >= 0)."""
+    """q^(1/e) when rational, else None (q in lowest terms, q >= 0).
+
+    A numerator or denominator k that is not an e-th power residue
+    modulo one of :func:`_residue_primes` is no e-th power, so the
+    Newton steps run only on the few that pass."""
+    if e == 1:
+        return q
+    for P in _residue_primes(e):
+        if any(k % P and pow(k, (P - 1) // e, P) != 1
+               for k in (q.numerator, q.denominator)):
+            return None
     rn, rd = _iroot(q.numerator, e), _iroot(q.denominator, e)
     if rn ** e != q.numerator or rd ** e != q.denominator:
         return None

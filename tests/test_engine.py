@@ -34,6 +34,7 @@ from boxalg import (
     nary_boxplus,
     net_by_magnitude,
     odd_exponent,
+    perron_p,
     permutation_products,
     phi_p_sum,
     predict_near_tie,
@@ -95,12 +96,13 @@ SMALL = [p.values[0] for p in MATRICES if p.id.startswith("small-")]
 
 @pytest.fixture
 def ring_runs(monkeypatch):
-    """Sizes of the matrices on which the group-ring fallback ran."""
+    """Sizes of the matrices on which the group-ring fallback ran, in dicts
+    or packed in ints."""
     runs = []
     inner = linalg._subset_dp
 
     def spy(entries, width, step, one):
-        if step is linalg._ring_step:
+        if step in (linalg._ring_step, linalg._packed_step):
             runs.append(len(entries))
         return inner(entries, width, step, one)
 
@@ -681,6 +683,27 @@ class TestExactRoot:
         assert (z.sign, z.exact, z.to_float()) == (1, 1, 1.0)
         assert rep.abs_gaps[0] == 10 ** 8 - 1
 
+    def test_a_non_power_runs_no_newton_step(self, monkeypatch):
+        # 2 * 10^300 is 2 modulo 7, where the cubes prime to 7 are 1 and 6,
+        # so the residue test declines it before any integer root step
+        calls = []
+        inner = signedlog._iroot
+
+        def spy(k, e):
+            calls.append(e)
+            return inner(k, e)
+        monkeypatch.setattr(signedlog, "_iroot", spy)
+        assert _nth_root_exact(Fraction(2 * 10 ** 300), 3) is None
+        assert _nth_root_exact(Fraction(3 ** 90, 2 * 10 ** 300), 3) is None
+        assert calls == []
+        # every e-th power passes the residue test and keeps its root
+        rng = random.Random(30)
+        for e in range(1, 10):
+            for _ in range(20):
+                r = Fraction(rng.randint(0, 10 ** 12), rng.randint(1, 10 ** 9))
+                assert _nth_root_exact(r ** e, e) == r
+        assert calls
+
     def test_past_the_budget_reads_the_logs(self, monkeypatch):
         # q = 25 times the 3,002 bits of the top magnitude is past the
         # budget, so p = 12 takes the log-sum-exp; p = 0 does not
@@ -1057,11 +1080,12 @@ class TestBorderedDP:
 
 @pytest.fixture
 def dp_runs(monkeypatch):
-    """The semiring of every subset-DP run: 'lead' or 'ring'. Every
-    magnitude handed to a run must be an int."""
+    """The semiring of every subset-DP run: 'lead', 'ring' or 'packed'.
+    Every factor handed to a run must be an int."""
     runs = []
     inner = linalg._subset_dp
-    names = {linalg._lead_step: "lead", linalg._ring_step: "ring"}
+    names = {linalg._lead_step: "lead", linalg._ring_step: "ring",
+             linalg._packed_step: "packed"}
 
     def spy(entries, width, step, one):
         runs.append(names[step])
@@ -1074,17 +1098,26 @@ def dp_runs(monkeypatch):
 
 
 class TestOneBorderedRun:
-    """A Cramer-shaped problem runs one DP: the leading-term one, plus one
-    group-ring run when a leading count cancels. So does a det problem,
-    whatever its mode and p, and a hyperplane sweep, whose residuals are
-    Bareiss determinants. The other sweeps run the group ring once, and
-    the charpoly kind, which nets its listing, runs none."""
+    """A Cramer-shaped problem runs one DP: the packed group ring when its
+    box is small, else the leading-term one, plus one group-ring run when
+    a leading count cancels. A det problem, whatever its mode and p, runs
+    the leading-term DP and, when its count cancels, the group ring; so
+    does a hyperplane sweep, whose residuals are Bareiss determinants. The
+    other sweeps run the group ring once, and the charpoly kind, which
+    nets its listing, runs none. Entries of 17 keep the ring in dicts."""
 
     CANCELLING = TOP_CANCELLING.to_rows()
     WIDE = [[3, -1, 3], [2, -4, 1], [-4, 5, 3]]
+    CANCELLING17 = [[17 * a for a in row] for row in CANCELLING]
+    WIDE17 = [[17 * a for a in row] for row in WIDE]
+
+    def _ring(self, rows):
+        """The semiring of a group-ring run on rows."""
+        return "ring" if rows in (self.WIDE17, self.CANCELLING17) else "packed"
 
     @pytest.mark.parametrize("rows, expected", [
-        (WIDE, ["lead"]), (CANCELLING, ["lead", "ring"])])
+        (WIDE, ["packed"]), (CANCELLING, ["packed"]),
+        (WIDE17, ["lead"]), (CANCELLING17, ["lead", "ring"])])
     def test_cli_kinds(self, capsys, dp_runs, rows, expected):
         A = [[str(a) for a in row] for row in rows]
         zeros = [["0"] * 3] * 3
@@ -1100,7 +1133,8 @@ class TestOneBorderedRun:
 
     @pytest.mark.parametrize("rows, ring", [
         (WIDE, 0), (CANCELLING, 1), (MIXED_PARITY_TOP.to_rows(), 0),
-        ([["1/2", "-2/3", "0"], ["3/4", "5", "-1/6"], ["0", "7/3", "2"]], 0)])
+        ([["1/2", "-2/3", "0"], ["3/4", "5", "-1/6"], ["0", "7/3", "2"]], 0),
+        (WIDE17, 0), (CANCELLING17, 1)])
     def test_det_and_sym_kinds_run_lead_dps(self, capsys, dp_runs, rows,
                                             ring):
         A = [[str(a) for a in row] for row in rows]
@@ -1111,28 +1145,33 @@ class TestOneBorderedRun:
             dp_runs.clear()
             assert run([kind, "--json", json.dumps(problem)]) == 0
             capsys.readouterr()
-            assert sorted(dp_runs) == ["lead"] * leads + ["ring"] * ring, kind
+            assert dp_runs == ["lead"] * leads + [self._ring(rows)] * ring, kind
 
-    @pytest.mark.parametrize("rows", [WIDE, CANCELLING])
+    @pytest.mark.parametrize("rows", [WIDE, CANCELLING, WIDE17, CANCELLING17])
     def test_sweeps(self, capsys, dp_runs, rows):
         A = [[str(a) for a in row] for row in rows]
-        lead = ["lead"] + ["ring"] * (rows is self.CANCELLING)
+        ring = self._ring(rows)
+        lead = ["lead"] + [ring] * (rows in (self.CANCELLING,
+                                             self.CANCELLING17))
         for problem, expected in [
                 ({"quantity": "cramer", "A": A, "b": ["1", "2", "3"]},
-                 ["ring"]),
+                 [ring]),
                 ({"quantity": "hyperplane", "points": A, "x": ["1", "0", "2"]},
                  lead),
-                ({"quantity": "charpoly", "A": A, "lam": "-2/3"}, ["ring"])]:
+                ({"quantity": "charpoly", "A": A, "lam": "-2/3"}, [ring])]:
             dp_runs.clear()
             assert run(["oracle", "--json", json.dumps(problem)]) == 0
             capsys.readouterr()
             assert dp_runs == expected, problem["quantity"]
 
     @pytest.mark.parametrize("rows, expected", [
-        ([[2, 1], [1, 2]], ["lead"]),
-        # the degree-0 leading count cancels, so the leading-term run is
-        # followed by a group-ring run
-        ([[1, 1], [1, 1]], ["lead", "ring"])])
+        ([[2, 1], [1, 2]], ["packed"]),
+        # the degree-0 leading count cancels: one packed run reads past it
+        ([[1, 1], [1, 1]], ["packed"]),
+        # past the box, the leading-term run, then the group ring when the
+        # degree-0 leading count cancels
+        ([[34, 17], [17, 34]], ["lead"]),
+        ([[17, 17], [17, 17]], ["lead", "ring"])])
     def test_eigen_kind(self, capsys, dp_runs, rows, expected):
         assert run(["eigen", "--json", json.dumps({"A": rows})]) == 0
         assert "perron" in json.loads(capsys.readouterr().out)
@@ -1190,7 +1229,7 @@ class TestOneLeadRun:
         assert dp_runs == ["lead"]
         dp_runs.clear()
         assert det_inf(TOP_CANCELLING) == 12
-        assert dp_runs == ["lead", "ring"]
+        assert dp_runs == ["lead", "packed"]
 
     def test_one_message_template(self):
         for what, call in [
@@ -1202,3 +1241,97 @@ class TestOneLeadRun:
             with pytest.raises(DomainError, match=(
                     f"^{what} needs a square matrix, got 2x3$")):
                 call([[1, 2, 3], [4, 5, 6]])
+
+    def test_characteristic_and_perron_inputs_share_the_template(self,
+                                                                 capsys):
+        wide = [[1, 2, 3], [4, 5, 6]]
+        for call in (lambda A: eigen_region(A, cap=2),
+                     lambda A: char_monomials(A, 2),
+                     lambda A: sweep("charpoly", {"A": A, "lam": 1}, cap=2)):
+            with pytest.raises(CapacityError, match=(
+                    "^characteristic multiset on a 3x3 matrix exceeds the "
+                    "size cap 2$")):
+                call(TOP_CANCELLING)
+            with pytest.raises(DomainError, match=(
+                    "^characteristic multiset needs a square matrix, "
+                    "got 2x3$")):
+                call(wide)
+        with pytest.raises(DomainError, match=(
+                "^Perron data needs a square matrix, got 2x3$")):
+            perron_p(wide, 1)
+        for kind, code in (("charpoly", 3), ("eigen", 3)):
+            assert run([kind, "--json", json.dumps({"A": wide})]) == code
+            assert json.loads(capsys.readouterr().out) == {
+                "error": "characteristic multiset needs a square matrix, "
+                         "got 2x3"}
+
+
+PACKED_ENTRIES = {
+    "small": lambda rng: rng.randint(-2, 2),
+    "binary": lambda rng: rng.randint(0, 1),
+    "positive": lambda rng: rng.randint(1, 3),
+    "smooth": lambda rng: rng.choice((1, -1, 2, -2, 3, -3, 4, -4, 6, -6)),
+    "rational": lambda rng: Fraction(rng.randint(-3, 3),
+                                     rng.choice((1, 2, 3, 4, 6))),
+}
+
+
+class TestPackedRing:
+    """The group ring packed in ints (each net map one int, a count per
+    w-bit digit) against the ring in dicts, on the matrices it takes:
+    magnitudes over the primes 2..13 in a small box."""
+
+    # each entry set packs its matrices up to size top: the box grows
+    # with n
+    @pytest.mark.parametrize("name, top", [
+        ("small", 8), ("binary", 8), ("positive", 7), ("smooth", 5),
+        ("rational", 5)])
+    def test_equals_the_dict_ring(self, name, top):
+        draw, rng = PACKED_ENTRIES[name], random.Random(name)
+        packed = set()
+        for n in range(1, 9):
+            for _ in range(3 if n < 7 else 1):
+                A = BoxMatrix([[draw(rng) for _ in range(n)]
+                               for _ in range(n)])
+                bordered = BoxMatrix((*row, draw(rng)) for row in A.to_rows())
+                for M, lam in ((A, False), (A, True), (bordered, False)):
+                    entries = linalg._dp_entries(M, lam)
+                    ring = linalg._ring_run(M, entries, None)
+                    assert linalg._ring_terms(M, lam) == ring
+                    assert (linalg._dominant_terms(M, lam)
+                            == linalg._ring_tops(*ring))
+                    if linalg._packing(entries) is not None:
+                        packed.add((n, lam, M is bordered))
+        for form in ((False, False), (True, False), (False, True)):
+            assert {n for n, *f in packed if tuple(f) == form} >= set(
+                range(1, top)), form
+        assert max(n for n, *_f in packed) == top
+
+    @pytest.mark.parametrize("rows, lam, ring", [
+        ([[17, 1], [1, 1]], False, "ring"),  # 17 is past the primes
+        ([["1/17", 0], [1, 1]], False, "packed"),  # a scale off the diagonal
+        ([["1/17", 0], [1, 1]], True, "ring"),  # lam puts it there
+        ([[30, 1, 1], [1, 30, 1], [1, 1, 30]], True, "packed"),  # D = 64
+        ([[2 ** 63]], False, "packed"),  # D = 64 from one prime
+        ([[2 ** 64]], False, "ring"),
+        ([[30, 1, 1, 1], [1, 30, 1, 1], [1, 1, 30, 1], [1, 1, 1, 30]],
+         False, "ring")])  # D = 125
+    def test_the_box_chooses_the_ring(self, dp_runs, rows, lam, ring):
+        M = BoxMatrix(rows)
+        entries = linalg._dp_entries(M, lam)
+        assert linalg._ring_terms(M, lam) == linalg._ring_run(M, entries, None)
+        assert dp_runs == [ring, "ring"]
+
+    def test_a_packed_ring_reads_its_tops_in_one_run(self, dp_runs):
+        H = [[1]]  # Sylvester's 8x8 Hadamard matrix, det 8^4
+        for _ in range(3):
+            H = [r + r for r in H] + [r + [-v for v in r] for r in H]
+        H = BoxMatrix(H)
+        assert linalg._ring_terms(H) == ({0: {1: 4096}}, 1)
+        assert linalg._dominant_terms(H) == ({0: (1, 1)}, 1)
+        assert dp_runs == ["packed", "packed"]
+        dp_runs.clear()
+        # det_inf runs the leading terms for its envelopes, and they
+        # settle it: the count 4096 at magnitude 1 does not cancel
+        assert det_inf(H) == 1 and det_p(H, 0).exact == 4096
+        assert dp_runs == ["lead"]
