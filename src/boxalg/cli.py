@@ -8,7 +8,9 @@ alongside under a ``_float`` key. Output keys are sorted and the encoding
 is compact, so identical inputs produce byte-identical outputs. One emitter
 writes every document, single or batch; it splices in raw fragments, JSON
 text a handler has already encoded (only the `charpoly` listing is one).
-The `det` and `sym` kinds read one leading-term run (``linalg._det_lead``).
+The `sym` kind and the `det` kind with mode lower or upper read one
+leading-term run (``linalg._det_lead``); a plain `det` reads
+``linalg.det_inf``, which needs none when the ring packs.
 
 Exit codes: 0 success, 2 infeasible or no result (singular systems,
 degenerate configurations, non-convergence), 3 input error (unreadable
@@ -40,8 +42,7 @@ from .errors import (
     DomainError,
 )
 from .geom import hyperplane_contains, hyperplane_through
-# no handler calls det_inf; the benchmark's tracer tests read it here
-from .linalg import BoxMatrix, _checked, _det_lead, det_inf, det_p  # noqa: F401
+from .linalg import BoxMatrix, _checked, _det_lead, det_inf, det_p
 from .oracle import (DEFAULT_P_MAX, DEFAULT_TOL, _caps, _check_sweep,
                      _check_tol, _gaps, _perron, sweep)
 from .signedlog import SignedLog, _decided, _phi_p_net, check_p, odd_exponent
@@ -194,12 +195,15 @@ def _do_det(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps(_cap())
     A = _matrix_in(data["A"])
     mode = opts.get("mode")
-    plus, minus, limit = _det_lead(A, det_cap)
-    out = _exact({}, det_inf=limit())
     if mode in ("lower", "upper"):
+        plus, minus, limit = _det_lead(A, det_cap)
+        out = _exact({}, det_inf=limit())
         _exact(out, **{f"det_{mode}": _envelope((plus, -minus), mode)})
-    elif mode not in (None, "exact"):
-        raise DomainError(f"mode must be lower, upper or exact, got {mode!r}")
+    else:  # a size fault is reported before a bad mode
+        out = _exact({}, det_inf=det_inf(A, det_cap))
+        if mode not in (None, "exact"):
+            raise DomainError(
+                f"mode must be lower, upper or exact, got {mode!r}")
     p = _opt_p(opts)
     if p is not None:
         out["det_p"] = _slog(det_p(A, p, det_cap))

@@ -10,31 +10,40 @@ and the degree of lam, so a plain determinant takes O(2^n n) steps. The
 leading terms keep the largest positive and the largest negative
 magnitude with their counts. One run of them (:func:`_det_lead`) gives
 the balance-pair determinant of :mod:`boxalg.sym` (the two magnitudes),
-which holds both regularized ones, and the limit determinant (their net
-count); the group ring, the whole net map ({m: net signed count}, S),
-runs only when that count cancels. The group ring runs in dicts, or
-packed in one int per state by Kronecker substitution (Harvey, J.
-Symbolic Comput. 44, 2009; :func:`_packing`): when every entry magnitude
-(with lam, every row scale too) factors over the primes 2..13 and the
-box D = prod_p (T_p + 1) is at most 64, T_p the sum of the rows' largest
-exponents of p, each product magnitude m is a digit idx(m) < D of
-w = bit_length(n!) + 1 bits, which holds any count of a state's at most
-n! terms, and a product step is a shift and an add. A packed run costs
-about what a leading-term run does, so :func:`_dominant_terms`, when no
-leading-term run is in hand (the eigen region, the Cramer readers),
-reads a packed ring at once rather than the leading terms and then a
-ring. A :class:`BoxMatrix` keeps each row
-as integers over the row's own scale, which the DP reads as they are, so
-every magnitude is an integer m over one scale S, the product of the row
-scales, and the maps pass on in that form. The same DP with a_ii - lam
-on the diagonal, a term of degree 1, keeps one state per degree and
-gives the per-degree net maps of the characteristic monomials
-(:mod:`boxalg.eigen`). On the bordered matrix [A | b] its last layer
-holds Cramer's n + 1 determinants, one per left-out column: without b,
-det A; without column i, the minor (-1)^(n-1-i) det A_i(b), the sign of
-moving b from the last column to column i. The listing
-(:func:`permutation_products`, Heap's algorithm) stays as public API and
-as the tests' reference expansion.
+which holds both regularized ones; the group ring, the whole net map
+({m: net signed count}, S), runs when their net count cancels. A
+:class:`BoxMatrix` keeps each row as integers over the row's own scale,
+which the DP reads as they are, so every magnitude is an integer m over
+one scale S, the product of the row scales, and the maps pass on in
+that form. The same DP with a_ii - lam on the diagonal, a term of
+degree 1, keeps one state per degree and gives the per-degree net maps
+of the characteristic monomials (:mod:`boxalg.eigen`). On the bordered
+matrix [A | b] its last layer holds Cramer's n + 1 determinants, one per
+left-out column: without b, det A; without column i, the minor
+(-1)^(n-1-i) det A_i(b), the sign of moving b from the last column to
+column i. The listing (:func:`permutation_products`, Heap's algorithm)
+stays as public API and as the tests' reference expansion.
+
+The group ring runs in dicts, or packed in one int per map by Kronecker
+substitution (Harvey, J. Symbolic Comput. 44, 2009; :func:`_packing`)
+when every entry magnitude (with lam, every row scale too) factors over
+the primes 2..13 and the box D = prod_p (T_p + 1) is at most 64, T_p the
+sum of the rows' largest exponents of p: each product magnitude m is a
+digit idx(m) < D of w = bit_length(n!) + 1 bits, and an entry a is
+sgn(a) 2^(w idx|a|). Without lam, a packed ring is one Bareiss
+elimination of that packed matrix (:func:`_kronecker_slots`), O(n^3)
+integer steps: det commutes with the packing map, every product's
+exponents stay inside the box and every net count stays below 2^(w-1),
+so the integer determinant is the packed net map, read back digit by
+digit. The bordered [A | b] gains the row (Y^0, ..., Y^n), Y = 2^(w D),
+which places the minor that leaves out column j in a block of its own,
+Y^j, with the sign (-1)^(n+j). The lam ring stays on the packed DP,
+where a product step is a shift and an add: putting lam in further
+blocks would make the integers n + 1 times longer. So
+:func:`_dominant_terms`, when no leading-term run is in hand
+(:func:`det_inf`, the eigen region, the Cramer readers), reads each
+slot's top digit from a packed ring at once rather than the leading
+terms and then a ring.
 
 The finite-index determinant needs no DP: the sum of the signed products
 raised to the power q = 2p + 1 is det(A^(q)), the ordinary determinant of
@@ -56,7 +65,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import LOWER, UPPER, _envelope, _scalars, as_vector, nary_boxplus, smile
 from .errors import CapacityError, DomainError
@@ -325,22 +334,33 @@ def _exponents(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)
 def _box(tops: tuple[int, ...], n: int
-         ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+         ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple]:
     """The packed layout of n rows whose exponents of ``PACK_PRIMES`` sum
     to at most ``tops``: the digit width w = bit_length(n!) + 1, the shift
-    of one more factor p for each prime p, and the magnitude at each
-    digit, in mixed radix with radix T_p + 1 for p."""
+    of one more factor p for each prime p, the magnitude at each digit, in
+    mixed radix with radix T_p + 1 for p, and (magnitude, shift) of every
+    digit, largest magnitude first: index order is not magnitude order
+    (idx(3) > idx(4))."""
     w = math.factorial(n).bit_length() + 1
     strides, table = [], [1]
     for p, t in zip(PACK_PRIMES, tops):
         strides.append(w * len(table))
         table = [m * p ** e for e in range(t + 1) for m in table]
-    return w, tuple(strides), tuple(table)
+    order = sorted(((m, w * i) for i, m in enumerate(table)), reverse=True)
+    return w, tuple(strides), tuple(table), tuple(order)
 
 
-def _packing(entries):
-    """How the group ring of the DP terms ``entries`` packs into ints:
-    ({magnitude: shift}, the reader of a packed map), or None.
+class _Packing(NamedTuple):
+    """How a group ring packs into ints (:func:`_packing`)."""
+    shifts: dict[int, int]  # {magnitude a: its shift w idx(a)}
+    span: int  # the bits w D of one packed map
+    unpack: Callable[[int], dict[int, int]]  # a packed map as {m: c != 0}
+    top: Callable[[int], tuple[int, int] | None]  # its top (m, sign of c)
+
+
+def _packing(entries) -> _Packing | None:
+    """How the group ring of the DP terms ``entries`` packs into ints, or
+    None.
 
     It packs when every magnitude factors over ``PACK_PRIMES`` and the
     box D = prod_p (T_p + 1) is at most ``PACK_BOX``, T_p the sum over
@@ -359,7 +379,7 @@ def _packing(entries):
     tops = _exponents(math.prod(lcms))
     if math.prod(t + 1 for t in tops) > PACK_BOX:
         return None
-    w, strides, table = _box(tops, len(entries))
+    w, strides, table, order = _box(tops, len(entries))
     half, mask = 1 << (w - 1), (1 << w) - 1
     bias = half * ((1 << w * len(table)) - 1) // mask  # half in every digit
 
@@ -378,8 +398,19 @@ def _packing(entries):
             x >>= w
             at += 1
         return out
+
+    def top(x: int) -> tuple[int, int] | None:
+        """The largest magnitude whose count in a packed map is not 0,
+        with the sign of that count; None when every count is 0."""
+        x += bias
+        above = (x ^ bias).bit_length()  # every digit from here up is 0
+        for m, at in order:
+            if at < above and (digit := x >> at & mask) != half:
+                return m, 1 if digit > half else -1
+        return None
     mags = {term[2] for row in entries for term in row}
-    return {a: sum(map(mul, _exponents(a), strides)) for a in mags}, unpack
+    return _Packing({a: sum(map(mul, _exponents(a), strides)) for a in mags},
+                    w * len(table), unpack, top)
 
 
 def _dp_entries(M: BoxMatrix, lam: bool) -> list[list[tuple]]:
@@ -413,19 +444,64 @@ def _dp_slots(M: BoxMatrix, entries, step, one) -> tuple[dict, int]:
     return slots, math.prod(M._scales)
 
 
+def _kronecker_slots(M: BoxMatrix, entries, packing) -> dict[int, int]:
+    """The packed net map of each slot of a lam-free M (:func:`_dp_slots`)
+    by one Bareiss elimination of its Kronecker image, where an entry a is
+    sgn(a) 2^(w idx|a|) (:func:`_packing`) and a zero stays 0: the ring
+    map commutes with det, so the determinant is the packed map. A
+    bordered n x (n + 1) M gains the row (Y^0, ..., Y^n), Y = 2^(w D);
+    expanded along it, the determinant is the sum of (-1)^(n+j) Y^j times
+    the minor that leaves out column j. Each minor is below Y/2 in size,
+    so balanced blocks of w D bits, read from the bottom with a borrow
+    when one is past Y/2, give them back. Slots that cancel are absent."""
+    shifts, span = packing.shifts, packing.span
+    image = []
+    for row in entries:
+        line = [0] * M.cols
+        for j, _d, a, s in row:
+            line[j] = s << shifts[a]
+        image.append(line)
+    if M.is_square:
+        det = _bareiss(image)
+        return {0: det} if det else {}
+    n = M.rows
+    det = _bareiss(image + [[1 << span * j for j in range(n + 1)]])
+    half, mask, slots = 1 << (span - 1), (1 << span) - 1, {}
+    for j in range(n + 1):
+        block = det & mask
+        det >>= span
+        if block >= half:
+            block -= 1 << span
+            det += 1
+        if block:
+            slots[j] = -block if (n + j) & 1 else block
+    return slots
+
+
+def _packed_slots(M: BoxMatrix, entries, packing) -> tuple[dict, int]:
+    """The packed net map of each slot of M's terms ``entries``, which
+    pack by ``packing``, and the scale S: one elimination without lam
+    (:func:`_kronecker_slots`), else the subset DP in packed ints, which
+    keeps a slot that cancels as 0."""
+    if not any(term[1] for row in entries for term in row):
+        return _kronecker_slots(M, entries, packing), math.prod(M._scales)
+    shifts = packing.shifts
+    return _dp_slots(
+        M, [[(j, d, shifts[a], s) for j, d, a, s in row] for row in entries],
+        _packed_step, 1)
+
+
 def _ring_run(M: BoxMatrix, entries, packing) -> tuple[dict, int]:
     """The group ring of M's terms ``entries`` as :func:`_ring_terms`
     gives it: packed in ints when ``packing`` (:func:`_packing`) is
     given, else in dicts."""
     if packing is None:
         ring, total = _dp_slots(M, entries, _ring_step, {1: 1})
-        return ({k: {m: c for m, c in nets.items() if c}
-                 for k, nets in ring.items()}, total)
-    shifts, unpack = packing
-    ring, total = _dp_slots(
-        M, [[(j, d, shifts[a], s) for j, d, a, s in row] for row in entries],
-        _packed_step, 1)
-    return {k: unpack(x) for k, x in ring.items()}, total
+        return {k: live for k, nets in ring.items()
+                if (live := {m: c for m, c in nets.items() if c})}, total
+    ring, total = _packed_slots(M, entries, packing)
+    return {k: net for k, x in ring.items()
+            if (net := packing.unpack(x))}, total
 
 
 def _ring_terms(M: BoxMatrix, lam: bool = False
@@ -433,8 +509,9 @@ def _ring_terms(M: BoxMatrix, lam: bool = False
     """Per slot (:func:`_dp_slots`), the net map {magnitude: net signed
     count} of the signed permutation products or, with ``lam``, of the
     characteristic monomials, and the scale S: every magnitude is the
-    integer key over S. Magnitudes that cancel are dropped. The ring runs
-    packed in ints when :func:`_packing` allows, else in dicts."""
+    integer key over S. Magnitudes that cancel are dropped, and so are
+    slots where all of them do. The ring is packed in ints when
+    :func:`_packing` allows, else in dicts."""
     entries = _dp_entries(M, lam)
     return _ring_run(M, entries, _packing(entries))
 
@@ -447,10 +524,20 @@ def _lead_terms(M: BoxMatrix, lam: bool = False) -> tuple[dict, int]:
 
 def _ring_tops(ring: dict, total: int
                ) -> tuple[dict[int, tuple[int, int]], int]:
-    """Per slot of a group ring, its largest surviving magnitude and the
-    sign of its count, and the scale S; slots that cancel are absent."""
+    """Per slot of a group ring (:func:`_ring_run`), its largest surviving
+    magnitude and the sign of its count, and the scale S."""
     return {k: (m := max(net), 1 if net[m] > 0 else -1)
-            for k, net in ring.items() if net}, total
+            for k, net in ring.items()}, total
+
+
+def _read_tops(M: BoxMatrix, entries, packing
+               ) -> tuple[dict[int, tuple[int, int]], int]:
+    """:func:`_ring_tops` of the group ring of M's terms ``entries``; a
+    packed ring reads only each slot's top digit."""
+    if packing is None:
+        return _ring_tops(*_ring_run(M, entries, None))
+    slots, total = _packed_slots(M, entries, packing)
+    return {k: t for k, x in slots.items() if (t := packing.top(x))}, total
 
 
 def _dominant_terms(M: BoxMatrix, lam: bool = False,
@@ -461,22 +548,23 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False,
     :func:`_ring_terms`: every magnitude is its integer over S).
 
     Slots where everything cancels are absent. With no ``lead``, a ring
-    that packs is read at once: one packed run costs about what a
-    leading-term run does. Otherwise the leading-term run (``lead``, when
-    the caller has it) settles it unless some leading count nets to
-    zero; then the group ring finds the next surviving magnitude.
+    that packs is read at once: one Bareiss elimination without lam, the
+    packed DP with it, and each slot's top digit. Otherwise the
+    leading-term run (``lead``, when the caller has it) settles it unless
+    some leading count nets to zero; then the group ring finds the next
+    surviving magnitude.
     """
     if lead is None:
         entries = _dp_entries(M, lam)
-        packing = _packing(entries)
-        if packing is not None:
-            return _ring_tops(*_ring_run(M, entries, packing))
+        if (packing := _packing(entries)) is not None:
+            return _read_tops(M, entries, packing)
         lead = _dp_slots(M, entries, _lead_step, (1, 1, 0, 0))
     top, total = lead
     top = {k: (max(p, n), cp * (p >= n) - cn * (n >= p))
            for k, (p, cp, n, cn) in top.items()}
     if not all(c for _m, c in top.values()):
-        return _ring_tops(*_ring_terms(M, lam))
+        entries = _dp_entries(M, lam)
+        return _read_tops(M, entries, _packing(entries))
     return {k: (m, 1 if c > 0 else -1) for k, (m, c) in top.items()}, total
 
 
@@ -493,6 +581,13 @@ def _pair_det(rows) -> tuple[Fraction, Fraction]:
     return Fraction(p, total), Fraction(n, total)
 
 
+def _det_value(dominant: tuple[dict, int]) -> Fraction:
+    """det_inf from :func:`_dominant_terms` of a square lam-free matrix."""
+    top, total = dominant
+    mag, sign = top.get(0, (0, 1))
+    return Fraction(sign * mag, total)
+
+
 def _det_lead(A, cap: int, what: str = "determinant"
               ) -> tuple[Fraction, Fraction, Callable[[], Fraction]]:
     """One leading-term run of a square A (:func:`_checked` with ``what``):
@@ -503,17 +598,15 @@ def _det_lead(A, cap: int, what: str = "determinant"
     M = _checked(A, cap, what)
     lead = _lead_terms(M)
     p, _cp, n, _cn = lead[0].get(0, (0, 0, 0, 0))
-
-    def limit() -> Fraction:
-        top, total = _dominant_terms(M, lead=lead)
-        mag, sign = top.get(0, (0, 1))
-        return Fraction(sign * mag, total)
-    return Fraction(p, lead[1]), Fraction(n, lead[1]), limit
+    return (Fraction(p, lead[1]), Fraction(n, lead[1]),
+            lambda: _det_value(_dominant_terms(M, lead=lead)))
 
 
 def det_inf(A, cap: int = DEFAULT_DET_CAP) -> Fraction:
-    """Limit determinant: dominant-magnitude sum of the signed products."""
-    return _det_lead(A, cap)[2]()
+    """Limit determinant: dominant-magnitude sum of the signed products,
+    read with no leading-term run when the ring packs
+    (:func:`_dominant_terms`)."""
+    return _det_value(_dominant_terms(_checked(A, cap)))
 
 
 def det_inf_reg(A, mode: str, cap: int = DEFAULT_DET_CAP) -> Fraction:
@@ -531,7 +624,7 @@ def _det_net(A, cap: int = DEFAULT_DET_CAP) -> tuple[dict[int, int], int]:
 
 
 def _cramer_slots(A, b, cap: int, read, zero) -> tuple[list, int]:
-    """``read`` of one DP on [A | b]: the slot of det A, then that of each
+    """``read`` of one run on [A | b]: the slot of det A, then that of each
     det A_i(b) with its sign (-1)^(n-1-i), and the scale S. The DP runs
     on row i of [A | b] times A's row scale s_i: with s_i b_i = p/q, A's
     integers times q, then p, over q; S takes the product of the s_i."""

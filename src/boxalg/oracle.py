@@ -16,10 +16,10 @@ for the determinant-shaped quantities, of the characteristic monomial
 values at lam for ``charpoly``. ``sum``, ``det``, ``charpoly`` and
 ``cramer`` share one pipeline that reads the limit, the near-tie flag and
 every finite-index value from maps built once; the maps of ``cramer``
-come from one DP on [A | b]. With P the points as rows, the
+come from one run on [A | b]. With P the points as rows, the
 ``hyperplane`` residual at p is -det of the bordered [[P | 1], [x | 1]]
 raised entrywise to q = 2p + 1, read by ``linalg._powered_dets`` as
-``det_p`` is; its size is det_inf of P, one leading-term run.
+``det_p`` is; its size is det_inf of P.
 ``perron`` shares its Perron path with the CLI's ``eigen`` kind, and
 this module owns two rules for both: the ``tol`` check and the cap
 override's resolver.

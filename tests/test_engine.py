@@ -96,17 +96,22 @@ SMALL = [p.values[0] for p in MATRICES if p.id.startswith("small-")]
 
 @pytest.fixture
 def ring_runs(monkeypatch):
-    """Sizes of the matrices on which the group-ring fallback ran, in dicts
-    or packed in ints."""
+    """Sizes of the matrices on which the group ring ran: the DP in dicts
+    or packed in ints, or the Bareiss elimination of the packed matrix."""
     runs = []
-    inner = linalg._subset_dp
+    inner, eliminate = linalg._subset_dp, linalg._kronecker_slots
 
     def spy(entries, width, step, one):
         if step in (linalg._ring_step, linalg._packed_step):
             runs.append(len(entries))
         return inner(entries, width, step, one)
 
+    def spy_elimination(M, entries, packing):
+        runs.append(len(entries))
+        return eliminate(M, entries, packing)
+
     monkeypatch.setattr(linalg, "_subset_dp", spy)
+    monkeypatch.setattr(linalg, "_kronecker_slots", spy_elimination)
     return runs
 
 
@@ -253,19 +258,31 @@ class TestDeterminants:
                 assert s_det(rows) == _pair_expansion(rows)
 
     def test_pinned_top_cancelling_matrix_falls_back(self, ring_runs):
+        # the leading count cancels, so the leading-term run's reader falls
+        # back to the group ring; det_inf reads the packed ring at once
         assert nary_boxplus(permutation_products(TOP_CANCELLING)) == 12
-        assert det_inf(TOP_CANCELLING) == 12
+        assert linalg._det_lead(TOP_CANCELLING, 9)[2]() == 12
         assert ring_runs == [3]
+        assert det_inf(TOP_CANCELLING) == 12
+        assert ring_runs == [3, 3]
 
     def test_fallback_runs_on_small_integers(self, ring_runs):
         for A in SMALL:
-            assert det_inf(A) == nary_boxplus(permutation_products(A))
+            want = nary_boxplus(permutation_products(A))
+            assert linalg._det_lead(A, 9)[2]() == want
         assert len(ring_runs) >= 3
         assert max(ring_runs) >= 5
+        # every small matrix packs: det_inf runs one elimination each
+        ring_runs.clear()
+        for A in SMALL:
+            assert det_inf(A) == nary_boxplus(permutation_products(A))
+        assert ring_runs == [A.rows for A in SMALL]
 
     def test_no_fallback_when_top_survives(self, ring_runs):
-        assert det_inf(BoxMatrix([[3, -1, 3], [2, -4, 1], [-4, 5, 3]])) == -48
+        A = BoxMatrix([[3, -1, 3], [2, -4, 1], [-4, 5, 3]])
+        assert linalg._det_lead(A, 9)[2]() == -48
         assert ring_runs == []
+        assert det_inf(A) == -48
 
 
 def _fraction_listing(A):
@@ -1080,10 +1097,11 @@ class TestBorderedDP:
 
 @pytest.fixture
 def dp_runs(monkeypatch):
-    """The semiring of every subset-DP run: 'lead', 'ring' or 'packed'.
-    Every factor handed to a run must be an int."""
+    """The semiring of every subset-DP run, 'lead', 'ring' or 'packed',
+    and 'elim' for each Bareiss elimination of a packed matrix. Every
+    factor handed to a run must be an int."""
     runs = []
-    inner = linalg._subset_dp
+    inner, eliminate = linalg._subset_dp, linalg._kronecker_slots
     names = {linalg._lead_step: "lead", linalg._ring_step: "ring",
              linalg._packed_step: "packed"}
 
@@ -1093,30 +1111,47 @@ def dp_runs(monkeypatch):
                    for row in entries for _j, _shift, a, _s in row)
         return inner(entries, width, step, one)
 
+    def spy_elimination(M, entries, packing):
+        runs.append("elim")
+        return eliminate(M, entries, packing)
+
     monkeypatch.setattr(linalg, "_subset_dp", spy)
+    monkeypatch.setattr(linalg, "_kronecker_slots", spy_elimination)
     return runs
 
 
 class TestOneBorderedRun:
-    """A Cramer-shaped problem runs one DP: the packed group ring when its
-    box is small, else the leading-term one, plus one group-ring run when
-    a leading count cancels. A det problem, whatever its mode and p, runs
-    the leading-term DP and, when its count cancels, the group ring; so
-    does a hyperplane sweep, whose residuals are Bareiss determinants. The
-    other sweeps run the group ring once, and the charpoly kind, which
-    nets its listing, runs none. Entries of 17 keep the ring in dicts."""
+    """A Cramer-shaped problem runs one elimination of the packed matrix
+    when its box is small, else the leading-term DP, plus one group-ring
+    run when a leading count cancels. A det problem with mode lower or
+    upper, and a sym problem, runs the leading-term DP and, when its count
+    cancels, the group ring; a plain det problem, whatever its p, and a
+    hyperplane sweep, whose residuals are Bareiss determinants, read
+    det_inf as a Cramer problem does. The other sweeps run the group ring
+    once (the packed DP with lam), and the charpoly kind, which nets its
+    listing, runs none. Entries of 17 keep the ring in dicts."""
 
     CANCELLING = TOP_CANCELLING.to_rows()
     WIDE = [[3, -1, 3], [2, -4, 1], [-4, 5, 3]]
     CANCELLING17 = [[17 * a for a in row] for row in CANCELLING]
     WIDE17 = [[17 * a for a in row] for row in WIDE]
 
-    def _ring(self, rows):
-        """The semiring of a group-ring run on rows."""
-        return "ring" if rows in (self.WIDE17, self.CANCELLING17) else "packed"
+    def _ring(self, rows, lam=False):
+        """The run of a group ring on rows: the DP in dicts past the box,
+        else the packed DP with lam and the elimination without it."""
+        if rows in (self.WIDE17, self.CANCELLING17):
+            return "ring"
+        return "packed" if lam else "elim"
+
+    def _limit(self, rows):
+        """The runs that read det_inf of rows: one elimination when they
+        pack, else the leading-term DP and the ring when it cancels."""
+        if rows in (self.WIDE17, self.CANCELLING17):
+            return ["lead"] + ["ring"] * (rows == self.CANCELLING17)
+        return ["elim"]
 
     @pytest.mark.parametrize("rows, expected", [
-        (WIDE, ["packed"]), (CANCELLING, ["packed"]),
+        (WIDE, ["elim"]), (CANCELLING, ["elim"]),
         (WIDE17, ["lead"]), (CANCELLING17, ["lead", "ring"])])
     def test_cli_kinds(self, capsys, dp_runs, rows, expected):
         A = [[str(a) for a in row] for row in rows]
@@ -1148,17 +1183,26 @@ class TestOneBorderedRun:
             assert dp_runs == ["lead"] * leads + [self._ring(rows)] * ring, kind
 
     @pytest.mark.parametrize("rows", [WIDE, CANCELLING, WIDE17, CANCELLING17])
+    def test_plain_det_kind_runs_no_lead_dp_when_it_packs(self, capsys,
+                                                         dp_runs, rows):
+        A = [[str(a) for a in row] for row in rows]
+        for options in ({}, {"mode": "exact"}, {"p": 3}):
+            dp_runs.clear()
+            problem = {"A": A, "options": options}
+            assert run(["det", "--json", json.dumps(problem)]) == 0
+            capsys.readouterr()
+            assert dp_runs == self._limit(rows), options
+
+    @pytest.mark.parametrize("rows", [WIDE, CANCELLING, WIDE17, CANCELLING17])
     def test_sweeps(self, capsys, dp_runs, rows):
         A = [[str(a) for a in row] for row in rows]
-        ring = self._ring(rows)
-        lead = ["lead"] + [ring] * (rows in (self.CANCELLING,
-                                             self.CANCELLING17))
         for problem, expected in [
                 ({"quantity": "cramer", "A": A, "b": ["1", "2", "3"]},
-                 [ring]),
+                 [self._ring(rows)]),
                 ({"quantity": "hyperplane", "points": A, "x": ["1", "0", "2"]},
-                 lead),
-                ({"quantity": "charpoly", "A": A, "lam": "-2/3"}, [ring])]:
+                 self._limit(rows)),
+                ({"quantity": "charpoly", "A": A, "lam": "-2/3"},
+                 [self._ring(rows, lam=True)])]:
             dp_runs.clear()
             assert run(["oracle", "--json", json.dumps(problem)]) == 0
             capsys.readouterr()
@@ -1229,7 +1273,7 @@ class TestOneLeadRun:
         assert dp_runs == ["lead"]
         dp_runs.clear()
         assert det_inf(TOP_CANCELLING) == 12
-        assert dp_runs == ["lead", "packed"]
+        assert dp_runs == ["elim"]
 
     def test_one_message_template(self):
         for what, call in [
@@ -1309,10 +1353,10 @@ class TestPackedRing:
 
     @pytest.mark.parametrize("rows, lam, ring", [
         ([[17, 1], [1, 1]], False, "ring"),  # 17 is past the primes
-        ([["1/17", 0], [1, 1]], False, "packed"),  # a scale off the diagonal
+        ([["1/17", 0], [1, 1]], False, "elim"),  # a scale off the diagonal
         ([["1/17", 0], [1, 1]], True, "ring"),  # lam puts it there
         ([[30, 1, 1], [1, 30, 1], [1, 1, 30]], True, "packed"),  # D = 64
-        ([[2 ** 63]], False, "packed"),  # D = 64 from one prime
+        ([[2 ** 63]], False, "elim"),  # D = 64 from one prime
         ([[2 ** 64]], False, "ring"),
         ([[30, 1, 1, 1], [1, 30, 1, 1], [1, 1, 30, 1], [1, 1, 1, 30]],
          False, "ring")])  # D = 125
@@ -1329,9 +1373,192 @@ class TestPackedRing:
         H = BoxMatrix(H)
         assert linalg._ring_terms(H) == ({0: {1: 4096}}, 1)
         assert linalg._dominant_terms(H) == ({0: (1, 1)}, 1)
-        assert dp_runs == ["packed", "packed"]
+        assert dp_runs == ["elim", "elim"]
         dp_runs.clear()
-        # det_inf runs the leading terms for its envelopes, and they
-        # settle it: the count 4096 at magnitude 1 does not cancel
+        # det_inf reads the same top from one elimination: the count 4096
+        # at magnitude 1 is the ordinary determinant
         assert det_inf(H) == 1 and det_p(H, 0).exact == 4096
-        assert dp_runs == ["lead"]
+        assert dp_runs == ["elim"]
+
+
+ELIMINATED_ENTRIES = {
+    "small": lambda rng: rng.randint(-2, 2),
+    "nonnegative": lambda rng: rng.randint(0, 3),
+    "positive": lambda rng: rng.randint(1, 3),
+}
+
+
+def _elimination_cases():
+    """Seeded square matrices, n = 1..9, and bordered ones, n = 1..8, over
+    three entry sets, and the edge cases: two equal rows, a zero row, a
+    zero column, and a b with denominators."""
+    rng = random.Random(20261021)
+    out = []
+    for name, draw in ELIMINATED_ENTRIES.items():
+        for n in range(1, 10):
+            for k in range(3 if n < 8 else 1):
+                rows = [[draw(rng) for _ in range(n)] for _ in range(n)]
+                out.append(pytest.param(BoxMatrix(rows), id=f"{name}-n{n}-{k}"))
+                if n < 9:
+                    out.append(pytest.param(
+                        BoxMatrix((*row, draw(rng)) for row in rows),
+                        id=f"{name}-bordered-n{n}-{k}"))
+    twice = [[1, -2, 2, 1], [2, 1, -1, 2], [1, -2, 2, 1], [-2, 2, 1, 1]]
+    zero_row = [[2, -1, 1], [0, 0, 0], [1, 2, -2]]
+    zero_col = [[2, 0, 1, -1], [1, 0, -2, 2], [-1, 0, 2, 1], [2, 0, 1, 2]]
+    for name, rows, b in (("equal-rows", twice, (2, 1, 2, -1)),
+                          ("zero-row", zero_row, (1, 0, -2)),
+                          ("zero-column", zero_col, (2, 1, 1, -2))):
+        out.append(pytest.param(BoxMatrix(rows), id=name))
+        out.append(pytest.param(BoxMatrix([*row, v] for row, v in zip(rows, b)),
+                                id=f"{name}-bordered"))
+    # [A | b] as the Cramer readers build it: s_i b_i = p/q scales A's
+    # integers by q
+    seen = []
+    A = BoxMatrix([[1, -2, 0, 2], [2, 1, -1, 0], [0, 2, 1, -1], [-1, 0, 2, 1]])
+    linalg._cramer_slots(A, (F(1, 2), F(-2, 3), F(3, 4), 0), 9,
+                         lambda B: seen.append(B) or ({}, 1), None)
+    out.append(pytest.param(seen[0], id="fractional-b"))
+    return out
+
+
+ELIMINATION_CASES = _elimination_cases()
+
+
+def _packed_dp(M, entries, packing):
+    """The packed subset DP's slots, without the slots that cancel: the
+    DP keeps them as 0 where the elimination has no block."""
+    shifts = packing.shifts
+    slots, _total = linalg._dp_slots(
+        M, [[(j, d, shifts[a], s) for j, d, a, s in row] for row in entries],
+        linalg._packed_step, 1)
+    return {k: x for k, x in slots.items() if x}
+
+
+class TestKroneckerElimination:
+    """One Bareiss elimination of the packed matrix against the packed DP
+    and the dict ring. The box limit is raised so that every case packs:
+    the elimination itself holds for any box, and entries in 0..3 and 1..3
+    pass the box of 64 from n = 7 or 8 on."""
+
+    @pytest.fixture(autouse=True)
+    def _large_box(self, monkeypatch):
+        monkeypatch.setattr(linalg, "PACK_BOX", 4096)
+
+    @pytest.mark.parametrize("M", ELIMINATION_CASES)
+    def test_equals_the_packed_dp_and_the_dict_ring(self, M):
+        entries = linalg._dp_entries(M, False)
+        packing = linalg._packing(entries)
+        slots = linalg._kronecker_slots(M, entries, packing)
+        assert slots == _packed_dp(M, entries, packing)
+        ring = linalg._ring_run(M, entries, None)
+        assert ({k: packing.unpack(x) for k, x in slots.items()},
+                math.prod(M._scales)) == ring
+        assert linalg._ring_terms(M) == ring
+        assert linalg._dominant_terms(M) == linalg._ring_tops(*ring)
+
+    def test_cases_reach_every_block(self):
+        # bordered blocks at both parities of n + j, of both signs, and
+        # the edge cases where every count cancels
+        parities, signs, sizes = set(), set(), set()
+        for M in (p.values[0] for p in ELIMINATION_CASES):
+            entries = linalg._dp_entries(M, False)
+            packing = linalg._packing(entries)
+            assert packing is not None
+            slots = linalg._kronecker_slots(M, entries, packing)
+            sizes.add((M.rows, M.is_square))
+            if not M.is_square:
+                for j, x in slots.items():
+                    parities.add((M.rows + j) % 2)
+                    signs.add((x > 0) == ((M.rows + j) % 2 == 0))
+        assert parities == {0, 1} and signs == {True, False}
+        assert {n for n, square in sizes if square} == set(range(1, 10))
+        assert {n for n, square in sizes if not square} == set(range(1, 9))
+        for name in ("equal-rows", "equal-rows-bordered", "zero-row",
+                     "zero-row-bordered"):
+            M = next(p.values[0] for p in ELIMINATION_CASES if p.id == name)
+            assert linalg._ring_terms(M)[0] == {}, name
+        M = next(p.values[0] for p in ELIMINATION_CASES
+                 if p.id == "zero-column-bordered")
+        assert set(linalg._ring_terms(M)[0]) == {1}
+
+    def test_digits_are_read_in_magnitude_order(self):
+        # a packed map's top is read from the largest magnitude down, and
+        # mixed-radix index order is not magnitude order: in the box of
+        # 2^2 and 3^1, idx(3) > idx(4)
+        _w, _strides, table, order = linalg._box((2, 1, 0, 0, 0, 0), 2)
+        assert table.index(3) > table.index(4)
+        assert [m for m, _at in order] == sorted(table, reverse=True)
+
+    def test_no_lam_free_packed_determinant_runs_the_packed_dp(
+            self, capsys, dp_runs):
+        rng = random.Random(31)
+        for n in range(1, 8):
+            A = BoxMatrix([[rng.randint(-2, 2) for _ in range(n)]
+                           for _ in range(n)])
+            b = [rng.randint(-2, 2) for _ in range(n)]
+            det_inf(A)
+            linalg._det_net(A)
+            linalg._cramer_dets(A, b)
+            linalg._cramer_nets(A, b)
+            linalg._det_lead(A, 9)[2]()
+            rows = [[str(a) for a in row] for row in A.to_rows()]
+            for kind, problem in [
+                    ("det", {"A": rows}),
+                    ("solve", {"A": rows, "b": b}),
+                    ("hyperplane", {"points": rows, "queries": [[1] * n]})]:
+                run([kind, "--json", json.dumps(problem)])
+            capsys.readouterr()
+        assert "packed" not in dp_runs and "ring" not in dp_runs
+        assert dp_runs.count("elim") >= 7 * 7
+
+    def test_eigen_region_runs_the_packed_dp(self, dp_runs):
+        rng = random.Random(32)
+        for n in range(1, 7):
+            A = BoxMatrix([[rng.randint(1, 3) for _ in range(n)]
+                           for _ in range(n)])
+            eigen_region(A)
+            assert dp_runs == ["packed"], n
+            dp_runs.clear()
+
+
+# a 12x12 system with entries in -2..2 whose det A leading count cancels:
+# the positive and the negative top product 4096 each count 472. The
+# installed command line solves it at BOXALG_CAP=12.
+CANCELLING12 = {
+    "A": [[0, 0, -1, -1, -1, -1, -1, -1, -2, 2, -1, 0],
+          [-2, 1, -1, 2, -2, 0, -1, -2, 0, 1, 1, -1],
+          [0, 0, -1, 1, 2, 2, 1, 0, 1, 0, -2, 0],
+          [2, 0, 1, 2, 2, -1, 1, 1, 2, -1, 0, -1],
+          [-1, 2, 0, 0, 0, 1, 0, 2, 0, 1, -1, 2],
+          [1, 2, -1, 2, -1, -1, 0, -1, -2, 1, 1, 1],
+          [-2, 1, -2, -1, -1, 1, 1, 0, -1, 1, 0, 0],
+          [-1, 0, 2, -1, 2, -1, 1, -1, 2, -2, 2, 2],
+          [-2, 0, 2, 2, 0, -1, 0, -1, -1, 2, -2, -1],
+          [-1, -2, 1, 2, 2, 2, -2, 1, 0, -2, 2, -2],
+          [-1, 0, -2, 1, 0, 0, 2, 2, -2, 1, 2, 0],
+          [-2, -2, 0, 0, -1, 1, 2, 2, 2, 1, -1, -1]],
+    "b": [0, -2, 1, 2, -1, -1, 0, 1, -1, 0, 1, 2]}
+CANCELLING12_X = [2, -2, -2, 2, 2, -2, -2, 2, -2, -2, -2, 2]
+
+
+class TestPastTheDefaultCap:
+    def test_cancelling_12x12_system_from_the_dict_ring(self, capsys,
+                                                        monkeypatch):
+        A, b = BoxMatrix(CANCELLING12["A"]), CANCELLING12["b"]
+        assert linalg._lead_terms(A) == ({0: (4096, 472, 4096, 472)}, 1)
+
+        def read(B):
+            ring = linalg._ring_run(B, linalg._dp_entries(B, False), None)
+            return linalg._ring_tops(*ring)
+        slots, total = linalg._cramer_slots(A, b, 12, read, (0, 1))
+        det, *dets = [F(s * m * c, total) for (m, c), s in slots]
+        assert det == 2048
+        assert [d / det for d in dets] == CANCELLING12_X
+        assert linalg._cramer_dets(A, b, 12) == [det, *dets]
+        monkeypatch.setenv("BOXALG_CAP", "12")
+        for kind in ("det", "solve"):
+            assert run([kind, "--json", json.dumps(CANCELLING12)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["det_inf"] == "2048", kind
+        assert out["x"] == [str(x) for x in CANCELLING12_X]
