@@ -28,12 +28,12 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 
 from .core import _envelope, _scalars, as_float, as_scalar
-from .eigen import _CHAR, _char_levels, _eval_at, _net_at, eigen_region
+from .eigen import (_CHAR, _char_levels, _eval_at, _net_at, _tops,
+                    eigen_region)
 from .errors import (
     BoxAlgError,
     CapacityError,
@@ -281,27 +281,30 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     lam = data.get("lam")
     lam = None if lam is None else as_scalar(lam)
     levels, scale = _char_levels(A)
-    tallies = {degree: Counter(level) for degree, level in levels}
+    tops = _tops(levels)
     out: dict = {}
     if lam is not None:
-        limit, lower, upper = _eval_at(tallies, scale, lam)
+        limit, lower, upper = _eval_at(levels, scale, lam, tops)
         out["lam"] = _rat([lam])[0]
         _exact(out, eval_limit=limit, eval_lower=lower, eval_upper=upper)
     p = _opt_p(opts)  # read after the evaluations, whose faults come first
     if lam is not None and p is not None:
-        [value] = _phi_p_net(_net_at(tallies, scale, lam), (p,))
+        [value] = _phi_p_net(_net_at(levels, scale, lam), (p,))
         out["eval_p"], out["p"] = _slog(_decided(value, p)), p
     texts = []
-    for degree, level in levels:
-        t = tallies[degree]
-        if scale == 1 and 2 * len(t) > len(level):  # mostly distinct: no dict
-            strs = _rat(level)
+    for degree, level in levels.items():
+        hi, lo = tops[degree]
+        # a degree has at most 2 |c| + 1 distinct values, |c| its top
+        if scale == 1 and 2 * (2 * max(hi, -lo) + 1) > len(level):
+            strs = _rat(level)  # may be mostly distinct: no dict
         else:  # equal coefficients share one formatted string
-            strs = map(dict(zip(t, _rat(t, scale))).__getitem__, level)
+            distinct = set(level)
+            strs = map(dict(zip(distinct, _rat(distinct, scale))).__getitem__,
+                       level)
         between = f'",{degree}],["'  # ends one ["r",degree], starts the next
         texts.append(f'["{between.join(strs)}",{degree}]')
     out["monomials"] = _Fragment("[" + ",".join(texts) + "]")
-    out["count"] = sum(len(level) for _, level in levels)
+    out["count"] = sum(map(len, levels.values()))
     return OK, out
 
 

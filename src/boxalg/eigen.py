@@ -10,33 +10,36 @@ The listing runs in integers: it reads the matrix's integer rows over
 their row scales, so every coefficient is an integer over one common
 denominator S, and only the finished coefficients become Fractions.
 Each k's permutations are stored once, as index tables in Heap order,
-and each subset of size k lists by suffix products: the product over
+and the subsets of size k list by suffix products: the product over
 rows j..k-1 is shared by the j! consecutive permutations that agree
-there. That is one C-level pass per row down to row 2, then one that
-reads the signed products of rows 0 and 1 from a table, with no Python
-step per permutation.
+there. All C(n, k) subsets list together, so each row down to row 2 is
+one C-level pass over the suffix products of every subset, and one more
+reads the signed products of rows 0 and 1 from each subset's table, with
+no Python step per permutation.
 
-Evaluation reads each degree's tally {coeff * S: count}. Two monomials
-of equal degree and equal absolute coefficient but opposite sign
-contribute exactly cancelling odd powers at every finite index and every
-argument, so netting each (degree, |coeff|) class preserves every
-evaluation mode while removing spurious ties that a plain envelope of the
-raw multiset would see. At lam = a/b every value is scaled by the same
-positive integer S * b^n, which keeps magnitude order and ties, and only
-the winner becomes a Fraction. A degree's dominant class is its largest
-|coeff| whose + and - counts differ, and every value above the largest
-dominant value cancels within its own degree. So :func:`_eval_at` reads
-the limit and both envelopes from each degree's dominant class, scanning
-a degree only when its top class cancels; :func:`_net_at` nets every
-class into the whole map, which the finite-index mode reads, and the
-limit too when the largest dominant value nets to 0 across degrees.
+Evaluation reads each degree's coefficients as listed, integers over S,
+and tallies none unless it must. Two monomials of equal degree and equal
+absolute coefficient but opposite sign contribute exactly cancelling odd
+powers at every finite index and every argument, so netting each
+(degree, |coeff|) class preserves every evaluation mode while removing
+spurious ties that a plain envelope of the raw multiset would see. At
+lam = a/b every value is scaled by the same positive integer S * b^n,
+which keeps magnitude order and ties, and only the winner becomes a
+Fraction. A degree's dominant class is its largest |coeff| whose + and -
+counts differ, and every value above the largest dominant value cancels
+within its own degree. So :func:`_eval_at` reads
+the limit and both envelopes from each degree's dominant class, found by
+``max``, ``min`` and ``list.count``, and tallies a degree only when its
+top class cancels; :func:`_net_at` tallies and nets every class into the
+whole map, which the finite-index mode reads, and the limit too when the
+largest dominant value nets to 0 across degrees.
 
 The subset DP of :mod:`boxalg.linalg`, run on a_ij - lam delta_ij in
-O(2^n n) steps, yields the netted classes {|coeff| * S: net count}, a
-tally like any other, without listing the monomials. :func:`eigen_region`
-reads the dominant surviving class per degree from it and the oracle's
-charpoly sweep its whole maps; the ``charpoly`` CLI kind runs no DP and
-evaluates the tallies of the listing it prints.
+O(2^n n) steps, yields the netted classes {|coeff| * S: net count},
+which :func:`_net_at` reads as it reads a listed degree, without listing
+the monomials. :func:`eigen_region` reads the dominant surviving class per
+degree from it and the oracle's charpoly sweep its whole maps; the
+``charpoly`` CLI kind runs no DP and evaluates the lists it prints.
 
 The region comes from the Newton polygon. At |lam| = r the degree-d term
 has magnitude m_d r^d (m_d the dominant class of degree d), so the terms
@@ -63,9 +66,9 @@ from array import array
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, repeat
-from operator import add, mul
-from typing import Iterator, NamedTuple, Optional, Sequence
+from itertools import chain, combinations
+from operator import add, itemgetter, mul
+from typing import NamedTuple, Optional, Sequence
 
 from .core import LOWER, UPPER, _envelopes, _net_limit, as_scalar
 from .errors import ConvergenceError, DomainError
@@ -114,43 +117,63 @@ def _heap_tables(k: int) -> tuple[tuple[bytes, ...], array]:
     perms = [p for p, _s in signed_permutations(k)]
     blocks = tuple(bytes(p[j] for p in perms[::math.factorial(j)])
                    for j in range(k - 1, 1, -1))
-    # k = 1 reads its one row against a row of ones, at column 0
+    # k = 1 pads perm[1] with 0; the listing reads k = 1 off the diagonal
     pairs = array("H", [m % 2 * k * k + x * k + y for m, (x, y, *_rest)
                         in enumerate(p + (0,) for p in perms)])
     return blocks, pairs
 
 
-def _char_levels(M: BoxMatrix) -> tuple[list[tuple[int, list[int]]], int]:
-    """:func:`char_monomials` in integers: [(n - k, the coefficients times
-    S) for k = 0..n] and S, the product of the row scales (those outside H
-    complete each product over S). A subset of size k lists by suffix
-    products: one C-level pass per row k-1 down to 2, over the k!/j! blocks
-    of :func:`_heap_tables`, then one over the k! permutations that reads
-    the signed products of rows 0 and 1 from a 2k^2 table."""
+@cache
+def _heap_getters(k: int) -> tuple[tuple[itemgetter, ...], itemgetter]:
+    """The tables of :func:`_heap_tables` as itemgetters: a block table's
+    getter reads a subset's row at perm[j] of each block, the pair getter
+    reads its table of 2k^2 signed products, k >= 2."""
+    blocks, pairs = _heap_tables(k)
+    return tuple(itemgetter(*block) for block in blocks), itemgetter(*pairs)
+
+
+def _char_levels(M: BoxMatrix) -> tuple[dict[int, list[int]], int]:
+    """:func:`char_monomials` in integers: {n - k: the coefficients times
+    S} for k = 0..n, in that order, and S, the product of the row scales
+    (those outside H complete each product over S). All C(n, k) subsets
+    of size k list at once by suffix products: per row j = k-1 down to 2,
+    one pass repeats each suffix product j + 1 times in place and
+    multiplies by the row's entries at the block values of
+    :func:`_heap_tables`, gathered for every subset; a last one reads the
+    signed products of rows 0 and 1 from each subset's 2k^2 table."""
     rows, scales = M._ints, M._scales
     n = len(rows)
     total = math.prod(scales)
-    levels = [(n, [-total if n % 2 else total])]
-    for k in range(1, n + 1):
-        blocks, pairs = _heap_tables(k)
-        level: list[int] = []
-        for H in combinations(range(n), k):
-            sub = [[rows[i][j] for j in H] for i in H]
-            f = total // math.prod(map(scales.__getitem__, H))
-            suffix = [-f if (n - k) % 2 else f]
-            for j, block in zip(range(k - 1, 1, -1), blocks):
-                suffix = list(map(mul, _each(suffix, j + 1),
-                                  map(sub[j].__getitem__, block)))
-            pair = [x * y for x in sub[0] for y in (sub[1] if k > 1 else (1,))]
+    sign = -1 if n % 2 else 1
+    levels = {n: [sign * total],
+              n - 1: [-sign * (total // s) * row[i]
+                      for i, (row, s) in enumerate(zip(rows, scales))]}
+    for k in range(2, n + 1):
+        subsets = list(combinations(range(n), k))
+        cols = [itemgetter(*H) for H in subsets]  # a row's entries in H
+        blocks, pairs = _heap_getters(k)
+        f = -sign if k % 2 else sign  # (-1)^(n-k)
+        suffix = [f * (total // math.prod(map(scales.__getitem__, H)))
+                  for H in subsets]
+        for j, block in zip(range(k - 1, 1, -1), blocks):
+            suffix = list(map(mul, _each(suffix, j + 1), chain.from_iterable(
+                [block(col(rows[H[j]])) for H, col in zip(subsets, cols)])))
+        tables = []
+        for H, col in zip(subsets, cols):
+            pair = [x * y for x in col(rows[H[0]]) for y in col(rows[H[1]])]
             pair += [-v for v in pair]
-            level += map(mul, _each(suffix, 2), map(pair.__getitem__, pairs))
-        levels.append((n - k, level))
+            tables.append(pairs(pair))
+        levels[n - k] = list(map(mul, _each(suffix, 2),
+                                 chain.from_iterable(tables)))
     return levels, total
 
 
-def _each(xs: list, times: int) -> Iterator:
+def _each(xs: list, times: int) -> list:
     """Each of xs ``times`` times in a row."""
-    return chain.from_iterable(zip(*repeat(xs, times)))
+    out = [0] * (len(xs) * times)
+    for t in range(times):
+        out[t::times] = xs
+    return out
 
 
 def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> tuple[Monomial, ...]:
@@ -163,14 +186,14 @@ def char_monomials(A, cap: int = DEFAULT_CHAR_CAP) -> tuple[Monomial, ...]:
     """
     levels, total = _char_levels(_checked(A, cap, _CHAR))
     return tuple(Monomial(Fraction(c, total), d)
-                 for d, level in levels for c in level)
+                 for d, level in levels.items() for c in level)
 
 
-def _tallies(m) -> tuple[dict[int, Counter], int]:
-    """Per degree, the tally {c: count} of monomials (coeff, degree), each
-    coeff an integer c over S, their least common denominator; and S. The
-    one shape check of a monomial: a list or tuple of two, so a
-    :class:`Monomial` passes."""
+def _levels(m) -> tuple[dict[int, list[int]], int]:
+    """Per degree, the coefficients of monomials (coeff, degree) in order,
+    each an integer c over S, their least common denominator; and S: the
+    form of :func:`_char_levels`. The one shape check of a monomial: a
+    list or tuple of two, so a :class:`Monomial` passes."""
     coeffs, degrees = [], []
     for mono in m:
         if not isinstance(mono, (list, tuple)) or len(mono) != 2:
@@ -181,10 +204,10 @@ def _tallies(m) -> tuple[dict[int, Counter], int]:
         coeffs.append(as_scalar(coeff))
         degrees.append(degree)
     ints, scale = _over_lcm(coeffs)
-    tallies: dict[int, Counter] = defaultdict(Counter)
+    levels: dict[int, list[int]] = defaultdict(list)
     for c, degree in zip(ints, degrees):
-        tallies[degree][c] += 1
-    return tallies, scale
+        levels[degree].append(c)
+    return levels, scale
 
 
 def reduced_monomials(m) -> tuple[Monomial, ...]:
@@ -195,30 +218,32 @@ def reduced_monomials(m) -> tuple[Monomial, ...]:
     index, while its envelopes are free of exactly-cancelling ties.
     """
     out = []
-    tallies, scale = _tallies(m)
-    for degree, t in sorted(tallies.items()):
-        for mag, net in sorted(net_by_magnitude(t, t.values())[0].items()):
+    levels, scale = _levels(m)
+    for degree, level in sorted(levels.items()):
+        for mag, net in sorted(net_by_magnitude(level)[0].items()):
             coeff = Fraction(mag if net > 0 else -mag, scale)
             out.extend([Monomial(coeff, degree)] * abs(net))
     return tuple(out)
 
 
-def _net_at(tallies, scale: int, lam: Fraction) -> tuple[dict[int, int], int]:
-    """Per-degree tallies {integer c over ``scale``: count} at lam, netted
-    into one map ({den * |value|: net signed count}, den): what mode 'p',
-    the oracle's sweep and an unsettled :func:`_eval_at` limit read. With
-    lam = a/b (b > 0) and n the top degree, den = S * b^n scales each value
-    c/S * lam^d to the integer c * a^d * b^(n-d), keeping magnitude order
-    and ties; zero values are skipped."""
+def _net_at(levels, scale: int, lam: Fraction) -> tuple[dict[int, int], int]:
+    """Per-degree coefficients, each an integer c over ``scale``, netted at
+    lam into one map ({den * |value|: net signed count}, den): what mode
+    'p', the oracle's sweep and an unsettled :func:`_eval_at` limit read.
+    A degree's coefficients are a list (:func:`_char_levels`), tallied
+    here, or the DP's classes {c: net count}. With lam = a/b (b > 0) and n
+    the top degree, den = S * b^n scales each value c/S * lam^d to the
+    integer c * a^d * b^(n-d), keeping magnitude order and ties; zero
+    values are skipped."""
     a, b = lam.numerator, lam.denominator
-    n = max(tallies, default=0)
+    n = max(levels, default=0)
     net: dict[int, int] = {}
     get = net.get
-    for d, t in tallies.items():
+    for d, t in levels.items():
         w = a ** d * b ** (n - d)  # signed as lam^d
         if not w:  # lam = 0 zeroes every positive degree
             continue
-        for c, k in t.items():
+        for c, k in (t if isinstance(t, dict) else Counter(t)).items():
             v = c * w
             if v > 0:
                 net[v] = get(v, 0) + k
@@ -227,36 +252,51 @@ def _net_at(tallies, scale: int, lam: Fraction) -> tuple[dict[int, int], int]:
     return net, scale * b ** n
 
 
-def _eval_at(tallies, scale: int, lam: Fraction
+def _tops(levels) -> dict[int, tuple[int, int]]:
+    """Per degree, the largest and the smallest of its coefficients."""
+    return {d: (max(level), min(level)) for d, level in levels.items()}
+
+
+def _eval_at(levels, scale: int, lam: Fraction, tops=None
              ) -> tuple[Fraction, Fraction, Fraction]:
-    """(limit, lower, upper) of the tallies of :func:`_net_at` at lam, read
-    from each degree's dominant class: its largest |c| whose counts of +c
-    and -c differ. That is its top class (by ``max`` and ``min`` over the
-    keys) unless the top cancels; only then are the degree's keys scanned.
+    """(limit, lower, upper) at lam of per-degree coefficient lists, as
+    :func:`_char_levels` gives them, read from each degree's dominant
+    class: its largest |c| whose counts of +c and -c differ. That is its
+    top class, found from the degree's :func:`_tops` (``tops``, when the
+    caller has them) and ``list.count``, unless the top cancels; only then
+    is the degree tallied and its classes scanned.
 
     Every value above the largest dominant value cancels within its own
     degree. So that value, with the signs of the degrees that reach it,
     gives both envelopes of the netted classes, and its count netted over
     those degrees gives the limit; only when that count nets to 0 does the
-    limit come from the whole net map."""
+    limit come from the whole net map (:func:`_net_at`)."""
     a, b = lam.numerator, lam.denominator
-    n = max(tallies, default=0)
+    n = max(levels, default=0)
+    tops = _tops(levels) if tops is None else tops
     top, signs, net = 0, set(), 0
-    for d, t in tallies.items():
+    for d, level in levels.items():
         w = a ** d * b ** (n - d)  # signed as lam^d
-        c = max(max(t), -min(t))
-        if w and t.get(c, 0) == t.get(-c, 0):  # the top cancels: scan
+        if not w:  # lam = 0 zeroes every positive degree
+            continue
+        hi, lo = tops[d]
+        c = max(hi, -lo)
+        k = (level.count(c) if hi == c else 0) - (
+            level.count(-c) if lo == -c else 0)
+        if not k and c:  # the top cancels: scan
+            t = Counter(level)
             c = max((abs(x) for x in t if t[x] != t.get(-x, 0)), default=0)
-        k = (t.get(c, 0) - t.get(-c, 0)) * ((w > 0) - (w < 0))
+            k = t[c] - t[-c]
+        k *= 1 if w > 0 else -1
         v = c * abs(w)
-        if k and v > top:  # k = 0: every class cancels, or lam^d = 0
+        if k and v > top:  # k = 0: every class cancels
             top, signs, net = v, {k > 0}, k
         elif k and v == top:
             signs.add(k > 0)
             net += k
     den = scale * b ** n
     limit = (Fraction(top if net > 0 else -top, den) if net
-             else _net_limit(_net_at(tallies, scale, lam)))
+             else _net_limit(_net_at(levels, scale, lam)))
     lower, upper = _envelopes(top if s else -top for s in signs)
     return limit, Fraction(lower, den), Fraction(upper, den)
 
@@ -270,17 +310,19 @@ def charpoly_eval(m, lam, mode: str = "limit", p: Optional[int] = None):
     reads the per-(degree, |coeff|) net counts, which give the raw
     multiset's limit sum and power sums (equal magnitudes net either way),
     and never lists the |net| copies of a class: 'p' through
-    :func:`_net_at`, the other three through :func:`_eval_at`.
+    :func:`_net_at`, the other three through :func:`_eval_at`; both read
+    the monomials' per-degree coefficient lists, as the ``charpoly`` CLI
+    kind hands them its listing.
     """
     lam = as_scalar(lam)
     if mode == "p" and p is None:
         raise DomainError("mode 'p' requires the index p")
     if mode not in ("limit", LOWER, UPPER, "p"):
         raise DomainError(f"unknown mode {mode!r}")
-    tallies, scale = _tallies(m)
+    levels, scale = _levels(m)
     if mode == "p":
-        return _decided(_phi_p_net(_net_at(tallies, scale, lam), (p,))[0], p)
-    return _eval_at(tallies, scale, lam)[("limit", LOWER, UPPER).index(mode)]
+        return _decided(_phi_p_net(_net_at(levels, scale, lam), (p,))[0], p)
+    return _eval_at(levels, scale, lam)[("limit", LOWER, UPPER).index(mode)]
 
 
 # --- spectral region ---------------------------------------------------------

@@ -1,5 +1,8 @@
 """Characteristic monomials, eigenvalue regions, and positive spectra."""
 
+import contextlib
+import io
+import json
 import math
 import random
 from collections import Counter
@@ -28,7 +31,7 @@ from boxalg import (
     signed_permutations,
     smile,
 )
-from boxalg import eigen
+from boxalg import cli, eigen
 from boxalg.core import _net_limit
 from boxalg.eigen import _char_levels, _eval_at, _heap_tables, _net_at
 from boxalg.signedlog import _nth_root_exact, _phi_p_net
@@ -214,12 +217,12 @@ class TestListingReference:
         assert got == _reference_listing(rows)  # in order, so as multisets
 
 
-# hand-built tallies {c: count} per degree, each c over SCALE: a zero
-# coefficient, a +-9 pair cancelling at degree 2's largest |c| (its
+# hand-built levels, the coefficients c per degree, each c over SCALE: a
+# zero coefficient, a +-9 pair cancelling at degree 2's largest |c| (its
 # envelope must read 4), and a degree (1) whose every class cancels
-LISTING_TALLIES = {2: Counter({9: 2, -9: 2, 4: 1, -1: 3, 0: 5}),
-                   1: Counter({6: 1, -6: 1, 0: 2}),
-                   0: Counter({-5: 1, 2: 2})}
+LISTING_LEVELS = {2: [9, -9, 4, 0, -1, 9, 0, -9, -1, 0, 0, -1, 0],
+                  1: [6, 0, -6, 0],
+                  0: [2, -5, 2]}
 # group-ring classes {m > 0: net count}, one count negative at the top
 RING_TALLIES = {3: {1: 1}, 2: {5: -2, 3: 1}, 1: {4: 3}, 0: {7: -1}}
 SCALE = 6
@@ -231,32 +234,35 @@ def _bits(x):
 
 @pytest.fixture
 def whole_map_reads(monkeypatch):
-    """The tallies each :func:`_net_at` call nets, as :func:`_eval_at`
+    """The levels each :func:`_net_at` call nets, as :func:`_eval_at`
     reaches it."""
     reads = []
 
-    def spy(tallies, scale, lam):
-        reads.append(tallies)
-        return _net_at(tallies, scale, lam)
+    def spy(levels, scale, lam):
+        reads.append(levels)
+        return _net_at(levels, scale, lam)
 
     monkeypatch.setattr(eigen, "_net_at", spy)
     return reads
 
 
 class TestValuesAt:
-    """:func:`_net_at` nets the tallies while it evaluates them, and
+    """:func:`_net_at` nets the levels while it evaluates them, and
     :func:`_eval_at` reads the limit and the envelopes; every reading is
     checked against references that never call them. Group-ring (DP)
-    tallies only ever feed :func:`_net_at`."""
+    classes only ever feed :func:`_net_at`."""
 
     @staticmethod
     def _monomials(tallies):
-        # |count| copies of c, of -c for a negative (ring) count
+        # each listed c; |count| copies of c, of -c for a negative (ring)
+        # count
         return [Monomial(F(c if k > 0 else -c, SCALE), d)
-                for d, t in tallies.items() for c, k in t.items()
+                for d, t in tallies.items()
+                for c, k in (t.items() if isinstance(t, dict)
+                             else Counter(t).items())
                 for _ in range(abs(k))]
 
-    @pytest.mark.parametrize("tallies", [LISTING_TALLIES, RING_TALLIES],
+    @pytest.mark.parametrize("tallies", [LISTING_LEVELS, RING_TALLIES],
                              ids=["listing", "ring"])
     @pytest.mark.parametrize("lam", [F(0), F(1), F(3), F(-2, 3), F(-7, 2)],
                              ids=str)
@@ -269,7 +275,7 @@ class TestValuesAt:
         for p in (0, 1, 7):
             want = phi_p_sum([SignedLog.from_rational(v) for v in vals], p)
             assert _bits(_phi_p_net(net, (p,))[0]) == _bits(want)
-        if tallies is LISTING_TALLIES:
+        if tallies is LISTING_LEVELS:
             reduced = [m.coeff * lam ** m.degree for m in reduced_monomials(ms)]
             assert _eval_at(tallies, SCALE, lam) == (
                 nary_boxplus(vals), smile(reduced, "lower"),
@@ -278,11 +284,11 @@ class TestValuesAt:
     def test_cancelled_top_class_is_passed_over(self):
         # at lam = 3 the cancelled +-9 class of degree 2 (81) would top
         # every value; all three read the surviving 4 * 9 = 36
-        assert _eval_at(LISTING_TALLIES, SCALE, F(3)) == (F(36, SCALE),) * 3
+        assert _eval_at(LISTING_LEVELS, SCALE, F(3)) == (F(36, SCALE),) * 3
 
 
 class TestTopValues:
-    """:func:`_eval_at` on the listings' own tallies, against the whole
+    """:func:`_eval_at` on the listings' own levels, against the whole
     net map and against an expansion of the listing: the limit is the
     dominant-magnitude sum of the values, the envelopes are smile of the
     reduced values. The inputs must reach all three ways of reading: every
@@ -312,10 +318,9 @@ class TestTopValues:
         # to 0 makes _eval_at read
         for rows in self._matrices():
             levels, scale = _char_levels(BoxMatrix(rows))
-            tallies = {d: Counter(level) for d, level in levels}
             for lam in self.LAMS:
-                assert _eval_at(tallies, scale, lam)[0] == _net_limit(
-                    _net_at(tallies, scale, lam)), (rows, lam)
+                assert _eval_at(levels, scale, lam)[0] == _net_limit(
+                    _net_at(levels, scale, lam)), (rows, lam)
 
     def test_every_way_of_reading_against_the_expansion(self,
                                                         whole_map_reads):
@@ -324,16 +329,15 @@ class TestTopValues:
             ms = char_monomials(BoxMatrix(rows))
             reduced = reduced_monomials(ms)
             levels, scale = _char_levels(BoxMatrix(rows))
-            tallies = {d: Counter(level) for d, level in levels}
             for lam in self.LAMS:
                 vals = [m.coeff * lam ** m.degree for m in reduced]
                 want = (nary_boxplus(m.coeff * lam ** m.degree for m in ms),
                         smile(vals, "lower"), smile(vals, "upper"))
                 whole_map_reads.clear()
-                assert _eval_at(tallies, scale, lam) == want, (rows, lam)
+                assert _eval_at(levels, scale, lam) == want, (rows, lam)
                 # a degree at lam^d != 0 whose top class c cancels
-                scanned = any(lam ** d and t[c] == t[-c]
-                              for d, t in tallies.items()
+                scanned = any(lam ** d and t.count(c) == t.count(-c)
+                              for d, t in levels.items()
                               for c in [max(max(t), -min(t))])
                 outcomes["whole map" if whole_map_reads else
                          "scanned" if scanned else "settled"] += 1
@@ -342,34 +346,114 @@ class TestTopValues:
     def test_falls_back_where_a_read_class_cancels(self, whole_map_reads):
         # a cancelled +-9 class of degree 2 tops the surviving 4 at lam = 3:
         # degree 2 is scanned, and the value read settles the limit
-        assert _eval_at(LISTING_TALLIES, SCALE, F(3))[0] == F(36, SCALE)
+        assert _eval_at(LISTING_LEVELS, SCALE, F(3))[0] == F(36, SCALE)
         assert not whole_map_reads
         # 4 - 2 * 4 + 4: the top value nets to 0 over three degrees, and
         # the limit is read from the whole map
         levels, scale = _char_levels(BoxMatrix([[2, 1], [1, 2]]))
-        tallies = {d: Counter(level) for d, level in levels}
-        assert _eval_at(tallies, scale, F(2)) == (F(-1), F(-4), F(4))
-        assert whole_map_reads == [tallies]
+        assert _eval_at(levels, scale, F(2)) == (F(-1), F(-4), F(4))
+        assert whole_map_reads == [levels]
         # at lam = 4 degree 2 alone is on top
-        assert _eval_at(tallies, scale, F(4)) == (F(16),) * 3
-        assert whole_map_reads == [tallies]
+        assert _eval_at(levels, scale, F(4)) == (F(16),) * 3
+        assert whole_map_reads == [levels]
 
     @pytest.mark.parametrize("lam", LAMS, ids=str)
     def test_charpoly_eval_reads_either_way(self, lam):
-        # from the monomials' tallies or from the listing's integer levels
+        # from the monomials' levels or from the listing's integer levels
         for rows in self._matrices():
             if len(rows) > 5:
                 continue
             ms = char_monomials(BoxMatrix(rows))
             levels, scale = _char_levels(BoxMatrix(rows))
-            tallies = {d: Counter(level) for d, level in levels}
-            net = _net_at(tallies, scale, lam)
-            want = _eval_at(tallies, scale, lam)
+            net = _net_at(levels, scale, lam)
+            want = _eval_at(levels, scale, lam)
             assert want[0] == _net_limit(net)
             for mode, value in zip(("limit", "lower", "upper"), want):
                 assert charpoly_eval(ms, lam, mode) == value
             assert _bits(charpoly_eval(ms, lam, "p", 3)) == _bits(
                 _phi_p_net(net, (3,))[0])
+
+
+@pytest.fixture
+def counters_made(monkeypatch):
+    """The argument of each ``Counter`` that :mod:`boxalg.eigen` builds."""
+    made = []
+
+    class Spy(Counter):
+        def __init__(self, *args, **kwargs):
+            made.append(args[0] if args else None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "Counter", Spy)
+    return made
+
+
+def _charpoly_kind(problem):
+    """The ``charpoly`` kind's exit code and parsed output."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(["charpoly", "--json", json.dumps(problem)])
+    return code, json.loads(buf.getvalue())
+
+
+# a 7x7 matrix with entries in -99..99, whose top classes settle
+A7W = [[83, -1, 50, -53, -44, -57, -50], [-56, 72, 75, -76, 81, 94, -61],
+       [81, -27, 86, 97, -96, 13, 20], [85, 63, -70, -92, 33, -56, 26],
+       [90, 14, 75, -22, 28, -78, 76], [95, -34, 57, -59, 75, -16, -21],
+       [-80, 39, 67, -6, 70, -91, -45]]
+
+
+class TestListForm:
+    """The listing's per-degree coefficient lists are the one form the
+    evaluator reads: a degree is tallied only when its top class cancels,
+    and every reading equals the reduced multiset's."""
+
+    def test_settled_listing_builds_no_counter(self, counters_made):
+        code, out = _charpoly_kind({"A": A7W, "lam": -3})
+        assert code == 0 and out["count"] == expected_monomial_count(7)
+        assert counters_made == []
+
+    def test_cancelled_top_class_builds_one_counter(self, counters_made):
+        # degree 0's top class 8 cancels at lam = -1; the scanned class 4
+        # is the value read
+        rows = [[2, -2, 1], [1, 2, -2], [2, 0, -2]]
+        code, out = _charpoly_kind({"A": rows, "lam": -1})
+        assert code == 0
+        assert [out["eval_" + m] for m in ("limit", "lower", "upper")] == [
+            "-4", "-4", "-4"]
+        levels, _scale = _char_levels(BoxMatrix(rows))
+        assert counters_made == [levels[0]]
+
+    POOLS = {"-2..2": range(-2, 3), "0..3": range(4),
+             "-99..99": range(-99, 100),
+             "fractional": [F(a, b) for a in range(-5, 6) for b in (1, 2, 3)]}
+    LAMS = [F(0), F(1), F(-1), F(2), F(-2), F(-2, 3), F(5, 2)]
+
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_every_reading_against_the_reduced_multiset(self, pool):
+        rng = random.Random(f"list-form/{pool}")
+        for n in range(1, 8):
+            rows = [[rng.choice(self.POOLS[pool]) for _ in range(n)]
+                    for _ in range(n)]
+            listed = [Monomial(c, d) for c, d in _reference_listing(rows)]
+            reduced = reduced_monomials(listed)
+            ms = char_monomials(BoxMatrix(rows))
+            for lam in self.LAMS:
+                vals = [m.coeff * lam ** m.degree for m in reduced]
+                want = [nary_boxplus(vals), smile(vals, "lower"),
+                        smile(vals, "upper")]
+                p3 = phi_p_sum([SignedLog.from_rational(v) for v in vals], 3)
+                got = [charpoly_eval(ms, lam, mode)
+                       for mode in ("limit", "lower", "upper")]
+                assert got == want, (rows, lam)
+                assert _bits(charpoly_eval(ms, lam, "p", 3)) == _bits(p3)
+                code, out = _charpoly_kind(
+                    {"A": [[str(a) for a in row] for row in rows],
+                     "lam": str(lam), "options": {"p": 3}})
+                assert code == 0
+                assert [out["eval_" + m] for m in ("limit", "lower", "upper")
+                        ] == [str(v) for v in want], (rows, lam)
+                assert out["eval_p"] == json.loads(json.dumps(cli._slog(p3)))
 
 
 class TestRegion:

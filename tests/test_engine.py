@@ -315,17 +315,17 @@ class TestCharacteristic:
     @pytest.mark.parametrize("A", MATRICES)
     def test_dp_values_read_every_mode(self, A):
         # the DP's net map gives the limit and mode 'p'; the envelopes are
-        # read from the listing's tallies, as the charpoly kind reads them
+        # read from the listing's levels, as the charpoly kind reads them
         ms = char_monomials(A)
         reduced = reduced_monomials(ms)
-        tallies, scale = eigen._tallies(ms)
+        levels, scale = eigen._levels(ms)
         lams = (F(0), F(-1), F(2, 3), F(-3, 2), F(7))
         for lam in lams if A.rows < 6 else lams[:3]:
             net = _ring_net(A, lam)
             raw = [m.coeff * lam ** m.degree for m in ms]
             assert _net_limit(net) == nary_boxplus(raw)
             vals = [m.coeff * lam ** m.degree for m in reduced]
-            assert eigen._eval_at(tallies, scale, lam) == (
+            assert eigen._eval_at(levels, scale, lam) == (
                 nary_boxplus(raw), smile(vals, "lower"), smile(vals, "upper"))
             for p in (0, 5):
                 assert _bits(_phi_p_net(net, (p,))[0]) == _bits(_phi(raw, p))
@@ -625,9 +625,9 @@ class TestFiniteIndex:
             return {d: {F(m, scale): c for m, c in net.items()}
                     for d, net in classes.items() if net}
 
-        tallies, scale = eigen._tallies(ms)
-        listed = {d: {m: c for m, c in net_by_magnitude(t, t.values())[0]
-                      .items() if c} for d, t in tallies.items()}
+        levels, scale = eigen._levels(ms)
+        listed = {d: {m: c for m, c in net_by_magnitude(level)[0].items()
+                      if c} for d, level in levels.items()}
         assert exact(*linalg._ring_terms(A, lam=True)) == exact(listed, scale)
 
 
