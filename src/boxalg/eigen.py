@@ -108,8 +108,8 @@ def expected_monomial_count(n: int) -> int:
 
 @cache
 def _heap_tables(k: int) -> tuple[tuple[bytes, ...], array]:
-    """The permutations of k in the Heap order of :func:`signed_permutations`
-    as index tables. Positions j..k-1 stay fixed over each block of j!
+    """The permutations of k >= 2 in the Heap order of
+    :func:`signed_permutations` as index tables. Positions j..k-1 stay fixed over each block of j!
     permutations, so for j = k-1 down to 2 a table holds perm[j] of each
     block. The last holds, per permutation m, its entry m % 2 * k^2 +
     perm[0] * k + perm[1] in the products of rows 0 and 1 followed by
@@ -117,9 +117,8 @@ def _heap_tables(k: int) -> tuple[tuple[bytes, ...], array]:
     perms = [p for p, _s in signed_permutations(k)]
     blocks = tuple(bytes(p[j] for p in perms[::math.factorial(j)])
                    for j in range(k - 1, 1, -1))
-    # k = 1 pads perm[1] with 0; the listing reads k = 1 off the diagonal
-    pairs = array("H", [m % 2 * k * k + x * k + y for m, (x, y, *_rest)
-                        in enumerate(p + (0,) for p in perms)])
+    pairs = array("H", [m % 2 * k * k + x * k + y
+                        for m, (x, y, *_rest) in enumerate(perms)])
     return blocks, pairs
 
 

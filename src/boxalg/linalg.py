@@ -24,26 +24,29 @@ left-out column: without b, det A; without column i, the minor
 column i. The listing (:func:`permutation_products`, Heap's algorithm)
 stays as public API and as the tests' reference expansion.
 
-The group ring runs in dicts, or packed in one int per map by Kronecker
-substitution (Harvey, J. Symbolic Comput. 44, 2009; :func:`_packing`)
-when every entry magnitude (with lam, every row scale too) factors over
-the primes 2..13 and the box D = prod_p (T_p + 1) is at most 64, T_p the
-sum of the rows' largest exponents of p: each product magnitude m is a
-digit idx(m) < D of w = bit_length(n!) + 1 bits, and an entry a is
-sgn(a) 2^(w idx|a|). Without lam, a packed ring is one Bareiss
-elimination of that packed matrix (:func:`_kronecker_slots`), O(n^3)
-integer steps: det commutes with the packing map, every product's
-exponents stay inside the box and every net count stays below 2^(w-1),
-so the integer determinant is the packed net map, read back digit by
-digit. The bordered [A | b] gains the row (Y^0, ..., Y^n), Y = 2^(w D),
+Each reader fixes the form of the group ring it runs. The readers of
+whole net maps (:func:`_ring_terms`: the oracle's sweeps and
+:func:`_powered_dets` past the budget) run it in dicts. The one reader
+of tops, :func:`_dominant_terms`, packs it in one int per map by
+Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009;
+:func:`_packing`) when every entry magnitude (with lam, every row scale
+too) factors over the primes 2..13 and the box D = prod_p (T_p + 1) is
+at most 64, T_p the sum of the rows' largest exponents of p: each
+product magnitude m is a digit idx(m) < D of w = bit_length(n!) + 1
+bits, and an entry a is sgn(a) 2^(w idx|a|). Without lam, a packed ring
+is one Bareiss elimination of that packed matrix
+(:func:`_kronecker_slots`), O(n^3) integer steps: det commutes with the
+packing map, every product's exponents stay inside the box and every net
+count stays below 2^(w-1), so the integer determinant is the packed net
+map. The bordered [A | b] gains the row (Y^0, ..., Y^n), Y = 2^(w D),
 which places the minor that leaves out column j in a block of its own,
 Y^j, with the sign (-1)^(n+j). The lam ring stays on the packed DP,
 where a product step is a shift and an add: putting lam in further
-blocks would make the integers n + 1 times longer. So
-:func:`_dominant_terms`, when no leading-term run is in hand
-(:func:`det_inf`, the eigen region, the Cramer readers), reads each
-slot's top digit from a packed ring at once rather than the leading
-terms and then a ring.
+blocks would make the integers n + 1 times longer. Either way only each
+slot's top digit is read, at once, in place of the leading terms and
+then a ring; a ring that does not pack runs the leading terms (unless
+the caller's run is in hand, as in :func:`_det_lead`) and then the
+dict ring when a leading count cancels.
 
 The finite-index determinant needs no DP: the sum of the signed products
 raised to the power q = 2p + 1 is det(A^(q)), the ordinary determinant of
@@ -354,7 +357,6 @@ class _Packing(NamedTuple):
     """How a group ring packs into ints (:func:`_packing`)."""
     shifts: dict[int, int]  # {magnitude a: its shift w idx(a)}
     span: int  # the bits w D of one packed map
-    unpack: Callable[[int], dict[int, int]]  # a packed map as {m: c != 0}
     top: Callable[[int], tuple[int, int] | None]  # its top (m, sign of c)
 
 
@@ -383,25 +385,12 @@ def _packing(entries) -> _Packing | None:
     half, mask = 1 << (w - 1), (1 << w) - 1
     bias = half * ((1 << w * len(table)) - 1) // mask  # half in every digit
 
-    def unpack(x: int) -> dict[int, int]:
-        """The net map {m: c != 0} of a packed one. The bias lifts every
-        digit to c + 2^(w - 1) in [0, 2^w), so no digit borrows, and its
-        xor leaves the digits with c != 0 the only ones set."""
-        x += bias
-        live, at, out = x ^ bias, 0, {}
-        while live:
-            skip = ((live & -live).bit_length() - 1) // w  # zero digits
-            x >>= skip * w
-            live >>= (skip + 1) * w
-            at += skip
-            out[table[at]] = (x & mask) - half
-            x >>= w
-            at += 1
-        return out
-
     def top(x: int) -> tuple[int, int] | None:
         """The largest magnitude whose count in a packed map is not 0,
-        with the sign of that count; None when every count is 0."""
+        with the sign of that count; None when every count is 0. The bias
+        lifts every digit to c + 2^(w - 1) in [0, 2^w), so no digit
+        borrows, and its xor leaves the digits with c != 0 the only ones
+        set."""
         x += bias
         above = (x ^ bias).bit_length()  # every digit from here up is 0
         for m, at in order:
@@ -410,7 +399,7 @@ def _packing(entries) -> _Packing | None:
         return None
     mags = {term[2] for row in entries for term in row}
     return _Packing({a: sum(map(mul, _exponents(a), strides)) for a in mags},
-                    w * len(table), unpack, top)
+                    w * len(table), top)
 
 
 def _dp_entries(M: BoxMatrix, lam: bool) -> list[list[tuple]]:
@@ -478,66 +467,29 @@ def _kronecker_slots(M: BoxMatrix, entries, packing) -> dict[int, int]:
     return slots
 
 
-def _packed_slots(M: BoxMatrix, entries, packing) -> tuple[dict, int]:
-    """The packed net map of each slot of M's terms ``entries``, which
-    pack by ``packing``, and the scale S: one elimination without lam
-    (:func:`_kronecker_slots`), else the subset DP in packed ints, which
-    keeps a slot that cancels as 0."""
-    if not any(term[1] for row in entries for term in row):
-        return _kronecker_slots(M, entries, packing), math.prod(M._scales)
-    shifts = packing.shifts
-    return _dp_slots(
-        M, [[(j, d, shifts[a], s) for j, d, a, s in row] for row in entries],
-        _packed_step, 1)
-
-
-def _ring_run(M: BoxMatrix, entries, packing) -> tuple[dict, int]:
-    """The group ring of M's terms ``entries`` as :func:`_ring_terms`
-    gives it: packed in ints when ``packing`` (:func:`_packing`) is
-    given, else in dicts."""
-    if packing is None:
-        ring, total = _dp_slots(M, entries, _ring_step, {1: 1})
-        return {k: live for k, nets in ring.items()
-                if (live := {m: c for m, c in nets.items() if c})}, total
-    ring, total = _packed_slots(M, entries, packing)
-    return {k: net for k, x in ring.items()
-            if (net := packing.unpack(x))}, total
-
-
 def _ring_terms(M: BoxMatrix, lam: bool = False
                 ) -> tuple[dict[int, dict[int, int]], int]:
     """Per slot (:func:`_dp_slots`), the net map {magnitude: net signed
     count} of the signed permutation products or, with ``lam``, of the
     characteristic monomials, and the scale S: every magnitude is the
     integer key over S. Magnitudes that cancel are dropped, and so are
-    slots where all of them do. The ring is packed in ints when
-    :func:`_packing` allows, else in dicts."""
-    entries = _dp_entries(M, lam)
-    return _ring_run(M, entries, _packing(entries))
+    slots where all of them do. The ring runs in dicts."""
+    ring, total = _dp_slots(M, _dp_entries(M, lam), _ring_step, {1: 1})
+    return {k: live for k, nets in ring.items()
+            if (live := {m: c for m, c in nets.items() if c})}, total
 
 
-def _lead_terms(M: BoxMatrix, lam: bool = False) -> tuple[dict, int]:
-    """The leading-term run of M: per slot, (P, cp, N, cn) as in
-    :func:`_lead_step`, and the scale S."""
-    return _dp_slots(M, _dp_entries(M, lam), _lead_step, (1, 1, 0, 0))
-
-
-def _ring_tops(ring: dict, total: int
-               ) -> tuple[dict[int, tuple[int, int]], int]:
-    """Per slot of a group ring (:func:`_ring_run`), its largest surviving
-    magnitude and the sign of its count, and the scale S."""
-    return {k: (m := max(net), 1 if net[m] > 0 else -1)
-            for k, net in ring.items()}, total
-
-
-def _read_tops(M: BoxMatrix, entries, packing
-               ) -> tuple[dict[int, tuple[int, int]], int]:
-    """:func:`_ring_tops` of the group ring of M's terms ``entries``; a
-    packed ring reads only each slot's top digit."""
-    if packing is None:
-        return _ring_tops(*_ring_run(M, entries, None))
-    slots, total = _packed_slots(M, entries, packing)
-    return {k: t for k, x in slots.items() if (t := packing.top(x))}, total
+def _lead_tops(lead: dict, total: int
+               ) -> tuple[dict[int, tuple[int, int]], int] | None:
+    """Per slot of a leading-term run (:func:`_lead_step`), its larger
+    magnitude and the sign of the net count there, and the scale S; None
+    when some slot's count nets to zero."""
+    tops = {}
+    for k, (p, cp, n, cn) in lead.items():
+        if not (c := cp * (p >= n) - cn * (n >= p)):
+            return None
+        tops[k] = max(p, n), 1 if c > 0 else -1
+    return tops, total
 
 
 def _dominant_terms(M: BoxMatrix, lam: bool = False,
@@ -547,25 +499,35 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False,
     and the sign of that count, and the scale S (terms as in
     :func:`_ring_terms`: every magnitude is its integer over S).
 
-    Slots where everything cancels are absent. With no ``lead``, a ring
-    that packs is read at once: one Bareiss elimination without lam, the
-    packed DP with it, and each slot's top digit. Otherwise the
-    leading-term run (``lead``, when the caller has it) settles it unless
-    some leading count nets to zero; then the group ring finds the next
-    surviving magnitude.
+    Slots where everything cancels are absent. A leading-term run
+    (``lead``, when the caller has it) settles it unless some leading
+    count nets to zero. Otherwise M's DP terms are built once and a ring
+    that packs is read at once, each slot's top digit: one Bareiss
+    elimination without lam, the packed DP with it. A ring that does not
+    pack runs the leading terms, when no ``lead`` is in hand, and then
+    the dict ring when they cancel.
     """
-    if lead is None:
-        entries = _dp_entries(M, lam)
-        if (packing := _packing(entries)) is not None:
-            return _read_tops(M, entries, packing)
-        lead = _dp_slots(M, entries, _lead_step, (1, 1, 0, 0))
-    top, total = lead
-    top = {k: (max(p, n), cp * (p >= n) - cn * (n >= p))
-           for k, (p, cp, n, cn) in top.items()}
-    if not all(c for _m, c in top.values()):
-        entries = _dp_entries(M, lam)
-        return _read_tops(M, entries, _packing(entries))
-    return {k: (m, 1 if c > 0 else -1) for k, (m, c) in top.items()}, total
+    if lead is not None and (tops := _lead_tops(*lead)) is not None:
+        return tops
+    entries = _dp_entries(M, lam)
+    if (packing := _packing(entries)) is None:
+        if lead is None:
+            lead = _dp_slots(M, entries, _lead_step, (1, 1, 0, 0))
+            if (tops := _lead_tops(*lead)) is not None:
+                return tops
+        ring, total = _dp_slots(M, entries, _ring_step, {1: 1})
+        return {k: (m, 1 if net[m] > 0 else -1) for k, net in ring.items()
+                if (m := max((a for a, c in net.items() if c), default=0))
+                }, total
+    if lam:
+        shifts = packing.shifts
+        slots, total = _dp_slots(
+            M, [[(j, d, shifts[a], s) for j, d, a, s in row]
+                for row in entries], _packed_step, 1)
+    else:
+        slots, total = (_kronecker_slots(M, entries, packing),
+                        math.prod(M._scales))
+    return {k: t for k, x in slots.items() if (t := packing.top(x))}, total
 
 
 def _pair_det(rows) -> tuple[Fraction, Fraction]:
@@ -596,7 +558,7 @@ def _det_lead(A, cap: int, what: str = "determinant"
     envelopes), and a call reading det_inf from the same run, which runs
     the group ring only when the leading count cancels."""
     M = _checked(A, cap, what)
-    lead = _lead_terms(M)
+    lead = _dp_slots(M, _dp_entries(M, False), _lead_step, (1, 1, 0, 0))
     p, _cp, n, _cn = lead[0].get(0, (0, 0, 0, 0))
     return (Fraction(p, lead[1]), Fraction(n, lead[1]),
             lambda: _det_value(_dominant_terms(M, lead=lead)))

@@ -95,24 +95,37 @@ SMALL = [p.values[0] for p in MATRICES if p.id.startswith("small-")]
 
 
 @pytest.fixture
-def ring_runs(monkeypatch):
-    """Sizes of the matrices on which the group ring ran: the DP in dicts
-    or packed in ints, or the Bareiss elimination of the packed matrix."""
+def dp_runs(monkeypatch):
+    """The semiring of every subset-DP run, 'lead', 'ring' or 'packed',
+    and 'elim' for each Bareiss elimination of a packed matrix. Every
+    factor handed to a run must be an int."""
     runs = []
     inner, eliminate = linalg._subset_dp, linalg._kronecker_slots
+    names = {linalg._lead_step: "lead", linalg._ring_step: "ring",
+             linalg._packed_step: "packed"}
 
     def spy(entries, width, step, one):
-        if step in (linalg._ring_step, linalg._packed_step):
-            runs.append(len(entries))
+        runs.append(names[step])
+        assert all(type(a) is int
+                   for row in entries for _j, _shift, a, _s in row)
         return inner(entries, width, step, one)
 
     def spy_elimination(M, entries, packing):
-        runs.append(len(entries))
+        runs.append("elim")
         return eliminate(M, entries, packing)
 
     monkeypatch.setattr(linalg, "_subset_dp", spy)
     monkeypatch.setattr(linalg, "_kronecker_slots", spy_elimination)
     return runs
+
+
+def _ring_tops(nets):
+    """Per slot of a dict ring (:func:`linalg._ring_terms`), its largest
+    magnitude and the sign of its count, and the scale S: the tops that
+    :func:`linalg._dominant_terms` must read."""
+    ring, total = nets
+    return {k: (m := max(net), 1 if net[m] > 0 else -1)
+            for k, net in ring.items()}, total
 
 
 def _pair_expansion(rows):
@@ -257,31 +270,36 @@ class TestDeterminants:
                     rows[rng.randrange(n)] = [S_ZERO] * n
                 assert s_det(rows) == _pair_expansion(rows)
 
-    def test_pinned_top_cancelling_matrix_falls_back(self, ring_runs):
+    def test_pinned_top_cancelling_matrix_falls_back(self, dp_runs):
         # the leading count cancels, so the leading-term run's reader falls
         # back to the group ring; det_inf reads the packed ring at once
         assert nary_boxplus(permutation_products(TOP_CANCELLING)) == 12
         assert linalg._det_lead(TOP_CANCELLING, 9)[2]() == 12
-        assert ring_runs == [3]
+        assert dp_runs == ["lead", "elim"]
         assert det_inf(TOP_CANCELLING) == 12
-        assert ring_runs == [3, 3]
+        assert dp_runs == ["lead", "elim", "elim"]
 
-    def test_fallback_runs_on_small_integers(self, ring_runs):
+    def test_fallback_runs_on_small_integers(self, dp_runs):
+        fell_back = []
         for A in SMALL:
+            dp_runs.clear()
             want = nary_boxplus(permutation_products(A))
             assert linalg._det_lead(A, 9)[2]() == want
-        assert len(ring_runs) >= 3
-        assert max(ring_runs) >= 5
+            if dp_runs != ["lead"]:
+                assert dp_runs == ["lead", "elim"]
+                fell_back.append(A.rows)
+        assert len(fell_back) >= 3
+        assert max(fell_back) >= 5
         # every small matrix packs: det_inf runs one elimination each
-        ring_runs.clear()
+        dp_runs.clear()
         for A in SMALL:
             assert det_inf(A) == nary_boxplus(permutation_products(A))
-        assert ring_runs == [A.rows for A in SMALL]
+        assert dp_runs == ["elim"] * len(SMALL)
 
-    def test_no_fallback_when_top_survives(self, ring_runs):
+    def test_no_fallback_when_top_survives(self, dp_runs):
         A = BoxMatrix([[3, -1, 3], [2, -4, 1], [-4, 5, 3]])
         assert linalg._det_lead(A, 9)[2]() == -48
-        assert ring_runs == []
+        assert dp_runs == ["lead"]
         assert det_inf(A) == -48
 
 
@@ -353,11 +371,12 @@ class TestCharacteristic:
                 assert type(got) is float
                 assert got == pytest.approx(ref, rel=1e-12)
 
-    def test_eigen_fallback_runs_on_small_integers(self, ring_runs):
+    def test_eigen_fallback_runs_on_small_integers(self, dp_runs):
         for A in SMALL:
             want = _reference_dominant(char_monomials(A))
             assert _dominant(A) == want
-        assert len(ring_runs) >= 3
+        # every small lam ring packs: one packed DP each
+        assert dp_runs == ["packed"] * len(SMALL)
 
     @pytest.mark.parametrize("A", MATRICES)
     def test_charpoly_eval_modes(self, A):
@@ -476,7 +495,7 @@ class TestFiniteIndex:
         assert abs(z.logmag - math.log(root)) <= math.ulp(z.logmag)
         assert abs(z.to_float() - root) <= 2 * math.ulp(float(root))
 
-    def test_det_p_past_the_budget_reads_the_ring(self, ring_runs):
+    def test_det_p_past_the_budget_reads_the_ring(self, dp_runs):
         # q times the bits of the largest product magnitude passes
         # EXACT_BITS at p = 12, so the group ring's power sum is read
         big = 2 ** 3000
@@ -484,21 +503,21 @@ class TestFiniteIndex:
         prods = permutation_products(A)
         assert 25 * (big * (big + 1)).bit_length() > EXACT_BITS
         assert _bits(det_p(A, 12)) == _bits(_phi(prods, 12))
-        assert ring_runs == [2]
+        assert dp_runs == ["ring"]
         assert _bits(det_p(A, 0)) == _bits(_exact_root(prods, 0))
-        assert ring_runs == [2]
+        assert dp_runs == ["ring"]
 
-    def test_det_p_budget_counts_the_row_scales(self, ring_runs):
+    def test_det_p_budget_counts_the_row_scales(self, dp_runs):
         # 1/3^8000 has a 1-bit numerator over a 12,680-bit scale: its
         # 129th power is past the budget, so the ring is read, and the
         # lone product is its own exact root
         A = BoxMatrix([[F(1, 3 ** 8000)]])
         z = det_p(A, 64)
-        assert ring_runs == [1]
+        assert dp_runs == ["ring"]
         assert _bits(z) == _bits(_phi(permutation_products(A), 64))
         assert z.exact == F(1, 3 ** 8000)
         assert _bits(det_p(A, 2)) == _bits(_exact_root([F(1, 3 ** 8000)], 2))
-        assert ring_runs == [1]
+        assert dp_runs == ["ring"]
 
     @pytest.mark.parametrize("A", MATRICES)
     def test_characteristic_value_is_one_determinant(self, A):
@@ -836,7 +855,7 @@ class TestPastTheBudget:
         assert values[0] == 1.0
         assert None not in values[:11] and values[11:] == [None, None]
 
-    def test_hyperplane_sweep_reads_one_ring_past_the_budget(self, ring_runs):
+    def test_hyperplane_sweep_reads_one_ring_past_the_budget(self, dp_runs):
         x = [1, 2, 3]
         bordered = BoxMatrix([[*pt, 1] for pt in BIG_POINTS] + [[*x, 1]])
         prods = permutation_products(bordered)
@@ -845,7 +864,7 @@ class TestPastTheBudget:
         start = time.perf_counter()
         rep = sweep("hyperplane", {"points": BIG_POINTS, "x": x}, p_max=64)
         assert time.perf_counter() - start < 2
-        assert ring_runs == [4]
+        assert dp_runs == ["lead", "ring"]  # det_inf of V, then the ring
         inside = [p for p in range(65)
                   if signedlog._in_budget(odd_exponent(p), top, scale)]
         assert inside == list(range(12))
@@ -1021,14 +1040,17 @@ class TestBorderedDP:
     """One subset DP on [A | b] against det A and the n matrices with a
     column replaced by b (or, for hyperplanes, a row replaced by ones)."""
 
-    def test_cases_reach_both_parities_and_the_fallback(self, ring_runs):
+    def test_cases_reach_both_parities_and_the_fallback(self, dp_runs):
         live = {A.rows % 2 for A, _b in (p.values for p in BORDERED)
                 if det_inf(A) != 0}
         assert live == {0, 1}
-        ring_runs.clear()
+        rung = []  # sizes past a leading-term run
         for A, b in (p.values for p in BORDERED if p.id.startswith("small")):
+            dp_runs.clear()
             linalg._cramer_dets(A, b)
-        assert ring_runs and max(ring_runs) == 7
+            if dp_runs != ["lead"]:
+                rung.append(A.rows)
+        assert rung and max(rung) == 7
 
     @pytest.mark.parametrize("A, b", BORDERED)
     def test_dets_match_the_replaced_columns(self, A, b):
@@ -1095,31 +1117,6 @@ class TestBorderedDP:
         assert linalg._cramer_dets(A, (1, 2, 3, 4), cap=4) == [1, 1, 2, 3, 4]
 
 
-@pytest.fixture
-def dp_runs(monkeypatch):
-    """The semiring of every subset-DP run, 'lead', 'ring' or 'packed',
-    and 'elim' for each Bareiss elimination of a packed matrix. Every
-    factor handed to a run must be an int."""
-    runs = []
-    inner, eliminate = linalg._subset_dp, linalg._kronecker_slots
-    names = {linalg._lead_step: "lead", linalg._ring_step: "ring",
-             linalg._packed_step: "packed"}
-
-    def spy(entries, width, step, one):
-        runs.append(names[step])
-        assert all(type(a) is int
-                   for row in entries for _j, _shift, a, _s in row)
-        return inner(entries, width, step, one)
-
-    def spy_elimination(M, entries, packing):
-        runs.append("elim")
-        return eliminate(M, entries, packing)
-
-    monkeypatch.setattr(linalg, "_subset_dp", spy)
-    monkeypatch.setattr(linalg, "_kronecker_slots", spy_elimination)
-    return runs
-
-
 class TestOneBorderedRun:
     """A Cramer-shaped problem runs one elimination of the packed matrix
     when its box is small, else the leading-term DP, plus one group-ring
@@ -1127,21 +1124,20 @@ class TestOneBorderedRun:
     upper, and a sym problem, runs the leading-term DP and, when its count
     cancels, the group ring; a plain det problem, whatever its p, and a
     hyperplane sweep, whose residuals are Bareiss determinants, read
-    det_inf as a Cramer problem does. The other sweeps run the group ring
-    once (the packed DP with lam), and the charpoly kind, which nets its
-    listing, runs none. Entries of 17 keep the ring in dicts."""
+    det_inf as a Cramer problem does. The other sweeps read whole net
+    maps, so they run the dict ring once whatever the entries, and the
+    charpoly kind, which nets its listing, runs none. Entries of 17 keep
+    every ring in dicts."""
 
     CANCELLING = TOP_CANCELLING.to_rows()
     WIDE = [[3, -1, 3], [2, -4, 1], [-4, 5, 3]]
     CANCELLING17 = [[17 * a for a in row] for row in CANCELLING]
     WIDE17 = [[17 * a for a in row] for row in WIDE]
 
-    def _ring(self, rows, lam=False):
-        """The run of a group ring on rows: the DP in dicts past the box,
-        else the packed DP with lam and the elimination without it."""
-        if rows in (self.WIDE17, self.CANCELLING17):
-            return "ring"
-        return "packed" if lam else "elim"
+    def _ring(self, rows):
+        """The run that reads det_inf of rows past a cancelled leading
+        count: the DP in dicts past the box, else the elimination."""
+        return "ring" if rows in (self.WIDE17, self.CANCELLING17) else "elim"
 
     def _limit(self, rows):
         """The runs that read det_inf of rows: one elimination when they
@@ -1198,11 +1194,10 @@ class TestOneBorderedRun:
         A = [[str(a) for a in row] for row in rows]
         for problem, expected in [
                 ({"quantity": "cramer", "A": A, "b": ["1", "2", "3"]},
-                 [self._ring(rows)]),
+                 ["ring"]),
                 ({"quantity": "hyperplane", "points": A, "x": ["1", "0", "2"]},
                  self._limit(rows)),
-                ({"quantity": "charpoly", "A": A, "lam": "-2/3"},
-                 [self._ring(rows, lam=True)])]:
+                ({"quantity": "charpoly", "A": A, "lam": "-2/3"}, ["ring"])]:
             dp_runs.clear()
             assert run(["oracle", "--json", json.dumps(problem)]) == 0
             capsys.readouterr()
@@ -1321,9 +1316,10 @@ PACKED_ENTRIES = {
 
 
 class TestPackedRing:
-    """The group ring packed in ints (each net map one int, a count per
-    w-bit digit) against the ring in dicts, on the matrices it takes:
-    magnitudes over the primes 2..13 in a small box."""
+    """The tops read from the group ring packed in ints (each net map one
+    int, a count per w-bit digit) against the tops of the ring in dicts,
+    on the matrices it takes: magnitudes over the primes 2..13 in a small
+    box."""
 
     # each entry set packs its matrices up to size top: the box grows
     # with n
@@ -1339,32 +1335,31 @@ class TestPackedRing:
                                for _ in range(n)])
                 bordered = BoxMatrix((*row, draw(rng)) for row in A.to_rows())
                 for M, lam in ((A, False), (A, True), (bordered, False)):
-                    entries = linalg._dp_entries(M, lam)
-                    ring = linalg._ring_run(M, entries, None)
-                    assert linalg._ring_terms(M, lam) == ring
                     assert (linalg._dominant_terms(M, lam)
-                            == linalg._ring_tops(*ring))
-                    if linalg._packing(entries) is not None:
+                            == _ring_tops(linalg._ring_terms(M, lam)))
+                    if linalg._packing(linalg._dp_entries(M, lam)):
                         packed.add((n, lam, M is bordered))
         for form in ((False, False), (True, False), (False, True)):
             assert {n for n, *f in packed if tuple(f) == form} >= set(
                 range(1, top)), form
         assert max(n for n, *_f in packed) == top
 
-    @pytest.mark.parametrize("rows, lam, ring", [
-        ([[17, 1], [1, 1]], False, "ring"),  # 17 is past the primes
+    @pytest.mark.parametrize("rows, lam, form", [
+        ([[17, 1], [1, 1]], False, "lead"),  # 17 is past the primes
         ([["1/17", 0], [1, 1]], False, "elim"),  # a scale off the diagonal
-        ([["1/17", 0], [1, 1]], True, "ring"),  # lam puts it there
+        ([["1/17", 0], [1, 1]], True, "lead"),  # lam puts it there
         ([[30, 1, 1], [1, 30, 1], [1, 1, 30]], True, "packed"),  # D = 64
         ([[2 ** 63]], False, "elim"),  # D = 64 from one prime
-        ([[2 ** 64]], False, "ring"),
+        ([[2 ** 64]], False, "lead"),
         ([[30, 1, 1, 1], [1, 30, 1, 1], [1, 1, 30, 1], [1, 1, 1, 30]],
-         False, "ring")])  # D = 125
-    def test_the_box_chooses_the_ring(self, dp_runs, rows, lam, ring):
+         False, "lead")])  # D = 125
+    def test_the_box_chooses_the_ring(self, dp_runs, rows, lam, form):
+        # the tops read the form the box allows; past it, the leading
+        # terms settle these; the whole net map always runs in dicts
         M = BoxMatrix(rows)
-        entries = linalg._dp_entries(M, lam)
-        assert linalg._ring_terms(M, lam) == linalg._ring_run(M, entries, None)
-        assert dp_runs == [ring, "ring"]
+        assert (linalg._dominant_terms(M, lam)
+                == _ring_tops(linalg._ring_terms(M, lam)))
+        assert dp_runs == [form, "ring"]
 
     def test_a_packed_ring_reads_its_tops_in_one_run(self, dp_runs):
         H = [[1]]  # Sylvester's 8x8 Hadamard matrix, det 8^4
@@ -1373,12 +1368,87 @@ class TestPackedRing:
         H = BoxMatrix(H)
         assert linalg._ring_terms(H) == ({0: {1: 4096}}, 1)
         assert linalg._dominant_terms(H) == ({0: (1, 1)}, 1)
-        assert dp_runs == ["elim", "elim"]
+        assert dp_runs == ["ring", "elim"]
         dp_runs.clear()
         # det_inf reads the same top from one elimination: the count 4096
         # at magnitude 1 is the ordinary determinant
         assert det_inf(H) == 1 and det_p(H, 0).exact == 4096
         assert dp_runs == ["elim"]
+
+
+SPIED_ENTRIES = {
+    "small": lambda rng: rng.randint(-2, 2),
+    "positive": lambda rng: rng.randint(1, 3),
+    "wide": lambda rng: rng.randint(-99, 99),
+}
+
+
+class TestOneRingPerReader:
+    def test_full_maps_run_the_dict_ring_and_tops_pack_once(
+            self, monkeypatch, dp_runs):
+        """Every reader of whole net maps runs the dict ring alone; each
+        tops read builds its DP terms and tries the packing once, or not
+        at all when a leading-term run in hand settles it; a cancelled
+        leading count past the box runs the dict ring."""
+        calls, reads, settled = [], [], set()
+        terms, packing = linalg._dp_entries, linalg._packing
+        dominant = linalg._dominant_terms
+
+        def spy_terms(M, lam):
+            calls.append("terms")
+            return terms(M, lam)
+
+        def spy_packing(entries):
+            calls.append("packing")
+            return packing(entries)
+
+        def spy_dominant(M, lam=False, lead=None):
+            calls.clear()
+            out = dominant(M, lam, lead)
+            reads.append((calls.count("terms"), calls.count("packing")))
+            return out
+
+        monkeypatch.setattr(linalg, "_dp_entries", spy_terms)
+        monkeypatch.setattr(linalg, "_packing", spy_packing)
+        monkeypatch.setattr(linalg, "_dominant_terms", spy_dominant)
+        monkeypatch.setattr(eigen, "_dominant_terms", spy_dominant)
+        rng = random.Random(33)
+        for name, draw in SPIED_ENTRIES.items():
+            for n in range(1, 7):
+                A = BoxMatrix([[draw(rng) for _ in range(n)]
+                               for _ in range(n)])
+                b = [draw(rng) for _ in range(n)]
+                bordered = BoxMatrix((*row, v)
+                                     for row, v in zip(A.to_rows(), b))
+                reads.clear()
+                live = det_inf(A) != 0  # a cramer sweep needs det A != 0
+                linalg._det_lead(A, 9)[2]()
+                linalg._cramer_dets(A, b)
+                eigen_region(A)
+                # (terms built, packings tried) per read; only the second
+                # has a leading-term run in hand, which may settle it
+                assert len(reads) == 4, (name, n, reads)
+                assert reads[0] == reads[2] == reads[3] == (1, 1), reads
+                assert reads[1] in ((0, 0), (1, 1)), reads
+                settled.add(reads[1])
+                dp_runs.clear()
+                for M, lam in ((A, False), (A, True), (bordered, False)):
+                    linalg._ring_terms(M, lam)
+                linalg._det_net(A)
+                linalg._cramer_nets(A, b)
+                sweep("det", {"A": A}, p_max=1)
+                sweep("charpoly", {"A": A, "lam": -2}, p_max=1)
+                if live:
+                    sweep("cramer", {"A": A, "b": b}, p_max=1)
+                assert dp_runs == ["ring"] * (7 + live), (name, n)
+        assert settled == {(0, 0), (1, 1)}
+        dp_runs.clear()
+        for M, lam in ((BoxMatrix(TestOneBorderedRun.CANCELLING17), False),
+                       (BoxMatrix([[17, 17], [17, 17]]), True)):
+            reads.clear()
+            linalg._dominant_terms(M, lam)
+            assert dp_runs == ["lead", "ring"] and reads == [(1, 1)]
+            dp_runs.clear()
 
 
 ELIMINATED_ENTRIES = {
@@ -1436,8 +1506,8 @@ def _packed_dp(M, entries, packing):
 
 
 class TestKroneckerElimination:
-    """One Bareiss elimination of the packed matrix against the packed DP
-    and the dict ring. The box limit is raised so that every case packs:
+    """One Bareiss elimination of the packed matrix against the packed DP,
+    int for int, and its tops against the dict ring's. The box limit is raised so that every case packs:
     the elimination itself holds for any box, and entries in 0..3 and 1..3
     pass the box of 64 from n = 7 or 8 on."""
 
@@ -1451,11 +1521,9 @@ class TestKroneckerElimination:
         packing = linalg._packing(entries)
         slots = linalg._kronecker_slots(M, entries, packing)
         assert slots == _packed_dp(M, entries, packing)
-        ring = linalg._ring_run(M, entries, None)
-        assert ({k: packing.unpack(x) for k, x in slots.items()},
-                math.prod(M._scales)) == ring
-        assert linalg._ring_terms(M) == ring
-        assert linalg._dominant_terms(M) == linalg._ring_tops(*ring)
+        ring = linalg._ring_terms(M)
+        assert set(slots) == set(ring[0])
+        assert linalg._dominant_terms(M) == _ring_tops(ring)
 
     def test_cases_reach_every_block(self):
         # bordered blocks at both parities of n + j, of both signs, and
@@ -1498,9 +1566,7 @@ class TestKroneckerElimination:
                            for _ in range(n)])
             b = [rng.randint(-2, 2) for _ in range(n)]
             det_inf(A)
-            linalg._det_net(A)
             linalg._cramer_dets(A, b)
-            linalg._cramer_nets(A, b)
             linalg._det_lead(A, 9)[2]()
             rows = [[str(a) for a in row] for row in A.to_rows()]
             for kind, problem in [
@@ -1510,7 +1576,7 @@ class TestKroneckerElimination:
                 run([kind, "--json", json.dumps(problem)])
             capsys.readouterr()
         assert "packed" not in dp_runs and "ring" not in dp_runs
-        assert dp_runs.count("elim") >= 7 * 7
+        assert dp_runs.count("elim") >= 5 * 7
 
     def test_eigen_region_runs_the_packed_dp(self, dp_runs):
         rng = random.Random(32)
@@ -1546,11 +1612,13 @@ class TestPastTheDefaultCap:
     def test_cancelling_12x12_system_from_the_dict_ring(self, capsys,
                                                         monkeypatch):
         A, b = BoxMatrix(CANCELLING12["A"]), CANCELLING12["b"]
-        assert linalg._lead_terms(A) == ({0: (4096, 472, 4096, 472)}, 1)
+        lead = linalg._dp_slots(A, linalg._dp_entries(A, False),
+                                linalg._lead_step, (1, 1, 0, 0))
+        assert lead == ({0: (4096, 472, 4096, 472)}, 1)
+        assert linalg._lead_tops(*lead) is None
 
         def read(B):
-            ring = linalg._ring_run(B, linalg._dp_entries(B, False), None)
-            return linalg._ring_tops(*ring)
+            return _ring_tops(linalg._ring_terms(B))
         slots, total = linalg._cramer_slots(A, b, 12, read, (0, 1))
         det, *dets = [F(s * m * c, total) for (m, c), s in slots]
         assert det == 2048
