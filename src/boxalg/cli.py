@@ -44,7 +44,7 @@ from .errors import (
 from .geom import hyperplane_contains, hyperplane_through
 from .linalg import BoxMatrix, _checked, _det_lead, det_inf, det_p
 from .oracle import (DEFAULT_P_MAX, DEFAULT_TOL, _caps, _check_sweep,
-                     _check_tol, _gaps, _perron, sweep)
+                     _check_tol, _gaps, _Parsed, _perron, sweep)
 from .signedlog import SignedLog, _decided, _phi_p_net, check_p, odd_exponent
 from .solve import (
     LimitSystem,
@@ -88,7 +88,8 @@ def _points_in(v) -> list[list]:
     return [_vector_in(p) for p in v]
 
 
-# how the oracle reads each input field it knows; other fields are ignored
+# how the oracle reads each input field it knows, each as the sweep would
+# coerce it (it reads them as they are); other fields are ignored
 ORACLE_FIELDS = {"xs": _vector_in, "b": _vector_in, "x": _vector_in,
                  "A": _matrix_in, "points": _points_in, "lam": as_scalar}
 
@@ -328,8 +329,8 @@ def _do_oracle(data: dict, opts: dict) -> tuple[int, dict]:
     quantity = data.get("quantity")
     if not isinstance(quantity, str):
         raise DomainError("oracle problems need a 'quantity' string")
-    inputs = {k: parse(data[k]) for k, parse in ORACLE_FIELDS.items()
-              if k in data}
+    inputs = _Parsed((k, parse(data[k]))
+                     for k, parse in ORACLE_FIELDS.items() if k in data)
     p_max = opts.get("p_max", DEFAULT_P_MAX)
     tol = opts.get("tol", DEFAULT_TOL)
     rep = sweep(quantity, inputs, p_max=p_max, tol=tol, cap=_cap())

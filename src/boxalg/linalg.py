@@ -493,7 +493,8 @@ def _lead_tops(lead: dict, total: int
 
 
 def _dominant_terms(M: BoxMatrix, lam: bool = False,
-                    lead: tuple[dict, int] | None = None
+                    lead: tuple[dict, int] | None = None,
+                    entries: list | None = None
                     ) -> tuple[dict[int, tuple[int, int]], int]:
     """Per slot, the largest magnitude whose net signed count survives
     and the sign of that count, and the scale S (terms as in
@@ -501,15 +502,17 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False,
 
     Slots where everything cancels are absent. A leading-term run
     (``lead``, when the caller has it) settles it unless some leading
-    count nets to zero. Otherwise M's DP terms are built once and a ring
-    that packs is read at once, each slot's top digit: one Bareiss
-    elimination without lam, the packed DP with it. A ring that does not
-    pack runs the leading terms, when no ``lead`` is in hand, and then
-    the dict ring when they cancel.
+    count nets to zero. Otherwise M's DP terms are built once (unless the
+    caller hands over those of its run, ``entries``) and a ring that
+    packs is read at once, each slot's top digit: one Bareiss elimination
+    without lam, the packed DP with it. A ring that does not pack runs
+    the leading terms, when no ``lead`` is in hand, and then the dict
+    ring when they cancel.
     """
     if lead is not None and (tops := _lead_tops(*lead)) is not None:
         return tops
-    entries = _dp_entries(M, lam)
+    if entries is None:
+        entries = _dp_entries(M, lam)
     if (packing := _packing(entries)) is None:
         if lead is None:
             lead = _dp_slots(M, entries, _lead_step, (1, 1, 0, 0))
@@ -556,12 +559,15 @@ def _det_lead(A, cap: int, what: str = "determinant"
     (plus, minus, limit), its largest positive product P/S and minus its
     largest negative one N/S (the pair determinant, which holds both
     envelopes), and a call reading det_inf from the same run, which runs
-    the group ring only when the leading count cancels."""
+    the group ring, on the DP terms of that run, only when the leading
+    count cancels."""
     M = _checked(A, cap, what)
-    lead = _dp_slots(M, _dp_entries(M, False), _lead_step, (1, 1, 0, 0))
+    entries = _dp_entries(M, False)
+    lead = _dp_slots(M, entries, _lead_step, (1, 1, 0, 0))
     p, _cp, n, _cn = lead[0].get(0, (0, 0, 0, 0))
     return (Fraction(p, lead[1]), Fraction(n, lead[1]),
-            lambda: _det_value(_dominant_terms(M, lead=lead)))
+            lambda: _det_value(_dominant_terms(M, lead=lead,
+                                               entries=entries)))
 
 
 def det_inf(A, cap: int = DEFAULT_DET_CAP) -> Fraction:
@@ -649,7 +655,7 @@ def _powered_dets(M: BoxMatrix, ps: Sequence[int], cap: int
         if not _in_budget(q, top, scale):
             return out + _phi_p_net(_det_net(M, cap), ps[len(out):])
         powered = _bareiss([[a ** q for a in row] for row in M._ints])
-        out.append(_root(Fraction(powered, scale ** q), q))
+        out.append(_root(powered, q, scale))
     return out
 
 

@@ -16,10 +16,14 @@ for the determinant-shaped quantities, of the characteristic monomial
 values at lam for ``charpoly``. ``sum``, ``det``, ``charpoly`` and
 ``cramer`` share one pipeline that reads the limit, the near-tie flag and
 every finite-index value from maps built once; the maps of ``cramer``
-come from one run on [A | b]. With P the points as rows, the
-``hyperplane`` residual at p is -det of the bordered [[P | 1], [x | 1]]
-raised entrywise to q = 2p + 1, read by ``linalg._powered_dets`` as
-``det_p`` is; its size is det_inf of P.
+come from one run on [A | b]. The values are the ``signedlog._root`` of
+the integer power sums, and the near-tie verdict is final once its
+running prediction reaches tol. :func:`sweep` coerces each input it
+reads, unless the CLI's ``oracle`` kind hands it the fields it has
+already parsed (:class:`_Parsed`), so each is read once. With P the
+points as rows, the ``hyperplane`` residual at p is -det of the bordered
+[[P | 1], [x | 1]] raised entrywise to q = 2p + 1, read by
+``linalg._powered_dets`` as ``det_p`` is; its size is det_inf of P.
 ``perron`` shares its Perron path with the CLI's ``eigen`` kind, and
 this module owns two rules for both: the ``tol`` check and the cap
 override's resolver.
@@ -47,9 +51,9 @@ from .linalg import (DEFAULT_DET_CAP, BoxMatrix, _cramer_nets,
                      as_matrix, det_inf)
 from .signedlog import (
     SignedLog,
+    _log_ratio,
     _over_lcm,
     _phi_p_net,
-    _top_logs,
     net_by_magnitude,
     odd_exponent,
 )
@@ -95,15 +99,20 @@ def predict_near_tie(values: Sequence[Fraction], p_max: int, tol: float) -> bool
 
 
 def _near_tie(nets: tuple, p_max: int, tol: float) -> bool:
-    """:func:`predict_near_tie` on a net map ({m: net count}, S)."""
-    _top, groups = _top_logs(nets)
-    if not groups:
+    """:func:`predict_near_tie` on a net map ({m: net count}, S). The live
+    magnitudes are read largest first and the prediction summed as it
+    goes, each log taken only when its term is added: every term is >= 0,
+    so the verdict is True as soon as the running sum reaches tol."""
+    live = sorted(((m, c) for m, c in nets[0].items() if c), reverse=True)
+    if not live:
         return False
     q = odd_exponent(p_max)
-    (_r, n1), rest = groups[0], groups[1:]
+    (top, n1), rest = live[0], live[1:]
     pred = abs(math.expm1(math.log(abs(n1)) / q))
-    for r, c in rest:
-        pred += math.exp(math.log(abs(c)) + q * r)
+    for m, c in rest:
+        if pred >= tol:
+            return True
+        pred += math.exp(math.log(abs(c)) + q * _log_ratio(m, top))
     return pred >= tol
 
 
@@ -179,6 +188,18 @@ def _perron(A, region: list, ps, cap: int) -> tuple:
         log_r for halfline, _root, log_r in _radii(A, cap) if halfline > 0))
 
 
+# how :func:`sweep` coerces each input field, as the sweep reads it
+_COERCE = {"xs": _scalars, "b": as_vector, "x": as_vector, "A": as_matrix,
+           "points": lambda pts: [_scalars(pt) for pt in pts],
+           "lam": as_scalar}
+
+
+class _Parsed(dict):
+    """Input fields already coerced as :func:`sweep` coerces them: the
+    CLI's ``oracle`` kind parses every field first, and the sweep reads
+    these as they are, so none is coerced twice."""
+
+
 def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
           tol: float = DEFAULT_TOL, cap: int | None = None) -> SweepReport:
     """Evaluate one quantity over p in {0..p_max} against its limit value.
@@ -204,12 +225,14 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}; pick from {QUANTITIES}")
     det_cap, char_cap = _caps(cap)
+    field = (inputs.__getitem__ if type(inputs) is _Parsed
+             else lambda key: _COERCE[key](inputs[key]))
     ps = tuple(range(p_max + 1))
     near_tie = False
 
     if quantity == "hyperplane":
-        pts = [_scalars(pt) for pt in inputs["points"]]
-        x = as_vector(inputs["x"])
+        pts = field("points")
+        x = field("x")
         V = BoxMatrix.from_columns(pts)
         n = V.rows
         if len(x) != n:
@@ -227,7 +250,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
                   for v in _powered_dets(bordered, ps, det_cap)]
 
     elif quantity == "perron":
-        A = as_matrix(inputs["A"])
+        A = field("A")
         region = eigen_region(A, cap=char_cap)
         if not region:
             raise DomainError("empty spectral region; no limit value")
@@ -235,15 +258,15 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
 
     else:  # sum, det, charpoly and cramer: one pipeline over net maps
         if quantity == "sum":
-            nets = [net_by_magnitude(_scalars(inputs["xs"]))]
+            nets = [net_by_magnitude(field("xs"))]
         elif quantity == "det":
-            nets = [_det_net(as_matrix(inputs["A"]), det_cap)]
+            nets = [_det_net(field("A"), det_cap)]
         elif quantity == "charpoly":
-            A, lam = as_matrix(inputs["A"]), as_scalar(inputs["lam"])
+            A, lam = field("A"), field("lam")
             A = _checked(A, char_cap, _CHAR)
             nets = [_net_at(*_ring_terms(A, lam=True), lam)]
         else:  # det A, then each det A_i(b)
-            system = LimitSystem(as_matrix(inputs["A"]), as_vector(inputs["b"]))
+            system = LimitSystem(field("A"), field("b"))
             nets = _cramer_nets(system.A, system.b, det_cap)
         limit, *dets = [_net_limit(net) for net in nets]
         size = limit

@@ -18,14 +18,16 @@ The grouping is the integer net map ({m: net signed count}, S) of
 takes this one form, and each log is read from the reduced fraction m/S.
 
 This module owns the odd-power rules: :func:`_power_sums` are the exact
-power sums of a net map, :func:`_root` the one reader of an exact power
-sum, :func:`_in_budget` the one budget (``EXACT_BITS``) of the powers the
-package forms exactly, :func:`_power_means` the one reader past it, of
-logs relative to the top magnitude (:func:`_top_logs`), which declines
-(None; DomainError for a single value) a tie its floats cannot resolve,
-and :func:`_nth_root_exact` the one exact rational root (of :func:`_root`,
-and of the radii of :mod:`boxalg.eigen`). Dominance in :mod:`boxalg.solve`
-uses the same two.
+power sums of a net map, each an integer over S^q, :func:`_root` the one
+reader of an exact power sum, from those integers, :func:`_in_budget` the
+one budget (``EXACT_BITS``) of the powers the package forms exactly,
+:func:`_power_means` the one reader past it, of logs relative to the top
+magnitude (:func:`_top_logs`), which declines (None; DomainError for a
+single value) a tie its floats cannot resolve, and :func:`_int_root`
+the one exact integer root, whose residue test turns away most
+non-powers before a Newton step (of :func:`_root`, and through
+:func:`_nth_root_exact` of the radii of :mod:`boxalg.eigen`). Dominance
+in :mod:`boxalg.solve` uses the same budget and log reader.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -83,22 +86,27 @@ def _residue_primes(e: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _nth_root_exact(q: Fraction, e: int) -> Fraction | None:
-    """q^(1/e) when rational, else None (q in lowest terms, q >= 0).
-
-    A numerator or denominator k that is not an e-th power residue
-    modulo one of :func:`_residue_primes` is no e-th power, so the
-    Newton steps run only on the few that pass."""
-    if e == 1:
-        return q
+def _int_root(k: int, e: int) -> int | None:
+    """k^(1/e) of an integer k >= 0 when it is an integer, else None. A k
+    that is not an e-th power residue modulo one of
+    :func:`_residue_primes` is no e-th power, so the Newton steps run
+    only on the few that pass."""
+    if e == 1 or k < 2:
+        return k
     for P in _residue_primes(e):
-        if any(k % P and pow(k, (P - 1) // e, P) != 1
-               for k in (q.numerator, q.denominator)):
+        if k % P and pow(k, (P - 1) // e, P) != 1:
             return None
-    rn, rd = _iroot(q.numerator, e), _iroot(q.denominator, e)
-    if rn ** e != q.numerator or rd ** e != q.denominator:
+    r = _iroot(k, e)
+    return r if r ** e == k else None
+
+
+def _nth_root_exact(q: Fraction, e: int) -> Fraction | None:
+    """q^(1/e) when rational, else None (q in lowest terms, q >= 0): the
+    :func:`_int_root` of its denominator, then of its numerator."""
+    if (rd := _int_root(q.denominator, e)) is None:
         return None
-    return Fraction(rn, rd)
+    rn = _int_root(q.numerator, e)
+    return None if rn is None else Fraction(rn, rd)
 
 
 def check_p(p: int) -> int:
@@ -259,16 +267,21 @@ def net_by_magnitude(values: Iterable, counts: Iterable[int] | None = None
 
 
 def _power_sums(nets: tuple[dict[int, int], int],
-                qs: Sequence[int]) -> Iterator[Fraction]:
-    """Sum of c * (m/S)^q over a net map ({m: c}, S), exactly, at each q of
-    ``qs`` (increasing: each term steps on by m^(q - last q)); for a map
-    of a matrix's products, the determinant of its entrywise q-th power."""
+                qs: Sequence[int]) -> Iterator[int]:
+    """The integer T with T / S^q the sum of c * (m/S)^q over a net map
+    ({m: c}, S), at each q of ``qs`` (increasing): each term steps on by
+    m^(q - last q), from a factor list built only when the step changes
+    (m^2 between consecutive p). For a map of a matrix's products, T / S^q
+    is the determinant of its entrywise q-th power."""
     net, scale = nets
     ms = [m for m, c in net.items() if c]
-    ts, last = [c for c in net.values() if c], 0
+    ts, last, step = [c for c in net.values() if c], 0, 0
     for q in qs:
-        ts, last = [t * m ** (q - last) for t, m in zip(ts, ms)], q
-        yield Fraction(sum(ts), scale ** q)
+        if q - last != step:
+            step = q - last
+            factors = ms if step == 1 else [m ** step for m in ms]
+        ts, last = list(map(mul, ts, factors)), q
+        yield sum(ts)
 
 
 def _in_budget(q: int, top: int, scale: int) -> bool:
@@ -276,14 +289,19 @@ def _in_budget(q: int, top: int, scale: int) -> bool:
     return q * max(top, scale).bit_length() <= EXACT_BITS
 
 
-def _root(value: Fraction, q: int) -> SignedLog:
-    """The q-th root of an exact power sum: 0 exactly when it vanishes,
-    the rational root when there is one, else the root of its log."""
-    root = _nth_root_exact(abs(value), q)
-    if root is None:
-        n, d = value.numerator, value.denominator
-        return SignedLog(1 if n > 0 else -1, _log_over(abs(n), d) / q)
-    return SignedLog.from_rational(root if value > 0 else -root)
+def _root(total: int, q: int, scale: int) -> SignedLog:
+    """The q-th root of an exact power sum total / scale^q: 0 exactly when
+    it vanishes, the rational root r / scale when |total| = r^q, else the
+    root of its log, read from integers. scale^q is a q-th power, so the
+    sum has a rational q-th root exactly when |total| has an integer one
+    (:func:`_int_root`)."""
+    if not total:
+        return SignedLog.zero()
+    if (root := _int_root(abs(total), q)) is None:
+        return SignedLog(1 if total > 0 else -1,
+                         _log_over(abs(total), scale ** q) / q)
+    return SignedLog.from_rational(
+        Fraction(root if total > 0 else -root, scale))
 
 
 def _top_logs(nets: tuple[dict[int, int], int]) -> tuple[int, list]:
@@ -292,8 +310,13 @@ def _top_logs(nets: tuple[dict[int, int], int]) -> tuple[int, list]:
     read from the exact int ratio; (0, []) when every count cancels."""
     live = sorted(((m, c) for m, c in nets[0].items() if c), reverse=True)
     top = live[0][0] if live else 0
-    return top, [(math.log(f) if (f := m / top) else _log_over(m, top), c)
-                 for m, c in live]
+    return top, [(_log_ratio(m, top), c) for m, c in live]
+
+
+def _log_ratio(m: int, top: int) -> float:
+    """log(m / top) of integers 0 < m <= top, read from the float ratio
+    unless it underflows to 0, then from the integers."""
+    return math.log(f) if (f := m / top) else _log_over(m, top)
 
 
 def _power_means(base: float, groups, qs: Sequence[int]) -> list:
@@ -338,7 +361,8 @@ def _phi_p_net(nets: tuple[dict[int, int], int],
     net, scale = nets
     top = max((m for m, c in net.items() if c), default=0)
     inside = [q for q in qs if _in_budget(q, top, scale)]
-    out = list(map(_root, _power_sums(nets, inside), inside))
+    out = [_root(t, q, scale)
+           for t, q in zip(_power_sums(nets, inside), inside)]
     if len(out) == len(qs):
         return out
     top, groups = _top_logs(nets)

@@ -15,6 +15,8 @@ import pytest
 from boxalg.cli import KINDS, _float_out, run
 from boxalg.core import RATIONAL_RE
 from boxalg.eigen import eigen_region, perron_p
+from boxalg.errors import DomainError
+from boxalg.oracle import sweep
 
 BIG = "1" + "0" * 400
 # a positive matrix whose Perron limit, sqrt(2) * 10^400, is an irrational
@@ -819,6 +821,34 @@ class TestOracle:
         run(["oracle", "--json", json.dumps(batch)])
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_sum_reads_its_vector_once(self, capsys, monkeypatch):
+        """The CLI parses ``xs`` once and the sweep reads that parse: one
+        ``core._scalars`` pass over the vector, whichever module calls it."""
+        from boxalg import cli, core, oracle
+
+        passes = []
+        inner = core._scalars
+
+        def spy(values):
+            vec = list(values)
+            passes.append(vec)
+            return inner(vec)
+
+        for module in (core, cli, oracle):
+            monkeypatch.setattr(module, "_scalars", spy)
+        xs = [random.Random(34).randint(-99, 99) for _ in range(500)]
+        code, obj = invoke(capsys, "oracle", "--json", json.dumps(
+            {"quantity": "sum", "xs": xs, "options": {"p_max": 3}}))
+        assert code == 0 and passes == [xs]
+        assert Fraction(obj["limit"]) == sweep("sum", {"xs": xs}).limit
+
+    def test_a_bool_in_a_sum_is_still_rejected(self, capsys):
+        with pytest.raises(DomainError, match="not a scalar: True"):
+            sweep("sum", {"xs": (1, True)})
+        code, obj = invoke(capsys, "oracle", "--json",
+                           '{"quantity":"sum","xs":[1,true]}')
+        assert code == 3 and obj["error"] == "not a scalar: True"
 
 
 class TestSym:

@@ -534,7 +534,8 @@ class TestFiniteIndex:
                          for j, x in enumerate(row)]
                         for i, (row, s) in enumerate(zip(A._ints, A._scales))]
                 scale = math.prod(s ** q * b ** q for s in A._scales)
-                assert linalg._bareiss(rows) == power_sum * scale
+                assert linalg._bareiss(rows) == F(power_sum,
+                                                  net[1] ** q) * scale
 
     @pytest.mark.parametrize("xs", _vectors())
     def test_sum_sweep(self, xs):
@@ -607,8 +608,8 @@ class TestFiniteIndex:
         values = []
         for p in range(5):
             q = odd_exponent(p)
-            total = -next(_power_sums(net, [q])) + sum(
-                (next(_power_sums(ni, [q])) * xi ** q
+            total = -F(next(_power_sums(net, [q])), net[1] ** q) + sum(
+                (F(next(_power_sums(ni, [q])), ni[1] ** q) * xi ** q
                  for ni, xi in zip(row_nets, x)), F(0))
             values.append(_root_of(total, q))
         assert [_bits(v) for v in rep.values] == [_bits(v) for v in values]
@@ -1389,7 +1390,9 @@ class TestOneRingPerReader:
         """Every reader of whole net maps runs the dict ring alone; each
         tops read builds its DP terms and tries the packing once, or not
         at all when a leading-term run in hand settles it; a cancelled
-        leading count past the box runs the dict ring."""
+        leading count past the box runs the dict ring. A `_det_lead` read
+        builds the DP terms once, for its leading-term run, and a
+        cancelled count reads the ring from those."""
         calls, reads, settled = [], [], set()
         terms, packing = linalg._dp_entries, linalg._packing
         dominant = linalg._dominant_terms
@@ -1402,9 +1405,9 @@ class TestOneRingPerReader:
             calls.append("packing")
             return packing(entries)
 
-        def spy_dominant(M, lam=False, lead=None):
+        def spy_dominant(M, lam=False, lead=None, entries=None):
             calls.clear()
-            out = dominant(M, lam, lead)
+            out = dominant(M, lam, lead, entries)
             reads.append((calls.count("terms"), calls.count("packing")))
             return out
 
@@ -1422,14 +1425,18 @@ class TestOneRingPerReader:
                                      for row, v in zip(A.to_rows(), b))
                 reads.clear()
                 live = det_inf(A) != 0  # a cramer sweep needs det A != 0
-                linalg._det_lead(A, 9)[2]()
+                calls.clear()
+                limit = linalg._det_lead(A, 9)[2]
+                assert calls == ["terms"]
+                limit()
                 linalg._cramer_dets(A, b)
                 eigen_region(A)
                 # (terms built, packings tried) per read; only the second
-                # has a leading-term run in hand, which may settle it
+                # has a leading-term run in hand, which may settle it, and
+                # the terms of that run
                 assert len(reads) == 4, (name, n, reads)
                 assert reads[0] == reads[2] == reads[3] == (1, 1), reads
-                assert reads[1] in ((0, 0), (1, 1)), reads
+                assert reads[1] in ((0, 0), (0, 1)), reads
                 settled.add(reads[1])
                 dp_runs.clear()
                 for M, lam in ((A, False), (A, True), (bordered, False)):
@@ -1441,7 +1448,19 @@ class TestOneRingPerReader:
                 if live:
                     sweep("cramer", {"A": A, "b": b}, p_max=1)
                 assert dp_runs == ["ring"] * (7 + live), (name, n)
-        assert settled == {(0, 0), (1, 1)}
+        assert settled == {(0, 0), (0, 1)}
+        # leading counts that cancel, in the box and past it: one build of
+        # the DP terms per read, the elimination or the dict ring from it
+        for rows, runs in ((TestOneBorderedRun.CANCELLING, ["lead", "elim"]),
+                           (TestOneBorderedRun.CANCELLING17,
+                            ["lead", "ring"])):
+            dp_runs.clear()
+            calls.clear()
+            limit = linalg._det_lead(BoxMatrix(rows), 9)[2]
+            reads.clear()
+            limit()
+            assert calls == ["packing"] and reads == [(0, 1)], (calls, reads)
+            assert dp_runs == runs
         dp_runs.clear()
         for M, lam in ((BoxMatrix(TestOneBorderedRun.CANCELLING17), False),
                        (BoxMatrix([[17, 17], [17, 17]]), True)):

@@ -22,6 +22,7 @@ from boxalg import (
     slog_boxplus,
     slog_roundtrip,
 )
+from boxalg import signedlog
 
 F = Fraction
 REL = 1e-12
@@ -279,3 +280,143 @@ class TestNetMap:
         net, got_scale = net_by_magnitude(iter(values), counts)
         assert got_scale == scale
         assert list(net.items()) == list(want.items())
+
+
+def _fraction_root(value: F, q: int) -> SignedLog:
+    """The Fraction reader of an exact power sum that the integer reader
+    replaced, kept as its reference: the residue test and the integer
+    roots on the reduced numerator and denominator, else the log."""
+    root = None
+    if all(k % P == 0 or pow(k, (P - 1) // q, P) == 1
+           for P in signedlog._residue_primes(q) if q > 1
+           for k in (abs(value.numerator), value.denominator)):
+        rn = signedlog._iroot(abs(value.numerator), q)
+        rd = signedlog._iroot(value.denominator, q)
+        if rn ** q == abs(value.numerator) and rd ** q == value.denominator:
+            root = F(rn, rd)
+    if root is None:
+        n, d = value.numerator, value.denominator
+        return SignedLog(1 if n > 0 else -1,
+                         signedlog._log_over(abs(n), d) / q)
+    return SignedLog.from_rational(root if value > 0 else -root)
+
+
+def _bits(z: SignedLog) -> tuple:
+    return z.sign, z.logmag, z.exact
+
+
+def _seeded_nets(seed: int) -> tuple[dict, int]:
+    """A net map ({m: c}, S) with counts that cancel (c = 0), a scale S
+    of 1 or more, and magnitudes from close to far apart."""
+    rng = random.Random(seed)
+    scale = rng.choice((1, 1, 2, 6, 35, 2 ** 40))
+    top = rng.choice((5, 99, 10 ** 6, 2 ** 200))
+    net = {rng.randint(1, top): rng.choice((-3, -1, 0, 1, 1, 2, 40))
+           for _ in range(rng.randint(1, 30))}
+    return net, scale
+
+
+class TestIntegerReader:
+    """The finite-index reader on integers: the power sums T over S^q,
+    their root and the near-tie verdict, against direct references."""
+
+    ROOTS = [
+        (0, 1, 1), (0, 7, 6), (5, 1, 1), (-5, 1, 1), (10, 1, 4),
+        (3 ** 3 + 4 ** 3 + 5 ** 3, 3, 1),            # 216: root 6
+        (-(3 ** 3 + 4 ** 3 + 5 ** 3), 3, 1),         # -6
+        (216, 3, 2), (-216, 3, 6), (2, 3, 2),        # 6/2; 2/8 = 1/4: none
+        (1, 3, 2), (7 ** 5 * 2, 5, 14), (7 ** 5, 5, 14),
+        (3 ** 15, 5, 3 ** 2), (-(2 ** 3000), 3, 1), (2 ** 3000 + 1, 3, 5),
+        (2 ** 3000, 7, 2 ** 10), (-(2 ** 3000 * 3 ** 7), 7, 12),
+    ]
+
+    @pytest.mark.parametrize("total, q, scale", ROOTS)
+    def test_root_matches_the_fraction_reader(self, total, q, scale):
+        got = signedlog._root(total, q, scale)
+        assert _bits(got) == _bits(_fraction_root(F(total, scale ** q), q))
+
+    def test_rational_roots_read_exactly(self):
+        assert signedlog._root(216, 3, 1).exact == 6
+        assert signedlog._root(-216, 3, 6).exact == -1
+        assert signedlog._root(2, 3, 2).exact is None  # 1/4 is no cube
+        assert signedlog._root(0, 9, 5).is_zero
+        assert signedlog._nth_root_exact(F(1, 4), 3) is None
+        assert signedlog._nth_root_exact(F(8, 27), 3) == F(2, 3)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_root_of_seeded_sums_matches_the_fraction_reader(self, seed):
+        """Sums of q-th powers, with and without a rational root, over
+        scales S >= 1, bit for bit."""
+        rng = random.Random(seed)
+        for q in (1, 3, 5, 7, 9, 17):
+            scale = rng.choice((1, 2, 3, 12, 2 ** 30))
+            r = rng.randint(-10 ** 6, 10 ** 6)
+            for total in (r ** q, r ** q + rng.choice((-1, 1)),
+                          rng.randint(-10 ** 40, 10 ** 40)):
+                got = signedlog._root(total, q, scale)
+                assert _bits(got) == _bits(
+                    _fraction_root(F(total, scale ** q), q)), (total, q)
+
+    @pytest.mark.parametrize("ps", [(0, 1, 2, 3, 4, 5, 6, 7, 8), (0, 2, 5),
+                                    (3,), (1, 3, 7), (0, 1, 5, 6, 10)])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_power_sums_match_the_direct_sum(self, seed, ps):
+        """T / S^q is the sum of c * (m/S)^q at each q, whatever the steps
+        between the qs (a factor list per step)."""
+        net, scale = _seeded_nets(seed)
+        qs = [odd_exponent(p) for p in ps]
+        got = list(signedlog._power_sums((net, scale), qs))
+        assert all(type(t) is int for t in got)
+        assert [F(t, scale ** q) for t, q in zip(got, qs)] == [
+            sum((c * F(m, scale) ** q for m, c in net.items()), F(0))
+            for q in qs]
+
+    @staticmethod
+    def _partial_predictions(nets, p_max):
+        """The near-tie prediction summed over every live group with no
+        early exit, and its running sums, largest group first."""
+        _top, groups = signedlog._top_logs(nets)
+        q = odd_exponent(p_max)
+        (_r, n1), rest = groups[0], groups[1:]
+        sums = [abs(math.expm1(math.log(abs(n1)) / q))]
+        for r, c in rest:
+            sums.append(sums[-1] + math.exp(math.log(abs(c)) + q * r))
+        return sums
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_near_tie_matches_the_full_sum(self, seed, monkeypatch):
+        """The early verdict is the full sum's at a tol on each side of
+        the prediction and at each running sum, where it stops early; a
+        verdict settled by the top group takes no log of the others."""
+        from boxalg import oracle
+
+        logs = []
+        ratio = oracle._log_ratio
+
+        def spy(m, top):
+            logs.append(m)
+            return ratio(m, top)
+
+        monkeypatch.setattr(oracle, "_log_ratio", spy)
+        nets = _seeded_nets(seed)
+        verdicts, preds = set(), set()
+        for p_max in (0, 2, 8, 20):
+            if not any(nets[0].values()):
+                assert oracle._near_tie(nets, p_max, 1e-6) is False
+                continue
+            sums = self._partial_predictions(nets, p_max)
+            pred = sums[-1]
+            preds.add(pred)
+            tols = {t for s in sums
+                    for t in (s, math.nextafter(s, math.inf), s / 2, s * 2)
+                    if t > 0}
+            tols |= {1e-300, 1e300}
+            for tol in sorted(tols):
+                logs.clear()
+                got = oracle._near_tie(nets, p_max, tol)
+                assert got is (pred >= tol), (seed, p_max, tol)
+                verdicts.add(got)
+                if tol <= sums[0]:
+                    assert logs == []
+        # a single group of net +-1 predicts 0: every tol > 0 clears it
+        assert verdicts == {True, False} or preds <= {0.0}
