@@ -11,7 +11,10 @@ leading terms keep the largest positive and the largest negative
 magnitude with their counts. One run of them (:func:`_det_lead`) gives
 the balance-pair determinant of :mod:`boxalg.sym` (the two magnitudes),
 which holds both regularized ones; the group ring, the whole net map
-({m: net signed count}, S), runs when their net count cancels. A
+({m: net signed count}, S), runs when their net count cancels. A read of
+tops alone needs less: the top-magnitude DP (:func:`_top_dp`) keeps per
+state the largest |product| and its net count, the max-times semiring
+with multiplicities, in a loop of its own on the same keys. A
 :class:`BoxMatrix` keeps each row as integers over the row's own scale,
 which the DP reads as they are, so every magnitude is an integer m over
 one scale S, the product of the row scales, and the maps pass on in
@@ -43,10 +46,10 @@ which places the minor that leaves out column j in a block of its own,
 Y^j, with the sign (-1)^(n+j). The lam ring stays on the packed DP,
 where a product step is a shift and an add: putting lam in further
 blocks would make the integers n + 1 times longer. Either way only each
-slot's top digit is read, at once, in place of the leading terms and
-then a ring; a ring that does not pack runs the leading terms (unless
-the caller's run is in hand, as in :func:`_det_lead`) and then the
-dict ring when a leading count cancels.
+slot's top digit is read, at once, in place of a top run and then a
+ring; a ring that does not pack runs the top-magnitude DP (unless the
+caller's leading-term run is in hand, as in :func:`_det_lead`) and then
+the dict ring when a top count cancels.
 
 The finite-index determinant needs no DP: the sum of the signed products
 raised to the power q = 2p + 1 is det(A^(q)), the ordinary determinant of
@@ -66,7 +69,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -109,12 +112,14 @@ class BoxMatrix:
 
     @classmethod
     def from_columns(cls, cols: Iterable[Iterable]) -> "BoxMatrix":
-        cdata = tuple(_scalars(c) for c in cols)
-        if not cdata:
-            raise DomainError("matrix must have at least one column")
-        if any(len(c) != len(cdata[0]) for c in cdata):
-            raise DomainError("columns have inconsistent lengths")
-        return cls(zip(*cdata))
+        return cls(zip(*_columns([_scalars(c) for c in cols])))
+
+    @classmethod
+    def _transposed(cls, cols: Sequence[Sequence]) -> "BoxMatrix":
+        """The matrix whose rows are the checked :func:`_columns` ``cols``,
+        already scalars (:func:`~boxalg.core._scalars`), read as they are:
+        the transpose of ``from_columns(cols)``."""
+        return cls._from_ints(*zip(*map(_over_lcm, _columns(cols))))
 
     @classmethod
     def identity(cls, n: int) -> "BoxMatrix":
@@ -181,6 +186,15 @@ class BoxMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in r) for r in self.to_rows())
         return f"BoxMatrix[{body}]"
+
+
+def _columns(cols: Sequence[Sequence]) -> Sequence[Sequence]:
+    """The columns of a matrix, once there is one and all have one length."""
+    if not cols:
+        raise DomainError("matrix must have at least one column")
+    if any(len(c) != len(cols[0]) for c in cols):
+        raise DomainError("columns have inconsistent lengths")
+    return cols
 
 
 def _fractions(ints: Iterable[int], scale: int) -> BoxVector:
@@ -274,6 +288,62 @@ def _subset_dp(entries, width, step, one):
     return layer
 
 
+@cache
+def _free_columns(width: int) -> tuple[tuple[int, ...], ...]:
+    """Per mask of used columns, 2 j + o for each free column j, where
+    o = 1 when the used columns above j are odd in number, which flips
+    the sign of taking j (:func:`_subset_dp`); built once per width, on
+    first use."""
+    return tuple(tuple(2 * j + ((mask >> j).bit_count() & 1)
+                       for j in range(width) if not mask >> j & 1)
+                 for mask in range(1 << width))
+
+
+def _top_dp(entries, width) -> dict[int, tuple[int, int]]:
+    """The largest |product| and its net signed count per key of
+    :func:`_subset_dp`, on the same terms and keys.
+
+    A state holds (m, c): the largest magnitude m of the partial products
+    that reach it and the net signed count of those at m. Every factor is
+    > 0, so a prefix below its state's m stays below on every way on, and
+    a product of the largest magnitude of its key passes only through
+    states where its prefix holds m: the last layer holds each key's top
+    magnitude and its net count, which may be 0. A step multiplies m by
+    the factor and flips c by the parity and the sign; a larger m replaces
+    the state and an equal one adds the counts. A key's mask has one bit
+    per row taken, so each key lies in one layer, and the states sit in
+    two flat lists over all keys, m = 0 where no product reaches.
+    """
+    free, full = _free_columns(width), (1 << width) - 1
+    degree = sum(max((term[1] for term in row), default=0) for row in entries)
+    mags = [0] * ((degree + 1) << width)
+    counts = mags[:]
+    mags[0] = counts[0] = 1
+    layer = [0]
+    for row in entries:
+        terms = [[] for _ in range(2 * width)]  # at 2 j + o, o flips s
+        for j, shift, a, s in row:
+            inc = (1 << j) + (shift << width)
+            terms[2 * j].append((inc, a, s))
+            terms[2 * j + 1].append((inc, a, -s))
+        nxt: list[int] = []
+        reach = nxt.append
+        for key in layer:
+            m, c = mags[key], counts[key]
+            for at in free[key & full]:
+                for inc, a, s in terms[at]:
+                    k, p = key + inc, m * a
+                    old = mags[k]
+                    if old < p:
+                        if not old:
+                            reach(k)
+                        mags[k], counts[k] = p, c * s
+                    elif old == p:
+                        counts[k] += c * s
+        layer = nxt
+    return {k: (mags[k], counts[k]) for k in layer}
+
+
 def _lead_step(acc, value, a, s):
     """Leading terms: (P, cp, N, cn), the largest positive magnitude P with
     its count cp and the largest negative magnitude N with its count cn; a
@@ -335,6 +405,13 @@ def _exponents(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=1024)
+def _box_size(m: int) -> int:
+    """D = prod_p (T_p + 1), T_p the exponent of p in m, which factors
+    over ``PACK_PRIMES``: the number of divisors of m."""
+    return math.prod(t + 1 for t in _exponents(m))
+
+
 @lru_cache(maxsize=256)
 def _box(tops: tuple[int, ...], n: int
          ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple]:
@@ -373,15 +450,12 @@ def _packing(entries) -> _Packing | None:
     i!/d! <= n! (i rows, d factors lam), so each count is a signed digit
     of w = bit_length(n!) + 1 bits (:func:`_box`), and a factor a is the
     shift w idx(a)."""
-    lcms = []
-    for row in entries:
-        lcms.append(math.lcm(*{term[2] for term in row}))
-        if _PACK_MULTIPLE % lcms[-1]:
+    lcms = 1
+    for row in entries:  # the box only grows row by row
+        lcm = math.lcm(*{term[2] for term in row})
+        if _PACK_MULTIPLE % lcm or _box_size(lcms := lcms * lcm) > PACK_BOX:
             return None
-    tops = _exponents(math.prod(lcms))
-    if math.prod(t + 1 for t in tops) > PACK_BOX:
-        return None
-    w, strides, table, order = _box(tops, len(entries))
+    w, strides, table, order = _box(_exponents(lcms), len(entries))
     half, mask = 1 << (w - 1), (1 << w) - 1
     bias = half * ((1 << w * len(table)) - 1) // mask  # half in every digit
 
@@ -417,20 +491,24 @@ def _dp_entries(M: BoxMatrix, lam: bool) -> list[list[tuple]]:
     return entries
 
 
+def _slots(M: BoxMatrix, layer: dict) -> dict:
+    """The last layer of a DP on M's terms per slot. A square M uses every
+    column, so a final key's bits above the mask give the slot, the degree
+    of lam; a bordered one leaves one column out, which is the slot."""
+    width = M.cols
+    if M.is_square:
+        return {key >> width: v for key, v in layer.items()}
+    full = (1 << width) - 1
+    return {(full ^ key).bit_length() - 1: v for key, v in layer.items()}
+
+
 def _dp_slots(M: BoxMatrix, entries, step, one) -> tuple[dict, int]:
     """The subset DP of M's terms ``entries`` (:func:`_dp_entries`) per
-    slot, and the scale S of every term. A square M uses every column, so
-    a final key's bits above the mask give the slot, the degree of lam; a
-    bordered one leaves one column out, which is the slot. Each term takes
+    slot (:func:`_slots`), and the scale S of every term. Each term takes
     one factor per row, so it scales by S, the product of M's row scales,
     which keeps magnitude order and ties."""
-    width = M.cols
-    layer, full = _subset_dp(entries, width, step, one), (1 << width) - 1
-    if M.is_square:
-        slots = {key >> width: v for key, v in layer.items()}
-    else:
-        slots = {(full ^ key).bit_length() - 1: v for key, v in layer.items()}
-    return slots, math.prod(M._scales)
+    return (_slots(M, _subset_dp(entries, M.cols, step, one)),
+            math.prod(M._scales))
 
 
 def _kronecker_slots(M: BoxMatrix, entries, packing) -> dict[int, int]:
@@ -479,17 +557,22 @@ def _ring_terms(M: BoxMatrix, lam: bool = False
             if (live := {m: c for m, c in nets.items() if c})}, total
 
 
+def _signed_tops(slots: dict, total: int
+                 ) -> tuple[dict[int, tuple[int, int]], int] | None:
+    """Per slot of a top run (:func:`_top_dp`), {slot: (m, c)}, its
+    magnitude and the sign of its net count, and the scale S; None when
+    some slot's count nets to zero."""
+    if not all(c for _m, c in slots.values()):
+        return None
+    return {k: (m, 1 if c > 0 else -1) for k, (m, c) in slots.items()}, total
+
+
 def _lead_tops(lead: dict, total: int
                ) -> tuple[dict[int, tuple[int, int]], int] | None:
-    """Per slot of a leading-term run (:func:`_lead_step`), its larger
-    magnitude and the sign of the net count there, and the scale S; None
-    when some slot's count nets to zero."""
-    tops = {}
-    for k, (p, cp, n, cn) in lead.items():
-        if not (c := cp * (p >= n) - cn * (n >= p)):
-            return None
-        tops[k] = max(p, n), 1 if c > 0 else -1
-    return tops, total
+    """:func:`_signed_tops` of a leading-term run (:func:`_lead_step`):
+    per slot, its larger magnitude and the net count there."""
+    return _signed_tops({k: (max(p, n), cp * (p >= n) - cn * (n >= p))
+                         for k, (p, cp, n, cn) in lead.items()}, total)
 
 
 def _dominant_terms(M: BoxMatrix, lam: bool = False,
@@ -506,18 +589,18 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False,
     caller hands over those of its run, ``entries``) and a ring that
     packs is read at once, each slot's top digit: one Bareiss elimination
     without lam, the packed DP with it. A ring that does not pack runs
-    the leading terms, when no ``lead`` is in hand, and then the dict
-    ring when they cancel.
+    the top-magnitude DP (:func:`_top_dp`), when no ``lead`` is in hand,
+    and then the dict ring when some top count nets to zero.
     """
     if lead is not None and (tops := _lead_tops(*lead)) is not None:
         return tops
     if entries is None:
         entries = _dp_entries(M, lam)
     if (packing := _packing(entries)) is None:
-        if lead is None:
-            lead = _dp_slots(M, entries, _lead_step, (1, 1, 0, 0))
-            if (tops := _lead_tops(*lead)) is not None:
-                return tops
+        if lead is None and (tops := _signed_tops(
+                _slots(M, _top_dp(entries, M.cols)),
+                math.prod(M._scales))) is not None:
+            return tops
         ring, total = _dp_slots(M, entries, _ring_step, {1: 1})
         return {k: (m, 1 if net[m] > 0 else -1) for k, net in ring.items()
                 if (m := max((a for a, c in net.items() if c), default=0))
@@ -572,8 +655,7 @@ def _det_lead(A, cap: int, what: str = "determinant"
 
 def det_inf(A, cap: int = DEFAULT_DET_CAP) -> Fraction:
     """Limit determinant: dominant-magnitude sum of the signed products,
-    read with no leading-term run when the ring packs
-    (:func:`_dominant_terms`)."""
+    read with no leading-term run (:func:`_dominant_terms`)."""
     return _det_value(_dominant_terms(_checked(A, cap)))
 
 

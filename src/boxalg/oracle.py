@@ -57,7 +57,7 @@ from .signedlog import (
     net_by_magnitude,
     odd_exponent,
 )
-from .solve import LimitSystem
+from .solve import _square_system
 
 DEFAULT_P_MAX = 20
 DEFAULT_TOL = 1e-6
@@ -233,13 +233,16 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
     if quantity == "hyperplane":
         pts = field("points")
         x = field("x")
-        V = BoxMatrix.from_columns(pts)
-        n = V.rows
+        # the points as rows, P = V^T, each point read once
+        P = BoxMatrix._transposed(pts)
+        n = P.cols
         if len(x) != n:
             raise DomainError(f"x has length {len(x)}, expected {n}")
+        if not P.is_square:  # in the shape of V, the points as columns
+            raise DomainError(
+                f"determinant needs a square matrix, got {n}x{P.rows}")
         limit = Fraction(0)
-        size = det_inf(V, det_cap)  # that of P = V^T
-        P = BoxMatrix(pts)
+        size = det_inf(P, det_cap)  # that of V: the same signed products
         # [[P | 1], [x | 1]] in integer rows over their scales
         xs, sx = _over_lcm(x)
         bordered = BoxMatrix._from_ints(
@@ -266,8 +269,8 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
             A = _checked(A, char_cap, _CHAR)
             nets = [_net_at(*_ring_terms(A, lam=True), lam)]
         else:  # det A, then each det A_i(b)
-            system = LimitSystem(field("A"), field("b"))
-            nets = _cramer_nets(system.A, system.b, det_cap)
+            nets = _cramer_nets(*_square_system(field("A"), field("b")),
+                                det_cap)
         limit, *dets = [_net_limit(net) for net in nets]
         size = limit
         if quantity == "cramer":

@@ -47,16 +47,16 @@ class LimitSystem:
     __slots__ = ("A", "b")
 
     def __init__(self, A, b):
-        self.A = as_matrix(A)
-        self.b = as_vector(b)
-        if not self.A.is_square:
-            raise DomainError(
-                f"system matrix must be square, got {self.A.rows}x{self.A.cols}"
-            )
-        if len(self.b) != self.A.rows:
-            raise DomainError(
-                f"right-hand side length {len(self.b)} != size {self.A.rows}"
-            )
+        self.A, self.b = _square_system(as_matrix(A), as_vector(b))
+
+
+def _square_system(A: BoxMatrix, b: Sequence) -> tuple[BoxMatrix, Sequence]:
+    """A and the coerced b as they are, once A is square and b has its size."""
+    if not A.is_square:
+        raise DomainError(f"system matrix must be square, got {A.rows}x{A.cols}")
+    if len(b) != A.rows:
+        raise DomainError(f"right-hand side length {len(b)} != size {A.rows}")
+    return A, b
 
 
 class TwoSidedSystem:

@@ -710,6 +710,14 @@ class TestOracle:
          '"x":[1,1,1]}', "x has length 3, expected 2"),
         ('{"quantity":"cramer","A":[[1,2],[3,4]],"b":[1,1,1]}',
          "right-hand side length 3 != size 2"),
+        ('{"quantity":"cramer","A":[[1,2]],"b":[1,1,1]}',
+         "system matrix must be square, got 1x2"),
+        ('{"quantity":"hyperplane","points":[],"x":[1]}',
+         "matrix must have at least one column"),
+        ('{"quantity":"hyperplane","points":[[1,2,7],[3,4]],"x":[1]}',
+         "columns have inconsistent lengths"),
+        ('{"quantity":"hyperplane","points":[[1,"1/2"]],"x":[1,1]}',
+         "determinant needs a square matrix, got 2x1"),
         ('{"quantity":"sum","xs":[1,2],"options":{"p_max":true}}',
          "p_max must be a nonnegative integer, got True"),
     ])
@@ -842,6 +850,35 @@ class TestOracle:
             {"quantity": "sum", "xs": xs, "options": {"p_max": 3}}))
         assert code == 0 and passes == [xs]
         assert Fraction(obj["limit"]) == sweep("sum", {"xs": xs}).limit
+
+    @pytest.mark.parametrize("problem, passes", [
+        ({"quantity": "hyperplane", "points": [[1, "1/2"], [-3, 2]],
+          "x": [2, "1/3"]}, [[2, "1/3"], [1, "1/2"], [-3, 2]]),
+        ({"quantity": "cramer", "A": [[2, -1], ["1/2", 3]], "b": [1, 4]},
+         [[1, 4], [2, -1], ["1/2", 3]]),
+    ], ids=["hyperplane", "cramer"])
+    def test_each_point_and_vector_is_read_once(self, capsys, monkeypatch,
+                                                problem, passes):
+        """One ``core._scalars`` pass per point, per matrix row and per
+        vector, in the order the CLI parses the fields, whichever module
+        calls it."""
+        from boxalg import cli, core, geom, linalg, oracle, solve
+
+        seen = []
+        inner = core._scalars
+
+        def spy(values):
+            vec = list(values)
+            seen.append(vec)
+            return inner(vec)
+
+        for module in (core, cli, geom, linalg, oracle, solve):
+            monkeypatch.setattr(module, "_scalars", spy)
+        code, obj = invoke(capsys, "oracle", "--json", json.dumps(problem))
+        assert code == 0 and seen == passes
+        inputs = {k: v for k, v in problem.items() if k != "quantity"}
+        limit = sweep(problem["quantity"], inputs).limit
+        assert obj["limit"] == cli._exact({}, limit=limit)["limit"]
 
     def test_a_bool_in_a_sum_is_still_rejected(self, capsys):
         with pytest.raises(DomainError, match="not a scalar: True"):

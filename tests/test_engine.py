@@ -14,6 +14,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -97,24 +98,35 @@ SMALL = [p.values[0] for p in MATRICES if p.id.startswith("small-")]
 @pytest.fixture
 def dp_runs(monkeypatch):
     """The semiring of every subset-DP run, 'lead', 'ring' or 'packed',
-    and 'elim' for each Bareiss elimination of a packed matrix. Every
-    factor handed to a run must be an int."""
+    'top' for each top-magnitude run and 'elim' for each Bareiss
+    elimination of a packed matrix. Every factor handed to a run must be
+    an int."""
     runs = []
-    inner, eliminate = linalg._subset_dp, linalg._kronecker_slots
+    inner, top, eliminate = (linalg._subset_dp, linalg._top_dp,
+                             linalg._kronecker_slots)
     names = {linalg._lead_step: "lead", linalg._ring_step: "ring",
              linalg._packed_step: "packed"}
 
-    def spy(entries, width, step, one):
-        runs.append(names[step])
+    def ints(entries):
         assert all(type(a) is int
                    for row in entries for _j, _shift, a, _s in row)
+
+    def spy(entries, width, step, one):
+        runs.append(names[step])
+        ints(entries)
         return inner(entries, width, step, one)
+
+    def spy_top(entries, width):
+        runs.append("top")
+        ints(entries)
+        return top(entries, width)
 
     def spy_elimination(M, entries, packing):
         runs.append("elim")
         return eliminate(M, entries, packing)
 
     monkeypatch.setattr(linalg, "_subset_dp", spy)
+    monkeypatch.setattr(linalg, "_top_dp", spy_top)
     monkeypatch.setattr(linalg, "_kronecker_slots", spy_elimination)
     return runs
 
@@ -865,7 +877,7 @@ class TestPastTheBudget:
         start = time.perf_counter()
         rep = sweep("hyperplane", {"points": BIG_POINTS, "x": x}, p_max=64)
         assert time.perf_counter() - start < 2
-        assert dp_runs == ["lead", "ring"]  # det_inf of V, then the ring
+        assert dp_runs == ["top", "ring"]  # det_inf of V, then the ring
         inside = [p for p in range(65)
                   if signedlog._in_budget(odd_exponent(p), top, scale)]
         assert inside == list(range(12))
@@ -1120,8 +1132,8 @@ class TestBorderedDP:
 
 class TestOneBorderedRun:
     """A Cramer-shaped problem runs one elimination of the packed matrix
-    when its box is small, else the leading-term DP, plus one group-ring
-    run when a leading count cancels. A det problem with mode lower or
+    when its box is small, else the top-magnitude DP, plus one group-ring
+    run when a top count cancels. A det problem with mode lower or
     upper, and a sym problem, runs the leading-term DP and, when its count
     cancels, the group ring; a plain det problem, whatever its p, and a
     hyperplane sweep, whose residuals are Bareiss determinants, read
@@ -1142,14 +1154,14 @@ class TestOneBorderedRun:
 
     def _limit(self, rows):
         """The runs that read det_inf of rows: one elimination when they
-        pack, else the leading-term DP and the ring when it cancels."""
+        pack, else the top-magnitude DP and the ring when it cancels."""
         if rows in (self.WIDE17, self.CANCELLING17):
-            return ["lead"] + ["ring"] * (rows == self.CANCELLING17)
+            return ["top"] + ["ring"] * (rows == self.CANCELLING17)
         return ["elim"]
 
     @pytest.mark.parametrize("rows, expected", [
         (WIDE, ["elim"]), (CANCELLING, ["elim"]),
-        (WIDE17, ["lead"]), (CANCELLING17, ["lead", "ring"])])
+        (WIDE17, ["top"]), (CANCELLING17, ["top", "ring"])])
     def test_cli_kinds(self, capsys, dp_runs, rows, expected):
         A = [[str(a) for a in row] for row in rows]
         zeros = [["0"] * 3] * 3
@@ -1208,10 +1220,10 @@ class TestOneBorderedRun:
         ([[2, 1], [1, 2]], ["packed"]),
         # the degree-0 leading count cancels: one packed run reads past it
         ([[1, 1], [1, 1]], ["packed"]),
-        # past the box, the leading-term run, then the group ring when the
-        # degree-0 leading count cancels
-        ([[34, 17], [17, 34]], ["lead"]),
-        ([[17, 17], [17, 17]], ["lead", "ring"])])
+        # past the box, the top-magnitude run, then the group ring when
+        # the degree-0 top count cancels
+        ([[34, 17], [17, 34]], ["top"]),
+        ([[17, 17], [17, 17]], ["top", "ring"])])
     def test_eigen_kind(self, capsys, dp_runs, rows, expected):
         assert run(["eigen", "--json", json.dumps({"A": rows})]) == 0
         assert "perron" in json.loads(capsys.readouterr().out)
@@ -1346,17 +1358,17 @@ class TestPackedRing:
         assert max(n for n, *_f in packed) == top
 
     @pytest.mark.parametrize("rows, lam, form", [
-        ([[17, 1], [1, 1]], False, "lead"),  # 17 is past the primes
+        ([[17, 1], [1, 1]], False, "top"),  # 17 is past the primes
         ([["1/17", 0], [1, 1]], False, "elim"),  # a scale off the diagonal
-        ([["1/17", 0], [1, 1]], True, "lead"),  # lam puts it there
+        ([["1/17", 0], [1, 1]], True, "top"),  # lam puts it there
         ([[30, 1, 1], [1, 30, 1], [1, 1, 30]], True, "packed"),  # D = 64
         ([[2 ** 63]], False, "elim"),  # D = 64 from one prime
-        ([[2 ** 64]], False, "lead"),
+        ([[2 ** 64]], False, "top"),
         ([[30, 1, 1, 1], [1, 30, 1, 1], [1, 1, 30, 1], [1, 1, 1, 30]],
-         False, "lead")])  # D = 125
+         False, "top")])  # D = 125
     def test_the_box_chooses_the_ring(self, dp_runs, rows, lam, form):
-        # the tops read the form the box allows; past it, the leading
-        # terms settle these; the whole net map always runs in dicts
+        # the tops read the form the box allows; past it, the top run
+        # settles these; the whole net map always runs in dicts
         M = BoxMatrix(rows)
         assert (linalg._dominant_terms(M, lam)
                 == _ring_tops(linalg._ring_terms(M, lam)))
@@ -1376,6 +1388,48 @@ class TestPackedRing:
         assert det_inf(H) == 1 and det_p(H, 0).exact == 4096
         assert dp_runs == ["elim"]
 
+    @pytest.mark.parametrize("name", [*PACKED_ENTRIES, "digits", "wide"])
+    def test_the_box_row_by_row_gives_the_whole_verdict(self, name):
+        """The packing checks the box after each row; the verdict and the
+        layout are those of the box of all rows at once."""
+        draw, rng = {**PACKED_ENTRIES, **ENTRY_SETS}[name], random.Random(name)
+        for n in range(1, 9):
+            for _ in range(4):
+                A = BoxMatrix([[draw(rng) for _ in range(n)]
+                               for _ in range(n)])
+                bordered = BoxMatrix((*row, draw(rng)) for row in A.to_rows())
+                for M, lam in ((A, False), (A, True), (bordered, False)):
+                    entries = linalg._dp_entries(M, lam)
+                    tops, packing = _whole_box(entries), linalg._packing(entries)
+                    assert (tops is None) == (packing is None)
+                    if tops is not None:
+                        w, strides, table, _order = linalg._box(tops, n)
+                        assert packing.span == w * len(table)
+                        assert packing.shifts == {
+                            a: sum(map(mul, linalg._exponents(a), strides))
+                            for a in {t[2] for row in entries for t in row}}
+
+    def test_the_first_row_past_the_box_ends_the_check(self):
+        def rows():
+            yield [(0, 0, 2 ** 40 * 3 ** 2, 1)]  # a box of 41 * 3 digits
+            raise AssertionError("read past the box")
+        assert linalg._packing(rows()) is None
+
+
+def _whole_box(entries):
+    """The exponents T_p of the product of every row lcm, read at once
+    after all rows, or None when a row leaves the primes or the box
+    prod_p (T_p + 1) is past ``PACK_BOX``."""
+    lcms = []
+    for row in entries:
+        lcms.append(math.lcm(*{term[2] for term in row}))
+        if linalg._PACK_MULTIPLE % lcms[-1]:
+            return None
+    tops = linalg._exponents(math.prod(lcms))
+    if math.prod(t + 1 for t in tops) > linalg.PACK_BOX:
+        return None
+    return tops
+
 
 SPIED_ENTRIES = {
     "small": lambda rng: rng.randint(-2, 2),
@@ -1389,10 +1443,11 @@ class TestOneRingPerReader:
             self, monkeypatch, dp_runs):
         """Every reader of whole net maps runs the dict ring alone; each
         tops read builds its DP terms and tries the packing once, or not
-        at all when a leading-term run in hand settles it; a cancelled
-        leading count past the box runs the dict ring. A `_det_lead` read
-        builds the DP terms once, for its leading-term run, and a
-        cancelled count reads the ring from those."""
+        at all when a leading-term run in hand settles it; past the box it
+        runs the top-magnitude DP once and no leading-term run, and a
+        cancelled top count runs the dict ring. A `_det_lead` read builds
+        the DP terms once, for its leading-term run, and a cancelled count
+        reads the ring from those."""
         calls, reads, settled = [], [], set()
         terms, packing = linalg._dp_entries, linalg._packing
         dominant = linalg._dominant_terms
@@ -1466,8 +1521,102 @@ class TestOneRingPerReader:
                        (BoxMatrix([[17, 17], [17, 17]]), True)):
             reads.clear()
             linalg._dominant_terms(M, lam)
-            assert dp_runs == ["lead", "ring"] and reads == [(1, 1)]
+            assert dp_runs == ["top", "ring"] and reads == [(1, 1)]
             dp_runs.clear()
+        # a top that survives past the box, for each reader of tops
+        A = BoxMatrix(TestOneBorderedRun.WIDE17)
+        for read in (lambda: det_inf(A), lambda: eigen_region(A),
+                     lambda: linalg._cramer_dets(A, (1, 2, 3))):
+            dp_runs.clear()
+            reads.clear()
+            read()
+            assert dp_runs == ["top"] and reads == [(1, 1)]
+
+
+TOP_ENTRIES = {
+    "wide": lambda rng: rng.randint(-99, 99),
+    "digits": lambda rng: rng.randint(-9, 9),
+    "small": lambda rng: rng.randint(-2, 2),
+    "nonnegative": lambda rng: rng.randint(0, 3),
+    "positive": lambda rng: rng.randint(1, 3),
+    "rational": lambda rng: (F(0) if rng.random() < 0.2
+                             else F(rng.randint(-9, 9), rng.randint(1, 6))),
+}
+
+
+def _top_cases(name):
+    """Seeded square matrices A, n = 1..8, and their bordered [A | b]:
+    two per size below 7 and one above, and in every second size a zero
+    row in A, which leaves the lam-free slots of A empty."""
+    draw, rng = TOP_ENTRIES[name], random.Random(f"top-{name}")
+    out = []
+    for n in range(1, 9):
+        for k in range(2 if n < 7 else 1):
+            rows = [[draw(rng) for _ in range(n)] for _ in range(n)]
+            if (n + k) % 2:
+                rows[rng.randrange(n)] = [0] * n
+            A = BoxMatrix(rows)
+            b = [draw(rng) for _ in range(n)]
+            out.append((A, False))
+            out.append((A, True))
+            out.append((BoxMatrix((*r, v) for r, v in zip(A.to_rows(), b)),
+                        False))
+    return out
+
+
+def _top_run(M, lam):
+    """The top-magnitude run on M's DP terms, per slot."""
+    return linalg._slots(M, linalg._top_dp(linalg._dp_entries(M, lam),
+                                           M.cols))
+
+
+class TestTopRun:
+    """The top-magnitude DP against the two runs it stands for: per slot,
+    the larger side of the leading terms with its net count, and the
+    largest magnitude of the dict ring, with its net count there."""
+
+    @pytest.mark.parametrize("name", TOP_ENTRIES)
+    def test_equals_the_leading_terms_and_the_dict_ring(self, name):
+        for M, lam in _top_cases(name):
+            entries = linalg._dp_entries(M, lam)
+            top = _top_run(M, lam)
+            lead, _total = linalg._dp_slots(M, entries, linalg._lead_step,
+                                            (1, 1, 0, 0))
+            assert top == {k: (max(p, n), cp * (p >= n) - cn * (n >= p))
+                           for k, (p, cp, n, cn) in lead.items()}
+            ring, _total = linalg._dp_slots(M, entries, linalg._ring_step,
+                                            {1: 1})
+            assert top == {k: (m := max(net), net[m])
+                           for k, net in ring.items()}
+
+    @pytest.mark.parametrize("name", TOP_ENTRIES)
+    def test_tops_past_the_box(self, monkeypatch, dp_runs, name):
+        """With the packing declined, every tops read runs the top DP once
+        and, when some top count nets to zero, the dict ring after it."""
+        monkeypatch.setattr(linalg, "_packing", lambda entries: None)
+        for M, lam in _top_cases(name):
+            cancels = any(not c for _m, c in _top_run(M, lam).values())
+            want = _ring_tops(linalg._ring_terms(M, lam))
+            dp_runs.clear()
+            assert linalg._dominant_terms(M, lam) == want
+            assert dp_runs == ["top"] + ["ring"] * cancels, (M, lam)
+
+    def test_cases_reach_every_count(self):
+        """Top counts of either sign, ties, cancelled tops in every form,
+        and empty slots: the DP's layer dies at a zero row."""
+        counts, empty = set(), set()
+        for name in TOP_ENTRIES:
+            for M, lam in _top_cases(name):
+                top = _top_run(M, lam)
+                slots = M.rows + 1 if lam or not M.is_square else 1
+                if len(top) < slots:
+                    empty.add((lam, M.is_square))
+                for _m, c in top.values():
+                    counts.add((max(-2, min(c, 2)), lam, M.is_square))
+        assert {c for c, *_f in counts} == {-2, -1, 0, 1, 2}
+        assert {(lam, sq) for c, lam, sq in counts if c == 0} == {
+            (False, True), (True, True), (False, False)}
+        assert empty == {(False, True), (True, True), (False, False)}
 
 
 ELIMINATED_ENTRIES = {
@@ -1627,7 +1776,41 @@ CANCELLING12 = {
 CANCELLING12_X = [2, -2, -2, 2, 2, -2, -2, 2, -2, -2, -2, 2]
 
 
+# a 12x12 matrix with entries in -99..99, past the box: its top product
+# WIDE12_DET, the larger of the leading terms, counts once. The installed
+# command line reads it at BOXALG_CAP=12.
+WIDE12 = [[93, -52, -75, -19, 93, -5, -23, 85, -83, -75, -55, -33],
+          [-59, 76, -1, 67, 2, 35, -8, -9, 54, -37, 36, -28],
+          [41, -86, -70, 47, 33, 32, 39, 5, 56, -24, -21, 40],
+          [-10, -73, 25, -80, 42, -42, -25, 16, 7, 83, 68, -96],
+          [22, -57, -10, -57, 83, -12, -20, 89, 25, -69, 36, 52],
+          [-30, -3, 63, 82, 9, -16, 54, -72, -69, 15, -81, 44],
+          [43, 16, 44, -30, 1, 20, 20, -13, -66, 20, -74, -74],
+          [-64, 73, -22, -90, 52, 63, -25, 55, 39, 27, 19, 99],
+          [70, 9, -98, 41, -52, -81, -25, -62, -60, 23, -62, 5],
+          [-84, -86, 36, -71, -21, 22, -59, 86, -77, -48, 18, 29],
+          [55, 20, -8, -10, -27, -9, 45, 96, -67, 37, -29, -47],
+          [-31, -5, -36, 84, 27, 8, 3, 94, 68, 20, -19, 12]]
+WIDE12_DET = 69518831585288442255360
+
+
 class TestPastTheDefaultCap:
+    def test_wide_12x12_det_from_one_top_run(self, capsys, monkeypatch,
+                                             dp_runs):
+        rng = random.Random(1962)
+        assert WIDE12 == [[rng.randint(-99, 99) for _ in range(12)]
+                          for _ in range(12)]
+        A = BoxMatrix(WIDE12)
+        lead = linalg._dp_slots(A, linalg._dp_entries(A, False),
+                                linalg._lead_step, (1, 1, 0, 0))
+        assert linalg._lead_tops(*lead) == ({0: (WIDE12_DET, 1)}, 1)
+        monkeypatch.setenv("BOXALG_CAP", "12")
+        dp_runs.clear()
+        assert run(["det", "--json", json.dumps({"A": WIDE12})]) == 0
+        assert json.loads(capsys.readouterr().out)["det_inf"] == str(
+            WIDE12_DET)
+        assert dp_runs == ["top"]
+
     def test_cancelling_12x12_system_from_the_dict_ring(self, capsys,
                                                         monkeypatch):
         A, b = BoxMatrix(CANCELLING12["A"]), CANCELLING12["b"]

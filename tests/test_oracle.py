@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxalg import (ConvergenceError, DomainError, perron_p,
+from boxalg import (CapacityError, ConvergenceError, DomainError, perron_p,
                     predict_near_tie, sweep)
 
 F = Fraction
@@ -45,6 +45,16 @@ class TestCramerSweep:
         with pytest.raises(DomainError):
             sweep("cramer", {"A": [[1, 1], [1, 1]], "b": [1, 2]})
 
+    @pytest.mark.parametrize("A, b, message", [
+        ([[1, None]], ["zz"], "not a scalar: None"),
+        ([[1, 2]], ["zz"], "not a rational string: 'zz'"),
+        ([[1, 2]], [1, 1, 1], "system matrix must be square, got 1x2"),
+        ([[1, 2], [3, 4]], [1, 1, 1], "right-hand side length 3 != size 2"),
+    ], ids=["A-scalar", "b-scalar", "square", "length"])
+    def test_shape_faults_in_order(self, A, b, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sweep("cramer", {"A": A, "b": b})
+
 
 class TestHyperplaneSweep:
     def test_defining_point_residual_is_exactly_zero(self):
@@ -62,6 +72,30 @@ class TestHyperplaneSweep:
             "x": [0, 0, 0],
         })
         assert rep.final_gap > 0
+
+    @pytest.mark.parametrize("points, x, message", [
+        ([[1, None]], ["zz"], "not a scalar: None"),
+        ([], ["zz"], "not a rational string: 'zz'"),
+        ([], [1], "matrix must have at least one column"),
+        ([[1, 2, 7], [3, 4]], [1], "columns have inconsistent lengths"),
+        ([[1, 2], [3, 4], [5, 6]], [1, 1, 1], "x has length 3, expected 2"),
+        ([[1, 2], [3, 4], [5, 6]], [1, 1],
+         "determinant needs a square matrix, got 2x3"),
+        ([[1, "1/2"]], [1, 1], "determinant needs a square matrix, got 2x1"),
+    ], ids=["points-scalar", "x-scalar", "empty", "ragged", "x-length",
+            "more-points", "fewer-points"])
+    def test_shape_faults_in_order(self, points, x, message):
+        """Each point's scalars, then x's; the points are the columns of
+        V: empty, then ragged, then x against their length, then V
+        square, each with V's shape."""
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sweep("hyperplane", {"points": points, "x": x})
+
+    def test_size_is_held_to_the_cap(self):
+        points = [[int(i == j) for j in range(4)] for i in range(4)]
+        with pytest.raises(CapacityError, match="^determinant on a 4x4 "
+                                                "matrix exceeds the size cap 3$"):
+            sweep("hyperplane", {"points": points, "x": [1] * 4}, cap=3)
 
 
 class TestCharpolySweep:
