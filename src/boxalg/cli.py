@@ -2,23 +2,27 @@
 
 One problem per invocation (or a JSON array for batch mode), JSON in and
 JSON out; one parser reads the kind and the options, in either order, and
-the kinds are the keys of one handler table. Rationals travel as canonical
-strings like "-3/4" so nothing is lost to floats; a float rendering rides
-alongside under a ``_float`` key. Output keys are sorted and the encoding
-is compact, so identical inputs produce byte-identical outputs. One emitter
-writes every document, single or batch; it splices in raw fragments, JSON
-text a handler has already encoded (only the `charpoly` listing is one).
-The `sym` kind and the `det` kind with mode lower or upper read one
-leading-term run (``linalg._det_lead``); a plain `det` reads
-``linalg.det_inf``, which needs none when the ring packs.
+the kinds are the keys of one handler table, which lists the fields and
+``options`` keys each kind reads (``oracle.INPUTS`` those of each
+quantity): any other is refused. Each raw field goes to the library entry
+point that reads it and owns its shape check. Rationals travel as
+canonical strings like "-3/4" so nothing is lost to floats; a float
+rendering rides alongside under a ``_float`` key. Output keys are sorted
+and the encoding is compact, so identical inputs produce byte-identical
+outputs. One emitter writes every document, single or batch; it splices
+in raw fragments, JSON text a handler has already encoded (only the
+`charpoly` listing is one). The `sym` kind and the `det` kind with mode
+lower or upper read one leading-term run (``linalg._det_lead``); a plain
+`det` reads ``linalg.det_inf``, which needs none when the ring packs.
 
 Exit codes: 0 success, 2 infeasible or no result (singular systems,
 degenerate configurations, non-convergence), 3 input error (unreadable
-input, bad JSON, bad shapes, bad values), 4 capacity exceeded (a size cap,
-or a result with more digits than Python prints as an integer). The
-environment variable BOXALG_CAP overrides the determinant and
-characteristic size caps. As in the library, :mod:`boxalg.oracle` resolves
-that override and checks ``tol``, and :mod:`boxalg.sym` checks each pair.
+input, bad JSON, unknown fields or options, bad shapes, bad values), 4
+capacity exceeded (a size cap, or a result with more digits than Python
+prints as an integer). The environment variable BOXALG_CAP overrides the
+determinant and characteristic size caps. As in the library,
+:mod:`boxalg.oracle` resolves that override and checks ``tol``, and
+:mod:`boxalg.sym` checks each pair.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from typing import Callable, NamedTuple
 
-from .core import _envelope, _scalars, as_float, as_scalar
+from .core import _array, _envelope, as_float, as_scalar
 from .eigen import (_CHAR, _char_levels, _eval_at, _net_at, _tops,
                     eigen_region)
 from .errors import (
@@ -42,9 +47,9 @@ from .errors import (
     DomainError,
 )
 from .geom import hyperplane_contains, hyperplane_through
-from .linalg import BoxMatrix, _checked, _det_lead, det_inf, det_p
+from .linalg import _checked, _det_lead, as_matrix, det_inf, det_p
 from .oracle import (DEFAULT_P_MAX, DEFAULT_TOL, _caps, _check_sweep,
-                     _check_tol, _gaps, _Parsed, _perron, sweep)
+                     _check_tol, _gaps, _inputs, _perron, sweep)
 from .signedlog import SignedLog, _decided, _phi_p_net, check_p, odd_exponent
 from .solve import (
     LimitSystem,
@@ -63,35 +68,6 @@ OK, INFEASIBLE, INPUT_ERROR, CAPACITY = 0, 2, 3, 4
 
 
 # --- JSON <-> exact values ----------------------------------------------------
-
-
-def _array(v, of: str = "scalars") -> list:
-    """v itself when it is a nonempty JSON array."""
-    if not isinstance(v, list) or not v:
-        raise DomainError(f"expected a nonempty array of {of}")
-    return v
-
-
-def _vector_in(v) -> list:
-    return _scalars(_array(v))
-
-
-def _matrix_in(v) -> BoxMatrix:
-    # BoxMatrix coerces each row as the map yields it, so the first fault
-    # reported is the first in reading order
-    return BoxMatrix(map(_array, _array(v, "rows")))
-
-
-def _points_in(v) -> list[list]:
-    if not isinstance(v, list):
-        raise DomainError("points must be an array of points")
-    return [_vector_in(p) for p in v]
-
-
-# how the oracle reads each input field it knows, each as the sweep would
-# coerce it (it reads them as they are); other fields are ignored
-ORACLE_FIELDS = {"xs": _vector_in, "b": _vector_in, "x": _vector_in,
-                 "A": _matrix_in, "points": _points_in, "lam": as_scalar}
 
 
 def _float_out(x):
@@ -165,11 +141,17 @@ def _cap() -> int | None:
     return cap
 
 
-def _merge_opts(data: dict, args) -> dict:
+def _known(what: str, kind: str, keys, known) -> None:
+    """Refuse the first of ``keys`` that is not in ``known``."""
+    for key in keys:
+        if key not in known:
+            raise DomainError(
+                f"unknown {what} {key!r} for {kind}; known {what}s: "
+                f"{', '.join(sorted(known)) or 'none'}")
+
+
+def _merge_opts(opts: dict, args) -> dict:
     """The problem's options with the command-line flags laid over them."""
-    opts = data.get("options", {})
-    if not isinstance(opts, dict):
-        raise DomainError(f"options must be a JSON object, got {opts!r}")
     opts = dict(opts)
     if args.p is not None:
         opts["p"] = args.p
@@ -194,7 +176,7 @@ def _opt_p(opts) -> int | None:
 
 def _do_det(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps(_cap())
-    A = _matrix_in(data["A"])
+    A = as_matrix(data["A"])
     mode = opts.get("mode")
     if mode in ("lower", "upper"):
         plus, minus, limit = _det_lead(A, det_cap)
@@ -225,12 +207,12 @@ def _solve_out(report) -> tuple[int, dict]:
 
 def _do_solve(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps(_cap())
-    system = LimitSystem(_matrix_in(data["A"]), _vector_in(data["b"]))
+    system = LimitSystem(data["A"], data["b"])
     return _solve_out(cramer_limit_solve(system, det_cap))
 
 
 def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
-    A, rhs, cols = _max_columns(_matrix_in(data["A"]), _vector_in(data["b"]))
+    A, rhs, cols = _max_columns(data["A"], data["b"])
     out: dict = {}
     try:
         _exact(out, candidate=_candidate(cols))
@@ -257,28 +239,24 @@ def _do_maxsolve(data: dict, opts: dict) -> tuple[int, dict]:
 
 def _do_twosided(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps(_cap())
-    system = TwoSidedSystem(
-        _matrix_in(data["A"]), _matrix_in(data["C"]),
-        _vector_in(data["b"]), _vector_in(data["d"]),
-    )
+    system = TwoSidedSystem(data["A"], data["C"], data["b"], data["d"])
     return _solve_out(twosided_solve(system, det_cap))
 
 
 def _do_hyperplane(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps(_cap())
-    H = hyperplane_through(_points_in(data["points"]), det_cap)
+    H = hyperplane_through(data["points"], det_cap)
     out = _exact({}, coeffs=H.coeffs, rhs=H.rhs)
     queries = data.get("queries")
     if queries is not None:
-        if not isinstance(queries, list):
-            raise DomainError("queries must be an array of points")
-        out["members"] = [hyperplane_contains(H, _array(q)) for q in queries]
+        out["members"] = [hyperplane_contains(H, q)
+                          for q in _array(queries, "points")]
     return OK, out
 
 
 def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
     _, char_cap = _caps(_cap())
-    A = _checked(_matrix_in(data["A"]), char_cap, _CHAR)
+    A = _checked(data["A"], char_cap, _CHAR)
     lam = data.get("lam")
     lam = None if lam is None else as_scalar(lam)
     levels, scale = _char_levels(A)
@@ -311,7 +289,7 @@ def _do_charpoly(data: dict, opts: dict) -> tuple[int, dict]:
 
 def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
     _, char_cap = _caps(_cap())
-    A = _matrix_in(data["A"])
+    A = as_matrix(data["A"])
     region = eigen_region(A, cap=char_cap)
     p_max = opts.get("p_max", DEFAULT_P_MAX)
     tol = opts.get("tol", DEFAULT_TOL)
@@ -326,14 +304,9 @@ def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
 
 
 def _do_oracle(data: dict, opts: dict) -> tuple[int, dict]:
-    quantity = data.get("quantity")
-    if not isinstance(quantity, str):
-        raise DomainError("oracle problems need a 'quantity' string")
-    inputs = _Parsed((k, parse(data[k]))
-                     for k, parse in ORACLE_FIELDS.items() if k in data)
     p_max = opts.get("p_max", DEFAULT_P_MAX)
     tol = opts.get("tol", DEFAULT_TOL)
-    rep = sweep(quantity, inputs, p_max=p_max, tol=tol, cap=_cap())
+    rep = sweep(data["quantity"], data, p_max=p_max, tol=tol, cap=_cap())
     values = []
     for v in rep.values:
         if v is None:
@@ -359,8 +332,7 @@ def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
     det_cap, _ = _caps(_cap())
     out: dict = {}
     if "A" in data:
-        plus, minus, limit = _det_lead(_matrix_in(data["A"]), det_cap,
-                                       "pair determinant")
+        plus, minus, limit = _det_lead(data["A"], det_cap, "pair determinant")
         _exact(out, s_det=(plus, minus), det_inf=limit())
         out["balanced_with_zero"] = plus == minus
     if "pairs" in data:
@@ -375,16 +347,25 @@ def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
     return OK, out
 
 
+class _Kind(NamedTuple):
+    """A kind's handler, the top-level fields it reads besides ``kind``
+    and ``options``, and the keys of ``options`` it reads."""
+    handler: Callable[[dict, dict], tuple[int, dict]]
+    fields: tuple[str, ...]
+    options: tuple[str, ...]
+
+
 HANDLERS = {
-    "det": _do_det,
-    "solve": _do_solve,
-    "maxsolve": _do_maxsolve,
-    "twosided": _do_twosided,
-    "hyperplane": _do_hyperplane,
-    "charpoly": _do_charpoly,
-    "eigen": _do_eigen,
-    "oracle": _do_oracle,
-    "sym": _do_sym,
+    "det": _Kind(_do_det, ("A",), ("p", "mode")),
+    "solve": _Kind(_do_solve, ("A", "b"), ()),
+    "maxsolve": _Kind(_do_maxsolve, ("A", "b"), ("p",)),
+    "twosided": _Kind(_do_twosided, ("A", "C", "b", "d"), ()),
+    "hyperplane": _Kind(_do_hyperplane, ("points", "queries"), ()),
+    "charpoly": _Kind(_do_charpoly, ("A", "lam"), ("p",)),
+    "eigen": _Kind(_do_eigen, ("A",), ("p_max", "tol")),
+    # and the input fields of its quantity
+    "oracle": _Kind(_do_oracle, ("quantity",), ("p_max", "tol")),
+    "sym": _Kind(_do_sym, ("A", "pairs"), ()),
 }
 KINDS = tuple(HANDLERS)
 
@@ -395,8 +376,17 @@ def _run_one(kind: str, data, args) -> tuple[int, dict]:
     item_kind = data.get("kind", kind)
     if item_kind not in KINDS:
         raise DomainError(f"unknown kind {item_kind!r}")
-    opts = _merge_opts(data, args)
-    return HANDLERS[item_kind](data, opts)
+    opts = data.get("options", {})
+    if not isinstance(opts, dict):
+        raise DomainError(f"options must be a JSON object, got {opts!r}")
+    handler, fields, options = HANDLERS[item_kind]
+    if item_kind == "oracle":
+        if not isinstance(data.get("quantity"), str):
+            raise DomainError("oracle problems need a 'quantity' string")
+        fields += _inputs(data["quantity"])
+    _known("field", item_kind, data, ("kind", "options", *fields))
+    _known("option", item_kind, opts, options)
+    return handler(data, _merge_opts(opts, args))
 
 
 def _guarded(kind: str, data, args) -> tuple[int, dict]:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Mapping, Sequence, Set
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .signedlog import SignedLog, _over_lcm, net_by_magnitude, phi_p_sum
@@ -70,10 +70,24 @@ def as_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _array(values, of: str = "scalars") -> list:
+    """values as a list, when they are an array: a list, a tuple or another
+    iterable, but no string, bytes, mapping or set, whose items would
+    read as digits, keys or in no fixed order. ``of`` names the items in
+    the fault."""
+    if type(values) not in (list, tuple) and (
+            isinstance(values, (str, bytes, bytearray, Mapping, Set))
+            or not isinstance(values, Iterable)):
+        raise DomainError(f"expected an array of {of}, "
+                          f"got {type(values).__name__}")
+    return list(values)
+
+
 def _scalars(values: Iterable) -> list:
-    """A nonempty vector checked by :func:`as_scalar` in reading order,
-    but with its ints passed unwrapped, for the integer readers."""
-    vec = list(values)
+    """A nonempty vector (an :func:`_array`) checked by :func:`as_scalar`
+    in reading order, but with its ints passed unwrapped, for the integer
+    readers."""
+    vec = _array(values)
     if set(map(type, vec)) != {int}:
         vec = [v if type(v) is int else as_scalar(v) for v in vec]
     if not vec:
@@ -129,8 +143,6 @@ def residual_set(xs: Sequence, I=None) -> tuple[int, ...]:
 
 def nary_boxplus(xs: Sequence, I=None) -> Fraction:
     """Dominant surviving magnitude with its net sign; 0 when all balance."""
-    if I is None and not xs:
-        return Fraction(0)
     vec = as_vector(xs)
     idx = _resolve_index_set(len(vec), I)
     return _net_limit(net_by_magnitude(vec[i - 1] for i in idx))
@@ -176,7 +188,7 @@ def smile(xs: Iterable, mode: str) -> Fraction:
     """Semicontinuous envelope of the dominant-magnitude sum, read on xs
     over their least common denominator. Associative, so the n-ary value
     equals any fold of the binary operation."""
-    ints, scale = _over_lcm([as_scalar(v) for v in xs])
+    ints, scale = _over_lcm([as_scalar(v) for v in _array(xs)])
     return Fraction(_envelope(ints, mode), scale)
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import _envelopes, _over_lcm, _scalars, as_scalar, as_vector
+from .core import (_array, _envelopes, _over_lcm, _scalars, as_scalar,
+                   as_vector)
 from .errors import DegenerateConfigurationError, DomainError
-from .linalg import DEFAULT_DET_CAP, _cramer_dets
+from .linalg import DEFAULT_DET_CAP, BoxMatrix, _cramer_dets
 
 
 class LimitHyperplane:
@@ -38,13 +39,14 @@ class LimitHyperplane:
 
 def hyperplane_through(points: Sequence[Sequence],
                        cap: int = DEFAULT_DET_CAP) -> LimitHyperplane:
-    """Hyperplane through n points of length n (points become columns)."""
-    pts = [_scalars(pt) for pt in points]
+    """Hyperplane through n points of length n (points become columns),
+    each point read once: V^T holds them as its rows."""
+    pts = [_scalars(pt) for pt in _array(points, "points")]
     n = len(pts)
     if n == 0 or any(len(p) != n for p in pts):
         raise DomainError(f"need n points of length n, got lengths "
                           f"{[len(p) for p in pts]}")
-    rhs, *coeffs = _cramer_dets(pts, (1,) * n, cap)
+    rhs, *coeffs = _cramer_dets(BoxMatrix._transposed(pts), (1,) * n, cap)
     if rhs == 0:
         raise DegenerateConfigurationError(
             "the points are degenerate: the limit determinant vanishes"

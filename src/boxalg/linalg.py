@@ -47,9 +47,8 @@ Y^j, with the sign (-1)^(n+j). The lam ring stays on the packed DP,
 where a product step is a shift and an add: putting lam in further
 blocks would make the integers n + 1 times longer. Either way only each
 slot's top digit is read, at once, in place of a top run and then a
-ring; a ring that does not pack runs the top-magnitude DP (unless the
-caller's leading-term run is in hand, as in :func:`_det_lead`) and then
-the dict ring when a top count cancels.
+ring; a ring that does not pack runs the top-magnitude DP and then the
+dict ring when a top count cancels.
 
 The finite-index determinant needs no DP: the sum of the signed products
 raised to the power q = 2p + 1 is det(A^(q)), the ordinary determinant of
@@ -73,7 +72,8 @@ from functools import cache, lru_cache
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import LOWER, UPPER, _envelope, _scalars, as_vector, nary_boxplus, smile
+from .core import (LOWER, UPPER, _array, _envelope, _scalars, as_vector,
+                   nary_boxplus, smile)
 from .errors import CapacityError, DomainError
 from .signedlog import (SignedLog, _decided, _in_budget, _over_lcm, _phi_p_net,
                         _root, odd_exponent)
@@ -94,7 +94,7 @@ class BoxMatrix:
     __slots__ = ("_ints", "_scales")
 
     def __init__(self, rows: Iterable[Iterable]):
-        scaled = [_over_lcm(_scalars(r)) for r in rows]
+        scaled = [_over_lcm(_scalars(r)) for r in _array(rows, "rows")]
         if not scaled:
             raise DomainError("matrix must have at least one row")
         ints, self._scales = zip(*scaled)
@@ -112,7 +112,9 @@ class BoxMatrix:
 
     @classmethod
     def from_columns(cls, cols: Iterable[Iterable]) -> "BoxMatrix":
-        return cls(zip(*_columns([_scalars(c) for c in cols])))
+        """The matrix with the vectors ``cols`` as its columns."""
+        cols = _columns([_scalars(c) for c in _array(cols, "columns")])
+        return cls._transposed(list(zip(*cols)))
 
     @classmethod
     def _transposed(cls, cols: Sequence[Sequence]) -> "BoxMatrix":
@@ -557,50 +559,24 @@ def _ring_terms(M: BoxMatrix, lam: bool = False
             if (live := {m: c for m, c in nets.items() if c})}, total
 
 
-def _signed_tops(slots: dict, total: int
-                 ) -> tuple[dict[int, tuple[int, int]], int] | None:
-    """Per slot of a top run (:func:`_top_dp`), {slot: (m, c)}, its
-    magnitude and the sign of its net count, and the scale S; None when
-    some slot's count nets to zero."""
-    if not all(c for _m, c in slots.values()):
-        return None
-    return {k: (m, 1 if c > 0 else -1) for k, (m, c) in slots.items()}, total
-
-
-def _lead_tops(lead: dict, total: int
-               ) -> tuple[dict[int, tuple[int, int]], int] | None:
-    """:func:`_signed_tops` of a leading-term run (:func:`_lead_step`):
-    per slot, its larger magnitude and the net count there."""
-    return _signed_tops({k: (max(p, n), cp * (p >= n) - cn * (n >= p))
-                         for k, (p, cp, n, cn) in lead.items()}, total)
-
-
-def _dominant_terms(M: BoxMatrix, lam: bool = False,
-                    lead: tuple[dict, int] | None = None,
-                    entries: list | None = None
+def _dominant_terms(M: BoxMatrix, lam: bool = False
                     ) -> tuple[dict[int, tuple[int, int]], int]:
     """Per slot, the largest magnitude whose net signed count survives
     and the sign of that count, and the scale S (terms as in
     :func:`_ring_terms`: every magnitude is its integer over S).
 
-    Slots where everything cancels are absent. A leading-term run
-    (``lead``, when the caller has it) settles it unless some leading
-    count nets to zero. Otherwise M's DP terms are built once (unless the
-    caller hands over those of its run, ``entries``) and a ring that
-    packs is read at once, each slot's top digit: one Bareiss elimination
-    without lam, the packed DP with it. A ring that does not pack runs
-    the top-magnitude DP (:func:`_top_dp`), when no ``lead`` is in hand,
-    and then the dict ring when some top count nets to zero.
+    Slots where everything cancels are absent. M's DP terms are built
+    once, and a ring that packs is read at once, each slot's top digit:
+    one Bareiss elimination without lam, the packed DP with it. A ring
+    that does not pack runs the top-magnitude DP (:func:`_top_dp`), and
+    then the dict ring when some top count nets to zero.
     """
-    if lead is not None and (tops := _lead_tops(*lead)) is not None:
-        return tops
-    if entries is None:
-        entries = _dp_entries(M, lam)
+    entries = _dp_entries(M, lam)
     if (packing := _packing(entries)) is None:
-        if lead is None and (tops := _signed_tops(
-                _slots(M, _top_dp(entries, M.cols)),
-                math.prod(M._scales))) is not None:
-            return tops
+        tops = _slots(M, _top_dp(entries, M.cols))
+        if all(c for _m, c in tops.values()):
+            return ({k: (m, 1 if c > 0 else -1) for k, (m, c) in tops.items()},
+                    math.prod(M._scales))
         ring, total = _dp_slots(M, entries, _ring_step, {1: 1})
         return {k: (m, 1 if net[m] > 0 else -1) for k, net in ring.items()
                 if (m := max((a for a, c in net.items() if c), default=0))
@@ -641,16 +617,20 @@ def _det_lead(A, cap: int, what: str = "determinant"
     """One leading-term run of a square A (:func:`_checked` with ``what``):
     (plus, minus, limit), its largest positive product P/S and minus its
     largest negative one N/S (the pair determinant, which holds both
-    envelopes), and a call reading det_inf from the same run, which runs
-    the group ring, on the DP terms of that run, only when the leading
-    count cancels."""
+    envelopes), and a call reading det_inf: the larger side of the same
+    run with its net count, unless that count cancels, when it reads
+    det_inf's own way (:func:`_dominant_terms`)."""
     M = _checked(A, cap, what)
-    entries = _dp_entries(M, False)
-    lead = _dp_slots(M, entries, _lead_step, (1, 1, 0, 0))
-    p, _cp, n, _cn = lead[0].get(0, (0, 0, 0, 0))
-    return (Fraction(p, lead[1]), Fraction(n, lead[1]),
-            lambda: _det_value(_dominant_terms(M, lead=lead,
-                                               entries=entries)))
+    lead, total = _dp_slots(M, _dp_entries(M, False), _lead_step,
+                            (1, 1, 0, 0))
+    p, cp, n, cn = lead.get(0, (0, 0, 0, 0))
+    top, count = max(p, n), cp * (p >= n) - cn * (n >= p)
+
+    def limit() -> Fraction:
+        if count or not top:
+            return Fraction(top if count >= 0 else -top, total)
+        return _det_value(_dominant_terms(M))
+    return Fraction(p, total), Fraction(n, total), limit
 
 
 def det_inf(A, cap: int = DEFAULT_DET_CAP) -> Fraction:
@@ -792,5 +772,5 @@ def matmul_limit(A, B, mode: str = "exact") -> BoxMatrix:
 
 def matvec_limit(A, x: Sequence, mode: str = "exact") -> BoxVector:
     """Matrix-vector product under :func:`matmul_limit` semantics."""
-    col = matmul_limit(A, BoxMatrix.from_columns([as_vector(x)]), mode)
+    col = matmul_limit(A, BoxMatrix.from_columns([x]), mode)
     return col.col(1)

@@ -18,9 +18,10 @@ values at lam for ``charpoly``. ``sum``, ``det``, ``charpoly`` and
 every finite-index value from maps built once; the maps of ``cramer``
 come from one run on [A | b]. The values are the ``signedlog._root`` of
 the integer power sums, and the near-tie verdict is final once its
-running prediction reaches tol. :func:`sweep` coerces each input it
-reads, unless the CLI's ``oracle`` kind hands it the fields it has
-already parsed (:class:`_Parsed`), so each is read once. With P the
+running prediction reaches tol. :func:`sweep` reads the input fields
+of its quantity (``INPUTS``), each coerced once by one table; the CLI's
+``oracle`` kind hands it the problem's raw fields and refuses any field
+``INPUTS`` does not list for the quantity. With P the
 points as rows, the ``hyperplane`` residual at p is -det of the bordered
 [[P | 1], [x | 1]] raised entrywise to q = 2p + 1, read by
 ``linalg._powered_dets`` as ``det_p`` is; its size is det_inf of P.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import _net_limit, _scalars, as_float, as_scalar, as_vector
+from .core import _array, _net_limit, _scalars, as_float, as_scalar, as_vector
 from .eigen import (
     DEFAULT_CHAR_CAP,
     _CHAR,
@@ -63,7 +64,11 @@ DEFAULT_P_MAX = 20
 DEFAULT_TOL = 1e-6
 HARD_P_MAX = 64
 
-QUANTITIES = ("sum", "det", "cramer", "hyperplane", "charpoly", "perron")
+# the input fields of each quantity, in the order :func:`sweep` reads them
+INPUTS = {"sum": ("xs",), "det": ("A",), "cramer": ("A", "b"),
+          "hyperplane": ("points", "x"), "charpoly": ("A", "lam"),
+          "perron": ("A",)}
+QUANTITIES = tuple(INPUTS)
 
 
 @dataclass(frozen=True)
@@ -188,16 +193,17 @@ def _perron(A, region: list, ps, cap: int) -> tuple:
         log_r for halfline, _root, log_r in _radii(A, cap) if halfline > 0))
 
 
-# how :func:`sweep` coerces each input field, as the sweep reads it
+# how :func:`sweep` coerces each input field
 _COERCE = {"xs": _scalars, "b": as_vector, "x": as_vector, "A": as_matrix,
-           "points": lambda pts: [_scalars(pt) for pt in pts],
+           "points": lambda pts: [_scalars(pt) for pt in _array(pts, "points")],
            "lam": as_scalar}
 
 
-class _Parsed(dict):
-    """Input fields already coerced as :func:`sweep` coerces them: the
-    CLI's ``oracle`` kind parses every field first, and the sweep reads
-    these as they are, so none is coerced twice."""
+def _inputs(quantity) -> tuple[str, ...]:
+    """The input fields of ``quantity`` (``INPUTS``), which must be one."""
+    if quantity not in QUANTITIES:  # a tuple: an unhashable one is refused
+        raise DomainError(f"unknown quantity {quantity!r}; pick from {QUANTITIES}")
+    return INPUTS[quantity]
 
 
 def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
@@ -222,19 +228,14 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
     ``cap`` overrides both size caps, as ``BOXALG_CAP`` does in the CLI.
     """
     _check_sweep(p_max, tol)
-    if quantity not in QUANTITIES:
-        raise DomainError(f"unknown quantity {quantity!r}; pick from {QUANTITIES}")
+    field = {key: _COERCE[key](inputs[key]) for key in _inputs(quantity)}
     det_cap, char_cap = _caps(cap)
-    field = (inputs.__getitem__ if type(inputs) is _Parsed
-             else lambda key: _COERCE[key](inputs[key]))
     ps = tuple(range(p_max + 1))
     near_tie = False
 
     if quantity == "hyperplane":
-        pts = field("points")
-        x = field("x")
         # the points as rows, P = V^T, each point read once
-        P = BoxMatrix._transposed(pts)
+        P, x = BoxMatrix._transposed(field["points"]), field["x"]
         n = P.cols
         if len(x) != n:
             raise DomainError(f"x has length {len(x)}, expected {n}")
@@ -253,7 +254,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
                   for v in _powered_dets(bordered, ps, det_cap)]
 
     elif quantity == "perron":
-        A = field("A")
+        A = field["A"]
         region = eigen_region(A, cap=char_cap)
         if not region:
             raise DomainError("empty spectral region; no limit value")
@@ -261,15 +262,14 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
 
     else:  # sum, det, charpoly and cramer: one pipeline over net maps
         if quantity == "sum":
-            nets = [net_by_magnitude(field("xs"))]
+            nets = [net_by_magnitude(field["xs"])]
         elif quantity == "det":
-            nets = [_det_net(field("A"), det_cap)]
+            nets = [_det_net(field["A"], det_cap)]
         elif quantity == "charpoly":
-            A, lam = field("A"), field("lam")
-            A = _checked(A, char_cap, _CHAR)
-            nets = [_net_at(*_ring_terms(A, lam=True), lam)]
+            A = _checked(field["A"], char_cap, _CHAR)
+            nets = [_net_at(*_ring_terms(A, lam=True), field["lam"])]
         else:  # det A, then each det A_i(b)
-            nets = _cramer_nets(*_square_system(field("A"), field("b")),
+            nets = _cramer_nets(*_square_system(field["A"], field["b"]),
                                 det_cap)
         limit, *dets = [_net_limit(net) for net in nets]
         size = limit

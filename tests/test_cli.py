@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from boxalg.cli import KINDS, _float_out, run
+from boxalg.cli import HANDLERS, KINDS, _float_out, run
 from boxalg.core import RATIONAL_RE
 from boxalg.eigen import eigen_region, perron_p
 from boxalg.errors import DomainError
-from boxalg.oracle import sweep
+from boxalg.oracle import INPUTS, sweep
 
 BIG = "1" + "0" * 400
 # a positive matrix whose Perron limit, sqrt(2) * 10^400, is an irrational
@@ -40,6 +40,28 @@ def _unsettled_from(p_first):
             raise ConvergenceError("did not settle")
         return perron_p(A, p, *args, **kw)
     return perron
+
+
+@pytest.fixture
+def scalar_passes(monkeypatch):
+    """Every ``core._scalars`` pass, as the list it reads, whichever module
+    or table calls it."""
+    from boxalg import core, oracle
+
+    seen, inner = [], core._scalars
+
+    def spy(values):
+        vec = list(values)
+        seen.append(vec)
+        return inner(vec)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "boxalg" and hasattr(module, "_scalars"):
+            monkeypatch.setattr(module, "_scalars", spy)
+    for key, coerce in oracle._COERCE.items():
+        if coerce is inner:
+            monkeypatch.setitem(oracle._COERCE, key, spy)
+    return seen
 
 
 def invoke(capsys, *argv):
@@ -830,52 +852,29 @@ class TestOracle:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_sum_reads_its_vector_once(self, capsys, monkeypatch):
-        """The CLI parses ``xs`` once and the sweep reads that parse: one
-        ``core._scalars`` pass over the vector, whichever module calls it."""
-        from boxalg import cli, core, oracle
-
-        passes = []
-        inner = core._scalars
-
-        def spy(values):
-            vec = list(values)
-            passes.append(vec)
-            return inner(vec)
-
-        for module in (core, cli, oracle):
-            monkeypatch.setattr(module, "_scalars", spy)
+    def test_sum_reads_its_vector_once(self, capsys, scalar_passes):
+        """The CLI hands the sweep the raw ``xs``: one ``core._scalars``
+        pass over the vector."""
         xs = [random.Random(34).randint(-99, 99) for _ in range(500)]
         code, obj = invoke(capsys, "oracle", "--json", json.dumps(
             {"quantity": "sum", "xs": xs, "options": {"p_max": 3}}))
-        assert code == 0 and passes == [xs]
+        assert code == 0 and scalar_passes == [xs]
         assert Fraction(obj["limit"]) == sweep("sum", {"xs": xs}).limit
 
     @pytest.mark.parametrize("problem, passes", [
         ({"quantity": "hyperplane", "points": [[1, "1/2"], [-3, 2]],
-          "x": [2, "1/3"]}, [[2, "1/3"], [1, "1/2"], [-3, 2]]),
+          "x": [2, "1/3"]}, [[1, "1/2"], [-3, 2], [2, "1/3"]]),
         ({"quantity": "cramer", "A": [[2, -1], ["1/2", 3]], "b": [1, 4]},
-         [[1, 4], [2, -1], ["1/2", 3]]),
+         [[2, -1], ["1/2", 3], [1, 4]]),
     ], ids=["hyperplane", "cramer"])
-    def test_each_point_and_vector_is_read_once(self, capsys, monkeypatch,
+    def test_each_point_and_vector_is_read_once(self, capsys, scalar_passes,
                                                 problem, passes):
         """One ``core._scalars`` pass per point, per matrix row and per
-        vector, in the order the CLI parses the fields, whichever module
-        calls it."""
-        from boxalg import cli, core, geom, linalg, oracle, solve
+        vector, in the order the sweep reads the fields."""
+        from boxalg import cli
 
-        seen = []
-        inner = core._scalars
-
-        def spy(values):
-            vec = list(values)
-            seen.append(vec)
-            return inner(vec)
-
-        for module in (core, cli, geom, linalg, oracle, solve):
-            monkeypatch.setattr(module, "_scalars", spy)
         code, obj = invoke(capsys, "oracle", "--json", json.dumps(problem))
-        assert code == 0 and seen == passes
+        assert code == 0 and scalar_passes == passes
         inputs = {k: v for k, v in problem.items() if k != "quantity"}
         limit = sweep(problem["quantity"], inputs).limit
         assert obj["limit"] == cli._exact({}, limit=limit)["limit"]
@@ -972,6 +971,44 @@ class TestInputHandling:
         assert coerced == []
         assert scaled == [[5, 7]]
 
+    @pytest.mark.parametrize("kind, problem", [pytest.param(*case, id=(
+            case[0] + "-" + case[1]["quantity"] if "quantity" in case[1]
+            else case[0])) for case in [
+        ("det", {"A": [[2, -1], ["1/2", 3]],
+                 "options": {"mode": "upper", "p": 2}}),
+        ("solve", {"A": [[2, -1], ["1/2", 3]], "b": [1, 4]}),
+        ("maxsolve", {"A": [[2, 3], [4, 1]], "b": [5, 7],
+                      "options": {"p": 2}}),
+        # b (-) d = (-5, 3) is a vector of the kind's own
+        ("twosided", {"A": [[2, 1], [1, 3]], "C": [[1, 1], [2, 2]],
+                      "b": [4, 3], "d": [5, 2]}),
+        ("hyperplane", {"points": [[1, 0, -3], [2, -1, 1], [4, 1, 2]],
+                        "queries": [[0, 0, 0], ["1/2", 1, 1]]}),
+        ("charpoly", {"A": [[2, 1], [1, "1/2"]], "lam": 2,
+                      "options": {"p": 1}}),
+        ("eigen", {"A": [[1, 2, 1], [2, 2, 9], [1, 1, 3]]}),
+        ("sym", {"A": [[3, 2, 3], [1, 3, 2], [3, 1, 3]],
+                 "pairs": [[2, 0], [0, 3]]}),
+        # TestOracle pins the passes of the sum, cramer and hyperplane sweeps
+        *(("oracle", {"quantity": q, **fields}) for q, fields in (
+            ("det", {"A": [[2, -1], ["1/2", 3]]}),
+            ("charpoly", {"A": [[2, 1], [1, "1/2"]], "lam": 2}),
+            ("perron", {"A": [[2, 1], [1, 2]]}))),
+    ]])
+    def test_each_row_point_and_vector_is_read_once(self, capsys,
+                                                    scalar_passes, kind,
+                                                    problem):
+        """Each input row, point and vector passes ``core._scalars`` once,
+        the matrices' rows first, whichever module calls it; the passes
+        over vectors the kind computes itself are not inputs."""
+        inputs = [v for key in ("A", "C", "points", "queries")
+                  for v in problem.get(key, ())]
+        inputs += [problem[key] for key in ("b", "d", "xs", "x")
+                   if key in problem]
+        code, obj = invoke(capsys, kind, "--json", json.dumps(problem))
+        assert code == 0 and "error" not in obj, obj
+        assert [v for v in scalar_passes if v in inputs] == inputs
+
     def test_malformed_json_reports_position(self, capsys):
         code, obj = invoke(capsys, "det", "--json", '{"A": [[1,')
         assert code == 3
@@ -1019,12 +1056,15 @@ class TestInputHandling:
         ("solve", '{"A":[[1]],"b":[1],"options":{"tol":Infinity}}'),
     ])
     def test_bad_options(self, capsys, kind, text):
-        # every kind checks a tol it is given, by the library's one rule;
-        # the kinds that read tol also reject a null one
+        # a kind that reads tol checks it by the library's one rule, and
+        # rejects a null one; a kind that does not refuses the key itself
         code, obj = invoke(capsys, kind, "--json", text)
         assert code == 3
         opts = json.loads(text)["options"]
-        if isinstance(opts, dict):
+        if kind == "solve":
+            assert obj["error"] == ("unknown option 'tol' for solve; "
+                                    "known options: none")
+        elif isinstance(opts, dict):
             assert obj["error"] == ("tol must be a positive real number, "
                                     f"got {opts['tol']!r}")
         else:
@@ -1120,9 +1160,24 @@ class TestInputHandling:
         assert code == 3
 
 
-def _malformed_batch() -> list:
+def _read_by(kind: str, doc: dict) -> dict:
+    """doc with only the fields and options a problem of ``kind`` reads
+    (an ``oracle`` problem those of its quantity): the CLI refuses the
+    others."""
+    known = {"kind", "options", *HANDLERS[kind].fields}
+    if kind == "oracle":
+        known.update(INPUTS.get(doc.get("quantity"), ()))
+    out = {k: v for k, v in doc.items() if k in known}
+    if isinstance(out.get("options"), dict):
+        out["options"] = {k: v for k, v in out["options"].items()
+                          if k in HANDLERS[kind].options}
+    return out
+
+
+def _malformed_batch(kind: str) -> list:
     """Problems whose fields each go wrong in a different way, for every
-    oracle quantity; the first fault each reports is pinned by digest."""
+    oracle quantity, each with the fields ``kind`` reads; the first fault
+    each reports is pinned by digest."""
     valid = {"A": [[1, 2], [3, 4]], "C": [[1, 0], [0, 1]], "b": [1, 2],
              "d": [2, 1], "points": [[1, 2], [3, 5]], "queries": [[1, 1]],
              "xs": [1, -1, 2], "x": [1, 1], "lam": 1, "pairs": [[1, 2]]}
@@ -1142,7 +1197,7 @@ def _malformed_batch() -> list:
         {"A": [], "C": [], "b": [], "d": [], "points": [], "queries": [],
          "xs": [], "x": [], "pairs": []},
     ]
-    return [{**valid, **fault, "quantity": q}
+    return [_read_by(kind, {**valid, **fault, "quantity": q})
             for fault in faults
             for q in ("sum", "det", "cramer", "hyperplane", "charpoly")]
 
@@ -1166,7 +1221,7 @@ def _seeded_documents(kind: str, rng: random.Random) -> list:
         pool = pools[name]
         vec = lambda: [rng.choice(pool) for _ in range(n)]  # noqa: E731
         mat = lambda: [vec() for _ in range(n)]  # noqa: E731
-        docs.append({
+        docs.append(_read_by(kind, {
             "A": mat(), "C": mat(), "b": vec(), "d": vec(), "x": vec(),
             "points": mat(), "queries": [vec(), vec()], "xs": vec(),
             "lam": rng.choice(pool),
@@ -1175,7 +1230,7 @@ def _seeded_documents(kind: str, rng: random.Random) -> list:
                                     "charpoly", "perron"]),
             "options": {"p_max": 2, "p": rng.choice([0, 3]),
                         "mode": rng.choice(["lower", "upper", "exact"])},
-        })
+        }))
     return docs
 
 
@@ -1208,16 +1263,19 @@ def _same_value(exact, flt, seen: dict) -> None:
 
 class TestBoundary:
     # sha256 of the stdout and exit code of the malformed batch for every
-    # kind, recorded while the CLI still coerced every scalar itself, and
-    # re-recorded when each finite-index value became the exact root
+    # kind, recorded while the CLI still coerced every scalar itself,
+    # re-recorded when each finite-index value became the exact root, and
+    # again when each kind's batch kept only the fields it reads and the
+    # library's shape check took over the CLI's
     def test_first_faults_pinned(self):
         out = io.StringIO()
         for kind in KINDS:
             with contextlib.redirect_stdout(out):
-                code = run([kind, "--json", json.dumps(_malformed_batch())])
+                code = run([kind, "--json",
+                            json.dumps(_malformed_batch(kind))])
             out.write(f"exit {code}\n")
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
-            "f272f63724d3bf6a12e70fe0d89af71bc182bb1396c1e495bff4860088de163a")
+            "bce9b9dcd14f1f5767b5f2f2e0eb241d275759c82d2ff6ce600f2a70b69b810b")
 
     def test_every_float_sibling_reads_its_exact_value(self, capsys):
         rng = random.Random(2024)

@@ -1,5 +1,6 @@
 """The CLI contract on arbitrary input: every problem of every kind, however
-malformed, exits in {0, 2, 3, 4} with exactly one JSON document on stdout."""
+malformed, exits in {0, 2, 3, 4} with exactly one JSON document on stdout,
+and a field or option the kind does not read exits 3."""
 
 import contextlib
 import io
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxalg.cli import KINDS, run
+from test_cli import _read_by
 
 SIGNED = st.one_of(st.integers(min_value=-3, max_value=3),
                    st.sampled_from(["1/2", "-3/4", "2/3", 0.5]))
@@ -33,14 +35,14 @@ def _matrix(n_rows, n_cols, scalars=SCALARS):
 
 
 @st.composite
-def well_formed(draw):
-    """Every field any kind reads, consistently sized, from one entry pool:
+def well_formed(draw, kind):
+    """Every field ``kind`` reads, consistently sized, from one entry pool:
     signed (zeros and negatives), nonnegative, or positive (Perron runs)."""
     n = draw(st.integers(min_value=1, max_value=4))
     pool = draw(st.sampled_from([SIGNED, NONNEGATIVE, POSITIVE]))
     vector = st.lists(pool, min_size=n, max_size=n)
     matrix = _matrix(n, n, pool)
-    return {
+    return _read_by(kind, {
         "A": draw(matrix), "C": draw(matrix), "points": draw(matrix),
         "b": draw(vector), "d": draw(vector), "x": draw(vector),
         "xs": draw(st.lists(pool, min_size=1, max_size=8)),
@@ -53,7 +55,7 @@ def well_formed(draw):
             {"p_max": st.sampled_from([0, 2, 5])},
             optional={"p": st.sampled_from(P_VALUES),
                       "mode": st.sampled_from(["lower", "upper", "exact"])})),
-    }
+    })
 
 
 SIZES = st.integers(min_value=0, max_value=4)
@@ -87,7 +89,18 @@ OPTIONS = st.one_of(
 MALFORMED = st.fixed_dictionaries(
     {}, optional={**FIELDS, "options": OPTIONS,
                   "kind": st.sampled_from(KINDS + ("nope",))})
-PROBLEMS = st.one_of(well_formed(), well_formed(), MALFORMED)
+
+
+@st.composite
+def payloads(draw):
+    """A kind and its payload: a problem of any form, mostly with only
+    the fields the kind reads, a batch of them, or junk."""
+    kind = draw(st.sampled_from(KINDS))
+    problems = st.one_of(well_formed(kind), well_formed(kind),
+                         MALFORMED.map(lambda doc: _read_by(kind, doc)),
+                         MALFORMED)
+    return kind, draw(st.one_of(problems, problems,
+                                st.lists(problems, max_size=3), JUNK))
 
 
 @st.composite
@@ -104,25 +117,59 @@ def near_tie(draw):
 
 
 def _keeps_the_contract(kind, payload):
-    _one_document([kind, "--json", json.dumps(payload)])
+    return _one_document([kind, "--json", json.dumps(payload)])
 
 
 def _one_document(argv):
+    """The exit code and the one JSON document printed."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = run(argv)
     assert code in (0, 2, 3, 4)
     out = buf.getvalue()
     assert out.endswith("\n") and out.count("\n") == 1
-    json.loads(out)
+    return code, json.loads(out)
 
 
 # derandomized, so every run draws the same examples and a failure reproduces
 @settings(max_examples=200, deadline=timedelta(seconds=2), derandomize=True)
-@given(st.sampled_from(KINDS),
-       st.one_of(PROBLEMS, PROBLEMS, st.lists(PROBLEMS, max_size=3), JUNK))
-def test_every_input_keeps_the_contract(kind, payload):
-    _keeps_the_contract(kind, payload)
+@given(payloads())
+def test_every_input_keeps_the_contract(case):
+    _keeps_the_contract(*case)
+
+
+# per kind, a problem it reads, one of its fields, and that field misspelt
+VALID = {
+    "det": ({"A": [[1, 2], [3, 4]]}, "A", "a"),
+    "solve": ({"A": [[-1, 1], [1, 1]], "b": [2, 3]}, "b", "B"),
+    "maxsolve": ({"A": [[2, 3], [4, 1]], "b": [1, 1]}, "b", "rhs"),
+    "twosided": ({"A": [[2, 1], [1, 3]], "C": [[1, 1], [2, 2]],
+                  "b": [4, 3], "d": [3, 2]}, "C", "c"),
+    "hyperplane": ({"points": [[1, 0], [2, -1]], "queries": [[1, 0]]},
+                   "queries", "query"),
+    "charpoly": ({"A": [[2, 1], [1, 2]], "lam": 2}, "lam", "lambda"),
+    "eigen": ({"A": [[1, 2], [2, 2]]}, "A", "matrix"),
+    "oracle": ({"quantity": "sum", "xs": [3, -3, 1]}, "xs", "x"),
+    "sym": ({"pairs": [[2, 0], [0, 3]]}, "pairs", "pair"),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_misspelt_field_or_option_exits_three(kind):
+    problem, field, misspelt = VALID[kind]
+    assert _keeps_the_contract(kind, problem)[0] == 0
+    doc = {misspelt if k == field else k: v for k, v in problem.items()}
+    code, out = _keeps_the_contract(kind, doc)
+    assert code == 3 and out["error"].startswith(
+        f"unknown field {misspelt!r} for {kind}; known fields: "), out
+    assert field in out["error"]
+    code, out = _keeps_the_contract(kind, {**problem,
+                                           "options": {"pmax": 2}})
+    assert code == 3 and out["error"].startswith(
+        f"unknown option 'pmax' for {kind}; known options: "), out
+    # a batch item is checked the same way
+    code, out = _keeps_the_contract(kind, [problem, doc])
+    assert code == 3 and [item["code"] for item in out] == [0, 3]
 
 
 @settings(max_examples=25, deadline=timedelta(seconds=1), derandomize=True)

@@ -1135,9 +1135,9 @@ class TestOneBorderedRun:
     when its box is small, else the top-magnitude DP, plus one group-ring
     run when a top count cancels. A det problem with mode lower or
     upper, and a sym problem, runs the leading-term DP and, when its count
-    cancels, the group ring; a plain det problem, whatever its p, and a
-    hyperplane sweep, whose residuals are Bareiss determinants, read
-    det_inf as a Cramer problem does. The other sweeps read whole net
+    cancels, reads det_inf as a plain det problem does. That one, whatever
+    its p, and a hyperplane sweep, whose residuals are Bareiss
+    determinants, read det_inf as a Cramer problem does. The other sweeps read whole net
     maps, so they run the dict ring once whatever the entries, and the
     charpoly kind, which nets its listing, runs none. Entries of 17 keep
     every ring in dicts."""
@@ -1146,11 +1146,6 @@ class TestOneBorderedRun:
     WIDE = [[3, -1, 3], [2, -4, 1], [-4, 5, 3]]
     CANCELLING17 = [[17 * a for a in row] for row in CANCELLING]
     WIDE17 = [[17 * a for a in row] for row in WIDE]
-
-    def _ring(self, rows):
-        """The run that reads det_inf of rows past a cancelled leading
-        count: the DP in dicts past the box, else the elimination."""
-        return "ring" if rows in (self.WIDE17, self.CANCELLING17) else "elim"
 
     def _limit(self, rows):
         """The runs that read det_inf of rows: one elimination when they
@@ -1189,7 +1184,7 @@ class TestOneBorderedRun:
             dp_runs.clear()
             assert run([kind, "--json", json.dumps(problem)]) == 0
             capsys.readouterr()
-            assert dp_runs == ["lead"] * leads + [self._ring(rows)] * ring, kind
+            assert dp_runs == ["lead"] * leads + self._limit(rows) * ring, kind
 
     @pytest.mark.parametrize("rows", [WIDE, CANCELLING, WIDE17, CANCELLING17])
     def test_plain_det_kind_runs_no_lead_dp_when_it_packs(self, capsys,
@@ -1442,12 +1437,11 @@ class TestOneRingPerReader:
     def test_full_maps_run_the_dict_ring_and_tops_pack_once(
             self, monkeypatch, dp_runs):
         """Every reader of whole net maps runs the dict ring alone; each
-        tops read builds its DP terms and tries the packing once, or not
-        at all when a leading-term run in hand settles it; past the box it
-        runs the top-magnitude DP once and no leading-term run, and a
-        cancelled top count runs the dict ring. A `_det_lead` read builds
-        the DP terms once, for its leading-term run, and a cancelled count
-        reads the ring from those."""
+        tops read builds its DP terms and tries the packing once; past the
+        box it runs the top-magnitude DP once and no leading-term run, and
+        a cancelled top count runs the dict ring. A `_det_lead` read builds
+        the DP terms once, for its leading-term run, which settles det_inf
+        unless its count cancels; then det_inf is read its own way."""
         calls, reads, settled = [], [], set()
         terms, packing = linalg._dp_entries, linalg._packing
         dominant = linalg._dominant_terms
@@ -1460,9 +1454,9 @@ class TestOneRingPerReader:
             calls.append("packing")
             return packing(entries)
 
-        def spy_dominant(M, lam=False, lead=None, entries=None):
+        def spy_dominant(M, lam=False):
             calls.clear()
-            out = dominant(M, lam, lead, entries)
+            out = dominant(M, lam)
             reads.append((calls.count("terms"), calls.count("packing")))
             return out
 
@@ -1486,13 +1480,11 @@ class TestOneRingPerReader:
                 limit()
                 linalg._cramer_dets(A, b)
                 eigen_region(A)
-                # (terms built, packings tried) per read; only the second
-                # has a leading-term run in hand, which may settle it, and
-                # the terms of that run
-                assert len(reads) == 4, (name, n, reads)
-                assert reads[0] == reads[2] == reads[3] == (1, 1), reads
-                assert reads[1] in ((0, 0), (0, 1)), reads
-                settled.add(reads[1])
+                # (terms built, packings tried) per read; the leading-term
+                # run reads tops only when its count cancels
+                assert len(reads) in (3, 4), (name, n, reads)
+                assert set(reads) == {(1, 1)}, reads
+                settled.add(len(reads) == 3)
                 dp_runs.clear()
                 for M, lam in ((A, False), (A, True), (bordered, False)):
                     linalg._ring_terms(M, lam)
@@ -1503,18 +1495,17 @@ class TestOneRingPerReader:
                 if live:
                     sweep("cramer", {"A": A, "b": b}, p_max=1)
                 assert dp_runs == ["ring"] * (7 + live), (name, n)
-        assert settled == {(0, 0), (0, 1)}
-        # leading counts that cancel, in the box and past it: one build of
-        # the DP terms per read, the elimination or the dict ring from it
+        assert settled == {True, False}
+        # leading counts that cancel, in the box and past it: one tops
+        # read, the elimination or the top run and the dict ring
         for rows, runs in ((TestOneBorderedRun.CANCELLING, ["lead", "elim"]),
                            (TestOneBorderedRun.CANCELLING17,
-                            ["lead", "ring"])):
+                            ["lead", "top", "ring"])):
             dp_runs.clear()
-            calls.clear()
             limit = linalg._det_lead(BoxMatrix(rows), 9)[2]
             reads.clear()
             limit()
-            assert calls == ["packing"] and reads == [(0, 1)], (calls, reads)
+            assert reads == [(1, 1)], reads
             assert dp_runs == runs
         dp_runs.clear()
         for M, lam in ((BoxMatrix(TestOneBorderedRun.CANCELLING17), False),
@@ -1801,9 +1792,9 @@ class TestPastTheDefaultCap:
         assert WIDE12 == [[rng.randint(-99, 99) for _ in range(12)]
                           for _ in range(12)]
         A = BoxMatrix(WIDE12)
-        lead = linalg._dp_slots(A, linalg._dp_entries(A, False),
-                                linalg._lead_step, (1, 1, 0, 0))
-        assert linalg._lead_tops(*lead) == ({0: (WIDE12_DET, 1)}, 1)
+        dp_runs.clear()
+        assert linalg._det_lead(A, 12)[2]() == WIDE12_DET
+        assert dp_runs == ["lead"]  # its leading count settles it
         monkeypatch.setenv("BOXALG_CAP", "12")
         dp_runs.clear()
         assert run(["det", "--json", json.dumps({"A": WIDE12})]) == 0
@@ -1816,8 +1807,7 @@ class TestPastTheDefaultCap:
         A, b = BoxMatrix(CANCELLING12["A"]), CANCELLING12["b"]
         lead = linalg._dp_slots(A, linalg._dp_entries(A, False),
                                 linalg._lead_step, (1, 1, 0, 0))
-        assert lead == ({0: (4096, 472, 4096, 472)}, 1)
-        assert linalg._lead_tops(*lead) is None
+        assert lead == ({0: (4096, 472, 4096, 472)}, 1)  # it cancels
 
         def read(B):
             return _ring_tops(linalg._ring_terms(B))
@@ -1827,8 +1817,9 @@ class TestPastTheDefaultCap:
         assert [d / det for d in dets] == CANCELLING12_X
         assert linalg._cramer_dets(A, b, 12) == [det, *dets]
         monkeypatch.setenv("BOXALG_CAP", "12")
-        for kind in ("det", "solve"):
-            assert run([kind, "--json", json.dumps(CANCELLING12)]) == 0
+        for kind, problem in (("det", {"A": CANCELLING12["A"]}),
+                              ("solve", CANCELLING12)):
+            assert run([kind, "--json", json.dumps(problem)]) == 0
             out = json.loads(capsys.readouterr().out)
             assert out["det_inf"] == "2048", kind
         assert out["x"] == [str(x) for x in CANCELLING12_X]
