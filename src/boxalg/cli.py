@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .core import _array, _envelope, as_float, as_scalar
+from .core import _array, _envelope, _known, as_float, as_scalar
 from .eigen import (_CHAR, _char_levels, _eval_at, _net_at, _tops,
                     eigen_region)
 from .errors import (
@@ -141,26 +141,10 @@ def _cap() -> int | None:
     return cap
 
 
-def _known(what: str, kind: str, keys, known) -> None:
-    """Refuse the first of ``keys`` that is not in ``known``."""
-    for key in keys:
-        if key not in known:
-            raise DomainError(
-                f"unknown {what} {key!r} for {kind}; known {what}s: "
-                f"{', '.join(sorted(known)) or 'none'}")
-
-
 def _merge_opts(opts: dict, args) -> dict:
     """The problem's options with the command-line flags laid over them."""
-    opts = dict(opts)
-    if args.p is not None:
-        opts["p"] = args.p
-    if args.pmax is not None:
-        opts["p_max"] = args.pmax
-    if args.tol is not None:
-        opts["tol"] = args.tol
-    if args.mode is not None:
-        opts["mode"] = args.mode
+    flags = {"p": args.p, "p_max": args.pmax, "tol": args.tol, "mode": args.mode}
+    opts = {**opts, **{k: v for k, v in flags.items() if v is not None}}
     if opts.get("tol") is not None:  # a kind that reads tol rejects null
         _check_tol(opts["tol"])
     return opts
@@ -306,7 +290,8 @@ def _do_eigen(data: dict, opts: dict) -> tuple[int, dict]:
 def _do_oracle(data: dict, opts: dict) -> tuple[int, dict]:
     p_max = opts.get("p_max", DEFAULT_P_MAX)
     tol = opts.get("tol", DEFAULT_TOL)
-    rep = sweep(data["quantity"], data, p_max=p_max, tol=tol, cap=_cap())
+    fields = {k: data[k] for k in _inputs(data["quantity"]) if k in data}
+    rep = sweep(data["quantity"], fields, p_max=p_max, tol=tol, cap=_cap())
     values = []
     for v in rep.values:
         if v is None:

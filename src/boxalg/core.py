@@ -99,19 +99,39 @@ def as_vector(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(map(as_scalar, _scalars(values)))
 
 
+def _point(x, n: int, what: str = "x") -> tuple[list[int], int]:
+    """A point to check: a vector of length n, as integers over one scale."""
+    vec = _scalars(x)
+    if len(vec) != n:
+        raise DomainError(f"{what} has length {len(vec)}, expected {n}")
+    return _over_lcm(vec)
+
+
+def _known(what: str, kind: str, keys, known) -> None:
+    """Refuse ``keys`` unless a mapping whose every key is in ``known``."""
+    if not isinstance(keys, Mapping):
+        raise DomainError(f"the {what}s of {kind} must be a mapping, "
+                          f"got {type(keys).__name__}")
+    for key in keys:
+        if key not in known:
+            raise DomainError(
+                f"unknown {what} {key!r} for {kind}; known {what}s: "
+                f"{', '.join(sorted(known)) or 'none'}")
+
+
 def _resolve_index_set(n: int, indices) -> tuple[int, ...]:
-    """Normalize a 1-based index set; None means all of 1..n."""
+    """Normalize a 1-based index set, None for all of 1..n: an :func:`_array`
+    of distinct ints (no bool) in 1..n, checked as read, before any sort."""
     if indices is None:
         return tuple(range(1, n + 1))
-    idx = tuple(sorted(indices))
-    seen = set()
+    idx, seen = _array(indices, "indices"), set()
     for i in idx:
-        if not isinstance(i, int) or i < 1 or i > n:
+        if type(i) is not int or not 1 <= i <= n:
             raise DomainError(f"index {i!r} out of range 1..{n}")
         if i in seen:
             raise DomainError(f"duplicate index {i}")
         seen.add(i)
-    return idx
+    return tuple(sorted(idx))
 
 
 def xi(xs: Sequence, I, alpha) -> int:

@@ -70,14 +70,14 @@ from itertools import chain, combinations
 from operator import add, itemgetter, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .core import LOWER, UPPER, _envelopes, _net_limit, as_scalar
+from .core import LOWER, UPPER, _array, _envelopes, _net_limit, as_scalar
 from .errors import ConvergenceError, DomainError
 from .linalg import (
     BoxMatrix,
     _checked,
     _dominant_terms,
     as_matrix,
-    matvec_limit,
+    matmul_limit,
     signed_permutations,
 )
 from .signedlog import (
@@ -194,7 +194,7 @@ def _levels(m) -> tuple[dict[int, list[int]], int]:
     form of :func:`_char_levels`. The one shape check of a monomial: a
     list or tuple of two, so a :class:`Monomial` passes."""
     coeffs, degrees = [], []
-    for mono in m:
+    for mono in _array(m, "monomials"):
         if not isinstance(mono, (list, tuple)) or len(mono) != 2:
             raise DomainError(f"not a monomial: {mono!r}")
         coeff, degree = mono
@@ -484,10 +484,9 @@ def perron_p(A, p: int) -> tuple[SignedLog, tuple[SignedLog, ...]]:
 
 def boxtimes_eig_check(A, lam, v: Sequence) -> bool:
     """True when the limit matrix product reproduces lam * v exactly."""
-    M = as_matrix(A)
-    lam = as_scalar(lam)
-    vec = tuple(as_scalar(x) for x in v)
-    if not vec or all(x == 0 for x in vec):
+    M, lam, V = as_matrix(A), as_scalar(lam), BoxMatrix.from_columns([v])
+    vec = V.col(1)  # v, read once, as V's one column
+    if all(x == 0 for x in vec):
         raise DomainError("eigenvector must be nonzero")
-    image = matvec_limit(M, vec, "exact")
+    image = matmul_limit(M, V, "exact").col(1)
     return all(img == lam * x for img, x in zip(image, vec))

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import (_array, _envelopes, _over_lcm, _scalars, as_scalar,
-                   as_vector)
+from .core import (_array, _envelopes, _over_lcm, _point, _scalars,
+                   as_scalar, as_vector)
 from .errors import DegenerateConfigurationError, DomainError
 from .linalg import DEFAULT_DET_CAP, BoxMatrix, _cramer_dets
 
@@ -37,11 +37,16 @@ class LimitHyperplane:
         return f"LimitHyperplane(({terms}) ; {self.rhs})"
 
 
+def _points(points) -> list:
+    """The one reader of a point set: each point read once, as a vector."""
+    return [_scalars(pt) for pt in _array(points, "points")]
+
+
 def hyperplane_through(points: Sequence[Sequence],
                        cap: int = DEFAULT_DET_CAP) -> LimitHyperplane:
     """Hyperplane through n points of length n (points become columns),
     each point read once: V^T holds them as its rows."""
-    pts = [_scalars(pt) for pt in _array(points, "points")]
+    pts = _points(points)
     n = len(pts)
     if n == 0 or any(len(p) != n for p in pts):
         raise DomainError(f"need n points of length n, got lengths "
@@ -57,9 +62,7 @@ def hyperplane_through(points: Sequence[Sequence],
 def hyperplane_contains(H: LimitHyperplane, x: Sequence) -> bool:
     """The sandwich at x: the envelopes of the integers K_j X_j, with the
     coefficients K_j over S and x over L, hold rhs S L between them."""
-    vec = as_vector(x)
-    if len(vec) != len(H.coeffs):
-        raise DomainError(f"point has length {len(vec)}, expected {len(H.coeffs)}")
-    (ks, s), (xs, lcm), t = _over_lcm(H.coeffs), _over_lcm(vec), H.rhs.denominator
+    (xs, lcm), (ks, s) = _point(x, len(H.coeffs), "point"), _over_lcm(H.coeffs)
+    t = H.rhs.denominator
     lo, hi = _envelopes(k * v for k, v in zip(ks, xs))
     return lo * t <= H.rhs.numerator * s * lcm <= hi * t

@@ -18,11 +18,11 @@ values at lam for ``charpoly``. ``sum``, ``det``, ``charpoly`` and
 every finite-index value from maps built once; the maps of ``cramer``
 come from one run on [A | b]. The values are the ``signedlog._root`` of
 the integer power sums, and the near-tie verdict is final once its
-running prediction reaches tol. :func:`sweep` reads the input fields
-of its quantity (``INPUTS``), each coerced once by one table; the CLI's
-``oracle`` kind hands it the problem's raw fields and refuses any field
-``INPUTS`` does not list for the quantity. With P the
-points as rows, the ``hyperplane`` residual at p is -det of the bordered
+running prediction reaches tol. :func:`sweep` owns its field table:
+it reads a mapping holding the input fields of its quantity
+(``INPUTS``) and no other key, each coerced once by one table, and the
+CLI's ``oracle`` kind hands it just those fields. With P the points as
+rows, the ``hyperplane`` residual at p is -det of the bordered
 [[P | 1], [x | 1]] raised entrywise to q = 2p + 1, read by
 ``linalg._powered_dets`` as ``det_p`` is; its size is det_inf of P.
 ``perron`` shares its Perron path with the CLI's ``eigen`` kind, and
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import _array, _net_limit, _scalars, as_float, as_scalar, as_vector
+from .core import _known, _net_limit, _scalars, as_float, as_scalar, as_vector
 from .eigen import (
     DEFAULT_CHAR_CAP,
     _CHAR,
@@ -47,6 +47,7 @@ from .eigen import (
     perron_p,
 )
 from .errors import BoxAlgError, ConvergenceError, DomainError
+from .geom import _points
 from .linalg import (DEFAULT_DET_CAP, BoxMatrix, _cramer_nets,
                      _checked, _det_net, _powered_dets, _ring_terms,
                      as_matrix, det_inf)
@@ -195,8 +196,7 @@ def _perron(A, region: list, ps, cap: int) -> tuple:
 
 # how :func:`sweep` coerces each input field
 _COERCE = {"xs": _scalars, "b": as_vector, "x": as_vector, "A": as_matrix,
-           "points": lambda pts: [_scalars(pt) for pt in _array(pts, "points")],
-           "lam": as_scalar}
+           "points": _points, "lam": as_scalar}
 
 
 def _inputs(quantity) -> tuple[str, ...]:
@@ -210,7 +210,7 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
           tol: float = DEFAULT_TOL, cap: int | None = None) -> SweepReport:
     """Evaluate one quantity over p in {0..p_max} against its limit value.
 
-    Quantities and their inputs:
+    Quantities and their inputs, exactly the keys of the mapping ``inputs``:
       sum        {"xs": vector}            limit: dominant-magnitude sum
       det        {"A": matrix}             limit: limit determinant
       cramer     {"A": matrix, "b": vec}   limit: Cramer solution vector
@@ -228,7 +228,13 @@ def sweep(quantity: str, inputs: dict, p_max: int = DEFAULT_P_MAX,
     ``cap`` overrides both size caps, as ``BOXALG_CAP`` does in the CLI.
     """
     _check_sweep(p_max, tol)
-    field = {key: _COERCE[key](inputs[key]) for key in _inputs(quantity)}
+    fields = _inputs(quantity)
+    _known("field", quantity, inputs, fields)
+    field = {}
+    for key in fields:  # in INPUTS order: an earlier field's fault first
+        if key not in inputs:
+            raise DomainError(f"missing field {key!r}")
+        field[key] = _COERCE[key](inputs[key])
     det_cap, char_cap = _caps(cap)
     ps = tuple(range(p_max + 1))
     near_tie = False

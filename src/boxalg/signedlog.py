@@ -383,7 +383,11 @@ def phi_p_sum(xs: Iterable[SignedLog], p: int) -> SignedLog:
     carries an exact value, otherwise by logmag within ``DEFAULT_TIE_TOL``.
     A sum read in logs too close to a tie to decide raises DomainError.
     """
+    from .core import _array  # the shape rule; core imports this module
     q = odd_exponent(p)
+    xs = _array(xs, "SignedLogs")
+    if not all(isinstance(v, SignedLog) for v in xs):
+        raise DomainError("expected an array of SignedLogs")
     live = [v for v in xs if v.sign != 0]
     if all(v.exact is not None for v in live):
         return _decided(_phi_p_net(net_by_magnitude(v.exact for v in live),

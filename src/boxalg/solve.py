@@ -4,9 +4,11 @@ Three families live here. Square limit systems are solved by Cramer
 quotients of limit determinants and verified against the sandwich
 inequalities (lower envelope of each row value below the right-hand side,
 upper envelope above). Two-sided systems reduce to a one-sided limit
-system by the entrywise signed difference, built in integers. Each check
-compares integer cross products, with x over one denominator; only the
-printed bounds become Fractions.
+system by the entrywise signed difference, built in integers. Each input
+is read once, as a system is built (each side through one square check)
+or by ``core._point``; a solver checks its own x by ``_bounds`` as it
+is. Each check compares integer cross products, with x over one
+denominator; only the printed bounds become Fractions.
 
 Nonnegative max-equation systems max_j a_ij x_j = b_i (b > 0) are read
 from one scan of the columns: x_j = min b_i/a_ij over positive a_ij is
@@ -29,7 +31,8 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import signedlog
-from .core import _envelopes, _scalars, as_vector
+from .core import (_array, _envelopes, _point, _resolve_index_set, _scalars,
+                   as_vector)
 from .errors import DomainError
 from .linalg import (
     DEFAULT_DET_CAP,
@@ -65,16 +68,10 @@ class TwoSidedSystem:
     __slots__ = ("A", "C", "b", "d")
 
     def __init__(self, A, C, b, d):
-        self.A = as_matrix(A)
-        self.C = as_matrix(C)
-        self.b = as_vector(b)
-        self.d = as_vector(d)
-        if not self.A.is_square:
-            raise DomainError(
-                f"system matrix must be square, got {self.A.rows}x{self.A.cols}"
-            )
-        n = self.A.rows
-        if (self.C.rows, self.C.cols) != (n, n) or len(self.b) != n or len(self.d) != n:
+        A, C, b, d = as_matrix(A), as_matrix(C), as_vector(b), as_vector(d)
+        self.A, self.b = _square_system(A, b)
+        self.C, self.d = _square_system(C, d)
+        if C.rows != A.rows:
             raise DomainError("two-sided system shapes disagree")
 
 
@@ -108,16 +105,17 @@ class SolveReport:
 
 
 def verify_limit_system(sys: LimitSystem, x: Sequence) -> VerifyReport:
-    """Sandwich check of every row at x: lower value <= b_i <= upper value,
-    read as lo T <= B_i den <= hi T with b = B / T and :func:`_sides`."""
-    vec = as_vector(x)
-    if len(vec) != sys.A.cols:
-        raise DomainError(f"x has length {len(vec)}, expected {sys.A.cols}")
-    bs, t = _over_lcm(sys.b)
-    rows = tuple(RowBounds(Fraction(lo, den), Fraction(hi, den),
-                           lo * t <= v * den <= hi * t)
-                 for (lo, hi, den), v in zip(_sides(sys.A, _over_lcm(vec)), bs))
+    """Sandwich check of every row at x: lower value <= b_i <= upper value."""
+    rows = _bounds(sys.A, *_over_lcm(sys.b), _point(x, sys.A.cols))
     return VerifyReport(rows, all(r.satisfied for r in rows))
+
+
+def _bounds(A: BoxMatrix, bs, t: int, x) -> tuple[RowBounds, ...]:
+    """The row bounds of A at x = X / L against b = B / T, the integers
+    ``bs`` over ``t``: lo T <= B_i den <= hi T with :func:`_sides`."""
+    return tuple(RowBounds(Fraction(lo, den), Fraction(hi, den),
+                           lo * t <= v * den <= hi * t)
+                 for (lo, hi, den), v in zip(_sides(A, x), bs))
 
 
 def _sides(M: BoxMatrix, x, v=None) -> list[tuple[int, int, int]]:
@@ -141,7 +139,7 @@ def cramer_limit_solve(sys: LimitSystem, cap: int = DEFAULT_DET_CAP) -> SolveRep
     the report then carries det=0, no solution, and no row bounds.
     """
     det, x = _cramer_solution(sys.A, sys.b, cap)
-    rows = () if x is None else verify_limit_system(sys, x).rows
+    rows = () if x is None else _bounds(sys.A, *_over_lcm(sys.b), _over_lcm(x))
     return SolveReport(x, det, rows, x is not None
                        and all(r.lower == r.upper for r in rows))
 
@@ -303,13 +301,7 @@ def maxsys_existence_permutation(A, b):
     column's maximizer is unique, in which case the solution of the system
     is unique as well. None when no matching exists.
     """
-    M = as_matrix(A)
-    vec = as_vector(b)
-    if not M.is_square:
-        raise DomainError(f"matrix must be square, got {M.rows}x{M.cols}")
-    if len(vec) != M.rows:
-        raise DomainError(f"right-hand side length {len(vec)} != size {M.rows}")
-    return _witness(_max_columns(M, vec)[2])
+    return _witness(_square_max(A, b)[2])
 
 
 def _dominates(M: BoxMatrix, rhs, cols, q: int) -> bool:
@@ -356,19 +348,16 @@ def _dominates(M: BoxMatrix, rhs, cols, q: int) -> bool:
 
 
 def _square_max(A, b):
-    """A checked square max system: the matrix, and the right-hand side as
-    integers over its own scale."""
-    M = as_matrix(A)
-    vec = _scalars(b)
-    if not M.is_square or len(vec) != M.rows:
-        raise DomainError("square matrix and matching vector required")
-    _check_max_inputs(M, vec)
-    return M, _over_lcm(vec)[0]
+    """:func:`_max_columns` of a system whose matrix is square."""
+    M, rhs, cols = _max_columns(A, b)
+    if not M.is_square:
+        raise DomainError(f"matrix must be square, got {M.rows}x{M.cols}")
+    return M, rhs, cols
 
 
 def kaykobad_check(A, b) -> bool:
     """Strict dominance b_i > sum_{j != i} a_ij b_j / a_jj for every row."""
-    M, rhs = _square_max(A, b)
+    M, rhs, _cols = _square_max(A, b)
     for i, row in enumerate(M._ints):
         if row[i] <= 0:
             raise DomainError(f"diagonal entry ({i + 1},{i + 1}) must be positive")
@@ -380,9 +369,9 @@ def kaykobad_p_check(A, b, sigma: Sequence[int], p: int) -> bool:
     b_i^(2p+1) strictly above the sum over j != i of
     (a_{i,sigma(j)} b_j / a_{j,sigma(j)})^(2p+1), decided as in
     :func:`_dominates` (exactly unless a large p meets a near tie)."""
-    M, rhs = _square_max(A, b)
-    n = M.rows
-    if sorted(sigma) != list(range(1, n + 1)):
+    M, rhs, _cols = _square_max(A, b)
+    n, sigma = M.rows, _array(sigma, "indices")
+    if _resolve_index_set(n, sigma) != tuple(range(1, n + 1)):
         raise DomainError(f"not a permutation of 1..{n}: {tuple(sigma)!r}")
     cols = [s - 1 for s in sigma]
     for j, c in enumerate(cols):
@@ -409,12 +398,9 @@ def twosided_row_checks(sys: TwoSidedSystem, x: Sequence) -> tuple[TwoSidedRowCh
     passes when the lower A value stays below the lower C value and the
     upper A value stays above the upper C value.
     """
-    vec = as_vector(x)
-    if len(vec) != sys.A.cols:
-        raise DomainError(f"x has length {len(vec)}, expected {sys.A.cols}")
     return tuple(TwoSidedRowCheck(*(Fraction(side[k], side[2]) for k in (0, 1)
                                     for side in (a, c)), ok)
-                 for a, c, ok in _row_checks(sys, _over_lcm(vec)))
+                 for a, c, ok in _row_checks(sys, _point(x, sys.A.cols)))
 
 
 def _row_checks(sys: TwoSidedSystem, x) -> list[tuple]:
@@ -451,14 +437,13 @@ def twosided_solve(sys: TwoSidedSystem, cap: int = DEFAULT_DET_CAP) -> SolveRepo
     D = BoxMatrix._from_ints(*zip(*map(_minus, sys.A._ints, sys.A._scales,
                                        sys.C._ints, sys.C._scales)))
     rhs, t = _minus(*_over_lcm(sys.b), *_over_lcm(sys.d))
-    r = [Fraction(v, t) for v in rhs]
-    det, x = _cramer_solution(D, r, cap)
+    det, x = _cramer_solution(D, [Fraction(v, t) for v in rhs], cap)
     if x is None:
         return SolveReport(None, det, (), False)
-    checks = _row_checks(sys, _over_lcm(x))
+    xs = _over_lcm(x)
+    checks = _row_checks(sys, xs)
     rows = tuple(RowBounds(rb.lower, rb.upper, rb.satisfied and ok)
-                 for rb, (_a, _c, ok) in zip(
-                     verify_limit_system(LimitSystem(D, r), x).rows, checks))
+                 for rb, (_a, _c, ok) in zip(_bounds(D, rhs, t, xs), checks))
     # regular: both original sides collapse, not the reduced system's rows
     return SolveReport(x, det, rows, all(a[0] == a[1] and c[0] == c[1]
                                          for a, c, _ok in checks))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import _envelopes, as_scalar
+from .core import _array, _envelopes, as_scalar
 from .errors import DomainError
 from .linalg import DEFAULT_DET_CAP, _checked, _pair_det, as_matrix
 
@@ -93,7 +93,8 @@ def s_det(rows: Sequence[Sequence[SPair]], cap: int = DEFAULT_DET_CAP) -> SPair:
     in O(2^n n) integer steps; of an embedded real matrix they are read by
     ``linalg._det_lead``, with det_inf from the same run (the CLI's kind).
     """
-    data = [tuple(map(_as_pair, r)) for r in rows]
+    data = [tuple(map(_as_pair, _array(r, "pairs")))
+            for r in _array(rows, "rows")]
     _checked([[x.plus for x in r] for r in data], cap, "pair determinant")
     return SPair(*_pair_det(data))
 
@@ -122,12 +123,9 @@ def v_identity_check(xs: Iterable[SPair]) -> bool:
     the dominant pairs are strictly signed; a dominant balanced pair can
     break it, and this check reports that honestly.
     """
-    pairs = list(map(_as_pair, xs))
+    pairs = list(map(_as_pair, _array(xs, "pairs")))
     if not pairs:
         return True
-    total = pairs[0]
-    for x in pairs[1:]:
-        total = s_add(total, x)
+    total = SPair(*map(max, zip(*pairs)))  # the pair sum, componentwise max
     lower, upper = _envelopes(v_map(x) for x in pairs)
-    rhs = (upper + lower) / 2
-    return v_map(total) == rhs
+    return v_map(total) == (upper + lower) / 2

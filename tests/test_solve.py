@@ -306,7 +306,7 @@ class TestRegularityFromTheCheckedRows:
     def test_one_sided_rows_are_checked_once(self, monkeypatch, A, b,
                                              regular):
         system = LimitSystem(BoxMatrix(A), b)
-        calls = _counting(monkeypatch, "verify_limit_system")
+        calls = _counting(monkeypatch, "_bounds")
         report = cramer_limit_solve(system)
         assert len(calls) == 1
         assert report.regular is regular
@@ -342,6 +342,41 @@ class TestRegularityFromTheCheckedRows:
         assert report.solution is not None
         assert hyperplane_contains(LimitHyperplane((1, -1), 2), (2, -2))
         assert reads == []
+
+
+# inputs whose every row and vector is read: a system with a fractional
+# row, a two-sided system whose b (-) d is (-5, 3), and a max system
+ONE = ([[2, -1], ["1/2", 3]], [1, 4])
+TWO = ([[2, 1], [1, 3]], [[1, 1], [2, 2]], [4, 3], [5, 2])
+MAX = ([[2, 3], [4, 1]], [5, 7])
+X = [1, "1/2"]
+
+
+class TestEachInputIsReadOnce:
+    @pytest.mark.parametrize("call, inputs", [
+        pytest.param(lambda: cramer_limit_solve(LimitSystem(*ONE)).solution,
+                     [*ONE[0], ONE[1]], id="cramer_limit_solve"),
+        pytest.param(lambda: twosided_solve(TwoSidedSystem(*TWO)).solution,
+                     [*TWO[0], *TWO[1], TWO[2], TWO[3]], id="twosided_solve"),
+        pytest.param(lambda: maxsys_existence_permutation(*MAX),
+                     [*MAX[0], MAX[1]], id="maxsys_existence_permutation"),
+        pytest.param(lambda: kaykobad_check(*MAX), [*MAX[0], MAX[1]],
+                     id="kaykobad_check"),
+        pytest.param(lambda: kaykobad_p_check(*MAX, [2, 1], 2),
+                     [*MAX[0], MAX[1]], id="kaykobad_p_check"),
+        pytest.param(lambda: verify_limit_system(LimitSystem(*ONE), X),
+                     [*ONE[0], ONE[1], X], id="verify_limit_system"),
+        pytest.param(lambda: twosided_row_checks(TwoSidedSystem(*TWO), X),
+                     [*TWO[0], *TWO[1], TWO[2], TWO[3], X],
+                     id="twosided_row_checks"),
+    ])
+    def test_each_input_vector_is_read_once(self, scalar_passes, call,
+                                            inputs):
+        """One ``core._scalars`` pass per input row and vector, in the order
+        they are read, and none over a vector the solver computes: its
+        solution x, the two-sided b (-) d or the max system's b again."""
+        assert call() is not None
+        assert scalar_passes == inputs
 
 
 class TestIntegerChecksMatchTheFractionReference:
