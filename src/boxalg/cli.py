@@ -62,7 +62,7 @@ from .solve import (
     cramer_limit_solve,
     twosided_solve,
 )
-from .sym import _as_pair, v_identity_check, v_map
+from .sym import _as_pair, _collapse, _v_identity
 
 OK, INFEASIBLE, INPUT_ERROR, CAPACITY = 0, 2, 3, 4
 
@@ -325,8 +325,8 @@ def _do_sym(data: dict, opts: dict) -> tuple[int, dict]:
         if not isinstance(raw, list) or not raw:
             raise DomainError("pairs must be a nonempty array of [plus, minus]")
         pairs = list(map(_as_pair, raw))
-        _exact(out, v_values=[v_map(x) for x in pairs])
-        out["v_identity"] = v_identity_check(pairs)
+        _exact(out, v_values=[_collapse(x) for x in pairs])
+        out["v_identity"] = _v_identity(pairs)
     if not out:
         raise DomainError("sym problems need 'A' (pair determinant) or 'pairs'")
     return OK, out

@@ -25,12 +25,16 @@ class LimitHyperplane:
     __slots__ = ("coeffs", "rhs")
 
     def __init__(self, coeffs: Sequence, rhs):
-        self.coeffs = as_vector(coeffs)
-        self.rhs = as_scalar(rhs)
-        if self.rhs == 0:
+        self._set(as_vector(coeffs), as_scalar(rhs))
+
+    def _set(self, coeffs: tuple, rhs) -> "LimitHyperplane":
+        """Hold read coefficients and rhs, once they define a hyperplane."""
+        if rhs == 0:
             raise DomainError("hyperplane right-hand side must be nonzero")
-        if all(c == 0 for c in self.coeffs):
+        if all(c == 0 for c in coeffs):
             raise DomainError("hyperplane coefficients must not all vanish")
+        self.coeffs, self.rhs = coeffs, rhs
+        return self
 
     def __repr__(self) -> str:
         terms = " , ".join(str(c) for c in self.coeffs)
@@ -56,7 +60,7 @@ def hyperplane_through(points: Sequence[Sequence],
         raise DegenerateConfigurationError(
             "the points are degenerate: the limit determinant vanishes"
         )
-    return LimitHyperplane(coeffs, rhs)
+    return LimitHyperplane.__new__(LimitHyperplane)._set(tuple(coeffs), rhs)
 
 
 def hyperplane_contains(H: LimitHyperplane, x: Sequence) -> bool:

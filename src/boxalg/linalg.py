@@ -5,7 +5,7 @@ sum is the dominant-magnitude operation from :mod:`boxalg.core` (or one of
 its semicontinuous envelopes, or a finite-index power sum).
 
 No determinant here lists the n! products. One subset DP sums them in
-one of three semirings; each state is keyed by the set of used columns
+one of two semirings; each state is keyed by the set of used columns
 and the degree of lam, so a plain determinant takes O(2^n n) steps. The
 leading terms keep the largest positive and the largest negative
 magnitude with their counts. One run of them (:func:`_det_lead`) gives
@@ -43,12 +43,14 @@ packing map, every product's exponents stay inside the box and every net
 count stays below 2^(w-1), so the integer determinant is the packed net
 map. The bordered [A | b] gains the row (Y^0, ..., Y^n), Y = 2^(w D),
 which places the minor that leaves out column j in a block of its own,
-Y^j, with the sign (-1)^(n+j). The lam ring stays on the packed DP,
-where a product step is a shift and an add: putting lam in further
+Y^j, with the sign (-1)^(n+j). The lam ring is one top run
+(:func:`_top_dp`) with every magnitude 1 and each sign s times 2^(w
+idx(a)), the packed factor a: every step ties, so each state's count is
+the packed net map of its partial products, and putting lam in further
 blocks would make the integers n + 1 times longer. Either way only each
 slot's top digit is read, at once, in place of a top run and then a
-ring; a ring that does not pack runs the top-magnitude DP and then the
-dict ring when a top count cancels.
+ring; a ring that does not pack runs the top-magnitude DP on its
+magnitudes and then the dict ring when a top count cancels.
 
 The finite-index determinant needs no DP: the sum of the signed products
 raised to the power q = 2p + 1 is det(A^(q)), the ordinary determinant of
@@ -72,11 +74,11 @@ from functools import cache, lru_cache
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import (LOWER, UPPER, _array, _envelope, _scalars, as_vector,
-                   nary_boxplus, smile)
+from .core import (LOWER, UPPER, _array, _envelope, _net_limit, _scalars,
+                   as_vector)
 from .errors import CapacityError, DomainError
 from .signedlog import (SignedLog, _decided, _in_budget, _over_lcm, _phi_p_net,
-                        _root, odd_exponent)
+                        _root, net_by_magnitude, odd_exponent)
 
 BoxVector = tuple[Fraction, ...]
 
@@ -264,11 +266,10 @@ def _subset_dp(entries, width, step, one):
 
     ``entries[i]`` lists the terms (j, shift, a, s) of row i: in column j,
     the factor a with sign s, times lam**shift; a is an integer magnitude
-    > 0, or its bit shift in the packed ring. A state key is the mask of
-    the used columns plus the degree of lam times 2**width, and holds the
-    semiring sum over the partial permutations that reach it. Taking
-    column j adds one inversion per used column above j, so the sign
-    flips when their count is odd.
+    > 0. A state key is the mask of the used columns plus the degree of
+    lam times 2**width, and holds the semiring sum over the partial
+    permutations that reach it. Taking column j adds one inversion per
+    used column above j, so the sign flips when their count is odd.
     ``step(acc, value, a, s)`` returns acc plus value * s * a; acc is None
     for the semiring zero and may be updated in place. Returns the last
     layer, {key: sum}, empty when every product is zero.
@@ -311,10 +312,13 @@ def _top_dp(entries, width) -> dict[int, tuple[int, int]]:
     a product of the largest magnitude of its key passes only through
     states where its prefix holds m: the last layer holds each key's top
     magnitude and its net count, which may be 0. A step multiplies m by
-    the factor and flips c by the parity and the sign; a larger m replaces
+    the factor and c by the sign, negated by the parity; a larger m replaces
     the state and an equal one adds the counts. A key's mask has one bit
     per row taken, so each key lies in one layer, and the states sit in
-    two flat lists over all keys, m = 0 where no product reaches.
+    two flat lists over all keys, m = 0 where no product reaches. A sign
+    may be any int: with the factor 1 and the sign s 2^(w idx(a)) in place
+    of a and s, every step ties and c is the packed net map
+    (:func:`_packing`).
     """
     free, full = _free_columns(width), (1 << width) - 1
     degree = sum(max((term[1] for term in row), default=0) for row in entries)
@@ -380,13 +384,6 @@ def _ring_step(acc, value, a, s):
     return acc
 
 
-def _packed_step(acc, value, a, s):
-    """Packed group ring: the net map as one int, the sum of c * 2^(w
-    idx(m)) (:func:`_packing`); the factor a is its shift w idx(a)."""
-    value = value << a if s > 0 else -value << a
-    return value if acc is None else acc + value
-
-
 #: the primes a packed ring's magnitudes factor over, and its largest box
 PACK_PRIMES = (2, 3, 5, 7, 11, 13)
 PACK_BOX = 64
@@ -405,13 +402,6 @@ def _exponents(m: int) -> tuple[int, ...]:
             e += 1
         out.append(e)
     return tuple(out)
-
-
-@lru_cache(maxsize=1024)
-def _box_size(m: int) -> int:
-    """D = prod_p (T_p + 1), T_p the exponent of p in m, which factors
-    over ``PACK_PRIMES``: the number of divisors of m."""
-    return math.prod(t + 1 for t in _exponents(m))
 
 
 @lru_cache(maxsize=256)
@@ -455,7 +445,9 @@ def _packing(entries) -> _Packing | None:
     lcms = 1
     for row in entries:  # the box only grows row by row
         lcm = math.lcm(*{term[2] for term in row})
-        if _PACK_MULTIPLE % lcm or _box_size(lcms := lcms * lcm) > PACK_BOX:
+        lcms *= lcm
+        if _PACK_MULTIPLE % lcm or math.prod(  # the box D: divisors of lcms
+                t + 1 for t in _exponents(lcms)) > PACK_BOX:
             return None
     w, strides, table, order = _box(_exponents(lcms), len(entries))
     half, mask = 1 << (w - 1), (1 << w) - 1
@@ -567,28 +559,25 @@ def _dominant_terms(M: BoxMatrix, lam: bool = False
 
     Slots where everything cancels are absent. M's DP terms are built
     once, and a ring that packs is read at once, each slot's top digit:
-    one Bareiss elimination without lam, the packed DP with it. A ring
-    that does not pack runs the top-magnitude DP (:func:`_top_dp`), and
+    one Bareiss elimination without lam, and with it one top-magnitude DP
+    (:func:`_top_dp`) on the packed factors, every magnitude 1. A ring
+    that does not pack runs the top-magnitude DP on its magnitudes, and
     then the dict ring when some top count nets to zero.
     """
-    entries = _dp_entries(M, lam)
+    entries, total = _dp_entries(M, lam), math.prod(M._scales)
     if (packing := _packing(entries)) is None:
         tops = _slots(M, _top_dp(entries, M.cols))
-        if all(c for _m, c in tops.values()):
-            return ({k: (m, 1 if c > 0 else -1) for k, (m, c) in tops.items()},
-                    math.prod(M._scales))
-        ring, total = _dp_slots(M, entries, _ring_step, {1: 1})
-        return {k: (m, 1 if net[m] > 0 else -1) for k, net in ring.items()
-                if (m := max((a for a, c in net.items() if c), default=0))
-                }, total
-    if lam:
-        shifts = packing.shifts
-        slots, total = _dp_slots(
-            M, [[(j, d, shifts[a], s) for j, d, a, s in row]
-                for row in entries], _packed_step, 1)
-    else:
-        slots, total = (_kronecker_slots(M, entries, packing),
-                        math.prod(M._scales))
+        if not all(c for _m, c in tops.values()):
+            ring, _total = _dp_slots(M, entries, _ring_step, {1: 1})
+            tops = {k: (m, net[m]) for k, net in ring.items()
+                    if (m := max((a for a, c in net.items() if c), default=0))}
+        return {k: (m, (c > 0) - (c < 0)) for k, (m, c) in tops.items()}, total
+    if not lam:
+        slots = _kronecker_slots(M, entries, packing)
+    else:  # every magnitude 1, so each count is a packed map
+        slots = {k: x for k, (_one, x) in _slots(M, _top_dp(
+            [[(j, d, 1, s << packing.shifts[a]) for j, d, a, s in row]
+             for row in entries], M.cols)).items()}
     return {k: t for k, x in slots.items() if (t := packing.top(x))}, total
 
 
@@ -752,22 +741,24 @@ def matmul_limit(A, B, mode: str = "exact") -> BoxMatrix:
     mode 'exact' aggregates each entry's products with the dominant-
     magnitude sum; 'lower'/'upper' use the corresponding envelope.
     Rectangular operands are fine as long as the inner dimensions agree.
+    Each operand is read once; entry (i, j) sums integers over one scale,
+    s_i times the lcm of B's column j, which keeps magnitude order and ties.
     """
     MA, MB = as_matrix(A), as_matrix(B)
     if MA.cols != MB.rows:
         raise DomainError(
             f"inner dimensions differ: {MA.rows}x{MA.cols} times {MB.rows}x{MB.cols}"
         )
-    if mode == "exact":
-        agg = nary_boxplus
-    elif mode in (LOWER, UPPER):
-        def agg(ts, _m=mode):
-            return smile(ts, _m)
-    else:
+    if mode not in ("exact", LOWER, UPPER):
         raise DomainError(f"mode must be 'exact', 'lower' or 'upper', got {mode!r}")
-    cols = tuple(zip(*MB.to_rows()))
-    return BoxMatrix(tuple(agg(tuple(map(mul, r, c))) for c in cols)
-                     for r in MA.to_rows())
+
+    def agg(ints: list[int]):
+        return (_net_limit(net_by_magnitude(ints)) if mode == "exact"
+                else _envelope(ints, mode))
+    cols = [_over_lcm(MB.col(j)) for j in range(1, MB.cols + 1)]
+    return BoxMatrix._from_ints(*zip(*(_over_lcm(
+        [Fraction(agg(list(map(mul, r, c))), s * t) for c, t in cols])
+        for r, s in zip(MA._ints, MA._scales))))
 
 
 def matvec_limit(A, x: Sequence, mode: str = "exact") -> BoxVector:

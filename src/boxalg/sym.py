@@ -107,12 +107,13 @@ def s_embed_matrix(A) -> tuple[tuple[SPair, ...], ...]:
 
 def v_map(x: SPair) -> Fraction:
     """Collapse a pair to its signed representative (balanced goes to 0)."""
-    x = _as_pair(x)
-    if x.is_positive:
-        return x.plus
-    if x.is_negative:
-        return -x.minus
-    return Fraction(0)
+    return _collapse(_as_pair(x))
+
+
+def _collapse(x: SPair) -> Fraction:
+    """:func:`v_map` of a pair already checked."""
+    return (x.plus if x.is_positive
+            else -x.minus if x.is_negative else Fraction(0))
 
 
 def v_identity_check(xs: Iterable[SPair]) -> bool:
@@ -123,9 +124,13 @@ def v_identity_check(xs: Iterable[SPair]) -> bool:
     the dominant pairs are strictly signed; a dominant balanced pair can
     break it, and this check reports that honestly.
     """
-    pairs = list(map(_as_pair, _array(xs, "pairs")))
+    return _v_identity(list(map(_as_pair, _array(xs, "pairs"))))
+
+
+def _v_identity(pairs: list[SPair]) -> bool:
+    """:func:`v_identity_check` of pairs already checked."""
     if not pairs:
         return True
     total = SPair(*map(max, zip(*pairs)))  # the pair sum, componentwise max
-    lower, upper = _envelopes(v_map(x) for x in pairs)
-    return v_map(total) == (upper + lower) / 2
+    lower, upper = _envelopes(map(_collapse, pairs))
+    return _collapse(total) == (upper + lower) / 2

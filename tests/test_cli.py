@@ -980,19 +980,15 @@ class TestInputHandling:
                                                     problem):
         """Each input row, point and vector passes ``core._scalars`` once,
         the matrices' rows first, whichever module calls it, and no vector
-        a kind computes does: not a solver's x, nor the two-sided b (-) d.
-        The one exception is the hyperplane's coefficients, which
-        ``LimitHyperplane`` reads as it would a caller's."""
+        a kind computes does: not a solver's x, nor the two-sided b (-) d,
+        nor the hyperplane's coefficients."""
         inputs = [v for key in ("A", "C", "points", "queries")
                   for v in problem.get(key, ())]
         inputs += [problem[key] for key in ("b", "d", "xs", "x")
                    if key in problem]
         code, obj = invoke(capsys, kind, "--json", json.dumps(problem))
         assert code == 0 and "error" not in obj, obj
-        passes = scalar_passes
-        if kind == "hyperplane":
-            passes = [v for v in passes if v in inputs]
-        assert passes == inputs
+        assert scalar_passes == inputs
 
     def test_malformed_json_reports_position(self, capsys):
         code, obj = invoke(capsys, "det", "--json", '{"A": [[1,')

@@ -585,3 +585,8 @@ class TestEigenCheck:
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             boxtimes_eig_check(BoxMatrix([[1]]), F(1), (F(0),))
+
+    def test_each_row_and_the_vector_are_read_once(self, scalar_passes):
+        # the product reads no vector it computes
+        assert boxtimes_eig_check([[2, 0], [0, 1]], 2, [1, 0]) is True
+        assert scalar_passes == [[2, 0], [0, 1], [1, 0]]

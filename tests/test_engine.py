@@ -97,19 +97,20 @@ SMALL = [p.values[0] for p in MATRICES if p.id.startswith("small-")]
 
 @pytest.fixture
 def dp_runs(monkeypatch):
-    """The semiring of every subset-DP run, 'lead', 'ring' or 'packed',
-    'top' for each top-magnitude run and 'elim' for each Bareiss
-    elimination of a packed matrix. Every factor handed to a run must be
-    an int."""
+    """The semiring of every subset-DP run, 'lead' or 'ring', 'top' for
+    each top-magnitude run, 'packed' for each top-magnitude run handed
+    only the magnitude 1, which only a packing lam ring is (a ring that
+    does not pack has some magnitude above 1), and 'elim' for each
+    Bareiss elimination of a packed matrix. Every factor and sign handed
+    to a run must be an int."""
     runs = []
     inner, top, eliminate = (linalg._subset_dp, linalg._top_dp,
                              linalg._kronecker_slots)
-    names = {linalg._lead_step: "lead", linalg._ring_step: "ring",
-             linalg._packed_step: "packed"}
+    names = {linalg._lead_step: "lead", linalg._ring_step: "ring"}
 
     def ints(entries):
-        assert all(type(a) is int
-                   for row in entries for _j, _shift, a, _s in row)
+        assert all(type(a) is int and type(s) is int
+                   for row in entries for _j, _shift, a, s in row)
 
     def spy(entries, width, step, one):
         runs.append(names[step])
@@ -117,7 +118,8 @@ def dp_runs(monkeypatch):
         return inner(entries, width, step, one)
 
     def spy_top(entries, width):
-        runs.append("top")
+        runs.append("packed" if all(term[2] == 1 for row in entries
+                                    for term in row) else "top")
         ints(entries)
         return top(entries, width)
 
@@ -387,7 +389,7 @@ class TestCharacteristic:
         for A in SMALL:
             want = _reference_dominant(char_monomials(A))
             assert _dominant(A) == want
-        # every small lam ring packs: one packed DP each
+        # every small lam ring packs: one packed top run each
         assert dp_runs == ["packed"] * len(SMALL)
 
     @pytest.mark.parametrize("A", MATRICES)
@@ -1583,14 +1585,19 @@ class TestTopRun:
     @pytest.mark.parametrize("name", TOP_ENTRIES)
     def test_tops_past_the_box(self, monkeypatch, dp_runs, name):
         """With the packing declined, every tops read runs the top DP once
-        and, when some top count nets to zero, the dict ring after it."""
+        and, when some top count nets to zero, the dict ring after it. A
+        ring whose every magnitude is 1 would pack, so its run reads
+        'packed' (:func:`dp_runs`)."""
         monkeypatch.setattr(linalg, "_packing", lambda entries: None)
         for M, lam in _top_cases(name):
             cancels = any(not c for _m, c in _top_run(M, lam).values())
+            unit = all(t[2] == 1 for row in linalg._dp_entries(M, lam)
+                       for t in row)
             want = _ring_tops(linalg._ring_terms(M, lam))
             dp_runs.clear()
             assert linalg._dominant_terms(M, lam) == want
-            assert dp_runs == ["top"] + ["ring"] * cancels, (M, lam)
+            assert dp_runs == ["packed" if unit else "top"] + [
+                "ring"] * cancels, (M, lam)
 
     def test_cases_reach_every_count(self):
         """Top counts of either sign, ties, cancelled tops in every form,
@@ -1654,35 +1661,36 @@ def _elimination_cases():
 ELIMINATION_CASES = _elimination_cases()
 
 
-def _packed_dp(M, entries, packing):
-    """The packed subset DP's slots, without the slots that cancel: the
-    DP keeps them as 0 where the elimination has no block."""
-    shifts = packing.shifts
-    slots, _total = linalg._dp_slots(
-        M, [[(j, d, shifts[a], s) for j, d, a, s in row] for row in entries],
-        linalg._packed_step, 1)
-    return {k: x for k, x in slots.items() if x}
+def _packed_ring(M, lam=False):
+    """Per slot, the dict ring's net map (:func:`linalg._ring_terms`)
+    packed by :func:`linalg._box`'s layout, the sum of c << sum_p e_p(m)
+    stride_p: the reference every packed map must equal int for int.
+    Slots that cancel are absent."""
+    tops = _whole_box(linalg._dp_entries(M, lam))
+    _w, strides, _table, _order = linalg._box(tops, M.rows)
+    ring, _total = linalg._ring_terms(M, lam)
+    return {k: sum(c << sum(map(mul, linalg._exponents(m), strides))
+                   for m, c in net.items()) for k, net in ring.items()}
 
 
 class TestKroneckerElimination:
-    """One Bareiss elimination of the packed matrix against the packed DP,
-    int for int, and its tops against the dict ring's. The box limit is raised so that every case packs:
-    the elimination itself holds for any box, and entries in 0..3 and 1..3
-    pass the box of 64 from n = 7 or 8 on."""
+    """One Bareiss elimination of the packed matrix against the packed
+    dict ring, int for int, and its tops against the dict ring's. The box
+    limit is raised so that every case packs: the elimination itself holds
+    for any box, and entries in 0..3 and 1..3 pass the box of 64 from
+    n = 7 or 8 on."""
 
     @pytest.fixture(autouse=True)
     def _large_box(self, monkeypatch):
         monkeypatch.setattr(linalg, "PACK_BOX", 4096)
 
     @pytest.mark.parametrize("M", ELIMINATION_CASES)
-    def test_equals_the_packed_dp_and_the_dict_ring(self, M):
+    def test_equals_the_packed_dict_ring(self, M):
         entries = linalg._dp_entries(M, False)
         packing = linalg._packing(entries)
         slots = linalg._kronecker_slots(M, entries, packing)
-        assert slots == _packed_dp(M, entries, packing)
-        ring = linalg._ring_terms(M)
-        assert set(slots) == set(ring[0])
-        assert linalg._dominant_terms(M) == _ring_tops(ring)
+        assert slots == _packed_ring(M)
+        assert linalg._dominant_terms(M) == _ring_tops(linalg._ring_terms(M))
 
     def test_cases_reach_every_block(self):
         # bordered blocks at both parities of n + j, of both signs, and
@@ -1745,6 +1753,90 @@ class TestKroneckerElimination:
             eigen_region(A)
             assert dp_runs == ["packed"], n
             dp_runs.clear()
+
+
+def _packed_lam_cases():
+    """Square matrices whose lam ring packs: seeded ones in -2..2,
+    n = 1..8, and in 1..3, n = 1..7, and the edge cases: fractional rows,
+    a zero row, and degree 0 cancelling at its one magnitude and, for two
+    equal rows, at each of its magnitudes."""
+    rng = random.Random(20261022)
+    out = []
+    for name, lo, hi, top in (("small", -2, 2, 8), ("positive", 1, 3, 7)):
+        for n in range(1, top + 1):
+            for k in range(2 if n < 7 else 1):
+                out.append(pytest.param(BoxMatrix(
+                    [[rng.randint(lo, hi) for _ in range(n)]
+                     for _ in range(n)]), id=f"{name}-n{n}-{k}"))
+    for name, rows in (
+            ("fractional-rows", [["1/2", 1, "-3/2"], [2, "1/3", 0],
+                                 ["3/4", -1, "1/4"]]),
+            ("zero-row", [[2, -1, 1], [0, 0, 0], [1, 2, -2]]),
+            ("cancelling", [[1, 1], [1, 1]]),
+            ("equal-rows", [[1, 2, -1], [1, 2, -1], [2, -1, 3]])):
+        out.append(pytest.param(BoxMatrix(rows), id=name))
+    return out
+
+
+PACKED_LAM_CASES = _packed_lam_cases()
+
+
+@pytest.fixture
+def top_layers(monkeypatch):
+    """The terms and the last layer of every top-magnitude run."""
+    runs, inner = [], linalg._top_dp
+
+    def spy(entries, width):
+        layer = inner(entries, width)
+        runs.append((entries, layer))
+        return layer
+
+    monkeypatch.setattr(linalg, "_top_dp", spy)
+    return runs
+
+
+class TestPackedTopRun:
+    """A packing lam ring's one top run, with every magnitude 1 and each
+    sign times its factor's packed shift, against the packed dict ring,
+    int for int, and its tops against the dict ring's."""
+
+    @pytest.mark.parametrize("M", PACKED_LAM_CASES)
+    def test_equals_the_packed_dict_ring(self, top_layers, M):
+        tops = linalg._dominant_terms(M, True)
+        (_entries, layer), = top_layers
+        slots = linalg._slots(M, layer)
+        assert {m for m, _x in slots.values()} == {1}
+        assert {k: x for k, (_m, x) in slots.items() if x} == _packed_ring(
+            M, True)
+        assert tops == _ring_tops(linalg._ring_terms(M, True))
+
+    def test_cases_reach_every_form(self, top_layers):
+        # every case packs; the edge cases have row scales, an empty
+        # degree 0, and a reached degree 0 whose packed map is 0, from
+        # one magnitude and from several
+        forms = {}
+        for param in PACKED_LAM_CASES:
+            M = param.values[0]
+            assert linalg._packing(linalg._dp_entries(M, True)) is not None
+            top_layers.clear()
+            linalg._dominant_terms(M, True)
+            slots = linalg._slots(M, top_layers[0][1])
+            forms[param.id] = (set(M._scales), slots.get(0, (1, None))[1])
+        assert forms["fractional-rows"][0] == {2, 3, 4}
+        assert forms["zero-row"][1] is None
+        assert forms["cancelling"][1] == forms["equal-rows"][1] == 0
+        M = next(p.values[0] for p in PACKED_LAM_CASES if p.id == "equal-rows")
+        assert len({abs(t) for t in permutation_products(M) if t}) > 1
+
+    def test_a_packing_lam_ring_runs_one_top_run(self, dp_runs):
+        # and no subset DP, whether read alone or for the region
+        for param in PACKED_LAM_CASES:
+            M = param.values[0]
+            for read in (lambda: linalg._dominant_terms(M, True),
+                         lambda: eigen_region(M, cap=8)):
+                dp_runs.clear()
+                read()
+                assert dp_runs == ["packed"], param.id
 
 
 # a 12x12 system with entries in -2..2 whose det A leading count cancels:
@@ -1823,3 +1915,20 @@ class TestPastTheDefaultCap:
             out = json.loads(capsys.readouterr().out)
             assert out["det_inf"] == "2048", kind
         assert out["x"] == [str(x) for x in CANCELLING12_X]
+
+    def test_cancelling_12x12_region_from_one_packed_run(self, capsys,
+                                                         monkeypatch, dp_runs):
+        # the same A, as an eigen problem: its lam ring packs and its
+        # degree-0 top count cancels. The installed command line pins the
+        # region at BOXALG_CAP=12
+        rng = random.Random(13)
+        assert CANCELLING12["A"] == [[rng.randint(-2, 2) for _ in range(12)]
+                                     for _ in range(12)]
+        assert _top_run(BoxMatrix(CANCELLING12["A"]), True)[0] == (4096, 0)
+        monkeypatch.setenv("BOXALG_CAP", "12")
+        dp_runs.clear()
+        problem = {"A": CANCELLING12["A"]}
+        assert run(["eigen", "--json", json.dumps(problem)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["region"] == ["-2", "1", "2"]
+        assert dp_runs == ["packed"]

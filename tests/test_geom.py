@@ -26,6 +26,12 @@ class TestConstruction:
         assert H.coeffs == (F(-3), F(12), F(4))
         assert H.rhs == F(-12)
 
+    def test_each_point_is_read_once(self, scalar_passes):
+        # and the coefficients it computes are not read again
+        H = hyperplane_through([[1, 0], [2, 3]])
+        assert (H.coeffs, H.rhs) == ((F(3), F(-2)), F(3))
+        assert scalar_passes == [[1, 0], [2, 3]]
+
     def test_defining_points_are_members(self):
         points = [(F(1), F(0), F(-3)), (F(2), F(-1), F(1)), (F(4), F(1), F(2))]
         H = hyperplane_through(points)

@@ -294,6 +294,31 @@ class TestMatVec:
             matmul_limit(A, A)
 
     @settings(deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.data())
+    def test_matmul_equals_the_entrywise_sums(self, n, k, m, data):
+        # the integer products over one scale per entry against the sums
+        # of the rational products, and a canonical result
+        A = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                               min_size=n, max_size=n))
+        B = data.draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                               min_size=k, max_size=k))
+        for mode, agg in (("exact", nary_boxplus),
+                          ("lower", lambda ts: smile(ts, "lower")),
+                          ("upper", lambda ts: smile(ts, "upper"))):
+            C = matmul_limit(A, B, mode)
+            assert C == BoxMatrix(
+                [agg([a * row[j] for a, row in zip(r, B)]) for j in range(m)]
+                for r in A)
+
+    def test_matmul_reads_no_value_it_computes(self, scalar_passes):
+        A, B = BoxMatrix([[2, "1/2"], [0, 1]]), BoxMatrix([["1/3", 1], [2, 0]])
+        want = BoxMatrix([[1, 2], [2, 0]])
+        scalar_passes.clear()
+        assert matmul_limit(A, B) == matmul_limit(A, B, "lower") == want
+        assert scalar_passes == []
+
+    @settings(deadline=None)
     @given(random_matrix(2), st.lists(entries, min_size=2, max_size=2))
     def test_modes_sandwich_exact(self, A, x):
         low = matvec_limit(A, x, mode="lower")

@@ -1,5 +1,6 @@
 """Balance-pair semiring and its collapse back to signed values."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from boxalg import (
     v_identity_check,
     v_map,
 )
+from boxalg import cli, sym
 
 F = Fraction
 
@@ -137,6 +139,26 @@ class TestCollapse:
     def test_identity_fails_for_dominant_balanced_pair(self):
         xs = [SPair(F(5), F(5)), s_embed(F(2))]
         assert v_identity_check(xs) is False
+
+    def test_each_pair_is_read_once(self, monkeypatch, capsys):
+        # by the CLI's sym kind and by v_identity_check, which collapse
+        # the pairs and their sum without checking them again
+        calls, inner = [], sym._as_pair
+
+        def spy(x):
+            calls.append(x)
+            return inner(x)
+
+        monkeypatch.setattr(sym, "_as_pair", spy)
+        monkeypatch.setattr(cli, "_as_pair", spy)
+        pairs = [[2, 0], [0, 3], [1, 1]]
+        assert cli.run(["sym", "--json", json.dumps({"pairs": pairs})]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["v_values"], out["v_identity"]) == (["2", "-3", "0"], True)
+        assert calls == pairs
+        calls.clear()
+        assert v_identity_check(pairs) is True
+        assert calls == pairs
 
     @given(st.lists(signed.filter(lambda v: v != 0), min_size=1, max_size=6))
     def test_identity_holds_for_embedded_values(self, values):
